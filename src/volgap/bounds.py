@@ -26,6 +26,14 @@ alpha (n+ell+2) e^E / B, a quantity around e^-137 at n = 2 and far
 smaller beyond.  At double precision the two excesses are equal, so
 the strict ordering must be checked on the closed-form difference,
 which case1_correction_term provides exactly.
+
+One kernel derives every formula above.  It works on floats (natural
+logs of positive quantities), and BoundKernel hoists its per-n scalars:
+n C_n, log B_n and log B_(n,alpha) are computed once per (n, alpha), so
+each (ell, variant) costs a few float operations.  b_alpha, b_cly,
+correction_exponent, case1_correction_numerator, gap_excess and
+log_improvement_vs_cly are LogScalar views over it; tables read
+BoundKernel directly.
 """
 
 from __future__ import annotations
@@ -34,7 +42,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .logdomain import LogScalar, log_add, log_div, log_exp
+from .logdomain import LogScalar, _sum_mags, log_add, log_div, log_exp
 from .specials import nc_product
 
 DEFAULT_ALPHA = 1.43
@@ -45,6 +53,11 @@ class GapVariant(str, Enum):
     THM1 = "THM1"
     THM2_CASE1 = "THM2_CASE1"
     THM2_CASE2 = "THM2_CASE2"
+
+
+def _check_alpha(alpha: float) -> None:
+    if not (alpha > 0.0) or math.isinf(alpha) or math.isnan(alpha):
+        raise ValueError(f"alpha must be positive and finite, got {alpha!r}")
 
 
 @dataclass(frozen=True)
@@ -62,8 +75,7 @@ class GapParams:
             raise ValueError(f"n must be at least 2, got {self.n}")
         if self.ell < 1:
             raise ValueError(f"ell must be at least 1, got {self.ell}")
-        if not (self.alpha > 0.0) or math.isinf(self.alpha) or math.isnan(self.alpha):
-            raise ValueError(f"alpha must be positive and finite, got {self.alpha!r}")
+        _check_alpha(self.alpha)
         # every tuned variant needs a positive numerator
         if self.alpha * self.ell <= 1.0:
             raise ValueError(
@@ -80,13 +92,98 @@ class GapBound:
     ratio_vs_cly: LogScalar
 
 
+# ------------------------------------------------------------- the kernel
+#
+# The only derivation of the bound formulas.  Everything is a natural log
+# of a positive quantity, held as a float.  The float operations are the
+# ones LogScalar's from_float, log_add and log_div apply to the same
+# quantities, so results agree with them bit for bit, and a value that
+# LogScalar rejects still raises from LogScalar itself.
+
+
+def _ln(x: float) -> float:
+    """log x for x > 0; inf and NaN raise as LogScalar.from_float does."""
+    return math.log(x) if x < math.inf else LogScalar.from_float(x).log_mag
+
+
+def _log_mag(v: float) -> float:
+    """v as a log magnitude; +inf and NaN raise as LogScalar does."""
+    return v if v < math.inf else LogScalar(1, v).log_mag
+
+
+def _log_sum(a: float, b: float) -> float:
+    """log(e^a + e^b), with the terms ordered as log_add orders them."""
+    return _sum_mags(a, b) if a >= b else _sum_mags(b, a)
+
+
+def _log_denominator(n: int, alpha: float, exponent: float) -> float:
+    """log(alpha n + alpha + 1 + alpha e^exponent); B_(n,alpha) at exponent alpha n C_n."""
+    return _log_sum(_ln(alpha * n + alpha + 1.0), _log_mag(math.log(alpha) + exponent))
+
+
+def _correction_exponent(n: int, ell: int, anc: float) -> float:
+    """E = anc (1 - (n+4) (n+2 ell)^(2/n) 4^(1/n)) with anc = alpha n C_n."""
+    growth = (n + 4) * math.pow(n + 2 * ell, 2.0 / n) * math.pow(4.0, 1.0 / n)
+    return anc * (1.0 - growth)
+
+
+def _log_case1_correction(n: int, ell: int, alpha: float, anc: float) -> float:
+    """log of alpha (n+ell+2) e^E; -inf once e^E leaves the double range."""
+    e_corr = _correction_exponent(n, ell, anc)
+    return _log_mag(math.log(alpha * (n + ell + 2)) + e_corr)
+
+
+def _log_numerator(variant: GapVariant, n: int, ell: int, alpha: float, anc: float) -> float:
+    if variant is GapVariant.CLY:
+        return _ln(2.0 * ell - 1.0)
+    if variant is GapVariant.THM1:
+        return _ln(alpha * ell - 1.0)
+    if variant is GapVariant.THM2_CASE1:
+        return _log_sum(_ln(alpha * ell - 1.0), _log_case1_correction(n, ell, alpha, anc))
+    if variant is GapVariant.THM2_CASE2:
+        return _ln(2.0 * alpha * ell - 1.0)
+    raise ValueError(f"unknown variant {variant!r}")
+
+
+class BoundKernel:
+    """Every bound at one dimension n and tuning alpha, as natural logs.
+
+    n C_n, log B_n and log B_(n,alpha) are computed once, so logs()
+    costs a few float operations per ell and variant.  Classical rows use
+    B_n whatever alpha is.  ell must satisfy the GapParams checks.
+    """
+
+    __slots__ = ("n", "alpha", "anc", "log_b", "log_b_cly")
+
+    def __init__(self, n: int, alpha: float) -> None:
+        # n C_n first: in a table, a classical row overflows before the
+        # tuned alpha is checked
+        nc = nc_product(n)
+        _check_alpha(alpha)
+        self.n = n
+        self.alpha = alpha
+        self.anc = alpha * nc
+        self.log_b_cly = _log_denominator(n, 2.0, 2.0 * nc)
+        self.log_b = _log_denominator(n, alpha, self.anc)
+
+    def logs(self, ell: int, variants) -> list[tuple[float, float, float]]:
+        """(log B, log excess, log of excess / CLY excess) per variant, in order."""
+        log_cly = _ln(2.0 * ell - 1.0) - self.log_b_cly
+        out = []
+        for variant in variants:
+            log_b = self.log_b_cly if variant is GapVariant.CLY else self.log_b
+            log_excess = _log_numerator(variant, self.n, ell, self.alpha, self.anc) - log_b
+            out.append((log_b, log_excess, log_excess - log_cly))
+        return out
+
+
+# -------------------------------------------------- LogScalar views of it
+
+
 def b_alpha(n: int, alpha: float) -> LogScalar:
     """B_(n,alpha) = alpha n + alpha + 1 + alpha e^(alpha n C_n)."""
-    if not (alpha > 0.0) or math.isinf(alpha) or math.isnan(alpha):
-        raise ValueError(f"alpha must be positive and finite, got {alpha!r}")
-    affine = LogScalar.from_float(alpha * n + alpha + 1.0)
-    spike = LogScalar(1, math.log(alpha) + alpha * nc_product(n))
-    return log_add(affine, spike)
+    _check_alpha(alpha)
+    return LogScalar(1, _log_denominator(n, alpha, alpha * nc_product(n)))
 
 
 def b_cly(n: int) -> LogScalar:
@@ -103,30 +200,13 @@ def correction_exponent(n: int, ell: int, alpha: float = DEFAULT_ALPHA) -> float
     """
     if ell < 1:
         raise ValueError(f"ell must be at least 1, got {ell}")
-    anc = alpha * nc_product(n)
-    growth = (n + 4) * math.pow(n + 2 * ell, 2.0 / n) * math.pow(4.0, 1.0 / n)
-    return anc * (1.0 - growth)
-
-
-def _numerator(params: GapParams, variant: GapVariant) -> LogScalar:
-    n, ell, alpha = params.n, params.ell, params.alpha
-    if variant is GapVariant.CLY:
-        return LogScalar.from_float(2.0 * ell - 1.0)
-    if variant is GapVariant.THM1:
-        return LogScalar.from_float(alpha * ell - 1.0)
-    if variant is GapVariant.THM2_CASE1:
-        base = LogScalar.from_float(alpha * ell - 1.0)
-        return log_add(base, case1_correction_numerator(params))
-    if variant is GapVariant.THM2_CASE2:
-        return LogScalar.from_float(2.0 * alpha * ell - 1.0)
-    raise ValueError(f"unknown variant {variant!r}")
+    return _correction_exponent(n, ell, alpha * nc_product(n))
 
 
 def case1_correction_numerator(params: GapParams) -> LogScalar:
     """alpha (n+ell+2) e^E, the exact numerator bump of THM2_CASE1."""
     n, ell, alpha = params.n, params.ell, params.alpha
-    e_corr = correction_exponent(n, ell, alpha)
-    return LogScalar(1, math.log(alpha * (n + ell + 2)) + e_corr)
+    return LogScalar(1, _log_case1_correction(n, ell, alpha, alpha * nc_product(n)))
 
 
 def gap_excess(params: GapParams, variant: GapVariant) -> GapBound:
@@ -136,17 +216,14 @@ def gap_excess(params: GapParams, variant: GapVariant) -> GapBound:
     the classical tuning; its ratio_vs_cly is exactly one.
     """
     variant = GapVariant(variant)
-    denominator = b_cly(params.n) if variant is GapVariant.CLY else b_alpha(params.n, params.alpha)
-    excess = log_div(_numerator(params, variant), denominator)
-    cly_excess = log_div(
-        LogScalar.from_float(2.0 * params.ell - 1.0), b_cly(params.n)
-    )
+    kernel = BoundKernel(params.n, 2.0 if variant is GapVariant.CLY else params.alpha)
+    ((log_b, log_excess, log_ratio),) = kernel.logs(params.ell, (variant,))
     return GapBound(
         params=params,
         variant=variant,
-        denominator=denominator,
-        excess=excess,
-        ratio_vs_cly=log_div(excess, cly_excess),
+        denominator=LogScalar(1, log_b),
+        excess=LogScalar(1, log_excess),
+        ratio_vs_cly=LogScalar(1, log_ratio),
     )
 
 
@@ -163,8 +240,8 @@ def case1_correction_term(params: GapParams) -> LogScalar:
 
 def log_improvement_vs_cly(n: int, ell: int, alpha: float = DEFAULT_ALPHA) -> float:
     """log of excess(THM1)/excess(CLY); positive means improvement."""
-    params = GapParams(n=n, ell=ell, alpha=alpha)
-    return gap_excess(params, GapVariant.THM1).ratio_vs_cly.log_mag
+    GapParams(n=n, ell=ell, alpha=alpha)  # validates the point
+    return BoundKernel(n, alpha).logs(ell, (GapVariant.THM1,))[0][2]
 
 
 def case2_vs_doubled_thm1_log_margin(n: int, ell: int, alpha: float = DEFAULT_ALPHA) -> float:

@@ -29,6 +29,7 @@ from .solver import optimal_alpha
 from .specials import cly_constant_log
 from .spectral import heat_trace, trace_bound
 from .tables import (
+    _sig,
     build_gap_table,
     format_from_log10,
     format_ratio,
@@ -81,10 +82,6 @@ def _variant_type(text: str):
     except ValueError:
         names = ", ".join(v.value.lower() for v in GapVariant)
         raise argparse.ArgumentTypeError(f"unknown variant {text!r}; choose from {names}, all") from None
-
-
-def _sig(x: float) -> str:
-    return f"{x:.12g}"
 
 
 def _json_safe(value):

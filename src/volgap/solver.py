@@ -31,7 +31,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .bounds import b_alpha
+from .bounds import _log_denominator, b_alpha
 from .logdomain import LogScalar, log_add, log_div
 from .specials import cly_constant, nc_product
 
@@ -175,9 +175,8 @@ def f1_from_excess(u: float, n: int, ell: int) -> LogScalar:
     if alpha <= 0.0:
         raise ValueError(f"alpha must stay positive, got excess {u!r}")
     numerator = LogScalar.from_float(ell * u)
-    affine = LogScalar.from_float(alpha * n + alpha + 1.0)
-    spike = LogScalar(1, math.log(alpha) + _exponent_from_excess(u, n, ell, ncn))
-    return log_div(numerator, log_add(affine, spike))
+    log_b = _log_denominator(n, alpha, _exponent_from_excess(u, n, ell, ncn))
+    return log_div(numerator, LogScalar(1, log_b))
 
 
 def f1_prime(alpha: float, n: int, ell: int) -> LogScalar:

@@ -12,6 +12,7 @@ import pytest
 
 from volgap.bounds import (
     DEFAULT_ALPHA,
+    BoundKernel,
     GapParams,
     GapVariant,
     b_alpha,
@@ -157,6 +158,23 @@ class TestExcesses:
     def test_gap_excess_ratio_field(self):
         bound = gap_excess(GapParams(n=2, ell=1, alpha=1.43), GapVariant.THM1)
         assert bound.ratio_vs_cly.to_float() == pytest.approx(RATIO_2_1_143, rel=1e-13)
+
+
+class TestBoundKernel:
+    def test_logs_follow_the_variant_order(self):
+        n, ell, alpha = 3, 2, 1.43
+        got = BoundKernel(n, alpha).logs(ell, (GapVariant.THM2_CASE2, GapVariant.CLY))
+        b, b_n = plain_b_alpha(n, alpha), plain_b_alpha(n, 2.0)
+        case2, cly = (2 * alpha * ell - 1) / b, (2 * ell - 1) / b_n
+        assert [math.exp(x) for x in got[0]] == pytest.approx([b, case2, case2 / cly], rel=1e-12)
+        assert [math.exp(x) for x in got[1]] == pytest.approx([b_n, cly, 1.0], rel=1e-12)
+        assert got[1][2] == 0.0
+
+    def test_overflow_is_reported_before_a_bad_alpha(self):
+        with pytest.raises(OverflowError):
+            BoundKernel(166, -1.0)
+        with pytest.raises(ValueError, match="alpha must be positive and finite"):
+            BoundKernel(2, -1.0)
 
 
 class TestCorrectionExponent:

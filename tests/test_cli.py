@@ -159,6 +159,39 @@ class TestTable:
         assert exc.value.code == 2
 
 
+class TestGridErrorContract:
+    """Exit code and the one-line message for invalid or unrepresentable grids."""
+
+    @pytest.mark.parametrize("argv, code, message", [
+        (("table", "--n-range", "1:3"), 2,
+         "usage error: n must be at least 2, got 1"),
+        (("table", "--l-range", "0:2"), 2,
+         "usage error: ell must be at least 1, got 0"),
+        (("table", "--alpha", "0.5", "--l-range", "1:1"), 2,
+         "usage error: alpha*ell must exceed 1 for a positive gap, got 0.5*1"),
+        (("table", "--n-range", "165:166"), 1,
+         "error: n*C_n exceeds the double range at n=166;"
+         " exponent-scale formulas stop here"),
+    ])
+    def test_table_errors(self, capsys, argv, code, message):
+        assert main(list(argv)) == code
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == message + "\n"
+
+    def test_classical_rows_ignore_the_tuned_alpha(self, capsys):
+        code, out = run(capsys, "table", "--alpha", "0.5", "--variant", "cly")
+        assert code == 0
+        assert len(out.splitlines()) == 1 + 7 * 4
+
+    def test_gap_auto_collapse_still_exits_two(self, capsys):
+        # alpha=auto collapses the tuned excess into 1/ell from n = 17 on
+        assert main(["gap", "--n", "17", "--l", "1", "--alpha", "auto"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: alpha*ell must exceed 1")
+        assert err.count("\n") == 1
+
+
 class TestOutFile:
     def test_out_matches_stdout(self, capsys, tmp_path):
         _, out = run(capsys, "table", "--n-range", "2:3", "--l-range", "1:1")
