@@ -314,6 +314,10 @@ def _cmd_trace(args) -> int:
         result = heat_trace(args.n, args.t, args.eps)
     except ValueError as exc:
         raise _UsageError(str(exc)) from None
+    except RuntimeError as exc:
+        # t too small to certify the tail within the level cap; main
+        # reports an ArithmeticError as a one-line error with exit 1
+        raise ArithmeticError(str(exc)) from None
     upper = trace_bound(args.n, args.t) if args.t >= 1.0 else None
     if args.json:
         payload = {
@@ -400,7 +404,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("trace", help="heat trace on the round n-sphere")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--t", type=float, required=True)
-    p.add_argument("--eps", type=float, default=1e-9)
+    p.add_argument("--eps", type=float, default=1e-9,
+                   help="relative tail target in (0, 1e-6]; the tail is certified"
+                        " to min(EPS, 5e-15) of the value")
     p.add_argument("--json", action="store_true")
     p.add_argument("--out")
     p.set_defaults(handler=_cmd_trace)

@@ -245,6 +245,21 @@ class TestSingleShotCommands:
         assert code == 0
         assert json.loads(out)["upper_bound"] is None
 
+    def test_trace_level_cap_is_a_one_line_error(self, capsys):
+        # t = 1e-10 needs about 600k levels, past the 200k cap
+        assert main(["trace", "--n", "2", "--t", "1e-10"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: heat trace did not converge")
+        assert captured.err.count("\n") == 1
+
+    def test_trace_small_time_converges(self, capsys):
+        code, out = run(capsys, "trace", "--n", "2", "--t", "1e-7", "--json")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["value"] == pytest.approx(1e7 + 1.0 / 3.0, rel=1e-13)
+        assert payload["tail_bound"] <= 1e-14 * payload["value"]
+
     def test_constants(self, capsys):
         code, out = run(capsys, "constants", "--n-range", "2:6", "--json")
         assert code == 0

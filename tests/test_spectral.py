@@ -1,5 +1,6 @@
 """Spherical spectrum and heat trace against independent oracles."""
 
+import hashlib
 import math
 from math import comb
 
@@ -12,6 +13,11 @@ from volgap.specials import cly_constant
 # frozen: deterministic output of the truncated sum at (n, t) = (2, 1)
 TRACE_2_1 = 1.4184426386310551
 
+# sha256 of the newline-joined repr of heat_trace(n, t).value over the
+# LEM3_TRACE_BOUND grid, n in 2..10 and t = 1, 1.25, ..., 10 (333 values),
+# recorded before the ratio certificate replaced the halving test
+LEM3_GRID_SHA256 = "714d66a89b6e43321070ac600509a416420d24dbd1e7ba4e3ed7f175d018b53a"
+
 
 def classical_multiplicity(n: int, k: int) -> int:
     # dimension of degree-k spherical harmonics on S^n, product form
@@ -22,17 +28,18 @@ def classical_multiplicity(n: int, k: int) -> int:
     )
 
 
-def mp_trace(n: int, t: float, dps: int = 40) -> mpmath.mpf:
+def mp_trace(n: int, t: float, dps: int = 40, start: int = 0) -> mpmath.mpf:
+    # sum over the levels k >= start; start > 0 gives an omitted tail
     mpmath.mp.dps = dps
     total = mpmath.mpf(0)
-    k = 0
+    k = start
     cutoff = mpmath.mpf(10) ** (-dps)
     while True:
         lam = k * (k + n - 1)
         mult = comb(n + k, n) - (comb(n + k - 2, n) if k >= 2 else 0)
         term = mult * mpmath.e ** (-lam * mpmath.mpf(t))
         total += term
-        if k >= 2 and term < cutoff * total:
+        if k >= start + 2 and term < cutoff * total:
             return total
         k += 1
 
@@ -130,6 +137,53 @@ class TestHeatTrace:
     def test_tiny_time_hits_level_cap(self):
         with pytest.raises(RuntimeError):
             heat_trace(2, 1e-10)
+
+    def test_lem3_grid_values_pinned(self):
+        # LEM3_TRACE_BOUND's worst margin is exactly 0.0 at (4, 9.75),
+        # where trace and bound both round to 1.0: any changed bit on
+        # this grid could flip the verdict
+        values = [repr(heat_trace(n, 1.0 + 0.25 * j).value)
+                  for n in range(2, 11) for j in range(37)]
+        digest = hashlib.sha256("\n".join(values).encode()).hexdigest()
+        assert digest == LEM3_GRID_SHA256
+
+
+SMALL_TIMES = (1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 1e-7)
+
+
+class TestSmallTime:
+    """Small-t oracles from Poisson summation and Minakshisundaram-Pleijel."""
+
+    @pytest.mark.parametrize("t", SMALL_TIMES)
+    def test_s3_closed_form(self, t):
+        # on S^3, lambda_k + 1 = (k+1)^2 = m_k, so Poisson summation gives
+        # Z(t) = e^t sqrt(pi) / (4 t^(3/2)) up to O(e^(-pi^2/t))
+        closed = math.exp(t) * math.sqrt(math.pi) / (4.0 * t ** 1.5)
+        assert heat_trace(3, t).value == pytest.approx(closed, rel=1e-13)
+
+    @pytest.mark.parametrize("t", SMALL_TIMES[1:])
+    def test_s2_expansion(self, t):
+        # Mulholland (1928): Z(t) = 1/t + 1/3 + t/15 + 4t^2/315 + O(t^3)
+        expansion = 1.0 / t + 1.0 / 3.0 + t / 15.0 + 4.0 * t * t / 315.0
+        assert heat_trace(2, t).value == pytest.approx(expansion, rel=1e-13)
+
+    @pytest.mark.parametrize("n", (2, 3, 5, 8))
+    def test_levels_scale_like_inverse_sqrt_t(self, n):
+        got = heat_trace(n, 1e-5)
+        assert got.levels_used <= 2500
+        assert 0.0 <= got.tail_bound <= 1e-14 * got.value
+
+    @pytest.mark.parametrize("n", (2, 4, 7))
+    @pytest.mark.parametrize("t", (1e-2, 1e-3))
+    def test_certificate_against_mpmath(self, n, t):
+        got = heat_trace(n, t)
+        # the bound covers the exact omitted tail ...
+        omitted = mp_trace(n, t, start=got.levels_used)
+        assert omitted <= got.tail_bound
+        # ... and, with a few ulps for rounding the partial sum, the
+        # distance to the full trace
+        deficit = abs(float(mp_trace(n, t)) - got.value)
+        assert deficit <= got.tail_bound + 1e-14 * got.value
 
 
 class TestTraceBound:
