@@ -29,12 +29,9 @@ from .bounds import (
     GapVariant,
     b_alpha,
     b_cly,
-    cheng_yang_bound,
     gap_excess,
-    improvement_ratio_thm2,
     log_improvement_vs_cly,
     min_volume_excess_from_multiplicity,
-    min_volume_ratio_from_multiplicity,
 )
 from .claims import ClaimVerdict, SuiteConfig, claim_ids, run_claim, run_claim_suite, suite_passed
 from .logdomain import LogScalar, log_add, log_div, log_exp, log_mul, log_sum
@@ -83,7 +80,6 @@ __all__ = [
     "b_cly",
     "bisect",
     "build_gap_table",
-    "cheng_yang_bound",
     "claim_ids",
     "cly_constant",
     "cly_constant_log",
@@ -94,7 +90,6 @@ __all__ = [
     "gap_excess",
     "h",
     "heat_trace",
-    "improvement_ratio_thm2",
     "log_add",
     "log_div",
     "log_exp",
@@ -103,7 +98,6 @@ __all__ = [
     "log_sum",
     "log_upper_incomplete_gamma_at_one",
     "min_volume_excess_from_multiplicity",
-    "min_volume_ratio_from_multiplicity",
     "nc_product",
     "optimal_alpha",
     "render_csv",

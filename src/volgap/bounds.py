@@ -24,16 +24,20 @@ double range already at n = 6.
 A caution on orderings: the CASE1 excess exceeds the THM1 excess by
 alpha (n+ell+2) e^E / B, a quantity around e^-137 at n = 2 and far
 smaller beyond.  At double precision the two excesses are equal, so
-the strict ordering must be checked on the closed-form difference,
-which case1_correction_term provides exactly.
+the strict ordering must be checked on the closed-form numerator bump
+alpha (n+ell+2) e^E, which case1_correction_numerator provides exactly.
 
 One kernel derives every formula above.  It works on floats (natural
 logs of positive quantities), and BoundKernel hoists its per-n scalars:
 n C_n, log B_n and log B_(n,alpha) are computed once per (n, alpha), so
 each (ell, variant) costs a few float operations.  b_alpha, b_cly,
 correction_exponent, case1_correction_numerator, gap_excess and
-log_improvement_vs_cly are LogScalar views over it; tables read
-BoundKernel directly.
+log_improvement_vs_cly are LogScalar views over it; tables and the grid
+claims read BoundKernel directly.
+
+The overflow cap is decided here too: capped_kernels yields one kernel
+per dimension up to the last n at which every exponent the bounds form
+at a given ell_max still fits in a double.
 """
 
 from __future__ import annotations
@@ -176,6 +180,35 @@ class BoundKernel:
             out.append((log_b, log_excess, log_excess - log_cly))
         return out
 
+    def log_case1_correction(self, ell: int) -> float:
+        """log of alpha (n+ell+2) e^E, the numerator bump of THM2_CASE1."""
+        return _log_case1_correction(self.n, ell, self.alpha, self.anc)
+
+
+def capped_kernels(n_values, alpha: float, ell_max: int):
+    """One BoundKernel per n of n_values, stopping at the overflow cap.
+
+    The cap is the first n at which n C_n, or the case-correction
+    exponent E at ell_max, leaves the double range.  E is the deepest
+    exponent any bound forms, roughly -alpha (n+4) n C_n, so it
+    overflows a few dimensions before n C_n does; below the cap every
+    formula here is finite for ell <= ell_max.  Returns (kernels, note),
+    where note says where and why the sequence stopped, or is None.
+    """
+    kernels = []
+    for n in n_values:
+        try:
+            nc = nc_product(n)
+        except OverflowError:
+            return kernels, f"n capped at {n - 1}: n C_n exceeds float range beyond"
+        if math.isinf(_correction_exponent(n, ell_max, alpha * nc)):
+            return kernels, (
+                f"n capped at {n - 1}: the case-correction exponent"
+                " exceeds float range beyond"
+            )
+        kernels.append(BoundKernel(n, alpha))
+    return kernels, None
+
 
 # -------------------------------------------------- LogScalar views of it
 
@@ -227,17 +260,6 @@ def gap_excess(params: GapParams, variant: GapVariant) -> GapBound:
     )
 
 
-def case1_correction_term(params: GapParams) -> LogScalar:
-    """Exact positive difference excess(THM2_CASE1) - excess(THM1).
-
-    The difference is alpha (n+ell+2) e^E / B_(n,alpha).  It is far
-    below the resolution of the excess values themselves, so strict
-    dominance of CASE1 over THM1 is only visible through this closed
-    form, never through subtracting the two excesses.
-    """
-    return log_div(case1_correction_numerator(params), b_alpha(params.n, params.alpha))
-
-
 def log_improvement_vs_cly(n: int, ell: int, alpha: float = DEFAULT_ALPHA) -> float:
     """log of excess(THM1)/excess(CLY); positive means improvement."""
     GapParams(n=n, ell=ell, alpha=alpha)  # validates the point
@@ -264,35 +286,16 @@ def final_inequality_log_margin(n: int, ell: int, alpha: float = DEFAULT_ALPHA) 
     return anc * (n + 3) + math.log(ell) - math.log(n + ell + 3.0)
 
 
-def correction_below_ell_log_margin(n: int, ell: int, alpha: float = DEFAULT_ALPHA) -> float:
-    """Margin of (n+ell+2) e^E < ell in log form; positive iff it holds.
-
-    This is the consequence that makes the CASE1 excess at most the
-    CASE2 excess.
-    """
-    e_corr = correction_exponent(n, ell, alpha)
-    return math.log(ell) - math.log(n + ell + 2.0) - e_corr
-
-
-def min_volume_ratio_from_multiplicity(n: int, k: int, t: float) -> LogScalar:
-    """(k + e^t) / (e^t + n + 1 + n C_n / t).
-
-    Lower bound for vol(M)/vol(S^n) when the first k Laplace
-    eigenvalues of M do not exceed n.  k = 0 is allowed as a degenerate
-    sanity case and gives a value below one.
-    """
-    excess = min_volume_excess_from_multiplicity(n, k, t)
-    return log_add(LogScalar.from_float(1.0), excess)
-
-
 def min_volume_excess_from_multiplicity(n: int, k: int, t: float) -> LogScalar:
-    """The same ratio minus one, kept exact in log form.
+    """(k + e^t) / (e^t + n + 1 + n C_n / t) - 1, kept exact in log form.
 
-    Algebraically (k - n - 1 - n C_n / t) / (e^t + n + 1 + n C_n / t);
-    at t = alpha n C_n and k = n + ell + 1 this collapses to the THM1
-    excess (alpha ell - 1) / B_(n,alpha).  Returning the excess rather
-    than the ratio keeps that identity checkable at dimensions where
-    1 + excess rounds to 1.
+    The ratio bounds vol(M)/vol(S^n) from below when the first k Laplace
+    eigenvalues of M do not exceed n.  Algebraically the excess is
+    (k - n - 1 - n C_n / t) / (e^t + n + 1 + n C_n / t); at t = alpha n C_n
+    and k = n + ell + 1 it collapses to the THM1 excess
+    (alpha ell - 1) / B_(n,alpha).  Returning the excess rather than the
+    ratio keeps that identity checkable at dimensions where 1 + excess
+    rounds to 1.
     """
     if not isinstance(k, int) or isinstance(k, bool):
         raise TypeError("k must be an int")
@@ -304,50 +307,3 @@ def min_volume_excess_from_multiplicity(n: int, k: int, t: float) -> LogScalar:
     numerator = LogScalar.from_float(k - shift)
     denominator = log_add(log_exp(t), LogScalar.from_float(shift))
     return log_div(numerator, denominator)
-
-
-def cheng_yang_bound(n: int, k: int, lambda1: float | None = None) -> float:
-    """Upper bound (n+4) k^(2/n) lambda_1 for the k-th Laplace eigenvalue.
-
-    The simple polynomial form of the eigenvalue growth estimate, with
-    the dimension factor fixed at n + 4.  lambda1 defaults to n, the
-    largest value admissible here, giving the worst-case bound.
-    """
-    if not isinstance(k, int) or isinstance(k, bool):
-        raise TypeError("k must be an int")
-    if k < 1:
-        raise ValueError(f"k must be at least 1, got {k}")
-    if n < 2:
-        raise ValueError(f"n must be at least 2, got {n}")
-    if lambda1 is None:
-        lambda1 = float(n)
-    if not (0.0 < lambda1 <= n):
-        raise ValueError(f"lambda1 must lie in (0, n], got {lambda1!r}")
-    return (n + 4) * math.pow(k, 2.0 / n) * lambda1
-
-
-@dataclass(frozen=True)
-class Thm2Improvement:
-    """Ratios of the two eigenvalue-corrected excesses to the THM1 excess.
-
-    The CASE1 ratio is 1 + alpha (n+ell+2) e^E / (alpha ell - 1); the
-    tiny part is stored on its own because adding it to one is a no-op
-    at double precision.
-    """
-
-    case1_excess_over_one: LogScalar
-    case2_ratio: float
-
-    @property
-    def case1_ratio(self) -> float:
-        return 1.0 + self.case1_excess_over_one.to_float()
-
-
-def improvement_ratio_thm2(n: int, ell: int, alpha: float = DEFAULT_ALPHA) -> Thm2Improvement:
-    params = GapParams(n=n, ell=ell, alpha=alpha)
-    bump = log_div(
-        case1_correction_numerator(params),
-        LogScalar.from_float(alpha * ell - 1.0),
-    )
-    case2 = (2.0 * alpha * ell - 1.0) / (alpha * ell - 1.0)
-    return Thm2Improvement(case1_excess_over_one=bump, case2_ratio=case2)

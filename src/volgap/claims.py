@@ -9,6 +9,11 @@ the statement is quantitative rather than a strict inequality.
 
 Claims never abort the suite: an evaluator that raises is reported as
 ERROR with the exception text, and the remaining claims still run.
+
+The grid claims run over one bounds.BoundKernel per dimension n, up to
+the overflow cap that bounds decides.  Those over (n, ell) points are
+margin functions of (kernel, ell), folded by one reduction that keeps
+the smallest margin and the first point where it occurs.
 """
 
 from __future__ import annotations
@@ -17,10 +22,11 @@ import math
 from dataclasses import dataclass, field
 
 from . import bounds, solver, spectral
-from .bounds import DEFAULT_ALPHA, GapParams, GapVariant
-from .specials import cly_constant, cly_constant_log, nc_product
+from .bounds import DEFAULT_ALPHA, GapVariant
+from .specials import cly_constant, cly_constant_log
 
 _C3_REFERENCE = 3.58258102141221
+_THM1 = (GapVariant.THM1,)
 
 
 @dataclass(frozen=True)
@@ -85,27 +91,33 @@ def _verdict(claim_id, anchor, ok, witnesses, tolerance=None, grid_note=None):
 
 
 def _n_grid(config: SuiteConfig):
-    """Dimensions n in the grid for which every exponent the suite forms
-    still fits in a double.
+    """One BoundKernel per n of the grid up to the overflow cap, and the cap note."""
+    return bounds.capped_kernels(
+        range(config.n_min, config.n_max + 1), config.alpha, config.ell_max
+    )
 
-    The deepest exponent is the case (i) correction, roughly
-    -alpha (n+4) (n C_n); it overflows a few dimensions before n C_n
-    itself does.  Returns (ns, note); note is None unless capped.
+
+def _reduce_grid(config: SuiteConfig, margin, start=math.inf):
+    """Fold margin(kernel, ell) over the (n, ell) grid, one kernel per n.
+
+    Returns (kernels, worst, at, grid_note): the smallest margin and its
+    point.  Points are visited n first, then ell, and only a strictly
+    smaller margin moves the point, so ties keep the first.  A NaN margin
+    counts as -inf: the statement could not be checked there.  The point
+    stays (-1, -1) unless some margin falls below start.
     """
-    ns = []
-    for n in range(config.n_min, config.n_max + 1):
-        try:
-            ncn = nc_product(n)
-        except OverflowError:
-            return ns, f"n capped at {n - 1}: n C_n exceeds float range beyond"
-        shrink = (n + 4.0) * (n + 2.0 * config.ell_max) ** (2.0 / n) * 4.0 ** (1.0 / n)
-        if math.isinf(config.alpha * ncn * (shrink - 1.0)):
-            return ns, (
-                f"n capped at {n - 1}: the case-correction exponent"
-                " exceeds float range beyond"
-            )
-        ns.append(n)
-    return ns, None
+    kernels, note = _n_grid(config)
+    worst = start
+    at = (-1.0, -1.0)
+    for kernel in kernels:
+        for ell in range(config.ell_min, config.ell_max + 1):
+            m = margin(kernel, ell)
+            if m != m:
+                m = -math.inf
+            if m < worst:
+                worst, at = m, (float(kernel.n), float(ell))
+    grid = _grid_note(config, kernels)
+    return kernels, worst, at, grid if note is None else f"{grid}; {note}"
 
 
 # ---------------------------------------------------------------- claims
@@ -201,7 +213,8 @@ def _claim_alpha_star_bracket(config: SuiteConfig) -> ClaimVerdict:
         "the maximiser gamma_n of (a - 1)/B_(n,a) lies strictly between 1 and 1.43"
         " for every n, with defining-equation residual at most 1e-9"
     )
-    ns, note = _n_grid(config)
+    kernels, note = _n_grid(config)
+    ns = [kernel.n for kernel in kernels]
     ok = True
     worst_res = 0.0
     gamma_2 = math.nan
@@ -251,8 +264,8 @@ def _claim_gamma2_gt_13(config: SuiteConfig) -> ClaimVerdict:
 
 def _claim_gamman_le_13(config: SuiteConfig) -> ClaimVerdict:
     anchor = "gamma_n < 1.3 for every n >= 3"
-    ns, note = _n_grid(config)
-    ns = [n for n in ns if n >= 3]
+    kernels, note = _n_grid(config)
+    ns = [kernel.n for kernel in kernels if kernel.n >= 3]
     ok = True
     largest = math.nan
     for n in ns:
@@ -307,7 +320,8 @@ def _claim_leml_gprime_neg(config: SuiteConfig) -> ClaimVerdict:
         "g(b) = (n + 1 + (1+B) e^B)/(b^2 n C_n e^B - 1) has negative derivative"
         " throughout its domain b^2 n C_n e^B > 1, with B = b n C_n"
     )
-    ns, note = _n_grid(config)
+    kernels, note = _n_grid(config)
+    ns = [kernel.n for kernel in kernels]
     betas = [0.05 * k for k in range(1, 61)]
     ok = True
     in_domain = 0
@@ -318,7 +332,7 @@ def _claim_leml_gprime_neg(config: SuiteConfig) -> ClaimVerdict:
             if not sample.in_domain:
                 continue
             in_domain += 1
-            if sample.sign != -1:
+            if sample.sign != -1 and ok:
                 ok = False
                 bad_beta, bad_n = sample.beta, float(n)
     grid = f"n in [{ns[0]}, {ns[-1]}], beta in {{0.05, ..., 3.0}}" if ns else "empty grid"
@@ -338,20 +352,14 @@ def _claim_final_ineq(config: SuiteConfig) -> ClaimVerdict:
         "alpha n (n + 3) C_n + log(ell) - log(n + ell + 3) stays positive"
         " on the whole parameter grid"
     )
-    ns, note = _n_grid(config)
-    worst = math.inf
-    at = (-1.0, -1.0)
-    for n in ns:
-        for ell in range(config.ell_min, config.ell_max + 1):
-            margin = bounds.final_inequality_log_margin(n, ell, config.alpha)
-            if margin < worst:
-                worst = margin
-                at = (float(n), float(ell))
-    grid = _grid_note(config, ns)
+    kernels, worst, at, grid = _reduce_grid(
+        config,
+        lambda kernel, ell: bounds.final_inequality_log_margin(kernel.n, ell, kernel.alpha),
+    )
     return _verdict(
-        "FINAL_INEQ", anchor, worst > 0.0 and bool(ns),
+        "FINAL_INEQ", anchor, worst > 0.0 and bool(kernels),
         {"min_log_margin": worst, "at_n": at[0], "at_ell": at[1]},
-        grid_note=grid if note is None else f"{grid}; {note}",
+        grid_note=grid,
     )
 
 
@@ -360,26 +368,19 @@ def _claim_gap_order_thm1_cly(config: SuiteConfig) -> ClaimVerdict:
         "the tuned excess exceeds 1.65 times the classical excess at every"
         " grid point (compared in log form; the margin grows with n)"
     )
-    ns, note = _n_grid(config)
     floor = math.log(1.65)
-    worst = math.inf
-    at = (-1.0, -1.0)
-    for n in ns:
-        for ell in range(config.ell_min, config.ell_max + 1):
-            margin = bounds.log_improvement_vs_cly(n, ell, config.alpha) - floor
-            if margin < worst:
-                worst = margin
-                at = (float(n), float(ell))
-    grid = _grid_note(config, ns)
+    kernels, worst, at, grid = _reduce_grid(
+        config, lambda kernel, ell: kernel.logs(ell, _THM1)[0][2] - floor
+    )
     return _verdict(
-        "GAP_ORDER_THM1_CLY", anchor, worst > 0.0 and bool(ns),
+        "GAP_ORDER_THM1_CLY", anchor, worst > 0.0 and bool(kernels),
         {
             "min_log_margin_over_165": worst,
             "at_n": at[0],
             "at_ell": at[1],
             "ratio_at_min": math.exp(worst + floor),
         },
-        grid_note=grid if note is None else f"{grid}; {note}",
+        grid_note=grid,
     )
 
 
@@ -388,30 +389,24 @@ def _claim_gap_order_thm2_thm1(config: SuiteConfig) -> ClaimVerdict:
         "case (i) strictly improves on the tuned bound (its correction term is"
         " positive) and case (ii) strictly exceeds twice the tuned excess"
     )
-    ns, note = _n_grid(config)
-    ok = bool(ns)
-    worst_case2 = math.inf
-    bad = (-1.0, -1.0)
-    for n in ns:
-        for ell in range(config.ell_min, config.ell_max + 1):
-            params = GapParams(n=n, ell=ell, alpha=config.alpha)
-            if bounds.case1_correction_numerator(params).sign != 1:
-                ok = False
-                bad = (float(n), float(ell))
-            margin = bounds.case2_vs_doubled_thm1_log_margin(n, ell, config.alpha)
-            worst_case2 = min(worst_case2, margin)
-            if not (margin > 0.0):
-                ok = False
-                bad = (float(n), float(ell))
-    grid = _grid_note(config, ns)
+
+    def margin(kernel, ell):
+        # a correction term that vanished fails the point outright
+        if kernel.log_case1_correction(ell) == -math.inf:
+            return -math.inf
+        return bounds.case2_vs_doubled_thm1_log_margin(kernel.n, ell, kernel.alpha)
+
+    kernels, worst, at, grid = _reduce_grid(config, margin)
+    ok = worst > 0.0 and bool(kernels)
+    bad = (-1.0, -1.0) if ok else at
     return _verdict(
         "GAP_ORDER_THM2_THM1", anchor, ok,
         {
-            "min_case2_log_margin": worst_case2,
+            "min_case2_log_margin": worst,
             "first_bad_n": bad[0],
             "first_bad_ell": bad[1],
         },
-        grid_note=grid if note is None else f"{grid}; {note}",
+        grid_note=grid,
     )
 
 
@@ -420,40 +415,31 @@ def _claim_thm6_consistency(config: SuiteConfig) -> ClaimVerdict:
         "the minimal-volume excess computed from the multiplicity route at"
         " k = n + ell + 1, t = alpha n C_n reproduces the tuned excess"
     )
-    ns, note = _n_grid(config)
-    ok = bool(ns)
-    worst = 0.0
-    at = (-1.0, -1.0)
-    for n in ns:
-        t = config.alpha * nc_product(n)
-        for ell in range(config.ell_min, config.ell_max + 1):
-            params = GapParams(n=n, ell=ell, alpha=config.alpha)
-            direct = bounds.gap_excess(params, GapVariant.THM1).excess
-            routed = bounds.min_volume_excess_from_multiplicity(n, n + ell + 1, t)
-            if direct.sign != 1 or routed.sign != 1:
-                ok = False
-                at = (float(n), float(ell))
-                continue
-            rel = abs(direct.log_mag - routed.log_mag) / max(1.0, abs(direct.log_mag))
-            if rel > worst:
-                worst = rel
-                at = (float(n), float(ell))
-    if worst > config.tol:
-        ok = False
-    grid = _grid_note(config, ns)
+
+    def margin(kernel, ell):
+        # minus the relative log difference; -inf if the route is not positive
+        direct = kernel.logs(ell, _THM1)[0][1]
+        routed = bounds.min_volume_excess_from_multiplicity(kernel.n, kernel.n + ell + 1, kernel.anc)
+        if routed.sign != 1:
+            return -math.inf
+        return -abs(direct - routed.log_mag) / max(1.0, abs(direct))
+
+    # start at 0: the point names the largest difference, if any is nonzero
+    kernels, worst, at, grid = _reduce_grid(config, margin, start=0.0)
+    max_rel = abs(worst)
     return _verdict(
-        "THM6_CONSISTENCY", anchor, ok,
-        {"max_rel_log_diff": worst, "at_n": at[0], "at_ell": at[1]},
+        "THM6_CONSISTENCY", anchor, bool(kernels) and max_rel <= config.tol,
+        {"max_rel_log_diff": max_rel, "at_n": at[0], "at_ell": at[1]},
         tolerance=config.tol,
-        grid_note=grid if note is None else f"{grid}; {note}",
+        grid_note=grid,
     )
 
 
-def _grid_note(config: SuiteConfig, ns) -> str:
-    if not ns:
+def _grid_note(config: SuiteConfig, kernels) -> str:
+    if not kernels:
         return "empty grid"
     return (
-        f"n in [{ns[0]}, {ns[-1]}], ell in [{config.ell_min}, {config.ell_max}],"
+        f"n in [{kernels[0].n}, {kernels[-1].n}], ell in [{config.ell_min}, {config.ell_max}],"
         f" alpha = {config.alpha:g}"
     )
 

@@ -31,7 +31,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .bounds import _log_denominator, b_alpha
+from .bounds import _log_denominator, _log_sum, b_alpha
 from .logdomain import LogScalar, log_add, log_div
 from .specials import cly_constant, nc_product
 
@@ -269,29 +269,6 @@ def phi3_threshold() -> float:
     return 3.0 * cly_constant(3) * 1.3 * 0.3 - 1.0
 
 
-def g_log(beta: float, n: int) -> LogScalar:
-    """g(beta) = (n + 1 + (1+B) e^B) / (beta^2 n C_n e^B - 1), B = beta n C_n.
-
-    Only defined where the denominator is positive; outside that the
-    call raises.
-    """
-    if not (beta > 0.0):
-        raise ValueError(f"beta must be positive, got {beta!r}")
-    ncn = nc_product(n)
-    big_b = beta * ncn
-    numerator = log_add(
-        LogScalar.from_float(n + 1.0),
-        LogScalar(1, math.log1p(big_b) + big_b),
-    )
-    denominator = log_add(
-        LogScalar(1, math.log(beta * beta * ncn) + big_b),
-        LogScalar.from_float(-1.0),
-    )
-    if denominator.sign <= 0:
-        raise ValueError(f"beta={beta!r} is outside the domain beta^2 n C_n e^B > 1")
-    return log_div(numerator, denominator)
-
-
 def g_prime_numerator(beta: float, n: int) -> LogScalar:
     """Numerator of g'(beta) after combining over the common denominator:
 
@@ -309,17 +286,13 @@ def g_prime_numerator(beta: float, n: int) -> LogScalar:
         raise OverflowError(f"exponent beta n C_n overflows for beta={beta!r}, n={n}")
     # assemble the polynomial factors by log-summing their pieces: the
     # plain products overflow long before the log magnitudes do
-    poly = log_add(
-        LogScalar(1, math.log(2.0) + math.log(beta)),
-        LogScalar(1, 2.0 * math.log(beta) + math.log(ncn)),
+    log_poly = _log_sum(math.log(2.0) + math.log(beta), 2.0 * math.log(beta) + math.log(ncn))
+    log_inner = _log_sum(
+        math.log(big_b) + math.log1p(beta * (n + 1.0)),
+        math.log(2.0 * (beta * n + beta + 1.0)),
     )
-    first = LogScalar(1, 2.0 * big_b + poly.log_mag)
-    inner = log_add(
-        LogScalar(1, math.log(big_b) + math.log1p(beta * (n + 1.0))),
-        LogScalar.from_float(2.0 * (beta * n + beta + 1.0)),
-    )
-    second = LogScalar(1, big_b + inner.log_mag)
-    return log_add(first, second) * LogScalar.from_float(-ncn)
+    log_bracket = _log_sum(2.0 * big_b + log_poly, big_b + log_inner)
+    return LogScalar(-1, log_bracket + math.log(ncn))
 
 
 @dataclass(frozen=True)
@@ -380,22 +353,3 @@ def psi_decreasing_check(n_lo: int = 4, n_hi: int = 200) -> PsiCheck:
         decreasing=True, first_violation=None,
         log10_at_start=psi_log_value(n_lo) / math.log(10.0),
     )
-
-
-@dataclass(frozen=True)
-class ObjectiveProfile:
-    """f1 sampled along strictly increasing parameter values."""
-
-    n: int
-    ell: int
-    samples: tuple
-
-    def __post_init__(self) -> None:
-        params = [p for p, _ in self.samples]
-        if any(b <= a for a, b in zip(params, params[1:])):
-            raise ValueError("sample parameters must be strictly increasing")
-
-
-def profile_f1(n: int, ell: int, alphas) -> ObjectiveProfile:
-    pts = tuple((float(a), f1(float(a), n, ell)) for a in alphas)
-    return ObjectiveProfile(n=n, ell=ell, samples=pts)

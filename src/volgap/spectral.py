@@ -85,7 +85,8 @@ def heat_trace(n: int, t: float, eps: float = 1e-9) -> TraceResult:
     not included.  Each term is exp(log m_k - lambda_k t), so a huge
     multiplicity never overflows while the product is an ordinary
     double.  Raises RuntimeError when t is too small for the tail to be
-    certified within the level cap.
+    certified within the level cap, and OverflowError when the trace,
+    or a single term of it, exceeds the double range.
     """
     _check_dimension(n)
     if not (t > 0.0) or math.isinf(t) or math.isnan(t):
@@ -100,18 +101,25 @@ def heat_trace(n: int, t: float, eps: float = 1e-9) -> TraceResult:
     term = 1.0  # T_0
     mult = n + 1  # m_1
     term_log = math.log(mult) - n * t  # log T_1
-    for j in range(1, _MAX_LEVELS + 2):
-        total += term
-        mult = mult * (2 * j + n + 1) * (j + n - 1) // ((2 * j + n - 1) * (j + 1))
-        next_log = math.log(mult) - (j + 1) * (j + n) * t  # log T_(j+1)
-        term = math.exp(term_log) if term_log > -745.0 else 0.0  # T_j
-        log_ratio = next_log - term_log  # log r_j
-        if log_ratio < 0.0:
-            tail = term / -math.expm1(log_ratio)
-            if tail <= threshold * total:
-                return TraceResult(value=total, levels_used=j, tail_bound=tail)
-        term_log = next_log
-    raise RuntimeError(f"heat trace did not converge within {_MAX_LEVELS} levels (t={t})")
+    try:
+        for j in range(1, _MAX_LEVELS + 2):
+            total += term
+            mult = mult * (2 * j + n + 1) * (j + n - 1) // ((2 * j + n - 1) * (j + 1))
+            next_log = math.log(mult) - (j + 1) * (j + n) * t  # log T_(j+1)
+            term = math.exp(term_log) if term_log > -745.0 else 0.0  # T_j
+            log_ratio = next_log - term_log  # log r_j
+            if log_ratio < 0.0:
+                tail = term / -math.expm1(log_ratio)
+                if tail <= threshold * total:
+                    break
+            term_log = next_log
+        else:
+            raise RuntimeError(f"heat trace did not converge within {_MAX_LEVELS} levels (t={t})")
+    except OverflowError:  # a single term already leaves the double range
+        total = math.inf
+    if total == math.inf:  # an infinite sum also passes the stop test
+        raise OverflowError(f"heat trace exceeds the double range at n={n}, t={t!r}")
+    return TraceResult(value=total, levels_used=j, tail_bound=tail)
 
 
 def trace_bound(n: int, t: float) -> float:

@@ -17,28 +17,33 @@ from volgap.bounds import (
     GapVariant,
     b_alpha,
     b_cly,
+    capped_kernels,
     case1_correction_numerator,
-    case1_correction_term,
     case2_vs_doubled_thm1_log_margin,
-    cheng_yang_bound,
-    correction_below_ell_log_margin,
     correction_exponent,
     final_inequality_log_margin,
     gap_excess,
-    improvement_ratio_thm2,
     log_improvement_vs_cly,
     min_volume_excess_from_multiplicity,
-    min_volume_ratio_from_multiplicity,
 )
-from volgap.logdomain import ONE, LogScalar, log_add
+from volgap.logdomain import ONE, LogScalar, log_add, log_div
 from volgap.specials import cly_constant, nc_product
 
 RATIO_2_1_143 = 1.6511710588547066  # frozen; also reproduced by criterion 3
-IMPROVEMENT_CASE2_2_1 = 4.325581395348837  # (2a-1)/(a-1) at a = 1.43
+
+
+def case1_term(params: GapParams) -> LogScalar:
+    """excess(THM2_CASE1) - excess(THM1) = alpha (n+ell+2) e^E / B_(n,alpha)."""
+    return log_div(case1_correction_numerator(params), b_alpha(params.n, params.alpha))
 
 
 def plain_b_alpha(n: int, alpha: float) -> float:
     return alpha * n + alpha + 1.0 + alpha * math.exp(alpha * n * cly_constant(n))
+
+
+def cheng_yang(n: int, k: int) -> float:
+    """Cheng-Yang bound (n+4) k^(2/n) lambda_1 on the k-th eigenvalue, at lambda_1 = n."""
+    return (n + 4) * k ** (2.0 / n) * n
 
 
 class TestDenominators:
@@ -130,7 +135,7 @@ class TestExcesses:
                 params = GapParams(n=n, ell=ell, alpha=1.43)
                 thm1 = gap_excess(params, GapVariant.THM1).excess
                 case1 = gap_excess(params, GapVariant.THM2_CASE1).excess
-                rebuilt = log_add(thm1, case1_correction_term(params))
+                rebuilt = log_add(thm1, case1_term(params))
                 assert case1.sign == rebuilt.sign == 1
                 assert case1.log_mag == pytest.approx(
                     rebuilt.log_mag, rel=0, abs=1e-13 * max(1.0, abs(case1.log_mag))
@@ -141,7 +146,7 @@ class TestExcesses:
             for ell in (1, 7, 30):
                 params = GapParams(n=n, ell=ell, alpha=1.43)
                 assert case1_correction_numerator(params).sign == 1
-                assert case1_correction_term(params).sign == 1
+                assert case1_term(params).sign == 1
 
     def test_ratio_frozen_value(self):
         ratio = math.exp(log_improvement_vs_cly(2, 1, 1.43))
@@ -177,6 +182,25 @@ class TestBoundKernel:
             BoundKernel(2, -1.0)
 
 
+    def test_case1_correction_matches_the_view(self):
+        for n, ell in ((2, 1), (7, 4), (60, 30)):
+            params = GapParams(n=n, ell=ell, alpha=1.43)
+            assert BoundKernel(n, 1.43).log_case1_correction(ell) == (
+                case1_correction_numerator(params).log_mag
+            )
+
+    def test_capped_kernels_stop_before_the_first_overflow(self):
+        kernels, note = capped_kernels(range(160, 170), 1.43, 30)
+        assert [k.n for k in kernels] == [160, 161, 162, 163, 164]
+        assert note == "n capped at 164: the case-correction exponent exceeds float range beyond"
+        assert all(k.log_b == BoundKernel(k.n, 1.43).log_b for k in kernels)
+        # a tiny alpha keeps the correction exponent finite until n C_n overflows
+        kernels, note = capped_kernels(range(160, 170), 0.01, 110)
+        assert kernels[-1].n == 165
+        assert note == "n capped at 165: n C_n exceeds float range beyond"
+        assert capped_kernels(range(2, 5), 1.43, 30)[1] is None
+
+
 class TestCorrectionExponent:
     def test_frozen_values(self):
         assert correction_exponent(2, 1, 1.43) == pytest.approx(-134.42, rel=1e-12)
@@ -201,7 +225,7 @@ class TestCorrectionExponent:
                 via_cy = (
                     1.43
                     * nc_product(n)
-                    * (1.0 - cheng_yang_bound(n, n + 2 * ell) * 4.0 ** (1.0 / n) / n)
+                    * (1.0 - cheng_yang(n, n + 2 * ell) * 4.0 ** (1.0 / n) / n)
                 )
                 assert correction_exponent(n, ell, 1.43) == pytest.approx(via_cy, rel=1e-12)
 
@@ -209,23 +233,6 @@ class TestCorrectionExponent:
         for n in range(2, 60):
             for ell in (1, 10, 30):
                 assert correction_exponent(n, ell, 1.43) < 0.0
-
-
-class TestChengYang:
-    def test_plain_values(self):
-        assert cheng_yang_bound(2, 4) == pytest.approx(6.0 * 4.0 * 2.0, rel=1e-14)
-        assert cheng_yang_bound(3, 8) == pytest.approx(7.0 * 4.0 * 3.0, rel=1e-14)
-
-    def test_explicit_lambda(self):
-        assert cheng_yang_bound(2, 4, lambda1=1.0) == pytest.approx(24.0, rel=1e-14)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            cheng_yang_bound(2, 0)
-        with pytest.raises(ValueError):
-            cheng_yang_bound(2, 4, lambda1=0.0)
-        with pytest.raises(ValueError):
-            cheng_yang_bound(2, 4, lambda1=3.0)  # above the sphere value n
 
 
 class TestOrderings:
@@ -244,17 +251,11 @@ class TestOrderings:
         assert final_inequality_log_margin(2, 1, 1.43) == pytest.approx(12.508, rel=1e-3)
 
     def test_correction_stays_below_codimension(self):
+        # (n+ell+2) e^E < ell, which puts the CASE1 excess below CASE2
         for n in (2, 5, 20):
             for ell in (1, 3, 30):
-                assert correction_below_ell_log_margin(n, ell, 1.43) > 0.0
-
-    def test_improvement_summary(self):
-        imp = improvement_ratio_thm2(2, 1, 1.43)
-        assert imp.case2_ratio == pytest.approx(IMPROVEMENT_CASE2_2_1, rel=1e-12)
-        # the case (i) refinement is ~e^{-131} relatively: strictly positive
-        # as a LogScalar, invisible after collapsing to float
-        assert imp.case1_excess_over_one.sign == 1
-        assert imp.case1_ratio == 1.0
+                margin = math.log(ell) - math.log(n + ell + 2.0) - correction_exponent(n, ell, 1.43)
+                assert margin > 0.0
 
 
 class TestMultiplicityRoute:
@@ -262,15 +263,16 @@ class TestMultiplicityRoute:
         for n, k, t in ((2, 5, 3.0), (3, 9, 2.0), (4, 4, 6.0)):
             num = 1.0 + k * math.exp(-t)
             den = 1.0 + (n + 1.0) * math.exp(-t) + nc_product(n) / t * math.exp(-t)
-            assert min_volume_ratio_from_multiplicity(n, k, t).to_float() == pytest.approx(
-                num / den, rel=1e-12
-            )
+            excess = min_volume_excess_from_multiplicity(n, k, t).to_float()
+            assert 1.0 + excess == pytest.approx(num / den, rel=1e-12)
 
     def test_excess_is_ratio_minus_one(self):
+        # ratio minus one in closed form: (k - s) / (e^t + s), s = n + 1 + n C_n / t
         for n, k, t in ((2, 5, 3.0), (3, 9, 2.0)):
-            ratio = min_volume_ratio_from_multiplicity(n, k, t).to_float()
+            shift = n + 1.0 + nc_product(n) / t
+            plain = (k - shift) / (math.exp(t) + shift)
             excess = min_volume_excess_from_multiplicity(n, k, t).to_float()
-            assert excess == pytest.approx(ratio - 1.0, rel=1e-10)
+            assert excess == pytest.approx(plain, rel=1e-12)
 
     def test_small_k_gives_negative_excess(self):
         # degenerate sanity: below the shift the route reports a deficit

@@ -4,6 +4,7 @@ import dataclasses
 
 import pytest
 
+from volgap import solver
 from volgap.claims import (
     ClaimVerdict,
     SuiteConfig,
@@ -13,6 +14,7 @@ from volgap.claims import (
     run_claim_suite,
     suite_passed,
 )
+from volgap.logdomain import LogScalar
 
 EXPECTED_IDS = [
     "ALPHA_STAR_BRACKET",
@@ -129,6 +131,24 @@ def test_grid_caps_before_overflow():
     assert suite_passed(verdicts)
     capped = [v for v in verdicts if v.grid_note and "capped at 164" in v.grid_note]
     assert capped
+
+
+def test_first_bad_names_the_first_failing_point():
+    # at alpha = 1e300 the case (ii) margin rounds to exactly 0 everywhere,
+    # so every point fails; n-then-ell order puts (2, 1) first
+    v = run_claim("GAP_ORDER_THM2_THM1", SuiteConfig(alpha=1e300))
+    assert v.status == "FAIL"
+    assert (v.witnesses["first_bad_n"], v.witnesses["first_bad_ell"]) == (2.0, 1.0)
+    assert v.witnesses["min_case2_log_margin"] == 0.0
+
+
+def test_first_bad_beta_names_the_first_failing_sample(monkeypatch):
+    monkeypatch.setattr(solver, "g_prime_numerator", lambda beta, n: LogScalar(1, 0.0))
+    v = run_claim("LEML_GPRIME_NEG", SMALL)
+    first = next(s for s in solver.g_prime_sign_scan(2, [0.05 * k for k in range(1, 61)])
+                 if s.in_domain)
+    assert v.status == "FAIL"
+    assert (v.witnesses["first_bad_n"], v.witnesses["first_bad_beta"]) == (2.0, first.beta)
 
 
 class TestSuiteConfig:

@@ -1,5 +1,6 @@
 """Command line contract: exit codes, output formats, reproducibility."""
 
+import hashlib
 import json
 import math
 
@@ -94,6 +95,27 @@ class TestVerifyOutput:
         payload = json.loads(out)
         assert [c["claim_id"] for c in payload["claims"]] == ["RATIO_165"]
         assert payload["total"] == 1
+
+
+# sha256 of `volgap verify --json ... --out FILE`, recorded before the grid
+# claims became reductions over one bound kernel per n; the FAIL run pins
+# where the witnesses land.
+VERIFY_PINNED = [
+    ((), "2618d0d3fff12438d19aaea2cd36a4eb815cb72d4fb31b92d6a71f0d7a7fd79e"),
+    (("--n-range", "2:400", "--l-range", "1:30"),
+     "680b1b07aa735afd01ff88bd473636c416613adfbc472a698d0ec9a8311e5340"),
+    (("--alpha", "3.0", "--n-range", "2:400", "--l-range", "1:30"),
+     "ad5b8a152676f404b49f37cd7e451ad661c4f90ddd4fefb6a6798182447aaa72"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, digest", VERIFY_PINNED, ids=[" ".join(a) or "default" for a, _ in VERIFY_PINNED],
+)
+def test_verify_bytes_pinned(tmp_path, argv, digest):
+    target = tmp_path / "verify.json"
+    main(["verify", "--json", *argv, "--out", str(target)])
+    assert hashlib.sha256(target.read_bytes()).hexdigest() == digest
 
 
 class TestTable:
@@ -251,6 +273,18 @@ class TestSingleShotCommands:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: heat trace did not converge")
+        assert captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", [
+        ("--n", "300", "--t", "4e-5"),  # the sum overflows, no single term does
+        ("--n", "250", "--t", "1.6e-5"),  # one term overflows on its own
+    ])
+    @pytest.mark.parametrize("fmt", [(), ("--json",)], ids=["text", "json"])
+    def test_trace_overflow_is_a_one_line_error(self, capsys, argv, fmt):
+        assert main(["trace", *argv, *fmt]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: heat trace exceeds the double range at n=")
         assert captured.err.count("\n") == 1
 
     def test_trace_small_time_converges(self, capsys):

@@ -21,21 +21,18 @@ from volgap.bounds import b_alpha
 from volgap.solver import (
     BracketError,
     EvaluationError,
-    ObjectiveProfile,
     RootResult,
     aux_root_tilde_gamma3,
     bisect,
     f1,
     f1_from_excess,
     f1_prime,
-    g_log,
     g_prime_numerator,
     g_prime_sign_scan,
     gamma_n,
     h,
     optimal_alpha,
     phi3_threshold,
-    profile_f1,
     psi_decreasing_check,
     psi_log_value,
 )
@@ -61,6 +58,28 @@ def mp_ncn(n: int) -> mpmath.mpf:
         * mpmath.gammainc(mpmath.mpf(n) / 2, 1, mpmath.inf)
         / 2
     )
+
+
+def g_value(beta: float, n: int) -> float:
+    """g(beta) = (n + 1 + (1+B) e^B) / (beta^2 n C_n e^B - 1), B = beta n C_n, in plain floats."""
+    ncn = nc_product(n)
+    big_b = beta * ncn
+    return (n + 1.0 + (1.0 + big_b) * math.exp(big_b)) / (beta * beta * ncn * math.exp(big_b) - 1.0)
+
+
+def mp_g_prime_log_mag(beta: float, n: int) -> mpmath.mpf:
+    """log |g' numerator| = log n C_n + 2B + log(2 beta + beta^2 n C_n)
+    + log(1 + e^-B (B (1 + beta (n+1)) + 2 (beta n + beta + 1)) / (2 beta + beta^2 n C_n))."""
+    with mpmath.workdps(60):
+        ncn = mp_ncn(n)
+        b = mpmath.mpf(beta)
+        big_b = b * ncn
+        poly = 2 * b + b * b * ncn
+        inner = big_b * (1 + b * (n + 1)) + 2 * (b * n + b + 1)
+        return (
+            mpmath.log(ncn) + 2 * big_b + mpmath.log(poly)
+            + mpmath.log1p(mpmath.exp(-big_b) * inner / poly)
+        )
 
 
 def mp_excess_root(n: int, ell: int) -> mpmath.mpf:
@@ -312,16 +331,10 @@ class TestObjective:
                     assert (q < 0.0) == (deriv_sign == 1)
 
     def test_profile_rises_then_falls(self):
-        up = profile_f1(2, 1, [1.05, 1.15, 1.25, 1.35, 1.42])
-        values = [v for _, v in up.samples]
-        assert all(b > a for a, b in zip(values, values[1:]))
-        down = profile_f1(2, 1, [1.44, 1.6, 1.8, 2.0])
-        values = [v for _, v in down.samples]
-        assert all(b < a for a, b in zip(values, values[1:]))
-
-    def test_profile_requires_increasing_parameters(self):
-        with pytest.raises(ValueError):
-            ObjectiveProfile(n=2, ell=1, samples=((1.2, None), (1.1, None)))
+        up = [f1(a, 2, 1) for a in (1.05, 1.15, 1.25, 1.35, 1.42)]
+        assert all(b > a for a, b in zip(up, up[1:]))
+        down = [f1(a, 2, 1) for a in (1.44, 1.6, 1.8, 2.0)]
+        assert all(b < a for a, b in zip(down, down[1:]))
 
 
 class TestAuxiliaryRoots:
@@ -348,28 +361,30 @@ class TestAuxiliaryRoots:
 
 class TestGFunction:
     def test_g_plain_float(self):
+        # the test-side g against its hand-reduced value at n = 2, where n C_n = 2
         e2 = math.exp(2.0)
         direct = (3.0 + 3.0 * e2) / (2.0 * e2 - 1.0)
-        assert g_log(1.0, 2).to_float() == pytest.approx(direct, rel=1e-13)
-
-    def test_g_domain_violation(self):
-        with pytest.raises(ValueError):
-            g_log(0.1, 2)  # beta^2 n C_n e^B = 0.024 < 1
-        with pytest.raises(ValueError):
-            g_log(-1.0, 2)
+        assert g_value(1.0, 2) == pytest.approx(direct, rel=1e-13)
 
     def test_g_prime_numerator_vs_finite_difference(self):
         step = 1e-6
         for n in (2, 3):
             for beta in (0.8, 1.0, 1.5, 2.2):
-                fd = (g_log(beta + step, n).to_float() - g_log(beta - step, n).to_float()) / (
-                    2.0 * step
-                )
+                fd = (g_value(beta + step, n) - g_value(beta - step, n)) / (2.0 * step)
                 ncn = nc_product(n)
                 den = beta * beta * ncn * math.exp(beta * ncn) - 1.0
                 got = g_prime_numerator(beta, n).to_float() / (den * den)
                 assert got == pytest.approx(fd, rel=1e-5)
                 assert got < 0.0
+
+    def test_g_prime_numerator_mpmath(self):
+        # finite differences cannot reach n >= 30; the claim suite does
+        for n in (2, 5, 30, 100, 164):
+            for beta in (0.5, 1.0, 3.0):
+                got = g_prime_numerator(beta, n)
+                assert got.sign == -1
+                want = mp_g_prime_log_mag(beta, n)
+                assert got.log_mag == pytest.approx(float(want), rel=1e-13)
 
     def test_sign_scan(self):
         samples = g_prime_sign_scan(2, [0.1, 0.3, 1.0, 2.0])

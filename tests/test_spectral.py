@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import re
 from math import comb
 
 import mpmath
@@ -137,6 +138,14 @@ class TestHeatTrace:
     def test_tiny_time_hits_level_cap(self):
         with pytest.raises(RuntimeError):
             heat_trace(2, 1e-10)
+
+    @pytest.mark.parametrize("n, t", [
+        (300, 3.98e-5),  # every term fits, their sum does not
+        (250, 1.6e-5),  # a single term overflows
+    ])
+    def test_overflow_raises_naming_n_and_t(self, n, t):
+        with pytest.raises(OverflowError, match=re.escape(f"at n={n}, t={t!r}")):
+            heat_trace(n, t)
 
     def test_lem3_grid_values_pinned(self):
         # LEM3_TRACE_BOUND's worst margin is exactly 0.0 at (4, 9.75),
