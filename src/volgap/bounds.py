@@ -35,7 +35,10 @@ correction_exponent, case1_correction_numerator, gap_excess and
 log_improvement_vs_cly are LogScalar views over it; tables and the grid
 claims read BoundKernel directly.
 
-The overflow cap is decided here too: capped_kernels yields one kernel
+The tuning lives here too, in one form, Tuning: a fixed alpha or the
+solver's excess pair (ell, u), alpha = 1/ell + u, kept exact where
+1/ell + u rounds to 1/ell (from n = 17 on at the maximiser).  The
+overflow cap is decided here as well: capped_kernels yields one kernel
 per dimension up to the last n at which every exponent the bounds form
 at a given ell_max still fits in a double.
 """
@@ -59,16 +62,51 @@ class GapVariant(str, Enum):
     THM2_CASE2 = "THM2_CASE2"
 
 
-def _check_alpha(alpha: float) -> None:
-    if not (alpha > 0.0) or math.isinf(alpha) or math.isnan(alpha):
-        raise ValueError(f"alpha must be positive and finite, got {alpha!r}")
+class Tuning:
+    """Tuning(alpha) is a fixed alpha; Tuning.excess(ell, u) is alpha = 1/ell + u.
+
+    The pair forms the numerators and alpha n C_n from u itself, so they
+    stay exact however far u is below the resolution of 1/ell.
+    """
+
+    __slots__ = ("alpha", "ell", "u")
+
+    def __init__(self, alpha: float, ell: int = 0, u: float = 0.0) -> None:
+        if not (alpha > 0.0) or math.isinf(alpha) or math.isnan(alpha):
+            raise ValueError(f"alpha must be positive and finite, got {alpha!r}")
+        self.alpha, self.ell, self.u = alpha, ell, u
+
+    @classmethod
+    def excess(cls, ell: int, u: float) -> "Tuning":
+        return cls(1.0 / ell + u, ell, u)
+
+    def exponent(self, nc: float) -> float:
+        """alpha n C_n, given nc = n C_n."""
+        return _excess_exponent(self.ell, self.u, nc) if self.ell else self.alpha * nc
+
+    def numerators(self, ell: int) -> tuple[float, float]:
+        """(alpha ell - 1, 2 alpha ell - 1); the pair's are ell u and 1 + 2 ell u."""
+        if not self.ell:
+            return self.alpha * ell - 1.0, 2.0 * self.alpha * ell - 1.0
+        if ell != self.ell:
+            raise ValueError(f"this tuning was solved at ell={self.ell}, not ell={ell}")
+        return ell * self.u, 1.0 + 2.0 * ell * self.u
+
+
+def _excess_exponent(ell: int, u: float, nc: float) -> float:
+    """alpha n C_n at alpha = 1/ell + u; the solver's loop calls it without a Tuning."""
+    return nc / ell + u * nc
+
+
+def _tuning(alpha) -> Tuning:
+    return alpha if isinstance(alpha, Tuning) else Tuning(alpha)
 
 
 @dataclass(frozen=True)
 class GapParams:
     n: int
     ell: int
-    alpha: float = DEFAULT_ALPHA
+    alpha: float | Tuning = DEFAULT_ALPHA
 
     def __post_init__(self) -> None:
         if not isinstance(self.n, int) or isinstance(self.n, bool):
@@ -79,12 +117,11 @@ class GapParams:
             raise ValueError(f"n must be at least 2, got {self.n}")
         if self.ell < 1:
             raise ValueError(f"ell must be at least 1, got {self.ell}")
-        _check_alpha(self.alpha)
-        # every tuned variant needs a positive numerator
-        if self.alpha * self.ell <= 1.0:
-            raise ValueError(
-                f"alpha*ell must exceed 1 for a positive gap, got {self.alpha}*{self.ell}"
-            )
+        tuning = _tuning(self.alpha)
+        # every tuned variant needs a positive numerator: u > 0 for the pair
+        if not tuning.numerators(self.ell)[0] > 0.0:
+            got = f"1/{tuning.ell} + {tuning.u!r}" if tuning.ell else f"{tuning.alpha}*{self.ell}"
+            raise ValueError(f"alpha*ell must exceed 1 for a positive gap, got {got}")
 
 
 @dataclass(frozen=True)
@@ -137,52 +174,52 @@ def _log_case1_correction(n: int, ell: int, alpha: float, anc: float) -> float:
     return _log_mag(math.log(alpha * (n + ell + 2)) + e_corr)
 
 
-def _log_numerator(variant: GapVariant, n: int, ell: int, alpha: float, anc: float) -> float:
-    if variant is GapVariant.CLY:
-        return _ln(2.0 * ell - 1.0)
-    if variant is GapVariant.THM1:
-        return _ln(alpha * ell - 1.0)
-    if variant is GapVariant.THM2_CASE1:
-        return _log_sum(_ln(alpha * ell - 1.0), _log_case1_correction(n, ell, alpha, anc))
-    if variant is GapVariant.THM2_CASE2:
-        return _ln(2.0 * alpha * ell - 1.0)
-    raise ValueError(f"unknown variant {variant!r}")
-
-
 class BoundKernel:
     """Every bound at one dimension n and tuning alpha, as natural logs.
 
-    n C_n, log B_n and log B_(n,alpha) are computed once, so logs()
-    costs a few float operations per ell and variant.  Classical rows use
-    B_n whatever alpha is.  ell must satisfy the GapParams checks.
+    alpha is a float or a Tuning.  n C_n, log B_n and log B_(n,alpha)
+    are computed once, so logs() costs a few float operations per ell
+    and variant.  Classical rows use B_n whatever alpha is.  ell must
+    satisfy the GapParams checks.
     """
 
-    __slots__ = ("n", "alpha", "anc", "log_b", "log_b_cly")
+    __slots__ = ("n", "tuning", "anc", "log_b", "log_b_cly")
 
-    def __init__(self, n: int, alpha: float) -> None:
+    def __init__(self, n: int, alpha) -> None:
         # n C_n first: in a table, a classical row overflows before the
         # tuned alpha is checked
         nc = nc_product(n)
-        _check_alpha(alpha)
+        tuning = _tuning(alpha)
         self.n = n
-        self.alpha = alpha
-        self.anc = alpha * nc
+        self.tuning = tuning
+        self.anc = tuning.exponent(nc)
         self.log_b_cly = _log_denominator(n, 2.0, 2.0 * nc)
-        self.log_b = _log_denominator(n, alpha, self.anc)
+        self.log_b = _log_denominator(n, tuning.alpha, self.anc)
 
     def logs(self, ell: int, variants) -> list[tuple[float, float, float]]:
         """(log B, log excess, log of excess / CLY excess) per variant, in order."""
         log_cly = _ln(2.0 * ell - 1.0) - self.log_b_cly
+        thm1, case2 = self.tuning.numerators(ell)
         out = []
         for variant in variants:
-            log_b = self.log_b_cly if variant is GapVariant.CLY else self.log_b
-            log_excess = _log_numerator(variant, self.n, ell, self.alpha, self.anc) - log_b
-            out.append((log_b, log_excess, log_excess - log_cly))
+            if variant is GapVariant.CLY:
+                out.append((self.log_b_cly, log_cly, 0.0))
+                continue
+            if variant is GapVariant.THM1:
+                log_num = _ln(thm1)
+            elif variant is GapVariant.THM2_CASE1:
+                log_num = _log_sum(_ln(thm1), self.log_case1_correction(ell))
+            elif variant is GapVariant.THM2_CASE2:
+                log_num = _ln(case2)
+            else:
+                raise ValueError(f"unknown variant {variant!r}")
+            log_excess = log_num - self.log_b
+            out.append((self.log_b, log_excess, log_excess - log_cly))
         return out
 
     def log_case1_correction(self, ell: int) -> float:
         """log of alpha (n+ell+2) e^E, the numerator bump of THM2_CASE1."""
-        return _log_case1_correction(self.n, ell, self.alpha, self.anc)
+        return _log_case1_correction(self.n, ell, self.tuning.alpha, self.anc)
 
 
 def capped_kernels(n_values, alpha: float, ell_max: int):
@@ -213,10 +250,10 @@ def capped_kernels(n_values, alpha: float, ell_max: int):
 # -------------------------------------------------- LogScalar views of it
 
 
-def b_alpha(n: int, alpha: float) -> LogScalar:
-    """B_(n,alpha) = alpha n + alpha + 1 + alpha e^(alpha n C_n)."""
-    _check_alpha(alpha)
-    return LogScalar(1, _log_denominator(n, alpha, alpha * nc_product(n)))
+def b_alpha(n: int, alpha) -> LogScalar:
+    """B_(n,alpha) = alpha n + alpha + 1 + alpha e^(alpha n C_n); alpha may be a Tuning."""
+    tuning = _tuning(alpha)
+    return LogScalar(1, _log_denominator(n, tuning.alpha, tuning.exponent(nc_product(n))))
 
 
 def b_cly(n: int) -> LogScalar:
@@ -238,8 +275,9 @@ def correction_exponent(n: int, ell: int, alpha: float = DEFAULT_ALPHA) -> float
 
 def case1_correction_numerator(params: GapParams) -> LogScalar:
     """alpha (n+ell+2) e^E, the exact numerator bump of THM2_CASE1."""
-    n, ell, alpha = params.n, params.ell, params.alpha
-    return LogScalar(1, _log_case1_correction(n, ell, alpha, alpha * nc_product(n)))
+    tuning = _tuning(params.alpha)
+    anc = tuning.exponent(nc_product(params.n))
+    return LogScalar(1, _log_case1_correction(params.n, params.ell, tuning.alpha, anc))
 
 
 def gap_excess(params: GapParams, variant: GapVariant) -> GapBound:
@@ -266,14 +304,15 @@ def log_improvement_vs_cly(n: int, ell: int, alpha: float = DEFAULT_ALPHA) -> fl
     return BoundKernel(n, alpha).logs(ell, (GapVariant.THM1,))[0][2]
 
 
-def case2_vs_doubled_thm1_log_margin(n: int, ell: int, alpha: float = DEFAULT_ALPHA) -> float:
+def case2_vs_doubled_thm1_log_margin(n: int, ell: int, alpha=DEFAULT_ALPHA) -> float:
     """log[(2 alpha ell - 1) / (2 (alpha ell - 1))], sharing one denominator.
 
-    Positive iff excess(THM2_CASE2) > 2 excess(THM1).
+    Positive iff excess(THM2_CASE2) > 2 excess(THM1).  alpha may be a Tuning.
     """
-    if alpha * ell <= 1.0:
+    thm1, case2 = _tuning(alpha).numerators(ell)
+    if not thm1 > 0.0:
         raise ValueError("alpha*ell must exceed 1")
-    return math.log(2.0 * alpha * ell - 1.0) - math.log(2.0 * (alpha * ell - 1.0))
+    return math.log(case2) - math.log(2.0 * thm1)
 
 
 def final_inequality_log_margin(n: int, ell: int, alpha: float = DEFAULT_ALPHA) -> float:

@@ -249,10 +249,11 @@ def _claim_ratio_165(config: SuiteConfig) -> ClaimVerdict:
         "at n = 2, ell = 1 the tuned excess with alpha = 1.43 exceeds the"
         " classical excess by a factor greater than 1.65"
     )
-    ratio = math.exp(bounds.log_improvement_vs_cly(2, 1, config.alpha))
+    # the anchor fixes alpha, as H_SIGN_142 fixes its constant
+    ratio = math.exp(bounds.log_improvement_vs_cly(2, 1, DEFAULT_ALPHA))
     return _verdict(
         "RATIO_165", anchor, ratio > 1.65,
-        {"ratio": ratio, "alpha": config.alpha},
+        {"ratio": ratio, "alpha": DEFAULT_ALPHA},
     )
 
 
@@ -354,7 +355,7 @@ def _claim_final_ineq(config: SuiteConfig) -> ClaimVerdict:
     )
     kernels, worst, at, grid = _reduce_grid(
         config,
-        lambda kernel, ell: bounds.final_inequality_log_margin(kernel.n, ell, kernel.alpha),
+        lambda kernel, ell: bounds.final_inequality_log_margin(kernel.n, ell, kernel.tuning.alpha),
     )
     return _verdict(
         "FINAL_INEQ", anchor, worst > 0.0 and bool(kernels),
@@ -372,13 +373,17 @@ def _claim_gap_order_thm1_cly(config: SuiteConfig) -> ClaimVerdict:
     kernels, worst, at, grid = _reduce_grid(
         config, lambda kernel, ell: kernel.logs(ell, _THM1)[0][2] - floor
     )
+    try:
+        ratio = math.exp(worst + floor)
+    except OverflowError:  # every ratio on the grid leaves the double range
+        ratio, grid = math.inf, f"{grid}; ratio_at_min exceeds the double range"
     return _verdict(
         "GAP_ORDER_THM1_CLY", anchor, worst > 0.0 and bool(kernels),
         {
             "min_log_margin_over_165": worst,
             "at_n": at[0],
             "at_ell": at[1],
-            "ratio_at_min": math.exp(worst + floor),
+            "ratio_at_min": ratio,
         },
         grid_note=grid,
     )
@@ -394,7 +399,7 @@ def _claim_gap_order_thm2_thm1(config: SuiteConfig) -> ClaimVerdict:
         # a correction term that vanished fails the point outright
         if kernel.log_case1_correction(ell) == -math.inf:
             return -math.inf
-        return bounds.case2_vs_doubled_thm1_log_margin(kernel.n, ell, kernel.alpha)
+        return bounds.case2_vs_doubled_thm1_log_margin(kernel.n, ell, kernel.tuning)
 
     kernels, worst, at, grid = _reduce_grid(config, margin)
     ok = worst > 0.0 and bool(kernels)

@@ -23,7 +23,7 @@ import math
 import sys
 from datetime import datetime, timezone
 
-from .bounds import DEFAULT_ALPHA, GapParams, GapVariant, gap_excess
+from .bounds import DEFAULT_ALPHA, GapVariant
 from .claims import SuiteConfig, claim_ids, run_claim, run_claim_suite
 from .solver import optimal_alpha
 from .specials import cly_constant_log
@@ -220,43 +220,34 @@ def _cmd_constants(args) -> int:
 
 
 def _cmd_gap(args) -> int:
+    variants = None if args.variant == "ALL" else [args.variant]
     try:
-        alpha_used = optimal_alpha(args.n, args.ell).value if args.alpha == "auto" else args.alpha
-        if args.variant == "ALL":
-            variants = list(GapVariant)
-        else:
-            variants = [args.variant]
-        results = []
-        for variant in variants:
-            params = GapParams(
-                n=args.n, ell=args.ell,
-                alpha=2.0 if variant is GapVariant.CLY else alpha_used,
-            )
-            results.append(gap_excess(params, variant))
+        rows = build_gap_table((args.n,), (args.ell,), args.alpha, variants)
     except (TypeError, ValueError) as exc:
         raise _UsageError(str(exc)) from None
     if args.json:
-        payload = []
-        for bound in results:
-            payload.append({
-                "n": bound.params.n,
-                "ell": bound.params.ell,
-                "alpha": float(_sig(bound.params.alpha)),
-                "variant": bound.variant.value,
-                "log10_B": float(_sig(bound.denominator.log10_mag)),
-                "log10_excess": float(_sig(bound.excess.log10_mag)),
-                "excess": format_from_log10(bound.excess.log10_mag, bound.excess.sign),
-                "ratio_vs_cly": format_ratio(bound.ratio_vs_cly),
-            })
+        payload = [
+            {
+                "n": row.n,
+                "ell": row.ell,
+                "alpha": float(_sig(row.alpha)),
+                "variant": row.variant,
+                "log10_B": float(_sig(row.log10_denominator)),
+                "log10_excess": float(_sig(row.log10_excess)),
+                "excess": format_from_log10(row.log10_excess),
+                "ratio_vs_cly": format_ratio(row.ratio_vs_cly),
+            }
+            for row in rows
+        ]
         _emit(json.dumps(payload, indent=2, sort_keys=True) + "\n", args.out)
     else:
         lines = [f"gap bounds at n={args.n}, ell={args.ell}"]
-        for bound in results:
-            excess = format_from_log10(bound.excess.log10_mag, bound.excess.sign)
+        for row in rows:
+            excess = format_from_log10(row.log10_excess)
             lines.append(
-                f"{bound.variant.value:<10} alpha={_sig(bound.params.alpha):<14}"
-                f" log10_B={_sig(bound.denominator.log10_mag):<18}"
-                f" excess={excess:<20} ratio_vs_cly={format_ratio(bound.ratio_vs_cly)}"
+                f"{row.variant:<10} alpha={_sig(row.alpha):<14}"
+                f" log10_B={_sig(row.log10_denominator):<18}"
+                f" excess={excess:<20} ratio_vs_cly={format_ratio(row.ratio_vs_cly)}"
             )
             lines.append(
                 f"{'':<10} a compact n-manifold minimally immersed in the (n+ell)-sphere"

@@ -22,16 +22,18 @@ of the equation
 RootResult reports the bracket, root and residual in that coordinate
 and carries the additive base, so tiny roots stay exact while
 value = base + root recovers the familiar parameter when it is
-representable.  The residual is the log of LHS/RHS above, a normalised
-form of the defining equation that stays O(1) at every dimension.
+representable; the tuning itself lives in bounds.Tuning, which the
+bounds, f1 and f1_prime read, and which takes a root exactly as
+Tuning.excess(ell, root).  The residual is the log of LHS/RHS above, a
+normalised form of the defining equation that stays O(1) everywhere.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
-from .bounds import _log_denominator, _log_sum, b_alpha
+from .bounds import _excess_exponent, _log_sum, _tuning, b_alpha
 from .logdomain import LogScalar, log_add, log_div
 from .specials import cly_constant, nc_product
 
@@ -82,13 +84,21 @@ def bisect(f, lo: float, hi: float, tol: float = 1e-12) -> RootResult:
         raise ValueError(f"need a finite bracket with lo < hi, got [{lo!r}, {hi!r}]")
     if not (tol > 0.0):
         raise ValueError(f"tol must be positive, got {tol!r}")
+    return _bisect(f, lo, hi, tol, geometric=False)
+
+
+def _bisect(f, lo: float, hi: float, tol: float, geometric: bool) -> RootResult:
+    # geometric bisects log(x) on a positive bracket and stops on the
+    # relative width tol, which is what tiny roots need
+    if geometric and not (0.0 < lo < hi):
+        raise ValueError(f"need 0 < lo < hi, got [{lo!r}, {hi!r}]")
     flo = _check_finite("f(lo)", f(lo))
     fhi = _check_finite("f(hi)", f(hi))
     if flo == 0.0 or fhi == 0.0 or (flo > 0.0) == (fhi > 0.0):
         raise BracketError(f"no sign change on [{lo!r}, {hi!r}]: f gives {flo!r}, {fhi!r}")
     iterations = 0
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
+    while hi - lo > (tol * lo if geometric else tol):
+        mid = math.sqrt(lo) * math.sqrt(hi) if geometric else 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:  # float resolution exhausted
             break
         fm = _check_finite("f(mid)", f(mid))
@@ -102,39 +112,7 @@ def bisect(f, lo: float, hi: float, tol: float = 1e-12) -> RootResult:
             lo, flo = mid, fm
         else:
             hi = mid
-    root = 0.5 * (lo + hi)
-    return RootResult(
-        bracket_lo=lo, bracket_hi=hi, root=root,
-        residual=_check_finite("f(root)", f(root)), iterations=iterations,
-    )
-
-
-def _bisect_geometric(f, lo: float, hi: float, rel_tol: float) -> RootResult:
-    # bisection in log(x) for a positive bracket; terminates on
-    # relative width, which is what tiny roots need
-    if not (0.0 < lo < hi):
-        raise ValueError(f"need 0 < lo < hi, got [{lo!r}, {hi!r}]")
-    flo = _check_finite("f(lo)", f(lo))
-    fhi = _check_finite("f(hi)", f(hi))
-    if flo == 0.0 or fhi == 0.0 or (flo > 0.0) == (fhi > 0.0):
-        raise BracketError(f"no sign change on [{lo!r}, {hi!r}]: f gives {flo!r}, {fhi!r}")
-    iterations = 0
-    while hi - lo > rel_tol * lo:
-        mid = math.sqrt(lo) * math.sqrt(hi)
-        if mid <= lo or mid >= hi:
-            break
-        fm = _check_finite("f(mid)", f(mid))
-        iterations += 1
-        if fm == 0.0:
-            return RootResult(
-                bracket_lo=lo, bracket_hi=hi, root=mid,
-                residual=0.0, iterations=iterations,
-            )
-        if (fm > 0.0) == (flo > 0.0):
-            lo, flo = mid, fm
-        else:
-            hi = mid
-    root = math.sqrt(lo) * math.sqrt(hi)
+    root = math.sqrt(lo) * math.sqrt(hi) if geometric else 0.5 * (lo + hi)
     return RootResult(
         bracket_lo=lo, bracket_hi=hi, root=root,
         residual=_check_finite("f(root)", f(root)), iterations=iterations,
@@ -146,59 +124,43 @@ def h(alpha: float) -> float:
     return 4.0 + (1.0 + 2.0 * alpha - 2.0 * alpha * alpha) * math.exp(2.0 * alpha)
 
 
-def f1(alpha: float, n: int, ell: int) -> LogScalar:
-    """(alpha ell - 1) / B_(n,alpha) as a LogScalar; may be <= 0."""
-    if ell < 1:
-        raise ValueError(f"ell must be at least 1, got {ell}")
-    numerator = LogScalar.from_float(alpha * ell - 1.0)
-    return log_div(numerator, b_alpha(n, alpha))
+def f1(alpha, n: int, ell: int) -> LogScalar:
+    """(alpha ell - 1) / B_(n,alpha) as a LogScalar; may be <= 0.
 
-
-def _exponent_from_excess(u: float, n: int, ell: int, ncn: float) -> float:
-    # alpha n C_n built as ncn/ell + u*ncn so the excess u contributes
-    # exactly even when base + u rounds to the base
-    return ncn / ell + u * ncn
-
-
-def f1_from_excess(u: float, n: int, ell: int) -> LogScalar:
-    """f1 at alpha = 1/ell + u, trustworthy for arbitrarily small u.
-
-    The numerator alpha ell - 1 equals ell * u exactly, and the big
-    exponent is assembled from u directly; evaluating f1(base + u)
-    instead would collapse both for u below float resolution of the
-    base.
+    alpha is a float or a bounds.Tuning.  Tuning.excess(ell, u) keeps
+    f1 trustworthy for arbitrarily small u: its numerator is ell u and
+    its exponent is assembled from u, where a float alpha = 1/ell + u
+    would collapse both once u drops below the resolution of 1/ell.
     """
     if ell < 1:
         raise ValueError(f"ell must be at least 1, got {ell}")
-    ncn = nc_product(n)
-    alpha = 1.0 / ell + u
-    if alpha <= 0.0:
-        raise ValueError(f"alpha must stay positive, got excess {u!r}")
-    numerator = LogScalar.from_float(ell * u)
-    log_b = _log_denominator(n, alpha, _exponent_from_excess(u, n, ell, ncn))
-    return log_div(numerator, LogScalar(1, log_b))
+    tuning = _tuning(alpha)
+    numerator = LogScalar.from_float(tuning.numerators(ell)[0])
+    return log_div(numerator, b_alpha(n, tuning))
 
 
-def f1_prime(alpha: float, n: int, ell: int) -> LogScalar:
-    """d f1 / d alpha in closed form.
+def f1_prime(alpha, n: int, ell: int) -> LogScalar:
+    """d f1 / d alpha in closed form; alpha is a float or a bounds.Tuning.
 
-    The numerator reduces to e^B (1 + B (1 - alpha ell)) + (n + 1 + ell)
+    The numerator reduces to e^B (1 - B (alpha ell - 1)) + (n + 1 + ell)
     with B = alpha n C_n, over B_(n,alpha)^2.
     """
     if ell < 1:
         raise ValueError(f"ell must be at least 1, got {ell}")
-    big_b = alpha * nc_product(n)
-    coeff = 1.0 + big_b * (1.0 - alpha * ell)
+    tuning = _tuning(alpha)
+    big_b = tuning.exponent(nc_product(n))
+    coeff = 1.0 - big_b * tuning.numerators(ell)[0]
     lead = LogScalar.from_float(coeff)
     exp_part = LogScalar(lead.sign, lead.log_mag + big_b) if lead.sign != 0 else lead
     numerator = log_add(exp_part, LogScalar.from_float(n + 1.0 + ell))
-    denominator = b_alpha(n, alpha)
+    denominator = b_alpha(n, tuning)
     return log_div(numerator, denominator * denominator)
 
 
 def _critical_objective(u: float, n: int, ell: int, ncn: float) -> float:
     # log-form residual of  u (1 + ell u) n C_n = 1 + (n+1+ell) e^(-alpha n C_n)
-    exponent = -_exponent_from_excess(u, n, ell, ncn)
+    # at alpha = 1/ell + u, the excess form of bounds.Tuning
+    exponent = -_excess_exponent(ell, u, ncn)
     corr = (n + 1.0 + ell) * math.exp(exponent) if exponent > -745.0 else 0.0
     return math.log(u) + math.log1p(ell * u) + math.log(ncn) - math.log1p(corr)
 
@@ -238,12 +200,7 @@ def optimal_alpha(n: int, ell: int = 1, tol: float = 1e-12) -> RootResult:
             f"critical equation does not pass from negative to positive on"
             f" [{lo!r}, {hi!r}] for (n={n}, ell={ell}); no interior maximum"
         )
-    result = _bisect_geometric(objective, lo, hi, tol)
-    return RootResult(
-        bracket_lo=result.bracket_lo, bracket_hi=result.bracket_hi,
-        root=result.root, residual=result.residual,
-        iterations=result.iterations, base=1.0 / ell,
-    )
+    return replace(_bisect(objective, lo, hi, tol, geometric=True), base=1.0 / ell)
 
 
 def gamma_n(n: int, tol: float = 1e-12) -> RootResult:

@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .bounds import DEFAULT_ALPHA, BoundKernel, GapParams, GapVariant
+from .bounds import DEFAULT_ALPHA, BoundKernel, GapParams, GapVariant, Tuning
 from .bounds import gap_excess  # noqa: F401  (perfbench's tracer tests wrap tables.gap_excess)
 from .logdomain import _LN10, LogScalar
 from .solver import optimal_alpha
@@ -82,7 +82,8 @@ def build_gap_table(n_values, ell_values, alpha=DEFAULT_ALPHA, variants=None) ->
     Classical rows always use the fixed tuning 2 and report it.
 
     Each point is validated once, as its first row's GapParams would
-    be, and every row is read from one BoundKernel per (n, alpha).
+    be, and every row is read from one BoundKernel per (n, alpha); an
+    auto point's kernel takes the solver's exact pair (bounds.Tuning).
     """
     ns = [int(n) for n in n_values]
     ells = [int(ell) for ell in ell_values]
@@ -94,23 +95,28 @@ def build_gap_table(n_values, ell_values, alpha=DEFAULT_ALPHA, variants=None) ->
     chosen = tuple(GapVariant(v) for v in variants) if variants else _VARIANT_ORDER
     cly_first = chosen[0] is GapVariant.CLY
     tuned = any(v is not GapVariant.CLY for v in chosen)
+    retune = auto and tuned
+    fixed = alpha if tuned else 2.0
     names = [(v.value, v is GapVariant.CLY) for v in chosen]
     rows = []
     for n in ns:
         kernel = None
         for ell in ells:
-            alpha_used = optimal_alpha(n, ell).value if auto else alpha
-            kernel_alpha = alpha_used if tuned else 2.0
-            if kernel is None or kernel.alpha != kernel_alpha:
-                # a classical first row reaches n*C_n, and its overflow,
-                # before the tuned alpha is checked
-                GapParams(n=n, ell=ell, alpha=2.0 if cly_first else kernel_alpha)
-                kernel = BoundKernel(n, kernel_alpha)
-            GapParams(n=n, ell=ell, alpha=kernel_alpha)
+            if kernel is not None and not retune:
+                GapParams(n=n, ell=ell, alpha=kernel.tuning)
+            else:
+                tuning = Tuning.excess(ell, optimal_alpha(n, ell).root) if retune else fixed
+                if kernel is None and cly_first and tuned:
+                    # a classical first row is evaluated, and fails, before
+                    # the tuned alpha is checked or its kernel built
+                    GapParams(n=n, ell=ell, alpha=2.0)
+                    BoundKernel(n, 2.0).logs(ell, chosen[:1])
+                GapParams(n=n, ell=ell, alpha=tuning)
+                kernel = BoundKernel(n, tuning)
             for (name, classical), (log_b, log_excess, log_ratio) in zip(
                     names, kernel.logs(ell, chosen)):
                 rows.append(GapTableRow(
-                    n, ell, 2.0 if classical else alpha_used, name,
+                    n, ell, 2.0 if classical else kernel.tuning.alpha, name,
                     log_b / _LN10, log_excess / _LN10, LogScalar(1, log_ratio),
                 ))
     return rows

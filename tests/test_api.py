@@ -17,6 +17,7 @@ DELETED = [
     ("solver", "ObjectiveProfile"),
     ("solver", "profile_f1"),
     ("solver", "g_log"),
+    ("solver", "f1_from_excess"),
 ]
 
 

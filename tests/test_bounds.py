@@ -15,6 +15,7 @@ from volgap.bounds import (
     BoundKernel,
     GapParams,
     GapVariant,
+    Tuning,
     b_alpha,
     b_cly,
     capped_kernels,
@@ -27,6 +28,7 @@ from volgap.bounds import (
     min_volume_excess_from_multiplicity,
 )
 from volgap.logdomain import ONE, LogScalar, log_add, log_div
+from volgap.solver import optimal_alpha
 from volgap.specials import cly_constant, nc_product
 
 RATIO_2_1_143 = 1.6511710588547066  # frozen; also reproduced by criterion 3
@@ -199,6 +201,55 @@ class TestBoundKernel:
         assert kernels[-1].n == 165
         assert note == "n capped at 165: n C_n exceeds float range beyond"
         assert capped_kernels(range(2, 5), 1.43, 30)[1] is None
+
+
+class TestTuning:
+    def test_excess_pair_forms_numerators_and_exponent_from_u(self):
+        # bit for bit: ell u, 1 + 2 ell u and nc/ell + u nc, however far u
+        # is below the resolution of 1/ell
+        for n in (2, 16, 17, 30, 165):
+            nc = nc_product(n)
+            for ell in (1, 3, 30):
+                u = optimal_alpha(n, ell).root
+                tuning = Tuning.excess(ell, u)
+                assert tuning.alpha == 1.0 / ell + u
+                assert tuning.numerators(ell) == (ell * u, 1.0 + 2.0 * ell * u)
+                assert tuning.exponent(nc) == nc / ell + u * nc
+                kernel = BoundKernel(n, tuning)
+                assert kernel.anc == nc / ell + u * nc
+                log_b, log_excess, _ = kernel.logs(ell, (GapVariant.THM1,))[0]
+                assert log_excess == math.log(ell * u) - log_b
+                assert kernel.logs(ell, (GapVariant.THM2_CASE2,))[0][1] == (
+                    math.log(1.0 + 2.0 * ell * u) - log_b
+                )
+
+    def test_fixed_alpha_keeps_the_float_expressions(self):
+        nc = nc_product(9)
+        for alpha in (0.6, 1.43, 3.0):
+            for ell in (2, 7):
+                tuning = Tuning(alpha)
+                assert tuning.numerators(ell) == (alpha * ell - 1.0, 2.0 * alpha * ell - 1.0)
+                assert tuning.exponent(nc) == alpha * nc
+                assert BoundKernel(9, tuning).logs(ell, tuple(GapVariant)) == (
+                    BoundKernel(9, alpha).logs(ell, tuple(GapVariant))
+                )
+
+    def test_pair_stays_valid_where_alpha_collapses(self):
+        u = optimal_alpha(17, 1).root
+        assert 1.0 + u == 1.0
+        with pytest.raises(ValueError, match="alpha\\*ell must exceed 1"):
+            GapParams(n=17, ell=1, alpha=1.0 + u)
+        GapParams(n=17, ell=1, alpha=Tuning.excess(1, u))
+
+    def test_validation(self):
+        with pytest.raises(ValueError, match="alpha\\*ell must exceed 1"):
+            GapParams(n=2, ell=1, alpha=Tuning.excess(1, 0.0))
+        with pytest.raises(ValueError, match="solved at ell=1, not ell=2"):
+            GapParams(n=2, ell=2, alpha=Tuning.excess(1, 0.1))
+        with pytest.raises(ValueError, match="alpha must be positive and finite"):
+            Tuning.excess(2, -0.6)
+        with pytest.raises(ValueError, match="alpha must be positive and finite"):
+            Tuning(math.nan)
 
 
 class TestCorrectionExponent:

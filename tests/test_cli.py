@@ -99,13 +99,15 @@ class TestVerifyOutput:
 
 # sha256 of `volgap verify --json ... --out FILE`, recorded before the grid
 # claims became reductions over one bound kernel per n; the FAIL run pins
-# where the witnesses land.
+# where the witnesses land.  The alpha = 3 digest was re-recorded when
+# RATIO_165 moved to the alpha = 1.43 its anchor states: only its status,
+# its alpha witness and the pass count changed.
 VERIFY_PINNED = [
     ((), "2618d0d3fff12438d19aaea2cd36a4eb815cb72d4fb31b92d6a71f0d7a7fd79e"),
     (("--n-range", "2:400", "--l-range", "1:30"),
      "680b1b07aa735afd01ff88bd473636c416613adfbc472a698d0ec9a8311e5340"),
     (("--alpha", "3.0", "--n-range", "2:400", "--l-range", "1:30"),
-     "ad5b8a152676f404b49f37cd7e451ad661c4f90ddd4fefb6a6798182447aaa72"),
+     "a7c13c1879cf7535f78fe590c589d7cdd7a1f0ce350a53d71f3e221d4ef69759"),
 ]
 
 
@@ -115,6 +117,22 @@ VERIFY_PINNED = [
 def test_verify_bytes_pinned(tmp_path, argv, digest):
     target = tmp_path / "verify.json"
     main(["verify", "--json", *argv, "--out", str(target)])
+    assert hashlib.sha256(target.read_bytes()).hexdigest() == digest
+
+
+# sha256 of `volgap gap --n 2 --l 1 [--json] --out FILE`, recorded while
+# `gap` still built its own GapParams per variant; fixed-alpha output is
+# the table's row rendered for one point and must not drift.
+GAP_PINNED = [
+    ((), "731be2783b981d7e29cc2a7ffb6165b7fd0b977c9e4c2876ca12b17ceefd9e74"),
+    (("--json",), "65db65243d929df9e434581f70293c103cf3248849178ab109d967e486513ea2"),
+]
+
+
+@pytest.mark.parametrize("argv, digest", GAP_PINNED, ids=["text", "json"])
+def test_gap_bytes_pinned(tmp_path, argv, digest):
+    target = tmp_path / "gap.out"
+    assert main(["gap", "--n", "2", "--l", "1", *argv, "--out", str(target)]) == 0
     assert hashlib.sha256(target.read_bytes()).hexdigest() == digest
 
 
@@ -206,12 +224,15 @@ class TestGridErrorContract:
         assert code == 0
         assert len(out.splitlines()) == 1 + 7 * 4
 
-    def test_gap_auto_collapse_still_exits_two(self, capsys):
-        # alpha=auto collapses the tuned excess into 1/ell from n = 17 on
-        assert main(["gap", "--n", "17", "--l", "1", "--alpha", "auto"]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("usage error: alpha*ell must exceed 1")
-        assert err.count("\n") == 1
+    def test_gap_auto_exits_zero_past_the_collapse(self, capsys):
+        # from n = 17 on 1/ell + u rounds to 1/ell; the exact pair (ell, u)
+        # still gives a positive numerator, so the point is valid
+        assert main(["gap", "--n", "17", "--l", "1", "--alpha", "auto"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        thm1 = captured.out.splitlines()[3]
+        assert thm1.startswith("THM1       alpha=1 ")
+        assert "excess=3.16227766017e-4050476638913261" in thm1
 
 
 class TestOutFile:

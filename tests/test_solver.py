@@ -17,7 +17,7 @@ import random
 import mpmath
 import pytest
 
-from volgap.bounds import b_alpha
+from volgap.bounds import Tuning, b_alpha
 from volgap.solver import (
     BracketError,
     EvaluationError,
@@ -25,7 +25,6 @@ from volgap.solver import (
     aux_root_tilde_gamma3,
     bisect,
     f1,
-    f1_from_excess,
     f1_prime,
     g_prime_numerator,
     g_prime_sign_scan,
@@ -262,7 +261,7 @@ class TestObjective:
             for ell in (1, 2):
                 for u in (0.05, 0.2, 0.4):
                     a = f1(1.0 / ell + u, n, ell)
-                    b = f1_from_excess(u, n, ell)
+                    b = f1(Tuning.excess(ell, u), n, ell)
                     assert a.sign == b.sign == 1
                     assert a.log_mag == pytest.approx(b.log_mag, rel=0, abs=1e-12)
 
@@ -271,8 +270,8 @@ class TestObjective:
         # below one ulp of the log magnitude: the values collapse and
         # only the scaled residual can still order the neighbours
         r = gamma_n(30)
-        lo = f1_from_excess(r.root * 0.5, 30, 1)
-        hi = f1_from_excess(r.root, 30, 1)
+        lo = f1(Tuning.excess(1, r.root * 0.5), 30, 1)
+        hi = f1(Tuning.excess(1, r.root), 30, 1)
         assert lo.log_mag == hi.log_mag
         ncn = nc_product(30)
         q_half = (

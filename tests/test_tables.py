@@ -2,10 +2,11 @@
 
 import hashlib
 
+import mpmath
 import pytest
 
 from volgap.cli import main
-from volgap.tables import format_from_log10
+from volgap.tables import build_gap_table, format_from_log10
 
 # sha256 of `volgap table ... --out FILE`, recorded before the gap tables
 # were built from the per-dimension bound kernel; any byte of drift fails.
@@ -51,3 +52,51 @@ class TestFormatFromLog10:
         assert format_from_log10(400.5, -1) == "-3.16227766017e+400"
         assert format_from_log10(2.0) == "100"
         assert format_from_log10(0.0, 0) == "0"
+
+
+def mp_auto_thm1_log10_excess(n: int, ell: int) -> mpmath.mpf:
+    """log10 of the THM1 excess at its maximiser, solved here at 50 digits.
+
+    The maximiser u = alpha - 1/ell solves
+    u (1 + ell u) n C_n = 1 + (n + 1 + ell) e^(-alpha n C_n), started
+    from the root of the quadratic that drops the exponential term.
+    """
+    with mpmath.workdps(50):
+        half = mpmath.mpf(n) / 2
+        nc = n * mpmath.mpf(n) ** half * mpmath.e * mpmath.gammainc(half, 1, mpmath.inf) / 2
+
+        def critical(u):
+            alpha = mpmath.mpf(1) / ell + u
+            return u * (1 + ell * u) * nc - 1 - (n + 1 + ell) * mpmath.exp(-alpha * nc)
+
+        guess = 2 / (nc * (1 + mpmath.sqrt(1 + 4 * ell / nc)))
+        u = mpmath.findroot(critical, guess)
+        alpha = mpmath.mpf(1) / ell + u
+        b = alpha * n + alpha + 1 + alpha * mpmath.exp(alpha * nc)
+        return mpmath.log10(ell * u) - mpmath.log10(b)
+
+
+class TestAutoAlpha:
+    def test_every_representable_point_beats_the_fixed_tuning(self):
+        # from n = 17 on 1/ell + u rounds to 1/ell; the exact pair keeps
+        # every point valid and its excess the maximum
+        auto = build_gap_table(range(2, 166), range(1, 31), "auto", ["THM1"])
+        fixed = build_gap_table(range(2, 166), range(1, 31), 1.43, ["THM1"])
+        assert len(auto) == len(fixed) == 164 * 30
+        for a, f in zip(auto, fixed):
+            assert (a.n, a.ell) == (f.n, f.ell)
+            assert a.log10_excess >= f.log10_excess, (a.n, a.ell)
+
+    def test_all_variants_build_on_the_full_grid(self):
+        rows = build_gap_table(range(2, 166), range(1, 31), "auto")
+        assert len(rows) == 164 * 30 * 4
+
+    def test_log10_excess_matches_an_mpmath_oracle(self):
+        # in the excess e^(alpha n C_n) swamps the numerator; that one is
+        # pinned bit for bit in test_bounds.TestTuning
+        points = [(n, ell) for n in range(2, 31) for ell in (1, 2, 5, 30)]
+        points += [(n, ell) for n in (40, 80, 120, 164, 165) for ell in (1, 30)]
+        for n, ell in points:
+            (row,) = build_gap_table((n,), (ell,), "auto", ["THM1"])
+            want = float(mp_auto_thm1_log10_excess(n, ell))
+            assert row.log10_excess == pytest.approx(want, rel=1e-12, abs=0), (n, ell)
