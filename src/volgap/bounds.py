@@ -221,6 +221,10 @@ class BoundKernel:
         """log of alpha (n+ell+2) e^E, the numerator bump of THM2_CASE1."""
         return _log_case1_correction(self.n, ell, self.tuning.alpha, self.anc)
 
+    def final_inequality_log_margin(self, ell: int) -> float:
+        """bounds.final_inequality_log_margin at this kernel's alpha n C_n."""
+        return _final_inequality_log_margin(self.n, ell, self.anc)
+
 
 def capped_kernels(n_values, alpha: float, ell_max: int):
     """One BoundKernel per n of n_values, stopping at the overflow cap.
@@ -321,7 +325,11 @@ def final_inequality_log_margin(n: int, ell: int, alpha: float = DEFAULT_ALPHA) 
     Returns log(rhs) - log(lhs) = alpha n (n+3) C_n + log ell - log(n+ell+3);
     the inequality holds iff this is positive.
     """
-    anc = alpha * nc_product(n)
+    return _final_inequality_log_margin(n, ell, alpha * nc_product(n))
+
+
+def _final_inequality_log_margin(n: int, ell: int, anc: float) -> float:
+    """final_inequality_log_margin given anc = alpha n C_n."""
     return anc * (n + 3) + math.log(ell) - math.log(n + ell + 3.0)
 
 

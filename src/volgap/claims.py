@@ -355,7 +355,7 @@ def _claim_final_ineq(config: SuiteConfig) -> ClaimVerdict:
     )
     kernels, worst, at, grid = _reduce_grid(
         config,
-        lambda kernel, ell: bounds.final_inequality_log_margin(kernel.n, ell, kernel.tuning.alpha),
+        lambda kernel, ell: kernel.final_inequality_log_margin(ell),
     )
     return _verdict(
         "FINAL_INEQ", anchor, worst > 0.0 and bool(kernels),

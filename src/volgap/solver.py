@@ -13,25 +13,31 @@ its critical point gamma_n solves
 Numerically the story is all about scale.  gamma_n - 1 behaves like
 1/(n C_n), which is 0.43 at n = 2 but 2e-35 at n = 30: the root is far
 closer to 1 than a double can express through gamma itself.  All
-solves therefore run in the excess coordinate u = alpha - 1/ell with a
-geometric (log-spaced) bisection, on the equivalent well-scaled form
-of the equation
+solves therefore run in the excess coordinate u = alpha - 1/ell, on the
+equivalent well-scaled form of the equation
 
   u (1 + ell u) n C_n = 1 + (n + 1 + ell) e^(-alpha n C_n).
+
+The residual is the log of LHS/RHS, a normalised form of the defining
+equation that stays O(1) everywhere.  As a function of s = log u it
+rises with slope at least 1, so Newton steps in s from the closed-form
+root of u (1 + ell u) n C_n = 1, which the equation approaches once
+its correction term underflows, converge in a few steps.  The bracket
+is then certified by the residual's signs at its two ends, not
+inferred from the steps.
 
 RootResult reports the bracket, root and residual in that coordinate
 and carries the additive base, so tiny roots stay exact while
 value = base + root recovers the familiar parameter when it is
 representable; the tuning itself lives in bounds.Tuning, which the
 bounds, f1 and f1_prime read, and which takes a root exactly as
-Tuning.excess(ell, root).  The residual is the log of LHS/RHS above, a
-normalised form of the defining equation that stays O(1) everywhere.
+Tuning.excess(ell, root).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .bounds import _excess_exponent, _log_sum, _tuning, b_alpha
 from .logdomain import LogScalar, log_add, log_div
@@ -48,11 +54,13 @@ class EvaluationError(ArithmeticError):
 
 @dataclass(frozen=True)
 class RootResult:
-    """Bracketed root in the coordinate the solver actually bisected.
+    """Bracketed root in the coordinate the solver worked in.
 
     base shifts that coordinate: the solved parameter is base + root.
     Plain bisect uses base = 0; the tuning solvers use base = 1/ell so
     that a root excess of 1e-30 is still a first-class float.
+    iterations counts bisection steps for bisect and Newton steps for
+    the tuning solvers.
     """
 
     bracket_lo: float
@@ -84,21 +92,13 @@ def bisect(f, lo: float, hi: float, tol: float = 1e-12) -> RootResult:
         raise ValueError(f"need a finite bracket with lo < hi, got [{lo!r}, {hi!r}]")
     if not (tol > 0.0):
         raise ValueError(f"tol must be positive, got {tol!r}")
-    return _bisect(f, lo, hi, tol, geometric=False)
-
-
-def _bisect(f, lo: float, hi: float, tol: float, geometric: bool) -> RootResult:
-    # geometric bisects log(x) on a positive bracket and stops on the
-    # relative width tol, which is what tiny roots need
-    if geometric and not (0.0 < lo < hi):
-        raise ValueError(f"need 0 < lo < hi, got [{lo!r}, {hi!r}]")
     flo = _check_finite("f(lo)", f(lo))
     fhi = _check_finite("f(hi)", f(hi))
     if flo == 0.0 or fhi == 0.0 or (flo > 0.0) == (fhi > 0.0):
         raise BracketError(f"no sign change on [{lo!r}, {hi!r}]: f gives {flo!r}, {fhi!r}")
     iterations = 0
-    while hi - lo > (tol * lo if geometric else tol):
-        mid = math.sqrt(lo) * math.sqrt(hi) if geometric else 0.5 * (lo + hi)
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:  # float resolution exhausted
             break
         fm = _check_finite("f(mid)", f(mid))
@@ -112,7 +112,7 @@ def _bisect(f, lo: float, hi: float, tol: float, geometric: bool) -> RootResult:
             lo, flo = mid, fm
         else:
             hi = mid
-    root = math.sqrt(lo) * math.sqrt(hi) if geometric else 0.5 * (lo + hi)
+    root = 0.5 * (lo + hi)
     return RootResult(
         bracket_lo=lo, bracket_hi=hi, root=root,
         residual=_check_finite("f(root)", f(root)), iterations=iterations,
@@ -157,25 +157,44 @@ def f1_prime(alpha, n: int, ell: int) -> LogScalar:
     return log_div(numerator, denominator * denominator)
 
 
-def _critical_objective(u: float, n: int, ell: int, ncn: float) -> float:
+def _critical_objective(u: float, n: int, ell: int, ncn: float) -> tuple[float, float]:
     # log-form residual of  u (1 + ell u) n C_n = 1 + (n+1+ell) e^(-alpha n C_n)
-    # at alpha = 1/ell + u, the excess form of bounds.Tuning
+    # at alpha = 1/ell + u, the excess form of bounds.Tuning, and its slope
+    # in log u from the same exp: 1 + ell u/(1 + ell u) + n C_n u corr/(1 + corr)
     exponent = -_excess_exponent(ell, u, ncn)
     corr = (n + 1.0 + ell) * math.exp(exponent) if exponent > -745.0 else 0.0
-    return math.log(u) + math.log1p(ell * u) + math.log(ncn) - math.log1p(corr)
+    lu = ell * u
+    residual = math.log(u) + math.log1p(lu) + math.log(ncn) - math.log1p(corr)
+    return residual, 1.0 + lu / (1.0 + lu) + ncn * (u * corr) / (1.0 + corr)
+
+
+# bounds the loop below, which takes at most 5 steps on n 2:165 x ell 1:30;
+# bisections in log u narrow any bracket of doubles to adjacent floats in 64
+_NEWTON_STEPS = 100
 
 
 def optimal_alpha(n: int, ell: int = 1, tol: float = 1e-12) -> RootResult:
     """Excess coordinate of the maximiser of f1 over alpha > 1/ell.
 
     Solves the critical-point equation in the scaled form noted in the
-    module docstring by geometric bisection on u = alpha - 1/ell; the
-    bracket [0.1/((1+ell) n C_n), 2] straddles the root for every
-    admissible (n, ell).
+    module docstring by Newton steps in s = log u, u = alpha - 1/ell,
+    from the closed-form root u0 = 2 / (n C_n (1 + sqrt(1 + 4 ell / n C_n)))
+    of u (1 + ell u) n C_n = 1; iterations counts the steps.  They stop
+    below tol/4 in s.  The points evaluated bracket the root by their
+    residual signs, and a step that would leave that bracket, or does
+    not halve the step before it, bisects it in s instead: otherwise
+    steps for ell far above n C_n jump back and forth over the root.
+
+    The bracket returned is certified, not estimated: its ends are
+    u (1 -+ tol/2), and the residual must be negative at the lower end
+    and positive at the upper one.  Where tol is below what the
+    residual resolves, a failing end moves outward until its sign
+    certifies, so the bracket is wider than tol only where the doubles
+    force it.  A root that cannot be certified raises EvaluationError.
 
     The maximum (rather than minimum) nature of the point is certified
-    by orientation: the scaled residual carries the opposite sign of
-    d f1 / d alpha, so it must pass from negative to positive across
+    by that orientation: the scaled residual carries the opposite sign
+    of d f1 / d alpha, so it must pass from negative to positive across
     the bracket.  Sampling f1 itself cannot certify this at large n,
     where one ulp of a log magnitude of order n C_n exceeds any
     curvature signal near the crest.
@@ -187,20 +206,61 @@ def optimal_alpha(n: int, ell: int = 1, tol: float = 1e-12) -> RootResult:
     if not (0.0 < tol < 1.0):
         raise ValueError(f"tol must lie in (0, 1), got {tol!r}")
     ncn = nc_product(n)
-    lo = 0.1 / ncn / (1.0 + ell)  # divide twice: the combined product can overflow
-    hi = 2.0
+    # n C_n sqrt(1 + 4 ell / n C_n), written so that 4 ell cannot overflow
+    u = 2.0 / (ncn + 2.0 * math.sqrt(ncn) * math.sqrt(0.25 * ncn + ell))
+    lo, hi = 0.0, math.inf  # evaluated points with residual < 0 and > 0
+    last = math.inf
+    for steps in range(_NEWTON_STEPS):
+        q, slope = _critical_objective(u, n, ell, ncn)
+        step = _check_finite("Newton step", q / slope)
+        if q < 0.0:
+            lo = u
+        elif q > 0.0:
+            hi = u
+        if q == 0.0 or abs(step) <= 0.25 * tol:
+            break
+        nxt = u * math.exp(-step)
+        if lo > 0.0 and hi < math.inf and not (lo < nxt < hi and abs(step) <= 0.5 * abs(last)):
+            nxt = math.sqrt(lo) * math.sqrt(hi)
+            step = 0.5 * (math.log(hi) - math.log(lo))
+            if not lo < nxt < hi:
+                break  # lo and hi are adjacent floats
+        elif nxt == u:
+            break
+        u, last = nxt, step
+    else:
+        raise EvaluationError(f"Newton steps did not settle for (n={n}, ell={ell})")
+    lo, hi = _certified_bracket(u, tol, n, ell, ncn)
+    return RootResult(
+        bracket_lo=lo, bracket_hi=hi, root=u,
+        residual=q, iterations=steps, base=1.0 / ell,
+    )
 
-    def objective(u: float) -> float:
-        return _critical_objective(u, n, ell, ncn)
 
-    q_lo = _check_finite("objective(lo)", objective(lo))
-    q_hi = _check_finite("objective(hi)", objective(hi))
-    if not (q_lo < 0.0 < q_hi):
-        raise BracketError(
-            f"critical equation does not pass from negative to positive on"
-            f" [{lo!r}, {hi!r}] for (n={n}, ell={ell}); no interior maximum"
-        )
-    return replace(_bisect(objective, lo, hi, tol, geometric=True), base=1.0 / ell)
+def _certified_bracket(u: float, tol: float, n: int, ell: int, ncn: float) -> tuple[float, float]:
+    """Floats lo < u < hi at which the critical residual is < 0 and > 0.
+
+    The ends start at u (1 -+ tol/2), pulled in by an ulp while
+    rounding leaves (hi - lo)/u above tol; an end that does not certify
+    moves outward, doubling its distance from u, until it does or that
+    distance passes u/4.
+    """
+    lo, hi = u - 0.5 * tol * u, u + 0.5 * tol * u
+    while (hi - lo) / u > tol:
+        lo, hi = math.nextafter(lo, u), math.nextafter(hi, u)
+    ends = []
+    for end, sign, away in ((lo, -1.0, 0.0), (hi, 1.0, math.inf)):
+        if end == u:
+            end = math.nextafter(u, away)
+        while not sign * _critical_objective(end, n, ell, ncn)[0] > 0.0:  # NaN widens too
+            if abs(end - u) > 0.25 * u:
+                raise EvaluationError(
+                    f"critical residual does not change sign around u={u!r}"
+                    f" for (n={n}, ell={ell})"
+                )
+            end = u + 2.0 * (end - u)
+        ends.append(end)
+    return ends[0], ends[1]
 
 
 def gamma_n(n: int, tol: float = 1e-12) -> RootResult:
@@ -237,7 +297,11 @@ def g_prime_numerator(beta: float, n: int) -> LogScalar:
     """
     if not (beta > 0.0):
         raise ValueError(f"beta must be positive, got {beta!r}")
-    ncn = nc_product(n)
+    return _g_prime_numerator(beta, n, nc_product(n))
+
+
+def _g_prime_numerator(beta: float, n: int, ncn: float) -> LogScalar:
+    # g_prime_numerator given ncn = n C_n, which a scan holds for all its betas
     big_b = beta * ncn
     if math.isinf(2.0 * big_b):
         raise OverflowError(f"exponent beta n C_n overflows for beta={beta!r}, n={n}")
@@ -268,7 +332,7 @@ def g_prime_sign_scan(n: int, betas) -> list[GPrimeSample]:
         if not (beta > 0.0):
             raise ValueError(f"beta values must be positive, got {beta!r}")
         in_domain = math.log(beta * beta * ncn) + beta * ncn > 0.0
-        sign = g_prime_numerator(beta, n).sign if in_domain else None
+        sign = _g_prime_numerator(beta, n, ncn).sign if in_domain else None
         samples.append(GPrimeSample(beta=beta, in_domain=in_domain, sign=sign))
     return samples
 

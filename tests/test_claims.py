@@ -143,7 +143,7 @@ def test_first_bad_names_the_first_failing_point():
 
 
 def test_first_bad_beta_names_the_first_failing_sample(monkeypatch):
-    monkeypatch.setattr(solver, "g_prime_numerator", lambda beta, n: LogScalar(1, 0.0))
+    monkeypatch.setattr(solver, "_g_prime_numerator", lambda beta, n, ncn: LogScalar(1, 0.0))
     v = run_claim("LEML_GPRIME_NEG", SMALL)
     first = next(s for s in solver.g_prime_sign_scan(2, [0.05 * k for k in range(1, 61)])
                  if s.in_domain)

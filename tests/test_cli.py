@@ -7,6 +7,8 @@ import math
 import pytest
 
 from volgap.cli import main
+from volgap.solver import _critical_objective
+from volgap.specials import nc_product
 from volgap.spectral import heat_trace
 from volgap.tables import CSV_HEADER
 
@@ -101,13 +103,16 @@ class TestVerifyOutput:
 # claims became reductions over one bound kernel per n; the FAIL run pins
 # where the witnesses land.  The alpha = 3 digest was re-recorded when
 # RATIO_165 moved to the alpha = 1.43 its anchor states: only its status,
-# its alpha witness and the pass count changed.
+# its alpha witness and the pass count changed.  All three were re-recorded
+# when the tuning root moved from bisection to certified Newton steps: only
+# the root-derived witnesses of ALPHA_STAR_BRACKET, GAMMA2_GT_13 and
+# GAMMAN_LE_13 changed, in their last digits.
 VERIFY_PINNED = [
-    ((), "2618d0d3fff12438d19aaea2cd36a4eb815cb72d4fb31b92d6a71f0d7a7fd79e"),
+    ((), "7b372a386071c558538f607674202d570c0e3c1e7cf3906d97da25a53c1b9f44"),
     (("--n-range", "2:400", "--l-range", "1:30"),
-     "680b1b07aa735afd01ff88bd473636c416613adfbc472a698d0ec9a8311e5340"),
+     "be36ad375cc2bc452e7fe43c8259e1d973527e8c18c9b9f9ac74eeba72be4c41"),
     (("--alpha", "3.0", "--n-range", "2:400", "--l-range", "1:30"),
-     "a7c13c1879cf7535f78fe590c589d7cdd7a1f0ce350a53d71f3e221d4ef69759"),
+     "9991a1f3cdfdf1d597e4c120efcc278621c9d8f356619b100dfe915f8cb41905"),
 ]
 
 
@@ -234,6 +239,17 @@ class TestGridErrorContract:
         assert thm1.startswith("THM1       alpha=1 ")
         assert "excess=3.16227766017e-4050476638913261" in thm1
 
+    def test_auto_tunes_an_ell_far_beyond_the_dimension(self, capsys):
+        # the tuning once started from a bracket end 0.1/((1+ell) n C_n),
+        # which underflows to 0 here; the point itself is valid
+        ell = str(10**16)
+        for argv in (
+            ("table", "--alpha", "auto", "--n-range", "165:165", "--l-range", f"{ell}:{ell}"),
+            ("gap", "--alpha", "auto", "--n", "165", "--l", ell),
+        ):
+            assert main(list(argv)) == 0, argv
+            assert capsys.readouterr().err == ""
+
 
 class TestOutFile:
     def test_out_matches_stdout(self, capsys, tmp_path):
@@ -276,6 +292,24 @@ class TestSingleShotCommands:
         assert payload["alpha_star"] == pytest.approx(0.9553232317284198, rel=1e-12)
         assert payload["base"] == 0.5
         assert abs(payload["residual"]) <= 1e-9
+
+    def test_optimize_alpha_ell_far_beyond_the_dimension(self, capsys):
+        code, out = run(capsys, "optimize-alpha", "--n", "165", "--l", str(10**16), "--json")
+        assert code == 0
+        payload = json.loads(out)
+        assert 0.0 < payload["bracket_lo"] < payload["excess"] < payload["bracket_hi"]
+
+    @pytest.mark.parametrize("tol", ["1e-16", "1e-300"])
+    def test_optimize_alpha_tol_below_resolution(self, capsys, tol):
+        # no double bracket is that narrow: the certified one is the
+        # narrowest whose ends the residual still tells apart
+        code, out = run(capsys, "optimize-alpha", "--n", "5", "--l", "3", "--tol", tol, "--json")
+        assert code == 0
+        payload = json.loads(out)
+        lo, root, hi = payload["bracket_lo"], payload["excess"], payload["bracket_hi"]
+        assert lo <= root <= hi
+        ncn = nc_product(5)
+        assert _critical_objective(lo, 5, 3, ncn)[0] < 0.0 < _critical_objective(hi, 5, 3, ncn)[0]
 
     def test_trace_matches_library(self, capsys):
         _, out = run(capsys, "trace", "--n", "2", "--t", "1.0", "--json")

@@ -17,6 +17,7 @@ import random
 import mpmath
 import pytest
 
+from volgap import solver
 from volgap.bounds import Tuning, b_alpha
 from volgap.solver import (
     BracketError,
@@ -232,8 +233,10 @@ class TestOptimalAlpha:
             assert abs(lhs - rhs) / rhs < 1e-11
 
     def test_iteration_budget(self):
+        # Newton steps: ten objective evaluations less the root's own
+        # and the two at the bracket ends
         for n, ell in ((2, 1), (30, 1), (100, 7)):
-            assert optimal_alpha(n, ell).iterations < 60
+            assert optimal_alpha(n, ell).iterations <= 7
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -242,6 +245,69 @@ class TestOptimalAlpha:
             optimal_alpha(2, 0)
         with pytest.raises(ValueError):
             optimal_alpha(2, 1, tol=0.0)
+
+
+def count_evaluations(monkeypatch):
+    """Wrap the critical objective; the returned list holds its call count."""
+    calls = [0]
+    inner = solver._critical_objective
+
+    def counted(*args):
+        calls[0] += 1
+        return inner(*args)
+
+    monkeypatch.setattr(solver, "_critical_objective", counted)
+    return calls
+
+
+def residual(u: float, n: int, ell: int) -> float:
+    return solver._critical_objective(u, n, ell, nc_product(n))[0]
+
+
+class TestNewtonBudget:
+    def test_every_grid_root_is_certified_in_ten_evaluations(self, monkeypatch):
+        calls = count_evaluations(monkeypatch)
+        tol = 1e-12
+        for n in range(2, 166):
+            for ell in range(1, 31):
+                calls[0] = 0
+                r = optimal_alpha(n, ell, tol)
+                assert calls[0] <= 10, (n, ell, calls[0])
+                lo, hi = r.bracket_lo, r.bracket_hi
+                assert residual(lo, n, ell) < 0.0 < residual(hi, n, ell), (n, ell)
+                assert lo < r.root < hi and (hi - lo) / r.root <= tol, (n, ell)
+
+    @pytest.mark.parametrize("ell", [10**9, 10**11, 10**13, 10**16, 10**20])
+    @pytest.mark.parametrize("n", [2, 30, 165])
+    def test_large_ell_certified_in_ten_evaluations(self, monkeypatch, n, ell):
+        calls = count_evaluations(monkeypatch)
+        r = optimal_alpha(n, ell)
+        assert calls[0] <= 10
+        assert residual(r.bracket_lo, n, ell) < 0.0 < residual(r.bracket_hi, n, ell)
+        assert (r.bracket_hi - r.bracket_lo) / r.root <= 1e-12
+
+    @pytest.mark.parametrize("n, ell", [(5, 10**12), (30, 10**50), (165, 10**307), (2, 10**308)])
+    def test_ell_far_above_n_c_n_still_certifies(self, n, ell):
+        # there the residual climbs by log ell across a narrow band in
+        # log u, and plain Newton steps jump back and forth over it
+        r = optimal_alpha(n, ell)
+        assert residual(r.bracket_lo, n, ell) < 0.0 < residual(r.bracket_hi, n, ell)
+        assert (r.bracket_hi - r.bracket_lo) / r.root <= 1e-12
+
+    @pytest.mark.parametrize("n, ell", [(2, 1), (5, 3), (30, 7), (165, 1)])
+    def test_tol_below_resolution_widens_until_certified(self, n, ell):
+        for tol in (1e-16, 1e-300):
+            r = optimal_alpha(n, ell, tol)
+            assert r.bracket_lo < r.root < r.bracket_hi
+            assert residual(r.bracket_lo, n, ell) < 0.0 < residual(r.bracket_hi, n, ell)
+            assert (r.bracket_hi - r.bracket_lo) / r.root < 1e-12
+
+    def test_root_is_closer_than_tol_to_the_oracle(self):
+        mpmath.mp.dps = 50
+        for n, ell in ((2, 1), (3, 2), (5, 10**12)):
+            want = mp_excess_root(n, ell)
+            r = optimal_alpha(n, ell)
+            assert abs(r.root - want) / want <= 0.25e-12
 
 
 class TestObjective:
