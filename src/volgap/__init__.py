@@ -28,7 +28,6 @@ from .bounds import (
     GapParams,
     GapVariant,
     b_alpha,
-    b_cly,
     gap_excess,
     log_improvement_vs_cly,
     min_volume_excess_from_multiplicity,
@@ -77,7 +76,6 @@ __all__ = [
     "TraceResult",
     "__version__",
     "b_alpha",
-    "b_cly",
     "bisect",
     "build_gap_table",
     "claim_ids",

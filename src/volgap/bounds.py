@@ -30,10 +30,10 @@ alpha (n+ell+2) e^E, which case1_correction_numerator provides exactly.
 One kernel derives every formula above.  It works on floats (natural
 logs of positive quantities), and BoundKernel hoists its per-n scalars:
 n C_n, log B_n and log B_(n,alpha) are computed once per (n, alpha), so
-each (ell, variant) costs a few float operations.  b_alpha, b_cly,
-correction_exponent, case1_correction_numerator, gap_excess and
-log_improvement_vs_cly are LogScalar views over it; tables and the grid
-claims read BoundKernel directly.
+each (ell, variant) costs a few float operations.  b_alpha,
+case1_correction_numerator, gap_excess and log_improvement_vs_cly are
+LogScalar views over it; tables and the grid claims read BoundKernel
+directly.
 
 The tuning lives here too, in one form, Tuning: a fixed alpha or the
 solver's excess pair (ell, u), alpha = 1/ell + u, kept exact where
@@ -60,6 +60,10 @@ class GapVariant(str, Enum):
     THM1 = "THM1"
     THM2_CASE1 = "THM2_CASE1"
     THM2_CASE2 = "THM2_CASE2"
+
+
+# member lookups on the class are slow; BoundKernel.logs compares these per row
+_CLY, _THM1, _CASE1, _CASE2 = GapVariant
 
 
 class Tuning:
@@ -202,14 +206,14 @@ class BoundKernel:
         thm1, case2 = self.tuning.numerators(ell)
         out = []
         for variant in variants:
-            if variant is GapVariant.CLY:
+            if variant is _CLY:
                 out.append((self.log_b_cly, log_cly, 0.0))
                 continue
-            if variant is GapVariant.THM1:
+            if variant is _THM1:
                 log_num = _ln(thm1)
-            elif variant is GapVariant.THM2_CASE1:
+            elif variant is _CASE1:
                 log_num = _log_sum(_ln(thm1), self.log_case1_correction(ell))
-            elif variant is GapVariant.THM2_CASE2:
+            elif variant is _CASE2:
                 log_num = _ln(case2)
             else:
                 raise ValueError(f"unknown variant {variant!r}")
@@ -258,23 +262,6 @@ def b_alpha(n: int, alpha) -> LogScalar:
     """B_(n,alpha) = alpha n + alpha + 1 + alpha e^(alpha n C_n); alpha may be a Tuning."""
     tuning = _tuning(alpha)
     return LogScalar(1, _log_denominator(n, tuning.alpha, tuning.exponent(nc_product(n))))
-
-
-def b_cly(n: int) -> LogScalar:
-    """B_n = 2n + 3 + 2 e^(2 n C_n); literally b_alpha at alpha = 2."""
-    return b_alpha(n, 2.0)
-
-
-def correction_exponent(n: int, ell: int, alpha: float = DEFAULT_ALPHA) -> float:
-    """E = alpha n C_n (1 - (n+4) (n+2 ell)^(2/n) 4^(1/n)).
-
-    Always hugely negative on admissible inputs: the growth factor in
-    the parenthesis exceeds 1 by a wide margin, so e^E decays much
-    faster than any other quantity in the bounds.
-    """
-    if ell < 1:
-        raise ValueError(f"ell must be at least 1, got {ell}")
-    return _correction_exponent(n, ell, alpha * nc_product(n))
 
 
 def case1_correction_numerator(params: GapParams) -> LogScalar:

@@ -8,7 +8,10 @@ FAIL, the witness numbers that decide it, and the tolerance used when
 the statement is quantitative rather than a strict inequality.
 
 Claims never abort the suite: an evaluator that raises is reported as
-ERROR with the exception text, and the remaining claims still run.
+ERROR with the exception text, and the remaining claims still run.  A
+grid claim whose grid the overflow cap leaves empty is ERROR too, with
+the cap note as its reason: a statement over no points is neither shown
+nor refuted.
 
 The grid claims run over one bounds.BoundKernel per dimension n, up to
 the overflow cap that bounds decides.  Those over (n, ell) points are
@@ -90,21 +93,31 @@ def _verdict(claim_id, anchor, ok, witnesses, tolerance=None, grid_note=None):
     )
 
 
+class _EmptyGrid(Exception):
+    """The overflow cap left no n of the grid; the message says where it stopped."""
+
+
 def _n_grid(config: SuiteConfig):
-    """One BoundKernel per n of the grid up to the overflow cap, and the cap note."""
-    return bounds.capped_kernels(
+    """One BoundKernel per n of the grid up to the overflow cap, and the cap note.
+
+    Raises _EmptyGrid when the cap leaves no n to check.
+    """
+    kernels, note = bounds.capped_kernels(
         range(config.n_min, config.n_max + 1), config.alpha, config.ell_max
     )
+    if not kernels:
+        raise _EmptyGrid(f"empty grid; {note}")
+    return kernels, note
 
 
 def _reduce_grid(config: SuiteConfig, margin, start=math.inf):
     """Fold margin(kernel, ell) over the (n, ell) grid, one kernel per n.
 
-    Returns (kernels, worst, at, grid_note): the smallest margin and its
-    point.  Points are visited n first, then ell, and only a strictly
-    smaller margin moves the point, so ties keep the first.  A NaN margin
-    counts as -inf: the statement could not be checked there.  The point
-    stays (-1, -1) unless some margin falls below start.
+    Returns (worst, at, grid_note): the smallest margin and its point.
+    Points are visited n first, then ell, and only a strictly smaller
+    margin moves the point, so ties keep the first.  A NaN margin counts
+    as -inf: the statement could not be checked there.  The point stays
+    (-1, -1) unless some margin falls below start.
     """
     kernels, note = _n_grid(config)
     worst = start
@@ -117,7 +130,7 @@ def _reduce_grid(config: SuiteConfig, margin, start=math.inf):
             if m < worst:
                 worst, at = m, (float(kernel.n), float(ell))
     grid = _grid_note(config, kernels)
-    return kernels, worst, at, grid if note is None else f"{grid}; {note}"
+    return worst, at, grid if note is None else f"{grid}; {note}"
 
 
 # ---------------------------------------------------------------- claims
@@ -230,9 +243,9 @@ def _claim_alpha_star_bracket(config: SuiteConfig) -> ClaimVerdict:
         inside = 0.0 < r.root < 0.43 and r.bracket_lo <= r.root <= r.bracket_hi
         if not inside or abs(r.residual) > 1e-9:
             ok = False
-    grid = f"n in [{ns[0]}, {ns[-1]}], ell = 1" if ns else "empty grid"
+    grid = f"n in [{ns[0]}, {ns[-1]}], ell = 1"
     return _verdict(
-        "ALPHA_STAR_BRACKET", anchor, ok and bool(ns),
+        "ALPHA_STAR_BRACKET", anchor, ok,
         {
             "gamma_2": gamma_2,
             "max_abs_residual": worst_res,
@@ -336,7 +349,7 @@ def _claim_leml_gprime_neg(config: SuiteConfig) -> ClaimVerdict:
             if sample.sign != -1 and ok:
                 ok = False
                 bad_beta, bad_n = sample.beta, float(n)
-    grid = f"n in [{ns[0]}, {ns[-1]}], beta in {{0.05, ..., 3.0}}" if ns else "empty grid"
+    grid = f"n in [{ns[0]}, {ns[-1]}], beta in {{0.05, ..., 3.0}}"
     return _verdict(
         "LEML_GPRIME_NEG", anchor, ok and in_domain > 0,
         {
@@ -353,12 +366,12 @@ def _claim_final_ineq(config: SuiteConfig) -> ClaimVerdict:
         "alpha n (n + 3) C_n + log(ell) - log(n + ell + 3) stays positive"
         " on the whole parameter grid"
     )
-    kernels, worst, at, grid = _reduce_grid(
+    worst, at, grid = _reduce_grid(
         config,
         lambda kernel, ell: kernel.final_inequality_log_margin(ell),
     )
     return _verdict(
-        "FINAL_INEQ", anchor, worst > 0.0 and bool(kernels),
+        "FINAL_INEQ", anchor, worst > 0.0,
         {"min_log_margin": worst, "at_n": at[0], "at_ell": at[1]},
         grid_note=grid,
     )
@@ -370,7 +383,7 @@ def _claim_gap_order_thm1_cly(config: SuiteConfig) -> ClaimVerdict:
         " grid point (compared in log form; the margin grows with n)"
     )
     floor = math.log(1.65)
-    kernels, worst, at, grid = _reduce_grid(
+    worst, at, grid = _reduce_grid(
         config, lambda kernel, ell: kernel.logs(ell, _THM1)[0][2] - floor
     )
     try:
@@ -378,7 +391,7 @@ def _claim_gap_order_thm1_cly(config: SuiteConfig) -> ClaimVerdict:
     except OverflowError:  # every ratio on the grid leaves the double range
         ratio, grid = math.inf, f"{grid}; ratio_at_min exceeds the double range"
     return _verdict(
-        "GAP_ORDER_THM1_CLY", anchor, worst > 0.0 and bool(kernels),
+        "GAP_ORDER_THM1_CLY", anchor, worst > 0.0,
         {
             "min_log_margin_over_165": worst,
             "at_n": at[0],
@@ -401,8 +414,8 @@ def _claim_gap_order_thm2_thm1(config: SuiteConfig) -> ClaimVerdict:
             return -math.inf
         return bounds.case2_vs_doubled_thm1_log_margin(kernel.n, ell, kernel.tuning)
 
-    kernels, worst, at, grid = _reduce_grid(config, margin)
-    ok = worst > 0.0 and bool(kernels)
+    worst, at, grid = _reduce_grid(config, margin)
+    ok = worst > 0.0
     bad = (-1.0, -1.0) if ok else at
     return _verdict(
         "GAP_ORDER_THM2_THM1", anchor, ok,
@@ -430,10 +443,10 @@ def _claim_thm6_consistency(config: SuiteConfig) -> ClaimVerdict:
         return -abs(direct - routed.log_mag) / max(1.0, abs(direct))
 
     # start at 0: the point names the largest difference, if any is nonzero
-    kernels, worst, at, grid = _reduce_grid(config, margin, start=0.0)
+    worst, at, grid = _reduce_grid(config, margin, start=0.0)
     max_rel = abs(worst)
     return _verdict(
-        "THM6_CONSISTENCY", anchor, bool(kernels) and max_rel <= config.tol,
+        "THM6_CONSISTENCY", anchor, max_rel <= config.tol,
         {"max_rel_log_diff": max_rel, "at_n": at[0], "at_ell": at[1]},
         tolerance=config.tol,
         grid_note=grid,
@@ -441,8 +454,6 @@ def _claim_thm6_consistency(config: SuiteConfig) -> ClaimVerdict:
 
 
 def _grid_note(config: SuiteConfig, kernels) -> str:
-    if not kernels:
-        return "empty grid"
     return (
         f"n in [{kernels[0].n}, {kernels[-1].n}], ell in [{config.ell_min}, {config.ell_max}],"
         f" alpha = {config.alpha:g}"
@@ -483,6 +494,14 @@ def run_claim(claim_id: str, config: SuiteConfig | None = None) -> ClaimVerdict:
     fn = _CLAIMS[claim_id]
     try:
         return fn(config)
+    except _EmptyGrid as exc:
+        return ClaimVerdict(
+            claim_id=claim_id,
+            anchor="the capped grid holds no point to check the statement at",
+            status="ERROR",
+            witnesses={},
+            grid_note=str(exc),
+        )
     except Exception as exc:  # verdicts must outlive any single failure
         return ClaimVerdict(
             claim_id=claim_id,

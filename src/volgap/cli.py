@@ -32,7 +32,6 @@ from .tables import (
     _sig,
     build_gap_table,
     format_from_log10,
-    format_ratio,
     render_csv,
     render_json,
     render_pretty,
@@ -235,7 +234,7 @@ def _cmd_gap(args) -> int:
                 "log10_B": float(_sig(row.log10_denominator)),
                 "log10_excess": float(_sig(row.log10_excess)),
                 "excess": format_from_log10(row.log10_excess),
-                "ratio_vs_cly": format_ratio(row.ratio_vs_cly),
+                "ratio_vs_cly": format_from_log10(row.log10_ratio_vs_cly),
             }
             for row in rows
         ]
@@ -247,7 +246,7 @@ def _cmd_gap(args) -> int:
             lines.append(
                 f"{row.variant:<10} alpha={_sig(row.alpha):<14}"
                 f" log10_B={_sig(row.log10_denominator):<18}"
-                f" excess={excess:<20} ratio_vs_cly={format_ratio(row.ratio_vs_cly)}"
+                f" excess={excess:<20} ratio_vs_cly={format_from_log10(row.log10_ratio_vs_cly)}"
             )
             lines.append(
                 f"{'':<10} a compact n-manifold minimally immersed in the (n+ell)-sphere"

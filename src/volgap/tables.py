@@ -2,23 +2,26 @@
 
 Output is deterministic byte for byte: no timestamps, no environment
 leakage, fixed column order, fixed float formatting (12 significant
-digits).  Ratios between bounds routinely exceed float range, so they
-are carried as LogScalar and rendered as mantissa/exponent literals
-(still valid JSON numbers) rather than passed through float().
+digits).  A row holds plain floats, no LogScalar: the bounds as base-10
+logs, and the ratio to the classical excess as its base-10 log too,
+since ratios routinely exceed float range.  A large ratio is rendered
+as a mantissa/exponent literal (still a valid JSON number).
 
 Gap tables are built per n: one BoundKernel per (n, alpha) supplies the
-logs of every row, and each (n, ell) point is validated once.  All three
-renderers format a row through one row-to-cells helper.
+logs of every row.  At a fixed alpha every ell is checked once, at the
+first n, and each later n only for itself; an auto point is checked on
+its own.  All three renderers format rows through one helper that
+formats each repeated value (n, ell, alpha, log10_B) once per call.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .bounds import DEFAULT_ALPHA, BoundKernel, GapParams, GapVariant, Tuning
 from .bounds import gap_excess  # noqa: F401  (perfbench's tracer tests wrap tables.gap_excess)
-from .logdomain import _LN10, LogScalar
+from .logdomain import _LN10
 from .solver import optimal_alpha
 
 CSV_HEADER = "n,ell,alpha,variant,log10_B,log10_excess,ratio_vs_cly"
@@ -31,19 +34,17 @@ _VARIANT_ORDER = (
 )
 
 
-@dataclass(frozen=True)
-class GapTableRow:
+class GapTableRow(NamedTuple):
     n: int
     ell: int
     alpha: float  # 2 on classical rows, the tuning actually used otherwise
     variant: str
     log10_denominator: float
     log10_excess: float
-    ratio_vs_cly: LogScalar
+    log10_ratio_vs_cly: float  # 0 on classical rows
 
 
-def _sig(x: float) -> str:
-    return f"{x:.12g}"
+_sig = "{:.12g}".format  # a float's text at 12 significant digits
 
 
 def format_from_log10(log10_value: float, sign: int = 1) -> str:
@@ -68,12 +69,6 @@ def format_from_log10(log10_value: float, sign: int = 1) -> str:
     return f"{prefix}{mantissa}e+{exponent}" if exponent >= 0 else f"{prefix}{mantissa}e{exponent}"
 
 
-def format_ratio(ratio: LogScalar) -> str:
-    if ratio.is_zero:
-        return "0"
-    return format_from_log10(ratio.log10_mag, ratio.sign)
-
-
 def build_gap_table(n_values, ell_values, alpha=DEFAULT_ALPHA, variants=None) -> list[GapTableRow]:
     """Rows for every (n, ell, variant) combination, in grid order.
 
@@ -81,9 +76,12 @@ def build_gap_table(n_values, ell_values, alpha=DEFAULT_ALPHA, variants=None) ->
     "auto", which tunes alpha per (n, ell) by maximising the excess.
     Classical rows always use the fixed tuning 2 and report it.
 
-    Each point is validated once, as its first row's GapParams would
-    be, and every row is read from one BoundKernel per (n, alpha); an
-    auto point's kernel takes the solver's exact pair (bounds.Tuning).
+    Points are validated as their first rows' GapParams would be, and
+    the first invalid one raises, as it would in a per-point check.  At
+    a fixed alpha the checks of ell do not depend on n, so each ell is
+    checked at the first n only.  Every row is read from one BoundKernel
+    per (n, alpha); an auto point's kernel takes the solver's exact pair
+    (bounds.Tuning).
     """
     ns = [int(n) for n in n_values]
     ells = [int(ell) for ell in ell_values]
@@ -93,52 +91,89 @@ def build_gap_table(n_values, ell_values, alpha=DEFAULT_ALPHA, variants=None) ->
     if not auto:
         alpha = float(alpha)
     chosen = tuple(GapVariant(v) for v in variants) if variants else _VARIANT_ORDER
-    cly_first = chosen[0] is GapVariant.CLY
     tuned = any(v is not GapVariant.CLY for v in chosen)
-    retune = auto and tuned
+    # a classical first row is evaluated, and fails, before the tuned
+    # alpha is checked or its kernel built
+    cly_first = chosen[0] is GapVariant.CLY and tuned
     fixed = alpha if tuned else 2.0
-    names = [(v.value, v is GapVariant.CLY) for v in chosen]
     rows = []
+    kernel = None
     for n in ns:
-        kernel = None
-        for ell in ells:
-            if kernel is not None and not retune:
-                GapParams(n=n, ell=ell, alpha=kernel.tuning)
-            else:
-                tuning = Tuning.excess(ell, optimal_alpha(n, ell).root) if retune else fixed
-                if kernel is None and cly_first and tuned:
-                    # a classical first row is evaluated, and fails, before
-                    # the tuned alpha is checked or its kernel built
-                    GapParams(n=n, ell=ell, alpha=2.0)
-                    BoundKernel(n, 2.0).logs(ell, chosen[:1])
-                GapParams(n=n, ell=ell, alpha=tuning)
-                kernel = BoundKernel(n, tuning)
-            for (name, classical), (log_b, log_excess, log_ratio) in zip(
-                    names, kernel.logs(ell, chosen)):
-                rows.append(GapTableRow(
-                    n, ell, 2.0 if classical else kernel.tuning.alpha, name,
-                    log_b / _LN10, log_excess / _LN10, LogScalar(1, log_ratio),
-                ))
+        if auto and tuned:
+            for i, ell in enumerate(ells):
+                tuning = Tuning.excess(ell, optimal_alpha(n, ell).root)
+                point = _checked_kernel(n, ell, tuning, cly_first and i == 0)
+                _add_rows(rows, point, (ell,), chosen)
+        elif kernel is None:
+            kernel = _checked_kernel(n, ells[0], fixed, cly_first)
+            _add_rows(rows, kernel, ells[:1], chosen)
+            for ell in ells[1:]:
+                GapParams(n=n, ell=ell, alpha=fixed)
+                _add_rows(rows, kernel, (ell,), chosen)
+        else:
+            # every ell passed at the first n; n is all that is left to check
+            GapParams(n=n, ell=ells[0], alpha=fixed)
+            kernel = BoundKernel(n, fixed)
+            _add_rows(rows, kernel, ells, chosen)
     return rows
 
 
-def _cells(row: GapTableRow) -> tuple[str, ...]:
-    """The rendered fields of a row, in CSV_HEADER order."""
-    return (
-        str(row.n),
-        str(row.ell),
-        _sig(row.alpha),
-        row.variant,
-        _sig(row.log10_denominator),
-        _sig(row.log10_excess),
-        format_ratio(row.ratio_vs_cly),
-    )
+def _checked_kernel(n: int, ell: int, tuning, cly_first: bool) -> BoundKernel:
+    """The kernel of the point (n, ell), after the checks its first row makes."""
+    if cly_first:
+        GapParams(n=n, ell=ell, alpha=2.0)
+        BoundKernel(n, 2.0).logs(ell, _VARIANT_ORDER[:1])
+    GapParams(n=n, ell=ell, alpha=tuning)
+    return BoundKernel(n, tuning)
+
+
+def _add_rows(rows: list, kernel: BoundKernel, ells, chosen) -> None:
+    """Append the rows of kernel at each ell; the per-kernel columns are hoisted."""
+    n = kernel.n
+    tuned = (kernel.tuning.alpha, kernel.log_b / _LN10)
+    classical = (2.0, kernel.log_b_cly / _LN10)
+    columns = [(v.value, *(classical if v is GapVariant.CLY else tuned)) for v in chosen]
+    for ell in ells:
+        for (name, alpha, log10_b), (_, log_excess, log_ratio) in zip(columns, kernel.logs(ell, chosen)):
+            rows.append(GapTableRow(n, ell, alpha, name, log10_b, log_excess / _LN10, log_ratio / _LN10))
+
+
+class _Formatted(dict):
+    """value -> its text, formatting each distinct value once."""
+
+    def __init__(self, fmt) -> None:
+        super().__init__()
+        self.fmt = fmt
+
+    def __missing__(self, value):
+        text = self[value] = self.fmt(value)
+        return text
+
+
+def _cells(rows):
+    """Each row's rendered fields, in CSV_HEADER order.
+
+    n, ell, alpha and log10_B take few distinct values in a table, so
+    each is formatted once per call, as is the classical ratio 1.
+    """
+    ints = _Formatted(str)
+    sigs = _Formatted(_sig)
+    for n, ell, alpha, variant, log10_b, log10_excess, log10_ratio in rows:
+        yield (
+            ints[n],
+            ints[ell],
+            sigs[alpha],
+            variant,
+            sigs[log10_b],
+            _sig(log10_excess),
+            "1" if log10_ratio == 0.0 else format_from_log10(log10_ratio),
+        )
 
 
 def render_csv(rows) -> str:
     # no field needs quoting: digits, signs, '.', 'e', '+' and variant names
     lines = [CSV_HEADER]
-    lines.extend(",".join(_cells(row)) for row in rows)
+    lines.extend(",".join(cells) for cells in _cells(rows))
     lines.append("")
     return "\n".join(lines)
 
@@ -147,8 +182,7 @@ def render_json(rows, meta: dict | None = None) -> str:
     # emitted by hand: ratio literals like 1.23456789012e+4000 must land
     # in the stream as bare numbers, which json.dumps cannot produce
     out = []
-    for row in rows:
-        n, ell, alpha, variant, log10_b, log10_excess, ratio = _cells(row)
+    for n, ell, alpha, variant, log10_b, log10_excess, ratio in _cells(rows):
         out.append(
             f'{{"n": {n}, "ell": {ell}, "alpha": {alpha}, "variant": "{variant}", '
             f'"log10_B": {log10_b}, "log10_excess": {log10_excess}, "ratio_vs_cly": {ratio}}}'
@@ -170,7 +204,7 @@ def render_pretty(rows) -> str:
     """
     header = CSV_HEADER.split(",")
     cells = [header]
-    cells.extend(_cells(row) for row in rows)
+    cells.extend(_cells(rows))
     widths = [max(len(r[i]) for r in cells) for i in range(len(header))]
     lines = ["  ".join(c.ljust(w) for c, w in zip(r, widths)).rstrip() for r in cells]
     lines.insert(1, "  ".join("-" * w for w in widths))

@@ -14,10 +14,13 @@ DELETED = [
     ("bounds", "correction_below_ell_log_margin"),
     ("bounds", "cheng_yang_bound"),
     ("bounds", "case1_correction_term"),
+    ("bounds", "b_cly"),
+    ("bounds", "correction_exponent"),
     ("solver", "ObjectiveProfile"),
     ("solver", "profile_f1"),
     ("solver", "g_log"),
     ("solver", "f1_from_excess"),
+    ("tables", "format_ratio"),
 ]
 
 

@@ -17,11 +17,9 @@ from volgap.bounds import (
     GapVariant,
     Tuning,
     b_alpha,
-    b_cly,
     capped_kernels,
     case1_correction_numerator,
     case2_vs_doubled_thm1_log_margin,
-    correction_exponent,
     final_inequality_log_margin,
     gap_excess,
     log_improvement_vs_cly,
@@ -37,6 +35,11 @@ RATIO_2_1_143 = 1.6511710588547066  # frozen; also reproduced by criterion 3
 def case1_term(params: GapParams) -> LogScalar:
     """excess(THM2_CASE1) - excess(THM1) = alpha (n+ell+2) e^E / B_(n,alpha)."""
     return log_div(case1_correction_numerator(params), b_alpha(params.n, params.alpha))
+
+
+def correction_exponent(n: int, ell: int, alpha: float) -> float:
+    """E, read back from the kernel's log of the CASE1 bump alpha (n+ell+2) e^E."""
+    return BoundKernel(n, alpha).log_case1_correction(ell) - math.log(alpha * (n + ell + 2))
 
 
 def plain_b_alpha(n: int, alpha: float) -> float:
@@ -57,11 +60,13 @@ class TestDenominators:
                 )
 
     def test_b_cly_is_alpha_two(self):
+        # the classical denominator B_n every kernel carries, whatever its alpha
         for n in (2, 3, 4, 5):
-            assert b_cly(n) == b_alpha(n, 2.0)
+            assert BoundKernel(n, 1.43).log_b_cly == b_alpha(n, 2.0).log_mag
 
     def test_b_cly_2_closed_form(self):
-        assert b_cly(2).to_float() == pytest.approx(7.0 + 2.0 * math.exp(4.0), rel=1e-14)
+        log_b_cly = BoundKernel(2, 1.43).log_b_cly
+        assert math.exp(log_b_cly) == pytest.approx(7.0 + 2.0 * math.exp(4.0), rel=1e-14)
 
     def test_huge_n_stays_in_log_domain(self):
         d = b_alpha(100, 1.43)
@@ -116,7 +121,7 @@ class TestExcesses:
         a = gap_excess(GapParams(n=2, ell=1, alpha=1.43), GapVariant.CLY)
         b = gap_excess(GapParams(n=2, ell=1, alpha=2.0), GapVariant.CLY)
         assert a.excess == b.excess
-        assert a.denominator == b_cly(2)
+        assert a.denominator == b_alpha(2, 2.0)
 
     def test_thm1_excess_plain_float(self):
         for n in (2, 3):

@@ -133,6 +133,32 @@ def test_grid_caps_before_overflow():
     assert capped
 
 
+GRID_CLAIMS = [
+    "ALPHA_STAR_BRACKET",
+    "FINAL_INEQ",
+    "GAMMAN_LE_13",
+    "GAP_ORDER_THM1_CLY",
+    "GAP_ORDER_THM2_THM1",
+    "LEML_GPRIME_NEG",
+    "THM6_CONSISTENCY",
+]
+
+
+def test_capped_empty_grid_is_an_error_not_a_verdict():
+    # n C_n is finite at n = 165, but the case-correction exponent at
+    # ell = 30 is not, so the cap leaves no n of 165:170 to check
+    verdicts = run_claim_suite(SuiteConfig(n_min=165, n_max=170))
+    unchecked = [v for v in verdicts if v.status != "PASS"]
+    assert [v.claim_id for v in unchecked] == GRID_CLAIMS
+    for v in unchecked:
+        assert v.status == "ERROR"
+        assert v.witnesses == {}
+        assert v.grid_note == (
+            "empty grid; n capped at 164: the case-correction exponent"
+            " exceeds float range beyond"
+        )
+
+
 def test_first_bad_names_the_first_failing_point():
     # at alpha = 1e300 the case (ii) margin rounds to exactly 0 everywhere,
     # so every point fails; n-then-ell order puts (2, 1) first

@@ -35,6 +35,17 @@ class TestExitCodes:
         assert "C4_EXACT" in out and "C3_APPROX" in out
         assert "17/19 claims passed" in out
 
+    def test_capped_empty_grid_exits_one_without_made_up_witnesses(self, capsys):
+        code, out = run(capsys, "verify", "--n-range", "165:170", "--json")
+        assert code == 1
+        payload = json.loads(out)
+        assert payload["passed"] == 12
+        errors = [c for c in payload["claims"] if c["status"] == "ERROR"]
+        assert len(errors) == 7
+        assert all(c["witnesses"] == {} and "capped at 164" in c["grid_note"] for c in errors)
+        for claim in payload["claims"]:
+            assert all(v is not None for v in claim["witnesses"].values()), claim["claim_id"]
+
     def test_usage_error_bad_alpha(self, capsys):
         assert run(capsys, "verify", "--alpha", "0.5")[0] == 2
 

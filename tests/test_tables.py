@@ -1,12 +1,20 @@
 """Table output: byte identity on pinned grids and literal formatting."""
 
 import hashlib
+import json
+import math
+import random
+from pathlib import Path
 
 import mpmath
 import pytest
 
+from volgap.bounds import BoundKernel, GapParams, GapVariant, Tuning
 from volgap.cli import main
-from volgap.tables import build_gap_table, format_from_log10
+from volgap.solver import optimal_alpha
+from volgap.tables import GapTableRow, build_gap_table, format_from_log10
+
+GOLDEN = Path(__file__).resolve().parent.parent / "perfbench" / "golden.json"
 
 # sha256 of `volgap table ... --out FILE`, recorded before the gap tables
 # were built from the per-dimension bound kernel; any byte of drift fails.
@@ -36,6 +44,89 @@ def test_table_bytes_pinned(tmp_path, argv, fmt, digest):
     target = tmp_path / f"table.{fmt}"
     assert main(["table", *argv, "--format", fmt, "--out", str(target)]) == 0
     assert hashlib.sha256(target.read_bytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("size, grid", [
+    ("tiny", ("--n-range", "2:5", "--l-range", "1:4")),
+    ("full", ("--n-range", "2:165", "--l-range", "1:100")),
+])
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_table_bytes_match_the_benchmark_digests(tmp_path, size, grid, fmt):
+    # the benchmark's table workload checks these digests; reading them
+    # here keeps its 65,600-row tables byte for byte without running it
+    digest = json.loads(GOLDEN.read_text(encoding="utf-8"))[f"table_{size}_{fmt}"]
+    target = tmp_path / f"table.{fmt}"
+    assert main(["table", "--alpha", "1.43", *grid, "--format", fmt, "--out", str(target)]) == 0
+    assert hashlib.sha256(target.read_bytes()).hexdigest() == digest
+
+
+def reference_table(n_values, ell_values, alpha, variants):
+    """Rows from per-point GapParams checks and one kernel per row, in grid order."""
+    chosen = [GapVariant(v) for v in variants] if variants else list(GapVariant)
+    tuned = any(v is not GapVariant.CLY for v in chosen)
+    rows = []
+    for n in n_values:
+        for ell in ell_values:
+            if alpha == "auto":
+                tuning = Tuning.excess(ell, optimal_alpha(n, ell).root) if tuned else None
+            else:
+                tuning = float(alpha)
+            for v in chosen:
+                a = 2.0 if v is GapVariant.CLY else tuning
+                GapParams(n=n, ell=ell, alpha=a)
+                kernel = BoundKernel(n, a)
+                ((log_b, log_excess, log_ratio),) = kernel.logs(ell, (v,))
+                rows.append(GapTableRow(
+                    n, ell, kernel.tuning.alpha, v.value,
+                    log_b / math.log(10.0), log_excess / math.log(10.0), log_ratio / math.log(10.0),
+                ))
+    return rows
+
+
+def outcome(build, *args):
+    try:
+        return build(*args)
+    except Exception as exc:  # the parity is on the exception too
+        return type(exc), str(exc)
+
+
+class TestErrorParity:
+    """build_gap_table checks each ell at the first n only; the first error must not move."""
+
+    CASES = [
+        ([2, 3], [3, 1, 0, 2], 1.43, None),  # unsorted ell, one invalid
+        ([2, 5, 1, 4], [1, 2], 1.43, None),  # n < 2 after a valid n
+        ([2, 3], [1, 2], 0.5, None),  # alpha * ell <= 1
+        ([2, 3], [2, 1], 0.5, ["CLY", "THM1"]),
+        ([2, 1], [1, 2], 0.5, ["CLY"]),  # classical rows ignore alpha, not n
+        ([163, 164, 165, 166], [1, 2], 1.43, None),  # past the double range
+        ([166, 2], [1], 0.5, None),  # the classical row overflows before alpha fails
+        ([164, 165, 166], [1], "auto", ["THM1"]),
+        ([3, 1], [1, 2], "auto", None),
+    ]
+
+    @pytest.mark.parametrize("n_values, ell_values, alpha, variants", CASES)
+    def test_cases(self, n_values, ell_values, alpha, variants):
+        want = outcome(reference_table, n_values, ell_values, alpha, variants)
+        assert isinstance(want, tuple)  # each case fails somewhere
+        assert outcome(build_gap_table, n_values, ell_values, alpha, variants) == want
+
+    def test_fuzz(self):
+        rng = random.Random(20240607)
+        n_pool = [1, 2, 3, 4, 7, 30, 164, 165, 166]
+        ell_pool = [0, 1, 2, 3, 5, 30]
+        alphas = [1.43, 0.5, 0.9, 1.0, 2.0, 3.7, "auto"]
+        variant_sets = [None, ["CLY"], ["THM1"], ["CLY", "THM1"], ["THM2_CASE2", "CLY"],
+                        ["THM2_CASE1", "THM2_CASE2"]]
+        failures = 0
+        for _ in range(300):
+            ns = rng.sample(n_pool, rng.randint(1, 3))
+            ells = rng.sample(ell_pool, rng.randint(1, 3))
+            args = (ns, ells, rng.choice(alphas), rng.choice(variant_sets))
+            want = outcome(reference_table, *args)
+            assert outcome(build_gap_table, *args) == want, args
+            failures += isinstance(want, tuple)
+        assert 50 < failures < 250  # both paths are exercised
 
 
 class TestFormatFromLog10:
