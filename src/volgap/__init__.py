@@ -7,12 +7,12 @@ The package computes, compares and verifies the family of lower bounds
 for an n-dimensional compact minimal submanifold M immersed with
 maximal dimension in S^(n+ell).  The excess terms involve the
 dimensional constants C_n = n^(n/2) e Gamma(n/2, 1) / 2, which grow
-like e^(n log n), so everything runs on a signed log-domain scalar
-type rather than rescaled floats.
+like e^(n log n), so the internals compute on natural logs held as
+floats, and the public views return them as LogScalars.
 
 Layers:
 
-  logdomain   exact-signed log-magnitude arithmetic (LogScalar)
+  logdomain   two-term log sums and the LogScalar view type
   specials    upper incomplete gamma at 1, the constants C_n
   spectral    heat trace of the round sphere with certified truncation
   bounds      the gap excess variants and their comparisons
@@ -30,10 +30,9 @@ from .bounds import (
     b_alpha,
     gap_excess,
     log_improvement_vs_cly,
-    min_volume_excess_from_multiplicity,
 )
 from .claims import ClaimVerdict, SuiteConfig, claim_ids, run_claim, run_claim_suite, suite_passed
-from .logdomain import LogScalar, log_add, log_div, log_exp, log_mul, log_sum
+from .logdomain import LogScalar, log_add, log_div, log_mul
 from .solver import (
     BracketError,
     EvaluationError,
@@ -50,7 +49,6 @@ from .specials import (
     cly_constant,
     cly_constant_log,
     erf_series,
-    log_upper_incomplete_gamma_at_one,
     nc_product,
     upper_incomplete_gamma_at_one,
 )
@@ -90,12 +88,8 @@ __all__ = [
     "heat_trace",
     "log_add",
     "log_div",
-    "log_exp",
     "log_improvement_vs_cly",
     "log_mul",
-    "log_sum",
-    "log_upper_incomplete_gamma_at_one",
-    "min_volume_excess_from_multiplicity",
     "nc_product",
     "optimal_alpha",
     "render_csv",

@@ -16,10 +16,10 @@ with the eigenvalue correction exponent
 
   E = alpha n C_n (1 - (n+4) (n+2 ell)^(2/n) 4^(1/n)).
 
-The denominators contain e^(alpha n C_n) and are therefore LogScalars
-throughout; so are excesses and ratios between variants, since the
-improvement factor over CLY grows like e^(0.57 n C_n) and leaves the
-double range already at n = 6.
+The denominators contain e^(alpha n C_n), so every quantity is
+computed as its natural log; so are excesses and ratios between
+variants, since the improvement factor over CLY grows like
+e^(0.57 n C_n) and leaves the double range already at n = 6.
 
 A caution on orderings: the CASE1 excess exceeds the THM1 excess by
 alpha (n+ell+2) e^E / B, a quantity around e^-137 at n = 2 and far
@@ -32,8 +32,8 @@ logs of positive quantities), and BoundKernel hoists its per-n scalars:
 n C_n, log B_n and log B_(n,alpha) are computed once per (n, alpha), so
 each (ell, variant) costs a few float operations.  b_alpha,
 case1_correction_numerator, gap_excess and log_improvement_vs_cly are
-LogScalar views over it; tables and the grid claims read BoundKernel
-directly.
+views over it, the first three as LogScalars, the public view type;
+tables and the grid claims read BoundKernel directly.
 
 The tuning lives here too, in one form, Tuning: a fixed alpha or the
 solver's excess pair (ell, u), alpha = 1/ell + u, kept exact where
@@ -49,7 +49,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .logdomain import LogScalar, _sum_mags, log_add, log_div, log_exp
+from .logdomain import LogScalar, _log_sum
 from .specials import nc_product
 
 DEFAULT_ALPHA = 1.43
@@ -156,11 +156,6 @@ def _log_mag(v: float) -> float:
     return v if v < math.inf else LogScalar(1, v).log_mag
 
 
-def _log_sum(a: float, b: float) -> float:
-    """log(e^a + e^b), with the terms ordered as log_add orders them."""
-    return _sum_mags(a, b) if a >= b else _sum_mags(b, a)
-
-
 def _log_denominator(n: int, alpha: float, exponent: float) -> float:
     """log(alpha n + alpha + 1 + alpha e^exponent); B_(n,alpha) at exponent alpha n C_n."""
     return _log_sum(_ln(alpha * n + alpha + 1.0), _log_mag(math.log(alpha) + exponent))
@@ -187,7 +182,7 @@ class BoundKernel:
     satisfy the GapParams checks.
     """
 
-    __slots__ = ("n", "tuning", "anc", "log_b", "log_b_cly")
+    __slots__ = ("n", "tuning", "nc", "anc", "log_b", "log_b_cly")
 
     def __init__(self, n: int, alpha) -> None:
         # n C_n first: in a table, a classical row overflows before the
@@ -196,6 +191,7 @@ class BoundKernel:
         tuning = _tuning(alpha)
         self.n = n
         self.tuning = tuning
+        self.nc = nc
         self.anc = tuning.exponent(nc)
         self.log_b_cly = _log_denominator(n, 2.0, 2.0 * nc)
         self.log_b = _log_denominator(n, tuning.alpha, self.anc)
@@ -320,24 +316,18 @@ def _final_inequality_log_margin(n: int, ell: int, anc: float) -> float:
     return anc * (n + 3) + math.log(ell) - math.log(n + ell + 3.0)
 
 
-def min_volume_excess_from_multiplicity(n: int, k: int, t: float) -> LogScalar:
-    """(k + e^t) / (e^t + n + 1 + n C_n / t) - 1, kept exact in log form.
+def _log_multiplicity_excess(n: int, nc: float, k: int, t: float) -> float:
+    """log of (k + e^t) / (e^t + n + 1 + n C_n / t) - 1 given nc = n C_n; -inf unless positive.
 
     The ratio bounds vol(M)/vol(S^n) from below when the first k Laplace
     eigenvalues of M do not exceed n.  Algebraically the excess is
-    (k - n - 1 - n C_n / t) / (e^t + n + 1 + n C_n / t); at t = alpha n C_n
-    and k = n + ell + 1 it collapses to the THM1 excess
-    (alpha ell - 1) / B_(n,alpha).  Returning the excess rather than the
-    ratio keeps that identity checkable at dimensions where 1 + excess
-    rounds to 1.
+    (k - shift) / (e^t + shift) with shift = n + 1 + n C_n / t; at
+    t = alpha n C_n and k = n + ell + 1 it collapses to the THM1 excess
+    (alpha ell - 1) / B_(n,alpha).  The log of the excess rather than
+    of the ratio keeps that identity checkable at dimensions where
+    1 + excess rounds to 1.
     """
-    if not isinstance(k, int) or isinstance(k, bool):
-        raise TypeError("k must be an int")
-    if k < 0:
-        raise ValueError(f"k must be non-negative, got {k}")
-    if not (t > 0.0) or math.isinf(t) or math.isnan(t):
-        raise ValueError(f"t must be positive and finite, got {t!r}")
-    shift = n + 1.0 + nc_product(n) / t
-    numerator = LogScalar.from_float(k - shift)
-    denominator = log_add(log_exp(t), LogScalar.from_float(shift))
-    return log_div(numerator, denominator)
+    shift = n + 1.0 + nc / t
+    if not k - shift > 0.0:
+        return -math.inf
+    return math.log(k - shift) - _log_sum(t, math.log(shift))

@@ -229,14 +229,14 @@ def _claim_alpha_star_bracket(config: SuiteConfig) -> ClaimVerdict:
     kernels, note = _n_grid(config)
     ns = [kernel.n for kernel in kernels]
     ok = True
+    witnesses = {}
     worst_res = 0.0
-    gamma_2 = math.nan
     min_excess = math.inf
     max_excess = -math.inf
     for n in ns:
         r = solver.gamma_n(n, config.tol)
         if n == 2:
-            gamma_2 = r.value
+            witnesses["gamma_2"] = r.value
         worst_res = max(worst_res, abs(r.residual))
         min_excess = min(min_excess, r.root)
         max_excess = max(max_excess, r.root)
@@ -244,14 +244,9 @@ def _claim_alpha_star_bracket(config: SuiteConfig) -> ClaimVerdict:
         if not inside or abs(r.residual) > 1e-9:
             ok = False
     grid = f"n in [{ns[0]}, {ns[-1]}], ell = 1"
+    witnesses.update(max_abs_residual=worst_res, min_excess=min_excess, max_excess=max_excess)
     return _verdict(
-        "ALPHA_STAR_BRACKET", anchor, ok,
-        {
-            "gamma_2": gamma_2,
-            "max_abs_residual": worst_res,
-            "min_excess": min_excess,
-            "max_excess": max_excess,
-        },
+        "ALPHA_STAR_BRACKET", anchor, ok, witnesses,
         tolerance=1e-9,
         grid_note=grid if note is None else f"{grid}; {note}",
     )
@@ -281,17 +276,17 @@ def _claim_gamman_le_13(config: SuiteConfig) -> ClaimVerdict:
     kernels, note = _n_grid(config)
     ns = [kernel.n for kernel in kernels if kernel.n >= 3]
     ok = True
-    largest = math.nan
+    largest = -math.inf
     for n in ns:
         r = solver.gamma_n(n, config.tol)
-        if math.isnan(largest) or r.root > largest:
-            largest = r.root
+        largest = max(largest, r.root)
         if not (r.root < 0.3):
             ok = False
+    # a vacuous grid has no largest gamma_n to report
     grid = f"n in [3, {ns[-1]}]" if ns else "vacuous: no n >= 3 in grid"
     return _verdict(
         "GAMMAN_LE_13", anchor, ok,
-        {"max_gamma_from_3": 1.0 + largest if ns else largest},
+        {"max_gamma_from_3": 1.0 + largest} if ns else {},
         grid_note=grid + (f"; {note}" if note else ""),
     )
 
@@ -437,10 +432,9 @@ def _claim_thm6_consistency(config: SuiteConfig) -> ClaimVerdict:
     def margin(kernel, ell):
         # minus the relative log difference; -inf if the route is not positive
         direct = kernel.logs(ell, _THM1)[0][1]
-        routed = bounds.min_volume_excess_from_multiplicity(kernel.n, kernel.n + ell + 1, kernel.anc)
-        if routed.sign != 1:
-            return -math.inf
-        return -abs(direct - routed.log_mag) / max(1.0, abs(direct))
+        k = kernel.n + ell + 1
+        routed = bounds._log_multiplicity_excess(kernel.n, kernel.nc, k, kernel.anc)
+        return -abs(direct - routed) / max(1.0, abs(direct))
 
     # start at 0: the point names the largest difference, if any is nonzero
     worst, at, grid = _reduce_grid(config, margin, start=0.0)

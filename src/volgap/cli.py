@@ -37,8 +37,6 @@ from .tables import (
     render_pretty,
 )
 
-_LOG10 = math.log(10.0)
-
 
 class _UsageError(Exception):
     """Bad parameter values discovered after argparse; maps to exit 2."""
@@ -192,8 +190,7 @@ def _cmd_constants(args) -> int:
         raise _UsageError(f"n must be at least 2, got {lo}")
     entries = []
     for n in range(lo, hi + 1):
-        log_cn = cly_constant_log(n).log_mag
-        log10_cn = log_cn / _LOG10
+        log10_cn = cly_constant_log(n).log10_mag
         log10_ncn = log10_cn + math.log10(n)
         entries.append((n, log10_cn, log10_ncn))
     if args.json:

@@ -1,12 +1,15 @@
-"""Signed arithmetic on numbers stored as natural-log magnitudes.
+"""Natural logs of quantities beyond the double range, and LogScalar.
 
 The bound denominators handled by this package contain factors like
 e^(2 n C_n), which is about e^128 already at n = 4 and far beyond any
-IEEE double soon after.  Every quantity that can blow up is therefore
-carried as a LogScalar: a sign in {-1, 0, +1} together with log|x|.
-Comparisons and sums are done on the log magnitudes directly, so no
-intermediate ever leaves the representable range as long as log|x|
-itself fits in a double.
+IEEE double soon after.  The package therefore computes on natural
+logs held as plain floats; _log_sum adds two of them, so no
+intermediate leaves the representable range as long as the log itself
+fits in a double.
+
+LogScalar, a sign in {-1, 0, +1} together with log|x|, is the type the
+public views return.  It multiplies, divides and adds (log_add); it
+has no order, so compare log magnitudes instead.
 
 Base-10 logs appear only when results are rendered for people; all
 internal arithmetic is natural-log.
@@ -51,10 +54,6 @@ class LogScalar:
             return ZERO
         return cls(1 if x > 0 else -1, math.log(abs(x)))
 
-    @classmethod
-    def from_log(cls, log_mag: float, sign: int = 1) -> "LogScalar":
-        return cls(sign, log_mag)
-
     def to_float(self) -> float:
         """Collapse back to a double.
 
@@ -77,49 +76,6 @@ class LogScalar:
     def log10_mag(self) -> float:
         return self.log_mag / _LN10
 
-    def signed_log10(self) -> float:
-        """sign * log10|x|, the form used when witnesses are reported."""
-        if self.sign == 0:
-            return 0.0
-        return self.sign * self.log10_mag
-
-    # ordinary total order on the represented reals
-    def _cmp(self, other: "LogScalar") -> int:
-        if self.sign != other.sign:
-            return -1 if self.sign < other.sign else 1
-        if self.sign == 0:
-            return 0
-        if self.log_mag == other.log_mag:
-            return 0
-        bigger_mag = self.log_mag > other.log_mag
-        if self.sign > 0:
-            return 1 if bigger_mag else -1
-        return -1 if bigger_mag else 1
-
-    def __lt__(self, other: "LogScalar") -> bool:
-        return self._cmp(other) < 0
-
-    def __le__(self, other: "LogScalar") -> bool:
-        return self._cmp(other) <= 0
-
-    def __gt__(self, other: "LogScalar") -> bool:
-        return self._cmp(other) > 0
-
-    def __ge__(self, other: "LogScalar") -> bool:
-        return self._cmp(other) >= 0
-
-    def __neg__(self) -> "LogScalar":
-        return LogScalar(-self.sign, self.log_mag)
-
-    def __abs__(self) -> "LogScalar":
-        return LogScalar(abs(self.sign), self.log_mag)
-
-    def __add__(self, other: "LogScalar") -> "LogScalar":
-        return log_add(self, other)
-
-    def __sub__(self, other: "LogScalar") -> "LogScalar":
-        return log_add(self, -other)
-
     def __mul__(self, other: "LogScalar") -> "LogScalar":
         return log_mul(self, other)
 
@@ -128,7 +84,6 @@ class LogScalar:
 
 
 ZERO = LogScalar(0, -math.inf)
-ONE = LogScalar(1, 0.0)
 
 
 def _sum_mags(big: float, small: float) -> float:
@@ -137,6 +92,11 @@ def _sum_mags(big: float, small: float) -> float:
     if d < -745.0:  # e^d underflows; the small term is invisible
         return big
     return big + math.log1p(math.exp(d))
+
+
+def _log_sum(a: float, b: float) -> float:
+    """log(e^a + e^b): the one place that orders the terms of a two-term sum."""
+    return _sum_mags(a, b) if a >= b else _sum_mags(b, a)
 
 
 def _diff_mags(big: float, small: float) -> float:
@@ -158,8 +118,7 @@ def log_add(a: LogScalar, b: LogScalar) -> LogScalar:
     if b.sign == 0:
         return a
     if a.sign == b.sign:
-        big, small = (a.log_mag, b.log_mag) if a.log_mag >= b.log_mag else (b.log_mag, a.log_mag)
-        return LogScalar(a.sign, _sum_mags(big, small))
+        return LogScalar(a.sign, _log_sum(a.log_mag, b.log_mag))
     if a.log_mag == b.log_mag:
         return ZERO
     if a.log_mag > b.log_mag:
@@ -182,18 +141,3 @@ def log_div(a: LogScalar, b: LogScalar) -> LogScalar:
     if a.sign == 0:
         return ZERO
     return LogScalar(a.sign * b.sign, a.log_mag - b.log_mag)
-
-
-def log_exp(x: float) -> LogScalar:
-    """e^x as a LogScalar, valid for any finite x however large."""
-    if math.isnan(x) or math.isinf(x):
-        raise ValueError(f"exponent must be finite, got {x!r}")
-    return LogScalar(1, x)
-
-
-def log_sum(terms) -> LogScalar:
-    """Fold log_add over an iterable of LogScalars."""
-    acc = ZERO
-    for t in terms:
-        acc = log_add(acc, t)
-    return acc

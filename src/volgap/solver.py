@@ -39,8 +39,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .bounds import _excess_exponent, _log_sum, _tuning, b_alpha
-from .logdomain import LogScalar, log_add, log_div
+from .bounds import _excess_exponent, _tuning, b_alpha
+from .logdomain import LogScalar, _log_sum, log_add, log_div
 from .specials import cly_constant, nc_product
 
 
@@ -286,8 +286,9 @@ def phi3_threshold() -> float:
     return 3.0 * cly_constant(3) * 1.3 * 0.3 - 1.0
 
 
-def g_prime_numerator(beta: float, n: int) -> LogScalar:
-    """Numerator of g'(beta) after combining over the common denominator:
+def _g_prime_numerator(beta: float, n: int, ncn: float) -> LogScalar:
+    """Numerator of g'(beta) after combining over the common denominator,
+    given ncn = n C_n, which a scan holds for all its betas:
 
       -n C_n [ e^(2B) (2 beta + beta^2 n C_n)
                + e^B (B (1 + beta (n+1)) + 2 (beta n + beta + 1)) ]
@@ -295,13 +296,6 @@ def g_prime_numerator(beta: float, n: int) -> LogScalar:
     Both bracketed terms are positive, so the sign is -1 throughout the
     domain; the scan below makes that observable point by point.
     """
-    if not (beta > 0.0):
-        raise ValueError(f"beta must be positive, got {beta!r}")
-    return _g_prime_numerator(beta, n, nc_product(n))
-
-
-def _g_prime_numerator(beta: float, n: int, ncn: float) -> LogScalar:
-    # g_prime_numerator given ncn = n C_n, which a scan holds for all its betas
     big_b = beta * ncn
     if math.isinf(2.0 * big_b):
         raise OverflowError(f"exponent beta n C_n overflows for beta={beta!r}, n={n}")

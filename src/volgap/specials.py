@@ -27,7 +27,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .logdomain import LogScalar, log_add, log_exp
+from .logdomain import LogScalar, _log_sum
 
 _ERF_TERM_CUTOFF = 1e-17
 
@@ -43,29 +43,6 @@ class HalfInteger:
             raise TypeError(f"twice must be an int, got {type(self.twice).__name__}")
         if self.twice < 1:
             raise ValueError(f"argument must be at least 1/2, got {self.twice}/2")
-
-    @classmethod
-    def from_int(cls, m: int) -> "HalfInteger":
-        return cls(2 * m)
-
-    @classmethod
-    def half_of(cls, n: int) -> "HalfInteger":
-        """The value n/2, handy because C_n needs s = n/2."""
-        return cls(n)
-
-    @property
-    def value(self) -> float:
-        return self.twice / 2.0
-
-    @property
-    def is_integer(self) -> bool:
-        return self.twice % 2 == 0
-
-    @property
-    def integer_value(self) -> int:
-        if not self.is_integer:
-            raise ValueError(f"{self.twice}/2 is not an integer")
-        return self.twice // 2
 
 
 def erf_series(x: float) -> float:
@@ -131,12 +108,12 @@ def _gamma_upper_log(twice_s: int) -> float:
         return math.log(math.factorial(m - 1)) + math.log(_recip_factorial_sum(m)) - 1.0
     if twice_s <= 340:  # float recurrence still far from overflow
         return math.log(_gamma_upper_float(twice_s))
-    acc = LogScalar.from_float(_gamma_upper_seed_half())
+    log_g = math.log(_gamma_upper_seed_half())
     s = 0.5
     while 2.0 * s < twice_s:
-        acc = log_add(LogScalar(1, math.log(s) + acc.log_mag), log_exp(-1.0))
+        log_g = _log_sum(math.log(s) + log_g, -1.0)
         s += 1.0
-    return acc.log_mag
+    return log_g
 
 
 def upper_incomplete_gamma_at_one(s: HalfInteger) -> float:
@@ -145,18 +122,11 @@ def upper_incomplete_gamma_at_one(s: HalfInteger) -> float:
     Exact in the sense that the only errors are float rounding of the
     closed forms above; relative error stays near machine epsilon.
     Raises OverflowError once the value itself exceeds the double
-    range (s around 171); use log_upper_incomplete_gamma_at_one there.
+    range (s around 171); cly_constant_log works in logs beyond it.
     """
     if not isinstance(s, HalfInteger):
         raise TypeError("s must be a HalfInteger")
     return _gamma_upper_float(s.twice)
-
-
-def log_upper_incomplete_gamma_at_one(s: HalfInteger) -> float:
-    """log Gamma(s, 1), valid for any admissible s."""
-    if not isinstance(s, HalfInteger):
-        raise TypeError("s must be a HalfInteger")
-    return _gamma_upper_log(s.twice)
 
 
 def _check_dimension(n: int) -> None:

@@ -1,10 +1,20 @@
-"""The public surface: `volgap.__all__` and the names it no longer has."""
+"""The public surface: `volgap.__all__`, the names it no longer has, and
+the rule that every public definition has a caller."""
 
+import ast
 import importlib
+from collections import Counter
+from pathlib import Path
 
 import pytest
 
 import volgap
+
+SRC = Path(volgap.__file__).parent
+ROOT = SRC.parent.parent
+# besides the package itself, the acceptance gate and the benchmark count
+# as callers; they are only read here
+READERS = [ROOT / "tests" / "test_acceptance.py", *sorted((ROOT / "perfbench").glob("*.py"))]
 
 # removed with no runtime caller, each with the module it lived in
 DELETED = [
@@ -21,6 +31,28 @@ DELETED = [
     ("solver", "g_log"),
     ("solver", "f1_from_excess"),
     ("tables", "format_ratio"),
+    ("bounds", "min_volume_excess_from_multiplicity"),
+    ("solver", "g_prime_numerator"),
+    ("specials", "log_upper_incomplete_gamma_at_one"),
+    ("specials", "HalfInteger.from_int"),
+    ("specials", "HalfInteger.half_of"),
+    ("specials", "HalfInteger.is_integer"),
+    ("specials", "HalfInteger.integer_value"),
+    ("specials", "HalfInteger.value"),
+    ("logdomain", "LogScalar.from_log"),
+    ("logdomain", "LogScalar.signed_log10"),
+    ("logdomain", "LogScalar._cmp"),
+    ("logdomain", "LogScalar.__lt__"),
+    ("logdomain", "LogScalar.__le__"),
+    ("logdomain", "LogScalar.__gt__"),
+    ("logdomain", "LogScalar.__ge__"),
+    ("logdomain", "LogScalar.__neg__"),
+    ("logdomain", "LogScalar.__abs__"),
+    ("logdomain", "LogScalar.__add__"),
+    ("logdomain", "LogScalar.__sub__"),
+    ("logdomain", "ONE"),
+    ("logdomain", "log_sum"),
+    ("logdomain", "log_exp"),
 ]
 
 
@@ -39,4 +71,35 @@ def test_all_has_no_duplicates():
 def test_deleted_names_stay_deleted(module, name):
     assert name not in volgap.__all__
     assert not hasattr(volgap, name)
-    assert not hasattr(importlib.import_module(f"volgap.{module}"), name)
+    owner = importlib.import_module(f"volgap.{module}")
+    *path, name = name.split(".")
+    for part in path:
+        owner = getattr(owner, part)
+    # a class still inherits comparison slots from object; it must not define its own
+    assert getattr(owner, name, None) is getattr(object, name, None)
+
+
+def _names(node):
+    """Every name that node reads: bare names and attribute names."""
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            yield sub.id
+        elif isinstance(sub, ast.Attribute):
+            yield sub.attr
+
+
+def test_every_public_definition_has_a_caller():
+    # __init__.py only re-exports, so its imports are not uses
+    modules = {path: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))
+               if path.name != "__init__.py"}
+    used = Counter()
+    for tree in [*modules.values(), *(ast.parse(path.read_text()) for path in READERS)]:
+        used.update(_names(tree))
+    unused = []
+    for path, tree in modules.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+                own = sum(1 for name in _names(node) if name == node.name)
+                if used[node.name] == own:
+                    unused.append(f"{path.stem}.{node.name}")
+    assert unused == []

@@ -23,9 +23,9 @@ from volgap.bounds import (
     final_inequality_log_margin,
     gap_excess,
     log_improvement_vs_cly,
-    min_volume_excess_from_multiplicity,
 )
-from volgap.logdomain import ONE, LogScalar, log_add, log_div
+from volgap.bounds import _log_multiplicity_excess
+from volgap.logdomain import LogScalar, log_add, log_div
 from volgap.solver import optimal_alpha
 from volgap.specials import cly_constant, nc_product
 
@@ -115,7 +115,7 @@ class TestExcesses:
                 bound = gap_excess(GapParams(n=n, ell=ell, alpha=2.0), GapVariant.CLY)
                 plain = (2.0 * ell - 1.0) / plain_b_alpha(n, 2.0)
                 assert bound.excess.to_float() == pytest.approx(plain, rel=1e-13)
-                assert bound.ratio_vs_cly == ONE
+                assert bound.ratio_vs_cly == LogScalar(1, 0.0)
 
     def test_cly_ignores_requested_alpha(self):
         a = gap_excess(GapParams(n=2, ell=1, alpha=1.43), GapVariant.CLY)
@@ -314,26 +314,40 @@ class TestOrderings:
                 assert margin > 0.0
 
 
+def route(n: int, k: int, t: float) -> float:
+    """The log-excess of the multiplicity route, reading n C_n as a kernel does."""
+    return _log_multiplicity_excess(n, nc_product(n), k, t)
+
+
 class TestMultiplicityRoute:
+    # the route returns log of a positive excess and -inf otherwise, so a
+    # closed form is compared in value where it is positive and by sign
+    # where it is not
     def test_ratio_plain_float(self):
         for n, k, t in ((2, 5, 3.0), (3, 9, 2.0), (4, 4, 6.0)):
             num = 1.0 + k * math.exp(-t)
             den = 1.0 + (n + 1.0) * math.exp(-t) + nc_product(n) / t * math.exp(-t)
-            excess = min_volume_excess_from_multiplicity(n, k, t).to_float()
-            assert 1.0 + excess == pytest.approx(num / den, rel=1e-12)
+            if num / den > 1.0:
+                assert 1.0 + math.exp(route(n, k, t)) == pytest.approx(num / den, rel=1e-12)
+            else:
+                assert route(n, k, t) == -math.inf
 
     def test_excess_is_ratio_minus_one(self):
         # ratio minus one in closed form: (k - s) / (e^t + s), s = n + 1 + n C_n / t
         for n, k, t in ((2, 5, 3.0), (3, 9, 2.0)):
             shift = n + 1.0 + nc_product(n) / t
             plain = (k - shift) / (math.exp(t) + shift)
-            excess = min_volume_excess_from_multiplicity(n, k, t).to_float()
-            assert excess == pytest.approx(plain, rel=1e-12)
+            if plain > 0.0:
+                assert math.exp(route(n, k, t)) == pytest.approx(plain, rel=1e-12)
+            else:
+                assert route(n, k, t) == -math.inf
 
     def test_small_k_gives_negative_excess(self):
-        # degenerate sanity: below the shift the route reports a deficit
-        excess = min_volume_excess_from_multiplicity(2, 0, 1.0)
-        assert excess.sign == -1
+        # at or below the shift the route reports no positive excess
+        assert route(2, 0, 1.0) == -math.inf
+        shift = 2 + 1.0 + nc_product(2) / 2.0
+        assert shift == 4.0 and route(2, 4, 2.0) == -math.inf
+        assert route(2, 5, 2.0) > -math.inf
 
     def test_tuned_identity_value_space(self):
         # evaluating the route at k = n+ell+1, t = alpha n C_n reproduces
@@ -343,9 +357,7 @@ class TestMultiplicityRoute:
             for ell in (1, 2, 7):
                 params = GapParams(n=n, ell=ell, alpha=1.43)
                 direct = gap_excess(params, GapVariant.THM1).excess.to_float()
-                routed = min_volume_excess_from_multiplicity(
-                    n, n + ell + 1, 1.43 * nc_product(n)
-                ).to_float()
+                routed = math.exp(route(n, n + ell + 1, 1.43 * nc_product(n)))
                 assert routed == pytest.approx(direct, rel=1e-12)
 
     def test_tuned_identity_log_space_large_n(self):
@@ -355,9 +367,12 @@ class TestMultiplicityRoute:
             for ell in (1, 5):
                 params = GapParams(n=n, ell=ell, alpha=1.43)
                 direct = gap_excess(params, GapVariant.THM1).excess
-                routed = min_volume_excess_from_multiplicity(
-                    n, n + ell + 1, 1.43 * nc_product(n)
-                )
-                assert direct.sign == routed.sign == 1
+                routed = route(n, n + ell + 1, 1.43 * nc_product(n))
+                assert direct.sign == 1 and routed > -math.inf
                 tol = 1e-12 * max(1.0, abs(direct.log_mag))
-                assert abs(direct.log_mag - routed.log_mag) <= tol
+                assert abs(direct.log_mag - routed) <= tol
+
+    def test_kernel_carries_the_route_inputs(self):
+        # the claim reads n C_n and alpha n C_n from one kernel per n
+        kernel = BoundKernel(7, 1.43)
+        assert kernel.nc == nc_product(7) and kernel.anc == 1.43 * kernel.nc

@@ -46,6 +46,24 @@ class TestExitCodes:
         for claim in payload["claims"]:
             assert all(v is not None for v in claim["witnesses"].values()), claim["claim_id"]
 
+    @pytest.mark.parametrize("n_range, omitted", [
+        ("3:10", ("ALPHA_STAR_BRACKET", "gamma_2")),
+        ("2:2", ("GAMMAN_LE_13", "max_gamma_from_3")),
+    ])
+    def test_witness_of_an_n_off_the_grid_is_omitted(self, capsys, n_range, omitted):
+        # a witness whose n is not in the grid is left out, not reported as
+        # NaN; first_bad_beta is NaN on every passing grid, as the pins hold
+        code, out = run(capsys, "verify", "--json", "--n-range", n_range)
+        assert code == 0
+        claims = {c["claim_id"]: c for c in json.loads(out)["claims"]}
+        for claim in claims.values():
+            nulls = [k for k, v in claim["witnesses"].items() if v is None]
+            assert nulls == (["first_bad_beta"] if claim["claim_id"] == "LEML_GPRIME_NEG" else [])
+        claim_id, key = omitted
+        assert claims[claim_id]["status"] == "PASS" and key not in claims[claim_id]["witnesses"]
+        code, out = run(capsys, "verify", "--n-range", n_range)
+        assert code == 0 and out.count("nan") == out.count("first_bad_beta=nan") == 1
+
     def test_usage_error_bad_alpha(self, capsys):
         assert run(capsys, "verify", "--alpha", "0.5")[0] == 2
 
@@ -117,13 +135,17 @@ class TestVerifyOutput:
 # its alpha witness and the pass count changed.  All three were re-recorded
 # when the tuning root moved from bisection to certified Newton steps: only
 # the root-derived witnesses of ALPHA_STAR_BRACKET, GAMMA2_GT_13 and
-# GAMMAN_LE_13 changed, in their last digits.
+# GAMMAN_LE_13 changed, in their last digits.  The last one was recorded
+# while THM6_CONSISTENCY still built its route from LogScalars: alpha one
+# ulp above 1 makes the route round to <= 0 at (2, 1).
 VERIFY_PINNED = [
     ((), "7b372a386071c558538f607674202d570c0e3c1e7cf3906d97da25a53c1b9f44"),
     (("--n-range", "2:400", "--l-range", "1:30"),
      "be36ad375cc2bc452e7fe43c8259e1d973527e8c18c9b9f9ac74eeba72be4c41"),
     (("--alpha", "3.0", "--n-range", "2:400", "--l-range", "1:30"),
      "9991a1f3cdfdf1d597e4c120efcc278621c9d8f356619b100dfe915f8cb41905"),
+    (("--alpha", "1.0000000000000002", "--n-range", "2:12", "--l-range", "1:3"),
+     "ca31fc36b359c041e63b0c890dcfb58bda71ef227f99d0a1ee93e111194b4688"),
 ]
 
 
@@ -150,6 +172,18 @@ def test_gap_bytes_pinned(tmp_path, argv, digest):
     target = tmp_path / "gap.out"
     assert main(["gap", "--n", "2", "--l", "1", *argv, "--out", str(target)]) == 0
     assert hashlib.sha256(target.read_bytes()).hexdigest() == digest
+
+
+# sha256 of `volgap constants --json --n-range 2:1000 --out FILE`, recorded
+# while log Gamma(s, 1) past s = 170 still ran through LogScalars; n > 340
+# reaches that branch for odd n.
+CONSTANTS_PINNED = "13a2c54760c052a737c67c0d4bc7f3beaf907a823e638a29f7be66671135476d"
+
+
+def test_constants_bytes_pinned(tmp_path):
+    target = tmp_path / "constants.json"
+    assert main(["constants", "--json", "--n-range", "2:1000", "--out", str(target)]) == 0
+    assert hashlib.sha256(target.read_bytes()).hexdigest() == CONSTANTS_PINNED
 
 
 class TestTable:

@@ -15,10 +15,10 @@ from scipy.integrate import quad
 from volgap.logdomain import LogScalar
 from volgap.specials import (
     HalfInteger,
+    _gamma_upper_log,
     cly_constant,
     cly_constant_log,
     erf_series,
-    log_upper_incomplete_gamma_at_one,
     nc_product,
     upper_incomplete_gamma_at_one,
 )
@@ -74,19 +74,33 @@ class TestErfSeries:
             erf_series(3.5)
 
 
+def mpmath_log_cn(n: int) -> float:
+    # log C_n = (n/2) log n + 1 + log Gamma(n/2, 1) - log 2, at 50 digits
+    with mpmath.workdps(50):
+        half = mpmath.mpf(n) / 2
+        log_gamma = mpmath.log(mpmath.gammainc(half, 1, mpmath.inf))
+        return float(half * mpmath.log(n) + 1 + log_gamma - mpmath.log(2))
+
+
 class TestHalfInteger:
     def test_integer_detection(self):
-        s = HalfInteger.from_int(3)
-        assert s.is_integer and s.integer_value == 3 and s.value == 3.0
+        # twice = 6 is the integer s = 3: (m-1)! e^-1 sum_{j<m} 1/j! = 5/e
+        got = upper_incomplete_gamma_at_one(HalfInteger(6))
+        assert got == pytest.approx(5.0 / math.e, rel=1e-15)
 
     def test_half_odd(self):
+        # twice = 5 is s = 5/2, reached from the seed by the half-odd recurrence
         s = HalfInteger(twice=5)
-        assert not s.is_integer
-        assert s.value == 2.5
+        assert s.twice == 5
+        want = 1.5 * GAMMA_3_2_AT_ONE + math.exp(-1.0)
+        assert upper_incomplete_gamma_at_one(s) == pytest.approx(want, rel=1e-15)
 
     def test_half_of_dimension(self):
-        assert HalfInteger.half_of(7).twice == 7
-        assert HalfInteger.half_of(4).integer_value == 2
+        # C_n reads Gamma(n/2, 1), which is HalfInteger(n)
+        for n in (3, 4, 7):
+            gamma = upper_incomplete_gamma_at_one(HalfInteger(n))
+            want = n ** (n / 2.0) * math.e * gamma / 2.0
+            assert cly_constant(n) == pytest.approx(want, rel=1e-14)
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
@@ -96,14 +110,14 @@ class TestHalfInteger:
 class TestUpperGammaAtOne:
     def test_quadrature_oracle_integers(self):
         for m in range(1, 20):
-            got = upper_incomplete_gamma_at_one(HalfInteger.from_int(m))
+            got = upper_incomplete_gamma_at_one(HalfInteger(2 * m))
             assert got == pytest.approx(quad_gamma_upper(float(m)), rel=1e-12)
 
     def test_quadrature_oracle_half_odd(self):
         for twice in range(1, 39, 2):
             s = HalfInteger(twice=twice)
             got = upper_incomplete_gamma_at_one(s)
-            assert got == pytest.approx(quad_gamma_upper(s.value), rel=1e-11)
+            assert got == pytest.approx(quad_gamma_upper(twice / 2.0), rel=1e-11)
 
     def test_frozen_seed_values(self):
         assert upper_incomplete_gamma_at_one(HalfInteger(twice=1)) == pytest.approx(
@@ -121,7 +135,7 @@ class TestUpperGammaAtOne:
                 * math.exp(-1.0)
                 * math.fsum(1.0 / math.factorial(j) for j in range(m))
             )
-            got = upper_incomplete_gamma_at_one(HalfInteger.from_int(m))
+            got = upper_incomplete_gamma_at_one(HalfInteger(2 * m))
             assert got == pytest.approx(expected, rel=1e-15)
 
     def test_recurrence_property(self):
@@ -130,29 +144,25 @@ class TestUpperGammaAtOne:
             s = HalfInteger(twice=twice)
             s_next = HalfInteger(twice=twice + 2)
             lhs = upper_incomplete_gamma_at_one(s_next)
-            rhs = s.value * upper_incomplete_gamma_at_one(s) + math.exp(-1.0)
+            rhs = twice / 2.0 * upper_incomplete_gamma_at_one(s) + math.exp(-1.0)
             assert lhs == pytest.approx(rhs, rel=1e-12)
 
     def test_log_path_matches_float_path(self):
         for twice in range(1, 60):
             s = HalfInteger(twice=twice)
-            log_got = log_upper_incomplete_gamma_at_one(s)
+            log_got = _gamma_upper_log(twice)
             assert log_got == pytest.approx(
                 math.log(upper_incomplete_gamma_at_one(s)), rel=0, abs=1e-12
             )
 
     def test_log_path_beyond_float_range(self):
-        # Gamma(s, 1) ~ Gamma(s) overflows floats past s ~ 171
-        s = HalfInteger.from_int(400)
-        log_got = log_upper_incomplete_gamma_at_one(s)
-        oracle = mpmath.log(mpmath.gammainc(400, 1, mpmath.inf))
-        assert log_got == pytest.approx(float(oracle), rel=1e-13)
+        # Gamma(s, 1) ~ Gamma(s) overflows floats past s ~ 171; C_800
+        # needs Gamma(400, 1) in logs
+        assert cly_constant_log(800).log_mag == pytest.approx(mpmath_log_cn(800), rel=1e-13)
 
     def test_log_path_beyond_float_range_half_odd(self):
-        s = HalfInteger(twice=801)
-        log_got = log_upper_incomplete_gamma_at_one(s)
-        oracle = mpmath.log(mpmath.gammainc(mpmath.mpf(801) / 2, 1, mpmath.inf))
-        assert log_got == pytest.approx(float(oracle), rel=1e-13)
+        # C_801 needs Gamma(801/2, 1), the half-odd recurrence run in logs
+        assert cly_constant_log(801).log_mag == pytest.approx(mpmath_log_cn(801), rel=1e-13)
 
 
 class TestClyConstant:
