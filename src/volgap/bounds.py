@@ -142,23 +142,31 @@ class GapBound:
 # The only derivation of the bound formulas.  Everything is a natural log
 # of a positive quantity, held as a float.  The float operations are the
 # ones LogScalar's from_float, log_add and log_div apply to the same
-# quantities, so results agree with them bit for bit, and a value that
-# LogScalar rejects still raises from LogScalar itself.
+# quantities, so results agree with them bit for bit.  A quantity or log
+# that leaves the double range raises OverflowError, naming it and n:
+# alpha is valid at any positive finite value, so that is no usage error.
 
 
-def _ln(x: float) -> float:
-    """log x for x > 0; inf and NaN raise as LogScalar.from_float does."""
-    return math.log(x) if x < math.inf else LogScalar.from_float(x).log_mag
+def _ln(x: float, what: str, n: int) -> float:
+    """log x for x > 0; an infinite or NaN x raises OverflowError naming what and n."""
+    if x < math.inf:
+        return math.log(x)
+    raise OverflowError(f"{what} leaves the double range at n={n}")
 
 
-def _log_mag(v: float) -> float:
-    """v as a log magnitude; +inf and NaN raise as LogScalar does."""
-    return v if v < math.inf else LogScalar(1, v).log_mag
+def _log_mag(v: float, what: str, n: int) -> float:
+    """v as a log magnitude; +inf or NaN raises OverflowError naming what and n."""
+    if v < math.inf:
+        return v
+    raise OverflowError(f"the log of {what} leaves the double range at n={n}")
 
 
 def _log_denominator(n: int, alpha: float, exponent: float) -> float:
     """log(alpha n + alpha + 1 + alpha e^exponent); B_(n,alpha) at exponent alpha n C_n."""
-    return _log_sum(_ln(alpha * n + alpha + 1.0), _log_mag(math.log(alpha) + exponent))
+    return _log_sum(
+        _ln(alpha * n + alpha + 1.0, "alpha n + alpha + 1", n),
+        _log_mag(math.log(alpha) + exponent, "alpha e^(alpha n C_n)", n),
+    )
 
 
 def _correction_exponent(n: int, ell: int, anc: float) -> float:
@@ -170,7 +178,7 @@ def _correction_exponent(n: int, ell: int, anc: float) -> float:
 def _log_case1_correction(n: int, ell: int, alpha: float, anc: float) -> float:
     """log of alpha (n+ell+2) e^E; -inf once e^E leaves the double range."""
     e_corr = _correction_exponent(n, ell, anc)
-    return _log_mag(math.log(alpha * (n + ell + 2)) + e_corr)
+    return _log_mag(math.log(alpha * (n + ell + 2)) + e_corr, "alpha (n+ell+2) e^E", n)
 
 
 class BoundKernel:
@@ -198,7 +206,7 @@ class BoundKernel:
 
     def logs(self, ell: int, variants) -> list[tuple[float, float, float]]:
         """(log B, log excess, log of excess / CLY excess) per variant, in order."""
-        log_cly = _ln(2.0 * ell - 1.0) - self.log_b_cly
+        log_cly = _ln(2.0 * ell - 1.0, "2 ell - 1", self.n) - self.log_b_cly
         thm1, case2 = self.tuning.numerators(ell)
         out = []
         for variant in variants:
@@ -206,11 +214,13 @@ class BoundKernel:
                 out.append((self.log_b_cly, log_cly, 0.0))
                 continue
             if variant is _THM1:
-                log_num = _ln(thm1)
+                log_num = _ln(thm1, "alpha ell - 1", self.n)
             elif variant is _CASE1:
-                log_num = _log_sum(_ln(thm1), self.log_case1_correction(ell))
+                log_num = _log_sum(
+                    _ln(thm1, "alpha ell - 1", self.n), self.log_case1_correction(ell)
+                )
             elif variant is _CASE2:
-                log_num = _ln(case2)
+                log_num = _ln(case2, "2 alpha ell - 1", self.n)
             else:
                 raise ValueError(f"unknown variant {variant!r}")
             log_excess = log_num - self.log_b

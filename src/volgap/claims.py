@@ -17,6 +17,9 @@ The grid claims run over one bounds.BoundKernel per dimension n, up to
 the overflow cap that bounds decides.  Those over (n, ell) points are
 margin functions of (kernel, ell), folded by one reduction that keeps
 the smallest margin and the first point where it occurs.
+LEML_GPRIME_NEG checks its lemma on the values of g, not on the sign of
+g', which is -1 by construction: at each n, log g (solver._log_g) must
+strictly decrease across the in-domain samples beta = 0.05, ..., 3.0.
 """
 
 from __future__ import annotations
@@ -330,23 +333,25 @@ def _claim_leml_gprime_neg(config: SuiteConfig) -> ClaimVerdict:
         " throughout its domain b^2 n C_n e^B > 1, with B = b n C_n"
     )
     kernels, note = _n_grid(config)
-    ns = [kernel.n for kernel in kernels]
     betas = [0.05 * k for k in range(1, 61)]
-    ok = True
+    log_g = solver._log_g
     in_domain = 0
-    bad_beta = math.nan
-    bad_n = -1.0
-    for n in ns:
-        for sample in solver.g_prime_sign_scan(n, betas):
-            if not sample.in_domain:
+    bad_n = bad_beta = -1.0
+    for kernel in kernels:
+        n, ncn = kernel.n, kernel.nc
+        # the first value is checked against +inf, so NaN or inf fails it
+        prev = math.inf
+        for beta in betas:
+            if not solver._in_g_domain(beta, ncn):
                 continue
             in_domain += 1
-            if sample.sign != -1 and ok:
-                ok = False
-                bad_beta, bad_n = sample.beta, float(n)
-    grid = f"n in [{ns[0]}, {ns[-1]}], beta in {{0.05, ..., 3.0}}"
+            cur = log_g(beta, n, ncn)
+            if not cur < prev and bad_n < 0.0:
+                bad_n, bad_beta = float(n), beta
+            prev = cur
+    grid = f"n in [{kernels[0].n}, {kernels[-1].n}], beta in {{0.05, ..., 3.0}}"
     return _verdict(
-        "LEML_GPRIME_NEG", anchor, ok and in_domain > 0,
+        "LEML_GPRIME_NEG", anchor, bad_n < 0.0 and in_domain > 0,
         {
             "in_domain_points": float(in_domain),
             "first_bad_beta": bad_beta,

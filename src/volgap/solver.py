@@ -286,28 +286,42 @@ def phi3_threshold() -> float:
     return 3.0 * cly_constant(3) * 1.3 * 0.3 - 1.0
 
 
+def _log_g(beta: float, n: int, ncn: float) -> float:
+    """log g(beta), g = (n + 1 + (1+B) e^B) / (beta^2 n C_n e^B - 1) with
+    B = beta n C_n, given ncn = n C_n, on the domain beta^2 n C_n e^B > 1.
+
+    With e^B cancelled, g = 1 + (1 + B (1 - beta) + (n+2) e^-B) / (beta B - e^-B),
+    so log g is a log1p.  It keeps its digits where g rounds to 1: at
+    beta = 1, log g is about 1/B, which log(1 + B) - log(B) loses
+    entirely once 1 + B rounds to B (n = 30 already).
+    """
+    big_b = beta * ncn
+    decay = math.exp(-big_b)
+    return math.log1p((1.0 + big_b * (1.0 - beta) + (n + 2.0) * decay) / (beta * big_b - decay))
+
+
+def _in_g_domain(beta: float, ncn: float) -> bool:
+    """beta^2 n C_n e^B > 1, B = beta n C_n, tested in log form."""
+    return math.log(beta * beta * ncn) + beta * ncn > 0.0
+
+
 def _g_prime_numerator(beta: float, n: int, ncn: float) -> LogScalar:
     """Numerator of g'(beta) after combining over the common denominator,
     given ncn = n C_n, which a scan holds for all its betas:
 
-      -n C_n [ e^(2B) (2 beta + beta^2 n C_n)
-               + e^B (B (1 + beta (n+1)) + 2 (beta n + beta + 1)) ]
+      -n C_n (2 + B) e^B (beta e^B + 1 + beta (n+1)).
 
-    Both bracketed terms are positive, so the sign is -1 throughout the
-    domain; the scan below makes that observable point by point.
+    Every factor after the minus sign is positive, so the sign is -1
+    throughout the domain by this factored form.  The acceptance gate
+    reads it through g_prime_sign_scan; the claim suite checks that g
+    itself decreases (_log_g).
     """
     big_b = beta * ncn
     if math.isinf(2.0 * big_b):
         raise OverflowError(f"exponent beta n C_n overflows for beta={beta!r}, n={n}")
-    # assemble the polynomial factors by log-summing their pieces: the
-    # plain products overflow long before the log magnitudes do
-    log_poly = _log_sum(math.log(2.0) + math.log(beta), 2.0 * math.log(beta) + math.log(ncn))
-    log_inner = _log_sum(
-        math.log(big_b) + math.log1p(beta * (n + 1.0)),
-        math.log(2.0 * (beta * n + beta + 1.0)),
-    )
-    log_bracket = _log_sum(2.0 * big_b + log_poly, big_b + log_inner)
-    return LogScalar(-1, log_bracket + math.log(ncn))
+    # the last factor as a log sum: beta e^B overflows long before its log does
+    log_last = _log_sum(math.log(beta) + big_b, math.log1p(beta * (n + 1.0)))
+    return LogScalar(-1, math.log(ncn) + math.log(2.0 + big_b) + big_b + log_last)
 
 
 @dataclass(frozen=True)
@@ -318,14 +332,15 @@ class GPrimeSample:
 
 
 def g_prime_sign_scan(n: int, betas) -> list[GPrimeSample]:
-    """Sign of the g' numerator at each beta; out-of-domain points are
-    flagged rather than fatal."""
+    """Sign of the g' numerator at each beta, which is -1 by its factored
+    form; out-of-domain points are flagged rather than fatal.  The claim
+    suite checks g's decrease on the values of g instead."""
     ncn = nc_product(n)
     samples = []
     for beta in betas:
         if not (beta > 0.0):
             raise ValueError(f"beta values must be positive, got {beta!r}")
-        in_domain = math.log(beta * beta * ncn) + beta * ncn > 0.0
+        in_domain = _in_g_domain(beta, ncn)
         sign = _g_prime_numerator(beta, n, ncn).sign if in_domain else None
         samples.append(GPrimeSample(beta=beta, in_domain=in_domain, sign=sign))
     return samples

@@ -123,12 +123,21 @@ def heat_trace(n: int, t: float, eps: float = 1e-9) -> TraceResult:
 
 
 def trace_bound(n: int, t: float) -> float:
-    """Closed upper bound 1 + (n+1) e^(-nt) + C_n t^-1 e^(-nt), t >= 1."""
+    """Closed upper bound 1 + (n+1) e^(-nt) + C_n t^-1 e^(-nt), t >= 1.
+
+    Raises OverflowError, naming n and t, when the bound exceeds the
+    double range.
+    """
     _check_dimension(n)
     if not (t >= 1.0) or math.isinf(t) or math.isnan(t):
         raise ValueError(f"the closed bound needs t >= 1, got {t!r}")
     decay = -n * t
     linear = (n + 1) * math.exp(decay) if decay > -745.0 else 0.0
     corr_log = cly_constant_log(n).log_mag + decay - math.log(t)
-    correction = math.exp(corr_log) if corr_log > -745.0 else 0.0
+    try:
+        correction = math.exp(corr_log) if corr_log > -745.0 else 0.0
+    except OverflowError:
+        raise OverflowError(
+            f"closed trace bound exceeds the double range at n={n}, t={t!r}"
+        ) from None
     return 1.0 + linear + correction

@@ -14,7 +14,6 @@ from volgap.claims import (
     run_claim_suite,
     suite_passed,
 )
-from volgap.logdomain import LogScalar
 
 EXPECTED_IDS = [
     "ALPHA_STAR_BRACKET",
@@ -169,12 +168,15 @@ def test_first_bad_names_the_first_failing_point():
 
 
 def test_first_bad_beta_names_the_first_failing_sample(monkeypatch):
-    monkeypatch.setattr(solver, "_g_prime_numerator", lambda beta, n, ncn: LogScalar(1, 0.0))
+    # raising log g by 1 at (n=2, beta=1) breaks the decrease from beta = 0.95
+    log_g = solver._log_g
+    monkeypatch.setattr(
+        solver, "_log_g",
+        lambda beta, n, ncn: log_g(beta, n, ncn) + (1.0 if (n, beta) == (2, 1.0) else 0.0),
+    )
     v = run_claim("LEML_GPRIME_NEG", SMALL)
-    first = next(s for s in solver.g_prime_sign_scan(2, [0.05 * k for k in range(1, 61)])
-                 if s.in_domain)
     assert v.status == "FAIL"
-    assert (v.witnesses["first_bad_n"], v.witnesses["first_bad_beta"]) == (2.0, first.beta)
+    assert (v.witnesses["first_bad_n"], v.witnesses["first_bad_beta"]) == (2.0, 1.0)
 
 
 class TestSuiteConfig:

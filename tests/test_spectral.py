@@ -221,5 +221,5 @@ class TestTraceBound:
     def test_unrepresentable_bound_raises(self):
         # at small t the correction C_n e^{-nt}/t genuinely exceeds float
         # range for huge n; that must surface, not round to inf
-        with pytest.raises(OverflowError):
+        with pytest.raises(OverflowError, match=r"at n=400, t=2\.0$"):
             trace_bound(400, 2.0)
