@@ -231,10 +231,6 @@ class BoundKernel:
         """log of alpha (n+ell+2) e^E, the numerator bump of THM2_CASE1."""
         return _log_case1_correction(self.n, ell, self.tuning.alpha, self.anc)
 
-    def final_inequality_log_margin(self, ell: int) -> float:
-        """bounds.final_inequality_log_margin at this kernel's alpha n C_n."""
-        return _final_inequality_log_margin(self.n, ell, self.anc)
-
 
 def capped_kernels(n_values, alpha: float, ell_max: int):
     """One BoundKernel per n of n_values, stopping at the overflow cap.

@@ -13,10 +13,15 @@ grid claim whose grid the overflow cap leaves empty is ERROR too, with
 the cap note as its reason: a statement over no points is neither shown
 nor refuted.
 
-The grid claims run over one bounds.BoundKernel per dimension n, up to
-the overflow cap that bounds decides.  Those over (n, ell) points are
-margin functions of (kernel, ell), folded by one reduction that keeps
-the smallest margin and the first point where it occurs.
+Each claim takes one argument, the run's private context: the
+SuiteConfig, the capped grid (one bounds.BoundKernel per n up to the
+overflow cap that bounds decides, from one bounds.capped_kernels call)
+and one gamma_n root per n, which ALPHA_STAR_BRACKET, GAMMAN_LE_13 and
+GAMMA2_GT_13 share.  A failed solve is not kept, so it errors only the
+claims that ask for its n.  The context lives for one run_claim_suite
+or run_claim call.  The grid claims over (n, ell) points fold a margin
+of (kernel, ell) by one reduction that keeps the smallest margin and
+the first point where it occurs.
 LEML_GPRIME_NEG checks its lemma on the values of g, not on the sign of
 g', which is -1 by construction: at each n, log g (solver._log_g) must
 strictly decrease across the in-domain samples beta = 0.05, ..., 3.0.
@@ -26,6 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from . import bounds, solver, spectral
 from .bounds import DEFAULT_ALPHA, GapVariant
@@ -100,20 +106,42 @@ class _EmptyGrid(Exception):
     """The overflow cap left no n of the grid; the message says where it stopped."""
 
 
-def _n_grid(config: SuiteConfig):
-    """One BoundKernel per n of the grid up to the overflow cap, and the cap note.
+class _Run:
+    """One run of the suite: its SuiteConfig, the capped grid and the gamma_n roots.
 
-    Raises _EmptyGrid when the cap leaves no n to check.
+    The grid and each root are computed once, on first use; a call that
+    raises keeps nothing, so the next one raises again.
     """
-    kernels, note = bounds.capped_kernels(
-        range(config.n_min, config.n_max + 1), config.alpha, config.ell_max
-    )
-    if not kernels:
-        raise _EmptyGrid(f"empty grid; {note}")
-    return kernels, note
+
+    def __init__(self, config: SuiteConfig) -> None:
+        self.config = config
+        self._roots = {}
+
+    @cached_property
+    def _grid(self):
+        c = self.config
+        return bounds.capped_kernels(range(c.n_min, c.n_max + 1), c.alpha, c.ell_max)
+
+    def kernels(self):
+        """One BoundKernel per n up to the overflow cap; _EmptyGrid, every call, if none."""
+        kernels, cap = self._grid
+        if not kernels:
+            raise _EmptyGrid(f"empty grid; {cap}")
+        return kernels
+
+    def grid_note(self, grid: str) -> str:
+        """grid, and the cap note if the overflow cap cut the grid short."""
+        cap = self._grid[1]
+        return grid if cap is None else f"{grid}; {cap}"
+
+    def gamma(self, n: int):
+        """solver.gamma_n(n, config.tol), solved once per n."""
+        if n not in self._roots:
+            self._roots[n] = solver.gamma_n(n, self.config.tol)
+        return self._roots[n]
 
 
-def _reduce_grid(config: SuiteConfig, margin, start=math.inf):
+def _reduce_grid(run: _Run, margin, start=math.inf):
     """Fold margin(kernel, ell) over the (n, ell) grid, one kernel per n.
 
     Returns (worst, at, grid_note): the smallest margin and its point.
@@ -122,7 +150,8 @@ def _reduce_grid(config: SuiteConfig, margin, start=math.inf):
     as -inf: the statement could not be checked there.  The point stays
     (-1, -1) unless some margin falls below start.
     """
-    kernels, note = _n_grid(config)
+    config = run.config
+    kernels = run.kernels()
     worst = start
     at = (-1.0, -1.0)
     for kernel in kernels:
@@ -132,14 +161,17 @@ def _reduce_grid(config: SuiteConfig, margin, start=math.inf):
                 m = -math.inf
             if m < worst:
                 worst, at = m, (float(kernel.n), float(ell))
-    grid = _grid_note(config, kernels)
-    return worst, at, grid if note is None else f"{grid}; {note}"
+    grid = (
+        f"n in [{kernels[0].n}, {kernels[-1].n}], ell in [{config.ell_min}, {config.ell_max}],"
+        f" alpha = {config.alpha:g}"
+    )
+    return worst, at, run.grid_note(grid)
 
 
 # ---------------------------------------------------------------- claims
 
 
-def _claim_lem3_trace_bound(config: SuiteConfig) -> ClaimVerdict:
+def _claim_lem3_trace_bound(run: _Run) -> ClaimVerdict:
     anchor = (
         "sum_k m_k e^(-lambda_k t) <= 1 + (n+1) e^(-n t) + (C_n / t) e^(-n t)"
         " for the round n-sphere whenever t >= 1"
@@ -168,9 +200,9 @@ def _claim_lem3_trace_bound(config: SuiteConfig) -> ClaimVerdict:
     )
 
 
-def _claim_c3_approx(config: SuiteConfig) -> ClaimVerdict:
+def _claim_c3_approx(run: _Run) -> ClaimVerdict:
     anchor = "C_3 = 3^(3/2) e Gamma(3/2, 1) / 2 = 3.58258102141221 to 1e-12"
-    computed = cly_constant(3) * config.cn_scale
+    computed = cly_constant(3) * run.config.cn_scale
     diff = abs(computed - _C3_REFERENCE)
     return _verdict(
         "C3_APPROX", anchor, diff <= 1e-12,
@@ -179,9 +211,9 @@ def _claim_c3_approx(config: SuiteConfig) -> ClaimVerdict:
     )
 
 
-def _claim_c4_exact(config: SuiteConfig) -> ClaimVerdict:
+def _claim_c4_exact(run: _Run) -> ClaimVerdict:
     anchor = "C_4 = 4^2 e Gamma(2, 1) / 2 = 16 exactly, even in floating point"
-    computed = cly_constant(4) * config.cn_scale
+    computed = cly_constant(4) * run.config.cn_scale
     return _verdict(
         "C4_EXACT", anchor, computed == 16.0,
         {"computed": computed, "reference": 16.0},
@@ -189,20 +221,19 @@ def _claim_c4_exact(config: SuiteConfig) -> ClaimVerdict:
     )
 
 
-def _claim_cn_monotone(config: SuiteConfig) -> ClaimVerdict:
+def _claim_cn_monotone(run: _Run) -> ClaimVerdict:
     anchor = "C_(n+1) > C_n for every n >= 2 (checked in log form)"
+    config = run.config
     prev = cly_constant_log(config.n_min).log_mag
-    ok = True
     first_bad = -1.0
     for n in range(config.n_min + 1, config.n_max + 1):
         cur = cly_constant_log(n).log_mag
         if not (cur > prev):
-            ok = False
             first_bad = float(n)
             break
         prev = cur
     return _verdict(
-        "CN_MONOTONE", anchor, ok,
+        "CN_MONOTONE", anchor, first_bad < 0.0,
         {
             "log_c_first": cly_constant_log(config.n_min).log_mag,
             "log_c_last": cly_constant_log(config.n_max).log_mag,
@@ -212,32 +243,31 @@ def _claim_cn_monotone(config: SuiteConfig) -> ClaimVerdict:
     )
 
 
-def _claim_h_sign_142(config: SuiteConfig) -> ClaimVerdict:
+def _claim_h_sign_142(run: _Run) -> ClaimVerdict:
     anchor = "h(a) = 4 + (1 + 2a - 2a^2) e^(2a) is positive at a = 1.42"
     value = solver.h(1.42)
     return _verdict("H_SIGN_142", anchor, value > 0.0, {"h_142": value})
 
 
-def _claim_h_sign_144(config: SuiteConfig) -> ClaimVerdict:
+def _claim_h_sign_144(run: _Run) -> ClaimVerdict:
     anchor = "h(a) = 4 + (1 + 2a - 2a^2) e^(2a) is negative at a = 1.44"
     value = solver.h(1.44)
     return _verdict("H_SIGN_144", anchor, value < 0.0, {"h_144": value})
 
 
-def _claim_alpha_star_bracket(config: SuiteConfig) -> ClaimVerdict:
+def _claim_alpha_star_bracket(run: _Run) -> ClaimVerdict:
     anchor = (
         "the maximiser gamma_n of (a - 1)/B_(n,a) lies strictly between 1 and 1.43"
         " for every n, with defining-equation residual at most 1e-9"
     )
-    kernels, note = _n_grid(config)
-    ns = [kernel.n for kernel in kernels]
+    ns = [kernel.n for kernel in run.kernels()]
     ok = True
     witnesses = {}
     worst_res = 0.0
     min_excess = math.inf
     max_excess = -math.inf
     for n in ns:
-        r = solver.gamma_n(n, config.tol)
+        r = run.gamma(n)
         if n == 2:
             witnesses["gamma_2"] = r.value
         worst_res = max(worst_res, abs(r.residual))
@@ -251,11 +281,11 @@ def _claim_alpha_star_bracket(config: SuiteConfig) -> ClaimVerdict:
     return _verdict(
         "ALPHA_STAR_BRACKET", anchor, ok, witnesses,
         tolerance=1e-9,
-        grid_note=grid if note is None else f"{grid}; {note}",
+        grid_note=run.grid_note(grid),
     )
 
 
-def _claim_ratio_165(config: SuiteConfig) -> ClaimVerdict:
+def _claim_ratio_165(run: _Run) -> ClaimVerdict:
     anchor = (
         "at n = 2, ell = 1 the tuned excess with alpha = 1.43 exceeds the"
         " classical excess by a factor greater than 1.65"
@@ -268,33 +298,26 @@ def _claim_ratio_165(config: SuiteConfig) -> ClaimVerdict:
     )
 
 
-def _claim_gamma2_gt_13(config: SuiteConfig) -> ClaimVerdict:
+def _claim_gamma2_gt_13(run: _Run) -> ClaimVerdict:
     anchor = "gamma_2 > 1.3"
-    r = solver.gamma_n(2, config.tol)
+    r = run.gamma(2)
     return _verdict("GAMMA2_GT_13", anchor, r.root > 0.3, {"gamma_2": r.value})
 
 
-def _claim_gamman_le_13(config: SuiteConfig) -> ClaimVerdict:
+def _claim_gamman_le_13(run: _Run) -> ClaimVerdict:
     anchor = "gamma_n < 1.3 for every n >= 3"
-    kernels, note = _n_grid(config)
-    ns = [kernel.n for kernel in kernels if kernel.n >= 3]
-    ok = True
-    largest = -math.inf
-    for n in ns:
-        r = solver.gamma_n(n, config.tol)
-        largest = max(largest, r.root)
-        if not (r.root < 0.3):
-            ok = False
+    ns = [kernel.n for kernel in run.kernels() if kernel.n >= 3]
+    roots = [run.gamma(n).root for n in ns]
     # a vacuous grid has no largest gamma_n to report
     grid = f"n in [3, {ns[-1]}]" if ns else "vacuous: no n >= 3 in grid"
     return _verdict(
-        "GAMMAN_LE_13", anchor, ok,
-        {"max_gamma_from_3": 1.0 + largest} if ns else {},
-        grid_note=grid + (f"; {note}" if note else ""),
+        "GAMMAN_LE_13", anchor, all(root < 0.3 for root in roots),
+        {"max_gamma_from_3": 1.0 + max(roots)} if ns else {},
+        grid_note=run.grid_note(grid),
     )
 
 
-def _claim_tilde_gamma3_lt_11(config: SuiteConfig) -> ClaimVerdict:
+def _claim_tilde_gamma3_lt_11(run: _Run) -> ClaimVerdict:
     anchor = "the positive root of 3 C_3 x^2 - 3 C_3 x - 1 lies in (1, 1.1)"
     value = solver.aux_root_tilde_gamma3()
     return _verdict(
@@ -302,13 +325,13 @@ def _claim_tilde_gamma3_lt_11(config: SuiteConfig) -> ClaimVerdict:
     )
 
 
-def _claim_phi3_gt_2(config: SuiteConfig) -> ClaimVerdict:
+def _claim_phi3_gt_2(run: _Run) -> ClaimVerdict:
     anchor = "phi_3(1.3) = 3 C_3 (1.3)(0.3) - 1 exceeds 2"
     value = solver.phi3_threshold()
     return _verdict("PHI3_GT_2", anchor, value > 2.0, {"phi3_at_1_3": value})
 
 
-def _claim_psi_decreasing(config: SuiteConfig) -> ClaimVerdict:
+def _claim_psi_decreasing(run: _Run) -> ClaimVerdict:
     anchor = "(n + 2) e^(-20 n) strictly decreases for n in [4, 200]"
     check = solver.psi_decreasing_check(4, 200)
     return _verdict(
@@ -321,18 +344,18 @@ def _claim_psi_decreasing(config: SuiteConfig) -> ClaimVerdict:
     )
 
 
-def _claim_rhs_gt_20(config: SuiteConfig) -> ClaimVerdict:
+def _claim_rhs_gt_20(run: _Run) -> ClaimVerdict:
     anchor = "4 C_4 (1.3)(0.3) - 1 = 23.96 exceeds 20"
     value = 4.0 * cly_constant(4) * 1.3 * 0.3 - 1.0
     return _verdict("RHS_GT_20", anchor, value > 20.0, {"value": value})
 
 
-def _claim_leml_gprime_neg(config: SuiteConfig) -> ClaimVerdict:
+def _claim_leml_gprime_neg(run: _Run) -> ClaimVerdict:
     anchor = (
         "g(b) = (n + 1 + (1+B) e^B)/(b^2 n C_n e^B - 1) has negative derivative"
         " throughout its domain b^2 n C_n e^B > 1, with B = b n C_n"
     )
-    kernels, note = _n_grid(config)
+    kernels = run.kernels()
     betas = [0.05 * k for k in range(1, 61)]
     log_g = solver._log_g
     in_domain = 0
@@ -357,18 +380,17 @@ def _claim_leml_gprime_neg(config: SuiteConfig) -> ClaimVerdict:
             "first_bad_beta": bad_beta,
             "first_bad_n": bad_n,
         },
-        grid_note=grid if note is None else f"{grid}; {note}",
+        grid_note=run.grid_note(grid),
     )
 
 
-def _claim_final_ineq(config: SuiteConfig) -> ClaimVerdict:
+def _claim_final_ineq(run: _Run) -> ClaimVerdict:
     anchor = (
         "alpha n (n + 3) C_n + log(ell) - log(n + ell + 3) stays positive"
         " on the whole parameter grid"
     )
     worst, at, grid = _reduce_grid(
-        config,
-        lambda kernel, ell: kernel.final_inequality_log_margin(ell),
+        run, lambda kernel, ell: bounds._final_inequality_log_margin(kernel.n, ell, kernel.anc)
     )
     return _verdict(
         "FINAL_INEQ", anchor, worst > 0.0,
@@ -377,14 +399,14 @@ def _claim_final_ineq(config: SuiteConfig) -> ClaimVerdict:
     )
 
 
-def _claim_gap_order_thm1_cly(config: SuiteConfig) -> ClaimVerdict:
+def _claim_gap_order_thm1_cly(run: _Run) -> ClaimVerdict:
     anchor = (
         "the tuned excess exceeds 1.65 times the classical excess at every"
         " grid point (compared in log form; the margin grows with n)"
     )
     floor = math.log(1.65)
     worst, at, grid = _reduce_grid(
-        config, lambda kernel, ell: kernel.logs(ell, _THM1)[0][2] - floor
+        run, lambda kernel, ell: kernel.logs(ell, _THM1)[0][2] - floor
     )
     try:
         ratio = math.exp(worst + floor)
@@ -402,7 +424,7 @@ def _claim_gap_order_thm1_cly(config: SuiteConfig) -> ClaimVerdict:
     )
 
 
-def _claim_gap_order_thm2_thm1(config: SuiteConfig) -> ClaimVerdict:
+def _claim_gap_order_thm2_thm1(run: _Run) -> ClaimVerdict:
     anchor = (
         "case (i) strictly improves on the tuned bound (its correction term is"
         " positive) and case (ii) strictly exceeds twice the tuned excess"
@@ -414,7 +436,7 @@ def _claim_gap_order_thm2_thm1(config: SuiteConfig) -> ClaimVerdict:
             return -math.inf
         return bounds.case2_vs_doubled_thm1_log_margin(kernel.n, ell, kernel.tuning)
 
-    worst, at, grid = _reduce_grid(config, margin)
+    worst, at, grid = _reduce_grid(run, margin)
     ok = worst > 0.0
     bad = (-1.0, -1.0) if ok else at
     return _verdict(
@@ -428,7 +450,7 @@ def _claim_gap_order_thm2_thm1(config: SuiteConfig) -> ClaimVerdict:
     )
 
 
-def _claim_thm6_consistency(config: SuiteConfig) -> ClaimVerdict:
+def _claim_thm6_consistency(run: _Run) -> ClaimVerdict:
     anchor = (
         "the minimal-volume excess computed from the multiplicity route at"
         " k = n + ell + 1, t = alpha n C_n reproduces the tuned excess"
@@ -442,20 +464,13 @@ def _claim_thm6_consistency(config: SuiteConfig) -> ClaimVerdict:
         return -abs(direct - routed) / max(1.0, abs(direct))
 
     # start at 0: the point names the largest difference, if any is nonzero
-    worst, at, grid = _reduce_grid(config, margin, start=0.0)
+    worst, at, grid = _reduce_grid(run, margin, start=0.0)
     max_rel = abs(worst)
     return _verdict(
-        "THM6_CONSISTENCY", anchor, max_rel <= config.tol,
+        "THM6_CONSISTENCY", anchor, max_rel <= run.config.tol,
         {"max_rel_log_diff": max_rel, "at_n": at[0], "at_ell": at[1]},
-        tolerance=config.tol,
+        tolerance=run.config.tol,
         grid_note=grid,
-    )
-
-
-def _grid_note(config: SuiteConfig, kernels) -> str:
-    return (
-        f"n in [{kernels[0].n}, {kernels[-1].n}], ell in [{config.ell_min}, {config.ell_max}],"
-        f" alpha = {config.alpha:g}"
     )
 
 
@@ -487,33 +502,28 @@ def claim_ids() -> list[str]:
 
 
 def run_claim(claim_id: str, config: SuiteConfig | None = None) -> ClaimVerdict:
+    """One claim's verdict, in a run of its own unless config is a _Run.
+
+    run_claim_suite passes its _Run here, so each claim still runs through
+    run_claim while the suite shares one grid and one root per n.
+    """
     if claim_id not in _CLAIMS:
         raise KeyError(f"unknown claim id {claim_id!r}; known: {', '.join(claim_ids())}")
-    config = config or SuiteConfig()
+    run = config if isinstance(config, _Run) else _Run(config or SuiteConfig())
     fn = _CLAIMS[claim_id]
     try:
-        return fn(config)
+        return fn(run)
     except _EmptyGrid as exc:
-        return ClaimVerdict(
-            claim_id=claim_id,
-            anchor="the capped grid holds no point to check the statement at",
-            status="ERROR",
-            witnesses={},
-            grid_note=str(exc),
-        )
+        anchor, note = "the capped grid holds no point to check the statement at", str(exc)
     except Exception as exc:  # verdicts must outlive any single failure
-        return ClaimVerdict(
-            claim_id=claim_id,
-            anchor="evaluation failed before the statement could be checked",
-            status="ERROR",
-            witnesses={},
-            grid_note=f"{type(exc).__name__}: {exc}",
-        )
+        anchor = "evaluation failed before the statement could be checked"
+        note = f"{type(exc).__name__}: {exc}"
+    return ClaimVerdict(claim_id, anchor, "ERROR", witnesses={}, grid_note=note)
 
 
 def run_claim_suite(config: SuiteConfig | None = None) -> list[ClaimVerdict]:
-    config = config or SuiteConfig()
-    return [run_claim(claim_id, config) for claim_id in claim_ids()]
+    run = _Run(config or SuiteConfig())
+    return [run_claim(claim_id, run) for claim_id in claim_ids()]
 
 
 def suite_passed(verdicts) -> bool:

@@ -257,8 +257,6 @@ def _cmd_gap(args) -> int:
 
 
 def _cmd_optimize_alpha(args) -> int:
-    if not (0.0 < args.tol < 1.0):
-        raise _UsageError(f"tol must lie in (0, 1), got {args.tol!r}")
     try:
         result = optimal_alpha(args.n, args.ell, args.tol)
     except (TypeError, ValueError) as exc:
@@ -298,7 +296,7 @@ def _cmd_trace(args) -> int:
     if args.n < 2:
         raise _UsageError(f"n must be at least 2, got {args.n}")
     try:
-        result = heat_trace(args.n, args.t, args.eps)
+        result = heat_trace(args.n, args.t)
     except ValueError as exc:
         raise _UsageError(str(exc)) from None
     except RuntimeError as exc:
@@ -391,9 +389,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("trace", help="heat trace on the round n-sphere")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--t", type=float, required=True)
-    p.add_argument("--eps", type=float, default=1e-9,
-                   help="relative tail target in (0, 1e-6]; the tail is certified"
-                        " to min(EPS, 5e-15) of the value")
     p.add_argument("--json", action="store_true")
     p.add_argument("--out")
     p.set_defaults(handler=_cmd_trace)

@@ -38,12 +38,11 @@ from dataclasses import dataclass
 
 from .specials import _check_dimension, cly_constant_log
 
-# Stop once the omitted tail would change nothing at double precision.
-# Callers may pass a looser eps, but the certificate below is kept at
-# machine level regardless so that tail_bound <= 1e-14 * value always
-# holds on return.  The extra levels cost almost nothing because the
+# Stop once the omitted tail would change nothing at double precision,
+# so that tail_bound <= 1e-14 * value always holds on return.  The levels
+# this needs beyond a looser target cost almost nothing because the
 # terms decay like e^(-(2k+n)t) per step.
-_EPS_FLOOR = 5e-15
+_TAIL_EPS = 5e-15
 
 _MAX_LEVELS = 200_000
 
@@ -74,12 +73,12 @@ def sphere_level(n: int, k: int) -> SpectralLevel:
     return SpectralLevel(k=k, eigenvalue=eigenvalue, multiplicity=multiplicity)
 
 
-def heat_trace(n: int, t: float, eps: float = 1e-9) -> TraceResult:
+def heat_trace(n: int, t: float) -> TraceResult:
     """Partial heat trace sum_{k<=K} m_k e^(-lambda_k t) with tail certificate.
 
     Summation stops at the first K where the term ratio r_(K+1) is below
     1 and T_(K+1) / (1 - r_(K+1)), which bounds every omitted level, is
-    at most min(eps, 5e-15) times the partial sum; that bound is
+    at most 5e-15 times the partial sum; that bound is
     returned as tail_bound.  It covers truncation only: the rounding of
     the partial sum itself, a few ulps per summed level at worst, is
     not included.  Each term is exp(log m_k - lambda_k t), so a huge
@@ -91,9 +90,6 @@ def heat_trace(n: int, t: float, eps: float = 1e-9) -> TraceResult:
     _check_dimension(n)
     if not (t > 0.0) or math.isinf(t) or math.isnan(t):
         raise ValueError(f"time must be positive and finite, got {t!r}")
-    if not (0.0 < eps <= 1e-6):
-        raise ValueError(f"eps must lie in (0, 1e-6], got {eps!r}")
-    threshold = min(eps, _EPS_FLOOR)
 
     # Level j is known once the sum holds levels 0..j-1: T_j and
     # r_j = T_(j+1) / T_j decide whether the sum may stop before it.
@@ -110,7 +106,7 @@ def heat_trace(n: int, t: float, eps: float = 1e-9) -> TraceResult:
             log_ratio = next_log - term_log  # log r_j
             if log_ratio < 0.0:
                 tail = term / -math.expm1(log_ratio)
-                if tail <= threshold * total:
+                if tail <= _TAIL_EPS * total:
                     break
             term_log = next_log
         else:

@@ -53,6 +53,7 @@ DELETED = [
     ("logdomain", "ONE"),
     ("logdomain", "log_sum"),
     ("logdomain", "log_exp"),
+    ("bounds", "BoundKernel.final_inequality_log_margin"),
 ]
 
 

@@ -4,7 +4,7 @@ import dataclasses
 
 import pytest
 
-from volgap import solver
+from volgap import bounds, solver
 from volgap.claims import (
     ClaimVerdict,
     SuiteConfig,
@@ -208,3 +208,55 @@ class TestSuiteConfig:
             SuiteConfig(tol=0.0)
         with pytest.raises(ValueError):
             SuiteConfig(cn_scale=0.0)
+
+
+def _count_calls(monkeypatch, module, name):
+    """Wrap module.name so each call appends its positional arguments to the returned list."""
+    calls = []
+    real = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("n_max, roots", [(30, 29), (400, 163)])
+def test_one_grid_and_one_root_per_n_per_run(monkeypatch, n_max, roots):
+    # n 2:400 is capped at 164, so both grids solve n = 2, ..., roots + 1
+    grids = _count_calls(monkeypatch, bounds, "capped_kernels")
+    solves = _count_calls(monkeypatch, solver, "optimal_alpha")
+    config = SuiteConfig(n_max=n_max)
+    assert suite_passed(run_claim_suite(config))
+    assert len(grids) == 1
+    assert sorted(args[0] for args in solves) == list(range(2, roots + 2))
+    # nothing is kept between runs
+    run_claim_suite(config)
+    assert (len(grids), len(solves)) == (2, 2 * roots)
+
+
+@pytest.mark.parametrize("bad_n, erred_at", [
+    # erred_at: each claim that must be ERROR, and the first n it asks for
+    (None, {"ALPHA_STAR_BRACKET": 2, "GAMMA2_GT_13": 2, "GAMMAN_LE_13": 3}),
+    (5, {"ALPHA_STAR_BRACKET": 5, "GAMMAN_LE_13": 5}),
+])
+def test_failed_root_errors_only_the_claims_that_ask_for_it(monkeypatch, bad_n, erred_at):
+    expected = {v.claim_id: v for v in run_claim_suite()}
+    solve = solver.optimal_alpha
+
+    def failing(n, ell=1, tol=1e-12):
+        if bad_n in (None, n):
+            raise solver.EvaluationError(f"synthetic failure at n={n}")
+        return solve(n, ell, tol)
+
+    monkeypatch.setattr(solver, "optimal_alpha", failing)
+    verdicts = run_claim_suite()
+    assert [v.claim_id for v in verdicts if v.status == "ERROR"] == list(erred_at)
+    for v in verdicts:
+        if v.claim_id in erred_at:
+            # a failed solve is not kept: each claim that asks meets it itself
+            assert v.grid_note == f"EvaluationError: synthetic failure at n={erred_at[v.claim_id]}"
+        else:
+            assert v == expected[v.claim_id]

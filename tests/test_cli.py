@@ -378,6 +378,12 @@ class TestSingleShotCommands:
         ncn = nc_product(5)
         assert _critical_objective(lo, 5, 3, ncn)[0] < 0.0 < _critical_objective(hi, 5, 3, ncn)[0]
 
+    def test_optimize_alpha_tol_outside_the_unit_interval_is_a_usage_error(self, capsys):
+        assert main(["optimize-alpha", "--n", "2", "--tol", "2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "usage error: tol must lie in (0, 1), got 2.0\n"
+
     def test_trace_matches_library(self, capsys):
         _, out = run(capsys, "trace", "--n", "2", "--t", "1.0", "--json")
         payload = json.loads(out)
