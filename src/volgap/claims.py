@@ -319,7 +319,7 @@ def _claim_gamman_le_13(run: _Run) -> ClaimVerdict:
 
 def _claim_tilde_gamma3_lt_11(run: _Run) -> ClaimVerdict:
     anchor = "the positive root of 3 C_3 x^2 - 3 C_3 x - 1 lies in (1, 1.1)"
-    value = solver.aux_root_tilde_gamma3()
+    value = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 / (3.0 * cly_constant(3))))
     return _verdict(
         "TILDE_GAMMA3_LT_11", anchor, 1.0 < value < 1.1, {"root": value},
     )
@@ -327,19 +327,18 @@ def _claim_tilde_gamma3_lt_11(run: _Run) -> ClaimVerdict:
 
 def _claim_phi3_gt_2(run: _Run) -> ClaimVerdict:
     anchor = "phi_3(1.3) = 3 C_3 (1.3)(0.3) - 1 exceeds 2"
-    value = solver.phi3_threshold()
+    value = 3.0 * cly_constant(3) * 1.3 * 0.3 - 1.0
     return _verdict("PHI3_GT_2", anchor, value > 2.0, {"phi3_at_1_3": value})
 
 
 def _claim_psi_decreasing(run: _Run) -> ClaimVerdict:
     anchor = "(n + 2) e^(-20 n) strictly decreases for n in [4, 200]"
-    check = solver.psi_decreasing_check(4, 200)
+    # compared in log form: psi is down at 1e-34 already at n = 4
+    logs = {n: math.log(n + 2.0) - 20.0 * n for n in range(4, 201)}
+    first_bad = next((float(n) for n in range(5, 201) if not logs[n] < logs[n - 1]), -1.0)
     return _verdict(
-        "PSI_DECREASING", anchor, check.decreasing,
-        {
-            "log10_at_n4": check.log10_at_start,
-            "first_violation_n": float(check.first_violation) if check.first_violation else -1.0,
-        },
+        "PSI_DECREASING", anchor, first_bad < 0.0,
+        {"log10_at_n4": logs[4] / math.log(10.0), "first_violation_n": first_bad},
         grid_note="n in [4, 200]",
     )
 

@@ -291,10 +291,6 @@ def _cmd_optimize_alpha(args) -> int:
 
 
 def _cmd_trace(args) -> int:
-    if not (args.t > 0.0 and math.isfinite(args.t)):
-        raise _UsageError(f"t must be positive and finite, got {args.t!r}")
-    if args.n < 2:
-        raise _UsageError(f"n must be at least 2, got {args.n}")
     try:
         result = heat_trace(args.n, args.t)
     except ValueError as exc:

@@ -41,7 +41,7 @@ from dataclasses import dataclass
 
 from .bounds import _excess_exponent, _tuning, b_alpha
 from .logdomain import LogScalar, _log_sum, log_add, log_div
-from .specials import cly_constant, nc_product
+from .specials import nc_product
 
 
 class BracketError(ValueError):
@@ -275,17 +275,6 @@ def gamma_n(n: int, tol: float = 1e-12) -> RootResult:
     return optimal_alpha(n, 1, tol)
 
 
-def aux_root_tilde_gamma3() -> float:
-    """Positive root of 3 C_3 g^2 - 3 C_3 g - 1, about 1.0857 (below 1.1)."""
-    c3 = cly_constant(3)
-    return 0.5 * (1.0 + math.sqrt(1.0 + 4.0 / (3.0 * c3)))
-
-
-def phi3_threshold() -> float:
-    """phi_3(1.3) = 3 C_3 (1.3)(0.3) - 1 = 1.17 C_3 - 1, about 3.19."""
-    return 3.0 * cly_constant(3) * 1.3 * 0.3 - 1.0
-
-
 def _log_g(beta: float, n: int, ncn: float) -> float:
     """log g(beta), g = (n + 1 + (1+B) e^B) / (beta^2 n C_n e^B - 1) with
     B = beta n C_n, given ncn = n C_n, on the domain beta^2 n C_n e^B > 1.
@@ -344,42 +333,3 @@ def g_prime_sign_scan(n: int, betas) -> list[GPrimeSample]:
         sign = _g_prime_numerator(beta, n, ncn).sign if in_domain else None
         samples.append(GPrimeSample(beta=beta, in_domain=in_domain, sign=sign))
     return samples
-
-
-def psi_log_value(n: int) -> float:
-    """log of psi(n) = (n + 2) e^(-20 n); psi itself underflows by n = 4."""
-    if n < 1:
-        raise ValueError(f"n must be positive, got {n}")
-    return math.log(n + 2.0) - 20.0 * n
-
-
-@dataclass(frozen=True)
-class PsiCheck:
-    decreasing: bool
-    first_violation: int | None
-    log10_at_start: float
-
-
-def psi_decreasing_check(n_lo: int = 4, n_hi: int = 200) -> PsiCheck:
-    """Confirm psi(n) = (n+2) e^(-20n) strictly decreases on [n_lo, n_hi].
-
-    Compared in log form; the values themselves are down at 1e-34
-    already for n = 4.
-    """
-    if n_lo < 4:
-        raise ValueError(f"the monotonicity claim starts at n = 4, got {n_lo}")
-    if n_hi <= n_lo:
-        raise ValueError(f"need n_hi > n_lo, got [{n_lo}, {n_hi}]")
-    prev = psi_log_value(n_lo)
-    for n in range(n_lo + 1, n_hi + 1):
-        cur = psi_log_value(n)
-        if not (cur < prev):
-            return PsiCheck(
-                decreasing=False, first_violation=n,
-                log10_at_start=psi_log_value(n_lo) / math.log(10.0),
-            )
-        prev = cur
-    return PsiCheck(
-        decreasing=True, first_violation=None,
-        log10_at_start=psi_log_value(n_lo) / math.log(10.0),
-    )

@@ -11,6 +11,10 @@ quadrature at runtime:
 erf(1) comes from the alternating Maclaurin series, truncated once a
 term drops below 1e-17, which is past double precision.
 
+Both routes run incrementally (_GammaAtOne): Gamma(n/2, 1) for the next
+n of an increasing range takes one step from the last n reached, so a
+range of N dimensions costs O(N) steps, not O(N^2).
+
 The constant attached to dimension n is
 
   C_n = n^(n/2) e Gamma(n/2, 1) / 2
@@ -68,52 +72,61 @@ def erf_series(x: float) -> float:
     return 2.0 / math.sqrt(math.pi) * math.fsum(terms)
 
 
-@lru_cache(maxsize=None)
-def _gamma_upper_seed_half() -> float:
-    # Gamma(1/2, 1) = sqrt(pi) erfc(1)
-    return math.sqrt(math.pi) * (1.0 - erf_series(1.0))
+_E_INV = math.exp(-1.0)
 
 
-@lru_cache(maxsize=None)
-def _recip_factorial_sum(m: int) -> float:
-    # sum_{j=0}^{m-1} 1/j!, between 1 and e
-    terms = []
-    t = 1.0
-    for j in range(m):
-        terms.append(t)
-        t /= j + 1
-    return math.fsum(terms)
+class _GammaAtOne:
+    """Gamma(k/2, 1) and its log, read off one cursor per parity of k.
+
+    A cursor moves to the k asked for from the last k it reached, or
+    from the first one when k lies behind it.  So an increasing sweep
+    over k costs one step per new k, and a single k costs no more than
+    its closed form from scratch.  The even cursor carries (m-1)! for
+    k = 2m as an exact int; the odd one carries the half-odd recurrence
+    in floats, None once past the double range, and in logs.  A cursor
+    moves by one assignment of a complete row, so a move that raises or
+    is interrupted leaves it where it was.
+    """
+
+    def __init__(self) -> None:
+        seed = math.sqrt(math.pi) * (1.0 - erf_series(1.0))  # Gamma(1/2, 1) = sqrt(pi) erfc(1)
+        self._odd_start = (1, seed, math.log(seed))
+        self._odd = self._odd_start
+        self._even = (1, 1)  # (m, (m-1)!)
+        self._recip = [1.0]  # 1/j! for j < 178; every later term is 0.0 in doubles
+        for j in range(1, 178):
+            self._recip.append(self._recip[-1] / j)
+
+    def at(self, k: int) -> tuple[float | None, float]:
+        """(Gamma(k/2, 1), or None past the double range; log Gamma(k/2, 1))."""
+        if k % 2 == 0:
+            m = k // 2
+            last, factorial = self._even if self._even[0] <= m else (1, 1)
+            factorial *= math.perm(m - 1, m - last)  # (m-1)! / (last-1)!
+            self._even = (m, factorial)
+            recip = math.fsum(self._recip[:m])  # sum_{j<m} 1/j!
+            try:
+                # (m-1)! is exact; its float conversion rounds once and
+                # raises OverflowError past 170!
+                value = factorial * _E_INV * recip
+            except OverflowError:
+                value = None
+            return value, math.log(factorial) + math.log(recip) - 1.0
+        j, value, log_g = self._odd if self._odd[0] <= k else self._odd_start
+        while j < k:  # Gamma(j/2 + 1, 1) = (j/2) Gamma(j/2, 1) + e^-1
+            s = j / 2.0
+            if value is not None:
+                value = s * value + _E_INV
+                if math.isinf(value):
+                    value = None
+            log_g = _log_sum(math.log(s) + log_g, -1.0)
+            j += 2
+        self._odd = (k, value, log_g)
+        # the float recurrence is still far from overflow up to k = 340
+        return value, (math.log(value) if k <= 340 else log_g)
 
 
-@lru_cache(maxsize=None)
-def _gamma_upper_float(twice_s: int) -> float:
-    if twice_s % 2 == 0:
-        m = twice_s // 2
-        # (m-1)! is exact as a Python int; the float conversion is the
-        # only rounding and it raises OverflowError past 170!
-        return math.factorial(m - 1) * math.exp(-1.0) * _recip_factorial_sum(m)
-    g = _gamma_upper_seed_half()
-    s = 0.5
-    e_inv = math.exp(-1.0)
-    while 2.0 * s < twice_s:
-        g = s * g + e_inv
-        s += 1.0
-    return g
-
-
-@lru_cache(maxsize=None)
-def _gamma_upper_log(twice_s: int) -> float:
-    if twice_s % 2 == 0:
-        m = twice_s // 2
-        return math.log(math.factorial(m - 1)) + math.log(_recip_factorial_sum(m)) - 1.0
-    if twice_s <= 340:  # float recurrence still far from overflow
-        return math.log(_gamma_upper_float(twice_s))
-    log_g = math.log(_gamma_upper_seed_half())
-    s = 0.5
-    while 2.0 * s < twice_s:
-        log_g = _log_sum(math.log(s) + log_g, -1.0)
-        s += 1.0
-    return log_g
+_GAMMA_AT_ONE = _GammaAtOne()
 
 
 def upper_incomplete_gamma_at_one(s: HalfInteger) -> float:
@@ -126,7 +139,10 @@ def upper_incomplete_gamma_at_one(s: HalfInteger) -> float:
     """
     if not isinstance(s, HalfInteger):
         raise TypeError("s must be a HalfInteger")
-    return _gamma_upper_float(s.twice)
+    value, _ = _GAMMA_AT_ONE.at(s.twice)
+    if value is None:
+        raise OverflowError(f"Gamma(s, 1) exceeds the double range at s={s.twice}/2")
+    return value
 
 
 def _check_dimension(n: int) -> None:
@@ -150,14 +166,14 @@ def cly_constant(n: int) -> float:
         half_power = float(n ** (n // 2))  # exact integer power
     else:
         half_power = math.pow(n, n / 2.0)
-    return half_power * math.e * _gamma_upper_float(n) / 2.0
+    return half_power * math.e * _GAMMA_AT_ONE.at(n)[0] / 2.0
 
 
 @lru_cache(maxsize=None)
 def cly_constant_log(n: int) -> LogScalar:
     """C_n in log form, usable at any dimension the tools accept."""
     _check_dimension(n)
-    log_mag = (n / 2.0) * math.log(n) + 1.0 + _gamma_upper_log(n) - math.log(2.0)
+    log_mag = (n / 2.0) * math.log(n) + 1.0 + _GAMMA_AT_ONE.at(n)[1] - math.log(2.0)
     return LogScalar(1, log_mag)
 
 

@@ -54,6 +54,11 @@ DELETED = [
     ("logdomain", "log_sum"),
     ("logdomain", "log_exp"),
     ("bounds", "BoundKernel.final_inequality_log_margin"),
+    ("solver", "aux_root_tilde_gamma3"),
+    ("solver", "phi3_threshold"),
+    ("solver", "psi_log_value"),
+    ("solver", "PsiCheck"),
+    ("solver", "psi_decreasing_check"),
 ]
 
 

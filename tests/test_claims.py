@@ -1,7 +1,10 @@
-"""Claim registry behaviour: ids, verdict shape, failure and error paths."""
+"""Claim registry behaviour: ids, verdict shape, failure and error paths,
+and the witnesses of the closed-form claims."""
 
 import dataclasses
+import math
 
+import mpmath
 import pytest
 
 from volgap import bounds, solver
@@ -14,6 +17,7 @@ from volgap.claims import (
     run_claim_suite,
     suite_passed,
 )
+from volgap.specials import cly_constant
 
 EXPECTED_IDS = [
     "ALPHA_STAR_BRACKET",
@@ -38,6 +42,11 @@ EXPECTED_IDS = [
 ]
 
 SMALL = SuiteConfig(n_min=2, n_max=6, ell_min=1, ell_max=3)
+
+# witnesses of the claims that need no grid, frozen from the mpmath
+# oracle that TestClosedFormWitnesses recomputes
+TILDE_GAMMA_3 = 1.0856985486718291
+PHI3_AT_13 = 3.1916197950522855
 
 
 def test_registry_ids_sorted_and_complete():
@@ -260,3 +269,41 @@ def test_failed_root_errors_only_the_claims_that_ask_for_it(monkeypatch, bad_n, 
             assert v.grid_note == f"EvaluationError: synthetic failure at n={erred_at[v.claim_id]}"
         else:
             assert v == expected[v.claim_id]
+
+
+def mp_three_c3() -> mpmath.mpf:
+    # 3 C_3 = 3 * 3^(3/2) e Gamma(3/2, 1) / 2
+    return 3 * mpmath.mpf(3) ** 1.5 * mpmath.e * mpmath.gammainc(mpmath.mpf(1.5), 1, mpmath.inf) / 2
+
+
+class TestClosedFormWitnesses:
+    def test_tilde_gamma3_frozen_and_solves_quadratic(self):
+        v = run_claim("TILDE_GAMMA3_LT_11")
+        x = v.witnesses["root"]
+        assert v.status == "PASS"
+        assert x == pytest.approx(TILDE_GAMMA_3, rel=1e-14)
+        c3 = 3.0 * cly_constant(3)
+        assert c3 * x * x - c3 * x - 1.0 == pytest.approx(0.0, abs=1e-13)
+
+    def test_tilde_gamma3_mpmath(self):
+        with mpmath.workdps(40):
+            root = (1 + mpmath.sqrt(1 + 4 / mp_three_c3())) / 2
+        assert run_claim("TILDE_GAMMA3_LT_11").witnesses["root"] == pytest.approx(float(root), rel=1e-14)
+
+    def test_phi3_frozen_plain_and_mpmath(self):
+        v = run_claim("PHI3_GT_2")
+        value = v.witnesses["phi3_at_1_3"]
+        assert v.status == "PASS"
+        assert value == pytest.approx(PHI3_AT_13, rel=1e-14)
+        assert value == pytest.approx(1.17 * cly_constant(3) - 1.0, rel=1e-14)
+        with mpmath.workdps(40):
+            want = mp_three_c3() * mpmath.mpf("1.3") * mpmath.mpf("0.3") - 1
+        assert value == pytest.approx(float(want), rel=1e-14)
+
+    def test_psi_decreasing_over_claimed_range(self):
+        v = run_claim("PSI_DECREASING")
+        assert v.status == "PASS"
+        assert v.witnesses["first_violation_n"] == -1.0
+        # log10 psi(4) = (log 6 - 80) / log 10
+        assert v.witnesses["log10_at_n4"] == pytest.approx((math.log(6.0) - 80.0) / math.log(10.0), rel=1e-15)
+        assert v.witnesses["log10_at_n4"] == pytest.approx(-33.965407, rel=1e-6)

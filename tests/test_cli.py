@@ -415,6 +415,19 @@ class TestSingleShotCommands:
         assert captured.err.startswith("error: heat trace exceeds the double range at n=")
         assert captured.err.count("\n") == 1
 
+    @pytest.mark.parametrize("argv, message", [
+        (("--n", "1", "--t", "1"), "dimension must be at least 2, got 1"),
+        (("--n", "2", "--t", "0"), "time must be positive and finite, got 0.0"),
+        (("--n", "2", "--t=-1"), "time must be positive and finite, got -1.0"),
+        (("--n", "2", "--t", "nan"), "time must be positive and finite, got nan"),
+        (("--n", "2", "--t", "inf"), "time must be positive and finite, got inf"),
+    ])
+    def test_trace_invalid_input_is_a_usage_error_in_library_wording(self, capsys, argv, message):
+        assert main(["trace", *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"usage error: {message}\n"
+
     def test_trace_small_time_converges(self, capsys):
         code, out = run(capsys, "trace", "--n", "2", "--t", "1e-7", "--json")
         assert code == 0

@@ -26,7 +26,6 @@ from volgap.solver import (
     _g_prime_numerator,
     _in_g_domain,
     _log_g,
-    aux_root_tilde_gamma3,
     bisect,
     f1,
     f1_prime,
@@ -34,9 +33,6 @@ from volgap.solver import (
     gamma_n,
     h,
     optimal_alpha,
-    phi3_threshold,
-    psi_decreasing_check,
-    psi_log_value,
 )
 from volgap.specials import cly_constant, nc_product
 
@@ -49,8 +45,6 @@ ALPHA_STAR_2_2 = 0.9553232317284198
 H_ROOT = 1.4298264769460682  # plain bisection root of h on [1.42, 1.44]
 H_AT_142 = 0.7000804044382738
 H_AT_144 = -0.7599737935923772
-TILDE_GAMMA_3 = 1.0856985486718291
-PHI3_AT_13 = 3.1916197950522855
 
 
 def mp_ncn(n: int) -> mpmath.mpf:
@@ -417,28 +411,6 @@ class TestObjective:
         assert all(b.log_mag < a.log_mag for a, b in zip(down, down[1:]))
 
 
-class TestAuxiliaryRoots:
-    def test_tilde_gamma3_frozen(self):
-        assert aux_root_tilde_gamma3() == pytest.approx(TILDE_GAMMA_3, rel=1e-14)
-
-    def test_tilde_gamma3_solves_quadratic(self):
-        x = aux_root_tilde_gamma3()
-        c3 = 3.0 * cly_constant(3)
-        assert c3 * x * x - c3 * x - 1.0 == pytest.approx(0.0, abs=1e-13)
-        assert 1.0 < x < 1.1
-
-    def test_tilde_gamma3_mpmath(self):
-        mpmath.mp.dps = 40
-        c3 = mp_ncn(3)  # 3 C_3
-        root = (1 + mpmath.sqrt(1 + 4 / c3)) / 2
-        assert aux_root_tilde_gamma3() == pytest.approx(float(root), rel=1e-14)
-
-    def test_phi3_frozen_and_plain(self):
-        assert phi3_threshold() == pytest.approx(PHI3_AT_13, rel=1e-14)
-        assert phi3_threshold() == pytest.approx(1.17 * cly_constant(3) - 1.0, rel=1e-14)
-        assert phi3_threshold() > 2.0
-
-
 class TestGFunction:
     def test_g_plain_float(self):
         # the test-side g against its hand-reduced value at n = 2, where n C_n = 2
@@ -484,24 +456,6 @@ class TestGFunction:
     def test_sign_scan_rejects_nonpositive_beta(self):
         with pytest.raises(ValueError):
             g_prime_sign_scan(2, [1.0, 0.0])
-
-
-class TestPsi:
-    def test_log_value_plain(self):
-        assert psi_log_value(4) == pytest.approx(math.log(6.0) - 80.0, rel=1e-15)
-
-    def test_decreasing_over_claimed_range(self):
-        check = psi_decreasing_check(4, 200)
-        assert check.decreasing and check.first_violation is None
-        assert check.log10_at_start == pytest.approx(-33.965407, rel=1e-6)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            psi_decreasing_check(3, 10)
-        with pytest.raises(ValueError):
-            psi_decreasing_check(5, 5)
-        with pytest.raises(ValueError):
-            psi_log_value(0)
 
 
 class TestDenominatorHook:

@@ -12,10 +12,12 @@ import mpmath
 import pytest
 from scipy.integrate import quad
 
-from volgap.logdomain import LogScalar
+from volgap import specials
+from volgap.logdomain import LogScalar, _log_sum
 from volgap.specials import (
     HalfInteger,
-    _gamma_upper_log,
+    _GAMMA_AT_ONE,
+    _GammaAtOne,
     cly_constant,
     cly_constant_log,
     erf_series,
@@ -150,10 +152,17 @@ class TestUpperGammaAtOne:
     def test_log_path_matches_float_path(self):
         for twice in range(1, 60):
             s = HalfInteger(twice=twice)
-            log_got = _gamma_upper_log(twice)
+            log_got = _GAMMA_AT_ONE.at(twice)[1]
             assert log_got == pytest.approx(
                 math.log(upper_incomplete_gamma_at_one(s)), rel=0, abs=1e-12
             )
+
+    @pytest.mark.parametrize("twice", [344, 345, 346, 401, 1001])
+    def test_overflow_raises_not_inf(self, twice):
+        # Gamma(343/2, 1) is the last value below the double ceiling
+        assert math.isfinite(upper_incomplete_gamma_at_one(HalfInteger(343)))
+        with pytest.raises(OverflowError):
+            upper_incomplete_gamma_at_one(HalfInteger(twice))
 
     def test_log_path_beyond_float_range(self):
         # Gamma(s, 1) ~ Gamma(s) overflows floats past s ~ 171; C_800
@@ -226,3 +235,114 @@ class TestNcProduct:
         assert math.isfinite(nc_product(165))
         with pytest.raises(OverflowError):
             nc_product(166)
+
+
+# The per-n formulas that the incremental evaluation replaced: each call
+# starts from scratch, so they are independent of where its cursors
+# stand and serve as its bit-for-bit reference.
+def ref_recip_factorial_sum(m: int) -> float:
+    terms = []
+    t = 1.0
+    for j in range(m):
+        terms.append(t)
+        t /= j + 1
+    return math.fsum(terms)
+
+
+def ref_gamma_float(twice_s: int) -> float:
+    if twice_s % 2 == 0:
+        m = twice_s // 2
+        return math.factorial(m - 1) * math.exp(-1.0) * ref_recip_factorial_sum(m)
+    g = math.sqrt(math.pi) * (1.0 - erf_series(1.0))
+    s = 0.5
+    while 2.0 * s < twice_s:
+        g = s * g + math.exp(-1.0)
+        s += 1.0
+    return g
+
+
+def ref_gamma_log(twice_s: int) -> float:
+    if twice_s % 2 == 0:
+        m = twice_s // 2
+        return math.log(math.factorial(m - 1)) + math.log(ref_recip_factorial_sum(m)) - 1.0
+    if twice_s <= 340:
+        return math.log(ref_gamma_float(twice_s))
+    log_g = math.log(math.sqrt(math.pi) * (1.0 - erf_series(1.0)))
+    s = 0.5
+    while 2.0 * s < twice_s:
+        log_g = _log_sum(math.log(s) + log_g, -1.0)
+        s += 1.0
+    return log_g
+
+
+def ref_cly_log(n: int) -> float:
+    return (n / 2.0) * math.log(n) + 1.0 + ref_gamma_log(n) - math.log(2.0)
+
+
+def ref_cly(n: int) -> float:
+    if ref_cly_log(n) > 709.0:
+        raise OverflowError
+    half_power = float(n ** (n // 2)) if n % 2 == 0 else math.pow(n, n / 2.0)
+    return half_power * math.e * ref_gamma_float(n) / 2.0
+
+
+def ref_nc(n: int) -> float:
+    if math.log(n) + ref_cly_log(n) > 709.0:
+        raise OverflowError
+    return n * ref_cly(n)
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except OverflowError:
+        return OverflowError
+
+
+class TestIncrementalGamma:
+    def test_log_constant_matches_per_n_formula_bit_for_bit(self):
+        for n in range(2, 4001):
+            assert cly_constant_log(n).log_mag == ref_cly_log(n), n
+
+    def test_float_constants_match_per_n_formula_bit_for_bit(self):
+        # 171 is past both ceilings, so the overflows are compared too
+        for n in range(2, 172):
+            assert outcome(cly_constant, n) == outcome(ref_cly, n), n
+            assert outcome(nc_product, n) == outcome(ref_nc, n), n
+        assert outcome(cly_constant, 171) is OverflowError
+
+    def test_gamma_matches_per_n_formula_bit_for_bit(self):
+        # downwards too: a k behind the cursor restarts it from the seed
+        for twice in [*range(1, 344), *range(343, 0, -1)]:
+            assert upper_incomplete_gamma_at_one(HalfInteger(twice)) == ref_gamma_float(twice)
+
+    def test_a_new_range_costs_one_step_per_n(self, monkeypatch):
+        # the half-odd log recurrence takes one step per odd k up to the
+        # largest n asked for, wherever its cursor was; per-n evaluation
+        # takes about n/2 steps for each odd n, some 920,000 here
+        calls = []
+        monkeypatch.setattr(specials, "_log_sum", lambda a, b: calls.append(1) or _log_sum(a, b))
+        for n in range(9001, 9401):
+            cly_constant_log(n)
+        assert 0 < len(calls) <= 9400 // 2
+
+    @pytest.mark.parametrize("failure", [KeyboardInterrupt, OverflowError])
+    def test_interrupted_move_leaves_the_cursor_where_it_was(self, monkeypatch, failure):
+        calls = []
+
+        def flaky(a, b):
+            calls.append(1)
+            if len(calls) == 50:
+                raise failure
+            return _log_sum(a, b)
+
+        table = _GammaAtOne()
+        table.at(601)
+        before = table._odd
+        monkeypatch.setattr(specials, "_log_sum", flaky)
+        with pytest.raises(failure):
+            table.at(1001)
+        assert table._odd == before
+        monkeypatch.undo()
+        fresh = _GammaAtOne()
+        assert [table.at(k) for k in range(1, 1201)] == [fresh.at(k) for k in range(1, 1201)]
