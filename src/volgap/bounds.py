@@ -193,8 +193,6 @@ class BoundKernel:
     __slots__ = ("n", "tuning", "nc", "anc", "log_b", "log_b_cly")
 
     def __init__(self, n: int, alpha) -> None:
-        # n C_n first: in a table, a classical row overflows before the
-        # tuned alpha is checked
         nc = nc_product(n)
         tuning = _tuning(alpha)
         self.n = n

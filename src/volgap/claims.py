@@ -45,6 +45,9 @@ _THM1 = (GapVariant.THM1,)
 class SuiteConfig:
     """Grid and tolerance choices for the verification suite.
 
+    tol is the relative tolerance of the root solves.  Each claim's
+    own check keeps a fixed tolerance, which its verdict reports.
+
     cn_scale is a fault-injection hook: it multiplies the computed
     dimensional constant inside the two constant-value claims, so a
     deliberately perturbed run demonstrably fails.  Leave it at 1.0
@@ -465,10 +468,11 @@ def _claim_thm6_consistency(run: _Run) -> ClaimVerdict:
     # start at 0: the point names the largest difference, if any is nonzero
     worst, at, grid = _reduce_grid(run, margin, start=0.0)
     max_rel = abs(worst)
+    # the two routes agree to rounding; config.tol sets the root solves only
     return _verdict(
-        "THM6_CONSISTENCY", anchor, max_rel <= run.config.tol,
+        "THM6_CONSISTENCY", anchor, max_rel <= 1e-12,
         {"max_rel_log_diff": max_rel, "at_n": at[0], "at_ell": at[1]},
-        tolerance=run.config.tol,
+        tolerance=1e-12,
         grid_note=grid,
     )
 

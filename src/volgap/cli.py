@@ -86,8 +86,6 @@ def _json_safe(value):
         return None
     if isinstance(value, dict):
         return {k: _json_safe(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_json_safe(v) for v in value]
     return value
 
 
@@ -339,7 +337,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-range", type=_range_type, default=(2, 30), metavar="LO:HI")
     p.add_argument("--l-range", type=_range_type, default=(1, 30), metavar="LO:HI")
     p.add_argument("--alpha", type=float, default=DEFAULT_ALPHA)
-    p.add_argument("--tol", type=float, default=1e-12)
+    p.add_argument("--tol", type=float, default=1e-12,
+                   help="relative tolerance of the root solves")
     p.add_argument("--cn-scale", type=float, default=1.0,
                    help="fault injection: scale C_n inside the constant checks")
     p.add_argument("--claim", help="run a single claim by id")

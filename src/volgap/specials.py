@@ -20,7 +20,7 @@ The constant attached to dimension n is
   C_n = n^(n/2) e Gamma(n/2, 1) / 2
 
 so C_2 = 1 and C_4 = 16 exactly, and C_3 = 3.5825810...  C_n grows
-roughly like (n/2)! n^(n/2) and leaves the double range near n = 170;
+roughly like (n/2)! n^(n/2) and leaves the double range at n = 167;
 callers that only need log C_n should use cly_constant_log, which is
 good for any n the grid tools accept.
 """
@@ -96,6 +96,7 @@ class _GammaAtOne:
         self._recip = [1.0]  # 1/j! for j < 178; every later term is 0.0 in doubles
         for j in range(1, 178):
             self._recip.append(self._recip[-1] / j)
+        self._recip_total = math.fsum(self._recip)
 
     def at(self, k: int) -> tuple[float | None, float]:
         """(Gamma(k/2, 1), or None past the double range; log Gamma(k/2, 1))."""
@@ -104,7 +105,8 @@ class _GammaAtOne:
             last, factorial = self._even if self._even[0] <= m else (1, 1)
             factorial *= math.perm(m - 1, m - last)  # (m-1)! / (last-1)!
             self._even = (m, factorial)
-            recip = math.fsum(self._recip[:m])  # sum_{j<m} 1/j!
+            # sum_{j<m} 1/j!, whose terms from j = 178 on are all 0.0
+            recip = math.fsum(self._recip[:m]) if m < 178 else self._recip_total
             try:
                 # (m-1)! is exact; its float conversion rounds once and
                 # raises OverflowError past 170!
@@ -156,8 +158,8 @@ def _check_dimension(n: int) -> None:
 def cly_constant(n: int) -> float:
     """C_n = n^(n/2) e Gamma(n/2, 1) / 2 as a double.
 
-    Raises OverflowError once C_n leaves the double range (near
-    n = 170); cly_constant_log has no such ceiling.
+    Raises OverflowError once C_n leaves the double range (from
+    n = 167 on); cly_constant_log has no such ceiling.
     """
     _check_dimension(n)
     if cly_constant_log(n).log_mag > 709.0:

@@ -103,7 +103,8 @@ def heat_trace(n: int, t: float) -> TraceResult:
             mult = mult * (2 * j + n + 1) * (j + n - 1) // ((2 * j + n - 1) * (j + 1))
             next_log = math.log(mult) - (j + 1) * (j + n) * t  # log T_(j+1)
             term = math.exp(term_log) if term_log > -745.0 else 0.0  # T_j
-            log_ratio = next_log - term_log  # log r_j
+            # log r_j; once lambda_j t overflows both logs are -inf, and so is log r_j
+            log_ratio = next_log - term_log if term_log > -math.inf else -math.inf
             if log_ratio < 0.0:
                 tail = term / -math.expm1(log_ratio)
                 if tail <= _TAIL_EPS * total:

@@ -7,11 +7,12 @@ logs, and the ratio to the classical excess as its base-10 log too,
 since ratios routinely exceed float range.  A large ratio is rendered
 as a mantissa/exponent literal (still a valid JSON number).
 
-Gap tables are built per n: one BoundKernel per (n, alpha) supplies the
-logs of every row.  At a fixed alpha every ell is checked once, at the
-first n, and each later n only for itself; an auto point is checked on
-its own.  All three renderers format rows through one helper that
-formats each repeated value (n, ell, alpha, log10_B) once per call.
+A gap table request is checked in full before any row is computed, so
+an invalid n, ell or alpha raises ValueError whatever else it holds.
+Rows are then built in one loop over n: one BoundKernel per (n, alpha)
+supplies the logs of every row.  All three renderers format rows
+through one helper that formats each repeated value (n, ell, alpha,
+log10_B) once per call.
 """
 
 from __future__ import annotations
@@ -25,13 +26,6 @@ from .logdomain import _LN10
 from .solver import optimal_alpha
 
 CSV_HEADER = "n,ell,alpha,variant,log10_B,log10_excess,ratio_vs_cly"
-
-_VARIANT_ORDER = (
-    GapVariant.CLY,
-    GapVariant.THM1,
-    GapVariant.THM2_CASE1,
-    GapVariant.THM2_CASE2,
-)
 
 
 class GapTableRow(NamedTuple):
@@ -47,26 +41,23 @@ class GapTableRow(NamedTuple):
 _sig = "{:.12g}".format  # a float's text at 12 significant digits
 
 
-def format_from_log10(log10_value: float, sign: int = 1) -> str:
+def format_from_log10(log10_value: float) -> str:
     """Render a positive quantity given as log10 to 12 significant digits.
 
     Values inside comfortable float range go through float formatting;
     anything larger becomes an explicit mantissa/exponent literal, so
     1e400-scale ratios survive serialisation.
     """
-    if sign == 0:
-        return "0"
-    prefix = "-" if sign < 0 else ""
     if math.isinf(log10_value):
         raise ValueError("cannot format an infinite magnitude")
     if abs(log10_value) < 300.0:
-        return prefix + _sig(10.0 ** log10_value)
+        return _sig(10.0 ** log10_value)
     exponent = math.floor(log10_value)
     mantissa = f"{10.0 ** (log10_value - exponent):.11f}"
     if mantissa == "10.00000000000":  # rounding spilled over a decade
         mantissa = "1.00000000000"
         exponent += 1
-    return f"{prefix}{mantissa}e+{exponent}" if exponent >= 0 else f"{prefix}{mantissa}e{exponent}"
+    return f"{mantissa}e+{exponent}" if exponent >= 0 else f"{mantissa}e{exponent}"
 
 
 def build_gap_table(n_values, ell_values, alpha=DEFAULT_ALPHA, variants=None) -> list[GapTableRow]:
@@ -76,12 +67,14 @@ def build_gap_table(n_values, ell_values, alpha=DEFAULT_ALPHA, variants=None) ->
     "auto", which tunes alpha per (n, ell) by maximising the excess.
     Classical rows always use the fixed tuning 2 and report it.
 
-    Points are validated as their first rows' GapParams would be, and
-    the first invalid one raises, as it would in a per-point check.  At
-    a fixed alpha the checks of ell do not depend on n, so each ell is
-    checked at the first n only.  Every row is read from one BoundKernel
-    per (n, alpha); an auto point's kernel takes the solver's exact pair
-    (bounds.Tuning).
+    GapParams checks every n at the first ell, then every ell at the
+    first n, at the tuned alpha, before any row is computed.  At auto,
+    or with no tuned variant, that alpha is the classical 2, valid at
+    every ell >= 1; an auto point's own tuning is valid too, since the
+    solver's root u is positive.  Rows are read from one BoundKernel per
+    n at a fixed alpha and one per (n, ell) at auto, which takes the
+    solver's exact pair (bounds.Tuning); each kernel is built before
+    its rows.
     """
     ns = [int(n) for n in n_values]
     ells = [int(ell) for ell in ell_values]
@@ -90,41 +83,22 @@ def build_gap_table(n_values, ell_values, alpha=DEFAULT_ALPHA, variants=None) ->
     auto = alpha == "auto"
     if not auto:
         alpha = float(alpha)
-    chosen = tuple(GapVariant(v) for v in variants) if variants else _VARIANT_ORDER
+    chosen = tuple(GapVariant(v) for v in variants) if variants else tuple(GapVariant)
     tuned = any(v is not GapVariant.CLY for v in chosen)
-    # a classical first row is evaluated, and fails, before the tuned
-    # alpha is checked or its kernel built
-    cly_first = chosen[0] is GapVariant.CLY and tuned
-    fixed = alpha if tuned else 2.0
+    checked = alpha if tuned and not auto else 2.0
+    for n in ns:
+        GapParams(n=n, ell=ells[0], alpha=checked)
+    for ell in ells[1:]:
+        GapParams(n=ns[0], ell=ell, alpha=checked)
     rows = []
-    kernel = None
     for n in ns:
         if auto and tuned:
-            for i, ell in enumerate(ells):
-                tuning = Tuning.excess(ell, optimal_alpha(n, ell).root)
-                point = _checked_kernel(n, ell, tuning, cly_first and i == 0)
-                _add_rows(rows, point, (ell,), chosen)
-        elif kernel is None:
-            kernel = _checked_kernel(n, ells[0], fixed, cly_first)
-            _add_rows(rows, kernel, ells[:1], chosen)
-            for ell in ells[1:]:
-                GapParams(n=n, ell=ell, alpha=fixed)
+            for ell in ells:
+                kernel = BoundKernel(n, Tuning.excess(ell, optimal_alpha(n, ell).root))
                 _add_rows(rows, kernel, (ell,), chosen)
         else:
-            # every ell passed at the first n; n is all that is left to check
-            GapParams(n=n, ell=ells[0], alpha=fixed)
-            kernel = BoundKernel(n, fixed)
-            _add_rows(rows, kernel, ells, chosen)
+            _add_rows(rows, BoundKernel(n, checked), ells, chosen)
     return rows
-
-
-def _checked_kernel(n: int, ell: int, tuning, cly_first: bool) -> BoundKernel:
-    """The kernel of the point (n, ell), after the checks its first row makes."""
-    if cly_first:
-        GapParams(n=n, ell=ell, alpha=2.0)
-        BoundKernel(n, 2.0).logs(ell, _VARIANT_ORDER[:1])
-    GapParams(n=n, ell=ell, alpha=tuning)
-    return BoundKernel(n, tuning)
 
 
 def _add_rows(rows: list, kernel: BoundKernel, ells, chosen) -> None:

