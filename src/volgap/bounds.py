@@ -106,6 +106,18 @@ def _tuning(alpha) -> Tuning:
     return alpha if isinstance(alpha, Tuning) else Tuning(alpha)
 
 
+def _float_ell(ell: int, n: int) -> float:
+    """ell as a float; an ell past the double range raises OverflowError naming it and n.
+
+    The bounds and the solver form alpha ell and 2 ell as floats;
+    GapParams and optimal_alpha convert ell here before they do.
+    """
+    try:
+        return float(ell)
+    except OverflowError:
+        raise OverflowError(f"ell leaves the double range at n={n}") from None
+
+
 @dataclass(frozen=True)
 class GapParams:
     n: int
@@ -122,6 +134,7 @@ class GapParams:
         if self.ell < 1:
             raise ValueError(f"ell must be at least 1, got {self.ell}")
         tuning = _tuning(self.alpha)
+        _float_ell(self.ell, self.n)  # overflows name ell and n, before alpha ell does
         # every tuned variant needs a positive numerator: u > 0 for the pair
         if not tuning.numerators(self.ell)[0] > 0.0:
             got = f"1/{tuning.ell} + {tuning.u!r}" if tuning.ell else f"{tuning.alpha}*{self.ell}"
@@ -206,17 +219,18 @@ class BoundKernel:
         """(log B, log excess, log of excess / CLY excess) per variant, in order."""
         log_cly = _ln(2.0 * ell - 1.0, "2 ell - 1", self.n) - self.log_b_cly
         thm1, case2 = self.tuning.numerators(ell)
+        log_thm1 = None  # shared by THM1 and THM2_CASE1, taken on first use
         out = []
         for variant in variants:
             if variant is _CLY:
                 out.append((self.log_b_cly, log_cly, 0.0))
                 continue
-            if variant is _THM1:
-                log_num = _ln(thm1, "alpha ell - 1", self.n)
-            elif variant is _CASE1:
-                log_num = _log_sum(
-                    _ln(thm1, "alpha ell - 1", self.n), self.log_case1_correction(ell)
-                )
+            if variant is _THM1 or variant is _CASE1:
+                if log_thm1 is None:
+                    log_thm1 = _ln(thm1, "alpha ell - 1", self.n)
+                log_num = log_thm1
+                if variant is _CASE1:
+                    log_num = _log_sum(log_thm1, self.log_case1_correction(ell))
             elif variant is _CASE2:
                 log_num = _ln(case2, "2 alpha ell - 1", self.n)
             else:

@@ -318,6 +318,19 @@ class TestGridErrorContract:
         n = argv[2].split(":")[0]
         assert re.search(rf"\bn={n}\b", captured.err), captured.err
 
+    # an ell past the double range is valid input too; its message names ell and n
+    @pytest.mark.parametrize("argv", [
+        ("gap", "--n", "2", "--l", str(2 * 10**308)),
+        ("gap", "--n", "2", "--l", str(2 * 10**308), "--variant", "cly"),
+        ("table", "--n-range", "2:2", "--l-range", f"{2 * 10**308}:{2 * 10**308}", "--alpha", "auto"),
+        ("optimize-alpha", "--n", "2", "--l", str(2 * 10**308)),
+    ], ids=["gap", "gap cly", "table auto", "optimize-alpha"])
+    def test_huge_ell_overflow_names_ell_and_n(self, capsys, argv):
+        assert main(list(argv)) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: ell leaves the double range at n=2\n"  # not "int too large ..."
+
     def test_auto_tunes_an_ell_far_beyond_the_dimension(self, capsys):
         # the tuning once started from a bracket end 0.1/((1+ell) n C_n),
         # which underflows to 0 here; the point itself is valid

@@ -1,7 +1,9 @@
 """Table output: byte identity on pinned grids and literal formatting."""
 
 import collections
+import datetime
 import hashlib
+import itertools
 import json
 import math
 import random
@@ -10,10 +12,13 @@ from pathlib import Path
 import mpmath
 import pytest
 
+from volgap import cli, tables
 from volgap.bounds import BoundKernel, GapParams, GapVariant, Tuning
 from volgap.cli import main
 from volgap.solver import optimal_alpha
-from volgap.tables import GapTableRow, build_gap_table, format_from_log10
+from volgap.tables import (
+    CSV_HEADER, GapTableRow, build_gap_table, format_from_log10, render_csv, render_json, render_pretty,
+)
 
 GOLDEN = Path(__file__).resolve().parent.parent / "perfbench" / "golden.json"
 
@@ -164,6 +169,108 @@ class TestErrorParity:
             [1.43, 0.5, 0.9, 1.0, 2.0, 3.7, 1e300, 1e308, "auto"],
         )
         assert min(kinds[k] for k in ("rows", "ValueError", "OverflowError")) > 100
+
+
+def reference_cells(rows):
+    """Each row's fields, formatted one row at a time with no memo."""
+    sig = "{:.12g}".format
+    for n, ell, alpha, variant, log10_b, log10_excess, log10_ratio in rows:
+        ratio = "1" if log10_ratio == 0.0 else format_from_log10(log10_ratio)
+        yield str(n), str(ell), sig(alpha), variant, sig(log10_b), sig(log10_excess), ratio
+
+
+def reference_text(rows, fmt, meta):
+    """What `volgap table` writes for rows, from per-row cells and a plain body join."""
+    cells = list(reference_cells(rows))
+    framing = "".join(f"# {k}: {meta[k]}\n" for k in sorted(meta)) if meta else ""
+    if fmt == "csv":
+        return framing + "\n".join([CSV_HEADER, *(",".join(c) for c in cells), ""])
+    if fmt == "json":
+        body = ",\n    ".join(
+            f'{{"n": {n}, "ell": {ell}, "alpha": {alpha}, "variant": "{variant}", '
+            f'"log10_B": {log10_b}, "log10_excess": {log10_excess}, "ratio_vs_cly": {ratio}}}'
+            for n, ell, alpha, variant, log10_b, log10_excess, ratio in cells
+        )
+        meta_part = ""
+        if meta:
+            pairs = ", ".join(f'"{k}": "{meta[k]}"' for k in sorted(meta))
+            meta_part = f',\n  "meta": {{{pairs}}}'
+        return f'{{\n  "rows": [\n    {body}\n  ]{meta_part}\n}}\n'
+    header = CSV_HEADER.split(",")
+    widths = [max(len(r[i]) for r in [header, *cells]) for i in range(len(header))]
+    lines = ["  ".join(c.ljust(w) for c, w in zip(r, widths)).rstrip() for r in [header, *cells]]
+    lines.insert(1, "  ".join("-" * w for w in widths))
+    lines += ["", "volume ratio >= 1 + 10^(log10_excess) for each row"]
+    return "\n".join(lines) + "\n" + framing
+
+
+def first_difference(got: str, want: str):
+    """None if the texts are equal, else (line number, got line, wanted line).
+
+    A plain == on two long texts that differ on every line makes pytest
+    diff them, which takes minutes.
+    """
+    if got == want:
+        return None
+    pairs = itertools.zip_longest(got.split("\n"), want.split("\n"))
+    return next((i, a, b) for i, (a, b) in enumerate(pairs) if a != b)
+
+
+class _FrozenClock(datetime.datetime):
+    @classmethod
+    def now(cls, tz=None):
+        return cls(2024, 6, 7, 8, 9, 10, tzinfo=tz)
+
+
+class TestRendering:
+    """The renderers memoise formatted values; their bytes must not move."""
+
+    @pytest.mark.parametrize("with_meta", [False, True], ids=["plain", "meta"])
+    @pytest.mark.parametrize("fmt", ["csv", "json", "pretty"])
+    @pytest.mark.parametrize("alpha", ["1.43", "auto"])
+    def test_bytes_match_a_per_row_reference(self, tmp_path, monkeypatch, alpha, fmt, with_meta):
+        # at n < 20 almost every excess and ratio is distinct, so the memo mostly misses
+        monkeypatch.setattr(cli, "datetime", _FrozenClock)
+        target = tmp_path / f"table.{fmt}"
+        argv = ["table", "--alpha", alpha, "--n-range", "2:12", "--l-range", "1:300",
+                "--format", fmt, "--out", str(target)]
+        assert main(argv + ["--meta"] * with_meta) == 0
+        meta = None
+        if with_meta:
+            meta = {"alpha": alpha, "generated": "2024-06-07T08:09:10+00:00",
+                    "l_range": "1:300", "n_range": "2:12"}
+        rows = build_gap_table(range(2, 13), range(1, 301), alpha if alpha == "auto" else float(alpha))
+        assert first_difference(target.read_text(encoding="utf-8"), reference_text(rows, fmt, meta)) is None
+
+    def test_each_distinct_ratio_is_formatted_about_once(self, monkeypatch):
+        # the benchmark's grid: 49,200 tuned rows but 2,655 distinct ratios besides the classical 0
+        rows = build_gap_table(range(2, 166), range(1, 101), 1.43)
+        calls = []
+
+        def counting(log10_value):
+            calls.append(log10_value)
+            return format_from_log10(log10_value)
+
+        monkeypatch.setattr(tables, "format_from_log10", counting)
+        render_csv(rows)
+        distinct = {row.log10_ratio_vs_cly for row in rows}
+        # the memo is bounded, so a value seen again after it was emptied
+        # is formatted again; on this grid that happens almost never
+        assert len(calls) <= len(distinct) * 101 // 100
+        assert set(calls) == distinct
+
+    def test_empty_tables(self):
+        assert render_json([]) == '{\n  "rows": [\n    \n  ]\n}\n'
+        assert render_json([], {"alpha": "1.43", "n_range": "2:3"}) == (
+            '{\n  "rows": [\n    \n  ],\n  "meta": {"alpha": "1.43", "n_range": "2:3"}\n}\n'
+        )
+        assert render_csv([]) == "n,ell,alpha,variant,log10_B,log10_excess,ratio_vs_cly\n"
+        assert render_pretty([]) == (
+            "n  ell  alpha  variant  log10_B  log10_excess  ratio_vs_cly\n"
+            "-  ---  -----  -------  -------  ------------  ------------\n"
+            "\n"
+            "volume ratio >= 1 + 10^(log10_excess) for each row\n"
+        )
 
 
 class TestFormatFromLog10:
