@@ -110,7 +110,8 @@ def _float_ell(ell: int, n: int) -> float:
     """ell as a float; an ell past the double range raises OverflowError naming it and n.
 
     The bounds and the solver form alpha ell and 2 ell as floats;
-    GapParams and optimal_alpha convert ell here before they do.
+    GapParams, SuiteConfig and optimal_alpha convert ell here before
+    they do, and the case-correction exponent converts n + 2 ell here.
     """
     try:
         return float(ell)
@@ -184,7 +185,7 @@ def _log_denominator(n: int, alpha: float, exponent: float) -> float:
 
 def _correction_exponent(n: int, ell: int, anc: float) -> float:
     """E = anc (1 - (n+4) (n+2 ell)^(2/n) 4^(1/n)) with anc = alpha n C_n."""
-    growth = (n + 4) * math.pow(n + 2 * ell, 2.0 / n) * math.pow(4.0, 1.0 / n)
+    growth = (n + 4) * math.pow(_float_ell(n + 2 * ell, n), 2.0 / n) * math.pow(4.0, 1.0 / n)
     return anc * (1.0 - growth)
 
 

@@ -73,10 +73,9 @@ class SuiteConfig:
             raise ValueError(f"ell_max must be an int at least ell_min, got {self.ell_max!r}")
         if not (self.alpha > 0.0 and math.isfinite(self.alpha)):
             raise ValueError(f"alpha must be positive and finite, got {self.alpha!r}")
-        if self.alpha * self.ell_min <= 1.0:
-            raise ValueError(
-                f"alpha * ell_min must exceed 1 for the tuned bounds, got {self.alpha * self.ell_min!r}"
-            )
+        alpha_ell = self.alpha * bounds._float_ell(self.ell_min, self.n_min)
+        if alpha_ell <= 1.0:
+            raise ValueError(f"alpha * ell_min must exceed 1 for the tuned bounds, got {alpha_ell!r}")
         if not (0.0 < self.tol < 1.0):
             raise ValueError(f"tol must lie in (0, 1), got {self.tol!r}")
         if not (self.cn_scale > 0.0 and math.isfinite(self.cn_scale)):
@@ -530,4 +529,4 @@ def run_claim_suite(config: SuiteConfig | None = None) -> list[ClaimVerdict]:
 
 
 def suite_passed(verdicts) -> bool:
-    return all(v.status == "PASS" for v in verdicts)
+    return all(v.passed for v in verdicts)

@@ -72,18 +72,18 @@ def build_gap_table(n_values, ell_values, alpha=DEFAULT_ALPHA, variants=None) ->
     "auto", which tunes alpha per (n, ell) by maximising the excess.
     Classical rows always use the fixed tuning 2 and report it.
 
-    GapParams checks every n at the first ell, then every ell at the
-    first n, at the tuned alpha, before any row is computed.  At auto,
-    or with no tuned variant, that alpha is the classical 2, valid at
-    every ell >= 1; an auto point's own tuning is valid too, since the
-    solver's root u is positive.  Rows are read from one BoundKernel per
-    n at a fixed alpha and one per (n, ell) at auto, which takes the
-    solver's exact pair (bounds.Tuning); each kernel is built before
-    its rows.
+    n_values and ell_values are sequences of ints (a list, tuple or
+    range), read in place, so an invalid request costs no copy of its
+    ranges.  GapParams checks every n at the first ell, then every ell
+    at the first n, at the tuned alpha, before any row is computed.  At
+    auto, or with no tuned variant, that alpha is the classical 2, valid
+    at every ell >= 1; an auto point's own tuning is valid too, since
+    the solver's root u is positive.  Rows are read from one BoundKernel
+    per n at a fixed alpha and one per (n, ell) at auto, which takes the
+    solver's exact pair (bounds.Tuning); each kernel is built before its
+    rows.
     """
-    ns = [int(n) for n in n_values]
-    ells = [int(ell) for ell in ell_values]
-    if not ns or not ells:
+    if not n_values or not ell_values:
         raise ValueError("need at least one n and one ell")
     auto = alpha == "auto"
     if not auto:
@@ -91,18 +91,18 @@ def build_gap_table(n_values, ell_values, alpha=DEFAULT_ALPHA, variants=None) ->
     chosen = tuple(GapVariant(v) for v in variants) if variants else tuple(GapVariant)
     tuned = any(v is not GapVariant.CLY for v in chosen)
     checked = alpha if tuned and not auto else 2.0
-    for n in ns:
-        GapParams(n=n, ell=ells[0], alpha=checked)
-    for ell in ells[1:]:
-        GapParams(n=ns[0], ell=ell, alpha=checked)
+    for n in n_values:
+        GapParams(n=n, ell=ell_values[0], alpha=checked)
+    for ell in ell_values:
+        GapParams(n=n_values[0], ell=ell, alpha=checked)
     rows = []
-    for n in ns:
+    for n in n_values:
         if auto and tuned:
-            for ell in ells:
+            for ell in ell_values:
                 kernel = BoundKernel(n, Tuning.excess(ell, optimal_alpha(n, ell).root))
                 _add_rows(rows, kernel, (ell,), chosen)
         else:
-            _add_rows(rows, BoundKernel(n, checked), ells, chosen)
+            _add_rows(rows, BoundKernel(n, checked), ell_values, chosen)
     return rows
 
 

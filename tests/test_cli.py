@@ -324,12 +324,20 @@ class TestGridErrorContract:
         ("gap", "--n", "2", "--l", str(2 * 10**308), "--variant", "cly"),
         ("table", "--n-range", "2:2", "--l-range", f"{2 * 10**308}:{2 * 10**308}", "--alpha", "auto"),
         ("optimize-alpha", "--n", "2", "--l", str(2 * 10**308)),
-    ], ids=["gap", "gap cly", "table auto", "optimize-alpha"])
+        ("verify", "--l-range", f"{2 * 10**308}:{2 * 10**308}"),
+    ], ids=["gap", "gap cly", "table auto", "optimize-alpha", "verify"])
     def test_huge_ell_overflow_names_ell_and_n(self, capsys, argv):
         assert main(list(argv)) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: ell leaves the double range at n=2\n"  # not "int too large ..."
+
+    def test_huge_ell_max_errors_the_grid_claims_naming_ell_and_n(self, capsys):
+        code, out = run(capsys, "verify", "--l-range", f"1:{2 * 10**308}", "--json")
+        assert code == 1
+        errors = [c for c in json.loads(out)["claims"] if c["status"] == "ERROR"]
+        assert len(errors) == 7
+        assert {c["grid_note"] for c in errors} == {"OverflowError: ell leaves the double range at n=2"}
 
     def test_auto_tunes_an_ell_far_beyond_the_dimension(self, capsys):
         # the tuning once started from a bracket end 0.1/((1+ell) n C_n),
@@ -343,16 +351,40 @@ class TestGridErrorContract:
             assert capsys.readouterr().err == ""
 
 
+# one small invocation of each command
+EVERY_COMMAND = [
+    ("verify", "--n-range", "2:4", "--l-range", "1:2"),
+    ("table", "--n-range", "2:3", "--l-range", "1:1"),
+    ("constants", "--n-range", "2:6"),
+    ("gap", "--n", "2", "--l", "1"),
+    ("optimize-alpha", "--n", "2"),
+    ("trace", "--n", "2", "--t", "1"),
+]
+# each command in every output form it has, and a verify run that fails
+OUT_FORMS = [
+    *(argv + form for argv in EVERY_COMMAND if argv[0] != "table" for form in ((), ("--json",))),
+    *(EVERY_COMMAND[1] + ("--format", fmt) for fmt in ("csv", "json", "pretty")),
+    EVERY_COMMAND[0] + ("--cn-scale", "1.001"),
+]
+
+
 class TestOutFile:
-    def test_out_matches_stdout(self, capsys, tmp_path):
-        _, out = run(capsys, "table", "--n-range", "2:3", "--l-range", "1:1")
-        target = tmp_path / "t.csv"
-        code, silent = run(
-            capsys, "table", "--n-range", "2:3", "--l-range", "1:1",
-            "--out", str(target),
-        )
-        assert code == 0 and silent == ""
-        assert target.read_text() == out
+    @pytest.mark.parametrize("argv", OUT_FORMS, ids=" ".join)
+    def test_out_matches_stdout(self, capsys, tmp_path, argv):
+        code, out = run(capsys, *argv)
+        target = tmp_path / "out.txt"
+        assert run(capsys, *argv, "--out", str(target)) == (code, "")
+        assert target.read_bytes() == out.encode("utf-8")
+
+    @pytest.mark.parametrize("argv", EVERY_COMMAND, ids=lambda argv: argv[0])
+    @pytest.mark.parametrize("where", ["missing directory", "directory"])
+    def test_unwritable_out_is_a_one_line_error(self, capsys, tmp_path, argv, where):
+        target = tmp_path / "missing" / "out.txt" if where == "missing directory" else tmp_path
+        assert main([*argv, "--out", str(target)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: cannot write {target}: ")
+        assert captured.err.count("\n") == 1
 
 
 class TestSingleShotCommands:

@@ -1,6 +1,7 @@
 """Table output: byte identity on pinned grids and literal formatting."""
 
 import collections
+import collections.abc
 import datetime
 import hashlib
 import itertools
@@ -169,6 +170,32 @@ class TestErrorParity:
             [1.43, 0.5, 0.9, 1.0, 2.0, 3.7, 1e300, 1e308, "auto"],
         )
         assert min(kinds[k] for k in ("rows", "ValueError", "OverflowError")) > 100
+
+
+class _CountingRange(collections.abc.Sequence):
+    """range(lo, hi) that counts the items read from it."""
+
+    def __init__(self, lo, hi):
+        self.items, self.reads = range(lo, hi), 0
+
+    def __len__(self):
+        return len(self.items)
+
+    def __getitem__(self, index):
+        self.reads += 1
+        return self.items[index]
+
+
+@pytest.mark.parametrize("n_range, ell_range, message", [
+    ((2, 4), (0, 100_000), "ell must be at least 1, got 0"),
+    ((1, 100_000), (1, 3), "n must be at least 2, got 1"),
+])
+def test_an_invalid_request_reads_only_a_few_items(n_range, ell_range, message):
+    # the ranges are checked where they are, not copied first
+    ns, ells = _CountingRange(*n_range), _CountingRange(*ell_range)
+    with pytest.raises(ValueError, match=message):
+        build_gap_table(ns, ells, 1.43)
+    assert ns.reads + ells.reads <= 4
 
 
 def reference_cells(rows):
