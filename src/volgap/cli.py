@@ -15,11 +15,16 @@ on usage errors.  Every error is one line on stderr.  Each command
 returns its exit code and its text, and main writes that text once, to
 stdout or to --out.  Output is deterministic; nothing varying
 (timestamps, paths) is emitted unless --meta asks for it.
+
+main(argv) may be called any number of times in one process.  It builds
+its parser on the first call and reuses it, so a repeated in-process
+call pays only for its command.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -338,8 +343,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser main reads every argv with: built on the first call.
+
+    argparse keeps no state between parses, and help text reads COLUMNS
+    when it is formatted, so one parser serves every later call.
+    build_parser itself still returns a fresh parser.
+    """
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         code, text = args.handler(args)
         if args.out:

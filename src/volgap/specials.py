@@ -171,7 +171,10 @@ def cly_constant(n: int) -> float:
     return half_power * math.e * _GAMMA_AT_ONE.at(n)[0] / 2.0
 
 
-@lru_cache(maxsize=None)
+# Bounded, unlike cly_constant (which raises past n = 166): a sweep over
+# hundreds of thousands of n would otherwise keep one LogScalar per n for
+# the life of the process.  1024 holds every n of a 2:400 grid.
+@lru_cache(maxsize=1024)
 def cly_constant_log(n: int) -> LogScalar:
     """C_n in log form, usable at any dimension the tools accept."""
     _check_dimension(n)

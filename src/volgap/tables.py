@@ -74,11 +74,12 @@ def build_gap_table(n_values, ell_values, alpha=DEFAULT_ALPHA, variants=None) ->
 
     n_values and ell_values are sequences of ints (a list, tuple or
     range), read in place, so an invalid request costs no copy of its
-    ranges.  GapParams checks every n at the first ell, then every ell
-    at the first n, at the tuned alpha, before any row is computed.  At
-    auto, or with no tuned variant, that alpha is the classical 2, valid
-    at every ell >= 1; an auto point's own tuning is valid too, since
-    the solver's root u is positive.  Rows are read from one BoundKernel
+    ranges.  GapParams checks every n, then every ell, at the tuned
+    alpha, before any row is computed; of a range it checks only the two
+    ends, the smaller first (_deciding).  At auto, or with no tuned
+    variant, that alpha is the classical 2, valid at every ell >= 1; an
+    auto point's own tuning is valid too, since the solver's root u is
+    positive.  Rows are read from one BoundKernel
     per n at a fixed alpha and one per (n, ell) at auto, which takes the
     solver's exact pair (bounds.Tuning); each kernel is built before its
     rows.
@@ -91,10 +92,11 @@ def build_gap_table(n_values, ell_values, alpha=DEFAULT_ALPHA, variants=None) ->
     chosen = tuple(GapVariant(v) for v in variants) if variants else tuple(GapVariant)
     tuned = any(v is not GapVariant.CLY for v in chosen)
     checked = alpha if tuned and not auto else 2.0
-    for n in n_values:
-        GapParams(n=n, ell=ell_values[0], alpha=checked)
-    for ell in ell_values:
-        GapParams(n=n_values[0], ell=ell, alpha=checked)
+    ns, ells = _deciding(n_values), _deciding(ell_values)
+    for n in ns:
+        GapParams(n=n, ell=ells[0], alpha=checked)
+    for ell in ells:
+        GapParams(n=ns[0], ell=ell, alpha=checked)
     rows = []
     for n in n_values:
         if auto and tuned:
@@ -104,6 +106,20 @@ def build_gap_table(n_values, ell_values, alpha=DEFAULT_ALPHA, variants=None) ->
         else:
             _add_rows(rows, BoundKernel(n, checked), ell_values, chosen)
     return rows
+
+
+def _deciding(values):
+    """The items of values whose GapParams checks decide every item's.
+
+    Each check is monotone in n and in ell (n >= 2, ell >= 1, alpha ell
+    > 1, ell a finite float), and a range holds only ints, so the ends of
+    a range decide it, the smaller end first: a too-small item, which is
+    invalid input, is found before a too-large one, which overflows.
+    Any other sequence is checked item by item.
+    """
+    if isinstance(values, range):
+        return sorted((values[0], values[-1]))
+    return values
 
 
 def _add_rows(rows: list, kernel: BoundKernel, ells, chosen) -> None:

@@ -9,6 +9,7 @@ import re
 
 import pytest
 
+from volgap import cli
 from volgap.cli import main
 from volgap.solver import _critical_objective
 from volgap.specials import nc_product
@@ -278,6 +279,19 @@ class TestGridErrorContract:
          "usage error: n must be at least 2, got 1"),
         (("gap", "--n", "1", "--l", "1", "--alpha", "auto"), 2,
          "usage error: n must be at least 2, got 1"),
+        # the ends of a range decide its checks, so a huge range is
+        # answered at once (10^8 n, or 2*10^308 ell, were each checked)
+        (("table", "--n-range", "2:2", "--l-range", f"1:{2 * 10**308}"), 1,
+         "error: ell leaves the double range at n=2"),
+        (("table", "--n-range", "2:2", "--l-range", f"1:{2 * 10**308}", "--alpha", "auto"), 1,
+         "error: ell leaves the double range at n=2"),
+        (("table", "--n-range", "2:100000000", "--l-range", "1:1"), 1,
+         "error: n*C_n exceeds the double range at n=166;"
+         " exponent-scale formulas stop here"),
+        (("table", "--l-range", f"0:{2 * 10**308}"), 2,
+         "usage error: ell must be at least 1, got 0"),
+        (("table", "--n-range", "1:100000000", "--l-range", f"1:{2 * 10**308}"), 2,
+         "usage error: n must be at least 2, got 1"),
     ])
     def test_table_errors(self, capsys, argv, code, message):
         assert main(list(argv)) == code
@@ -385,6 +399,75 @@ class TestOutFile:
         assert captured.out == ""
         assert captured.err.startswith(f"error: cannot write {target}: ")
         assert captured.err.count("\n") == 1
+
+
+class TestParserReuse:
+    """main parses every argv with one parser, built on its first call."""
+
+    @pytest.fixture
+    def fresh_cache(self):
+        shared = cli._parser
+        shared.cache_clear()
+        yield
+        shared.cache_clear()
+
+    def test_one_parser_serves_every_command(self, capsys, monkeypatch, fresh_cache):
+        built = []
+        build = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build())
+        for argv in EVERY_COMMAND:
+            assert main(list(argv)) == 0, argv
+        assert built == [1]
+        assert cli.build_parser() is not cli.build_parser()  # other callers get their own
+
+    # (COLUMNS, argv): a valid run of every command, an argparse rejection,
+    # a usage error found after parsing, a computation error, and help at
+    # two widths, interleaved
+    SEQUENCE = [
+        (None, EVERY_COMMAND[0]),
+        ("40", ("--help",)),
+        (None, ("table", "--n-range", "x")),
+        (None, EVERY_COMMAND[1]),
+        (None, ("table", "--n-range", "1:3")),
+        ("200", ("--help",)),
+        (None, EVERY_COMMAND[2]),
+        (None, ("table", "--n-range", "165:166")),
+        ("40", ("table", "--help")),
+        (None, EVERY_COMMAND[3]),
+        (None, ()),
+        (None, EVERY_COMMAND[4]),
+        ("200", ("table", "--help")),
+        (None, ("verify", "--claim", "nope")),
+        (None, EVERY_COMMAND[5]),
+        (None, ("gap", "--n", "2")),
+        (None, EVERY_COMMAND[0] + ("--json",)),
+    ]
+
+    def outcomes(self, capsys, monkeypatch):
+        results = []
+        for columns, argv in self.SEQUENCE:
+            if columns is None:
+                monkeypatch.delenv("COLUMNS", raising=False)
+            else:
+                monkeypatch.setenv("COLUMNS", columns)
+            try:
+                code = main(list(argv))
+            except SystemExit as exc:
+                code = exc.code
+            captured = capsys.readouterr()
+            results.append((code, captured.out, captured.err))
+        return results
+
+    def test_interleaved_calls_match_a_fresh_parser(self, capsys, monkeypatch, fresh_cache):
+        shared = self.outcomes(capsys, monkeypatch)
+        monkeypatch.setattr(cli, "_parser", cli.build_parser)  # a new parser per call
+        fresh = self.outcomes(capsys, monkeypatch)
+        for (columns, argv), got, want in zip(self.SEQUENCE, shared, fresh):
+            assert got == want, (columns, argv)
+        codes = [code for code, _, _ in shared]
+        assert codes.count(0) == 11 and codes.count(1) == 1 and codes.count(2) == 5
+        # help reads COLUMNS when it is formatted, not when the parser was built
+        assert shared[1][1] != shared[5][1] and shared[8][1] != shared[12][1]
 
 
 class TestSingleShotCommands:

@@ -13,6 +13,7 @@ import pytest
 from scipy.integrate import quad
 
 from volgap import specials
+from volgap.claims import SuiteConfig, run_claim
 from volgap.logdomain import LogScalar, _log_sum
 from volgap.specials import (
     HalfInteger,
@@ -357,3 +358,21 @@ class TestIncrementalGamma:
         monkeypatch.undo()
         fresh = _GammaAtOne()
         assert [table.at(k) for k in range(1, 1201)] == [fresh.at(k) for k in range(1, 1201)]
+
+
+class TestLogConstantCache:
+    def test_a_long_sweep_stays_within_the_bound(self):
+        # CN_MONOTONE reads log C_n at every n of its grid, and n = 2 once
+        # more after the sweep has evicted it; the re-read has the same bits
+        verdict = run_claim("CN_MONOTONE", SuiteConfig(n_min=2, n_max=5000))
+        info = cly_constant_log.cache_info()
+        assert info.maxsize is not None and info.currsize <= info.maxsize
+        assert verdict.witnesses["log_c_first"] == ref_cly_log(2)
+
+    def test_the_2_to_400_grid_fits(self):
+        cly_constant_log.cache_clear()
+        for _ in range(2):
+            for n in range(2, 401):
+                cly_constant_log(n)
+        info = cly_constant_log.cache_info()
+        assert (info.hits, info.misses) == (399, 399)

@@ -198,6 +198,13 @@ def test_an_invalid_request_reads_only_a_few_items(n_range, ell_range, message):
     assert ns.reads + ells.reads <= 4
 
 
+@pytest.mark.parametrize("ells", [range(0, 2 * 10**308), range(2 * 10**308, -1, -1)], ids=["up", "down"])
+def test_a_range_is_decided_by_its_ends_invalid_first(ells):
+    # two checks, not 2*10^308; the invalid end wins over the one that overflows
+    with pytest.raises(ValueError, match="ell must be at least 1, got 0"):
+        build_gap_table(range(2, 5), ells, 1.43)
+
+
 def reference_cells(rows):
     """Each row's fields, formatted one row at a time with no memo."""
     sig = "{:.12g}".format
