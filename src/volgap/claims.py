@@ -1,37 +1,48 @@
 """Verification suite for the numerical claims behind the gap bounds.
 
-Every claim that the package's results rest on is expressed here as a
-pure function returning a ClaimVerdict, so the whole chain of
-assertions can be re-checked at any grid size from the CLI or from
-tests.  A verdict records the checked statement (the anchor), PASS or
-FAIL, the witness numbers that decide it, and the tolerance used when
-the statement is quantitative rather than a strict inequality.
+Every claim that the package's results rest on is one record in
+_CLAIMS, re-checked at any grid size from the CLI or from tests.  A
+verdict records the checked statement (the anchor), PASS or FAIL, the
+witness numbers that decide it, and the tolerance used when the
+statement is quantitative rather than a strict inequality.
 
-Claims never abort the suite: an evaluator that raises is reported as
+A record (_Claim) holds the anchor, the margins over the claim's domain
+(positive where it holds), strict or non-strict with its tolerance, how
+its witnesses are named from the fold, and its grid note.  One fold
+(_fold) reads every record: a NaN margin counts as -inf, and of equal
+margins the first point is kept.  It returns the worst margin, where it
+occurs, the first failing point and the point count, and the status
+comes from the worst margin, so a domain with no points passes.  A claim
+with no grid is a one-point domain whose point is the computed value.
+A new claim is one record plus its tests.
+
+Claims never abort the suite: an evaluation that raises is reported as
 ERROR with the exception text, and the remaining claims still run.  A
 grid claim whose grid the overflow cap leaves empty is ERROR too, with
 the cap note as its reason: a statement over no points is neither shown
 nor refuted.
 
-Each claim takes one argument, the run's private context: the
-SuiteConfig, the capped grid (one bounds.BoundKernel per n up to the
-overflow cap that bounds decides, from one bounds.capped_kernels call)
-and one gamma_n root per n, which ALPHA_STAR_BRACKET, GAMMAN_LE_13 and
-GAMMA2_GT_13 share.  A failed solve is not kept, so it errors only the
-claims that ask for its n.  The context lives for one run_claim_suite
-or run_claim call.  The grid claims over (n, ell) points fold a margin
-of (kernel, ell) by one reduction that keeps the smallest margin and
-the first point where it occurs.
-LEML_GPRIME_NEG checks its lemma on the values of g, not on the sign of
-g', which is -1 by construction: at each n, log g (solver._log_g) must
-strictly decrease across the in-domain samples beta = 0.05, ..., 3.0.
+Each record reads the run's private context (_Run): the SuiteConfig,
+the capped grid (one bounds.BoundKernel per n up to the overflow cap,
+from one bounds.capped_kernels call) and one gamma_n root per n, solved
+on first use and shared by ALPHA_STAR_BRACKET, GAMMAN_LE_13 and
+GAMMA2_GT_13.  A failed solve is not kept, so it errors only the claims
+that ask for its n.  The context lives for one run_claim_suite or
+run_claim call.  LEML_GPRIME_NEG checks its lemma on the values of g,
+not on the sign of g', which is -1 by construction: at each n, log g
+(solver._log_g) must strictly decrease across the in-domain samples
+beta = 0.05, ..., 3.0.
 """
 
 from __future__ import annotations
 
 import math
+from collections import namedtuple
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain
+from operator import sub
 
 from . import bounds, solver, spectral
 from .bounds import DEFAULT_ALPHA, GapVariant
@@ -39,6 +50,8 @@ from .specials import cly_constant, cly_constant_log
 
 _C3_REFERENCE = 3.58258102141221
 _THM1 = (GapVariant.THM1,)
+_LOG_165 = math.log(1.65)
+_BETAS = [0.05 * k for k in range(1, 61)]
 
 
 @dataclass(frozen=True)
@@ -96,14 +109,6 @@ class ClaimVerdict:
         return self.status == "PASS"
 
 
-def _verdict(claim_id, anchor, ok, witnesses, tolerance=None, grid_note=None):
-    return ClaimVerdict(
-        claim_id=claim_id, anchor=anchor,
-        status="PASS" if ok else "FAIL",
-        witnesses=witnesses, tolerance=tolerance, grid_note=grid_note,
-    )
-
-
 class _EmptyGrid(Exception):
     """The overflow cap left no n of the grid; the message says where it stopped."""
 
@@ -143,359 +148,344 @@ class _Run:
         return self._roots[n]
 
 
-def _reduce_grid(run: _Run, margin, start=math.inf):
-    """Fold margin(kernel, ell) over the (n, ell) grid, one kernel per n.
+# ------------------------------------------------------------ the fold
 
-    Returns (worst, at, grid_note): the smallest margin and its point.
-    Points are visited n first, then ell, and only a strictly smaller
-    margin moves the point, so ties keep the first.  A NaN margin counts
-    as -inf: the statement could not be checked there.  The point stays
-    (-1, -1) unless some margin falls below start.
+
+# what _fold found; a point is a tuple of coordinates, None where there is none
+_Fold = namedtuple("_Fold", "worst at first_bad points")
+
+
+def _fold(rows, holds) -> _Fold:
+    """Fold rows of (key, cols, margins): margins[i] is the margin at key + (cols[i],).
+
+    Rows are visited in order and only a strictly smaller margin moves
+    the worst point, so ties keep the first.  A NaN margin counts as
+    -inf.  first_bad is the first point where holds(margin) is false.
     """
-    config = run.config
-    kernels = run.kernels()
-    worst = start
-    at = (-1.0, -1.0)
-    for kernel in kernels:
-        for ell in range(config.ell_min, config.ell_max + 1):
-            m = margin(kernel, ell)
-            if m != m:
-                m = -math.inf
-            if m < worst:
-                worst, at = m, (float(kernel.n), float(ell))
-    grid = (
-        f"n in [{kernels[0].n}, {kernels[-1].n}], ell in [{config.ell_min}, {config.ell_max}],"
-        f" alpha = {config.alpha:g}"
-    )
-    return worst, at, run.grid_note(grid)
+    worst, at, first_bad, points = math.inf, None, None, 0
+    for key, cols, margins in rows:
+        if not margins:
+            continue
+        points += len(margins)
+        total = sum(margins)
+        if total != total:  # a NaN, or +inf and -inf together
+            margins = [m if m == m else -math.inf for m in margins]
+        lo = min(margins)
+        if at is None or lo < worst:
+            worst, at = lo, key + (cols[margins.index(lo)],)
+        if first_bad is None and not holds(lo):
+            first_bad = key + (next(c for c, m in zip(cols, margins) if not holds(m)),)
+    return _Fold(worst, at, first_bad, points)
 
 
-# ---------------------------------------------------------------- claims
+@dataclass(frozen=True)
+class _Claim:
+    """One claim: its anchor, its margins, its verdict rule, its witnesses and its grid note.
+
+    margins(run) gives the rows that _fold reads.  A strict claim holds
+    where every margin is > 0, a non-strict one where every margin is
+    >= -tolerance (0 if None); the verdict reports tolerance either way.
+    witnesses(run, fold) names the witness numbers.  note is the grid
+    note, or a function of (run, fold) that gives it.
+    """
+
+    anchor: str
+    margins: Callable
+    witnesses: Callable
+    strict: bool = True
+    tolerance: float | None = None
+    note: str | Callable | None = None
 
 
-def _claim_lem3_trace_bound(run: _Run) -> ClaimVerdict:
-    anchor = (
-        "sum_k m_k e^(-lambda_k t) <= 1 + (n+1) e^(-n t) + (C_n / t) e^(-n t)"
-        " for the round n-sphere whenever t >= 1"
-    )
-    worst = math.inf
-    worst_at = (0, 0.0)
-    points = 0
-    for n in range(2, 11):
-        for j in range(37):  # t = 1, 1.25, ..., 10
-            t = 1.0 + 0.25 * j
-            trace = spectral.heat_trace(n, t).value
-            margin = spectral.trace_bound(n, t) - trace
-            points += 1
-            if margin < worst:
-                worst = margin
-                worst_at = (n, t)
-    return _verdict(
-        "LEM3_TRACE_BOUND", anchor, worst >= 0.0,
-        {
-            "min_margin": worst,
-            "at_n": float(worst_at[0]),
-            "at_t": worst_at[1],
-            "points": float(points),
-        },
-        grid_note="n in [2, 10], t in {1, 1.25, ..., 10}",
-    )
+def _one(value, margin):
+    """A one-point domain: the point is the computed value itself."""
+    return (((), (value,), [margin(value)]),)
 
 
-def _claim_c3_approx(run: _Run) -> ClaimVerdict:
-    anchor = "C_3 = 3^(3/2) e Gamma(3/2, 1) / 2 = 3.58258102141221 to 1e-12"
-    computed = cly_constant(3) * run.config.cn_scale
-    diff = abs(computed - _C3_REFERENCE)
-    return _verdict(
-        "C3_APPROX", anchor, diff <= 1e-12,
-        {"computed": computed, "reference": _C3_REFERENCE, "abs_diff": diff},
-        tolerance=1e-12,
-    )
+def _over(ns, margin):
+    """A one-row domain: margin(n) at each n of ns."""
+    return (((), ns, [margin(n) for n in ns]),)
 
 
-def _claim_c4_exact(run: _Run) -> ClaimVerdict:
-    anchor = "C_4 = 4^2 e Gamma(2, 1) / 2 = 16 exactly, even in floating point"
-    computed = cly_constant(4) * run.config.cn_scale
-    return _verdict(
-        "C4_EXACT", anchor, computed == 16.0,
-        {"computed": computed, "reference": 16.0},
-        tolerance=0.0,
-    )
+def _falls(ns, values):
+    """A one-row domain over ns[1:]: values[i - 1] - values[i], positive where values fall."""
+    return (((), ns[1:], list(map(sub, values, values[1:]))),)
 
 
-def _claim_cn_monotone(run: _Run) -> ClaimVerdict:
-    anchor = "C_(n+1) > C_n for every n >= 2 (checked in log form)"
-    config = run.config
-    prev = cly_constant_log(config.n_min).log_mag
-    first_bad = -1.0
-    for n in range(config.n_min + 1, config.n_max + 1):
-        cur = cly_constant_log(n).log_mag
-        if not (cur > prev):
-            first_bad = float(n)
-            break
-        prev = cur
-    return _verdict(
-        "CN_MONOTONE", anchor, first_bad < 0.0,
-        {
-            "log_c_first": cly_constant_log(config.n_min).log_mag,
-            "log_c_last": cly_constant_log(config.n_max).log_mag,
-            "first_violation_n": first_bad,
-        },
-        grid_note=f"n in [{config.n_min}, {config.n_max}]",
-    )
+def _grid(row):
+    """Margins over the capped (n, ell) grid; row(kernel, ells) gives one n's."""
+
+    def margins(run):
+        ells = range(run.config.ell_min, run.config.ell_max + 1)
+        return (((k.n,), ells, row(k, ells)) for k in run.kernels())
+
+    return margins
 
 
-def _claim_h_sign_142(run: _Run) -> ClaimVerdict:
-    anchor = "h(a) = 4 + (1 + 2a - 2a^2) e^(2a) is positive at a = 1.42"
-    value = solver.h(1.42)
-    return _verdict("H_SIGN_142", anchor, value > 0.0, {"h_142": value})
+def _coord(point, i: int) -> float:
+    """Coordinate i of a fold point as a witness; -1 where there is no point."""
+    return -1.0 if point is None else float(point[i])
 
 
-def _claim_h_sign_144(run: _Run) -> ClaimVerdict:
-    anchor = "h(a) = 4 + (1 + 2a - 2a^2) e^(2a) is negative at a = 1.44"
-    value = solver.h(1.44)
-    return _verdict("H_SIGN_144", anchor, value < 0.0, {"h_144": value})
+def _grid_point(at) -> dict:
+    return {"at_n": _coord(at, 0), "at_ell": _coord(at, 1)}
 
 
-def _claim_alpha_star_bracket(run: _Run) -> ClaimVerdict:
-    anchor = (
-        "the maximiser gamma_n of (a - 1)/B_(n,a) lies strictly between 1 and 1.43"
-        " for every n, with defining-equation residual at most 1e-9"
-    )
-    ns = [kernel.n for kernel in run.kernels()]
-    ok = True
-    witnesses = {}
-    worst_res = 0.0
-    min_excess = math.inf
-    max_excess = -math.inf
-    for n in ns:
-        r = run.gamma(n)
-        if n == 2:
-            witnesses["gamma_2"] = r.value
-        worst_res = max(worst_res, abs(r.residual))
-        min_excess = min(min_excess, r.root)
-        max_excess = max(max_excess, r.root)
-        inside = 0.0 < r.root < 0.43 and r.bracket_lo <= r.root <= r.bracket_hi
-        if not inside or abs(r.residual) > 1e-9:
-            ok = False
-    grid = f"n in [{ns[0]}, {ns[-1]}], ell = 1"
-    witnesses.update(max_abs_residual=worst_res, min_excess=min_excess, max_excess=max_excess)
-    return _verdict(
-        "ALPHA_STAR_BRACKET", anchor, ok, witnesses,
-        tolerance=1e-9,
-        grid_note=run.grid_note(grid),
-    )
+def _ns(run, lo: int = 2) -> list[int]:
+    """The n >= lo of the capped grid."""
+    return [k.n for k in run.kernels() if k.n >= lo]
 
 
-def _claim_ratio_165(run: _Run) -> ClaimVerdict:
-    anchor = (
-        "at n = 2, ell = 1 the tuned excess with alpha = 1.43 exceeds the"
-        " classical excess by a factor greater than 1.65"
-    )
-    # the anchor fixes alpha, as H_SIGN_142 fixes its constant
-    ratio = math.exp(bounds.log_improvement_vs_cly(2, 1, DEFAULT_ALPHA))
-    return _verdict(
-        "RATIO_165", anchor, ratio > 1.65,
-        {"ratio": ratio, "alpha": DEFAULT_ALPHA},
-    )
+def _capped(run, grid: str) -> str:
+    """'n in [first, last]' of the capped grid, then grid, then the cap note."""
+    ns = _ns(run)
+    return run.grid_note(f"n in [{ns[0]}, {ns[-1]}]{grid}")
 
 
-def _claim_gamma2_gt_13(run: _Run) -> ClaimVerdict:
-    anchor = "gamma_2 > 1.3"
-    r = run.gamma(2)
-    return _verdict("GAMMA2_GT_13", anchor, r.root > 0.3, {"gamma_2": r.value})
+def _grid_note(run, f) -> str:
+    c = run.config
+    return _capped(run, f", ell in [{c.ell_min}, {c.ell_max}], alpha = {c.alpha:g}")
 
 
-def _claim_gamman_le_13(run: _Run) -> ClaimVerdict:
-    anchor = "gamma_n < 1.3 for every n >= 3"
-    ns = [kernel.n for kernel in run.kernels() if kernel.n >= 3]
-    roots = [run.gamma(n).root for n in ns]
+def _bracket_margin(r) -> float:
+    """-|residual| inside the open bracket (1, 1.43) and the solver's own; -inf outside."""
+    inside = 0.0 < r.root < 0.43 and r.bracket_lo <= r.root <= r.bracket_hi
+    return -abs(r.residual) if inside else -math.inf
+
+
+def _bracket_witnesses(run, f) -> dict:
+    ns = _ns(run)
+    roots = [run.gamma(n) for n in ns]
+    return {
+        **({"gamma_2": roots[0].value} if ns[0] == 2 else {}),
+        "max_abs_residual": max(abs(r.residual) for r in roots),
+        "min_excess": min(r.root for r in roots),
+        "max_excess": max(r.root for r in roots),
+    }
+
+
+def _gamman_note(run, f) -> str:
+    ns = _ns(run, 3)
     # a vacuous grid has no largest gamma_n to report
-    grid = f"n in [3, {ns[-1]}]" if ns else "vacuous: no n >= 3 in grid"
-    return _verdict(
-        "GAMMAN_LE_13", anchor, all(root < 0.3 for root in roots),
-        {"max_gamma_from_3": 1.0 + max(roots)} if ns else {},
-        grid_note=run.grid_note(grid),
-    )
+    return run.grid_note(f"n in [3, {ns[-1]}]" if ns else "vacuous: no n >= 3 in grid")
 
 
-def _claim_tilde_gamma3_lt_11(run: _Run) -> ClaimVerdict:
-    anchor = "the positive root of 3 C_3 x^2 - 3 C_3 x - 1 lies in (1, 1.1)"
-    value = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 / (3.0 * cly_constant(3))))
-    return _verdict(
-        "TILDE_GAMMA3_LT_11", anchor, 1.0 < value < 1.1, {"root": value},
-    )
-
-
-def _claim_phi3_gt_2(run: _Run) -> ClaimVerdict:
-    anchor = "phi_3(1.3) = 3 C_3 (1.3)(0.3) - 1 exceeds 2"
-    value = 3.0 * cly_constant(3) * 1.3 * 0.3 - 1.0
-    return _verdict("PHI3_GT_2", anchor, value > 2.0, {"phi3_at_1_3": value})
-
-
-def _claim_psi_decreasing(run: _Run) -> ClaimVerdict:
-    anchor = "(n + 2) e^(-20 n) strictly decreases for n in [4, 200]"
-    # compared in log form: psi is down at 1e-34 already at n = 4
-    logs = {n: math.log(n + 2.0) - 20.0 * n for n in range(4, 201)}
-    first_bad = next((float(n) for n in range(5, 201) if not logs[n] < logs[n - 1]), -1.0)
-    return _verdict(
-        "PSI_DECREASING", anchor, first_bad < 0.0,
-        {"log10_at_n4": logs[4] / math.log(10.0), "first_violation_n": first_bad},
-        grid_note="n in [4, 200]",
-    )
-
-
-def _claim_rhs_gt_20(run: _Run) -> ClaimVerdict:
-    anchor = "4 C_4 (1.3)(0.3) - 1 = 23.96 exceeds 20"
-    value = 4.0 * cly_constant(4) * 1.3 * 0.3 - 1.0
-    return _verdict("RHS_GT_20", anchor, value > 20.0, {"value": value})
-
-
-def _claim_leml_gprime_neg(run: _Run) -> ClaimVerdict:
-    anchor = (
-        "g(b) = (n + 1 + (1+B) e^B)/(b^2 n C_n e^B - 1) has negative derivative"
-        " throughout its domain b^2 n C_n e^B > 1, with B = b n C_n"
-    )
-    kernels = run.kernels()
-    betas = [0.05 * k for k in range(1, 61)]
-    log_g = solver._log_g
-    in_domain = 0
-    bad_n = bad_beta = -1.0
-    for kernel in kernels:
-        n, ncn = kernel.n, kernel.nc
-        # the first value is checked against +inf, so NaN or inf fails it
-        prev = math.inf
-        for beta in betas:
-            if not solver._in_g_domain(beta, ncn):
-                continue
-            in_domain += 1
-            cur = log_g(beta, n, ncn)
-            if not cur < prev and bad_n < 0.0:
-                bad_n, bad_beta = float(n), beta
-            prev = cur
-    grid = f"n in [{kernels[0].n}, {kernels[-1].n}], beta in {{0.05, ..., 3.0}}"
-    return _verdict(
-        "LEML_GPRIME_NEG", anchor, bad_n < 0.0 and in_domain > 0,
-        {
-            "in_domain_points": float(in_domain),
-            "first_bad_beta": bad_beta,
-            "first_bad_n": bad_n,
-        },
-        grid_note=run.grid_note(grid),
-    )
-
-
-def _claim_final_ineq(run: _Run) -> ClaimVerdict:
-    anchor = (
-        "alpha n (n + 3) C_n + log(ell) - log(n + ell + 3) stays positive"
-        " on the whole parameter grid"
-    )
-    worst, at, grid = _reduce_grid(
-        run, lambda kernel, ell: bounds._final_inequality_log_margin(kernel.n, ell, kernel.anc)
-    )
-    return _verdict(
-        "FINAL_INEQ", anchor, worst > 0.0,
-        {"min_log_margin": worst, "at_n": at[0], "at_ell": at[1]},
-        grid_note=grid,
-    )
-
-
-def _claim_gap_order_thm1_cly(run: _Run) -> ClaimVerdict:
-    anchor = (
-        "the tuned excess exceeds 1.65 times the classical excess at every"
-        " grid point (compared in log form; the margin grows with n)"
-    )
-    floor = math.log(1.65)
-    worst, at, grid = _reduce_grid(
-        run, lambda kernel, ell: kernel.logs(ell, _THM1)[0][2] - floor
-    )
+def _ratio_at_min(worst: float) -> float:
+    """exp(worst) times 1.65; inf where that leaves the double range."""
     try:
-        ratio = math.exp(worst + floor)
+        return math.exp(worst + _LOG_165)
     except OverflowError:  # every ratio on the grid leaves the double range
-        ratio, grid = math.inf, f"{grid}; ratio_at_min exceeds the double range"
-    return _verdict(
-        "GAP_ORDER_THM1_CLY", anchor, worst > 0.0,
-        {
-            "min_log_margin_over_165": worst,
-            "at_n": at[0],
-            "at_ell": at[1],
-            "ratio_at_min": ratio,
-        },
-        grid_note=grid,
-    )
+        return math.inf
 
 
-def _claim_gap_order_thm2_thm1(run: _Run) -> ClaimVerdict:
-    anchor = (
-        "case (i) strictly improves on the tuned bound (its correction term is"
-        " positive) and case (ii) strictly exceeds twice the tuned excess"
-    )
-
-    def margin(kernel, ell):
-        # a correction term that vanished fails the point outright
-        if kernel.log_case1_correction(ell) == -math.inf:
-            return -math.inf
-        return bounds.case2_vs_doubled_thm1_log_margin(kernel.n, ell, kernel.tuning)
-
-    worst, at, grid = _reduce_grid(run, margin)
-    ok = worst > 0.0
-    bad = (-1.0, -1.0) if ok else at
-    return _verdict(
-        "GAP_ORDER_THM2_THM1", anchor, ok,
-        {
-            "min_case2_log_margin": worst,
-            "first_bad_n": bad[0],
-            "first_bad_ell": bad[1],
-        },
-        grid_note=grid,
-    )
+def _lem3_rows(run):
+    ts = [1.0 + 0.25 * j for j in range(37)]  # t = 1, 1.25, ..., 10
+    for n in range(2, 11):
+        yield (n,), ts, [spectral.trace_bound(n, t) - spectral.heat_trace(n, t).value for t in ts]
 
 
-def _claim_thm6_consistency(run: _Run) -> ClaimVerdict:
-    anchor = (
-        "the minimal-volume excess computed from the multiplicity route at"
-        " k = n + ell + 1, t = alpha n C_n reproduces the tuned excess"
-    )
+def _leml_rows(run):
+    log_g, in_domain = solver._log_g, solver._in_g_domain
+    for kernel in run.kernels():
+        n, ncn = kernel.n, kernel.nc
+        betas = [beta for beta in _BETAS if in_domain(beta, ncn)]
+        logs = [log_g(beta, n, ncn) for beta in betas]
+        # the first value is checked against +inf, so NaN or inf fails it
+        yield (n,), betas, list(map(sub, chain((math.inf,), logs), logs))
 
-    def margin(kernel, ell):
-        # minus the relative log difference; -inf if the route is not positive
-        direct = kernel.logs(ell, _THM1)[0][1]
-        k = kernel.n + ell + 1
-        routed = bounds._log_multiplicity_excess(kernel.n, kernel.nc, k, kernel.anc)
-        return -abs(direct - routed) / max(1.0, abs(direct))
 
-    # start at 0: the point names the largest difference, if any is nonzero
-    worst, at, grid = _reduce_grid(run, margin, start=0.0)
-    max_rel = abs(worst)
-    # the two routes agree to rounding; config.tol sets the root solves only
-    return _verdict(
-        "THM6_CONSISTENCY", anchor, max_rel <= 1e-12,
-        {"max_rel_log_diff": max_rel, "at_n": at[0], "at_ell": at[1]},
-        tolerance=1e-12,
-        grid_note=grid,
-    )
+def _final_row(kernel, ells) -> list[float]:
+    margin, n, anc = bounds._final_inequality_log_margin, kernel.n, kernel.anc
+    return [margin(n, ell, anc) for ell in ells]
+
+
+def _ratio_row(kernel, ells) -> list[float]:
+    logs = kernel.logs
+    return [logs(ell, _THM1)[0][2] - _LOG_165 for ell in ells]
+
+
+def _case2_row(kernel, ells) -> list[float]:
+    margin, correction = bounds.case2_vs_doubled_thm1_log_margin, kernel.log_case1_correction
+    n, tuning = kernel.n, kernel.tuning
+    # a correction term that vanished fails the point outright
+    return [-math.inf if correction(ell) == -math.inf else margin(n, ell, tuning) for ell in ells]
+
+
+def _thm6_row(kernel, ells) -> list[float]:
+    # minus the relative log difference; -inf if the route is not positive
+    logs, route = kernel.logs, bounds._log_multiplicity_excess
+    n, nc, anc = kernel.n, kernel.nc, kernel.anc
+    out = []
+    for ell in ells:
+        direct = logs(ell, _THM1)[0][1]
+        out.append(-abs(direct - route(n, nc, n + ell + 1, anc)) / max(1.0, abs(direct)))
+    return out
+
+
+def _cn_rows(run):
+    ns = range(run.config.n_min, run.config.n_max + 1)
+    # C_n rises where -log C_n falls
+    return _falls(ns, [-cly_constant_log(n).log_mag for n in ns])
+
+
+def _log_psi(n: int) -> float:
+    return math.log(n + 2.0) - 20.0 * n
 
 
 _CLAIMS = {
-    "ALPHA_STAR_BRACKET": _claim_alpha_star_bracket,
-    "C3_APPROX": _claim_c3_approx,
-    "C4_EXACT": _claim_c4_exact,
-    "CN_MONOTONE": _claim_cn_monotone,
-    "FINAL_INEQ": _claim_final_ineq,
-    "GAMMA2_GT_13": _claim_gamma2_gt_13,
-    "GAMMAN_LE_13": _claim_gamman_le_13,
-    "GAP_ORDER_THM1_CLY": _claim_gap_order_thm1_cly,
-    "GAP_ORDER_THM2_THM1": _claim_gap_order_thm2_thm1,
-    "H_SIGN_142": _claim_h_sign_142,
-    "H_SIGN_144": _claim_h_sign_144,
-    "LEM3_TRACE_BOUND": _claim_lem3_trace_bound,
-    "LEML_GPRIME_NEG": _claim_leml_gprime_neg,
-    "PHI3_GT_2": _claim_phi3_gt_2,
-    "PSI_DECREASING": _claim_psi_decreasing,
-    "RATIO_165": _claim_ratio_165,
-    "RHS_GT_20": _claim_rhs_gt_20,
-    "THM6_CONSISTENCY": _claim_thm6_consistency,
-    "TILDE_GAMMA3_LT_11": _claim_tilde_gamma3_lt_11,
+    "ALPHA_STAR_BRACKET": _Claim(
+        "the maximiser gamma_n of (a - 1)/B_(n,a) lies strictly between 1 and 1.43"
+        " for every n, with defining-equation residual at most 1e-9",
+        lambda run: _over(_ns(run), lambda n: _bracket_margin(run.gamma(n))),
+        _bracket_witnesses, strict=False, tolerance=1e-9,
+        note=lambda run, f: _capped(run, ", ell = 1"),
+    ),
+    "C3_APPROX": _Claim(
+        "C_3 = 3^(3/2) e Gamma(3/2, 1) / 2 = 3.58258102141221 to 1e-12",
+        lambda run: _one(cly_constant(3) * run.config.cn_scale, lambda c: -abs(c - _C3_REFERENCE)),
+        lambda run, f: {
+            "computed": f.at[0], "reference": _C3_REFERENCE, "abs_diff": abs(f.at[0] - _C3_REFERENCE),
+        },
+        strict=False, tolerance=1e-12,
+    ),
+    "C4_EXACT": _Claim(
+        "C_4 = 4^2 e Gamma(2, 1) / 2 = 16 exactly, even in floating point",
+        lambda run: _one(cly_constant(4) * run.config.cn_scale, lambda c: -abs(c - 16.0)),
+        lambda run, f: {"computed": f.at[0], "reference": 16.0}, strict=False, tolerance=0.0,
+    ),
+    "CN_MONOTONE": _Claim(
+        "C_(n+1) > C_n for every n >= 2 (checked in log form)",
+        _cn_rows,
+        lambda run, f: {
+            "log_c_first": cly_constant_log(run.config.n_min).log_mag,
+            "log_c_last": cly_constant_log(run.config.n_max).log_mag,
+            "first_violation_n": _coord(f.first_bad, 0),
+        },
+        note=lambda run, f: f"n in [{run.config.n_min}, {run.config.n_max}]",
+    ),
+    "FINAL_INEQ": _Claim(
+        "alpha n (n + 3) C_n + log(ell) - log(n + ell + 3) stays positive"
+        " on the whole parameter grid",
+        _grid(_final_row),
+        lambda run, f: {"min_log_margin": f.worst, **_grid_point(f.at)},
+        note=_grid_note,
+    ),
+    "GAMMA2_GT_13": _Claim(
+        "gamma_2 > 1.3",
+        lambda run: _one(run.gamma(2), lambda r: r.root - 0.3),
+        lambda run, f: {"gamma_2": f.at[0].value},
+    ),
+    "GAMMAN_LE_13": _Claim(
+        "gamma_n < 1.3 for every n >= 3",
+        lambda run: _over(_ns(run, 3), lambda n: 0.3 - run.gamma(n).root),
+        lambda run, f: {
+            "max_gamma_from_3": 1.0 + max(run.gamma(n).root for n in _ns(run, 3)),
+        } if f.points else {},
+        note=_gamman_note,
+    ),
+    "GAP_ORDER_THM1_CLY": _Claim(
+        "the tuned excess exceeds 1.65 times the classical excess at every"
+        " grid point (compared in log form; the margin grows with n)",
+        _grid(_ratio_row),
+        lambda run, f: {
+            "min_log_margin_over_165": f.worst,
+            **_grid_point(f.at),
+            "ratio_at_min": _ratio_at_min(f.worst),
+        },
+        note=lambda run, f: _grid_note(run, f) + (
+            "; ratio_at_min exceeds the double range" if _ratio_at_min(f.worst) == math.inf else ""
+        ),
+    ),
+    "GAP_ORDER_THM2_THM1": _Claim(
+        "case (i) strictly improves on the tuned bound (its correction term is"
+        " positive) and case (ii) strictly exceeds twice the tuned excess",
+        _grid(_case2_row),
+        lambda run, f: {
+            "min_case2_log_margin": f.worst,
+            "first_bad_n": _coord(f.first_bad, 0),
+            "first_bad_ell": _coord(f.first_bad, 1),
+        },
+        note=_grid_note,
+    ),
+    "H_SIGN_142": _Claim(
+        "h(a) = 4 + (1 + 2a - 2a^2) e^(2a) is positive at a = 1.42",
+        lambda run: _one(solver.h(1.42), lambda h: h), lambda run, f: {"h_142": f.at[0]},
+    ),
+    "H_SIGN_144": _Claim(
+        "h(a) = 4 + (1 + 2a - 2a^2) e^(2a) is negative at a = 1.44",
+        lambda run: _one(solver.h(1.44), lambda h: -h), lambda run, f: {"h_144": f.at[0]},
+    ),
+    "LEM3_TRACE_BOUND": _Claim(
+        "sum_k m_k e^(-lambda_k t) <= 1 + (n+1) e^(-n t) + (C_n / t) e^(-n t)"
+        " for the round n-sphere whenever t >= 1",
+        _lem3_rows,
+        lambda run, f: {
+            "min_margin": f.worst,
+            "at_n": _coord(f.at, 0),
+            "at_t": _coord(f.at, 1),
+            "points": float(f.points),
+        },
+        strict=False, note="n in [2, 10], t in {1, 1.25, ..., 10}",
+    ),
+    "LEML_GPRIME_NEG": _Claim(
+        "g(b) = (n + 1 + (1+B) e^B)/(b^2 n C_n e^B - 1) has negative derivative"
+        " throughout its domain b^2 n C_n e^B > 1, with B = b n C_n",
+        _leml_rows,
+        lambda run, f: {
+            "in_domain_points": float(f.points),
+            "first_bad_beta": _coord(f.first_bad, 1),
+            "first_bad_n": _coord(f.first_bad, 0),
+        },
+        note=lambda run, f: _capped(run, ", beta in {0.05, ..., 3.0}"),
+    ),
+    "PHI3_GT_2": _Claim(
+        "phi_3(1.3) = 3 C_3 (1.3)(0.3) - 1 exceeds 2",
+        lambda run: _one(3.0 * cly_constant(3) * 1.3 * 0.3 - 1.0, lambda v: v - 2.0),
+        lambda run, f: {"phi3_at_1_3": f.at[0]},
+    ),
+    "PSI_DECREASING": _Claim(
+        "(n + 2) e^(-20 n) strictly decreases for n in [4, 200]",
+        # compared in log form: psi is down at 1e-34 already at n = 4
+        lambda run: _falls(range(4, 201), [_log_psi(n) for n in range(4, 201)]),
+        lambda run, f: {
+            "log10_at_n4": _log_psi(4) / math.log(10.0),
+            "first_violation_n": _coord(f.first_bad, 0),
+        },
+        note="n in [4, 200]",
+    ),
+    "RATIO_165": _Claim(
+        "at n = 2, ell = 1 the tuned excess with alpha = 1.43 exceeds the"
+        " classical excess by a factor greater than 1.65",
+        # the anchor fixes alpha, as H_SIGN_142 fixes its constant
+        lambda run: _one(
+            math.exp(bounds.log_improvement_vs_cly(2, 1, DEFAULT_ALPHA)), lambda r: r - 1.65
+        ),
+        lambda run, f: {"ratio": f.at[0], "alpha": DEFAULT_ALPHA},
+    ),
+    "RHS_GT_20": _Claim(
+        "4 C_4 (1.3)(0.3) - 1 = 23.96 exceeds 20",
+        lambda run: _one(4.0 * cly_constant(4) * 1.3 * 0.3 - 1.0, lambda v: v - 20.0),
+        lambda run, f: {"value": f.at[0]},
+    ),
+    "THM6_CONSISTENCY": _Claim(
+        "the minimal-volume excess computed from the multiplicity route at"
+        " k = n + ell + 1, t = alpha n C_n reproduces the tuned excess",
+        _grid(_thm6_row),
+        # the point names the largest difference, if any is nonzero
+        lambda run, f: {
+            "max_rel_log_diff": abs(f.worst), **_grid_point(f.at if f.worst < 0.0 else None),
+        },
+        # the two routes agree to rounding; config.tol sets the root solves only
+        strict=False, tolerance=1e-12, note=_grid_note,
+    ),
+    "TILDE_GAMMA3_LT_11": _Claim(
+        "the positive root of 3 C_3 x^2 - 3 C_3 x - 1 lies in (1, 1.1)",
+        lambda run: _one(
+            0.5 * (1.0 + math.sqrt(1.0 + 4.0 / (3.0 * cly_constant(3)))),
+            lambda x: min(x - 1.0, 1.1 - x),
+        ),
+        lambda run, f: {"root": f.at[0]},
+    ),
 }
 
 
@@ -512,9 +502,15 @@ def run_claim(claim_id: str, config: SuiteConfig | None = None) -> ClaimVerdict:
     if claim_id not in _CLAIMS:
         raise KeyError(f"unknown claim id {claim_id!r}; known: {', '.join(claim_ids())}")
     run = config if isinstance(config, _Run) else _Run(config or SuiteConfig())
-    fn = _CLAIMS[claim_id]
+    claim = _CLAIMS[claim_id]
+    floor = -(claim.tolerance or 0.0)
+    holds = (lambda m: m > 0.0) if claim.strict else (lambda m: m >= floor)
     try:
-        return fn(run)
+        f = _fold(claim.margins(run), holds)
+        note = claim.note(run, f) if callable(claim.note) else claim.note
+        status = "PASS" if holds(f.worst) else "FAIL"
+        witnesses = claim.witnesses(run, f)
+        return ClaimVerdict(claim_id, claim.anchor, status, witnesses, claim.tolerance, note)
     except _EmptyGrid as exc:
         anchor, note = "the capped grid holds no point to check the statement at", str(exc)
     except Exception as exc:  # verdicts must outlive any single failure

@@ -7,11 +7,12 @@ import math
 import mpmath
 import pytest
 
-from volgap import bounds, solver
+from volgap import bounds, solver, spectral
 from volgap.claims import (
     ClaimVerdict,
     SuiteConfig,
     _CLAIMS,
+    _Claim,
     claim_ids,
     run_claim,
     run_claim_suite,
@@ -111,16 +112,84 @@ def test_perturbed_witnesses_show_the_drift():
     assert v.witnesses["computed"] == pytest.approx(16.016, rel=1e-12)
 
 
-def test_exception_becomes_error_verdict(monkeypatch):
-    def boom(config):
-        raise OverflowError("synthetic blowup")
+class TestFold:
+    """The one fold and verdict rule every record goes through, on synthetic records."""
 
-    monkeypatch.setitem(_CLAIMS, "CN_MONOTONE", boom)
-    v = run_claim("CN_MONOTONE", SMALL)
-    assert v.status == "ERROR"
-    assert "OverflowError" in v.grid_note
-    assert "synthetic blowup" in v.grid_note
-    assert not suite_passed(run_claim_suite(SMALL))
+    @staticmethod
+    def verdict(monkeypatch, rows, **kwargs):
+        # the witnesses are the fold itself: worst, at, first_bad, points
+        claim = _Claim("synthetic", lambda run: rows, lambda run, f: f._asdict(), **kwargs)
+        monkeypatch.setitem(_CLAIMS, "SYNTHETIC", claim)
+        return run_claim("SYNTHETIC", SMALL)
+
+    def test_nan_counts_as_minus_inf(self, monkeypatch):
+        v = self.verdict(monkeypatch, [((2,), [1, 2, 3], [1.0, math.nan, 0.5])])
+        assert v.status == "FAIL"
+        assert v.witnesses == {"worst": -math.inf, "at": (2, 2), "first_bad": (2, 2), "points": 3}
+
+    def test_a_nan_fails_a_non_strict_claim_too(self, monkeypatch):
+        v = self.verdict(monkeypatch, [((), [1, 2], [0.0, math.nan])], strict=False, tolerance=1e-9)
+        assert v.status == "FAIL"
+        assert v.witnesses["at"] == (2,)
+
+    def test_a_tie_keeps_the_first_point(self, monkeypatch):
+        rows = [((2,), [1, 2, 3], [3.0, 1.0, 1.0]), ((3,), [1, 2, 3], [1.0, 2.0, 1.0])]
+        v = self.verdict(monkeypatch, rows)
+        assert v.status == "PASS"
+        assert v.witnesses == {"worst": 1.0, "at": (2, 2), "first_bad": None, "points": 6}
+
+    def test_first_failing_point_is_not_the_worst(self, monkeypatch):
+        rows = [((2,), [1, 2], [0.5, -1.0]), ((3,), [1, 2], [-5.0, -1.0])]
+        v = self.verdict(monkeypatch, rows)
+        assert v.status == "FAIL"
+        assert (v.witnesses["first_bad"], v.witnesses["at"]) == ((2, 2), (3, 1))
+        assert v.witnesses["worst"] == -5.0
+
+    @pytest.mark.parametrize("rows", [[], [((2,), [], [])]], ids=["no-rows", "empty-row"])
+    def test_a_domain_with_no_points_passes(self, monkeypatch, rows):
+        v = self.verdict(monkeypatch, rows)
+        assert v.status == "PASS"
+        assert v.witnesses == {"worst": math.inf, "at": None, "first_bad": None, "points": 0}
+
+    @pytest.mark.parametrize("margin, kwargs, status", [
+        (0.0, {}, "FAIL"),  # strict: margin > 0
+        (5e-324, {}, "PASS"),
+        (0.0, {"strict": False}, "PASS"),  # non-strict, no tolerance: margin >= 0
+        (-5e-324, {"strict": False}, "FAIL"),
+        (-1e-9, {"strict": False, "tolerance": 1e-9}, "PASS"),  # margin >= -tolerance
+        (math.nextafter(-1e-9, -1.0), {"strict": False, "tolerance": 1e-9}, "FAIL"),
+    ])
+    def test_strict_and_non_strict_at_the_edge(self, monkeypatch, margin, kwargs, status):
+        v = self.verdict(monkeypatch, [((), [0], [margin])], **kwargs)
+        assert v.status == status
+        assert v.tolerance == kwargs.get("tolerance")
+        assert v.witnesses["first_bad"] == (None if status == "PASS" else (0,))
+
+    def test_an_exception_becomes_an_error_verdict(self, monkeypatch):
+        def boom(run):
+            raise OverflowError("synthetic blowup")
+
+        monkeypatch.setitem(_CLAIMS, "CN_MONOTONE", _Claim("synthetic", boom, lambda run, f: {}))
+        v = run_claim("CN_MONOTONE", SMALL)
+        assert v == ClaimVerdict(
+            "CN_MONOTONE", "evaluation failed before the statement could be checked", "ERROR",
+            witnesses={}, grid_note="OverflowError: synthetic blowup",
+        )
+        assert not suite_passed(run_claim_suite(SMALL))
+
+
+def test_lem3_fails_where_the_trace_is_nan(monkeypatch):
+    trace = spectral.heat_trace
+
+    def nan_at_4_2(n, t):
+        result = trace(n, t)
+        return dataclasses.replace(result, value=math.nan) if (n, t) == (4, 2.0) else result
+
+    monkeypatch.setattr(spectral, "heat_trace", nan_at_4_2)
+    v = run_claim("LEM3_TRACE_BOUND", SMALL)
+    assert v.status == "FAIL"
+    assert v.witnesses["min_margin"] == -math.inf
+    assert (v.witnesses["at_n"], v.witnesses["at_t"]) == (4.0, 2.0)
 
 
 def test_vacuous_gamma_range_still_passes():
