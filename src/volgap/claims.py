@@ -267,7 +267,7 @@ def _bracket_witnesses(run, f) -> dict:
 def _gamman_note(run, f) -> str:
     ns = _ns(run, 3)
     # a vacuous grid has no largest gamma_n to report
-    return run.grid_note(f"n in [3, {ns[-1]}]" if ns else "vacuous: no n >= 3 in grid")
+    return run.grid_note(f"n in [{ns[0]}, {ns[-1]}]" if ns else "vacuous: no n >= 3 in grid")
 
 
 def _ratio_at_min(worst: float) -> float:

@@ -199,6 +199,17 @@ def test_vacuous_gamma_range_still_passes():
     assert v.grid_note is not None
 
 
+@pytest.mark.parametrize("n_min, n_max, note", [
+    (2, 30, "n in [3, 30]"),
+    (10, 20, "n in [10, 20]"),
+    (160, 200, "n in [160, 164]; n capped at 164: the case-correction exponent exceeds float range beyond"),
+])
+def test_gamman_note_names_the_checked_n(n_min, n_max, note):
+    v = run_claim("GAMMAN_LE_13", SuiteConfig(n_min=n_min, n_max=n_max))
+    assert v.status == "PASS"
+    assert v.grid_note == note
+
+
 def test_grid_caps_before_overflow():
     # the deepest exponent (the case-correction one) leaves float range
     # at n = 165, a step before n C_n itself does; the suite must cap
