@@ -8,6 +8,7 @@ stay exact in the log domain.
 
 import math
 
+import mpmath
 import pytest
 
 from volgap.bounds import (
@@ -300,6 +301,27 @@ class TestOrderings:
     def test_case2_margin_plain(self):
         plain = math.log(2.0 * 1.43 - 1.0) - math.log(2.0 * (1.43 - 1.0))
         assert case2_vs_doubled_thm1_log_margin(2, 1, 1.43) == pytest.approx(plain, rel=1e-14)
+
+    @pytest.mark.parametrize("ell", [1, 30, 10**16, 10**300], ids=["1", "30", "1e16", "1e300"])
+    def test_case2_margin_mpmath(self, ell):
+        # log[(2 a ell - 1) / (2 (a ell - 1))] at the double a = 1.43, with digits
+        # to spare past the 1e-301 the ratio exceeds 1 by at ell = 10^300; at
+        # ell = 10^16 both logs of a difference round to the same double
+        with mpmath.workdps(700):
+            thm1 = mpmath.mpf(1.43) * ell - 1
+            want = mpmath.log((2 * thm1 + 1) / (2 * thm1))
+        got = case2_vs_doubled_thm1_log_margin(2, ell, 1.43)
+        assert got > 0.0
+        assert got == pytest.approx(float(want), rel=1e-15, abs=0.0)
+
+    @pytest.mark.parametrize("ell, u", [(1, 0.43), (30, 1e-20)])
+    def test_case2_margin_mpmath_excess_tuning(self, ell, u):
+        # alpha = 1/ell + u keeps thm1 = ell u exact however far u is below 1/ell
+        with mpmath.workdps(60):
+            thm1 = ell * mpmath.mpf(u)
+            want = mpmath.log((2 * thm1 + 1) / (2 * thm1))
+        got = case2_vs_doubled_thm1_log_margin(2, ell, Tuning.excess(ell, u))
+        assert got == pytest.approx(float(want), rel=1e-15, abs=0.0)
 
     def test_final_inequality_plain(self):
         plain = 1.43 * 2.0 * 5.0 * cly_constant(2) + math.log(1.0) - math.log(6.0)

@@ -247,13 +247,27 @@ def test_capped_empty_grid_is_an_error_not_a_verdict():
         )
 
 
-def test_first_bad_names_the_first_failing_point():
-    # at alpha = 1e300 the case (ii) margin rounds to exactly 0 everywhere,
-    # so every point fails; n-then-ell order puts (2, 1) first
-    v = run_claim("GAP_ORDER_THM2_THM1", SuiteConfig(alpha=1e300))
+def test_first_bad_names_the_first_failing_point(monkeypatch):
+    # the case (ii) margin fails at (3, 2) and, worse, at (4, 1); n-then-ell
+    # order puts (3, 2) first, and the minimum still names the worst margin
+    margin = bounds.case2_vs_doubled_thm1_log_margin
+    bad = {(3, 2): -1.0, (4, 1): -5.0}
+    monkeypatch.setattr(
+        bounds, "case2_vs_doubled_thm1_log_margin",
+        lambda n, ell, alpha: bad.get((n, ell)) or margin(n, ell, alpha),
+    )
+    v = run_claim("GAP_ORDER_THM2_THM1", SMALL)
     assert v.status == "FAIL"
-    assert (v.witnesses["first_bad_n"], v.witnesses["first_bad_ell"]) == (2.0, 1.0)
-    assert v.witnesses["min_case2_log_margin"] == 0.0
+    assert (v.witnesses["first_bad_n"], v.witnesses["first_bad_ell"]) == (3.0, 2.0)
+    assert v.witnesses["min_case2_log_margin"] == -5.0
+
+
+@pytest.mark.parametrize("ell", [10**16, 10**300], ids=["1e16", "1e300"])
+def test_case2_order_holds_at_huge_ell(ell):
+    # the margin is about 1 / (2 alpha ell); a difference of two logs rounded it to 0
+    v = run_claim("GAP_ORDER_THM2_THM1", SuiteConfig(ell_min=ell, ell_max=ell + 1))
+    assert v.status == "PASS"
+    assert 0.0 < v.witnesses["min_case2_log_margin"] < 1.0 / ell
 
 
 def test_first_bad_beta_names_the_first_failing_sample(monkeypatch):

@@ -141,15 +141,18 @@ class TestVerifyOutput:
 # while THM6_CONSISTENCY still built its route from LogScalars: alpha one
 # ulp above 1 makes the route round to <= 0 at (2, 1).  All four were
 # re-recorded when LEML_GPRIME_NEG began to report first_bad_beta = -1 on
-# a pass instead of NaN (JSON null); no other byte changed.
+# a pass instead of NaN (JSON null); no other byte changed.  All four were
+# re-recorded when the case (ii) margin became log1p(1 / (2 (alpha ell - 1))):
+# only GAP_ORDER_THM2_THM1's min_case2_log_margin changed, in its last
+# digits, and the text output did not change.
 VERIFY_PINNED = [
-    ((), "3602c44b1d358131b290deacf022bfac988cfa439e1faaa87faaf17f2007d84d"),
+    ((), "2e3d771cac044f5fae5aa8bcea106698a0f554800301a04d58b27bdd4132b900"),
     (("--n-range", "2:400", "--l-range", "1:30"),
-     "ed6c87526e38ee075d0dd1fa4fa93037f0b71c7bbe66f93cbeb8f3fac6a77108"),
+     "46b1ffdb98b07ce9c137578a5bd0f48ee3dc5c457965884938735c2ce1a2ddc0"),
     (("--alpha", "3.0", "--n-range", "2:400", "--l-range", "1:30"),
-     "ea4be69e84f81a88dd9d998c71e3c166db598d4973f4caee9fe4cc5c1c2593f0"),
+     "1a1aa8e720f8ab3fec0598c60d02990b2c08ff82c7a87497ea710349a72f0c63"),
     (("--alpha", "1.0000000000000002", "--n-range", "2:12", "--l-range", "1:3"),
-     "3d520004231563ff154d31725dd61774f6b2a3ef59f02f51791bbfee80e587be"),
+     "788e8f0f6b702eb8370a3f66629b61d623157179217ee22690945f3a42b25b75"),
 ]
 
 
