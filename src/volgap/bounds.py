@@ -316,12 +316,13 @@ def case2_vs_doubled_thm1_log_margin(n: int, ell: int, alpha=DEFAULT_ALPHA) -> f
     Positive iff excess(THM2_CASE2) > 2 excess(THM1).  alpha may be a Tuning.
     The case (ii) numerator is exactly 1 + 2 (alpha ell - 1), so the margin
     is log1p(1 / (2 (alpha ell - 1))): it stays positive where the two
-    logs of a difference would round to the same double (ell = 10^16).
+    logs of a difference would round to the same double (ell = 10^16),
+    and 0.5 / (alpha ell - 1) cannot overflow as 2 (alpha ell - 1) can.
     """
     thm1 = _tuning(alpha).numerators(ell)[0]
     if not thm1 > 0.0:
         raise ValueError("alpha*ell must exceed 1")
-    return math.log1p(1.0 / (2.0 * thm1))
+    return math.log1p(0.5 / thm1)
 
 
 def final_inequality_log_margin(n: int, ell: int, alpha: float = DEFAULT_ALPHA) -> float:

@@ -302,10 +302,12 @@ class TestOrderings:
         plain = math.log(2.0 * 1.43 - 1.0) - math.log(2.0 * (1.43 - 1.0))
         assert case2_vs_doubled_thm1_log_margin(2, 1, 1.43) == pytest.approx(plain, rel=1e-14)
 
-    @pytest.mark.parametrize("ell", [1, 30, 10**16, 10**300], ids=["1", "30", "1e16", "1e300"])
+    @pytest.mark.parametrize(
+        "ell", [1, 30, 10**16, 10**300, 10**308], ids=["1", "30", "1e16", "1e300", "1e308"],
+    )
     def test_case2_margin_mpmath(self, ell):
         # log[(2 a ell - 1) / (2 (a ell - 1))] at the double a = 1.43, with digits
-        # to spare past the 1e-301 the ratio exceeds 1 by at ell = 10^300; at
+        # to spare past the 3.5e-309 the ratio exceeds 1 by at ell = 10^308; at
         # ell = 10^16 both logs of a difference round to the same double
         with mpmath.workdps(700):
             thm1 = mpmath.mpf(1.43) * ell - 1

@@ -139,7 +139,8 @@ class TestFold:
         assert v.witnesses == {"worst": 1.0, "at": (2, 2), "first_bad": None, "points": 6}
 
     def test_first_failing_point_is_not_the_worst(self, monkeypatch):
-        rows = [((2,), [1, 2], [0.5, -1.0]), ((3,), [1, 2], [-5.0, -1.0])]
+        # in a row as across rows: (2, 2) fails first, (2, 3) is its row's worst
+        rows = [((2,), [1, 2, 3], [0.5, -1.0, -3.0]), ((3,), [1, 2], [-5.0, -1.0])]
         v = self.verdict(monkeypatch, rows)
         assert v.status == "FAIL"
         assert (v.witnesses["first_bad"], v.witnesses["at"]) == ((2, 2), (3, 1))
