@@ -27,13 +27,20 @@ smaller beyond.  At double precision the two excesses are equal, so
 the strict ordering must be checked on the closed-form numerator bump
 alpha (n+ell+2) e^E, which case1_correction_numerator provides exactly.
 
-One kernel derives every formula above.  It works on floats (natural
-logs of positive quantities), and BoundKernel hoists its per-n scalars:
-n C_n, log B_n and log B_(n,alpha) are computed once per (n, alpha), so
-each (ell, variant) costs a few float operations.  b_alpha,
-case1_correction_numerator, gap_excess and log_improvement_vs_cly are
-views over it, the first three as LogScalars, the public view type;
-tables and the grid claims read BoundKernel directly.
+One kernel derives every formula above, over a whole range of ell.  It
+works on floats (natural logs of positive quantities).  The terms that
+depend on ell alone (the logs of 2 ell - 1, alpha ell - 1 and
+2 alpha ell - 1, the case (ii) margin and log ell) are columns of an
+_EllColumns, computed once per request: per verify run and per
+fixed-alpha table; at alpha = auto, where each ell has its own tuning,
+once per n.  BoundKernel hoists its per-n scalars, n C_n, log B_n and
+log B_(n,alpha), and _bound_columns turns those columns into columns of
+log excesses and log ratios to CLY with per-n float operations only;
+the case (i) correction and the multiplicity route hoist their per-n
+terms likewise.  BoundKernel.logs, b_alpha, case1_correction_numerator,
+gap_excess, log_improvement_vs_cly and the two margin functions are
+one-point views of that code, the LogScalar ones in the public view
+type; tables and the grid claims read the columns directly.
 
 The tuning lives here too, in one form, Tuning: a fixed alpha or the
 solver's excess pair (ell, u), alpha = 1/ell + u, kept exact where
@@ -48,6 +55,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
+from operator import sub
 
 from .logdomain import LogScalar, _log_sum
 from .specials import nc_product
@@ -62,7 +71,7 @@ class GapVariant(str, Enum):
     THM2_CASE2 = "THM2_CASE2"
 
 
-# member lookups on the class are slow; BoundKernel.logs compares these per row
+# member lookups on the class are slow; the kernel compares these per variant
 _CLY, _THM1, _CASE1, _CASE2 = GapVariant
 
 
@@ -161,18 +170,22 @@ class GapBound:
 # alpha is valid at any positive finite value, so that is no usage error.
 
 
+def _overflow(what: str, n: int) -> OverflowError:
+    return OverflowError(f"{what} leaves the double range at n={n}")
+
+
 def _ln(x: float, what: str, n: int) -> float:
     """log x for x > 0; an infinite or NaN x raises OverflowError naming what and n."""
     if x < math.inf:
         return math.log(x)
-    raise OverflowError(f"{what} leaves the double range at n={n}")
+    raise _overflow(what, n)
 
 
 def _log_mag(v: float, what: str, n: int) -> float:
     """v as a log magnitude; +inf or NaN raises OverflowError naming what and n."""
     if v < math.inf:
         return v
-    raise OverflowError(f"the log of {what} leaves the double range at n={n}")
+    raise _overflow(f"the log of {what}", n)
 
 
 def _log_denominator(n: int, alpha: float, exponent: float) -> float:
@@ -183,25 +196,149 @@ def _log_denominator(n: int, alpha: float, exponent: float) -> float:
     )
 
 
-def _correction_exponent(n: int, ell: int, anc: float) -> float:
-    """E = anc (1 - (n+4) (n+2 ell)^(2/n) 4^(1/n)) with anc = alpha n C_n."""
-    growth = (n + 4) * math.pow(_float_ell(n + 2 * ell, n), 2.0 / n) * math.pow(4.0, 1.0 / n)
-    return anc * (1.0 - growth)
+class _EllColumns:
+    """The terms of the bounds that depend on ell and its tuning alone, over one sequence of ells.
+
+    tunings gives each ell's Tuning, in the order of ells: one tuning
+    repeated at a fixed alpha, the solver's pair per ell at alpha = auto.
+    Each column is computed on first read and holds one value per ell:
+    the logs of the numerators 2 ell - 1, alpha ell - 1 and
+    2 alpha ell - 1 (the last two from the tuning's numerators), the
+    case (ii) margin and log ell.  A numerator log whose argument leaves
+    the double range is +inf here; _bound_columns raises where it would
+    read one, naming its n.  Callers build one per request (a verify
+    run, a fixed-alpha table) or per n (an auto table), so the kernels
+    add only per-n float operations.
+    """
+
+    def __init__(self, ells, tunings) -> None:
+        self.ells = ells
+        self.tunings = tunings
+
+    @cached_property
+    def log_numerators(self) -> tuple[list[float], list[float], list[float]]:
+        """The logs of 2 ell - 1, alpha ell - 1 and 2 alpha ell - 1; finite says if none is +inf."""
+        cly, thm1, case2 = [], [], []
+        for ell, tuning in zip(self.ells, self.tunings):
+            tuned, doubled = tuning.numerators(ell)
+            cly.append(math.log(2.0 * ell - 1.0))
+            thm1.append(math.log(tuned))
+            case2.append(math.log(doubled))
+        self.finite = math.inf not in cly and math.inf not in thm1 and math.inf not in case2
+        return cly, thm1, case2
+
+    @cached_property
+    def case2_margin(self) -> list[float]:
+        """log[(2 alpha ell - 1) / (2 (alpha ell - 1))], sharing one denominator.
+
+        Positive iff excess(THM2_CASE2) > 2 excess(THM1).  The case (ii)
+        numerator is exactly 1 + 2 (alpha ell - 1), so the margin is
+        log1p(1 / (2 (alpha ell - 1))): it stays positive where the two
+        logs of a difference would round to the same double (ell = 10^16),
+        and 0.5 / (alpha ell - 1) cannot overflow as 2 (alpha ell - 1) can.
+        """
+        margins = []
+        for ell, tuning in zip(self.ells, self.tunings):
+            thm1 = tuning.numerators(ell)[0]
+            if not thm1 > 0.0:
+                raise ValueError("alpha*ell must exceed 1")
+            margins.append(math.log1p(0.5 / thm1))
+        return margins
+
+    @cached_property
+    def log_ell(self) -> list[float]:
+        return [math.log(ell) for ell in self.ells]
+
+    def overflow(self, order):
+        """Where a pass over the ells first meets a numerator log of order that is +inf.
+
+        order is a tuple of variants in the order one ell checks their
+        numerator logs.  Returns None, or (i, k): the first ell index i
+        with such a log, and the first k with order[k]'s log +inf there.
+        """
+        found = []
+        for k, variant in enumerate(order):
+            logs = self.log_numerators[_numerator(variant)]
+            if math.inf in logs:
+                found.append((logs.index(math.inf), k))
+        return min(found, default=None)
 
 
-def _log_case1_correction(n: int, ell: int, alpha: float, anc: float) -> float:
-    """log of alpha (n+ell+2) e^E; -inf once e^E leaves the double range."""
-    e_corr = _correction_exponent(n, ell, anc)
-    return _log_mag(math.log(alpha * (n + ell + 2)) + e_corr, "alpha (n+ell+2) e^E", n)
+_NUMERATORS = ("2 ell - 1", "alpha ell - 1", "2 alpha ell - 1")
+
+
+def _numerator(variant) -> int:
+    """The index of variant's numerator in _EllColumns.log_numerators and _NUMERATORS."""
+    if variant is _CLY:
+        return 0
+    if variant is _THM1 or variant is _CASE1:
+        return 1
+    if variant is _CASE2:
+        return 2
+    raise ValueError(f"unknown variant {variant!r}")
+
+
+def _correction_exponents(n: int, ancs, ells):
+    """E = anc (1 - (n+4) (n+2 ell)^(2/n) 4^(1/n)) at each ell, with its anc = alpha n C_n."""
+    n4, power, root4 = n + 4, 2.0 / n, math.pow(4.0, 1.0 / n)
+    for anc, ell in zip(ancs, ells):
+        yield anc * (1.0 - n4 * math.pow(_float_ell(n + 2 * ell, n), power) * root4)
+
+
+def _log_case1_corrections(n: int, alphas, ancs, ells) -> list[float]:
+    """log of alpha (n+ell+2) e^E at each ell, with its alpha and anc; -inf where e^E vanishes."""
+    # E first: its check on n + 2 ell comes before alpha (n+ell+2) is formed
+    return [
+        _log_mag(e_corr + math.log(alpha * (n + ell + 2)), "alpha (n+ell+2) e^E", n)
+        for e_corr, alpha, ell in zip(_correction_exponents(n, ancs, ells), alphas, ells)
+    ]
+
+
+def _bound_columns(kernels, cols: _EllColumns, variants) -> list[tuple[list, list, list]]:
+    """(log B, log excess, log ratio to CLY) columns per variant, in order, over cols.ells.
+
+    kernels[i] is the BoundKernel at cols.ells[i], at the tuning
+    cols.tunings[i]; all share one n.  At a fixed alpha that is one
+    kernel repeated.  An overflow raises what a pass over the ells would
+    raise first, taking at each ell log(2 ell - 1), then each variant's
+    numerator log and, for THM2_CASE1, its bump.
+    """
+    first, ells = kernels[0], cols.ells
+    n, log_b_cly = first.n, first.log_b_cly
+    logs = cols.log_numerators
+    where = None if cols.finite else cols.overflow((_CLY, *variants))
+    if _CASE1 in variants or where is not None:
+        alphas, ancs = [k.tuning.alpha for k in kernels], [k.anc for k in kernels]
+    if _CASE1 in variants:
+        corrections = _log_case1_corrections(n, alphas, ancs, ells if where is None else ells[:where[0]])
+    if where is not None:
+        i, k = where
+        order = (_CLY, *variants)
+        if _CASE1 in order[1:k]:  # its bump at ell i is checked before order[k]'s log
+            _log_case1_corrections(n, alphas[i:], ancs[i:], ells[i:i + 1])
+        raise _overflow(_NUMERATORS[_numerator(order[k])], n)
+    log_bs = [k.log_b for k in kernels]
+    log_cly = [x - log_b_cly for x in logs[0]]
+    out = []
+    for variant in variants:
+        if variant is _CLY:
+            out.append(([log_b_cly] * len(log_cly), log_cly, [0.0] * len(log_cly)))
+            continue
+        log_nums = logs[_numerator(variant)]
+        if variant is _CASE1:
+            log_nums = list(map(_log_sum, log_nums, corrections))
+        excesses = list(map(sub, log_nums, log_bs))
+        out.append((log_bs, excesses, list(map(sub, excesses, log_cly))))
+    return out
 
 
 class BoundKernel:
     """Every bound at one dimension n and tuning alpha, as natural logs.
 
     alpha is a float or a Tuning.  n C_n, log B_n and log B_(n,alpha)
-    are computed once, so logs() costs a few float operations per ell
-    and variant.  Classical rows use B_n whatever alpha is.  ell must
-    satisfy the GapParams checks.
+    are computed once, so each ell and variant costs a few float
+    operations (_bound_columns).  Classical rows use B_n whatever alpha
+    is.  ell must satisfy the GapParams checks.
     """
 
     __slots__ = ("n", "tuning", "nc", "anc", "log_b", "log_b_cly")
@@ -218,31 +355,8 @@ class BoundKernel:
 
     def logs(self, ell: int, variants) -> list[tuple[float, float, float]]:
         """(log B, log excess, log of excess / CLY excess) per variant, in order."""
-        log_cly = _ln(2.0 * ell - 1.0, "2 ell - 1", self.n) - self.log_b_cly
-        thm1, case2 = self.tuning.numerators(ell)
-        log_thm1 = None  # shared by THM1 and THM2_CASE1, taken on first use
-        out = []
-        for variant in variants:
-            if variant is _CLY:
-                out.append((self.log_b_cly, log_cly, 0.0))
-                continue
-            if variant is _THM1 or variant is _CASE1:
-                if log_thm1 is None:
-                    log_thm1 = _ln(thm1, "alpha ell - 1", self.n)
-                log_num = log_thm1
-                if variant is _CASE1:
-                    log_num = _log_sum(log_thm1, self.log_case1_correction(ell))
-            elif variant is _CASE2:
-                log_num = _ln(case2, "2 alpha ell - 1", self.n)
-            else:
-                raise ValueError(f"unknown variant {variant!r}")
-            log_excess = log_num - self.log_b
-            out.append((self.log_b, log_excess, log_excess - log_cly))
-        return out
-
-    def log_case1_correction(self, ell: int) -> float:
-        """log of alpha (n+ell+2) e^E, the numerator bump of THM2_CASE1."""
-        return _log_case1_correction(self.n, ell, self.tuning.alpha, self.anc)
+        columns = _bound_columns((self,), _EllColumns((ell,), (self.tuning,)), variants)
+        return [(log_bs[0], excesses[0], ratios[0]) for log_bs, excesses, ratios in columns]
 
 
 def capped_kernels(n_values, alpha: float, ell_max: int):
@@ -260,14 +374,18 @@ def capped_kernels(n_values, alpha: float, ell_max: int):
         try:
             nc = nc_product(n)
         except OverflowError:
-            return kernels, f"n capped at {n - 1}: n C_n exceeds float range beyond"
-        if math.isinf(_correction_exponent(n, ell_max, alpha * nc)):
-            return kernels, (
-                f"n capped at {n - 1}: the case-correction exponent"
-                " exceeds float range beyond"
-            )
+            return kernels, _cap_note(n, "n C_n")
+        if math.isinf(next(_correction_exponents(n, (alpha * nc,), (ell_max,)))):
+            return kernels, _cap_note(n, "the case-correction exponent")
         kernels.append(BoundKernel(n, alpha))
     return kernels, None
+
+
+def _cap_note(n: int, what: str) -> str:
+    """Why capped_kernels stopped at n: the last n that fits, or none if n = 2 does not."""
+    if n > 2:
+        return f"n capped at {n - 1}: {what} exceeds float range beyond"
+    return f"no dimension fits: {what} exceeds float range from n={n}"
 
 
 # -------------------------------------------------- LogScalar views of it
@@ -283,7 +401,7 @@ def case1_correction_numerator(params: GapParams) -> LogScalar:
     """alpha (n+ell+2) e^E, the exact numerator bump of THM2_CASE1."""
     tuning = _tuning(params.alpha)
     anc = tuning.exponent(nc_product(params.n))
-    return LogScalar(1, _log_case1_correction(params.n, params.ell, tuning.alpha, anc))
+    return LogScalar(1, _log_case1_corrections(params.n, (tuning.alpha,), (anc,), (params.ell,))[0])
 
 
 def gap_excess(params: GapParams, variant: GapVariant) -> GapBound:
@@ -307,22 +425,16 @@ def gap_excess(params: GapParams, variant: GapVariant) -> GapBound:
 def log_improvement_vs_cly(n: int, ell: int, alpha: float = DEFAULT_ALPHA) -> float:
     """log of excess(THM1)/excess(CLY); positive means improvement."""
     GapParams(n=n, ell=ell, alpha=alpha)  # validates the point
-    return BoundKernel(n, alpha).logs(ell, (GapVariant.THM1,))[0][2]
+    kernel = BoundKernel(n, alpha)
+    return _bound_columns((kernel,), _EllColumns((ell,), (kernel.tuning,)), (_THM1,))[0][2][0]
 
 
 def case2_vs_doubled_thm1_log_margin(n: int, ell: int, alpha=DEFAULT_ALPHA) -> float:
-    """log[(2 alpha ell - 1) / (2 (alpha ell - 1))], sharing one denominator.
+    """log[(2 alpha ell - 1) / (2 (alpha ell - 1))]; _EllColumns.case2_margin at one ell.
 
     Positive iff excess(THM2_CASE2) > 2 excess(THM1).  alpha may be a Tuning.
-    The case (ii) numerator is exactly 1 + 2 (alpha ell - 1), so the margin
-    is log1p(1 / (2 (alpha ell - 1))): it stays positive where the two
-    logs of a difference would round to the same double (ell = 10^16),
-    and 0.5 / (alpha ell - 1) cannot overflow as 2 (alpha ell - 1) can.
     """
-    thm1 = _tuning(alpha).numerators(ell)[0]
-    if not thm1 > 0.0:
-        raise ValueError("alpha*ell must exceed 1")
-    return math.log1p(0.5 / thm1)
+    return _EllColumns((ell,), (_tuning(alpha),)).case2_margin[0]
 
 
 def final_inequality_log_margin(n: int, ell: int, alpha: float = DEFAULT_ALPHA) -> float:
@@ -331,26 +443,27 @@ def final_inequality_log_margin(n: int, ell: int, alpha: float = DEFAULT_ALPHA) 
     Returns log(rhs) - log(lhs) = alpha n (n+3) C_n + log ell - log(n+ell+3);
     the inequality holds iff this is positive.
     """
-    return _final_inequality_log_margin(n, ell, alpha * nc_product(n))
+    cols = _EllColumns((ell,), (_tuning(alpha),))
+    return _final_inequality_log_margins(n, alpha * nc_product(n), cols)[0]
 
 
-def _final_inequality_log_margin(n: int, ell: int, anc: float) -> float:
-    """final_inequality_log_margin given anc = alpha n C_n."""
-    return anc * (n + 3) + math.log(ell) - math.log(n + ell + 3.0)
+def _final_inequality_log_margins(n: int, anc: float, cols: _EllColumns) -> list[float]:
+    """final_inequality_log_margin at each ell of cols, given anc = alpha n C_n."""
+    head = anc * (n + 3)
+    return [head + log_ell - math.log(n + ell + 3.0) for ell, log_ell in zip(cols.ells, cols.log_ell)]
 
 
-def _log_multiplicity_excess(n: int, nc: float, k: int, t: float) -> float:
-    """log of (k + e^t) / (e^t + n + 1 + n C_n / t) - 1 given nc = n C_n; -inf unless positive.
+def _log_multiplicity_excesses(n: int, nc: float, t: float, ks) -> list[float]:
+    """log of (k + e^t) / (e^t + n + 1 + n C_n / t) - 1 at each k; -inf where not positive.
 
-    The ratio bounds vol(M)/vol(S^n) from below when the first k Laplace
-    eigenvalues of M do not exceed n.  Algebraically the excess is
-    (k - shift) / (e^t + shift) with shift = n + 1 + n C_n / t; at
-    t = alpha n C_n and k = n + ell + 1 it collapses to the THM1 excess
-    (alpha ell - 1) / B_(n,alpha).  The log of the excess rather than
-    of the ratio keeps that identity checkable at dimensions where
-    1 + excess rounds to 1.
+    nc = n C_n and t > 0.  The ratio bounds vol(M)/vol(S^n) from below
+    when the first k Laplace eigenvalues of M do not exceed n.
+    Algebraically the excess is (k - shift) / (e^t + shift) with
+    shift = n + 1 + n C_n / t; at t = alpha n C_n and k = n + ell + 1 it
+    collapses to the THM1 excess (alpha ell - 1) / B_(n,alpha).  The log
+    of the excess rather than of the ratio keeps that identity checkable
+    at dimensions where 1 + excess rounds to 1.
     """
     shift = n + 1.0 + nc / t
-    if not k - shift > 0.0:
-        return -math.inf
-    return math.log(k - shift) - _log_sum(t, math.log(shift))
+    log_den = _log_sum(t, math.log(shift))
+    return [math.log(d) - log_den if (d := k - shift) > 0.0 else -math.inf for k in ks]

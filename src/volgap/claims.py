@@ -24,14 +24,18 @@ nor refuted.
 
 Each record reads the run's private context (_Run): the SuiteConfig,
 the capped grid (one bounds.BoundKernel per n up to the overflow cap,
-from one bounds.capped_kernels call) and one gamma_n root per n, solved
-on first use and shared by ALPHA_STAR_BRACKET, GAMMAN_LE_13 and
-GAMMA2_GT_13.  A failed solve is not kept, so it errors only the claims
-that ask for its n.  The context lives for one run_claim_suite or
-run_claim call.  LEML_GPRIME_NEG checks its lemma on the values of g,
-not on the sign of g', which is -1 by construction: at each n, log g
-(solver._log_g) must strictly decrease across the in-domain samples
-beta = 0.05, ..., 3.0.
+from one bounds.capped_kernels call), the ell-only terms of the bounds
+over ell_min..ell_max (one bounds._EllColumns), each kernel's THM1
+columns, shared by GAP_ORDER_THM1_CLY and THM6_CONSISTENCY, and one
+gamma_n root per n, shared by ALPHA_STAR_BRACKET, GAMMAN_LE_13 and
+GAMMA2_GT_13; each is computed on first use.  The four (n, ell) grid
+claims read whole ell columns per n, never one point at a time.  A
+failed solve is not kept, so it errors only the claims that ask for its
+n.  The context lives for one run_claim_suite or run_claim call.
+LEML_GPRIME_NEG checks its lemma on the values of g, not on the sign
+of g', which is -1 by construction: at each n, log g (solver._log_g)
+must strictly decrease across the in-domain samples beta = 0.05, ...,
+3.0.
 """
 
 from __future__ import annotations
@@ -41,7 +45,7 @@ from collections import namedtuple
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain
+from itertools import chain, repeat
 from operator import sub
 
 from . import bounds, solver, spectral
@@ -114,20 +118,29 @@ class _EmptyGrid(Exception):
 
 
 class _Run:
-    """One run of the suite: its SuiteConfig, the capped grid and the gamma_n roots.
+    """One run of the suite: its SuiteConfig, the capped grid, its ell columns and the roots.
 
-    The grid and each root are computed once, on first use; a call that
-    raises keeps nothing, so the next one raises again.
+    The grid, the ell columns, each kernel's THM1 columns and each root
+    are computed once, on first use; a call that raises keeps nothing,
+    so the next one raises again.
     """
 
     def __init__(self, config: SuiteConfig) -> None:
         self.config = config
         self._roots = {}
+        self._thm1 = {}
 
     @cached_property
     def _grid(self):
         c = self.config
         return bounds.capped_kernels(range(c.n_min, c.n_max + 1), c.alpha, c.ell_max)
+
+    @cached_property
+    def columns(self):
+        """The ell-only terms of the bounds over ell_min..ell_max at config.alpha."""
+        c = self.config
+        ells = range(c.ell_min, c.ell_max + 1)
+        return bounds._EllColumns(ells, [bounds.Tuning(c.alpha)] * len(ells))
 
     def kernels(self):
         """One BoundKernel per n up to the overflow cap; _EmptyGrid, every call, if none."""
@@ -140,6 +153,13 @@ class _Run:
         """grid, and the cap note if the overflow cap cut the grid short."""
         cap = self._grid[1]
         return grid if cap is None else f"{grid}; {cap}"
+
+    def thm1(self, kernel):
+        """kernel's THM1 (log excesses, log ratios to CLY) over the run's ells, once per n."""
+        if kernel.n not in self._thm1:
+            kernels = [kernel] * len(self.columns.ells)
+            self._thm1[kernel.n] = bounds._bound_columns(kernels, self.columns, _THM1)[0][1:]
+        return self._thm1[kernel.n]
 
     def gamma(self, n: int):
         """solver.gamma_n(n, config.tol), solved once per n."""
@@ -213,11 +233,10 @@ def _falls(ns, values):
 
 
 def _grid(row):
-    """Margins over the capped (n, ell) grid; row(kernel, ells) gives one n's."""
+    """Margins over the capped (n, ell) grid; row(run, kernel) gives one n's, at run.columns.ells."""
 
     def margins(run):
-        ells = range(run.config.ell_min, run.config.ell_max + 1)
-        return (((k.n,), ells, row(k, ells)) for k in run.kernels())
+        return (((k.n,), run.columns.ells, row(run, k)) for k in run.kernels())
 
     return margins
 
@@ -294,32 +313,29 @@ def _leml_rows(run):
         yield (n,), betas, list(map(sub, chain((math.inf,), logs), logs))
 
 
-def _final_row(kernel, ells) -> list[float]:
-    margin, n, anc = bounds._final_inequality_log_margin, kernel.n, kernel.anc
-    return [margin(n, ell, anc) for ell in ells]
+def _final_row(run, kernel) -> list[float]:
+    return bounds._final_inequality_log_margins(kernel.n, kernel.anc, run.columns)
 
 
-def _ratio_row(kernel, ells) -> list[float]:
-    logs = kernel.logs
-    return [logs(ell, _THM1)[0][2] - _LOG_165 for ell in ells]
+def _ratio_row(run, kernel) -> list[float]:
+    return [ratio - _LOG_165 for ratio in run.thm1(kernel)[1]]
 
 
-def _case2_row(kernel, ells) -> list[float]:
-    margin, correction = bounds.case2_vs_doubled_thm1_log_margin, kernel.log_case1_correction
-    n, tuning = kernel.n, kernel.tuning
+def _case2_row(run, kernel) -> list[float]:
+    cols = run.columns
+    alphas, ancs = repeat(kernel.tuning.alpha), repeat(kernel.anc)
+    corrections = bounds._log_case1_corrections(kernel.n, alphas, ancs, cols.ells)
     # a correction term that vanished fails the point outright
-    return [-math.inf if correction(ell) == -math.inf else margin(n, ell, tuning) for ell in ells]
+    return [-math.inf if c == -math.inf else m for c, m in zip(corrections, cols.case2_margin)]
 
 
-def _thm6_row(kernel, ells) -> list[float]:
+def _thm6_row(run, kernel) -> list[float]:
     # minus the relative log difference; -inf if the route is not positive
-    logs, route = kernel.logs, bounds._log_multiplicity_excess
-    n, nc, anc = kernel.n, kernel.nc, kernel.anc
-    out = []
-    for ell in ells:
-        direct = logs(ell, _THM1)[0][1]
-        out.append(-abs(direct - route(n, nc, n + ell + 1, anc)) / max(1.0, abs(direct)))
-    return out
+    n = kernel.n
+    direct = run.thm1(kernel)[0]
+    ks = [n + ell + 1 for ell in run.columns.ells]
+    route = bounds._log_multiplicity_excesses(n, kernel.nc, kernel.anc, ks)
+    return [-abs(d - r) / max(1.0, abs(d)) for d, r in zip(direct, route)]
 
 
 def _cn_rows(run):

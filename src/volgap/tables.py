@@ -10,14 +10,17 @@ as a mantissa/exponent literal (still a valid JSON number).
 A gap table request is checked in full before any row is computed, so
 an invalid n, ell or alpha raises ValueError whatever else it holds.
 Rows are then built in one loop over n: one BoundKernel per (n, alpha)
-supplies the logs of every row.  All three renderers format rows
-through one helper that formats each distinct value of every column
-about once, through a bounded memo.  Values repeat a lot: n, ell,
-alpha and log10_B take few values, and from about n = 20 on the ell
-terms vanish into log B at double precision, so excesses and ratios
-repeat across ell too (the 65,600 rows of 2:165 x 1:100 at alpha 1.43
-hold 3,858 distinct excesses and 2,656 distinct ratios).  The JSON
-renderer joins its text in one copy.
+supplies the logs of every row, as columns over the request's ells.  At
+a fixed alpha the ell-only terms are computed once per request (one
+bounds._EllColumns); at alpha = auto each (n, ell) has its own tuning
+and kernel, and one column pass per n reads them all.  All three
+renderers format rows through one helper that formats each distinct
+value of every column about once, through a bounded memo.  Values
+repeat a lot: n, ell, alpha and log10_B take few values, and from about
+n = 20 on the ell terms vanish into log B at double precision, so
+excesses and ratios repeat across ell too (the 65,600 rows of
+2:165 x 1:100 at alpha 1.43 hold 3,858 distinct excesses and 2,656
+distinct ratios).  The JSON renderer joins its text in one copy.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .bounds import DEFAULT_ALPHA, BoundKernel, GapParams, GapVariant, Tuning
+from .bounds import DEFAULT_ALPHA, BoundKernel, GapParams, GapVariant, Tuning, _bound_columns, _EllColumns
 from .bounds import gap_excess  # noqa: F401  (perfbench's tracer tests wrap tables.gap_excess)
 from .logdomain import _LN10
 from .solver import optimal_alpha
@@ -79,10 +82,14 @@ def build_gap_table(n_values, ell_values, alpha=DEFAULT_ALPHA, variants=None) ->
     ends, the smaller first (_deciding).  At auto, or with no tuned
     variant, that alpha is the classical 2, valid at every ell >= 1; an
     auto point's own tuning is valid too, since the solver's root u is
-    positive.  Rows are read from one BoundKernel
-    per n at a fixed alpha and one per (n, ell) at auto, which takes the
-    solver's exact pair (bounds.Tuning); each kernel is built before its
-    rows.
+    positive.  Rows are read from one BoundKernel per n at a fixed alpha,
+    and one per (n, ell) at auto, which takes the solver's exact pair
+    (bounds.Tuning).  The ell terms are one column set per request at a
+    fixed alpha, and one per n at auto, read in one pass per n
+    (bounds._bound_columns).  At auto every kernel of an n is built
+    before its rows; that moves no first error, since a solve or kernel
+    that fails at a checked point fails at the first ell of its n (n C_n
+    past the double range).
     """
     if not n_values or not ell_values:
         raise ValueError("need at least one n and one ell")
@@ -97,14 +104,17 @@ def build_gap_table(n_values, ell_values, alpha=DEFAULT_ALPHA, variants=None) ->
         GapParams(n=n, ell=ells[0], alpha=checked)
     for ell in ells:
         GapParams(n=ns[0], ell=ell, alpha=checked)
+    labels = [(v.value, v is GapVariant.CLY) for v in chosen]  # read once per request
     rows = []
-    for n in n_values:
-        if auto and tuned:
-            for ell in ell_values:
-                kernel = BoundKernel(n, Tuning.excess(ell, optimal_alpha(n, ell).root))
-                _add_rows(rows, kernel, (ell,), chosen)
-        else:
-            _add_rows(rows, BoundKernel(n, checked), ell_values, chosen)
+    if auto and tuned:
+        for n in n_values:
+            kernels = [BoundKernel(n, Tuning.excess(ell, optimal_alpha(n, ell).root)) for ell in ell_values]
+            _add_rows(rows, kernels, _EllColumns(ell_values, [k.tuning for k in kernels]), chosen, labels)
+    else:
+        tuning, m = Tuning(checked), len(ell_values)
+        columns = _EllColumns(ell_values, [tuning] * m)
+        for n in n_values:
+            _add_rows(rows, [BoundKernel(n, tuning)] * m, columns, chosen, labels)
     return rows
 
 
@@ -122,18 +132,27 @@ def _deciding(values):
     return values
 
 
-def _add_rows(rows: list, kernel: BoundKernel, ells, chosen) -> None:
-    """Append the rows of kernel at each ell; the per-kernel columns are hoisted."""
-    n = kernel.n
-    tuned = (kernel.tuning.alpha, kernel.log_b / _LN10)
-    classical = (2.0, kernel.log_b_cly / _LN10)
-    columns = [(v.value, *(classical if v is GapVariant.CLY else tuned)) for v in chosen]
+def _add_rows(rows: list, kernels, cols: _EllColumns, chosen, labels) -> None:
+    """Append the rows at each ell of cols, read from the per-variant columns.
+
+    kernels[i] is the kernel at cols.ells[i] (bounds._bound_columns);
+    labels holds each chosen variant's name and whether its rows are
+    classical.
+    """
+    first = kernels[0]
+    n, m = first.n, len(kernels)
+    tuned = ([k.tuning.alpha for k in kernels], [k.log_b / _LN10 for k in kernels])
+    classical = ([2.0] * m, [first.log_b_cly / _LN10] * m)
+    columns = [
+        (name, *(classical if is_classical else tuned), excesses, ratios)
+        for (name, is_classical), (_, excesses, ratios) in zip(labels, _bound_columns(kernels, cols, chosen))
+    ]
     # tuple.__new__(GapTableRow, fields) is GapTableRow(*fields) without
     # the NamedTuple constructor's Python-level wrapper
     append, new = rows.append, tuple.__new__
-    for ell in ells:
-        for (name, alpha, log10_b), (_, log_excess, log_ratio) in zip(columns, kernel.logs(ell, chosen)):
-            fields = (n, ell, alpha, name, log10_b, log_excess / _LN10, log_ratio / _LN10)
+    for i, ell in enumerate(cols.ells):
+        for name, alphas, log10_bs, excesses, ratios in columns:
+            fields = (n, ell, alphas[i], name, log10_bs[i], excesses[i] / _LN10, ratios[i] / _LN10)
             append(new(GapTableRow, fields))
 
 

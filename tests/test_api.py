@@ -60,6 +60,7 @@ DELETED = [
     ("solver", "psi_log_value"),
     ("solver", "PsiCheck"),
     ("solver", "psi_decreasing_check"),
+    ("bounds", "BoundKernel.log_case1_correction"),
 ]
 
 

@@ -25,10 +25,18 @@ from volgap.bounds import (
     gap_excess,
     log_improvement_vs_cly,
 )
-from volgap.bounds import _log_multiplicity_excess
+from volgap.bounds import (
+    _bound_columns,
+    _EllColumns,
+    _final_inequality_log_margins,
+    _log_case1_corrections,
+    _log_multiplicity_excesses,
+)
 from volgap.logdomain import LogScalar, log_add, log_div
 from volgap.solver import optimal_alpha
 from volgap.specials import cly_constant, nc_product
+
+import per_point_bounds as per_point
 
 RATIO_2_1_143 = 1.6511710588547066  # frozen; also reproduced by criterion 3
 
@@ -39,8 +47,9 @@ def case1_term(params: GapParams) -> LogScalar:
 
 
 def correction_exponent(n: int, ell: int, alpha: float) -> float:
-    """E, read back from the kernel's log of the CASE1 bump alpha (n+ell+2) e^E."""
-    return BoundKernel(n, alpha).log_case1_correction(ell) - math.log(alpha * (n + ell + 2))
+    """E, read back from the log of the CASE1 bump alpha (n+ell+2) e^E."""
+    log_bump = case1_correction_numerator(GapParams(n=n, ell=ell, alpha=alpha)).log_mag
+    return log_bump - math.log(alpha * (n + ell + 2))
 
 
 def plain_b_alpha(n: int, alpha: float) -> float:
@@ -190,12 +199,14 @@ class TestBoundKernel:
             BoundKernel(2, -1.0)
 
 
-    def test_case1_correction_matches_the_view(self):
-        for n, ell in ((2, 1), (7, 4), (60, 30)):
-            params = GapParams(n=n, ell=ell, alpha=1.43)
-            assert BoundKernel(n, 1.43).log_case1_correction(ell) == (
-                case1_correction_numerator(params).log_mag
-            )
+    def test_case1_correction_column_matches_the_view(self):
+        for n in (2, 7, 60):
+            anc = BoundKernel(n, 1.43).anc
+            column = _log_case1_corrections(n, [1.43] * 30, [anc] * 30, range(1, 31))
+            assert column == [
+                case1_correction_numerator(GapParams(n=n, ell=ell, alpha=1.43)).log_mag
+                for ell in range(1, 31)
+            ]
 
     def test_capped_kernels_stop_before_the_first_overflow(self):
         kernels, note = capped_kernels(range(160, 170), 1.43, 30)
@@ -207,6 +218,10 @@ class TestBoundKernel:
         assert kernels[-1].n == 165
         assert note == "n capped at 165: n C_n exceeds float range beyond"
         assert capped_kernels(range(2, 5), 1.43, 30)[1] is None
+        # not even n = 2 fits, so there is no last n to name
+        kernels, note = capped_kernels(range(2, 10), 1e300, 10**9)
+        assert kernels == []
+        assert note == "no dimension fits: the case-correction exponent exceeds float range from n=2"
 
 
 class TestTuning:
@@ -339,8 +354,8 @@ class TestOrderings:
 
 
 def route(n: int, k: int, t: float) -> float:
-    """The log-excess of the multiplicity route, reading n C_n as a kernel does."""
-    return _log_multiplicity_excess(n, nc_product(n), k, t)
+    """The log-excess of the multiplicity route at one k, reading n C_n as a kernel does."""
+    return _log_multiplicity_excesses(n, nc_product(n), t, (k,))[0]
 
 
 class TestMultiplicityRoute:
@@ -400,3 +415,65 @@ class TestMultiplicityRoute:
         # the claim reads n C_n and alpha n C_n from one kernel per n
         kernel = BoundKernel(7, 1.43)
         assert kernel.nc == nc_product(7) and kernel.anc == 1.43 * kernel.nc
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (ArithmeticError, ValueError) as exc:  # the parity is on the error too
+        return type(exc), str(exc)
+
+
+class TestColumnsMatchThePerPointFormulas:
+    """Every column equals the per-point reference bit for bit, and fails where it fails."""
+
+    VARIANTS = tuple(GapVariant)
+
+    def check(self, kernels, cols):
+        """The columns of kernels (one per ell of cols, all at one n) against the reference."""
+        n, ells = kernels[0].n, cols.ells
+        points = outcome(lambda: [per_point.logs(k, ell, self.VARIANTS) for k, ell in zip(kernels, ells)])
+        if isinstance(points, list):
+            # per variant: (log B, log excess, log ratio) columns, read back per point
+            points = [tuple(map(list, zip(*column))) for column in zip(*points)]
+        assert outcome(_bound_columns, kernels, cols, self.VARIANTS) == points
+        alphas, ancs = [k.tuning.alpha for k in kernels], [k.anc for k in kernels]
+        assert outcome(_log_case1_corrections, n, alphas, ancs, ells) == outcome(lambda: [
+            per_point.log_case1_correction(n, ell, alpha, anc) for ell, alpha, anc in zip(ells, alphas, ancs)
+        ])
+        assert cols.case2_margin == [per_point.case2_margin(k.tuning, ell) for k, ell in zip(kernels, ells)]
+
+    def check_kernel_scalars(self, kernel, cols):
+        """The claims' columns, which read one fixed-alpha kernel's scalars."""
+        n, anc, ells = kernel.n, kernel.anc, cols.ells
+        assert _final_inequality_log_margins(n, anc, cols) == [
+            per_point.final_margin(n, ell, anc) for ell in ells
+        ]
+        ks = [n + ell + 1 for ell in ells]
+        assert _log_multiplicity_excesses(n, kernel.nc, anc, ks) == [
+            per_point.multiplicity_excess(n, kernel.nc, k, anc) for k in ks
+        ]
+
+    @pytest.mark.parametrize("alpha, ells", [
+        (1.43, range(1, 101)), (3.0, range(1, 101)), (0.6, range(2, 101)),
+    ])
+    def test_fixed_alpha_over_the_representable_grid(self, alpha, ells):
+        tuning = Tuning(alpha)
+        cols = _EllColumns(ells, [tuning] * len(ells))
+        checked = 0
+        for n in range(2, 165):
+            try:
+                kernel = BoundKernel(n, tuning)
+            except OverflowError:  # the per-n scalars, which both sides share
+                continue
+            self.check([kernel] * len(ells), cols)
+            self.check_kernel_scalars(kernel, cols)
+            checked += 1
+        assert checked >= 150
+
+    def test_excess_pair_per_ell(self):
+        # alpha = auto: each ell has its own pair tuning and kernel
+        ells = range(1, 31)
+        for n in (2, 17, 120):
+            kernels = [BoundKernel(n, Tuning.excess(ell, optimal_alpha(n, ell).root)) for ell in ells]
+            self.check(kernels, _EllColumns(ells, [k.tuning for k in kernels]))

@@ -248,15 +248,31 @@ def test_capped_empty_grid_is_an_error_not_a_verdict():
         )
 
 
+def test_empty_grid_names_no_dimension_when_n_2_does_not_fit():
+    # the case-correction exponent overflows already at n = 2, so there
+    # is no last dimension to name, and n = 1 is no dimension at all
+    verdicts = run_claim_suite(SuiteConfig(alpha=1e300, ell_min=10**9, ell_max=10**9 + 1))
+    unchecked = [v for v in verdicts if v.status != "PASS"]
+    assert [v.claim_id for v in unchecked] == GRID_CLAIMS
+    for v in unchecked:
+        assert (v.status, v.witnesses) == ("ERROR", {})
+        assert v.grid_note == (
+            "empty grid; no dimension fits: the case-correction exponent"
+            " exceeds float range from n=2"
+        )
+
+
 def test_first_bad_names_the_first_failing_point(monkeypatch):
     # the case (ii) margin fails at (3, 2) and, worse, at (4, 1); n-then-ell
     # order puts (3, 2) first, and the minimum still names the worst margin
-    margin = bounds.case2_vs_doubled_thm1_log_margin
+    claim = _CLAIMS["GAP_ORDER_THM2_THM1"]
     bad = {(3, 2): -1.0, (4, 1): -5.0}
-    monkeypatch.setattr(
-        bounds, "case2_vs_doubled_thm1_log_margin",
-        lambda n, ell, alpha: bad.get((n, ell)) or margin(n, ell, alpha),
-    )
+
+    def margins(run):
+        for (n,), ells, row in claim.margins(run):
+            yield (n,), ells, [bad.get((n, ell), m) for ell, m in zip(ells, row)]
+
+    monkeypatch.setitem(_CLAIMS, "GAP_ORDER_THM2_THM1", dataclasses.replace(claim, margins=margins))
     v = run_claim("GAP_ORDER_THM2_THM1", SMALL)
     assert v.status == "FAIL"
     assert (v.witnesses["first_bad_n"], v.witnesses["first_bad_ell"]) == (3.0, 2.0)
@@ -341,13 +357,19 @@ def test_one_grid_and_one_root_per_n_per_run(monkeypatch, n_max, roots):
     # n 2:400 is capped at 164, so both grids solve n = 2, ..., roots + 1
     grids = _count_calls(monkeypatch, bounds, "capped_kernels")
     solves = _count_calls(monkeypatch, solver, "optimal_alpha")
+    columns = _count_calls(monkeypatch, bounds, "_EllColumns")
+    points = _count_calls(monkeypatch, bounds.BoundKernel, "logs")
     config = SuiteConfig(n_max=n_max)
     assert suite_passed(run_claim_suite(config))
     assert len(grids) == 1
     assert sorted(args[0] for args in solves) == list(range(2, roots + 2))
+    # the grid's ell terms once, RATIO_165's one point once, and no kernel
+    # evaluated point by point
+    assert sorted((args[0] for args in columns), key=len) == [(1,), range(1, 31)]
+    assert points == []
     # nothing is kept between runs
     run_claim_suite(config)
-    assert (len(grids), len(solves)) == (2, 2 * roots)
+    assert (len(grids), len(solves), len(columns)) == (2, 2 * roots, 4)
 
 
 @pytest.mark.parametrize("bad_n, erred_at", [

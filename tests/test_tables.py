@@ -21,6 +21,8 @@ from volgap.tables import (
     CSV_HEADER, GapTableRow, build_gap_table, format_from_log10, render_csv, render_json, render_pretty,
 )
 
+import per_point_bounds as per_point
+
 GOLDEN = Path(__file__).resolve().parent.parent / "perfbench" / "golden.json"
 
 # sha256 of `volgap table ... --out FILE`, recorded before the gap tables
@@ -73,7 +75,8 @@ def reference_table(n_values, ell_values, alpha, variants):
     GapParams checks every n at the first ell, then every ell at the
     first n, at the tuned alpha: the classical 2 at auto or without a
     tuned variant.  Each point then builds every kernel its rows use,
-    the tuned one first, before any row, and each row reads its own.
+    the tuned one first, before any row, and each row reads its own
+    through the per-point formulas of per_point_bounds.
     """
     chosen = [GapVariant(v) for v in variants] if variants else list(GapVariant)
     tuned = any(v is not GapVariant.CLY for v in chosen)
@@ -96,7 +99,7 @@ def reference_table(n_values, ell_values, alpha, variants):
                 cly_kernel = BoundKernel(n, 2.0)
             for v in chosen:
                 kernel = cly_kernel if v is GapVariant.CLY else tuned_kernel
-                ((log_b, log_excess, log_ratio),) = kernel.logs(ell, (v,))
+                ((log_b, log_excess, log_ratio),) = per_point.logs(kernel, ell, (v,))
                 rows.append(GapTableRow(
                     n, ell, kernel.tuning.alpha, v.value,
                     log_b / math.log(10.0), log_excess / math.log(10.0), log_ratio / math.log(10.0),
@@ -124,6 +127,10 @@ class TestErrorParity:
         ([166, 2], [1], 0.5, None),  # invalid alpha before the n C_n overflow
         ([164, 165, 166], [1], "auto", ["THM1"]),
         ([3, 1], [1, 2], "auto", None),  # invalid n before any solve
+        # at (2, 2) the case (i) bump and 2 alpha ell - 1 both overflow;
+        # whichever variant comes first is checked first
+        ([2], [2], 5e307, ["THM2_CASE1", "THM2_CASE2"]),
+        ([2], [2], 5e307, ["THM2_CASE2", "THM2_CASE1"]),
     ]
 
     @pytest.mark.parametrize("n_values, ell_values, alpha, variants", CASES)
