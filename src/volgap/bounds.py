@@ -338,7 +338,9 @@ class BoundKernel:
     alpha is a float or a Tuning.  n C_n, log B_n and log B_(n,alpha)
     are computed once, so each ell and variant costs a few float
     operations (_bound_columns).  Classical rows use B_n whatever alpha
-    is.  ell must satisfy the GapParams checks.
+    is.  ell must satisfy the GapParams checks.  retuned gives the
+    kernel at the same n and another tuning without recomputing n C_n
+    and log B_n, which depend on n alone.
     """
 
     __slots__ = ("n", "tuning", "nc", "anc", "log_b", "log_b_cly")
@@ -347,11 +349,21 @@ class BoundKernel:
         nc = nc_product(n)
         tuning = _tuning(alpha)
         self.n = n
-        self.tuning = tuning
         self.nc = nc
-        self.anc = tuning.exponent(nc)
         self.log_b_cly = _log_denominator(n, 2.0, 2.0 * nc)
-        self.log_b = _log_denominator(n, tuning.alpha, self.anc)
+        self._tune(tuning)
+
+    def retuned(self, alpha) -> "BoundKernel":
+        """BoundKernel(n, alpha) bit for bit, taking n C_n and log B_n from this kernel."""
+        kernel = BoundKernel.__new__(BoundKernel)
+        kernel.n, kernel.nc, kernel.log_b_cly = self.n, self.nc, self.log_b_cly
+        kernel._tune(_tuning(alpha))
+        return kernel
+
+    def _tune(self, tuning: Tuning) -> None:
+        self.tuning = tuning
+        self.anc = tuning.exponent(self.nc)
+        self.log_b = _log_denominator(self.n, tuning.alpha, self.anc)
 
     def logs(self, ell: int, variants) -> list[tuple[float, float, float]]:
         """(log B, log excess, log of excess / CLY excess) per variant, in order."""

@@ -2,30 +2,44 @@
 
 Output is deterministic byte for byte: no timestamps, no environment
 leakage, fixed column order, fixed float formatting (12 significant
-digits).  A row holds plain floats, no LogScalar: the bounds as base-10
+digits).  A table holds plain floats, no LogScalar: the bounds as base-10
 logs, and the ratio to the classical excess as its base-10 log too,
 since ratios routinely exceed float range.  A large ratio is rendered
 as a mantissa/exponent literal (still a valid JSON number).
 
 A gap table request is checked in full before any row is computed, so
 an invalid n, ell or alpha raises ValueError whatever else it holds.
-Rows are then built in one loop over n: one BoundKernel per (n, alpha)
-supplies the logs of every row, as columns over the request's ells.  At
-a fixed alpha the ell-only terms are computed once per request (one
-bounds._EllColumns); at alpha = auto each (n, ell) has its own tuning
-and kernel, and one column pass per n reads them all.  All three
-renderers format rows through one helper that formats each distinct
-value of every column about once, through a bounded memo.  Values
-repeat a lot: n, ell, alpha and log10_B take few values, and from about
-n = 20 on the ell terms vanish into log B at double precision, so
-excesses and ratios repeat across ell too (the 65,600 rows of
-2:165 x 1:100 at alpha 1.43 hold 3,858 distinct excesses and 2,656
-distinct ratios).  The JSON renderer joins its text in one copy.
+The table is then built in one loop over n, as one block per n: the
+request's ells and, per chosen variant, the columns over them of alpha,
+log10_B, log10_excess and the log10 ratio.  One BoundKernel per
+(n, alpha) supplies them (bounds._bound_columns).  At a fixed alpha the
+ell-only terms are computed once per request (one bounds._EllColumns);
+at alpha = auto each (n, ell) has its own tuning and kernel, retuned
+from the first kernel of its n, and one column pass per n reads them
+all.  build_gap_table returns the blocks as _TableRows, a read-only
+sequence of GapTableRow that derives a row only when one is read.
+
+All three renderers walk the blocks through one helper, _text_blocks,
+which turns each block's columns into columns of text: each ell's text
+once per request, each alpha,variant,log10_B piece once per distinct
+value, and each excess and ratio about once per distinct value, through
+a bounded memo.  Values repeat a lot: alpha and log10_B take one value
+per n and variant at a fixed alpha, and from about n = 20 on the ell
+terms vanish into log B at double precision, so excesses and ratios
+repeat across ell too (the 65,600 rows of 2:165 x 1:100 at alpha 1.43
+hold 3,858 distinct excesses and 2,656 distinct ratios).  Each output
+line is then one f-string over those texts.  Any other sequence of rows,
+such as a hand-built list, is walked as one-row blocks.  The JSON
+renderer joins its text in one copy.
 """
 
 from __future__ import annotations
 
 import math
+import operator
+from bisect import bisect_right
+from collections.abc import Sequence
+from itertools import accumulate, repeat
 from typing import NamedTuple
 
 from .bounds import DEFAULT_ALPHA, BoundKernel, GapParams, GapVariant, Tuning, _bound_columns, _EllColumns
@@ -68,7 +82,7 @@ def format_from_log10(log10_value: float) -> str:
     return f"{mantissa}e+{exponent}" if exponent >= 0 else f"{mantissa}e{exponent}"
 
 
-def build_gap_table(n_values, ell_values, alpha=DEFAULT_ALPHA, variants=None) -> list[GapTableRow]:
+def build_gap_table(n_values, ell_values, alpha=DEFAULT_ALPHA, variants=None) -> Sequence[GapTableRow]:
     """Rows for every (n, ell, variant) combination, in grid order.
 
     alpha may be a positive float applied everywhere or the string
@@ -84,12 +98,15 @@ def build_gap_table(n_values, ell_values, alpha=DEFAULT_ALPHA, variants=None) ->
     auto point's own tuning is valid too, since the solver's root u is
     positive.  Rows are read from one BoundKernel per n at a fixed alpha,
     and one per (n, ell) at auto, which takes the solver's exact pair
-    (bounds.Tuning).  The ell terms are one column set per request at a
-    fixed alpha, and one per n at auto, read in one pass per n
-    (bounds._bound_columns).  At auto every kernel of an n is built
-    before its rows; that moves no first error, since a solve or kernel
-    that fails at a checked point fails at the first ell of its n (n C_n
-    past the double range).
+    (bounds.Tuning); each n's later kernels are retuned from its first,
+    so n C_n and log B_n are computed once per n.  The ell terms are one
+    column set per request at a fixed alpha, and one per n at auto, read
+    in one pass per n (bounds._bound_columns).  At auto every kernel of
+    an n is built before its rows; that moves no first error, since a
+    solve or kernel that fails at a checked point fails at the first ell
+    of its n (n C_n past the double range).
+
+    The rows come as a _TableRows over one block per n (_block).
     """
     if not n_values or not ell_values:
         raise ValueError("need at least one n and one ell")
@@ -105,17 +122,21 @@ def build_gap_table(n_values, ell_values, alpha=DEFAULT_ALPHA, variants=None) ->
     for ell in ells:
         GapParams(n=ns[0], ell=ell, alpha=checked)
     labels = [(v.value, v is GapVariant.CLY) for v in chosen]  # read once per request
-    rows = []
+    blocks = []
     if auto and tuned:
         for n in n_values:
-            kernels = [BoundKernel(n, Tuning.excess(ell, optimal_alpha(n, ell).root)) for ell in ell_values]
-            _add_rows(rows, kernels, _EllColumns(ell_values, [k.tuning for k in kernels]), chosen, labels)
+            # a generator, so each kernel is built right after its own solve
+            tunings = (Tuning.excess(ell, optimal_alpha(n, ell).root) for ell in ell_values)
+            first = BoundKernel(n, next(tunings))
+            kernels = [first, *map(first.retuned, tunings)]
+            cols = _EllColumns(ell_values, [k.tuning for k in kernels])
+            blocks.append(_block(kernels, cols, chosen, labels))
     else:
         tuning, m = Tuning(checked), len(ell_values)
         columns = _EllColumns(ell_values, [tuning] * m)
         for n in n_values:
-            _add_rows(rows, [BoundKernel(n, tuning)] * m, columns, chosen, labels)
-    return rows
+            blocks.append(_block([BoundKernel(n, tuning)] * m, columns, chosen, labels))
+    return _TableRows(blocks)
 
 
 def _deciding(values):
@@ -132,37 +153,68 @@ def _deciding(values):
     return values
 
 
-def _add_rows(rows: list, kernels, cols: _EllColumns, chosen, labels) -> None:
-    """Append the rows at each ell of cols, read from the per-variant columns.
+def _block(kernels, cols: _EllColumns, chosen, labels) -> tuple:
+    """One n's rows as (n, ells, columns), from the columns of _bound_columns in base-10 logs.
 
-    kernels[i] is the kernel at cols.ells[i] (bounds._bound_columns);
-    labels holds each chosen variant's name and whether its rows are
-    classical.
+    columns holds, per chosen variant, (name, alphas, log10_Bs,
+    log10_excesses, log10_ratios), the last four indexed like ells; the
+    rows run ell by ell, variant by variant.  kernels[i] is the kernel
+    at cols.ells[i]; labels holds each chosen variant's name and whether
+    its rows are classical.
     """
-    first = kernels[0]
-    n, m = first.n, len(kernels)
+    first, m = kernels[0], len(kernels)
     tuned = ([k.tuning.alpha for k in kernels], [k.log_b / _LN10 for k in kernels])
     classical = ([2.0] * m, [first.log_b_cly / _LN10] * m)
     columns = [
-        (name, *(classical if is_classical else tuned), excesses, ratios)
+        (name, *(classical if is_classical else tuned), [x / _LN10 for x in excesses],
+         [x / _LN10 for x in ratios])
         for (name, is_classical), (_, excesses, ratios) in zip(labels, _bound_columns(kernels, cols, chosen))
     ]
-    # tuple.__new__(GapTableRow, fields) is GapTableRow(*fields) without
-    # the NamedTuple constructor's Python-level wrapper
-    append, new = rows.append, tuple.__new__
-    for i, ell in enumerate(cols.ells):
-        for name, alphas, log10_bs, excesses, ratios in columns:
-            fields = (n, ell, alphas[i], name, log10_bs[i], excesses[i] / _LN10, ratios[i] / _LN10)
-            append(new(GapTableRow, fields))
+    return first.n, cols.ells, columns
+
+
+class _TableRows(Sequence):
+    """A gap table's rows, read-only, derived from its blocks when read.
+
+    len, iteration and integer indexing give GapTableRow values in grid
+    order; the renderers read blocks directly.
+    """
+
+    def __init__(self, blocks: list) -> None:
+        self.blocks = blocks
+        # the index of each block's first row, then the number of rows
+        self._starts = list(accumulate((len(ells) * len(columns) for _, ells, columns in blocks), initial=0))
+
+    def __len__(self) -> int:
+        return self._starts[-1]
+
+    def __iter__(self):
+        for n, ells, columns in self.blocks:
+            for i, ell in enumerate(ells):
+                for name, alphas, log10_bs, excesses, ratios in columns:
+                    yield GapTableRow(n, ell, alphas[i], name, log10_bs[i], excesses[i], ratios[i])
+
+    def __getitem__(self, index: int) -> GapTableRow:
+        index = operator.index(index)
+        if index < 0:
+            index += len(self)
+        if not 0 <= index < len(self):
+            raise IndexError("gap table row index out of range")
+        b = bisect_right(self._starts, index) - 1
+        n, ells, columns = self.blocks[b]
+        i, k = divmod(index - self._starts[b], len(columns))
+        name, alphas, log10_bs, excesses, ratios = columns[k]
+        return GapTableRow(n, ells[i], alphas[i], name, log10_bs[i], excesses[i], ratios[i])
 
 
 class _Formatted(dict):
     """value -> its text, formatting each distinct value once.
 
-    The memo is emptied when it reaches SIZE entries.  Tables repeat
-    values within one n and seldom across n, so the bound loses almost
-    no hits, and a grid of mostly distinct values (small n, many ell)
-    does not keep every cell's text alive until the render ends.
+    trim empties the memo once it holds SIZE entries; the walker calls
+    it between blocks.  Tables repeat values within one n and seldom
+    across n, so the bound loses almost no hits, and a grid of mostly
+    distinct values (small n, many ell) does not keep every cell's text
+    alive until the render ends.
     """
 
     SIZE = 1024
@@ -172,57 +224,96 @@ class _Formatted(dict):
         self.fmt = fmt
 
     def __missing__(self, value):
-        if len(self) >= self.SIZE:
-            self.clear()
         text = self[value] = self.fmt(value)
         return text
 
+    def trim(self) -> None:
+        if len(self) >= self.SIZE:
+            self.clear()
 
-def _cells(rows):
-    """Each row's rendered fields, in CSV_HEADER order.
 
-    Every column goes through a _Formatted memo, so each distinct value
-    is formatted about once per call (see the module docstring for why
-    values repeat).  The classical log ratio 0.0 needs no special case: it
-    renders as "1", and so does -0.0, which is the same key.
+def _blocks(rows):
+    """The blocks of a built table; any other sequence of rows as one-row blocks."""
+    if isinstance(rows, _TableRows):
+        return rows.blocks
+    return (
+        (n, (ell,), [(variant, (alpha,), (log10_b,), (log10_excess,), (log10_ratio,))])
+        for n, ell, alpha, variant, log10_b, log10_excess, log10_ratio in rows
+    )
+
+
+def _text_blocks(rows, head):
+    """Each block of rows as text: (n, ells, per variant (heads, excesses, ratios)).
+
+    head(alpha, variant, log10_B), given their texts, is a renderer's
+    text for those three fields.  Each ell is formatted once per ells
+    sequence, which a built table shares across its blocks, and each
+    head, excess and ratio once per distinct value, through _Formatted
+    memos (see the module docstring for why values repeat).  The
+    classical log ratio 0.0 needs no special case: it renders as "1",
+    and so does -0.0, which is the same key.
     """
-    ints = _Formatted(str)
     sigs = _Formatted(_sig)
     ratios = _Formatted(format_from_log10)
-    for n, ell, alpha, variant, log10_b, log10_excess, log10_ratio in rows:
-        yield (
-            ints[n],
-            ints[ell],
-            sigs[alpha],
-            variant,
-            sigs[log10_b],
-            sigs[log10_excess],
-            ratios[log10_ratio],
-        )
+    heads = _Formatted(lambda key: head(sigs[key[0]], key[1], sigs[key[2]]))
+    memos = (sigs, ratios, heads)
+    ells = ell_texts = None
+    for n, block_ells, columns in _blocks(rows):
+        for memo in memos:
+            memo.trim()
+        if block_ells is not ells:
+            ells, ell_texts = block_ells, [str(ell) for ell in block_ells]
+        yield str(n), ell_texts, [
+            (
+                _column_heads(heads, name, alphas, log10_bs),
+                list(map(sigs.__getitem__, log10_excesses)),
+                list(map(ratios.__getitem__, log10_ratios)),
+            )
+            for name, alphas, log10_bs, log10_excesses, log10_ratios in columns
+        ]
+
+
+def _column_heads(heads, name, alphas, log10_bs) -> list:
+    """heads[alpha, name, log10_B] at each index.
+
+    When both columns hold one value, as at a fixed alpha, that is one
+    lookup, not one per index.
+    """
+    m = len(alphas)
+    if alphas.count(alphas[0]) == m and log10_bs.count(log10_bs[0]) == m:
+        return [heads[alphas[0], name, log10_bs[0]]] * m
+    return list(map(heads.__getitem__, zip(alphas, repeat(name), log10_bs)))
 
 
 def render_csv(rows) -> str:
     # no field needs quoting: digits, signs, '.', 'e', '+' and variant names
     lines = [CSV_HEADER]
-    lines.extend(",".join(cells) for cells in _cells(rows))
+    append = lines.append
+    for n, ells, columns in _text_blocks(rows, "{},{},{}".format):
+        for i, ell in enumerate(ells):
+            for heads, excesses, ratios in columns:
+                append(f"{n},{ell},{heads[i]},{excesses[i]},{ratios[i]}")
     lines.append("")
     return "\n".join(lines)
+
+
+def _json_head(alpha: str, variant: str, log10_b: str) -> str:
+    return f'"alpha": {alpha}, "variant": "{variant}", "log10_B": {log10_b}'
 
 
 def render_json(rows, meta: dict | None = None) -> str:
     # emitted by hand: ratio literals like 1.23456789012e+4000 must land
     # in the stream as bare numbers, which json.dumps cannot produce;
-    # head, rows, separators and tail are joined in one copy
-    sep = ",\n    "
+    # head, rows and tail are joined in one copy
     parts = ['{\n  "rows": [\n    ']
-    for n, ell, alpha, variant, log10_b, log10_excess, ratio in _cells(rows):
-        parts.append(
-            f'{{"n": {n}, "ell": {ell}, "alpha": {alpha}, "variant": "{variant}", '
-            f'"log10_B": {log10_b}, "log10_excess": {log10_excess}, "ratio_vs_cly": {ratio}}}'
-        )
-        parts.append(sep)
+    append = parts.append
+    for n, ells, columns in _text_blocks(rows, _json_head):
+        for i, ell in enumerate(ells):
+            for heads, excesses, ratios in columns:
+                append(f',\n    {{"n": {n}, "ell": {ell}, {heads[i]}, '
+                       f'"log10_excess": {excesses[i]}, "ratio_vs_cly": {ratios[i]}}}')
     if len(parts) > 1:
-        parts.pop()  # no separator after the last row
+        parts[1] = parts[1].removeprefix(",\n    ")  # each row follows a separator but the first
     parts.append("\n  ]")
     if meta:
         pairs = ", ".join(f'"{k}": "{meta[k]}"' for k in sorted(meta))
@@ -240,7 +331,10 @@ def render_pretty(rows) -> str:
     """
     header = CSV_HEADER.split(",")
     cells = [header]
-    cells.extend(_cells(rows))
+    for n, ells, columns in _text_blocks(rows, lambda *head: head):
+        for i, ell in enumerate(ells):
+            for heads, excesses, ratios in columns:
+                cells.append((n, ell, *heads[i], excesses[i], ratios[i]))
     widths = [max(len(r[i]) for r in cells) for i in range(len(header))]
     lines = ["  ".join(c.ljust(w) for c, w in zip(r, widths)).rstrip() for r in cells]
     lines.insert(1, "  ".join("-" * w for w in widths))

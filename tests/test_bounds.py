@@ -198,6 +198,17 @@ class TestBoundKernel:
         with pytest.raises(ValueError, match="alpha must be positive and finite"):
             BoundKernel(2, -1.0)
 
+    def test_retuned_is_the_kernel_at_the_new_tuning(self):
+        slots = ("n", "nc", "anc", "log_b", "log_b_cly")
+        for n in (2, 17, 120, 165):
+            base = BoundKernel(n, 2.0)
+            for alpha in (1.43, 0.6, Tuning.excess(3, optimal_alpha(n, 3).root)):
+                got, want = base.retuned(alpha), BoundKernel(n, alpha)
+                assert [getattr(got, s) for s in slots] == [getattr(want, s) for s in slots]
+                assert got.tuning.alpha == want.tuning.alpha
+        with pytest.raises(ValueError, match="alpha must be positive and finite"):
+            BoundKernel(2, 1.43).retuned(math.inf)
+
 
     def test_case1_correction_column_matches_the_view(self):
         for n in (2, 7, 60):

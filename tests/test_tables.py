@@ -13,10 +13,11 @@ from pathlib import Path
 import mpmath
 import pytest
 
-from volgap import cli, tables
+from volgap import bounds, cli, tables
 from volgap.bounds import BoundKernel, GapParams, GapVariant, Tuning
 from volgap.cli import main
 from volgap.solver import optimal_alpha
+from volgap.specials import nc_product
 from volgap.tables import (
     CSV_HEADER, GapTableRow, build_gap_table, format_from_log10, render_csv, render_json, render_pretty,
 )
@@ -109,7 +110,7 @@ def reference_table(n_values, ell_values, alpha, variants):
 
 def outcome(build, *args):
     try:
-        return build(*args)
+        return list(build(*args))
     except Exception as exc:  # the parity is on the exception too
         return type(exc), str(exc)
 
@@ -268,20 +269,37 @@ class TestRendering:
 
     @pytest.mark.parametrize("with_meta", [False, True], ids=["plain", "meta"])
     @pytest.mark.parametrize("fmt", ["csv", "json", "pretty"])
-    @pytest.mark.parametrize("alpha", ["1.43", "auto"])
-    def test_bytes_match_a_per_row_reference(self, tmp_path, monkeypatch, alpha, fmt, with_meta):
-        # at n < 20 almost every excess and ratio is distinct, so the memo mostly misses
+    @pytest.mark.parametrize("alpha, variant", [
+        ("1.43", None), ("auto", None), ("auto", "cly"), ("1.43", "thm2_case2"), ("auto", "thm2_case2"),
+    ], ids=["1.43", "auto", "auto-cly", "1.43-thm2_case2", "auto-thm2_case2"])
+    def test_bytes_match_a_per_row_reference(self, tmp_path, monkeypatch, alpha, variant, fmt, with_meta):
+        # at n < 20 almost every excess and ratio is distinct, so the memo
+        # mostly misses; one variant leaves one column per block
         monkeypatch.setattr(cli, "datetime", _FrozenClock)
         target = tmp_path / f"table.{fmt}"
         argv = ["table", "--alpha", alpha, "--n-range", "2:12", "--l-range", "1:300",
                 "--format", fmt, "--out", str(target)]
+        argv += ["--variant", variant] if variant else []
         assert main(argv + ["--meta"] * with_meta) == 0
         meta = None
         if with_meta:
             meta = {"alpha": alpha, "generated": "2024-06-07T08:09:10+00:00",
                     "l_range": "1:300", "n_range": "2:12"}
-        rows = build_gap_table(range(2, 13), range(1, 301), alpha if alpha == "auto" else float(alpha))
+        rows = build_gap_table(range(2, 13), range(1, 301), alpha if alpha == "auto" else float(alpha),
+                               [variant.upper()] if variant else None)
         assert first_difference(target.read_text(encoding="utf-8"), reference_text(rows, fmt, meta)) is None
+
+    @pytest.mark.parametrize("alpha", [1.43, "auto"])
+    def test_a_hand_built_row_list_renders_like_the_reference(self, alpha):
+        # any sequence of rows renders, one row at a time; small n, large n
+        # with its ratio literals, and one row out of grid order
+        rows = reference_table([2, 3, 9, 164, 165], range(1, 31), alpha, None)
+        rows.insert(0, rows.pop(77))
+        meta = {"alpha": str(alpha), "n_range": "2:165"}
+        for fmt, text in [("csv", render_csv(rows)), ("json", render_json(rows)),
+                          ("pretty", render_pretty(rows))]:
+            assert first_difference(text, reference_text(rows, fmt, None)) is None, fmt
+        assert first_difference(render_json(rows, meta), reference_text(rows, "json", meta)) is None
 
     def test_each_distinct_ratio_is_formatted_about_once(self, monkeypatch):
         # the benchmark's grid: 49,200 tuned rows but 2,655 distinct ratios besides the classical 0
@@ -312,6 +330,36 @@ class TestRendering:
             "\n"
             "volume ratio >= 1 + 10^(log10_excess) for each row\n"
         )
+
+
+class TestRowsView:
+    """build_gap_table's result derives rows from its per-n blocks; the renderers never do."""
+
+    def test_len_index_and_iteration_agree(self):
+        assert len(build_gap_table(range(2, 166), range(1, 101))) == 65_600
+        rows = build_gap_table(range(2, 8), range(1, 6), 1.43, ["THM2_CASE2", "CLY"])
+        listed = list(rows)
+        assert len(rows) == len(listed) == 6 * 5 * 2
+        assert [rows[i] for i in range(len(rows))] == listed
+        assert [rows[i] for i in range(-len(rows), 0)] == listed
+        assert listed == reference_table(range(2, 8), range(1, 6), 1.43, ["THM2_CASE2", "CLY"])
+        for index in (len(rows), -len(rows) - 1):
+            with pytest.raises(IndexError):
+                rows[index]
+
+    @pytest.mark.parametrize("alpha", ["1.43", "auto"])
+    @pytest.mark.parametrize("fmt", ["csv", "json", "pretty"])
+    def test_the_table_command_builds_no_row(self, tmp_path, monkeypatch, alpha, fmt):
+        def no_rows(*fields):
+            raise AssertionError("a GapTableRow was built")
+
+        target = tmp_path / f"table.{fmt}"
+        argv = ["table", "--alpha", alpha, "--n-range", "2:6", "--l-range", "1:4", "--format", fmt]
+        assert main(argv + ["--out", str(target)]) == 0
+        want = target.read_bytes()
+        monkeypatch.setattr(tables, "GapTableRow", no_rows)
+        assert main(argv + ["--out", str(target)]) == 0
+        assert target.read_bytes() == want
 
 
 class TestFormatFromLog10:
@@ -360,6 +408,20 @@ class TestAutoAlpha:
         for a, f in zip(auto, fixed):
             assert (a.n, a.ell) == (f.n, f.ell)
             assert a.log10_excess >= f.log10_excess, (a.n, a.ell)
+
+    def test_n_c_n_is_computed_once_per_n(self, monkeypatch):
+        # each n's kernels after the first are retuned from it, bit for bit
+        calls = collections.Counter()
+
+        def counting(n):
+            calls[n] += 1
+            return nc_product(n)
+
+        want = reference_table(range(2, 9), range(1, 31), "auto", None)
+        monkeypatch.setattr(bounds, "nc_product", counting)
+        rows = build_gap_table(range(2, 9), range(1, 31), "auto")
+        assert calls == dict.fromkeys(range(2, 9), 1)
+        assert list(rows) == want
 
     def test_all_variants_build_on_the_full_grid(self):
         rows = build_gap_table(range(2, 166), range(1, 31), "auto")
