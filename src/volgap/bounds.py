@@ -346,8 +346,16 @@ class BoundKernel:
     __slots__ = ("n", "tuning", "nc", "anc", "log_b", "log_b_cly")
 
     def __init__(self, n: int, alpha) -> None:
-        nc = nc_product(n)
-        tuning = _tuning(alpha)
+        self._at(n, nc_product(n), _tuning(alpha))
+
+    @classmethod
+    def _of(cls, n: int, nc: float, alpha) -> "BoundKernel":
+        """BoundKernel(n, alpha) bit for bit, given nc = n C_n, for a caller that has it."""
+        kernel = cls.__new__(cls)
+        kernel._at(n, nc, _tuning(alpha))
+        return kernel
+
+    def _at(self, n: int, nc: float, tuning: Tuning) -> None:
         self.n = n
         self.nc = nc
         self.log_b_cly = _log_denominator(n, 2.0, 2.0 * nc)
@@ -389,7 +397,7 @@ def capped_kernels(n_values, alpha: float, ell_max: int):
             return kernels, _cap_note(n, "n C_n")
         if math.isinf(next(_correction_exponents(n, (alpha * nc,), (ell_max,)))):
             return kernels, _cap_note(n, "the case-correction exponent")
-        kernels.append(BoundKernel(n, alpha))
+        kernels.append(BoundKernel._of(n, nc, alpha))
     return kernels, None
 
 

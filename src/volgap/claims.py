@@ -25,13 +25,18 @@ nor refuted.
 Each record reads the run's private context (_Run): the SuiteConfig,
 the capped grid (one bounds.BoundKernel per n up to the overflow cap,
 from one bounds.capped_kernels call), the ell-only terms of the bounds
-over ell_min..ell_max (one bounds._EllColumns), each kernel's THM1
-columns, shared by GAP_ORDER_THM1_CLY and THM6_CONSISTENCY, and one
-gamma_n root per n, shared by ALPHA_STAR_BRACKET, GAMMAN_LE_13 and
-GAMMA2_GT_13; each is computed on first use.  The four (n, ell) grid
-claims read whole ell columns per n, never one point at a time.  A
-failed solve is not kept, so it errors only the claims that ask for its
-n.  The context lives for one run_claim_suite or run_claim call.
+over ell_min..ell_max and at its two ends alone (one bounds._EllColumns
+each), and one gamma_n root per n, shared by ALPHA_STAR_BRACKET,
+GAMMAN_LE_13 and GAMMA2_GT_13; each is computed on first use.  The
+(n, ell) grid claims read ell columns per n, never one point at a
+time.  FINAL_INEQ, GAP_ORDER_THM1_CLY and GAP_ORDER_THM2_THM1 read the
+two ends only: at each n their margin is monotone in ell (their grid
+notes say why), so its minimum over the range lies at an end, and a
+failure anywhere in the range shows at an end.  THM6_CONSISTENCY
+compares two computations of one number, so it stays a sampled check
+over every ell.  A failed solve is not kept, so it errors only the
+claims that ask for its n.  The context lives for one run_claim_suite
+or run_claim call.
 LEML_GPRIME_NEG checks its lemma on the values of g, not on the sign
 of g', which is -1 by construction: at each n, log g (solver._log_g)
 must strictly decrease across the in-domain samples beta = 0.05, ...,
@@ -120,15 +125,13 @@ class _EmptyGrid(Exception):
 class _Run:
     """One run of the suite: its SuiteConfig, the capped grid, its ell columns and the roots.
 
-    The grid, the ell columns, each kernel's THM1 columns and each root
-    are computed once, on first use; a call that raises keeps nothing,
-    so the next one raises again.
+    The grid, the ell columns and each root are computed once, on first
+    use; a call that raises keeps nothing, so the next one raises again.
     """
 
     def __init__(self, config: SuiteConfig) -> None:
         self.config = config
         self._roots = {}
-        self._thm1 = {}
 
     @cached_property
     def _grid(self):
@@ -142,6 +145,13 @@ class _Run:
         ells = range(c.ell_min, c.ell_max + 1)
         return bounds._EllColumns(ells, [bounds.Tuning(c.alpha)] * len(ells))
 
+    @cached_property
+    def ends(self):
+        """The ell-only terms at ell_min and ell_max alone; one ell where the two coincide."""
+        c = self.config
+        ells = (c.ell_min, c.ell_max) if c.ell_min < c.ell_max else (c.ell_min,)
+        return bounds._EllColumns(ells, [bounds.Tuning(c.alpha)] * len(ells))
+
     def kernels(self):
         """One BoundKernel per n up to the overflow cap; _EmptyGrid, every call, if none."""
         kernels, cap = self._grid
@@ -153,13 +163,6 @@ class _Run:
         """grid, and the cap note if the overflow cap cut the grid short."""
         cap = self._grid[1]
         return grid if cap is None else f"{grid}; {cap}"
-
-    def thm1(self, kernel):
-        """kernel's THM1 (log excesses, log ratios to CLY) over the run's ells, once per n."""
-        if kernel.n not in self._thm1:
-            kernels = [kernel] * len(self.columns.ells)
-            self._thm1[kernel.n] = bounds._bound_columns(kernels, self.columns, _THM1)[0][1:]
-        return self._thm1[kernel.n]
 
     def gamma(self, n: int):
         """solver.gamma_n(n, config.tol), solved once per n."""
@@ -232,11 +235,17 @@ def _falls(ns, values):
     return (((), ns[1:], list(map(sub, values, values[1:]))),)
 
 
-def _grid(row):
-    """Margins over the capped (n, ell) grid; row(run, kernel) gives one n's, at run.columns.ells."""
+def _grid(row, ends: bool = False):
+    """Margins over the capped (n, ell) grid; row(kernel, cols) gives one n's, at cols.ells.
+
+    cols is the run's ell columns, or with ends its two ends alone: a
+    claim whose margin is monotone in ell at each n is decided there.
+    """
 
     def margins(run):
-        return (((k.n,), run.columns.ells, row(run, k)) for k in run.kernels())
+        kernels = run.kernels()  # the grid's errors come before any ell term's
+        cols = run.ends if ends else run.columns
+        return (((k.n,), cols.ells, row(k, cols)) for k in kernels)
 
     return margins
 
@@ -261,9 +270,12 @@ def _capped(run, grid: str) -> str:
     return run.grid_note(f"n in [{ns[0]}, {ns[-1]}]{grid}")
 
 
-def _grid_note(run, f) -> str:
+def _grid_note(run, f, why: str = "") -> str:
+    """The (n, ell) grid note; why says why the ends of the ell range decide the claim."""
     c = run.config
-    return _capped(run, f", ell in [{c.ell_min}, {c.ell_max}], alpha = {c.alpha:g}")
+    if why:
+        why = f"; decided at ell = {' and '.join(map(str, run.ends.ells))}: {why}"
+    return _capped(run, f", ell in [{c.ell_min}, {c.ell_max}], alpha = {c.alpha:g}{why}")
 
 
 def _bracket_margin(r) -> float:
@@ -313,27 +325,31 @@ def _leml_rows(run):
         yield (n,), betas, list(map(sub, chain((math.inf,), logs), logs))
 
 
-def _final_row(run, kernel) -> list[float]:
-    return bounds._final_inequality_log_margins(kernel.n, kernel.anc, run.columns)
+def _final_row(kernel, cols) -> list[float]:
+    return bounds._final_inequality_log_margins(kernel.n, kernel.anc, cols)
 
 
-def _ratio_row(run, kernel) -> list[float]:
-    return [ratio - _LOG_165 for ratio in run.thm1(kernel)[1]]
+def _thm1_columns(kernel, cols) -> tuple[list[float], list[float]]:
+    """kernel's THM1 log excesses and log ratios to CLY at cols.ells."""
+    return bounds._bound_columns([kernel] * len(cols.ells), cols, _THM1)[0][1:]
 
 
-def _case2_row(run, kernel) -> list[float]:
-    cols = run.columns
+def _ratio_row(kernel, cols) -> list[float]:
+    return [ratio - _LOG_165 for ratio in _thm1_columns(kernel, cols)[1]]
+
+
+def _case2_row(kernel, cols) -> list[float]:
     alphas, ancs = repeat(kernel.tuning.alpha), repeat(kernel.anc)
     corrections = bounds._log_case1_corrections(kernel.n, alphas, ancs, cols.ells)
     # a correction term that vanished fails the point outright
     return [-math.inf if c == -math.inf else m for c, m in zip(corrections, cols.case2_margin)]
 
 
-def _thm6_row(run, kernel) -> list[float]:
+def _thm6_row(kernel, cols) -> list[float]:
     # minus the relative log difference; -inf if the route is not positive
     n = kernel.n
-    direct = run.thm1(kernel)[0]
-    ks = [n + ell + 1 for ell in run.columns.ells]
+    direct = _thm1_columns(kernel, cols)[0]
+    ks = [n + ell + 1 for ell in cols.ells]
     route = bounds._log_multiplicity_excesses(n, kernel.nc, kernel.anc, ks)
     return [-abs(d - r) / max(1.0, abs(d)) for d, r in zip(direct, route)]
 
@@ -382,9 +398,10 @@ _CLAIMS = {
     "FINAL_INEQ": _Claim(
         "alpha n (n + 3) C_n + log(ell) - log(n + ell + 3) stays positive"
         " on the whole parameter grid",
-        _grid(_final_row),
+        # log ell - log(n + ell + 3) rises with ell
+        _grid(_final_row, ends=True),
         lambda run, f: {"min_log_margin": f.worst, **_grid_point(f.at)},
-        note=_grid_note,
+        note=lambda run, f: _grid_note(run, f, "the margin increases in ell"),
     ),
     "GAMMA2_GT_13": _Claim(
         "gamma_2 > 1.3",
@@ -402,26 +419,30 @@ _CLAIMS = {
     "GAP_ORDER_THM1_CLY": _Claim(
         "the tuned excess exceeds 1.65 times the classical excess at every"
         " grid point (compared in log form; the margin grows with n)",
-        _grid(_ratio_row),
+        # ell enters only through log((alpha ell - 1)/(2 ell - 1)), whose
+        # derivative has the sign of 2 - alpha
+        _grid(_ratio_row, ends=True),
         lambda run, f: {
             "min_log_margin_over_165": f.worst,
             **_grid_point(f.at),
             "ratio_at_min": _ratio_at_min(f.worst),
         },
-        note=lambda run, f: _grid_note(run, f) + (
+        note=lambda run, f: _grid_note(run, f, "the ratio is monotone in ell") + (
             "; ratio_at_min exceeds the double range" if _ratio_at_min(f.worst) == math.inf else ""
         ),
     ),
     "GAP_ORDER_THM2_THM1": _Claim(
         "case (i) strictly improves on the tuned bound (its correction term is"
         " positive) and case (ii) strictly exceeds twice the tuned excess",
-        _grid(_case2_row),
+        # log1p(0.5 / (alpha ell - 1)) falls with ell, and so does E, so a
+        # case (i) bump that vanishes anywhere vanishes at ell_max
+        _grid(_case2_row, ends=True),
         lambda run, f: {
             "min_case2_log_margin": f.worst,
             "first_bad_n": _coord(f.first_bad, 0),
             "first_bad_ell": _coord(f.first_bad, 1),
         },
-        note=_grid_note,
+        note=lambda run, f: _grid_note(run, f, "the case (ii) margin and the exponent E fall in ell"),
     ),
     "H_SIGN_142": _Claim(
         "h(a) = 4 + (1 + 2a - 2a^2) e^(2a) is positive at a = 1.42",

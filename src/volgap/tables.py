@@ -45,7 +45,8 @@ from typing import NamedTuple
 from .bounds import DEFAULT_ALPHA, BoundKernel, GapParams, GapVariant, Tuning, _bound_columns, _EllColumns
 from .bounds import gap_excess  # noqa: F401  (perfbench's tracer tests wrap tables.gap_excess)
 from .logdomain import _LN10
-from .solver import optimal_alpha
+from .solver import _optimal_root
+from .specials import nc_product
 
 CSV_HEADER = "n,ell,alpha,variant,log10_B,log10_excess,ratio_vs_cly"
 
@@ -98,8 +99,9 @@ def build_gap_table(n_values, ell_values, alpha=DEFAULT_ALPHA, variants=None) ->
     auto point's own tuning is valid too, since the solver's root u is
     positive.  Rows are read from one BoundKernel per n at a fixed alpha,
     and one per (n, ell) at auto, which takes the solver's exact pair
-    (bounds.Tuning); each n's later kernels are retuned from its first,
-    so n C_n and log B_n are computed once per n.  The ell terms are one
+    (bounds.Tuning); the solves and the first kernel of an n share one
+    n C_n, and its later kernels are retuned from its first, so n C_n and
+    log B_n are computed once per n.  The ell terms are one
     column set per request at a fixed alpha, and one per n at auto, read
     in one pass per n (bounds._bound_columns).  At auto every kernel of
     an n is built before its rows; that moves no first error, since a
@@ -125,9 +127,10 @@ def build_gap_table(n_values, ell_values, alpha=DEFAULT_ALPHA, variants=None) ->
     blocks = []
     if auto and tuned:
         for n in n_values:
+            nc = nc_product(n)
             # a generator, so each kernel is built right after its own solve
-            tunings = (Tuning.excess(ell, optimal_alpha(n, ell).root) for ell in ell_values)
-            first = BoundKernel(n, next(tunings))
+            tunings = (Tuning.excess(ell, _optimal_root(n, ell, nc).root) for ell in ell_values)
+            first = BoundKernel._of(n, nc, next(tunings))
             kernels = [first, *map(first.retuned, tunings)]
             cols = _EllColumns(ell_values, [k.tuning for k in kernels])
             blocks.append(_block(kernels, cols, chosen, labels))

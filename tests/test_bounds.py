@@ -11,6 +11,7 @@ import math
 import mpmath
 import pytest
 
+from volgap import bounds
 from volgap.bounds import (
     DEFAULT_ALPHA,
     BoundKernel,
@@ -233,6 +234,25 @@ class TestBoundKernel:
         kernels, note = capped_kernels(range(2, 10), 1e300, 10**9)
         assert kernels == []
         assert note == "no dimension fits: the case-correction exponent exceeds float range from n=2"
+
+    def test_capped_kernels_compute_n_c_n_once_per_n(self, monkeypatch):
+        calls = []
+
+        def counting(n):
+            calls.append(n)
+            return nc_product(n)
+
+        monkeypatch.setattr(bounds, "nc_product", counting)
+        kernels, note = capped_kernels(range(2, 401), 1.43, 30)
+        # n = 165 is visited too: its exponent caps the grid
+        assert calls == list(range(2, 166))
+        assert note == "n capped at 164: the case-correction exponent exceeds float range beyond"
+        monkeypatch.undo()
+        for kernel in kernels:
+            want = BoundKernel(kernel.n, 1.43)
+            assert [getattr(kernel, s) for s in BoundKernel.__slots__ if s != "tuning"] == [
+                getattr(want, s) for s in BoundKernel.__slots__ if s != "tuning"
+            ]
 
 
 class TestTuning:

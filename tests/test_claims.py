@@ -8,17 +8,22 @@ import mpmath
 import pytest
 
 from volgap import bounds, solver, spectral
+from volgap.bounds import GapVariant
 from volgap.claims import (
     ClaimVerdict,
     SuiteConfig,
     _CLAIMS,
     _Claim,
+    _fold,
+    _Run,
     claim_ids,
     run_claim,
     run_claim_suite,
     suite_passed,
 )
 from volgap.specials import cly_constant
+
+import per_point_bounds as per_point
 
 EXPECTED_IDS = [
     "ALPHA_STAR_BRACKET",
@@ -263,10 +268,11 @@ def test_empty_grid_names_no_dimension_when_n_2_does_not_fit():
 
 
 def test_first_bad_names_the_first_failing_point(monkeypatch):
-    # the case (ii) margin fails at (3, 2) and, worse, at (4, 1); n-then-ell
-    # order puts (3, 2) first, and the minimum still names the worst margin
+    # the case (ii) margin fails at (3, ell_max) and, worse, at (4, ell_min);
+    # n-then-ell order puts (3, 3) first, and the minimum still names the
+    # worst margin
     claim = _CLAIMS["GAP_ORDER_THM2_THM1"]
-    bad = {(3, 2): -1.0, (4, 1): -5.0}
+    bad = {(3, 3): -1.0, (4, 1): -5.0}
 
     def margins(run):
         for (n,), ells, row in claim.margins(run):
@@ -275,7 +281,7 @@ def test_first_bad_names_the_first_failing_point(monkeypatch):
     monkeypatch.setitem(_CLAIMS, "GAP_ORDER_THM2_THM1", dataclasses.replace(claim, margins=margins))
     v = run_claim("GAP_ORDER_THM2_THM1", SMALL)
     assert v.status == "FAIL"
-    assert (v.witnesses["first_bad_n"], v.witnesses["first_bad_ell"]) == (3.0, 2.0)
+    assert (v.witnesses["first_bad_n"], v.witnesses["first_bad_ell"]) == (3.0, 3.0)
     assert v.witnesses["min_case2_log_margin"] == -5.0
 
 
@@ -285,6 +291,144 @@ def test_case2_order_holds_at_huge_ell(ell):
     v = run_claim("GAP_ORDER_THM2_THM1", SuiteConfig(ell_min=ell, ell_max=ell + 1))
     assert v.status == "PASS"
     assert 0.0 < v.witnesses["min_case2_log_margin"] < 1.0 / ell
+
+
+# ------------------------------------ claims decided at the ends of ell
+
+ENDS_CLAIMS = ["FINAL_INEQ", "GAP_ORDER_THM1_CLY", "GAP_ORDER_THM2_THM1"]
+
+
+@pytest.mark.parametrize("claim_id", ENDS_CLAIMS)
+@pytest.mark.parametrize("ell_min, ell_max, ends", [(1, 30, (1, 30)), (5, 5, (5,))])
+def test_the_ell_ends_decide_the_claim(claim_id, ell_min, ell_max, ends):
+    # one point per n at each end, and one, not two, where the ends coincide
+    run = _Run(SuiteConfig(ell_min=ell_min, ell_max=ell_max))
+    rows = list(_CLAIMS[claim_id].margins(run))
+    assert [key for key, _, _ in rows] == [(n,) for n in range(2, 31)]
+    assert all(tuple(ells) == ends and len(margins) == len(ends) for _, ells, margins in rows)
+    v = run_claim(claim_id, run)
+    assert v.status == "PASS"
+    assert f"; decided at ell = {' and '.join(map(str, ends))}: " in v.grid_note
+
+
+# each claim's margin at one (kernel, ell), point by point, as the suite
+# evaluated it at every ell of the range before it read the two ends alone
+FULL_GRID_MARGIN = {
+    "FINAL_INEQ": lambda k, ell: per_point.final_margin(k.n, ell, k.anc),
+    "GAP_ORDER_THM1_CLY": lambda k, ell: (
+        per_point.logs(k, ell, (GapVariant.THM1,))[0][2] - math.log(1.65)
+    ),
+    "GAP_ORDER_THM2_THM1": lambda k, ell: (
+        -math.inf if per_point.log_case1_correction(k.n, ell, k.tuning.alpha, k.anc) == -math.inf
+        else per_point.case2_margin(k.tuning, ell)
+    ),
+}
+
+
+@pytest.mark.parametrize("claim_id", ENDS_CLAIMS)
+@pytest.mark.parametrize("config", [
+    SuiteConfig(), SuiteConfig(n_max=400), SuiteConfig(n_max=400, alpha=3.0),
+], ids=["default", "2:400", "2:400-alpha-3"])
+def test_the_ends_fold_as_the_full_grid_does(claim_id, config):
+    run = _Run(config)
+    ells = range(config.ell_min, config.ell_max + 1)
+    margin = FULL_GRID_MARGIN[claim_id]
+    full = _fold((((k.n,), ells, [margin(k, ell) for ell in ells]) for k in run.kernels()), lambda m: m > 0.0)
+    ends = _fold(_CLAIMS[claim_id].margins(run), lambda m: m > 0.0)
+    assert (ends.worst, ends.at, ends.first_bad) == (full.worst, full.at, full.first_bad)
+    assert ends.points == 2 * len(run.kernels())
+    assert run_claim(claim_id, run).witnesses == _CLAIMS[claim_id].witnesses(run, full)
+
+
+def _head_of_one(monkeypatch):
+    # alpha n (n+3) C_n replaced by 1: false at ell = 1 for every n, true at
+    # ell = 30 up to n = 48
+    real = bounds._final_inequality_log_margins
+    monkeypatch.setattr(bounds, "_final_inequality_log_margins", lambda n, anc, cols: real(n, 1.0 / (n + 3), cols))
+
+
+def _short_tuned_numerator(monkeypatch):
+    # alpha ell - 1 short by 0.01: the ratio at (2, 1) falls about 2 % below
+    # 1.65, and stays above it at ell = 30
+    real = bounds.Tuning.numerators
+    monkeypatch.setattr(bounds.Tuning, "numerators", lambda self, ell: (real(self, ell)[0] - 0.01, real(self, ell)[1]))
+
+
+def _case2_against_2002_thm1(monkeypatch):
+    # case (ii) against 2 e^0.001 times the tuned excess: false from ell = 351
+    # on at alpha 1.43, true below
+    real = bounds._EllColumns.case2_margin.func
+    monkeypatch.setattr(bounds._EllColumns, "case2_margin", property(lambda cols: [m - 1e-3 for m in real(cols)]))
+
+
+@pytest.mark.parametrize("claim_id, mutate, config, witness, end", [
+    ("FINAL_INEQ", _head_of_one, SuiteConfig(), "at_ell", 1.0),
+    ("GAP_ORDER_THM1_CLY", _short_tuned_numerator, SuiteConfig(), "at_ell", 1.0),
+    ("GAP_ORDER_THM2_THM1", _case2_against_2002_thm1, SuiteConfig(ell_max=1000), "first_bad_ell", 1000.0),
+], ids=["final-ineq", "thm1-cly", "thm2-thm1"])
+def test_a_mutant_false_at_a_deciding_end_fails(monkeypatch, claim_id, mutate, config, witness, end):
+    assert run_claim(claim_id, config).status == "PASS"
+    mutate(monkeypatch)
+    v = run_claim(claim_id, config)
+    assert v.status == "FAIL"
+    assert v.witnesses[witness] == end
+
+
+class TestEndsPremises:
+    """mpmath checks that each claim decided at the ends of its ell range is monotone in ell there.
+
+    Each premise is the part of its margin that depends on ell; the rest
+    is constant in ell at fixed n and alpha.  The ells are every valid one
+    up to 10^3 (alpha ell > 1), then 10^16 and 10^300.
+    """
+
+    NS = [2, 3, 4, 10, 30, 100, 164]
+    ALPHAS = [0.6, 1.01, 1.43, 2.0, 3.0, 50.0]
+
+    @staticmethod
+    def ells(alpha: float) -> list[int]:
+        return [ell for ell in range(1, 1001) if alpha * ell > 1] + [10**16, 10**300]
+
+    @staticmethod
+    def steps(values) -> list:
+        return [b - a for a, b in zip(values, values[1:])]
+
+    @pytest.mark.parametrize("alpha", ALPHAS)
+    def test_the_final_margin_increases(self, alpha):
+        # alpha n (n+3) C_n + log ell - log(n + ell + 3)
+        with mpmath.workdps(40):
+            for n in self.NS:
+                values = [mpmath.log(ell) - mpmath.log(n + ell + 3) for ell in self.ells(alpha)]
+                assert all(step > 0 for step in self.steps(values)), n
+
+    @pytest.mark.parametrize("alpha", ALPHAS)
+    def test_the_ratio_to_cly_moves_as_2_minus_alpha(self, alpha):
+        # log[(alpha ell - 1) / B_(n,alpha)] - log[(2 ell - 1) / B_n]; at
+        # alpha = 2 it is constant, so either end decides it
+        a = mpmath.mpf(alpha)
+        with mpmath.workdps(40):
+            values = [mpmath.log((a * ell - 1) / (2 * ell - 1)) for ell in self.ells(alpha)]
+            direction = mpmath.sign(2 - a)
+            assert all(mpmath.sign(step) == direction for step in self.steps(values))
+
+    @pytest.mark.parametrize("alpha", ALPHAS)
+    def test_the_case2_margin_falls(self, alpha):
+        a = mpmath.mpf(alpha)
+        with mpmath.workdps(40):
+            values = [mpmath.log1p(mpmath.mpf(0.5) / (a * ell - 1)) for ell in self.ells(alpha)]
+            assert all(step < 0 for step in self.steps(values))
+
+    @pytest.mark.parametrize("alpha", ALPHAS)
+    def test_the_case1_exponent_falls(self, alpha):
+        # E = alpha n C_n (1 - (n+4) (n+2 ell)^(2/n) 4^(1/n)), C_n = n^(n/2) e Gamma(n/2, 1) / 2
+        a = mpmath.mpf(alpha)
+        with mpmath.workdps(40):
+            for n in self.NS:
+                nc = n * mpmath.mpf(n) ** (mpmath.mpf(n) / 2) * mpmath.e * mpmath.gammainc(mpmath.mpf(n) / 2, 1) / 2
+                growth = (n + 4) * mpmath.root(4, n)
+                values = [a * nc * (1 - growth * mpmath.mpf(n + 2 * ell) ** (mpmath.mpf(2) / n))
+                          for ell in self.ells(alpha)]
+                assert all(step < 0 for step in self.steps(values)), n
 
 
 def test_first_bad_beta_names_the_first_failing_sample(monkeypatch):
@@ -363,13 +507,13 @@ def test_one_grid_and_one_root_per_n_per_run(monkeypatch, n_max, roots):
     assert suite_passed(run_claim_suite(config))
     assert len(grids) == 1
     assert sorted(args[0] for args in solves) == list(range(2, roots + 2))
-    # the grid's ell terms once, RATIO_165's one point once, and no kernel
-    # evaluated point by point
-    assert sorted((args[0] for args in columns), key=len) == [(1,), range(1, 31)]
+    # the grid's ell terms once, their two ends once, RATIO_165's one point
+    # once, and no kernel evaluated point by point
+    assert sorted((args[0] for args in columns), key=len) == [(1,), (1, 30), range(1, 31)]
     assert points == []
     # nothing is kept between runs
     run_claim_suite(config)
-    assert (len(grids), len(solves), len(columns)) == (2, 2 * roots, 4)
+    assert (len(grids), len(solves), len(columns)) == (2, 2 * roots, 6)
 
 
 @pytest.mark.parametrize("bad_n, erred_at", [

@@ -144,15 +144,18 @@ class TestVerifyOutput:
 # a pass instead of NaN (JSON null); no other byte changed.  All four were
 # re-recorded when the case (ii) margin became log1p(1 / (2 (alpha ell - 1))):
 # only GAP_ORDER_THM2_THM1's min_case2_log_margin changed, in its last
-# digits, and the text output did not change.
+# digits, and the text output did not change.  All four were re-recorded
+# when FINAL_INEQ, GAP_ORDER_THM1_CLY and GAP_ORDER_THM2_THM1 began to be
+# decided at the two ends of the ell range: only those three grid notes
+# changed, each naming its deciding ells and why they decide it.
 VERIFY_PINNED = [
-    ((), "2e3d771cac044f5fae5aa8bcea106698a0f554800301a04d58b27bdd4132b900"),
+    ((), "1f58f450097ae8e2a1b02d28605b077c8204f9df254ce19410a73280b47d5e4e"),
     (("--n-range", "2:400", "--l-range", "1:30"),
-     "46b1ffdb98b07ce9c137578a5bd0f48ee3dc5c457965884938735c2ce1a2ddc0"),
+     "d853321470f8fb60752889bed6cf01d686ec9d3bbb5cab225e66ddfd516d2411"),
     (("--alpha", "3.0", "--n-range", "2:400", "--l-range", "1:30"),
-     "1a1aa8e720f8ab3fec0598c60d02990b2c08ff82c7a87497ea710349a72f0c63"),
+     "bc6132e4f9451cc5c03ae7ac75a19776edca7773c3c1a5463b8223d4e281eca5"),
     (("--alpha", "1.0000000000000002", "--n-range", "2:12", "--l-range", "1:3"),
-     "788e8f0f6b702eb8370a3f66629b61d623157179217ee22690945f3a42b25b75"),
+     "1d842d385396fae7a3a3ea58044f2675c74aeb97939c75471f98e9ca0809e566"),
 ]
 
 

@@ -13,7 +13,7 @@ from pathlib import Path
 import mpmath
 import pytest
 
-from volgap import bounds, cli, tables
+from volgap import bounds, cli, solver, tables
 from volgap.bounds import BoundKernel, GapParams, GapVariant, Tuning
 from volgap.cli import main
 from volgap.solver import optimal_alpha
@@ -410,7 +410,8 @@ class TestAutoAlpha:
             assert a.log10_excess >= f.log10_excess, (a.n, a.ell)
 
     def test_n_c_n_is_computed_once_per_n(self, monkeypatch):
-        # each n's kernels after the first are retuned from it, bit for bit
+        # the solves and the first kernel of each n share one n C_n, and the
+        # n's later kernels are retuned from its first, bit for bit
         calls = collections.Counter()
 
         def counting(n):
@@ -418,7 +419,8 @@ class TestAutoAlpha:
             return nc_product(n)
 
         want = reference_table(range(2, 9), range(1, 31), "auto", None)
-        monkeypatch.setattr(bounds, "nc_product", counting)
+        for module in (bounds, solver, tables):
+            monkeypatch.setattr(module, "nc_product", counting)
         rows = build_gap_table(range(2, 9), range(1, 31), "auto")
         assert calls == dict.fromkeys(range(2, 9), 1)
         assert list(rows) == want
