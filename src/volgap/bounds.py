@@ -33,11 +33,13 @@ depend on ell alone (the logs of 2 ell - 1, alpha ell - 1 and
 2 alpha ell - 1, the case (ii) margin and log ell) are columns of an
 _EllColumns, computed once per request: per verify run and per
 fixed-alpha table; at alpha = auto, where each ell has its own tuning,
-once per n.  BoundKernel hoists its per-n scalars, n C_n, log B_n and
-log B_(n,alpha), and _bound_columns turns those columns into columns of
-log excesses and log ratios to CLY with per-n float operations only;
-the case (i) correction and the multiplicity route hoist their per-n
-terms likewise.  BoundKernel.logs, b_alpha, case1_correction_numerator,
+once per n.  A BoundKernel(n, alpha) holds the per-n scalars n C_n
+(memoised in specials, so computed once per n however many kernels
+share it) and log B_(n,alpha), and gives log B_n on read;
+_bound_columns turns those columns into columns of log excesses and
+log ratios to CLY with per-n float operations only; the case (i)
+correction and the multiplicity route hoist their per-n terms
+likewise.  BoundKernel.logs, b_alpha, case1_correction_numerator,
 gap_excess, log_improvement_vs_cly and the two margin functions are
 one-point views of that code, the LogScalar ones in the public view
 type; tables and the grid claims read the columns directly.
@@ -335,43 +337,27 @@ def _bound_columns(kernels, cols: _EllColumns, variants) -> list[tuple[list, lis
 class BoundKernel:
     """Every bound at one dimension n and tuning alpha, as natural logs.
 
-    alpha is a float or a Tuning.  n C_n, log B_n and log B_(n,alpha)
-    are computed once, so each ell and variant costs a few float
+    alpha is a float or a Tuning.  n C_n (memoised in specials) and
+    log B_(n,alpha) are held, so each ell and variant costs a few float
     operations (_bound_columns).  Classical rows use B_n whatever alpha
-    is.  ell must satisfy the GapParams checks.  retuned gives the
-    kernel at the same n and another tuning without recomputing n C_n
-    and log B_n, which depend on n alone.
+    is; log_b_cly computes log B_n on read, which the column pass does
+    once per n, from its first kernel.  ell must satisfy the GapParams
+    checks.
     """
 
-    __slots__ = ("n", "tuning", "nc", "anc", "log_b", "log_b_cly")
+    __slots__ = ("n", "tuning", "nc", "anc", "log_b")
 
     def __init__(self, n: int, alpha) -> None:
-        self._at(n, nc_product(n), _tuning(alpha))
-
-    @classmethod
-    def _of(cls, n: int, nc: float, alpha) -> "BoundKernel":
-        """BoundKernel(n, alpha) bit for bit, given nc = n C_n, for a caller that has it."""
-        kernel = cls.__new__(cls)
-        kernel._at(n, nc, _tuning(alpha))
-        return kernel
-
-    def _at(self, n: int, nc: float, tuning: Tuning) -> None:
         self.n = n
-        self.nc = nc
-        self.log_b_cly = _log_denominator(n, 2.0, 2.0 * nc)
-        self._tune(tuning)
-
-    def retuned(self, alpha) -> "BoundKernel":
-        """BoundKernel(n, alpha) bit for bit, taking n C_n and log B_n from this kernel."""
-        kernel = BoundKernel.__new__(BoundKernel)
-        kernel.n, kernel.nc, kernel.log_b_cly = self.n, self.nc, self.log_b_cly
-        kernel._tune(_tuning(alpha))
-        return kernel
-
-    def _tune(self, tuning: Tuning) -> None:
-        self.tuning = tuning
+        self.nc = nc_product(n)
+        self.tuning = tuning = _tuning(alpha)
         self.anc = tuning.exponent(self.nc)
-        self.log_b = _log_denominator(self.n, tuning.alpha, self.anc)
+        self.log_b = _log_denominator(n, tuning.alpha, self.anc)
+
+    @property
+    def log_b_cly(self) -> float:
+        """log B_n, the classical denominator; it depends on n alone."""
+        return _log_denominator(self.n, 2.0, 2.0 * self.nc)
 
     def logs(self, ell: int, variants) -> list[tuple[float, float, float]]:
         """(log B, log excess, log of excess / CLY excess) per variant, in order."""
@@ -397,7 +383,7 @@ def capped_kernels(n_values, alpha: float, ell_max: int):
             return kernels, _cap_note(n, "n C_n")
         if math.isinf(next(_correction_exponents(n, (alpha * nc,), (ell_max,)))):
             return kernels, _cap_note(n, "the case-correction exponent")
-        kernels.append(BoundKernel._of(n, nc, alpha))
+        kernels.append(BoundKernel(n, alpha))
     return kernels, None
 
 

@@ -46,6 +46,7 @@ must strictly decrease across the in-domain samples beta = 0.05, ...,
 from __future__ import annotations
 
 import math
+import sys
 from collections import namedtuple
 from collections.abc import Callable
 from dataclasses import dataclass, field
@@ -140,8 +141,15 @@ class _Run:
 
     @cached_property
     def columns(self):
-        """The ell-only terms of the bounds over ell_min..ell_max at config.alpha."""
+        """The ell-only terms of the bounds over ell_min..ell_max at config.alpha.
+
+        A range too long for len raises OverflowError naming it.
+        """
         c = self.config
+        if c.ell_max - c.ell_min >= sys.maxsize:
+            raise OverflowError(
+                f"ell in [{c.ell_min}, {c.ell_max}] is too long to list; THM6_CONSISTENCY checks every ell"
+            )
         ells = range(c.ell_min, c.ell_max + 1)
         return bounds._EllColumns(ells, [bounds.Tuning(c.alpha)] * len(ells))
 

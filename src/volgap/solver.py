@@ -205,14 +205,7 @@ def optimal_alpha(n: int, ell: int = 1, tol: float = 1e-12) -> RootResult:
         raise ValueError(f"ell must be an int at least 1, got {ell!r}")
     if not (0.0 < tol < 1.0):
         raise ValueError(f"tol must lie in (0, 1), got {tol!r}")
-    return _optimal_root(n, ell, nc_product(n), tol)
-
-
-def _optimal_root(n: int, ell: int, ncn: float, tol: float = 1e-12) -> RootResult:
-    """optimal_alpha(n, ell, tol) for arguments it accepts, given ncn = n C_n.
-
-    A table at alpha = auto solves every ell of one n with one n C_n.
-    """
+    ncn = nc_product(n)
     # n C_n sqrt(1 + 4 ell / n C_n), written so that 4 ell cannot overflow
     u = 2.0 / (ncn + 2.0 * math.sqrt(ncn) * math.sqrt(0.25 * ncn + _float_ell(ell, n)))
     lo, hi = 0.0, math.inf  # evaluated points with residual < 0 and > 0

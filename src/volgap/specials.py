@@ -182,12 +182,16 @@ def cly_constant_log(n: int) -> LogScalar:
     return LogScalar(1, log_mag)
 
 
+@lru_cache(maxsize=None)
 def nc_product(n: int) -> float:
     """n * C_n as a double; this is the exponent scale in the bounds.
 
     Raises OverflowError when n C_n itself no longer fits in a double
     (n = 166 and up), which is the hard ceiling for every formula that
-    needs e^(alpha n C_n) even in log form.
+    needs e^(alpha n C_n) even in log form.  Memoised like cly_constant,
+    so every caller computes it once per n: a raise is not cached, so
+    the memo holds at most the 164 values of n = 2..165, and an n past
+    the ceiling raises on every call.
     """
     _check_dimension(n)
     log_nc = math.log(n) + cly_constant_log(n).log_mag

@@ -14,10 +14,11 @@ request's ells and, per chosen variant, the columns over them of alpha,
 log10_B, log10_excess and the log10 ratio.  One BoundKernel per
 (n, alpha) supplies them (bounds._bound_columns).  At a fixed alpha the
 ell-only terms are computed once per request (one bounds._EllColumns);
-at alpha = auto each (n, ell) has its own tuning and kernel, retuned
-from the first kernel of its n, and one column pass per n reads them
-all.  build_gap_table returns the blocks as _TableRows, a read-only
-sequence of GapTableRow that derives a row only when one is read.
+at alpha = auto each (n, ell) has its own tuning, from
+solver.optimal_alpha, and its own kernel, and one column pass per n
+reads them all.  build_gap_table returns the blocks as _TableRows, a
+read-only sequence of GapTableRow that derives a row only when one is
+read.
 
 All three renderers walk the blocks through one helper, _text_blocks,
 which turns each block's columns into columns of text: each ell's text
@@ -45,8 +46,7 @@ from typing import NamedTuple
 from .bounds import DEFAULT_ALPHA, BoundKernel, GapParams, GapVariant, Tuning, _bound_columns, _EllColumns
 from .bounds import gap_excess  # noqa: F401  (perfbench's tracer tests wrap tables.gap_excess)
 from .logdomain import _LN10
-from .solver import _optimal_root
-from .specials import nc_product
+from .solver import optimal_alpha
 
 CSV_HEADER = "n,ell,alpha,variant,log10_B,log10_excess,ratio_vs_cly"
 
@@ -99,14 +99,13 @@ def build_gap_table(n_values, ell_values, alpha=DEFAULT_ALPHA, variants=None) ->
     auto point's own tuning is valid too, since the solver's root u is
     positive.  Rows are read from one BoundKernel per n at a fixed alpha,
     and one per (n, ell) at auto, which takes the solver's exact pair
-    (bounds.Tuning); the solves and the first kernel of an n share one
-    n C_n, and its later kernels are retuned from its first, so n C_n and
-    log B_n are computed once per n.  The ell terms are one
-    column set per request at a fixed alpha, and one per n at auto, read
-    in one pass per n (bounds._bound_columns).  At auto every kernel of
-    an n is built before its rows; that moves no first error, since a
-    solve or kernel that fails at a checked point fails at the first ell
-    of its n (n C_n past the double range).
+    (bounds.Tuning) from optimal_alpha; n C_n is memoised in specials,
+    so the solves and kernels of an n compute it once.  The ell terms
+    are one column set per request at a fixed alpha, and one per n at
+    auto, read in one pass per n (bounds._bound_columns).  At auto every
+    kernel of an n is built before its rows; that moves no first error,
+    since a solve or kernel that fails at a checked point fails at the
+    first ell of its n (n C_n past the double range).
 
     The rows come as a _TableRows over one block per n (_block).
     """
@@ -127,11 +126,7 @@ def build_gap_table(n_values, ell_values, alpha=DEFAULT_ALPHA, variants=None) ->
     blocks = []
     if auto and tuned:
         for n in n_values:
-            nc = nc_product(n)
-            # a generator, so each kernel is built right after its own solve
-            tunings = (Tuning.excess(ell, _optimal_root(n, ell, nc).root) for ell in ell_values)
-            first = BoundKernel._of(n, nc, next(tunings))
-            kernels = [first, *map(first.retuned, tunings)]
+            kernels = [BoundKernel(n, Tuning.excess(ell, optimal_alpha(n, ell).root)) for ell in ell_values]
             cols = _EllColumns(ell_values, [k.tuning for k in kernels])
             blocks.append(_block(kernels, cols, chosen, labels))
     else:

@@ -61,6 +61,7 @@ DELETED = [
     ("solver", "PsiCheck"),
     ("solver", "psi_decreasing_check"),
     ("bounds", "BoundKernel.log_case1_correction"),
+    ("bounds", "BoundKernel.retuned"),
 ]
 
 

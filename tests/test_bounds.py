@@ -11,7 +11,6 @@ import math
 import mpmath
 import pytest
 
-from volgap import bounds
 from volgap.bounds import (
     DEFAULT_ALPHA,
     BoundKernel,
@@ -199,18 +198,6 @@ class TestBoundKernel:
         with pytest.raises(ValueError, match="alpha must be positive and finite"):
             BoundKernel(2, -1.0)
 
-    def test_retuned_is_the_kernel_at_the_new_tuning(self):
-        slots = ("n", "nc", "anc", "log_b", "log_b_cly")
-        for n in (2, 17, 120, 165):
-            base = BoundKernel(n, 2.0)
-            for alpha in (1.43, 0.6, Tuning.excess(3, optimal_alpha(n, 3).root)):
-                got, want = base.retuned(alpha), BoundKernel(n, alpha)
-                assert [getattr(got, s) for s in slots] == [getattr(want, s) for s in slots]
-                assert got.tuning.alpha == want.tuning.alpha
-        with pytest.raises(ValueError, match="alpha must be positive and finite"):
-            BoundKernel(2, 1.43).retuned(math.inf)
-
-
     def test_case1_correction_column_matches_the_view(self):
         for n in (2, 7, 60):
             anc = BoundKernel(n, 1.43).anc
@@ -235,19 +222,12 @@ class TestBoundKernel:
         assert kernels == []
         assert note == "no dimension fits: the case-correction exponent exceeds float range from n=2"
 
-    def test_capped_kernels_compute_n_c_n_once_per_n(self, monkeypatch):
-        calls = []
-
-        def counting(n):
-            calls.append(n)
-            return nc_product(n)
-
-        monkeypatch.setattr(bounds, "nc_product", counting)
+    def test_capped_kernels_compute_n_c_n_once_per_n(self):
+        nc_product.cache_clear()
         kernels, note = capped_kernels(range(2, 401), 1.43, 30)
-        # n = 165 is visited too: its exponent caps the grid
-        assert calls == list(range(2, 166))
+        # n = 165 is computed too: its exponent caps the grid
+        assert nc_product.cache_info().misses == 164
         assert note == "n capped at 164: the case-correction exponent exceeds float range beyond"
-        monkeypatch.undo()
         for kernel in kernels:
             want = BoundKernel(kernel.n, 1.43)
             assert [getattr(kernel, s) for s in BoundKernel.__slots__ if s != "tuning"] == [

@@ -311,6 +311,25 @@ def test_the_ell_ends_decide_the_claim(claim_id, ell_min, ell_max, ends):
     assert f"; decided at ell = {' and '.join(map(str, ends))}: " in v.grid_note
 
 
+def test_thm6_names_an_ell_range_too_long_to_list():
+    # len(range(...)) once raised "Python int too large to convert to C ssize_t"
+    verdicts = {v.claim_id: v for v in run_claim_suite(SuiteConfig(ell_max=10**30))}
+    thm6 = verdicts.pop("THM6_CONSISTENCY")
+    assert (thm6.status, thm6.witnesses) == ("ERROR", {})
+    assert thm6.grid_note == (
+        f"OverflowError: ell in [1, {10**30}] is too long to list; THM6_CONSISTENCY checks every ell"
+    )
+    # the ends decide the other grid claims; the rest do not read ell_max
+    default = {v.claim_id: v for v in run_claim_suite()}
+    assert len(verdicts) == 18
+    for claim_id, v in verdicts.items():
+        if claim_id in ENDS_CLAIMS:
+            assert v.status == "PASS"
+            assert f"ell in [1, {10**30}]" in v.grid_note
+        else:
+            assert v == default[claim_id]
+
+
 # each claim's margin at one (kernel, ell), point by point, as the suite
 # evaluated it at every ell of the range before it read the two ends alone
 FULL_GRID_MARGIN = {

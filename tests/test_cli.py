@@ -359,6 +359,13 @@ class TestGridErrorContract:
         assert len(errors) == 7
         assert {c["grid_note"] for c in errors} == {"OverflowError: ell leaves the double range at n=2"}
 
+    def test_an_ell_range_too_long_to_list_errors_thm6_alone(self, capsys):
+        assert main(["verify", "--l-range", f"1:{10**30}"]) == 1
+        captured = capsys.readouterr()
+        assert f"ERROR THM6_CONSISTENCY         [OverflowError: ell in [1, {10**30}] is too long" in captured.out
+        assert captured.out.endswith("\n18/19 claims passed\n")
+        assert captured.err == ""
+
     def test_auto_tunes_an_ell_far_beyond_the_dimension(self, capsys):
         # the tuning once started from a bracket end 0.1/((1+ell) n C_n),
         # which underflows to 0 here; the point itself is valid

@@ -234,8 +234,26 @@ class TestNcProduct:
 
     def test_representability_ceiling(self):
         assert math.isfinite(nc_product(165))
-        with pytest.raises(OverflowError):
-            nc_product(166)
+        # an overflow is not memoised: a second call raises it again
+        messages = []
+        for _ in range(2):
+            with pytest.raises(OverflowError) as info:
+                nc_product(166)
+            messages.append(str(info.value))
+        assert messages[0] == messages[1]
+        assert "n=166" in messages[0]
+
+    def test_a_memoised_int_does_not_answer_a_float(self):
+        assert nc_product(4) == 64.0
+        with pytest.raises(TypeError, match="dimension must be an int, got float"):
+            nc_product(4.0)
+        with pytest.raises(TypeError, match="got bool"):
+            nc_product(True)
+
+    def test_the_memo_holds_one_value_per_representable_n(self):
+        for n in range(2, 401):
+            outcome(nc_product, n)
+        assert nc_product.cache_info().currsize == 164
 
 
 # The per-n formulas that the incremental evaluation replaced: each call

@@ -13,7 +13,7 @@ from pathlib import Path
 import mpmath
 import pytest
 
-from volgap import bounds, cli, solver, tables
+from volgap import cli, tables
 from volgap.bounds import BoundKernel, GapParams, GapVariant, Tuning
 from volgap.cli import main
 from volgap.solver import optimal_alpha
@@ -409,20 +409,25 @@ class TestAutoAlpha:
             assert (a.n, a.ell) == (f.n, f.ell)
             assert a.log10_excess >= f.log10_excess, (a.n, a.ell)
 
-    def test_n_c_n_is_computed_once_per_n(self, monkeypatch):
-        # the solves and the first kernel of each n share one n C_n, and the
-        # n's later kernels are retuned from its first, bit for bit
+    def test_n_c_n_is_computed_once_per_n(self):
+        # the solves and kernels of each n share the memoised n C_n
+        want = reference_table(range(2, 9), range(1, 31), "auto", None)
+        nc_product.cache_clear()
+        rows = build_gap_table(range(2, 9), range(1, 31), "auto")
+        assert nc_product.cache_info().misses == 7
+        assert list(rows) == want
+
+    def test_every_tuning_comes_from_the_public_solver(self, monkeypatch):
         calls = collections.Counter()
 
-        def counting(n):
+        def counting(n, ell=1, tol=1e-12):
             calls[n] += 1
-            return nc_product(n)
+            return optimal_alpha(n, ell, tol)
 
         want = reference_table(range(2, 9), range(1, 31), "auto", None)
-        for module in (bounds, solver, tables):
-            monkeypatch.setattr(module, "nc_product", counting)
+        monkeypatch.setattr(tables, "optimal_alpha", counting)
         rows = build_gap_table(range(2, 9), range(1, 31), "auto")
-        assert calls == dict.fromkeys(range(2, 9), 1)
+        assert calls == dict.fromkeys(range(2, 9), 30)
         assert list(rows) == want
 
     def test_all_variants_build_on_the_full_grid(self):
