@@ -25,18 +25,17 @@ nor refuted.
 Each record reads the run's private context (_Run): the SuiteConfig,
 the capped grid (one bounds.BoundKernel per n up to the overflow cap,
 from one bounds.capped_kernels call), the ell-only terms of the bounds
-over ell_min..ell_max and at its two ends alone (one bounds._EllColumns
-each), and one gamma_n root per n, shared by ALPHA_STAR_BRACKET,
+over at most k ells of ell_min..ell_max (one bounds._EllColumns per k,
+from _sample), and one gamma_n root per n, shared by ALPHA_STAR_BRACKET,
 GAMMAN_LE_13 and GAMMA2_GT_13; each is computed on first use.  The
 (n, ell) grid claims read ell columns per n, never one point at a
 time.  FINAL_INEQ, GAP_ORDER_THM1_CLY and GAP_ORDER_THM2_THM1 read the
-two ends only: at each n their margin is monotone in ell (their grid
-notes say why), so its minimum over the range lies at an end, and a
-failure anywhere in the range shows at an end.  THM6_CONSISTENCY
-compares two computations of one number, so it stays a sampled check
-over every ell.  A failed solve is not kept, so it errors only the
-claims that ask for its n.  The context lives for one run_claim_suite
-or run_claim call.
+two ends (k = 2): at each n their margin is monotone in ell (their grid
+notes say why), so its minimum over the range lies at an end.
+THM6_CONSISTENCY compares two computations of one number, a check of
+the code, so it reads at most _THM6_ELLS ells per n, as its note says.
+A failed solve is not kept, so it errors only the claims that ask for
+its n.  The context lives for one run_claim_suite or run_claim call.
 LEML_GPRIME_NEG checks its lemma on the values of g, not on the sign
 of g', which is -1 by construction: at each n, log g (solver._log_g)
 must strictly decrease across the in-domain samples beta = 0.05, ...,
@@ -46,12 +45,11 @@ must strictly decrease across the in-domain samples beta = 0.05, ...,
 from __future__ import annotations
 
 import math
-import sys
 from collections import namedtuple
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain, repeat
+from itertools import accumulate, chain, repeat
 from operator import sub
 
 from . import bounds, solver, spectral
@@ -62,6 +60,7 @@ _C3_REFERENCE = 3.58258102141221
 _THM1 = (GapVariant.THM1,)
 _LOG_165 = math.log(1.65)
 _BETAS = [0.05 * k for k in range(1, 61)]
+_THM6_ELLS = 64  # the most ells THM6_CONSISTENCY reads per n
 
 
 @dataclass(frozen=True)
@@ -123,42 +122,38 @@ class _EmptyGrid(Exception):
     """The overflow cap left no n of the grid; the message says where it stopped."""
 
 
+def _sample(lo: int, hi: int, k: int):
+    """The range lo..hi if it holds at most k ells, else lo, hi and k - 2 log-spaced ells between."""
+    if hi - lo < k:
+        return range(lo, hi + 1)
+    step = math.log(hi - lo + 1) / (k - 1)  # log1p(hi - lo), for an int past the double range too
+    inner = (lo + round(math.expm1(j * step)) for j in range(1, k - 1))
+    return (*accumulate(inner, lambda prev, ell: max(prev + 1, ell), initial=lo), hi)
+
+
 class _Run:
     """One run of the suite: its SuiteConfig, the capped grid, its ell columns and the roots.
 
-    The grid, the ell columns and each root are computed once, on first
-    use; a call that raises keeps nothing, so the next one raises again.
+    The grid, each sample's ell columns and each root are computed once,
+    on first use; a call that raises keeps nothing, so the next one raises again.
     """
 
     def __init__(self, config: SuiteConfig) -> None:
         self.config = config
         self._roots = {}
+        self._columns = {}
 
     @cached_property
     def _grid(self):
         c = self.config
         return bounds.capped_kernels(range(c.n_min, c.n_max + 1), c.alpha, c.ell_max)
 
-    @cached_property
-    def columns(self):
-        """The ell-only terms of the bounds over ell_min..ell_max at config.alpha.
-
-        A range too long for len raises OverflowError naming it.
-        """
-        c = self.config
-        if c.ell_max - c.ell_min >= sys.maxsize:
-            raise OverflowError(
-                f"ell in [{c.ell_min}, {c.ell_max}] is too long to list; THM6_CONSISTENCY checks every ell"
-            )
-        ells = range(c.ell_min, c.ell_max + 1)
-        return bounds._EllColumns(ells, [bounds.Tuning(c.alpha)] * len(ells))
-
-    @cached_property
-    def ends(self):
-        """The ell-only terms at ell_min and ell_max alone; one ell where the two coincide."""
-        c = self.config
-        ells = (c.ell_min, c.ell_max) if c.ell_min < c.ell_max else (c.ell_min,)
-        return bounds._EllColumns(ells, [bounds.Tuning(c.alpha)] * len(ells))
+    def columns(self, k: int):
+        """The ell-only terms of the bounds at config.alpha over _sample(ell_min, ell_max, k)."""
+        if k not in self._columns:
+            ells = _sample(self.config.ell_min, self.config.ell_max, k)
+            self._columns[k] = bounds._EllColumns(ells, [bounds.Tuning(self.config.alpha)] * len(ells))
+        return self._columns[k]
 
     def kernels(self):
         """One BoundKernel per n up to the overflow cap; _EmptyGrid, every call, if none."""
@@ -243,17 +238,18 @@ def _falls(ns, values):
     return (((), ns[1:], list(map(sub, values, values[1:]))),)
 
 
-def _grid(row, ends: bool = False):
+def _grid(row, k: int):
     """Margins over the capped (n, ell) grid; row(kernel, cols) gives one n's, at cols.ells.
 
-    cols is the run's ell columns, or with ends its two ends alone: a
-    claim whose margin is monotone in ell at each n is decided there.
+    cols is the run's ell columns over its sample of at most k ells.  At
+    k = 2 that is the two ends of the range: a claim whose margin is
+    monotone in ell at each n is decided there.
     """
 
     def margins(run):
         kernels = run.kernels()  # the grid's errors come before any ell term's
-        cols = run.ends if ends else run.columns
-        return (((k.n,), cols.ells, row(k, cols)) for k in kernels)
+        cols = run.columns(k)
+        return (((kernel.n,), cols.ells, row(kernel, cols)) for kernel in kernels)
 
     return margins
 
@@ -278,11 +274,14 @@ def _capped(run, grid: str) -> str:
     return run.grid_note(f"n in [{ns[0]}, {ns[-1]}]{grid}")
 
 
-def _grid_note(run, f, why: str = "") -> str:
-    """The (n, ell) grid note; why says why the ends of the ell range decide the claim."""
+def _grid_note(run, k: int, why: str = "") -> str:
+    """The (n, ell) grid note at a sample of k ells; why says why the ends of the range decide the claim."""
     c = run.config
+    ells = run.columns(k).ells
     if why:
-        why = f"; decided at ell = {' and '.join(map(str, run.ends.ells))}: {why}"
+        why = f"; decided at ell = {' and '.join(map(str, ells))}: {why}"
+    elif not isinstance(ells, range):
+        why = f"; {len(ells)} log-spaced ells with both ends"
     return _capped(run, f", ell in [{c.ell_min}, {c.ell_max}], alpha = {c.alpha:g}{why}")
 
 
@@ -407,9 +406,9 @@ _CLAIMS = {
         "alpha n (n + 3) C_n + log(ell) - log(n + ell + 3) stays positive"
         " on the whole parameter grid",
         # log ell - log(n + ell + 3) rises with ell
-        _grid(_final_row, ends=True),
+        _grid(_final_row, 2),
         lambda run, f: {"min_log_margin": f.worst, **_grid_point(f.at)},
-        note=lambda run, f: _grid_note(run, f, "the margin increases in ell"),
+        note=lambda run, f: _grid_note(run, 2, "the margin increases in ell"),
     ),
     "GAMMA2_GT_13": _Claim(
         "gamma_2 > 1.3",
@@ -429,13 +428,13 @@ _CLAIMS = {
         " grid point (compared in log form; the margin grows with n)",
         # ell enters only through log((alpha ell - 1)/(2 ell - 1)), whose
         # derivative has the sign of 2 - alpha
-        _grid(_ratio_row, ends=True),
+        _grid(_ratio_row, 2),
         lambda run, f: {
             "min_log_margin_over_165": f.worst,
             **_grid_point(f.at),
             "ratio_at_min": _ratio_at_min(f.worst),
         },
-        note=lambda run, f: _grid_note(run, f, "the ratio is monotone in ell") + (
+        note=lambda run, f: _grid_note(run, 2, "the ratio is monotone in ell") + (
             "; ratio_at_min exceeds the double range" if _ratio_at_min(f.worst) == math.inf else ""
         ),
     ),
@@ -444,13 +443,13 @@ _CLAIMS = {
         " positive) and case (ii) strictly exceeds twice the tuned excess",
         # log1p(0.5 / (alpha ell - 1)) falls with ell, and so does E, so a
         # case (i) bump that vanishes anywhere vanishes at ell_max
-        _grid(_case2_row, ends=True),
+        _grid(_case2_row, 2),
         lambda run, f: {
             "min_case2_log_margin": f.worst,
             "first_bad_n": _coord(f.first_bad, 0),
             "first_bad_ell": _coord(f.first_bad, 1),
         },
-        note=lambda run, f: _grid_note(run, f, "the case (ii) margin and the exponent E fall in ell"),
+        note=lambda run, f: _grid_note(run, 2, "the case (ii) margin and the exponent E fall in ell"),
     ),
     "H_SIGN_142": _Claim(
         "h(a) = 4 + (1 + 2a - 2a^2) e^(2a) is positive at a = 1.42",
@@ -515,13 +514,13 @@ _CLAIMS = {
     "THM6_CONSISTENCY": _Claim(
         "the minimal-volume excess computed from the multiplicity route at"
         " k = n + ell + 1, t = alpha n C_n reproduces the tuned excess",
-        _grid(_thm6_row),
+        _grid(_thm6_row, _THM6_ELLS),
         # the point names the largest difference, if any is nonzero
         lambda run, f: {
             "max_rel_log_diff": abs(f.worst), **_grid_point(f.at if f.worst < 0.0 else None),
         },
         # the two routes agree to rounding; config.tol sets the root solves only
-        strict=False, tolerance=1e-12, note=_grid_note,
+        strict=False, tolerance=1e-12, note=lambda run, f: _grid_note(run, _THM6_ELLS),
     ),
     "TILDE_GAMMA3_LT_11": _Claim(
         "the positive root of 3 C_3 x^2 - 3 C_3 x - 1 lies in (1, 1.1)",

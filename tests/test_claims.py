@@ -16,6 +16,7 @@ from volgap.claims import (
     _Claim,
     _fold,
     _Run,
+    _sample,
     claim_ids,
     run_claim,
     run_claim_suite,
@@ -311,23 +312,73 @@ def test_the_ell_ends_decide_the_claim(claim_id, ell_min, ell_max, ends):
     assert f"; decided at ell = {' and '.join(map(str, ends))}: " in v.grid_note
 
 
-def test_thm6_names_an_ell_range_too_long_to_list():
-    # len(range(...)) once raised "Python int too large to convert to C ssize_t"
-    verdicts = {v.claim_id: v for v in run_claim_suite(SuiteConfig(ell_max=10**30))}
-    thm6 = verdicts.pop("THM6_CONSISTENCY")
-    assert (thm6.status, thm6.witnesses) == ("ERROR", {})
-    assert thm6.grid_note == (
-        f"OverflowError: ell in [1, {10**30}] is too long to list; THM6_CONSISTENCY checks every ell"
+@pytest.mark.parametrize("ell_max", [10**30, 2**63 - 1], ids=["1e30", "2^63-1"])
+def test_every_claim_passes_on_an_ell_range_too_long_to_list(ell_max):
+    # THM6 once listed every ell: 10^30 overflowed len(), 2^63 - 1 ran out of memory
+    verdicts = {v.claim_id: v for v in run_claim_suite(SuiteConfig(ell_max=ell_max))}
+    assert suite_passed(verdicts.values())
+    assert verdicts.pop("THM6_CONSISTENCY").grid_note == (
+        f"n in [2, 30], ell in [1, {ell_max}], alpha = 1.43; 64 log-spaced ells with both ends"
     )
     # the ends decide the other grid claims; the rest do not read ell_max
     default = {v.claim_id: v for v in run_claim_suite()}
-    assert len(verdicts) == 18
     for claim_id, v in verdicts.items():
         if claim_id in ENDS_CLAIMS:
-            assert v.status == "PASS"
-            assert f"ell in [1, {10**30}]" in v.grid_note
+            assert f"ell in [1, {ell_max}]" in v.grid_note
         else:
             assert v == default[claim_id]
+
+
+@pytest.mark.parametrize("ell_max", [30, 64, 65, 10**6, 10**30])
+def test_thm6_folds_at_most_64_ells_per_n(ell_max):
+    run = _Run(SuiteConfig(ell_max=ell_max))
+    rows = list(_CLAIMS["THM6_CONSISTENCY"].margins(run))
+    assert [key for key, _, _ in rows] == [(n,) for n in range(2, 31)]
+    for _, ells, margins in rows:
+        assert len(ells) == len(margins) == min(ell_max, 64)
+        if ell_max <= 64:
+            assert ells == range(1, ell_max + 1)
+    assert _fold(rows, lambda m: m >= -1e-12).points == 29 * min(ell_max, 64)
+    v = run_claim("THM6_CONSISTENCY", run)
+    assert v.status == "PASS"
+    assert v.grid_note.endswith("alpha = 1.43" if ell_max <= 64 else "; 64 log-spaced ells with both ends")
+
+
+@pytest.mark.parametrize("lo, hi", [
+    (1, 1), (5, 5), (1, 2), (1, 30), (1, 64), (1, 65), (1, 66), (1, 10**6), (7, 10**30),
+    (2**53 + 1, 2**53 + 10**6), (2**60 + 1, 2**90 + 3), (1, 2 * 10**308),
+])
+@pytest.mark.parametrize("k", [2, 3, 64])
+def test_sample(lo, hi, k):
+    ells = _sample(lo, hi, k)
+    if hi - lo < k:
+        assert ells == range(lo, hi + 1)
+    else:
+        # k ints, both ends exact past 2^53, strictly increasing, so none outside [lo, hi]
+        assert type(ells) is tuple and len(ells) == k
+        assert all(type(ell) is int for ell in ells)
+        assert (ells[0], ells[-1]) == (lo, hi)
+        assert all(a < b for a, b in zip(ells, ells[1:]))
+    if k == 2:
+        assert tuple(ells) == ((lo,) if lo == hi else (lo, hi))
+
+
+def test_a_thm6_mutant_off_at_one_sampled_ell_fails(monkeypatch):
+    # the multiplicity route off by a relative 1e-9 at one interior sampled
+    # ell of 1:10^6; the two routes agree to about 1e-15 elsewhere
+    config, ell = SuiteConfig(ell_max=10**6), 10000
+    assert ell in _sample(1, 10**6, 64)[1:-1]
+    assert run_claim("THM6_CONSISTENCY", config).status == "PASS"
+    real = bounds._log_multiplicity_excesses
+
+    def off(n, nc, t, ks):
+        return [e * (1.0 + 1e-9) if k == n + ell + 1 else e for k, e in zip(ks, real(n, nc, t, ks))]
+
+    monkeypatch.setattr(bounds, "_log_multiplicity_excesses", off)
+    v = run_claim("THM6_CONSISTENCY", config)
+    assert v.status == "FAIL"
+    assert v.witnesses["at_ell"] == ell
+    assert v.witnesses["max_rel_log_diff"] > 1e-10
 
 
 # each claim's margin at one (kernel, ell), point by point, as the suite
