@@ -219,15 +219,19 @@ class _EllColumns:
 
     @cached_property
     def log_numerators(self) -> tuple[list[float], list[float], list[float]]:
-        """The logs of 2 ell - 1, alpha ell - 1 and 2 alpha ell - 1; finite says if none is +inf."""
+        """The logs of 2 ell - 1, alpha ell - 1 and 2 alpha ell - 1."""
         cly, thm1, case2 = [], [], []
         for ell, tuning in zip(self.ells, self.tunings):
             tuned, doubled = tuning.numerators(ell)
             cly.append(math.log(2.0 * ell - 1.0))
             thm1.append(math.log(tuned))
             case2.append(math.log(doubled))
-        self.finite = math.inf not in cly and math.inf not in thm1 and math.inf not in case2
         return cly, thm1, case2
+
+    @cached_property
+    def finite(self) -> bool:
+        """Whether no numerator log is +inf."""
+        return all(math.inf not in logs for logs in self.log_numerators)
 
     @cached_property
     def case2_margin(self) -> list[float]:
@@ -431,8 +435,7 @@ def gap_excess(params: GapParams, variant: GapVariant) -> GapBound:
 def log_improvement_vs_cly(n: int, ell: int, alpha: float = DEFAULT_ALPHA) -> float:
     """log of excess(THM1)/excess(CLY); positive means improvement."""
     GapParams(n=n, ell=ell, alpha=alpha)  # validates the point
-    kernel = BoundKernel(n, alpha)
-    return _bound_columns((kernel,), _EllColumns((ell,), (kernel.tuning,)), (_THM1,))[0][2][0]
+    return BoundKernel(n, alpha).logs(ell, (_THM1,))[0][2]
 
 
 def case2_vs_doubled_thm1_log_margin(n: int, ell: int, alpha=DEFAULT_ALPHA) -> float:
@@ -447,10 +450,10 @@ def final_inequality_log_margin(n: int, ell: int, alpha: float = DEFAULT_ALPHA) 
     """Margin of e^(-alpha n (n+3) C_n) < ell / (n+ell+3), in log form.
 
     Returns log(rhs) - log(lhs) = alpha n (n+3) C_n + log ell - log(n+ell+3);
-    the inequality holds iff this is positive.
+    the inequality holds iff this is positive.  alpha may be a Tuning.
     """
-    cols = _EllColumns((ell,), (_tuning(alpha),))
-    return _final_inequality_log_margins(n, alpha * nc_product(n), cols)[0]
+    tuning = _tuning(alpha)
+    return _final_inequality_log_margins(n, tuning.exponent(nc_product(n)), _EllColumns((ell,), (tuning,)))[0]
 
 
 def _final_inequality_log_margins(n: int, anc: float, cols: _EllColumns) -> list[float]:

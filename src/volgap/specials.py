@@ -13,7 +13,9 @@ term drops below 1e-17, which is past double precision.
 
 Both routes run incrementally (_GammaAtOne): Gamma(n/2, 1) for the next
 n of an increasing range takes one step from the last n reached, so a
-range of N dimensions costs O(N) steps, not O(N^2).
+range of N dimensions costs O(N) steps, not O(N^2).  An even n's step
+multiplies the exact int (m-1)!, which keeps growing, so the even n of
+the range cost O(N^2) bit operations; the odd n's steps are floats.
 
 The constant attached to dimension n is
 

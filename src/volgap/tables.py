@@ -9,38 +9,34 @@ as a mantissa/exponent literal (still a valid JSON number).
 
 A gap table request is checked in full before any row is computed, so
 an invalid n, ell or alpha raises ValueError whatever else it holds.
-The table is then built in one loop over n, as one block per n: the
-request's ells and, per chosen variant, the columns over them of alpha,
-log10_B, log10_excess and the log10 ratio.  One BoundKernel per
-(n, alpha) supplies them (bounds._bound_columns).  At a fixed alpha the
-ell-only terms are computed once per request (one bounds._EllColumns);
-at alpha = auto each (n, ell) has its own tuning, from
+The table is then built in one loop over n, as one block per n: per
+chosen variant, the columns over the request's ells of alpha, log10_B,
+log10_excess and the log10 ratio.  One BoundKernel per (n, alpha)
+supplies them (bounds._bound_columns).  At a fixed alpha the ell-only
+terms are computed once per request (one bounds._EllColumns); at
+alpha = auto each (n, ell) has its own tuning, from
 solver.optimal_alpha, and its own kernel, and one column pass per n
-reads them all.  build_gap_table returns the blocks as _TableRows, a
-read-only sequence of GapTableRow that derives a row only when one is
-read.
+reads them all.  build_gap_table returns a _TableRows: the ells once,
+then one (n, columns) block per n.  Iterating it derives each
+GapTableRow only when read.
 
-All three renderers walk the blocks through one helper, _text_blocks,
+All three renderers read a built table through one helper, _text_blocks,
 which turns each block's columns into columns of text: each ell's text
-once per request, each alpha,variant,log10_B piece once per distinct
+once per table, each alpha,variant,log10_B piece once per distinct
 value, and each excess and ratio about once per distinct value, through
 a bounded memo.  Values repeat a lot: alpha and log10_B take one value
 per n and variant at a fixed alpha, and from about n = 20 on the ell
 terms vanish into log B at double precision, so excesses and ratios
 repeat across ell too (the 65,600 rows of 2:165 x 1:100 at alpha 1.43
 hold 3,858 distinct excesses and 2,656 distinct ratios).  Each output
-line is then one f-string over those texts.  Any other sequence of rows,
-such as a hand-built list, is walked as one-row blocks.  The JSON
-renderer joins its text in one copy.
+line is then one f-string over those texts.  The JSON renderer joins
+its text in one copy.
 """
 
 from __future__ import annotations
 
 import math
-import operator
-from bisect import bisect_right
-from collections.abc import Sequence
-from itertools import accumulate, repeat
+from itertools import repeat
 from typing import NamedTuple
 
 from .bounds import DEFAULT_ALPHA, BoundKernel, GapParams, GapVariant, Tuning, _bound_columns, _EllColumns
@@ -83,8 +79,8 @@ def format_from_log10(log10_value: float) -> str:
     return f"{mantissa}e+{exponent}" if exponent >= 0 else f"{mantissa}e{exponent}"
 
 
-def build_gap_table(n_values, ell_values, alpha=DEFAULT_ALPHA, variants=None) -> Sequence[GapTableRow]:
-    """Rows for every (n, ell, variant) combination, in grid order.
+def build_gap_table(n_values, ell_values, alpha=DEFAULT_ALPHA, variants=None) -> _TableRows:
+    """The table of every (n, ell, variant) combination, iterating in grid order.
 
     alpha may be a positive float applied everywhere or the string
     "auto", which tunes alpha per (n, ell) by maximising the excess.
@@ -107,7 +103,8 @@ def build_gap_table(n_values, ell_values, alpha=DEFAULT_ALPHA, variants=None) ->
     since a solve or kernel that fails at a checked point fails at the
     first ell of its n (n C_n past the double range).
 
-    The rows come as a _TableRows over one block per n (_block).
+    The table is a _TableRows over ell_values and one block per n
+    (_block); an empty n or ell sequence would leave it no row, and raises.
     """
     if not n_values or not ell_values:
         raise ValueError("need at least one n and one ell")
@@ -123,8 +120,8 @@ def build_gap_table(n_values, ell_values, alpha=DEFAULT_ALPHA, variants=None) ->
     for ell in ells:
         GapParams(n=ns[0], ell=ell, alpha=checked)
     labels = [(v.value, v is GapVariant.CLY) for v in chosen]  # read once per request
-    blocks = []
     if auto and tuned:
+        blocks = []
         for n in n_values:
             kernels = [BoundKernel(n, Tuning.excess(ell, optimal_alpha(n, ell).root)) for ell in ell_values]
             cols = _EllColumns(ell_values, [k.tuning for k in kernels])
@@ -132,9 +129,8 @@ def build_gap_table(n_values, ell_values, alpha=DEFAULT_ALPHA, variants=None) ->
     else:
         tuning, m = Tuning(checked), len(ell_values)
         columns = _EllColumns(ell_values, [tuning] * m)
-        for n in n_values:
-            blocks.append(_block([BoundKernel(n, tuning)] * m, columns, chosen, labels))
-    return _TableRows(blocks)
+        blocks = [_block([BoundKernel(n, tuning)] * m, columns, chosen, labels) for n in n_values]
+    return _TableRows(ell_values, blocks)
 
 
 def _deciding(values):
@@ -152,13 +148,13 @@ def _deciding(values):
 
 
 def _block(kernels, cols: _EllColumns, chosen, labels) -> tuple:
-    """One n's rows as (n, ells, columns), from the columns of _bound_columns in base-10 logs.
+    """One n's rows as (n, columns), from the columns of _bound_columns in base-10 logs.
 
     columns holds, per chosen variant, (name, alphas, log10_Bs,
-    log10_excesses, log10_ratios), the last four indexed like ells; the
-    rows run ell by ell, variant by variant.  kernels[i] is the kernel
-    at cols.ells[i]; labels holds each chosen variant's name and whether
-    its rows are classical.
+    log10_excesses, log10_ratios), the last four indexed like cols.ells;
+    the rows run ell by ell, variant by variant.  kernels[i] is the
+    kernel at cols.ells[i]; labels holds each chosen variant's name and
+    whether its rows are classical.
     """
     first, m = kernels[0], len(kernels)
     tuned = ([k.tuning.alpha for k in kernels], [k.log_b / _LN10 for k in kernels])
@@ -168,41 +164,27 @@ def _block(kernels, cols: _EllColumns, chosen, labels) -> tuple:
          [x / _LN10 for x in ratios])
         for (name, is_classical), (_, excesses, ratios) in zip(labels, _bound_columns(kernels, cols, chosen))
     ]
-    return first.n, cols.ells, columns
+    return first.n, columns
 
 
-class _TableRows(Sequence):
-    """A gap table's rows, read-only, derived from its blocks when read.
+class _TableRows:
+    """A gap table: its ells, then one (n, columns) block per n (_block).
 
-    len, iteration and integer indexing give GapTableRow values in grid
-    order; the renderers read blocks directly.
+    len and iteration give its GapTableRow values in grid order, each
+    derived when read; the renderers read the blocks directly.
     """
 
-    def __init__(self, blocks: list) -> None:
-        self.blocks = blocks
-        # the index of each block's first row, then the number of rows
-        self._starts = list(accumulate((len(ells) * len(columns) for _, ells, columns in blocks), initial=0))
+    def __init__(self, ells, blocks: list) -> None:
+        self.ells, self.blocks = ells, blocks
 
     def __len__(self) -> int:
-        return self._starts[-1]
+        return len(self.ells) * sum(len(columns) for _, columns in self.blocks)
 
     def __iter__(self):
-        for n, ells, columns in self.blocks:
-            for i, ell in enumerate(ells):
+        for n, columns in self.blocks:
+            for i, ell in enumerate(self.ells):
                 for name, alphas, log10_bs, excesses, ratios in columns:
                     yield GapTableRow(n, ell, alphas[i], name, log10_bs[i], excesses[i], ratios[i])
-
-    def __getitem__(self, index: int) -> GapTableRow:
-        index = operator.index(index)
-        if index < 0:
-            index += len(self)
-        if not 0 <= index < len(self):
-            raise IndexError("gap table row index out of range")
-        b = bisect_right(self._starts, index) - 1
-        n, ells, columns = self.blocks[b]
-        i, k = divmod(index - self._starts[b], len(columns))
-        name, alphas, log10_bs, excesses, ratios = columns[k]
-        return GapTableRow(n, ells[i], alphas[i], name, log10_bs[i], excesses[i], ratios[i])
 
 
 class _Formatted(dict):
@@ -230,37 +212,25 @@ class _Formatted(dict):
             self.clear()
 
 
-def _blocks(rows):
-    """The blocks of a built table; any other sequence of rows as one-row blocks."""
-    if isinstance(rows, _TableRows):
-        return rows.blocks
-    return (
-        (n, (ell,), [(variant, (alpha,), (log10_b,), (log10_excess,), (log10_ratio,))])
-        for n, ell, alpha, variant, log10_b, log10_excess, log10_ratio in rows
-    )
-
-
-def _text_blocks(rows, head):
-    """Each block of rows as text: (n, ells, per variant (heads, excesses, ratios)).
+def _text_blocks(table: _TableRows, head):
+    """Each block of table as text: (n, ells, per variant (heads, excesses, ratios)).
 
     head(alpha, variant, log10_B), given their texts, is a renderer's
-    text for those three fields.  Each ell is formatted once per ells
-    sequence, which a built table shares across its blocks, and each
-    head, excess and ratio once per distinct value, through _Formatted
-    memos (see the module docstring for why values repeat).  The
-    classical log ratio 0.0 needs no special case: it renders as "1",
-    and so does -0.0, which is the same key.
+    text for those three fields.  The ells are formatted once per table,
+    one list that every block shares, and each head, excess and ratio
+    once per distinct value, through _Formatted memos (see the module
+    docstring for why values repeat).  The classical log ratio 0.0
+    needs no special case: it renders as "1", and so does -0.0, which
+    is the same key.
     """
     sigs = _Formatted(_sig)
     ratios = _Formatted(format_from_log10)
     heads = _Formatted(lambda key: head(sigs[key[0]], key[1], sigs[key[2]]))
     memos = (sigs, ratios, heads)
-    ells = ell_texts = None
-    for n, block_ells, columns in _blocks(rows):
+    ell_texts = [str(ell) for ell in table.ells]
+    for n, columns in table.blocks:
         for memo in memos:
             memo.trim()
-        if block_ells is not ells:
-            ells, ell_texts = block_ells, [str(ell) for ell in block_ells]
         yield str(n), ell_texts, [
             (
                 _column_heads(heads, name, alphas, log10_bs),
@@ -283,7 +253,7 @@ def _column_heads(heads, name, alphas, log10_bs) -> list:
     return list(map(heads.__getitem__, zip(alphas, repeat(name), log10_bs)))
 
 
-def render_csv(rows) -> str:
+def render_csv(rows: _TableRows) -> str:
     # no field needs quoting: digits, signs, '.', 'e', '+' and variant names
     lines = [CSV_HEADER]
     append = lines.append
@@ -299,7 +269,7 @@ def _json_head(alpha: str, variant: str, log10_b: str) -> str:
     return f'"alpha": {alpha}, "variant": "{variant}", "log10_B": {log10_b}'
 
 
-def render_json(rows, meta: dict | None = None) -> str:
+def render_json(rows: _TableRows, meta: dict | None = None) -> str:
     # emitted by hand: ratio literals like 1.23456789012e+4000 must land
     # in the stream as bare numbers, which json.dumps cannot produce;
     # head, rows and tail are joined in one copy
@@ -310,8 +280,7 @@ def render_json(rows, meta: dict | None = None) -> str:
             for heads, excesses, ratios in columns:
                 append(f',\n    {{"n": {n}, "ell": {ell}, {heads[i]}, '
                        f'"log10_excess": {excesses[i]}, "ratio_vs_cly": {ratios[i]}}}')
-    if len(parts) > 1:
-        parts[1] = parts[1].removeprefix(",\n    ")  # each row follows a separator but the first
+    parts[1] = parts[1].removeprefix(",\n    ")  # each row follows a separator but the first
     parts.append("\n  ]")
     if meta:
         pairs = ", ".join(f'"{k}": "{meta[k]}"' for k in sorted(meta))
@@ -320,7 +289,7 @@ def render_json(rows, meta: dict | None = None) -> str:
     return "".join(parts)
 
 
-def render_pretty(rows) -> str:
+def render_pretty(rows: _TableRows) -> str:
     """Aligned text table; the excess column doubles as a lower bound
 
       volume ratio >= 1 + 10^(log10_excess)

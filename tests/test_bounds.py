@@ -172,6 +172,7 @@ class TestExcesses:
     def test_ratio_plain_float(self):
         plain = (0.43 * plain_b_alpha(2, 2.0)) / plain_b_alpha(2, 1.43)
         assert math.exp(log_improvement_vs_cly(2, 1, 1.43)) == pytest.approx(plain, rel=1e-12)
+        assert log_improvement_vs_cly(2, 1, Tuning(1.43)) == log_improvement_vs_cly(2, 1, 1.43)
 
     def test_ratio_grows_with_n(self):
         logs = [log_improvement_vs_cly(n, 1, 1.43) for n in range(2, 40)]
@@ -206,6 +207,10 @@ class TestBoundKernel:
                 case1_correction_numerator(GapParams(n=n, ell=ell, alpha=1.43)).log_mag
                 for ell in range(1, 31)
             ]
+
+    def test_ell_columns_say_if_finite_before_any_column_is_read(self):
+        assert _EllColumns((1, 30), (Tuning(1.43),) * 2).finite
+        assert not _EllColumns((1, 10**308), (Tuning(1.43),) * 2).finite  # 2 ell - 1 overflows
 
     def test_capped_kernels_stop_before_the_first_overflow(self):
         kernels, note = capped_kernels(range(160, 170), 1.43, 30)
@@ -355,6 +360,10 @@ class TestOrderings:
         plain = 1.43 * 2.0 * 5.0 * cly_constant(2) + math.log(1.0) - math.log(6.0)
         assert final_inequality_log_margin(2, 1, 1.43) == pytest.approx(plain, rel=1e-13)
         assert final_inequality_log_margin(2, 1, 1.43) == pytest.approx(12.508, rel=1e-3)
+        # a Tuning, as the neighbouring views take; a fixed one gives the float's bits
+        assert final_inequality_log_margin(2, 1, Tuning(1.43)) == final_inequality_log_margin(2, 1, 1.43)
+        pair = 2.0 * cly_constant(2) * (1.0 + 0.43) * 5.0 - math.log(6.0)  # alpha n C_n = nc/ell + u nc
+        assert final_inequality_log_margin(2, 1, Tuning.excess(1, 0.43)) == pytest.approx(pair, rel=1e-13)
 
     def test_correction_stays_below_codimension(self):
         # (n+ell+2) e^E < ell, which puts the CASE1 excess below CASE2
