@@ -30,7 +30,7 @@ alpha (n+ell+2) e^E, which case1_correction_numerator provides exactly.
 One kernel derives every formula above, over a whole range of ell.  It
 works on floats (natural logs of positive quantities).  The terms that
 depend on ell alone (the logs of 2 ell - 1, alpha ell - 1 and
-2 alpha ell - 1, the case (ii) margin and log ell) are columns of an
+2 alpha ell - 1, and the case (ii) margin) are columns of an
 _EllColumns, computed once per request: per verify run and per
 fixed-alpha table; at alpha = auto, where each ell has its own tuning,
 once per n.  A BoundKernel(n, alpha) holds the per-n scalars n C_n
@@ -205,12 +205,12 @@ class _EllColumns:
     repeated at a fixed alpha, the solver's pair per ell at alpha = auto.
     Each column is computed on first read and holds one value per ell:
     the logs of the numerators 2 ell - 1, alpha ell - 1 and
-    2 alpha ell - 1 (the last two from the tuning's numerators), the
-    case (ii) margin and log ell.  A numerator log whose argument leaves
-    the double range is +inf here; _bound_columns raises where it would
-    read one, naming its n.  Callers build one per request (a verify
-    run, a fixed-alpha table) or per n (an auto table), so the kernels
-    add only per-n float operations.
+    2 alpha ell - 1 (the last two from the tuning's numerators), and the
+    case (ii) margin.  A numerator log whose argument leaves the double
+    range is +inf here; _check_numerators raises on the ones a caller
+    reads.  Callers build one per request (a verify run, a fixed-alpha
+    table) or per n (an auto table), so the kernels add only per-n float
+    operations.
     """
 
     def __init__(self, ells, tunings) -> None:
@@ -229,11 +229,6 @@ class _EllColumns:
         return cly, thm1, case2
 
     @cached_property
-    def finite(self) -> bool:
-        """Whether no numerator log is +inf."""
-        return all(math.inf not in logs for logs in self.log_numerators)
-
-    @cached_property
     def case2_margin(self) -> list[float]:
         """log[(2 alpha ell - 1) / (2 (alpha ell - 1))], sharing one denominator.
 
@@ -250,24 +245,6 @@ class _EllColumns:
                 raise ValueError("alpha*ell must exceed 1")
             margins.append(math.log1p(0.5 / thm1))
         return margins
-
-    @cached_property
-    def log_ell(self) -> list[float]:
-        return [math.log(ell) for ell in self.ells]
-
-    def overflow(self, order):
-        """Where a pass over the ells first meets a numerator log of order that is +inf.
-
-        order is a tuple of variants in the order one ell checks their
-        numerator logs.  Returns None, or (i, k): the first ell index i
-        with such a log, and the first k with order[k]'s log +inf there.
-        """
-        found = []
-        for k, variant in enumerate(order):
-            logs = self.log_numerators[_numerator(variant)]
-            if math.inf in logs:
-                found.append((logs.index(math.inf), k))
-        return min(found, default=None)
 
 
 _NUMERATORS = ("2 ell - 1", "alpha ell - 1", "2 alpha ell - 1")
@@ -300,29 +277,34 @@ def _log_case1_corrections(n: int, alphas, ancs, ells) -> list[float]:
     ]
 
 
+def _check_numerators(n: int, cols: _EllColumns, variants) -> None:
+    """Raise OverflowError for the first of 2 ell - 1 and variants' numerators that overflows.
+
+    A numerator overflows if it leaves the double range at any ell of
+    cols; the message names it and n.  At a fixed alpha each numerator
+    rises with ell, so the ends of a range decide it.
+    """
+    logs = cols.log_numerators
+    for k in (0, *map(_numerator, variants)):
+        if math.inf in logs[k]:
+            raise _overflow(_NUMERATORS[k], n)
+
+
 def _bound_columns(kernels, cols: _EllColumns, variants) -> list[tuple[list, list, list]]:
     """(log B, log excess, log ratio to CLY) columns per variant, in order, over cols.ells.
 
     kernels[i] is the BoundKernel at cols.ells[i], at the tuning
     cols.tunings[i]; all share one n.  At a fixed alpha that is one
-    kernel repeated.  An overflow raises what a pass over the ells would
-    raise first, taking at each ell log(2 ell - 1), then each variant's
-    numerator log and, for THM2_CASE1, its bump.
+    kernel repeated.  A numerator past the double range raises first
+    (_check_numerators), then a THM2_CASE1 bump past it, at its first ell.
     """
     first, ells = kernels[0], cols.ells
     n, log_b_cly = first.n, first.log_b_cly
+    _check_numerators(n, cols, variants)
     logs = cols.log_numerators
-    where = None if cols.finite else cols.overflow((_CLY, *variants))
-    if _CASE1 in variants or where is not None:
-        alphas, ancs = [k.tuning.alpha for k in kernels], [k.anc for k in kernels]
     if _CASE1 in variants:
-        corrections = _log_case1_corrections(n, alphas, ancs, ells if where is None else ells[:where[0]])
-    if where is not None:
-        i, k = where
-        order = (_CLY, *variants)
-        if _CASE1 in order[1:k]:  # its bump at ell i is checked before order[k]'s log
-            _log_case1_corrections(n, alphas[i:], ancs[i:], ells[i:i + 1])
-        raise _overflow(_NUMERATORS[_numerator(order[k])], n)
+        alphas, ancs = [k.tuning.alpha for k in kernels], [k.anc for k in kernels]
+        corrections = _log_case1_corrections(n, alphas, ancs, ells)
     log_bs = [k.log_b for k in kernels]
     log_cly = [x - log_b_cly for x in logs[0]]
     out = []
@@ -452,14 +434,13 @@ def final_inequality_log_margin(n: int, ell: int, alpha: float = DEFAULT_ALPHA) 
     Returns log(rhs) - log(lhs) = alpha n (n+3) C_n + log ell - log(n+ell+3);
     the inequality holds iff this is positive.  alpha may be a Tuning.
     """
-    tuning = _tuning(alpha)
-    return _final_inequality_log_margins(n, tuning.exponent(nc_product(n)), _EllColumns((ell,), (tuning,)))[0]
+    return _final_inequality_log_margins(n, _tuning(alpha).exponent(nc_product(n)), (ell,))[0]
 
 
-def _final_inequality_log_margins(n: int, anc: float, cols: _EllColumns) -> list[float]:
-    """final_inequality_log_margin at each ell of cols, given anc = alpha n C_n."""
+def _final_inequality_log_margins(n: int, anc: float, ells) -> list[float]:
+    """final_inequality_log_margin at each of ells, given anc = alpha n C_n."""
     head = anc * (n + 3)
-    return [head + log_ell - math.log(n + ell + 3.0) for ell, log_ell in zip(cols.ells, cols.log_ell)]
+    return [head + math.log(ell) - math.log(n + ell + 3.0) for ell in ells]
 
 
 def _log_multiplicity_excesses(n: int, nc: float, t: float, ks) -> list[float]:

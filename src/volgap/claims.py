@@ -333,7 +333,7 @@ def _leml_rows(run):
 
 
 def _final_row(kernel, cols) -> list[float]:
-    return bounds._final_inequality_log_margins(kernel.n, kernel.anc, cols)
+    return bounds._final_inequality_log_margins(kernel.n, kernel.anc, cols.ells)
 
 
 def _thm1_columns(kernel, cols) -> tuple[list[float], list[float]]:

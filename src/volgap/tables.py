@@ -8,7 +8,9 @@ since ratios routinely exceed float range.  A large ratio is rendered
 as a mantissa/exponent literal (still a valid JSON number).
 
 A gap table request is checked in full before any row is computed, so
-an invalid n, ell or alpha raises ValueError whatever else it holds.
+an invalid n, ell or alpha raises ValueError whatever else it holds,
+and a numerator the chosen variants form past the double range raises
+OverflowError before any kernel is built.
 The table is then built in one loop over n, as one block per n: per
 chosen variant, the columns over the request's ells of alpha, log10_B,
 log10_excess and the log10 ratio.  One BoundKernel per (n, alpha)
@@ -39,7 +41,9 @@ import math
 from itertools import repeat
 from typing import NamedTuple
 
-from .bounds import DEFAULT_ALPHA, BoundKernel, GapParams, GapVariant, Tuning, _bound_columns, _EllColumns
+from .bounds import (
+    DEFAULT_ALPHA, BoundKernel, GapParams, GapVariant, Tuning, _bound_columns, _check_numerators, _EllColumns,
+)
 from .bounds import gap_excess  # noqa: F401  (perfbench's tracer tests wrap tables.gap_excess)
 from .logdomain import _LN10
 from .solver import optimal_alpha
@@ -93,15 +97,21 @@ def build_gap_table(n_values, ell_values, alpha=DEFAULT_ALPHA, variants=None) ->
     ends, the smaller first (_deciding).  At auto, or with no tuned
     variant, that alpha is the classical 2, valid at every ell >= 1; an
     auto point's own tuning is valid too, since the solver's root u is
-    positive.  Rows are read from one BoundKernel per n at a fixed alpha,
-    and one per (n, ell) at auto, which takes the solver's exact pair
+    positive.  The same ells, at the first n checked, then decide
+    whether 2 ell - 1 and, at a fixed alpha, each chosen variant's
+    numerator fit a double (bounds._check_numerators); at auto the
+    solver's pair forms ell u and 1 + 2 ell u, which cannot overflow.
+
+    Rows are read from one BoundKernel per n at a fixed alpha, and one
+    per (n, ell) at auto, which takes the solver's exact pair
     (bounds.Tuning) from optimal_alpha; n C_n is memoised in specials,
     so the solves and kernels of an n compute it once.  The ell terms
     are one column set per request at a fixed alpha, and one per n at
     auto, read in one pass per n (bounds._bound_columns).  At auto every
     kernel of an n is built before its rows; that moves no first error,
     since a solve or kernel that fails at a checked point fails at the
-    first ell of its n (n C_n past the double range).
+    first ell of its n (n C_n past the double range), and no numerator
+    can fail once the request is checked.
 
     The table is a _TableRows over ell_values and one block per n
     (_block); an empty n or ell sequence would leave it no row, and raises.
@@ -119,6 +129,7 @@ def build_gap_table(n_values, ell_values, alpha=DEFAULT_ALPHA, variants=None) ->
         GapParams(n=n, ell=ells[0], alpha=checked)
     for ell in ells:
         GapParams(n=ns[0], ell=ell, alpha=checked)
+    _check_numerators(ns[0], _EllColumns(ells, [Tuning(checked)] * len(ells)), () if auto else chosen)
     labels = [(v.value, v is GapVariant.CLY) for v in chosen]  # read once per request
     if auto and tuned:
         blocks = []

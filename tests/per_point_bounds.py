@@ -4,8 +4,8 @@ before it evaluated whole ell columns.
 This is the reference implementation for bounds' column code: each
 function here makes the same float operations in the same order, and
 raises the same error at the same check, for one point.  Tests require
-the columns to equal these values with ==, and a table build to fail
-where a pass over the points fails first.
+the columns to equal these values with ==, and a table build to fail,
+after the request check, where a pass over the points fails first.
 """
 
 import math

@@ -64,6 +64,9 @@ DELETED = [
     ("bounds", "BoundKernel.retuned"),
     ("tables", "_TableRows.__getitem__"),
     ("tables", "_blocks"),
+    ("bounds", "_EllColumns.finite"),
+    ("bounds", "_EllColumns.overflow"),
+    ("bounds", "_EllColumns.log_ell"),
 ]
 
 

@@ -208,10 +208,6 @@ class TestBoundKernel:
                 for ell in range(1, 31)
             ]
 
-    def test_ell_columns_say_if_finite_before_any_column_is_read(self):
-        assert _EllColumns((1, 30), (Tuning(1.43),) * 2).finite
-        assert not _EllColumns((1, 10**308), (Tuning(1.43),) * 2).finite  # 2 ell - 1 overflows
-
     def test_capped_kernels_stop_before_the_first_overflow(self):
         kernels, note = capped_kernels(range(160, 170), 1.43, 30)
         assert [k.n for k in kernels] == [160, 161, 162, 163, 164]
@@ -466,7 +462,7 @@ class TestColumnsMatchThePerPointFormulas:
     def check_kernel_scalars(self, kernel, cols):
         """The claims' columns, which read one fixed-alpha kernel's scalars."""
         n, anc, ells = kernel.n, kernel.anc, cols.ells
-        assert _final_inequality_log_margins(n, anc, cols) == [
+        assert _final_inequality_log_margins(n, anc, ells) == [
             per_point.final_margin(n, ell, anc) for ell in ells
         ]
         ks = [n + ell + 1 for ell in ells]

@@ -414,7 +414,7 @@ def _head_of_one(monkeypatch):
     # alpha n (n+3) C_n replaced by 1: false at ell = 1 for every n, true at
     # ell = 30 up to n = 48
     real = bounds._final_inequality_log_margins
-    monkeypatch.setattr(bounds, "_final_inequality_log_margins", lambda n, anc, cols: real(n, 1.0 / (n + 3), cols))
+    monkeypatch.setattr(bounds, "_final_inequality_log_margins", lambda n, anc, ells: real(n, 1.0 / (n + 3), ells))
 
 
 def _short_tuned_numerator(monkeypatch):

@@ -298,12 +298,30 @@ class TestGridErrorContract:
          "usage error: ell must be at least 1, got 0"),
         (("table", "--n-range", "1:100000000", "--l-range", f"1:{2 * 10**308}"), 2,
          "usage error: n must be at least 2, got 1"),
+        # the request check meets 2 ell - 1 before any kernel forms n C_n
+        (("table", "--n-range", "166:167", "--l-range", f"{10**308}:{10**308}"), 1,
+         "error: 2 ell - 1 leaves the double range at n=166"),
+        (("table", "--n-range", "2:2", "--l-range", f"{10**308}:{10**308}", "--variant", "thm1"), 1,
+         "error: 2 ell - 1 leaves the double range at n=2"),
     ])
     def test_table_errors(self, capsys, argv, code, message):
         assert main(list(argv)) == code
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == message + "\n"
+
+    # only the numerators the chosen variants form are checked: 2 alpha
+    # ell - 1 would overflow at the classical 2 in the CLY request, at
+    # 1.43 in the THM1 one, and at the checked 2 at auto, whose pairs form
+    # 1 + 2 ell u instead
+    @pytest.mark.parametrize("alpha, variant, ell, rows", [
+        ("1.43", "cly", 5 * 10**307, 1), ("1.43", "thm1", 7 * 10**307, 1), ("auto", "all", 5 * 10**307, 4),
+    ], ids=["cly", "thm1", "auto"])
+    def test_the_request_checks_only_the_numerators_it_forms(self, capsys, alpha, variant, ell, rows):
+        argv = ["table", "--n-range", "2:2", "--l-range", f"{ell}:{ell}", "--alpha", alpha, "--variant", variant]
+        code, out = run(capsys, *argv)
+        assert code == 0
+        assert len(out.splitlines()) == 1 + rows
 
     def test_classical_rows_ignore_the_tuned_alpha(self, capsys):
         code, out = run(capsys, "table", "--alpha", "0.5", "--variant", "cly")
@@ -358,6 +376,21 @@ class TestGridErrorContract:
         errors = [c for c in json.loads(out)["claims"] if c["status"] == "ERROR"]
         assert len(errors) == 7
         assert {c["grid_note"] for c in errors} == {"OverflowError: ell leaves the double range at n=2"}
+
+    def test_an_overflowing_numerator_errors_the_claims_that_form_it(self, capsys):
+        # alpha ell - 1 is 10^309 here: the claims that read THM1 columns
+        # error naming it, and none reports a margin of +inf as a pass
+        code, out = run(capsys, "verify", "--alpha", "1e9", "--n-range", "3:5",
+                        "--l-range", f"{10**300}:{10**300 + 1}", "--json")
+        assert code == 1
+        claims = json.loads(out)["claims"]
+        assert [c["status"] for c in claims].count("PASS") == 16
+        errors = {c["claim_id"]: c["grid_note"] for c in claims if c["status"] == "ERROR"}
+        assert errors == {
+            "GAP_ORDER_THM1_CLY": "OverflowError: alpha ell - 1 leaves the double range at n=3",
+            "THM6_CONSISTENCY": "OverflowError: alpha ell - 1 leaves the double range at n=3",
+            "GAP_ORDER_THM2_THM1": "OverflowError: the log of alpha (n+ell+2) e^E leaves the double range at n=3",
+        }
 
     @pytest.mark.parametrize("ell_max", [10**30, 2**63 - 1], ids=["1e30", "2^63-1"])
     def test_an_ell_range_too_long_to_list_passes_on_a_sample(self, capsys, ell_max):

@@ -75,9 +75,11 @@ def reference_table(n_values, ell_values, alpha, variants):
 
     GapParams checks every n at the first ell, then every ell at the
     first n, at the tuned alpha: the classical 2 at auto or without a
-    tuned variant.  Each point then builds every kernel its rows use,
-    the tuned one first, before any row, and each row reads its own
-    through the per-point formulas of per_point_bounds.
+    tuned variant.  At the first n, 2 ell - 1 and then, at a fixed alpha,
+    each chosen variant's numerator must be finite at every ell.  Each
+    point then builds every kernel its rows use, the tuned one first,
+    before any row, and each row reads its own through the per-point
+    formulas of per_point_bounds.
     """
     chosen = [GapVariant(v) for v in variants] if variants else list(GapVariant)
     tuned = any(v is not GapVariant.CLY for v in chosen)
@@ -89,6 +91,16 @@ def reference_table(n_values, ell_values, alpha, variants):
         GapParams(n=n, ell=ell_values[0], alpha=checked)
     for ell in ell_values:
         GapParams(n=n_values[0], ell=ell, alpha=checked)
+    numerators = {
+        GapVariant.CLY: ("2 ell - 1", lambda ell: 2.0 * ell - 1.0),
+        GapVariant.THM1: ("alpha ell - 1", lambda ell: checked * ell - 1.0),
+        GapVariant.THM2_CASE1: ("alpha ell - 1", lambda ell: checked * ell - 1.0),
+        GapVariant.THM2_CASE2: ("2 alpha ell - 1", lambda ell: 2.0 * checked * ell - 1.0),
+    }
+    for v in [GapVariant.CLY] + ([] if auto else chosen):
+        what, numerator = numerators[v]
+        for ell in ell_values:
+            per_point.ln(numerator(ell), what, n_values[0])
     rows = []
     for n in n_values:
         for ell in ell_values:
@@ -129,7 +141,7 @@ class TestErrorParity:
         ([164, 165, 166], [1], "auto", ["THM1"]),
         ([3, 1], [1, 2], "auto", None),  # invalid n before any solve
         # at (2, 2) the case (i) bump and 2 alpha ell - 1 both overflow;
-        # whichever variant comes first is checked first
+        # the request check meets 2 alpha ell - 1 first, in either order
         ([2], [2], 5e307, ["THM2_CASE1", "THM2_CASE2"]),
         ([2], [2], 5e307, ["THM2_CASE2", "THM2_CASE1"]),
     ]
