@@ -270,11 +270,13 @@ def _correction_exponents(n: int, ancs, ells):
 
 def _log_case1_corrections(n: int, alphas, ancs, ells) -> list[float]:
     """log of alpha (n+ell+2) e^E at each ell, with its alpha and anc; -inf where e^E vanishes."""
+    out = []
     # E first: its check on n + 2 ell comes before alpha (n+ell+2) is formed
-    return [
-        _log_mag(e_corr + math.log(alpha * (n + ell + 2)), "alpha (n+ell+2) e^E", n)
-        for e_corr, alpha, ell in zip(_correction_exponents(n, ancs, ells), alphas, ells)
-    ]
+    for e_corr, alpha, ell in zip(_correction_exponents(n, ancs, ells), alphas, ells):
+        scale = alpha * (n + ell + 2)  # a sum of logs where it overflows, so that E = -inf gives -inf
+        log_scale = math.log(scale) if scale < math.inf else math.log(alpha) + math.log(n + ell + 2)
+        out.append(_log_mag(e_corr + log_scale, "alpha (n+ell+2) e^E", n))
+    return out
 
 
 def _check_numerators(n: int, cols: _EllColumns, variants) -> None:

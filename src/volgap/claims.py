@@ -36,21 +36,20 @@ THM6_CONSISTENCY compares two computations of one number, a check of
 the code, so it reads at most _THM6_ELLS ells per n, as its note says.
 A failed solve is not kept, so it errors only the claims that ask for
 its n.  The context lives for one run_claim_suite or run_claim call.
-LEML_GPRIME_NEG checks its lemma on the values of g, not on the sign
-of g', which is -1 by construction: at each n, log g (solver._log_g)
-must strictly decrease across the in-domain samples beta = 0.05, ...,
-3.0.
+LEM3_TRACE_BOUND reads t = 1 alone, which decides every t >= 1 (its note
+says why).  LEML_GPRIME_NEG reads no grid: it expands g' exactly over
+integer polynomials, which decides every n and beta at once (_leml_counts).
 """
 
 from __future__ import annotations
 
 import math
-from collections import namedtuple
+from collections import Counter, namedtuple
 from collections.abc import Callable
 from dataclasses import dataclass, field
-from functools import cached_property
-from itertools import accumulate, chain, repeat
-from operator import sub
+from functools import cached_property, reduce
+from itertools import accumulate, product, repeat
+from operator import add, sub
 
 from . import bounds, solver, spectral
 from .bounds import DEFAULT_ALPHA, GapVariant
@@ -59,7 +58,6 @@ from .specials import cly_constant, cly_constant_log
 _C3_REFERENCE = 3.58258102141221
 _THM1 = (GapVariant.THM1,)
 _LOG_165 = math.log(1.65)
-_BETAS = [0.05 * k for k in range(1, 61)]
 _THM6_ELLS = 64  # the most ells THM6_CONSISTENCY reads per n
 
 
@@ -316,20 +314,40 @@ def _ratio_at_min(worst: float) -> float:
         return math.inf
 
 
-def _lem3_rows(run):
-    ts = [1.0 + 0.25 * j for j in range(37)]  # t = 1, 1.25, ..., 10
-    for n in range(2, 11):
-        yield (n,), ts, [spectral.trace_bound(n, t) - spectral.heat_trace(n, t).value for t in ts]
+def _mul(p, q) -> Counter:
+    """p q, where a polynomial maps the exponents (i, j, k, l) of (beta, c, X, m) to int coefficients."""
+    out = Counter()
+    for (e, a), (f, b) in product(p.items(), q.items()):
+        out[tuple(map(add, e, f))] += a * b
+    return out
 
 
-def _leml_rows(run):
-    log_g, in_domain = solver._log_g, solver._in_g_domain
-    for kernel in run.kernels():
-        n, ncn = kernel.n, kernel.nc
-        betas = [beta for beta in _BETAS if in_domain(beta, ncn)]
-        logs = [log_g(beta, n, ncn) for beta in betas]
-        # the first value is checked against +inf, so NaN or inf fails it
-        yield (n,), betas, list(map(sub, chain((math.inf,), logs), logs))
+def _d(p) -> Counter:
+    """d/dbeta of p, where X = e^(beta c) gives dX/dbeta = c X."""
+    out = Counter()
+    for (i, j, k, l), a in p.items():
+        out[i - 1, j, k, l] += i * a
+        out[i, j + 1, k, l] += k * a
+    return out
+
+
+# g = N / D over c = n C_n, X = e^B, B = beta c and m = n + 1, so g' = -(N D' - N' D) / D^2,
+# and N D' - N' D is the product of c, 2 + B, X and beta X + 1 + beta m
+_G_N = {(0, 0, 0, 1): 1, (0, 0, 1, 0): 1, (1, 1, 1, 0): 1}  # m + (1 + B) X
+_G_D = {(2, 1, 1, 0): 1, (0, 0, 0, 0): -1}  # beta^2 c X - 1
+_G_FACTORS = (
+    {(0, 1, 0, 0): 1}, {(0, 0, 0, 0): 2, (1, 1, 0, 0): 1}, {(0, 0, 1, 0): 1},
+    {(1, 0, 1, 0): 1, (0, 0, 0, 0): 1, (1, 0, 0, 1): 1},
+)
+
+
+def _leml_counts() -> tuple[int, int, int]:
+    """(terms of N D' - N' D, terms unlike the factors' product, factor coefficients <= 0)."""
+    expansion = _mul(_G_N, _d(_G_D))
+    expansion.subtract(_mul(_d(_G_N), _G_D))
+    factored = reduce(_mul, _G_FACTORS)
+    mismatched = sum(expansion[e] != factored[e] for e in expansion.keys() | factored.keys())
+    return sum(map(bool, expansion.values())), mismatched, sum(a <= 0 for p in _G_FACTORS for a in p.values())
 
 
 def _final_row(kernel, cols) -> list[float]:
@@ -346,6 +364,7 @@ def _ratio_row(kernel, cols) -> list[float]:
 
 
 def _case2_row(kernel, cols) -> list[float]:
+    bounds._check_numerators(kernel.n, cols, _THM1)  # its margin is read at alpha ell - 1
     alphas, ancs = repeat(kernel.tuning.alpha), repeat(kernel.anc)
     corrections = bounds._log_case1_corrections(kernel.n, alphas, ancs, cols.ells)
     # a correction term that vanished fails the point outright
@@ -462,25 +481,23 @@ _CLAIMS = {
     "LEM3_TRACE_BOUND": _Claim(
         "sum_k m_k e^(-lambda_k t) <= 1 + (n+1) e^(-n t) + (C_n / t) e^(-n t)"
         " for the round n-sphere whenever t >= 1",
-        _lem3_rows,
-        lambda run, f: {
-            "min_margin": f.worst,
-            "at_n": _coord(f.at, 0),
-            "at_t": _coord(f.at, 1),
-            "points": float(f.points),
-        },
-        strict=False, note="n in [2, 10], t in {1, 1.25, ..., 10}",
+        lambda run: _over(
+            _ns(run), lambda n: spectral.trace_bound(n, 1.0) - spectral.heat_trace(n, 1.0).value
+        ),
+        lambda run, f: {"min_margin": f.worst, "at_n": _coord(f.at, 0), "points": float(f.points)},
+        note=lambda run, f: _capped(
+            run, "; decided at t = 1: levels 0 and 1 cancel, leaving t sum_(k>=2) m_k e^(-(lambda_k - n) t)"
+            " <= C_n, whose terms fall for t >= 1 as lambda_k - n >= n + 2",
+        ),
     ),
     "LEML_GPRIME_NEG": _Claim(
         "g(b) = (n + 1 + (1+B) e^B)/(b^2 n C_n e^B - 1) has negative derivative"
         " throughout its domain b^2 n C_n e^B > 1, with B = b n C_n",
-        _leml_rows,
-        lambda run, f: {
-            "in_domain_points": float(f.points),
-            "first_bad_beta": _coord(f.first_bad, 1),
-            "first_bad_n": _coord(f.first_bad, 0),
-        },
-        note=lambda run, f: _capped(run, ", beta in {0.05, ..., 3.0}"),
+        lambda run: _one(_leml_counts(), lambda counts: -(counts[1] + counts[2])),
+        lambda run, f: dict(zip(("terms", "mismatched", "nonpositive_coefficients"), map(float, f.at[0]))),
+        strict=False, tolerance=0.0,
+        note="every n >= 2 and b > 0: for g = N / D, N D' - N' D expanded exactly over (b, c = n C_n,"
+        " X = e^B, m = n + 1) equals c (2 + B) X (b X + 1 + b m), whose factors have positive coefficients",
     ),
     "PHI3_GT_2": _Claim(
         "phi_3(1.3) = 3 C_3 (1.3)(0.3) - 1 exceeds 2",

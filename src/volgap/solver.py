@@ -275,25 +275,6 @@ def gamma_n(n: int, tol: float = 1e-12) -> RootResult:
     return optimal_alpha(n, 1, tol)
 
 
-def _log_g(beta: float, n: int, ncn: float) -> float:
-    """log g(beta), g = (n + 1 + (1+B) e^B) / (beta^2 n C_n e^B - 1) with
-    B = beta n C_n, given ncn = n C_n, on the domain beta^2 n C_n e^B > 1.
-
-    With e^B cancelled, g = 1 + (1 + B (1 - beta) + (n+2) e^-B) / (beta B - e^-B),
-    so log g is a log1p.  It keeps its digits where g rounds to 1: at
-    beta = 1, log g is about 1/B, which log(1 + B) - log(B) loses
-    entirely once 1 + B rounds to B (n = 30 already).
-    """
-    big_b = beta * ncn
-    decay = math.exp(-big_b)
-    return math.log1p((1.0 + big_b * (1.0 - beta) + (n + 2.0) * decay) / (beta * big_b - decay))
-
-
-def _in_g_domain(beta: float, ncn: float) -> bool:
-    """beta^2 n C_n e^B > 1, B = beta n C_n, tested in log form."""
-    return math.log(beta * beta * ncn) + beta * ncn > 0.0
-
-
 def _g_prime_numerator(beta: float, n: int, ncn: float) -> LogScalar:
     """Numerator of g'(beta) after combining over the common denominator,
     given ncn = n C_n, which a scan holds for all its betas:
@@ -302,8 +283,8 @@ def _g_prime_numerator(beta: float, n: int, ncn: float) -> LogScalar:
 
     Every factor after the minus sign is positive, so the sign is -1
     throughout the domain by this factored form.  The acceptance gate
-    reads it through g_prime_sign_scan; the claim suite checks that g
-    itself decreases (_log_g).
+    reads it through g_prime_sign_scan; the claim suite proves the form
+    by exact expansion (claims._leml_counts).
     """
     big_b = beta * ncn
     if math.isinf(2.0 * big_b):
@@ -322,14 +303,14 @@ class GPrimeSample:
 
 def g_prime_sign_scan(n: int, betas) -> list[GPrimeSample]:
     """Sign of the g' numerator at each beta, which is -1 by its factored
-    form; out-of-domain points are flagged rather than fatal.  The claim
-    suite checks g's decrease on the values of g instead."""
+    form; out-of-domain points, beta^2 n C_n e^B <= 1, are flagged rather
+    than fatal.  LEML_GPRIME_NEG proves that form for every beta."""
     ncn = nc_product(n)
     samples = []
     for beta in betas:
         if not (beta > 0.0):
             raise ValueError(f"beta values must be positive, got {beta!r}")
-        in_domain = _in_g_domain(beta, ncn)
+        in_domain = math.log(beta * beta * ncn) + beta * ncn > 0.0  # the domain, in log form
         sign = _g_prime_numerator(beta, n, ncn).sign if in_domain else None
         samples.append(GPrimeSample(beta=beta, in_domain=in_domain, sign=sign))
     return samples

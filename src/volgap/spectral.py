@@ -27,8 +27,8 @@ trace_bound gives the closed comparison estimate
 
   1 + (n+1) e^(-nt) + C_n t^-1 e^(-nt)   for t >= 1,
 
-which the summed trace must never exceed.  Confirming that dominance
-over a grid is one of the headline checks in the claim suite.
+which the summed trace must never exceed.  The claim suite checks that
+dominance at t = 1, which decides every t >= 1 (LEM3_TRACE_BOUND).
 """
 
 from __future__ import annotations

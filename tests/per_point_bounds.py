@@ -40,7 +40,10 @@ def correction_exponent(n: int, ell: int, anc: float) -> float:
 
 def log_case1_correction(n: int, ell: int, alpha: float, anc: float) -> float:
     e_corr = correction_exponent(n, ell, anc)
-    return log_mag(math.log(alpha * (n + ell + 2)) + e_corr, "alpha (n+ell+2) e^E", n)
+    # where alpha (n+ell+2) overflows, its log is the sum of the two logs
+    scale = alpha * (n + ell + 2)
+    log_scale = math.log(scale) if scale < math.inf else math.log(alpha) + math.log(n + ell + 2)
+    return log_mag(log_scale + e_corr, "alpha (n+ell+2) e^E", n)
 
 
 def logs(kernel, ell: int, variants) -> list:

@@ -67,6 +67,11 @@ DELETED = [
     ("bounds", "_EllColumns.finite"),
     ("bounds", "_EllColumns.overflow"),
     ("bounds", "_EllColumns.log_ell"),
+    ("claims", "_lem3_rows"),
+    ("claims", "_leml_rows"),
+    ("claims", "_BETAS"),
+    ("solver", "_log_g"),
+    ("solver", "_in_g_domain"),
 ]
 
 

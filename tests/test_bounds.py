@@ -199,6 +199,19 @@ class TestBoundKernel:
         with pytest.raises(ValueError, match="alpha must be positive and finite"):
             BoundKernel(2, -1.0)
 
+    @pytest.mark.parametrize("n, alpha, ell", [(2, 5e307, 2), (3, 1e9, 10**300)], ids=["E=-inf", "E-finite"])
+    def test_case1_correction_where_alpha_times_n_ell_overflows(self, n, alpha, ell):
+        # alpha (n+ell+2) leaves the double range; its log is then the sum of
+        # the two logs, so a bump whose E is -inf vanishes (-inf, not
+        # inf - inf = NaN) and one with a finite E keeps a finite log
+        anc = alpha * nc_product(n)
+        (got,) = _log_case1_corrections(n, [alpha], [anc], [ell])
+        assert math.isinf(alpha * (n + ell + 2))
+        assert got == per_point.log_case1_correction(n, ell, alpha, anc)
+        e_corr = per_point.correction_exponent(n, ell, anc)
+        assert got == e_corr + float(mpmath.log(mpmath.mpf(alpha) * (n + ell + 2)))
+        assert (got == -math.inf) == (e_corr == -math.inf)
+
     def test_case1_correction_column_matches_the_view(self):
         for n in (2, 7, 60):
             anc = BoundKernel(n, 1.43).anc

@@ -3,18 +3,24 @@ and the witnesses of the closed-form claims."""
 
 import dataclasses
 import math
+import random
 
 import mpmath
 import pytest
 
-from volgap import bounds, solver, spectral
+from volgap import bounds, claims, solver, spectral
 from volgap.bounds import GapVariant
 from volgap.claims import (
     ClaimVerdict,
     SuiteConfig,
     _CLAIMS,
+    _G_D,
+    _G_FACTORS,
+    _G_N,
     _Claim,
+    _d,
     _fold,
+    _mul,
     _Run,
     _sample,
     claim_ids,
@@ -188,15 +194,42 @@ class TestFold:
 def test_lem3_fails_where_the_trace_is_nan(monkeypatch):
     trace = spectral.heat_trace
 
-    def nan_at_4_2(n, t):
+    def nan_at_4_1(n, t):
         result = trace(n, t)
-        return dataclasses.replace(result, value=math.nan) if (n, t) == (4, 2.0) else result
+        return dataclasses.replace(result, value=math.nan) if (n, t) == (4, 1.0) else result
 
-    monkeypatch.setattr(spectral, "heat_trace", nan_at_4_2)
+    monkeypatch.setattr(spectral, "heat_trace", nan_at_4_1)
     v = run_claim("LEM3_TRACE_BOUND", SMALL)
     assert v.status == "FAIL"
     assert v.witnesses["min_margin"] == -math.inf
-    assert (v.witnesses["at_n"], v.witnesses["at_t"]) == (4.0, 2.0)
+    assert v.witnesses["at_n"] == 4.0
+
+
+@pytest.mark.parametrize("n_max, ns", [(6, range(2, 7)), (400, range(2, 165))])
+def test_lem3_reads_t_1_alone_at_each_n_of_the_capped_grid(monkeypatch, n_max, ns):
+    traces = _count_calls(monkeypatch, spectral, "heat_trace")
+    closed = _count_calls(monkeypatch, spectral, "trace_bound")
+    v = run_claim("LEM3_TRACE_BOUND", dataclasses.replace(SMALL, n_max=n_max))
+    assert v.status == "PASS"
+    assert traces == closed == [(n, 1.0) for n in ns]
+    assert v.witnesses["points"] == len(ns)
+    assert v.grid_note.startswith(f"n in [2, {ns[-1]}]; decided at t = 1: ")
+    assert v.grid_note.endswith("capped at 164: the case-correction exponent exceeds float range beyond"
+                                if n_max > 164 else "as lambda_k - n >= n + 2")
+
+
+def test_leml_reads_no_grid_no_beta_and_no_kernel(monkeypatch):
+    def unread(*args, **kwargs):
+        raise AssertionError("LEML_GPRIME_NEG read what it should not")
+
+    for module, name in [(bounds, "capped_kernels"), (bounds, "BoundKernel"), (solver, "_g_prime_numerator"),
+                         (solver, "g_prime_sign_scan")]:
+        monkeypatch.setattr(module, name, unread)
+    # 165:170 leaves the capped grid empty; LEML still passes there
+    v = run_claim("LEML_GPRIME_NEG", SuiteConfig(n_min=165, n_max=170))
+    assert (v.status, v.tolerance) == ("PASS", 0.0)
+    assert v.witnesses == {"terms": 6.0, "mismatched": 0.0, "nonpositive_coefficients": 0.0}
+    assert v.grid_note.startswith("every n >= 2 and b > 0: ")
 
 
 def test_vacuous_gamma_range_still_passes():
@@ -234,7 +267,7 @@ GRID_CLAIMS = [
     "GAMMAN_LE_13",
     "GAP_ORDER_THM1_CLY",
     "GAP_ORDER_THM2_THM1",
-    "LEML_GPRIME_NEG",
+    "LEM3_TRACE_BOUND",
     "THM6_CONSISTENCY",
 ]
 
@@ -364,17 +397,10 @@ def test_sample(lo, hi, k):
 
 
 def test_a_thm6_mutant_off_at_one_sampled_ell_fails(monkeypatch):
-    # the multiplicity route off by a relative 1e-9 at one interior sampled
-    # ell of 1:10^6; the two routes agree to about 1e-15 elsewhere
     config, ell = SuiteConfig(ell_max=10**6), 10000
     assert ell in _sample(1, 10**6, 64)[1:-1]
     assert run_claim("THM6_CONSISTENCY", config).status == "PASS"
-    real = bounds._log_multiplicity_excesses
-
-    def off(n, nc, t, ks):
-        return [e * (1.0 + 1e-9) if k == n + ell + 1 else e for k, e in zip(ks, real(n, nc, t, ks))]
-
-    monkeypatch.setattr(bounds, "_log_multiplicity_excesses", off)
+    _thm6_off_at_one_sampled_ell(monkeypatch)
     v = run_claim("THM6_CONSISTENCY", config)
     assert v.status == "FAIL"
     assert v.witnesses["at_ell"] == ell
@@ -501,16 +527,193 @@ class TestEndsPremises:
                 assert all(step < 0 for step in self.steps(values)), n
 
 
-def test_first_bad_beta_names_the_first_failing_sample(monkeypatch):
-    # raising log g by 1 at (n=2, beta=1) breaks the decrease from beta = 0.95
-    log_g = solver._log_g
-    monkeypatch.setattr(
-        solver, "_log_g",
-        lambda beta, n, ncn: log_g(beta, n, ncn) + (1.0 if (n, beta) == (2, 1.0) else 0.0),
-    )
-    v = run_claim("LEML_GPRIME_NEG", SMALL)
-    assert v.status == "FAIL"
-    assert (v.witnesses["first_bad_n"], v.witnesses["first_bad_beta"]) == (2.0, 1.0)
+class TestTraceBoundPremise:
+    """mpmath checks that t = 1 decides LEM3_TRACE_BOUND at each n.
+
+    Levels 0 and 1 of the trace cancel against the bound's first two
+    terms, so the claim is t sum_(k>=2) m_k e^(-(lambda_k - n) t) <= C_n:
+    its left side must fall in t, and lie below C_n at t = 1.
+    """
+
+    NS = [*range(2, 11), 20, 50, 100, 164]
+    TS = [1 + mpmath.mpf(j) / 4 for j in range(37)]  # t = 1, 1.25, ..., 10
+
+    @staticmethod
+    def log_rest(n: int, t) -> mpmath.mpf:
+        """log of t sum_(k>=2) m_k e^(-(lambda_k - n) t), summed until a term is below 10^-60 of the sum."""
+        total, k = mpmath.mpf(0), 2
+        while True:
+            m_k = math.comb(n + k, n) - math.comb(n + k - 2, n)
+            term = m_k * mpmath.exp(-(k * (k + n - 1) - n) * t)
+            total += term
+            if term < total * mpmath.mpf(10) ** -60:
+                return mpmath.log(t * total)
+            k += 1
+
+    @staticmethod
+    def log_cn(n: int) -> mpmath.mpf:
+        return mpmath.log(mpmath.mpf(n) ** (mpmath.mpf(n) / 2) * mpmath.e * mpmath.gammainc(mpmath.mpf(n) / 2, 1) / 2)
+
+    @pytest.mark.parametrize("n", NS)
+    def test_the_rest_falls_in_t_and_lies_below_c_n_at_1(self, n):
+        with mpmath.workdps(40):
+            values = [self.log_rest(n, t) for t in self.TS]
+            assert all(b < a for a, b in zip(values, values[1:]))
+            assert values[0] < self.log_cn(n)
+
+    def test_the_worst_margin_matches_mpmath(self):
+        # at (2, 1) the float margin trace_bound - heat_trace is e^(-n) (C_n - rest)
+        v = run_claim("LEM3_TRACE_BOUND", SMALL)
+        assert v.witnesses["at_n"] == 2.0
+        with mpmath.workdps(40):
+            want = mpmath.exp(-2) * (mpmath.exp(self.log_cn(2)) - mpmath.exp(self.log_rest(2, mpmath.mpf(1))))
+        assert v.witnesses["min_margin"] == pytest.approx(float(want), rel=1e-13)
+
+
+def _value(p, point) -> int:
+    """p at an integer point (beta, c, X, m), with X a free variable."""
+    return sum(a * math.prod(x ** e for x, e in zip(point, exps)) for exps, a in p.items())
+
+
+def _at(p, beta, c, m):
+    """p at (beta, c, m), with X = e^(beta c)."""
+    return sum(a * beta ** i * c ** j * mpmath.exp(beta * c) ** k * m ** l for (i, j, k, l), a in p.items())
+
+
+def _nonzero(p) -> dict:
+    return {e: a for e, a in p.items() if a}
+
+
+class TestPolynomials:
+    """The exact ring LEML_GPRIME_NEG expands g' in: exponents (i, j, k, l) of (beta, c, X, m)."""
+
+    @pytest.mark.parametrize("i", range(4))
+    @pytest.mark.parametrize("j", range(4))
+    def test_d_of_beta_i_x_j(self, i, j):
+        # d/dbeta beta^i X^j = i beta^(i-1) X^j + j c beta^i X^j, as X = e^(beta c)
+        want = {e: a for e, a in [((i - 1, 0, j, 0), i), ((i, 1, j, 0), j)] if a}
+        assert _nonzero(_d({(i, 0, j, 0): 1})) == want
+
+    def test_d_against_mpmath(self):
+        with mpmath.workdps(40):
+            for beta, c, m in [("0.5", "2", 3), ("1.25", "10.7", 4), ("3", "0.3", 7)]:
+                beta, c = mpmath.mpf(beta), mpmath.mpf(c)
+                for p in (_G_N, _G_D, *_G_FACTORS):
+                    want = mpmath.diff(lambda b: _at(p, b, c, m), beta)
+                    assert _at(_d(p), beta, c, m) == pytest.approx(want, rel=1e-25)
+
+    def test_mul_against_integer_evaluation(self):
+        rng = random.Random(20261019)
+        for _ in range(200):
+            p, q = ({tuple(rng.randint(0, 3) for _ in range(4)): rng.randint(-5, 5) for _ in range(rng.randint(1, 4))}
+                    for _ in range(2))
+            point = tuple(rng.randint(-4, 4) for _ in range(4))
+            assert _value(_mul(p, q), point) == _value(p, point) * _value(q, point)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_n_d_and_the_factors_are_the_anchor_s_g(self, n):
+        # N = n + 1 + (1+B) e^B and D = beta^2 n C_n e^B - 1, and the factors'
+        # product is -g' D^2, at c = n C_n and m = n + 1
+        with mpmath.workdps(40):
+            c = n * mpmath.mpf(n) ** (mpmath.mpf(n) / 2) * mpmath.e * mpmath.gammainc(mpmath.mpf(n) / 2, 1) / 2
+            for beta in (mpmath.mpf("0.5"), mpmath.mpf(1), mpmath.mpf(2)):
+                big_b = beta * c
+                assert _at(_G_N, beta, c, n + 1) == pytest.approx(n + 1 + (1 + big_b) * mpmath.exp(big_b), rel=1e-30)
+                assert _at(_G_D, beta, c, n + 1) == pytest.approx(beta ** 2 * c * mpmath.exp(big_b) - 1, rel=1e-30)
+                g_prime = mpmath.diff(lambda b: _at(_G_N, b, c, n + 1) / _at(_G_D, b, c, n + 1), beta)
+                factored = math.prod(_at(f, beta, c, n + 1) for f in _G_FACTORS)
+                assert factored == pytest.approx(-g_prime * _at(_G_D, beta, c, n + 1) ** 2, rel=1e-20)
+
+
+# -------------------------------------------------------------- mutants
+#
+# One false mutant per claim: a monkeypatched helper or constant, or a
+# SuiteConfig hook, under which the claim's statement is false.  Each
+# claim passes without it and must FAIL with it.
+
+
+def _patched(module, name, wrap):
+    """A mutant that replaces module.name by wrap(the real one)."""
+    return lambda monkeypatch: monkeypatch.setattr(module, name, wrap(getattr(module, name)))
+
+
+def _root_at(n: int, root: float):
+    """A mutant whose solve at n returns gamma_n - 1 = root, inside a bracket of its own."""
+    def wrap(solve):
+        def mutated(m, ell=1, tol=1e-12):
+            r = solve(m, ell, tol)
+            return dataclasses.replace(r, root=root, bracket_lo=0.99 * root, bracket_hi=1.01 * root) if m == n else r
+        return mutated
+    return _patched(solver, "optimal_alpha", wrap)
+
+
+def _thm6_off_at_one_sampled_ell(monkeypatch):
+    # the multiplicity route off by a relative 1e-9 at ell 10000 of 1:10^6,
+    # an interior sampled ell; the two routes agree to about 1e-15 elsewhere
+    real = bounds._log_multiplicity_excesses
+
+    def off(n, nc, t, ks):
+        return [e * (1.0 + 1e-9) if k == n + 10001 else e for k, e in zip(ks, real(n, nc, t, ks))]
+
+    monkeypatch.setattr(bounds, "_log_multiplicity_excesses", off)
+
+
+def _leml_constant(name: str, polynomial):
+    return lambda monkeypatch: monkeypatch.setattr(claims, name, polynomial)
+
+
+def _mutant(claim_id: str, name: str, mutate, config=SuiteConfig()):
+    """One row of MUTANTS: mutate(monkeypatch), or None, and the config the claim runs at."""
+    return pytest.param(claim_id, mutate, config, id=f"{claim_id}:{name}")
+
+
+_C_N_AT_07 = _patched(claims, "cly_constant", lambda c: lambda n: 0.7 * c(n))
+_CN_SCALED = SuiteConfig(cn_scale=1.001)
+
+MUTANTS = [
+    _mutant("ALPHA_STAR_BRACKET", "gamma_2-is-1.44", _root_at(2, 0.44)),
+    _mutant("C3_APPROX", "cn-scale", None, _CN_SCALED),
+    _mutant("C4_EXACT", "cn-scale", None, _CN_SCALED),
+    _mutant("CN_MONOTONE", "C_5-above-C_6", _patched(claims, "cly_constant_log", lambda c: lambda n: (
+        dataclasses.replace(c(n), log_mag=c(n).log_mag + (100.0 if n == 5 else 0.0))))),
+    _mutant("FINAL_INEQ", "head-of-one", _head_of_one),
+    _mutant("GAMMA2_GT_13", "gamma_2-is-1.29", _root_at(2, 0.29)),
+    _mutant("GAMMAN_LE_13", "gamma_3-is-1.31", _root_at(3, 0.31)),
+    _mutant("GAP_ORDER_THM1_CLY", "short-numerator", _short_tuned_numerator),
+    _mutant("GAP_ORDER_THM2_THM1", "case2-vs-2.002", _case2_against_2002_thm1, SuiteConfig(ell_max=1000)),
+    _mutant("H_SIGN_142", "h-minus-1", _patched(solver, "h", lambda h: lambda a: h(a) - 1.0)),
+    _mutant("H_SIGN_144", "h-plus-1", _patched(solver, "h", lambda h: lambda a: h(a) + 1.0)),
+    # the bound without its C_n / t term, at t = 1 only
+    _mutant("LEM3_TRACE_BOUND", "no-C_n-term-at-t-1", _patched(spectral, "trace_bound", lambda bound: lambda n, t: (
+        1.0 + (n + 1) * math.exp(-n * t) if t == 1.0 else bound(n, t)))),
+    # n + 2 in place of n + 1 in the last factor: beta X + 1 + beta (m + 1)
+    _mutant("LEML_GPRIME_NEG", "n+2-in-last-factor", _leml_constant("_G_FACTORS", (
+        *claims._G_FACTORS[:3], {**claims._G_FACTORS[3], (1, 0, 0, 0): 1}))),
+    # N = n + 2 + (1 + B) X
+    _mutant("LEML_GPRIME_NEG", "wrong-N", _leml_constant("_G_N", {**claims._G_N, (0, 0, 0, 0): 1})),
+    # the same product from -c and -(2 + B), which only the sign rule rejects
+    _mutant("LEML_GPRIME_NEG", "negative-factors", _leml_constant("_G_FACTORS", (
+        {(0, 1, 0, 0): -1}, {(0, 0, 0, 0): -2, (1, 1, 0, 0): -1}, *claims._G_FACTORS[2:]))),
+    _mutant("PHI3_GT_2", "C_n-times-0.7", _C_N_AT_07),
+    _mutant("PSI_DECREASING", "psi-raised-at-100", _patched(claims, "_log_psi", lambda psi: lambda n: (
+        psi(n) + (30.0 if n == 100 else 0.0)))),
+    _mutant("RATIO_165", "short-numerator", _short_tuned_numerator),
+    _mutant("RHS_GT_20", "C_n-times-0.7", _C_N_AT_07),
+    _mutant("THM6_CONSISTENCY", "route-off-1e-9", _thm6_off_at_one_sampled_ell, SuiteConfig(ell_max=10**6)),
+    _mutant("TILDE_GAMMA3_LT_11", "C_n-times-0.7", _C_N_AT_07),
+]
+
+
+def test_every_claim_has_a_mutant():
+    assert sorted({row.values[0] for row in MUTANTS}) == claim_ids()
+
+
+@pytest.mark.parametrize("claim_id, mutate, config", MUTANTS)
+def test_every_claim_fails_under_a_false_mutant(monkeypatch, claim_id, mutate, config):
+    assert run_claim(claim_id, dataclasses.replace(config, cn_scale=1.0)).status == "PASS"
+    if mutate:
+        mutate(monkeypatch)
+    assert run_claim(claim_id, config).status == "FAIL"
 
 
 class TestSuiteConfig:

@@ -147,15 +147,18 @@ class TestVerifyOutput:
 # digits, and the text output did not change.  All four were re-recorded
 # when FINAL_INEQ, GAP_ORDER_THM1_CLY and GAP_ORDER_THM2_THM1 began to be
 # decided at the two ends of the ell range: only those three grid notes
-# changed, each naming its deciding ells and why they decide it.
+# changed, each naming its deciding ells and why they decide it.  All four
+# were re-recorded when LEM3_TRACE_BOUND came to be decided at t = 1 and
+# LEML_GPRIME_NEG by exact expansion: only those two verdicts changed, in
+# their witnesses and grid notes, and every status stayed PASS.
 VERIFY_PINNED = [
-    ((), "1f58f450097ae8e2a1b02d28605b077c8204f9df254ce19410a73280b47d5e4e"),
+    ((), "80c023e954489a515bd8d6fb4b822db8cf2d46aff7ae04433b4b14552bc37a43"),
     (("--n-range", "2:400", "--l-range", "1:30"),
-     "d853321470f8fb60752889bed6cf01d686ec9d3bbb5cab225e66ddfd516d2411"),
+     "ef7b7dc8c2b9b3b5b665ba6a5f0617fdfc5ff3e3a71006c5758a07984cf82a95"),
     (("--alpha", "3.0", "--n-range", "2:400", "--l-range", "1:30"),
-     "bc6132e4f9451cc5c03ae7ac75a19776edca7773c3c1a5463b8223d4e281eca5"),
+     "a7e418633b9e4c4cdaf854b09162dde84b5d406306f72879c8a8a8ce88363b59"),
     (("--alpha", "1.0000000000000002", "--n-range", "2:12", "--l-range", "1:3"),
-     "1d842d385396fae7a3a3ea58044f2675c74aeb97939c75471f98e9ca0809e566"),
+     "580dac93b1d08c80b300ef86c3492422c689804bb3769798d064e0bd4435d345"),
 ]
 
 
@@ -323,6 +326,14 @@ class TestGridErrorContract:
         assert code == 0
         assert len(out.splitlines()) == 1 + rows
 
+    def test_a_case1_bump_past_the_double_range_vanishes(self, capsys):
+        # alpha (n+ell+2) = 3*10^308 overflows and E = -inf here: the bump's
+        # log is -inf, not inf - inf, so the row builds and equals THM1's
+        argv = ("table", "--alpha", "5e307", "--n-range", "2:2", "--l-range", "2:2", "--variant")
+        code, case1 = run(capsys, *argv, "thm2_case1")
+        assert code == 0
+        assert run(capsys, *argv, "thm1") == (0, case1.replace("THM2_CASE1", "THM1"))
+
     def test_classical_rows_ignore_the_tuned_alpha(self, capsys):
         code, out = run(capsys, "table", "--alpha", "0.5", "--variant", "cly")
         assert code == 0
@@ -378,8 +389,11 @@ class TestGridErrorContract:
         assert {c["grid_note"] for c in errors} == {"OverflowError: ell leaves the double range at n=2"}
 
     def test_an_overflowing_numerator_errors_the_claims_that_form_it(self, capsys):
-        # alpha ell - 1 is 10^309 here: the claims that read THM1 columns
-        # error naming it, and none reports a margin of +inf as a pass
+        # alpha ell - 1 is 10^309 here: the claims that read it error naming
+        # it, and none reports a margin of +inf as a pass.  The case (ii)
+        # margin log1p(0.5 / (alpha ell - 1)) would round to 0 and FAIL, and
+        # the case (i) bump is finite (about e^(-10^211)), so it is the
+        # numerator check that must stop GAP_ORDER_THM2_THM1
         code, out = run(capsys, "verify", "--alpha", "1e9", "--n-range", "3:5",
                         "--l-range", f"{10**300}:{10**300 + 1}", "--json")
         assert code == 1
@@ -387,9 +401,8 @@ class TestGridErrorContract:
         assert [c["status"] for c in claims].count("PASS") == 16
         errors = {c["claim_id"]: c["grid_note"] for c in claims if c["status"] == "ERROR"}
         assert errors == {
-            "GAP_ORDER_THM1_CLY": "OverflowError: alpha ell - 1 leaves the double range at n=3",
-            "THM6_CONSISTENCY": "OverflowError: alpha ell - 1 leaves the double range at n=3",
-            "GAP_ORDER_THM2_THM1": "OverflowError: the log of alpha (n+ell+2) e^E leaves the double range at n=3",
+            claim_id: "OverflowError: alpha ell - 1 leaves the double range at n=3"
+            for claim_id in ("GAP_ORDER_THM1_CLY", "GAP_ORDER_THM2_THM1", "THM6_CONSISTENCY")
         }
 
     @pytest.mark.parametrize("ell_max", [10**30, 2**63 - 1], ids=["1e30", "2^63-1"])

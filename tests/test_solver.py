@@ -24,8 +24,6 @@ from volgap.solver import (
     EvaluationError,
     RootResult,
     _g_prime_numerator,
-    _in_g_domain,
-    _log_g,
     bisect,
     f1,
     f1_prime,
@@ -75,17 +73,6 @@ def mp_g_prime_log_mag(beta: float, n: int) -> mpmath.mpf:
         return (
             mpmath.log(ncn) + 2 * big_b + mpmath.log(poly)
             + mpmath.log1p(mpmath.exp(-big_b) * inner / poly)
-        )
-
-
-def mp_log_g(beta: float, n: int) -> mpmath.mpf:
-    """log g from its defining quotient, with digits enough to resolve 1 + B against B."""
-    with mpmath.workdps(40 + int(math.log10(nc_product(n)))):
-        ncn = mp_ncn(n)
-        b = mpmath.mpf(beta)
-        big_b = b * ncn
-        return +mpmath.log(
-            (n + 1 + (1 + big_b) * mpmath.exp(big_b)) / (b * b * ncn * mpmath.exp(big_b) - 1)
         )
 
 
@@ -430,22 +417,14 @@ class TestGFunction:
                 assert got < 0.0
 
     def test_g_prime_numerator_mpmath(self):
-        # finite differences cannot reach n >= 30; the claim suite does
+        # finite differences cannot reach n >= 30; the claim suite proves
+        # the factored form itself, by exact expansion
         for n in (2, 5, 30, 100, 164):
             for beta in (0.5, 1.0, 3.0):
                 got = _g_prime_numerator(beta, n, nc_product(n))
                 assert got.sign == -1
                 want = mp_g_prime_log_mag(beta, n)
                 assert got.log_mag == pytest.approx(float(want), rel=1e-13)
-
-    def test_log_g_mpmath(self):
-        # at beta = 1, log g is about 1/B: 2e-35 at n = 30, 2e-305 at n = 164
-        for n in (2, 5, 30, 100, 164):
-            ncn = nc_product(n)
-            for beta in (0.5, 1.0, 3.0):
-                assert _in_g_domain(beta, ncn)
-                want = float(mp_log_g(beta, n))
-                assert _log_g(beta, n, ncn) == pytest.approx(want, rel=1e-12, abs=0.0)
 
     def test_sign_scan(self):
         samples = g_prime_sign_scan(2, [0.1, 0.3, 1.0, 2.0])

@@ -15,7 +15,7 @@ from volgap.specials import cly_constant
 TRACE_2_1 = 1.4184426386310551
 
 # sha256 of the newline-joined repr of heat_trace(n, t).value over the
-# LEM3_TRACE_BOUND grid, n in 2..10 and t = 1, 1.25, ..., 10 (333 values),
+# trace-bound grid, n in 2..10 and t = 1, 1.25, ..., 10 (333 values),
 # recorded before the ratio certificate replaced the halving test
 LEM3_GRID_SHA256 = "714d66a89b6e43321070ac600509a416420d24dbd1e7ba4e3ed7f175d018b53a"
 
@@ -145,9 +145,10 @@ class TestHeatTrace:
             heat_trace(n, t)
 
     def test_lem3_grid_values_pinned(self):
-        # LEM3_TRACE_BOUND's worst margin is exactly 0.0 at (4, 9.75),
-        # where trace and bound both round to 1.0: any changed bit on
-        # this grid could flip the verdict
+        # the acceptance gate checks the trace bound on this grid, and
+        # LEM3_TRACE_BOUND did until it was decided at t = 1: the worst
+        # margin is exactly 0.0 at (4, 9.75), where trace and bound both
+        # round to 1.0, so any changed bit on this grid could flip it
         values = [repr(heat_trace(n, 1.0 + 0.25 * j).value)
                   for n in range(2, 11) for j in range(37)]
         digest = hashlib.sha256("\n".join(values).encode()).hexdigest()

@@ -140,8 +140,8 @@ class TestErrorParity:
         ([166, 2], [1], 0.5, None),  # invalid alpha before the n C_n overflow
         ([164, 165, 166], [1], "auto", ["THM1"]),
         ([3, 1], [1, 2], "auto", None),  # invalid n before any solve
-        # at (2, 2) the case (i) bump and 2 alpha ell - 1 both overflow;
-        # the request check meets 2 alpha ell - 1 first, in either order
+        # at (2, 2) 2 alpha ell - 1 overflows, and the request check meets it
+        # in either order; the case (i) bump vanishes there (E = -inf)
         ([2], [2], 5e307, ["THM2_CASE1", "THM2_CASE2"]),
         ([2], [2], 5e307, ["THM2_CASE2", "THM2_CASE1"]),
     ]
