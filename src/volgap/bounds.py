@@ -37,12 +37,24 @@ once per n.  A BoundKernel(n, alpha) holds the per-n scalars n C_n
 (memoised in specials, so computed once per n however many kernels
 share it) and log B_(n,alpha), and gives log B_n on read;
 _bound_columns turns those columns into columns of log excesses and
-log ratios to CLY with per-n float operations only; the case (i)
-correction and the multiplicity route hoist their per-n terms
-likewise.  BoundKernel.logs, b_alpha, case1_correction_numerator,
-gap_excess, log_improvement_vs_cly and the two margin functions are
-one-point views of that code, the LogScalar ones in the public view
-type; tables and the grid claims read the columns directly.
+log ratios to CLY with per-n float operations only; the multiplicity
+route hoists its per-n terms likewise.
+
+The case (i) bump is added to alpha ell - 1 by _log_sum, which returns
+the larger log unchanged once the smaller is more than 745 below it
+(logdomain._UNDERFLOW_LOG).  _case1_bumps decides that once per n, for
+every ell at once: (n+2 ell)^(2/n) >= 1 and 4^(1/n) >= 1, and float
+rounding is monotone, so the float E is at most the float
+-min(anc) (n+3), and log(alpha (n+ell+2)) at most its value at
+max(alpha) and the largest ell.  If that bound, less the smallest
+log(alpha ell - 1), is below the threshold, every sum is its
+numerator, bit for bit, and THM2_CASE1 shares THM1's columns: over
+ell 1:100 at alpha 1.43 from n = 5 on, over ell 1:30 at alpha = auto
+from n = 6 on.  Elsewhere the per-ell pass runs.  BoundKernel.logs, b_alpha,
+case1_correction_numerator, gap_excess, log_improvement_vs_cly and the
+two margin functions are one-point views of that code, the LogScalar
+ones in the public view type; tables and the grid claims read the
+columns directly.
 
 The tuning lives here too, in one form, Tuning: a fixed alpha or the
 solver's excess pair (ell, u), alpha = 1/ell + u, kept exact where
@@ -60,7 +72,7 @@ from enum import Enum
 from functools import cached_property
 from operator import sub
 
-from .logdomain import LogScalar, _log_sum
+from .logdomain import _UNDERFLOW_LOG, LogScalar, _log_sum
 from .specials import nc_product
 
 DEFAULT_ALPHA = 1.43
@@ -292,6 +304,24 @@ def _check_numerators(n: int, cols: _EllColumns, variants) -> None:
             raise _overflow(_NUMERATORS[k], n)
 
 
+def _case1_bumps(n: int, kernels, ells, log_nums):
+    """_log_case1_corrections at kernels and ells, or None where no bump can change a bit of its sum.
+
+    log_nums are the logs of alpha ell - 1 at ells, which the bumps are
+    added to (_log_sum).  None means the bound in the module docstring
+    puts every bump below the underflow threshold of its numerator, so
+    the pass is skipped; the overflow of n + 2 ell that the pass would
+    raise is raised either way.
+    """
+    ell_max = max(ells)
+    _float_ell(n + 2 * ell_max, n)  # the pass raises this first, at any ell it reaches
+    alphas, ancs = [k.tuning.alpha for k in kernels], [k.anc for k in kernels]
+    bound = min(ancs) * -(n + 3) + math.log(max(alphas) * (n + ell_max + 2)) - min(log_nums)
+    if bound < _UNDERFLOW_LOG:
+        return None
+    return _log_case1_corrections(n, alphas, ancs, ells)
+
+
 def _bound_columns(kernels, cols: _EllColumns, variants) -> list[tuple[list, list, list]]:
     """(log B, log excess, log ratio to CLY) columns per variant, in order, over cols.ells.
 
@@ -299,27 +329,33 @@ def _bound_columns(kernels, cols: _EllColumns, variants) -> list[tuple[list, lis
     cols.tunings[i]; all share one n.  At a fixed alpha that is one
     kernel repeated.  A numerator past the double range raises first
     (_check_numerators), then a THM2_CASE1 bump past it, at its first ell.
+    Where no bump can change a bit (_case1_bumps), THM2_CASE1's columns
+    are THM1's, the same tuple.
     """
     first, ells = kernels[0], cols.ells
     n, log_b_cly = first.n, first.log_b_cly
     _check_numerators(n, cols, variants)
     logs = cols.log_numerators
-    if _CASE1 in variants:
-        alphas, ancs = [k.tuning.alpha for k in kernels], [k.anc for k in kernels]
-        corrections = _log_case1_corrections(n, alphas, ancs, ells)
+    bumps = _case1_bumps(n, kernels, ells, logs[1]) if _CASE1 in variants else None
     log_bs = [k.log_b for k in kernels]
     log_cly = [x - log_b_cly for x in logs[0]]
-    out = []
+    out, thm1 = [], None
     for variant in variants:
         if variant is _CLY:
             out.append(([log_b_cly] * len(log_cly), log_cly, [0.0] * len(log_cly)))
-            continue
-        log_nums = logs[_numerator(variant)]
-        if variant is _CASE1:
-            log_nums = list(map(_log_sum, log_nums, corrections))
-        excesses = list(map(sub, log_nums, log_bs))
-        out.append((log_bs, excesses, list(map(sub, excesses, log_cly))))
+        elif variant is _CASE2:
+            out.append(_tuned_columns(logs[2], log_bs, log_cly))
+        elif variant is _CASE1 and bumps is not None:
+            out.append(_tuned_columns(list(map(_log_sum, logs[1], bumps)), log_bs, log_cly))
+        else:  # THM1, or THM2_CASE1 where its bumps are invisible
+            thm1 = thm1 or _tuned_columns(logs[1], log_bs, log_cly)
+            out.append(thm1)
     return out
+
+
+def _tuned_columns(log_nums, log_bs, log_cly) -> tuple[list, list, list]:
+    excesses = list(map(sub, log_nums, log_bs))
+    return log_bs, excesses, list(map(sub, excesses, log_cly))
 
 
 class BoundKernel:

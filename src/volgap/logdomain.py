@@ -22,6 +22,9 @@ from dataclasses import dataclass
 
 _LN10 = math.log(10.0)
 _LN_HALF = math.log(0.5)
+# below this log ratio e^d underflows, so the smaller term of a sum or
+# difference cannot change a bit of the larger
+_UNDERFLOW_LOG = -745.0
 
 
 @dataclass(frozen=True)
@@ -89,7 +92,7 @@ ZERO = LogScalar(0, -math.inf)
 def _sum_mags(big: float, small: float) -> float:
     # log(e^big + e^small) with big >= small
     d = small - big
-    if d < -745.0:  # e^d underflows; the small term is invisible
+    if d < _UNDERFLOW_LOG:  # e^d underflows; the small term is invisible
         return big
     return big + math.log1p(math.exp(d))
 
@@ -103,7 +106,7 @@ def _diff_mags(big: float, small: float) -> float:
     # log(e^big - e^small) with big > small; returns -inf on total
     # cancellation at the float level
     d = small - big
-    if d < -745.0:
+    if d < _UNDERFLOW_LOG:
         return big
     if d > _LN_HALF:
         # e^d close to 1: log(-expm1(d)) keeps the cancellation sharp

@@ -18,9 +18,12 @@ supplies them (bounds._bound_columns).  At a fixed alpha the ell-only
 terms are computed once per request (one bounds._EllColumns); at
 alpha = auto each (n, ell) has its own tuning, from
 solver.optimal_alpha, and its own kernel, and one column pass per n
-reads them all.  build_gap_table returns a _TableRows: the ells once,
-then one (n, columns) block per n.  Iterating it derives each
-GapTableRow only when read.
+reads them all.  Wherever the case (i) bump underflows against its
+numerator at every ell of an n (bounds._case1_bumps), THM2_CASE1's
+columns are THM1's own lists, so a block converts them to base 10
+once, and a render turns them into text once.  build_gap_table
+returns a _TableRows: the ells once, then one (n, columns) block per
+n.  Iterating it derives each GapTableRow only when read.
 
 All three renderers read a built table through one helper, _text_blocks,
 which turns each block's columns into columns of text: each ell's text
@@ -39,6 +42,7 @@ from __future__ import annotations
 
 import math
 from itertools import repeat
+from operator import truediv
 from typing import NamedTuple
 
 from .bounds import (
@@ -165,17 +169,30 @@ def _block(kernels, cols: _EllColumns, chosen, labels) -> tuple:
     log10_excesses, log10_ratios), the last four indexed like cols.ells;
     the rows run ell by ell, variant by variant.  kernels[i] is the
     kernel at cols.ells[i]; labels holds each chosen variant's name and
-    whether its rows are classical.
+    whether its rows are classical.  A column that variants share (log B
+    across the tuned ones, and all of THM1's where THM2_CASE1 shares
+    them) is converted once, and shared here too; the classical ratio
+    column holds 0.0, which is its own base-10 log.
     """
     first, m = kernels[0], len(kernels)
-    tuned = ([k.tuning.alpha for k in kernels], [k.log_b / _LN10 for k in kernels])
+    alphas = [k.tuning.alpha for k in kernels]
     classical = ([2.0] * m, [first.log_b_cly / _LN10] * m)
-    columns = [
-        (name, *(classical if is_classical else tuned), [x / _LN10 for x in excesses],
-         [x / _LN10 for x in ratios])
-        for (name, is_classical), (_, excesses, ratios) in zip(labels, _bound_columns(kernels, cols, chosen))
-    ]
+    log10s = {}  # id of a natural-log column -> its base-10 logs
+    columns = []
+    for (name, is_classical), (log_bs, excesses, ratios) in zip(labels, _bound_columns(kernels, cols, chosen)):
+        if is_classical:
+            columns.append((name, *classical, _log10(log10s, excesses), ratios))
+        else:
+            columns.append((name, alphas, *(_log10(log10s, xs) for xs in (log_bs, excesses, ratios))))
     return first.n, columns
+
+
+def _log10(log10s: dict, xs: list) -> list:
+    """xs in base 10, divided once per list object (log10s keeps the lists it has seen)."""
+    key = id(xs)
+    if key not in log10s:
+        log10s[key] = list(map(truediv, xs, repeat(_LN10)))
+    return log10s[key]
 
 
 class _TableRows:
@@ -230,9 +247,10 @@ def _text_blocks(table: _TableRows, head):
     text for those three fields.  The ells are formatted once per table,
     one list that every block shares, and each head, excess and ratio
     once per distinct value, through _Formatted memos (see the module
-    docstring for why values repeat).  The classical log ratio 0.0
-    needs no special case: it renders as "1", and so does -0.0, which
-    is the same key.
+    docstring for why values repeat); variants that share their excess
+    and ratio columns (_block) share those columns' text too.  The
+    classical log ratio 0.0 needs no special case: it renders as "1",
+    and so does -0.0, which is the same key.
     """
     sigs = _Formatted(_sig)
     ratios = _Formatted(format_from_log10)
@@ -242,14 +260,15 @@ def _text_blocks(table: _TableRows, head):
     for n, columns in table.blocks:
         for memo in memos:
             memo.trim()
-        yield str(n), ell_texts, [
-            (
-                _column_heads(heads, name, alphas, log10_bs),
-                list(map(sigs.__getitem__, log10_excesses)),
-                list(map(ratios.__getitem__, log10_ratios)),
-            )
-            for name, alphas, log10_bs, log10_excesses, log10_ratios in columns
-        ]
+        texts = {}  # ids of a variant's value columns -> their texts, which variants sharing them share
+        block = []
+        for name, alphas, log10_bs, log10_excesses, log10_ratios in columns:
+            key = id(log10_excesses), id(log10_ratios)
+            if key not in texts:
+                texts[key] = (list(map(sigs.__getitem__, log10_excesses)),
+                              list(map(ratios.__getitem__, log10_ratios)))
+            block.append((_column_heads(heads, name, alphas, log10_bs), *texts[key]))
+        yield str(n), ell_texts, block
 
 
 def _column_heads(heads, name, alphas, log10_bs) -> list:

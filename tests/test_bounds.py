@@ -11,6 +11,7 @@ import math
 import mpmath
 import pytest
 
+from volgap import bounds, tables
 from volgap.bounds import (
     DEFAULT_ALPHA,
     BoundKernel,
@@ -27,12 +28,13 @@ from volgap.bounds import (
 )
 from volgap.bounds import (
     _bound_columns,
+    _case1_bumps,
     _EllColumns,
     _final_inequality_log_margins,
     _log_case1_corrections,
     _log_multiplicity_excesses,
 )
-from volgap.logdomain import LogScalar, log_add, log_div
+from volgap.logdomain import _UNDERFLOW_LOG, LogScalar, log_add, log_div
 from volgap.solver import optimal_alpha
 from volgap.specials import cly_constant, nc_product
 
@@ -471,6 +473,10 @@ class TestColumnsMatchThePerPointFormulas:
             per_point.log_case1_correction(n, ell, alpha, anc) for ell, alpha, anc in zip(ells, alphas, ancs)
         ])
         assert cols.case2_margin == [per_point.case2_margin(k.tuning, ell) for k, ell in zip(kernels, ells)]
+        if outcome(_case1_bumps, n, kernels, ells, cols.log_numerators[1]) is None:
+            # the screen skipped the pass: each bump must be one _log_sum drops unread
+            bumps = [per_point.log_case1_correction(n, ell, a, anc) for ell, a, anc in zip(ells, alphas, ancs)]
+            assert all(b - num < _UNDERFLOW_LOG for b, num in zip(bumps, cols.log_numerators[1])), n
 
     def check_kernel_scalars(self, kernel, cols):
         """The claims' columns, which read one fixed-alpha kernel's scalars."""
@@ -501,8 +507,51 @@ class TestColumnsMatchThePerPointFormulas:
         assert checked >= 150
 
     def test_excess_pair_per_ell(self):
-        # alpha = auto: each ell has its own pair tuning and kernel
+        # alpha = auto: each ell has its own pair tuning and kernel; every n,
+        # so both sides of the case (i) screen are checked
         ells = range(1, 31)
-        for n in (2, 17, 120):
+        for n in range(2, 166):
             kernels = [BoundKernel(n, Tuning.excess(ell, optimal_alpha(n, ell).root)) for ell in ells]
             self.check(kernels, _EllColumns(ells, [k.tuning for k in kernels]))
+
+    def test_a_screen_that_lets_a_bump_through_is_caught(self, monkeypatch):
+        # a mutant screen that skips the bump pass wherever no bump exceeds
+        # its numerator.  At n = 2 and 3 the largest bump it drops is
+        # e^-132 and e^-481 times its numerator: too small to move a
+        # printed bit, but not below the threshold the screen argues from.
+        # At n = 4 every bump is below e^-2441 times its numerator already
+        monkeypatch.setattr(bounds, "_UNDERFLOW_LOG", 0.0)
+        ells = range(1, 101)
+        cols = _EllColumns(ells, [Tuning(1.43)] * len(ells))
+        caught = []
+        for n in range(2, 165):
+            try:
+                self.check([BoundKernel(n, 1.43)] * len(ells), cols)
+            except AssertionError:
+                caught.append(n)
+        assert caught == [2, 3]
+
+
+class TestCase1Screen:
+    """_case1_bumps runs the THM2_CASE1 bump pass only at the n where a bump could reach a bit."""
+
+    @staticmethod
+    def bump_passes(monkeypatch, *request) -> list[int]:
+        """The n at which build_gap_table(*request) ran _log_case1_corrections."""
+        seen, bump_pass = [], bounds._log_case1_corrections
+        monkeypatch.setattr(bounds, "_log_case1_corrections", lambda n, *rest: seen.append(n) or bump_pass(n, *rest))
+        tables.build_gap_table(*request)
+        return seen
+
+    def test_alpha_143_runs_the_pass_at_n_2_to_4(self, monkeypatch):
+        assert self.bump_passes(monkeypatch, range(2, 166), range(1, 101), 1.43) == [2, 3, 4]
+
+    def test_auto_runs_the_pass_at_n_2_to_5(self, monkeypatch):
+        assert self.bump_passes(monkeypatch, range(2, 166), range(1, 31), "auto") == [2, 3, 4, 5]
+
+    def test_case1_shares_thm1_columns_where_screened(self):
+        cols = _EllColumns(range(1, 31), [Tuning(1.43)] * 30)
+        for n, shared in [(4, False), (5, True), (120, True)]:
+            thm1, case1 = _bound_columns([BoundKernel(n, 1.43)] * 30, cols, (GapVariant.THM1, GapVariant.THM2_CASE1))
+            assert (case1 is thm1) is shared
+            assert case1 == thm1  # the bumps at n = 4 reach no bit either

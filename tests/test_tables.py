@@ -26,6 +26,10 @@ import per_point_bounds as per_point
 
 GOLDEN = Path(__file__).resolve().parent.parent / "perfbench" / "golden.json"
 
+# an ell at which 2 ell - 1 and, at alpha 1, alpha ell - 1 round into the
+# double range, and n + 2 ell, at any n >= 2, rounds past it
+TOP_ELL = 2**1023 - 2**969 - 1
+
 # sha256 of `volgap table ... --out FILE`, recorded before the gap tables
 # were built from the per-dimension bound kernel; any byte of drift fails.
 PINNED = [
@@ -144,7 +148,16 @@ class TestErrorParity:
         # in either order; the case (i) bump vanishes there (E = -inf)
         ([2], [2], 5e307, ["THM2_CASE1", "THM2_CASE2"]),
         ([2], [2], 5e307, ["THM2_CASE2", "THM2_CASE1"]),
+        # 2 ell - 1 and alpha ell - 1 fit a double; n + 2 ell, in the bump's E, does not
+        ([30], [TOP_ELL], 1.0, ["THM2_CASE1"]),
     ]
+
+    def test_the_top_ell_builds_where_no_bump_is_formed(self):
+        want = outcome(reference_table, [30], [TOP_ELL], 1.0, ["THM1"])
+        assert isinstance(want, list) and len(want) == 1
+        assert outcome(build_gap_table, [30], [TOP_ELL], 1.0, ["THM1"]) == want
+        with pytest.raises(OverflowError, match="^ell leaves the double range at n=30$"):
+            build_gap_table([30], [TOP_ELL], 1.0, ["THM2_CASE1"])
 
     @pytest.mark.parametrize("n_values, ell_values, alpha, variants", CASES)
     def test_cases(self, n_values, ell_values, alpha, variants):
