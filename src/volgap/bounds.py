@@ -53,8 +53,11 @@ ell 1:100 at alpha 1.43 from n = 5 on, over ell 1:30 at alpha = auto
 from n = 6 on.  Elsewhere the per-ell pass runs.  BoundKernel.logs, b_alpha,
 case1_correction_numerator, gap_excess, log_improvement_vs_cly and the
 two margin functions are one-point views of that code, the LogScalar
-ones in the public view type; tables and the grid claims read the
-columns directly.
+ones in the public view type; tables read the columns directly.  Every
+log excess and log ratio column is one _log_quotients call; the grid
+claims read one kernel's THM1 columns alone through _thm1_log_excesses
+and _thm1_log_ratios, which make the same calls and leave the numerator
+check to the claims, which run it once.
 
 The tuning lives here too, in one form, Tuning: a fixed alpha or the
 solver's excess pair (ell, u), alpha = 1/ell + u, kept exact where
@@ -70,6 +73,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
+from itertools import repeat
 from operator import sub
 
 from .logdomain import _UNDERFLOW_LOG, LogScalar, _log_sum
@@ -338,7 +342,7 @@ def _bound_columns(kernels, cols: _EllColumns, variants) -> list[tuple[list, lis
     logs = cols.log_numerators
     bumps = _case1_bumps(n, kernels, ells, logs[1]) if _CASE1 in variants else None
     log_bs = [k.log_b for k in kernels]
-    log_cly = [x - log_b_cly for x in logs[0]]
+    log_cly = _log_quotients(logs[0], repeat(log_b_cly))
     out, thm1 = [], None
     for variant in variants:
         if variant is _CLY:
@@ -354,8 +358,29 @@ def _bound_columns(kernels, cols: _EllColumns, variants) -> list[tuple[list, lis
 
 
 def _tuned_columns(log_nums, log_bs, log_cly) -> tuple[list, list, list]:
-    excesses = list(map(sub, log_nums, log_bs))
-    return log_bs, excesses, list(map(sub, excesses, log_cly))
+    excesses = _log_quotients(log_nums, log_bs)
+    return log_bs, excesses, _log_quotients(excesses, log_cly)
+
+
+def _log_quotients(log_tops, log_bottoms) -> list[float]:
+    """log(top / bottom) at each ell, from the two logs; every log excess and log ratio column."""
+    return list(map(sub, log_tops, log_bottoms))
+
+
+def _thm1_log_excesses(kernel, cols: _EllColumns) -> list[float]:
+    """kernel's THM1 log excesses at cols.ells, as _bound_columns forms them.
+
+    Nothing else is formed, and the numerators are not checked: the
+    caller checks them (_check_numerators), as an overflowed one gives
+    +inf here.
+    """
+    return _log_quotients(cols.log_numerators[1], repeat(kernel.log_b))
+
+
+def _thm1_log_ratios(kernel, cols: _EllColumns) -> list[float]:
+    """kernel's THM1 log ratios to CLY at cols.ells, as _bound_columns forms them, unchecked likewise."""
+    log_cly = _log_quotients(cols.log_numerators[0], repeat(kernel.log_b_cly))
+    return _log_quotients(_thm1_log_excesses(kernel, cols), log_cly)
 
 
 class BoundKernel:

@@ -34,7 +34,16 @@ two ends (k = 2): at each n their margin is monotone in ell (their grid
 notes say why), so its minimum over the range lies at an end.
 THM6_CONSISTENCY compares two computations of one number, a check of
 the code, so it reads at most _THM6_ELLS ells per n, as its note says.
-A failed solve is not kept, so it errors only the claims that ask for
+Each grid row forms, per n, only the columns its margin reads:
+FINAL_INEQ the final-inequality margins, GAP_ORDER_THM1_CLY the THM1
+log ratios to CLY, GAP_ORDER_THM2_THM1 the case (i) bumps beside the
+run's case (ii) margins, and THM6_CONSISTENCY the THM1 log excesses
+beside the multiplicity route.  bounds._thm1_log_excesses and
+_thm1_log_ratios form those THM1 columns with the helper the tables'
+column pass uses (bounds._log_quotients), so THM6 checks the code the
+tables print from.  The numerators depend on ell alone, so _grid checks
+them once per claim that reads one, at the first n, before any row.  A
+failed solve is not kept, so it errors only the claims that ask for
 its n.  The context lives for one run_claim_suite or run_claim call.
 LEM3_TRACE_BOUND reads t = 1 alone, which decides every t >= 1 (its note
 says why).  LEML_GPRIME_NEG reads no grid: it expands g' exactly over
@@ -236,17 +245,21 @@ def _falls(ns, values):
     return (((), ns[1:], list(map(sub, values, values[1:]))),)
 
 
-def _grid(row, k: int):
+def _grid(row, k: int, reads_numerators: bool = False):
     """Margins over the capped (n, ell) grid; row(kernel, cols) gives one n's, at cols.ells.
 
     cols is the run's ell columns over its sample of at most k ells.  At
     k = 2 that is the two ends of the range: a claim whose margin is
-    monotone in ell at each n is decided there.
+    monotone in ell at each n is decided there.  If row reads a numerator,
+    2 ell - 1 and alpha ell - 1 are checked once, at the first n, before
+    any row (bounds._check_numerators), since they depend on ell alone.
     """
 
     def margins(run):
         kernels = run.kernels()  # the grid's errors come before any ell term's
         cols = run.columns(k)
+        if reads_numerators:
+            bounds._check_numerators(kernels[0].n, cols, _THM1)
         return (((kernel.n,), cols.ells, row(kernel, cols)) for kernel in kernels)
 
     return margins
@@ -354,17 +367,11 @@ def _final_row(kernel, cols) -> list[float]:
     return bounds._final_inequality_log_margins(kernel.n, kernel.anc, cols.ells)
 
 
-def _thm1_columns(kernel, cols) -> tuple[list[float], list[float]]:
-    """kernel's THM1 log excesses and log ratios to CLY at cols.ells."""
-    return bounds._bound_columns([kernel] * len(cols.ells), cols, _THM1)[0][1:]
-
-
 def _ratio_row(kernel, cols) -> list[float]:
-    return [ratio - _LOG_165 for ratio in _thm1_columns(kernel, cols)[1]]
+    return [ratio - _LOG_165 for ratio in bounds._thm1_log_ratios(kernel, cols)]
 
 
 def _case2_row(kernel, cols) -> list[float]:
-    bounds._check_numerators(kernel.n, cols, _THM1)  # its margin is read at alpha ell - 1
     alphas, ancs = repeat(kernel.tuning.alpha), repeat(kernel.anc)
     corrections = bounds._log_case1_corrections(kernel.n, alphas, ancs, cols.ells)
     # a correction term that vanished fails the point outright
@@ -372,12 +379,13 @@ def _case2_row(kernel, cols) -> list[float]:
 
 
 def _thm6_row(kernel, cols) -> list[float]:
-    # minus the relative log difference; -inf if the route is not positive
+    # minus the relative log difference, over max(1, |direct|) as the
+    # conditional spells it (1 where direct is NaN); -inf if the route is not positive
     n = kernel.n
-    direct = _thm1_columns(kernel, cols)[0]
+    direct = bounds._thm1_log_excesses(kernel, cols)
     ks = [n + ell + 1 for ell in cols.ells]
     route = bounds._log_multiplicity_excesses(n, kernel.nc, kernel.anc, ks)
-    return [-abs(d - r) / max(1.0, abs(d)) for d, r in zip(direct, route)]
+    return [-abs(d - r) / (a if (a := abs(d)) > 1.0 else 1.0) for d, r in zip(direct, route)]
 
 
 def _cn_rows(run):
@@ -447,7 +455,7 @@ _CLAIMS = {
         " grid point (compared in log form; the margin grows with n)",
         # ell enters only through log((alpha ell - 1)/(2 ell - 1)), whose
         # derivative has the sign of 2 - alpha
-        _grid(_ratio_row, 2),
+        _grid(_ratio_row, 2, reads_numerators=True),
         lambda run, f: {
             "min_log_margin_over_165": f.worst,
             **_grid_point(f.at),
@@ -462,7 +470,7 @@ _CLAIMS = {
         " positive) and case (ii) strictly exceeds twice the tuned excess",
         # log1p(0.5 / (alpha ell - 1)) falls with ell, and so does E, so a
         # case (i) bump that vanishes anywhere vanishes at ell_max
-        _grid(_case2_row, 2),
+        _grid(_case2_row, 2, reads_numerators=True),  # its margin is read at alpha ell - 1
         lambda run, f: {
             "min_case2_log_margin": f.worst,
             "first_bad_n": _coord(f.first_bad, 0),
@@ -531,7 +539,7 @@ _CLAIMS = {
     "THM6_CONSISTENCY": _Claim(
         "the minimal-volume excess computed from the multiplicity route at"
         " k = n + ell + 1, t = alpha n C_n reproduces the tuned excess",
-        _grid(_thm6_row, _THM6_ELLS),
+        _grid(_thm6_row, _THM6_ELLS, reads_numerators=True),
         # the point names the largest difference, if any is nonzero
         lambda run, f: {
             "max_rel_log_diff": abs(f.worst), **_grid_point(f.at if f.worst < 0.0 else None),

@@ -407,6 +407,49 @@ def test_a_thm6_mutant_off_at_one_sampled_ell_fails(monkeypatch):
     assert v.witnesses["max_rel_log_diff"] > 1e-10
 
 
+@pytest.mark.parametrize("nan_at, inf_at, at", [
+    ((5, 20), (7, 12), (5, 20)),
+    ((7, 12), (5, 20), (5, 20)),
+    ((9, 3), (9, 8), (9, 3)),
+    ((9, 8), (9, 3), (9, 3)),
+], ids=["nan-first", "inf-first", "one-row-nan-first", "one-row-inf-first"])
+def test_thm6_fails_at_the_first_nan_or_infinite_route(monkeypatch, nan_at, inf_at, at):
+    # a NaN route gives a NaN margin, which folds as -inf, and a -inf route
+    # gives -inf; of the two, the fold keeps the first in (n, ell) order
+    real = bounds._log_multiplicity_excesses
+
+    def route(n, nc, t, ks):
+        marked = {nan_at: math.nan, inf_at: -math.inf}
+        return [marked.get((n, k - n - 1), e) for k, e in zip(ks, real(n, nc, t, ks))]
+
+    monkeypatch.setattr(bounds, "_log_multiplicity_excesses", route)
+    v = run_claim("THM6_CONSISTENCY")
+    assert v.status == "FAIL"
+    assert v.witnesses == {"max_rel_log_diff": math.inf, "at_n": float(at[0]), "at_ell": float(at[1])}
+
+
+def _hexes(xs) -> list[str]:
+    return [x.hex() for x in xs]
+
+
+@pytest.mark.parametrize("alpha", [1.43, 3.0, 1.0000000000000002])
+@pytest.mark.parametrize("ell_max", [30, 10**6])
+def test_the_lean_rows_match_the_table_columns_bit_for_bit(alpha, ell_max):
+    # THM6's direct column and GAP_ORDER_THM1_CLY's margins, at every n of
+    # the capped grid, against the THM1 columns the tables print from
+    run = _Run(SuiteConfig(n_max=400, ell_max=ell_max, alpha=alpha))
+    for k in (2, claims._THM6_ELLS):
+        cols = run.columns(k)
+        for kernel in run.kernels():
+            ((_, excesses, ratios),) = bounds._bound_columns([kernel] * len(cols.ells), cols, (GapVariant.THM1,))
+            assert _hexes(bounds._thm1_log_excesses(kernel, cols)) == _hexes(excesses)
+            assert _hexes(claims._ratio_row(kernel, cols)) == _hexes(r - math.log(1.65) for r in ratios)
+            ks = [kernel.n + ell + 1 for ell in cols.ells]
+            route = bounds._log_multiplicity_excesses(kernel.n, kernel.nc, kernel.anc, ks)
+            want = [-abs(d - r) / max(1.0, abs(d)) for d, r in zip(excesses, route)]
+            assert _hexes(claims._thm6_row(kernel, cols)) == _hexes(want)
+
+
 # each claim's margin at one (kernel, ell), point by point, as the suite
 # evaluated it at every ell of the range before it read the two ends alone
 FULL_GRID_MARGIN = {
@@ -776,6 +819,8 @@ def test_one_grid_and_one_root_per_n_per_run(monkeypatch, n_max, roots):
     solves = _count_calls(monkeypatch, solver, "optimal_alpha")
     columns = _count_calls(monkeypatch, bounds, "_EllColumns")
     points = _count_calls(monkeypatch, bounds.BoundKernel, "logs")
+    column_sets = _count_calls(monkeypatch, bounds, "_bound_columns")
+    checks = _count_calls(monkeypatch, bounds, "_check_numerators")
     config = SuiteConfig(n_max=n_max)
     assert suite_passed(run_claim_suite(config))
     assert len(grids) == 1
@@ -785,9 +830,22 @@ def test_one_grid_and_one_root_per_n_per_run(monkeypatch, n_max, roots):
     # is RATIO_165's anchor, through log_improvement_vs_cly
     assert sorted((args[0] for args in columns), key=len) == [(1,), (1, 30), range(1, 31)]
     assert [(kernel.n, ell, variants) for kernel, ell, variants in points] == [(2, 1, (GapVariant.THM1,))]
+    # the grid rows form no full column set: the one left is RATIO_165's
+    assert [(kernels[0].n, tuple(cols.ells), variants) for kernels, cols, variants in column_sets] == [
+        (2, (1,), (GapVariant.THM1,)),
+    ]
+    # the numerators are checked once per claim that reads one, at the first
+    # n: GAP_ORDER_THM1_CLY, GAP_ORDER_THM2_THM1, RATIO_165 and THM6_CONSISTENCY
+    assert [(n, tuple(cols.ells), variants) for n, cols, variants in checks] == [
+        (2, (1, 30), (GapVariant.THM1,)),
+        (2, (1, 30), (GapVariant.THM1,)),
+        (2, (1,), (GapVariant.THM1,)),
+        (2, tuple(range(1, 31)), (GapVariant.THM1,)),
+    ]
     # nothing is kept between runs
     run_claim_suite(config)
     assert (len(grids), len(solves), len(columns)) == (2, 2 * roots, 6)
+    assert (len(column_sets), len(checks)) == (2, 8)
 
 
 @pytest.mark.parametrize("bad_n, erred_at", [
