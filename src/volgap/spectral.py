@@ -8,7 +8,9 @@ integer recurrence
 
   m_(k+1) = m_k (2k+n+1)(k+n-1) / ((2k+n-1)(k+1)),    m_0 = 1,
 
-so each level costs one integer update, one log and one exp.
+so each level costs one integer update, one log and one exp.  The
+eigenvalue is kept as a running integer too, lambda_(k+1) = lambda_k +
+2k + n.
 
 Truncation is certified by the term ratio
 
@@ -18,7 +20,15 @@ which strictly decreases in k for n >= 2: the multiplicity factor is
 non-increasing and the exponential strictly decreasing.  Once
 r_(K+1) < 1, every later ratio is smaller still, so the levels beyond
 K sum to at most T_(K+1) / (1 - r_(K+1)).  The sum stops at the first K
-where that bound is negligible against the partial sum.  At small t
+where that bound is negligible against the partial sum.  Since the
+bound is never below T_(K+1) itself (the rounded quotient of a term by
+a divisor in (0, 1] is at least the term), the ratio is only formed at
+levels whose term is already at most the stop target; every other level
+costs the update, the log and the exp alone.  The -745 underflow guard
+sits in that branch too: a term of at most e^-745 is at most 5e-324,
+below the target of any sum (which is at least 1), so it always lands
+there.  The stop level, the sum and the bound are therefore the same
+doubles as with the ratio formed at every level.  At small t
 this needs about sqrt(33 / t) levels on S^2 and a few percent more in
 higher dimension, where waiting for consecutive terms to halve would
 need ln 2 / (2t).
@@ -79,7 +89,11 @@ def heat_trace(n: int, t: float) -> TraceResult:
     Summation stops at the first K where the term ratio r_(K+1) is below
     1 and T_(K+1) / (1 - r_(K+1)), which bounds every omitted level, is
     at most 5e-15 times the partial sum; that bound is
-    returned as tail_bound.  It covers truncation only: the rounding of
+    returned as tail_bound.  As the bound is at least T_(K+1), the ratio
+    is only formed once T_(K+1) itself is at most that target, and a
+    term that underflows (log at most -745) is zeroed there, where it
+    always lands; the result is the one a ratio test at every level
+    gives, bit for bit.  It covers truncation only: the rounding of
     the partial sum itself, a few ulps per summed level at worst, is
     not included.  Each term is exp(log m_k - lambda_k t), so a huge
     multiplicity never overflows while the product is an ordinary
@@ -91,27 +105,40 @@ def heat_trace(n: int, t: float) -> TraceResult:
     if not (t > 0.0) or math.isinf(t) or math.isnan(t):
         raise ValueError(f"time must be positive and finite, got {t!r}")
 
+    log, exp, expm1, eps = math.log, math.exp, math.expm1, _TAIL_EPS
     # Level j is known once the sum holds levels 0..j-1: T_j and
     # r_j = T_(j+1) / T_j decide whether the sum may stop before it.
     total = 0.0
     term = 1.0  # T_0
     mult = n + 1  # m_1
-    term_log = math.log(mult) - n * t  # log T_1
+    lam = n  # lambda_1
+    term_log = log(mult) - n * t  # log T_1
     try:
         for j in range(1, _MAX_LEVELS + 2):
             total += term
-            mult = mult * (2 * j + n + 1) * (j + n - 1) // ((2 * j + n - 1) * (j + 1))
-            next_log = math.log(mult) - (j + 1) * (j + n) * t  # log T_(j+1)
-            term = math.exp(term_log) if term_log > -745.0 else 0.0  # T_j
-            # log r_j; once lambda_j t overflows both logs are -inf, and so is log r_j
-            log_ratio = next_log - term_log if term_log > -math.inf else -math.inf
-            if log_ratio < 0.0:
-                tail = term / -math.expm1(log_ratio)
-                if tail <= _TAIL_EPS * total:
-                    break
+            step = 2 * j + n  # lambda_(j+1) - lambda_j
+            mult = mult * (step + 1) * (j + n - 1) // ((step - 1) * (j + 1))
+            lam += step  # lambda_(j+1) = (j+1)(j+n), the same int
+            next_log = log(mult) - lam * t  # log T_(j+1)
+            term = exp(term_log)  # T_j
+            # The tail bound T_j / (1 - r_j) is at least T_j, so only a
+            # term at most the stop target can stop the sum.  A term_log
+            # <= -745 always lands here: its exp is at most 5e-324 and
+            # the sum is at least 1.
+            if term <= eps * total:
+                if term_log <= -745.0:
+                    term = 0.0
+                # log r_j; once lambda_j t overflows both logs are -inf, and so is log r_j
+                log_ratio = next_log - term_log if term_log > -math.inf else -math.inf
+                if log_ratio < 0.0:
+                    tail = term / -expm1(log_ratio)
+                    if tail <= eps * total:
+                        break
             term_log = next_log
         else:
-            raise RuntimeError(f"heat trace did not converge within {_MAX_LEVELS} levels (t={t})")
+            raise RuntimeError(
+                f"heat trace did not converge within {_MAX_LEVELS} levels at n={n}, t={t!r}"
+            )
     except OverflowError:  # a single term already leaves the double range
         total = math.inf
     if total == math.inf:  # an infinite sum also passes the stop test

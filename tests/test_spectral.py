@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import random
 import re
 from math import comb
 
@@ -113,7 +114,8 @@ class TestHeatTrace:
     @pytest.mark.parametrize("n", [2, 165, 100000])
     def test_time_so_long_that_every_exponent_overflows(self, n):
         # n t is inf, so log T_1 and log T_2 are both -inf; their
-        # difference is NaN, which no stop test accepts
+        # difference would be NaN, so the loop takes log r_1 = -inf
+        # there, and the zero term T_1 stops the sum at level 1
         assert heat_trace(n, 1e308) == TraceResult(value=1.0, levels_used=1, tail_bound=0.0)
 
     def test_result_shape(self):
@@ -133,7 +135,8 @@ class TestHeatTrace:
             heat_trace(1, 1.0)
 
     def test_tiny_time_hits_level_cap(self):
-        with pytest.raises(RuntimeError):
+        with pytest.raises(RuntimeError, match=re.escape(
+                "heat trace did not converge within 200000 levels at n=2, t=1e-10")):
             heat_trace(2, 1e-10)
 
     @pytest.mark.parametrize("n, t", [
@@ -153,6 +156,88 @@ class TestHeatTrace:
                   for n in range(2, 11) for j in range(37)]
         digest = hashlib.sha256("\n".join(values).encode()).hexdigest()
         assert digest == LEM3_GRID_SHA256
+
+
+def _reference_heat_trace(n, t):
+    # the plain level loop: the tail ratio formed at every level,
+    # lambda_(j+1) as the product (j+1)(j+n) and the -745 guard on
+    # every term
+    max_levels, tail_eps = 200_000, 5e-15
+    if not (t > 0.0) or math.isinf(t) or math.isnan(t):
+        raise ValueError(f"time must be positive and finite, got {t!r}")
+    total = 0.0
+    term = 1.0
+    mult = n + 1
+    term_log = math.log(mult) - n * t
+    try:
+        for j in range(1, max_levels + 2):
+            total += term
+            mult = mult * (2 * j + n + 1) * (j + n - 1) // ((2 * j + n - 1) * (j + 1))
+            next_log = math.log(mult) - (j + 1) * (j + n) * t
+            term = math.exp(term_log) if term_log > -745.0 else 0.0
+            log_ratio = next_log - term_log if term_log > -math.inf else -math.inf
+            if log_ratio < 0.0:
+                tail = term / -math.expm1(log_ratio)
+                if tail <= tail_eps * total:
+                    break
+            term_log = next_log
+        else:
+            raise RuntimeError(
+                f"heat trace did not converge within {max_levels} levels at n={n}, t={t!r}"
+            )
+    except OverflowError:
+        total = math.inf
+    if total == math.inf:
+        raise OverflowError(f"heat trace exceeds the double range at n={n}, t={t!r}")
+    return TraceResult(value=total, levels_used=j, tail_bound=tail)
+
+
+def _bench_trace_points():
+    # the benchmark's 30 trace points, bare and as its default seed 1
+    # jitters each t by a factor in [1, 1.04)
+    points = [(n, 10.0 ** e) for n in (2, 3, 5, 8) for e in range(1, -6, -1)]
+    points += [(2, 1e-6), (2, 1e-7)]
+    rng = random.Random("jitter-1")
+    return points + [(n, t * (1.0 + 0.04 * rng.random())) for n, t in points]
+
+
+REFERENCE_POINTS = (
+    [(n, 10.0 ** e) for n in (2, 3, 4, 5, 8, 13, 30, 100, 164, 165, 250, 300, 1000)
+     for e in range(3, -8, -1)]
+    + _bench_trace_points()
+    + [
+        (2, 373.0),  # tail_bound is the least subnormal, 5e-324
+        (2, 373.05),  # the -745 guard zeroes a term whose exp is 5e-324
+        (2, 1e-10),  # the level cap
+        (300, 3.98e-5),  # the sum overflows
+        (250, 1.6e-5),  # a single term overflows
+        (2, 1e308), (165, 1e308), (100000, 1e308),  # every exponent overflows
+    ]
+)
+
+
+def _outcome(fn, n, t):
+    try:
+        got = fn(n, t)
+    except (RuntimeError, OverflowError) as exc:
+        return type(exc), str(exc)
+    return got.value.hex(), got.levels_used, got.tail_bound.hex()
+
+
+class TestAgainstTheReferenceLoop:
+    """heat_trace forms the tail ratio only where a term can stop the
+    sum; every result and every error must be the reference loop's."""
+
+    def test_every_bit_and_every_error_match(self):
+        for n, t in REFERENCE_POINTS:
+            assert _outcome(heat_trace, n, t) == _outcome(_reference_heat_trace, n, t), (n, t)
+
+    def test_the_underflow_guard_still_acts(self):
+        # log T_1 = log 3 - 746.1 is just below -745: exp gives 5e-324,
+        # which the guard replaces by 0.0 before it becomes the tail
+        assert math.exp(math.log(3) - 2 * 373.05) == 5e-324
+        assert heat_trace(2, 373.05) == TraceResult(value=1.0, levels_used=1, tail_bound=0.0)
+        assert heat_trace(2, 373.0).tail_bound == 5e-324
 
 
 SMALL_TIMES = (1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 1e-7)
