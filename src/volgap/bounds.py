@@ -41,8 +41,8 @@ log ratios to CLY with per-n float operations only; the multiplicity
 route hoists its per-n terms likewise.
 
 The case (i) bump is added to alpha ell - 1 by _log_sum, which returns
-the larger log unchanged once the smaller is more than 745 below it
-(logdomain._UNDERFLOW_LOG).  _case1_bumps decides that once per n, for
+the larger log unchanged once the smaller is further below it than
+logdomain._UNDERFLOW_LOG.  _case1_bumps decides that once per n, for
 every ell at once: (n+2 ell)^(2/n) >= 1 and 4^(1/n) >= 1, and float
 rounding is monotone, so the float E is at most the float
 -min(anc) (n+3), and log(alpha (n+ell+2)) at most its value at
@@ -64,7 +64,8 @@ solver's excess pair (ell, u), alpha = 1/ell + u, kept exact where
 1/ell + u rounds to 1/ell (from n = 17 on at the maximiser).  The
 overflow cap is decided here as well: capped_kernels yields one kernel
 per dimension up to the last n at which every exponent the bounds form
-at a given ell_max still fits in a double.
+at a given ell_max still fits in a double, and names in its note only
+an n it has checked.
 """
 
 from __future__ import annotations
@@ -422,25 +423,39 @@ def capped_kernels(n_values, alpha: float, ell_max: int):
     exponent any bound forms, roughly -alpha (n+4) n C_n, so it
     overflows a few dimensions before n C_n does; below the cap every
     formula here is finite for ell <= ell_max.  Returns (kernels, note),
-    where note says where and why the sequence stopped, or is None.
+    where note says where and why the sequence stopped, or is None.  The
+    note names n - 1 as the last n that fits only if it was kept, or,
+    where the first n already stops the sequence, if n - 1 passes the
+    same checks; otherwise it says that no dimension fits.
     """
     kernels = []
     for n in n_values:
-        try:
-            nc = nc_product(n)
-        except OverflowError:
-            return kernels, _cap_note(n, "n C_n")
-        if math.isinf(next(_correction_exponents(n, (alpha * nc,), (ell_max,)))):
-            return kernels, _cap_note(n, "the case-correction exponent")
+        what = _exceeds(n, alpha, ell_max)
+        if what is not None:
+            if kernels or _fits(n - 1, alpha, ell_max):
+                return kernels, f"n capped at {n - 1}: {what} exceeds float range beyond"
+            return kernels, f"no dimension fits: {what} exceeds float range from n={n}"
         kernels.append(BoundKernel(n, alpha))
     return kernels, None
 
 
-def _cap_note(n: int, what: str) -> str:
-    """Why capped_kernels stopped at n: the last n that fits, or none if n = 2 does not."""
-    if n > 2:
-        return f"n capped at {n - 1}: {what} exceeds float range beyond"
-    return f"no dimension fits: {what} exceeds float range from n={n}"
+def _exceeds(n: int, alpha: float, ell_max: int) -> str | None:
+    """What leaves the double range at n: n C_n, the case-correction exponent at ell_max, or None."""
+    try:
+        nc = nc_product(n)
+    except OverflowError:
+        return "n C_n"
+    if math.isinf(next(_correction_exponents(n, (alpha * nc,), (ell_max,)))):
+        return "the case-correction exponent"
+    return None
+
+
+def _fits(n: int, alpha: float, ell_max: int) -> bool:
+    """Whether capped_kernels would keep n: a dimension where _exceeds finds and raises nothing."""
+    try:
+        return n >= 2 and _exceeds(n, alpha, ell_max) is None
+    except OverflowError:  # n + 2 ell_max leaves the double range
+        return False
 
 
 # -------------------------------------------------- LogScalar views of it

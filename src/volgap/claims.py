@@ -27,11 +27,14 @@ the capped grid (one bounds.BoundKernel per n up to the overflow cap,
 from one bounds.capped_kernels call), the ell-only terms of the bounds
 over at most k ells of ell_min..ell_max (one bounds._EllColumns per k,
 from _sample), and one gamma_n root per n, shared by ALPHA_STAR_BRACKET,
-GAMMAN_LE_13 and GAMMA2_GT_13; each is computed on first use.  The
-(n, ell) grid claims read ell columns per n, never one point at a
-time.  FINAL_INEQ, GAP_ORDER_THM1_CLY and GAP_ORDER_THM2_THM1 read the
-two ends (k = 2): at each n their margin is monotone in ell (their grid
-notes say why), so its minimum over the range lies at an end.
+GAMMAN_LE_13 and GAMMA2_GT_13; each is computed on first use.
+_Run.ns gives the capped n >= lo, and _Run.note builds every note of a
+claim over the capped grid: "n in [a, b]", the claim's suffix, then the
+cap note.  The (n, ell) grid claims read ell columns per n, never one
+point at a time.  FINAL_INEQ, GAP_ORDER_THM1_CLY and GAP_ORDER_THM2_THM1
+read the two ends (k = 2): at each n their margin is monotone in ell
+(their grid notes say why), so its minimum over the range lies at an
+end.
 THM6_CONSISTENCY compares two computations of one number, a check of
 the code, so it reads at most _THM6_ELLS ells per n, as its note says.
 Each grid row forms, per n, only the columns its margin reads:
@@ -169,8 +172,17 @@ class _Run:
             raise _EmptyGrid(f"empty grid; {cap}")
         return kernels
 
-    def grid_note(self, grid: str) -> str:
-        """grid, and the cap note if the overflow cap cut the grid short."""
+    def ns(self, lo: int = 2) -> list[int]:
+        """The n >= lo of the capped grid."""
+        return [k.n for k in self.kernels() if k.n >= lo]
+
+    def note(self, suffix: str = "", lo: int = 2) -> str:
+        """Every capped-grid note: 'n in [a, b]' over ns(lo), then suffix, then the cap note if any.
+
+        A grid with no n >= lo is vacuous, and its note says so in place of the range and suffix.
+        """
+        ns = self.ns(lo)
+        grid = f"n in [{ns[0]}, {ns[-1]}]{suffix}" if ns else f"vacuous: no n >= {lo} in grid"
         cap = self._grid[1]
         return grid if cap is None else f"{grid}; {cap}"
 
@@ -274,26 +286,15 @@ def _grid_point(at) -> dict:
     return {"at_n": _coord(at, 0), "at_ell": _coord(at, 1)}
 
 
-def _ns(run, lo: int = 2) -> list[int]:
-    """The n >= lo of the capped grid."""
-    return [k.n for k in run.kernels() if k.n >= lo]
-
-
-def _capped(run, grid: str) -> str:
-    """'n in [first, last]' of the capped grid, then grid, then the cap note."""
-    ns = _ns(run)
-    return run.grid_note(f"n in [{ns[0]}, {ns[-1]}]{grid}")
-
-
 def _grid_note(run, k: int, why: str = "") -> str:
-    """The (n, ell) grid note at a sample of k ells; why says why the ends of the range decide the claim."""
+    """The ell part of a grid note at a sample of k ells; why says why the ends of the range decide it."""
     c = run.config
     ells = run.columns(k).ells
     if why:
         why = f"; decided at ell = {' and '.join(map(str, ells))}: {why}"
     elif not isinstance(ells, range):
         why = f"; {len(ells)} log-spaced ells with both ends"
-    return _capped(run, f", ell in [{c.ell_min}, {c.ell_max}], alpha = {c.alpha:g}{why}")
+    return f", ell in [{c.ell_min}, {c.ell_max}], alpha = {c.alpha:g}{why}"
 
 
 def _bracket_margin(r) -> float:
@@ -303,7 +304,7 @@ def _bracket_margin(r) -> float:
 
 
 def _bracket_witnesses(run, f) -> dict:
-    ns = _ns(run)
+    ns = run.ns()
     roots = [run.gamma(n) for n in ns]
     return {
         **({"gamma_2": roots[0].value} if ns[0] == 2 else {}),
@@ -311,12 +312,6 @@ def _bracket_witnesses(run, f) -> dict:
         "min_excess": min(r.root for r in roots),
         "max_excess": max(r.root for r in roots),
     }
-
-
-def _gamman_note(run, f) -> str:
-    ns = _ns(run, 3)
-    # a vacuous grid has no largest gamma_n to report
-    return run.grid_note(f"n in [{ns[0]}, {ns[-1]}]" if ns else "vacuous: no n >= 3 in grid")
 
 
 def _ratio_at_min(worst: float) -> float:
@@ -402,9 +397,9 @@ _CLAIMS = {
     "ALPHA_STAR_BRACKET": _Claim(
         "the maximiser gamma_n of (a - 1)/B_(n,a) lies strictly between 1 and 1.43"
         " for every n, with defining-equation residual at most 1e-9",
-        lambda run: _over(_ns(run), lambda n: _bracket_margin(run.gamma(n))),
+        lambda run: _over(run.ns(), lambda n: _bracket_margin(run.gamma(n))),
         _bracket_witnesses, strict=False, tolerance=1e-9,
-        note=lambda run, f: _capped(run, ", ell = 1"),
+        note=lambda run, f: run.note(", ell = 1"),
     ),
     "C3_APPROX": _Claim(
         "C_3 = 3^(3/2) e Gamma(3/2, 1) / 2 = 3.58258102141221 to 1e-12",
@@ -435,7 +430,7 @@ _CLAIMS = {
         # log ell - log(n + ell + 3) rises with ell
         _grid(_final_row, 2),
         lambda run, f: {"min_log_margin": f.worst, **_grid_point(f.at)},
-        note=lambda run, f: _grid_note(run, 2, "the margin increases in ell"),
+        note=lambda run, f: run.note(_grid_note(run, 2, "the margin increases in ell")),
     ),
     "GAMMA2_GT_13": _Claim(
         "gamma_2 > 1.3",
@@ -444,11 +439,12 @@ _CLAIMS = {
     ),
     "GAMMAN_LE_13": _Claim(
         "gamma_n < 1.3 for every n >= 3",
-        lambda run: _over(_ns(run, 3), lambda n: 0.3 - run.gamma(n).root),
+        lambda run: _over(run.ns(3), lambda n: 0.3 - run.gamma(n).root),
+        # a vacuous grid has no largest gamma_n to report
         lambda run, f: {
-            "max_gamma_from_3": 1.0 + max(run.gamma(n).root for n in _ns(run, 3)),
+            "max_gamma_from_3": 1.0 + max(run.gamma(n).root for n in run.ns(3)),
         } if f.points else {},
-        note=_gamman_note,
+        note=lambda run, f: run.note(lo=3),
     ),
     "GAP_ORDER_THM1_CLY": _Claim(
         "the tuned excess exceeds 1.65 times the classical excess at every"
@@ -461,7 +457,7 @@ _CLAIMS = {
             **_grid_point(f.at),
             "ratio_at_min": _ratio_at_min(f.worst),
         },
-        note=lambda run, f: _grid_note(run, 2, "the ratio is monotone in ell") + (
+        note=lambda run, f: run.note(_grid_note(run, 2, "the ratio is monotone in ell")) + (
             "; ratio_at_min exceeds the double range" if _ratio_at_min(f.worst) == math.inf else ""
         ),
     ),
@@ -476,7 +472,9 @@ _CLAIMS = {
             "first_bad_n": _coord(f.first_bad, 0),
             "first_bad_ell": _coord(f.first_bad, 1),
         },
-        note=lambda run, f: _grid_note(run, 2, "the case (ii) margin and the exponent E fall in ell"),
+        note=lambda run, f: run.note(
+            _grid_note(run, 2, "the case (ii) margin and the exponent E fall in ell")
+        ),
     ),
     "H_SIGN_142": _Claim(
         "h(a) = 4 + (1 + 2a - 2a^2) e^(2a) is positive at a = 1.42",
@@ -490,11 +488,11 @@ _CLAIMS = {
         "sum_k m_k e^(-lambda_k t) <= 1 + (n+1) e^(-n t) + (C_n / t) e^(-n t)"
         " for the round n-sphere whenever t >= 1",
         lambda run: _over(
-            _ns(run), lambda n: spectral.trace_bound(n, 1.0) - spectral.heat_trace(n, 1.0).value
+            run.ns(), lambda n: spectral.trace_bound(n, 1.0) - spectral.heat_trace(n, 1.0).value
         ),
         lambda run, f: {"min_margin": f.worst, "at_n": _coord(f.at, 0), "points": float(f.points)},
-        note=lambda run, f: _capped(
-            run, "; decided at t = 1: levels 0 and 1 cancel, leaving t sum_(k>=2) m_k e^(-(lambda_k - n) t)"
+        note=lambda run, f: run.note(
+            "; decided at t = 1: levels 0 and 1 cancel, leaving t sum_(k>=2) m_k e^(-(lambda_k - n) t)"
             " <= C_n, whose terms fall for t >= 1 as lambda_k - n >= n + 2",
         ),
     ),
@@ -545,7 +543,7 @@ _CLAIMS = {
             "max_rel_log_diff": abs(f.worst), **_grid_point(f.at if f.worst < 0.0 else None),
         },
         # the two routes agree to rounding; config.tol sets the root solves only
-        strict=False, tolerance=1e-12, note=lambda run, f: _grid_note(run, _THM6_ELLS),
+        strict=False, tolerance=1e-12, note=lambda run, f: run.note(_grid_note(run, _THM6_ELLS)),
     ),
     "TILDE_GAMMA3_LT_11": _Claim(
         "the positive root of 3 C_3 x^2 - 3 C_3 x - 1 lies in (1, 1.1)",

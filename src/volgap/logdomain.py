@@ -22,9 +22,13 @@ from dataclasses import dataclass
 
 _LN10 = math.log(10.0)
 _LN_HALF = math.log(0.5)
-# below this log ratio e^d underflows, so the smaller term of a sum or
-# difference cannot change a bit of the larger
+# The double range, in logs; this module is the only place that spells it.
+# Below _UNDERFLOW_LOG e^d underflows, so the smaller term of a sum or
+# difference cannot change a bit of the larger.  Above _OVERFLOW_LOG the
+# package treats e^x as past the double range (the largest double is
+# about e^709.78).
 _UNDERFLOW_LOG = -745.0
+_OVERFLOW_LOG = 709.0
 
 
 @dataclass(frozen=True)

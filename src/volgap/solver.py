@@ -40,7 +40,7 @@ import math
 from dataclasses import dataclass
 
 from .bounds import _excess_exponent, _float_ell, _tuning, b_alpha
-from .logdomain import LogScalar, _log_sum, log_add, log_div
+from .logdomain import _UNDERFLOW_LOG, LogScalar, _log_sum, log_add, log_div
 from .specials import nc_product
 
 
@@ -162,7 +162,7 @@ def _critical_objective(u: float, n: int, ell: int, ncn: float) -> tuple[float, 
     # at alpha = 1/ell + u, the excess form of bounds.Tuning, and its slope
     # in log u from the same exp: 1 + ell u/(1 + ell u) + n C_n u corr/(1 + corr)
     exponent = -_excess_exponent(ell, u, ncn)
-    corr = (n + 1.0 + ell) * math.exp(exponent) if exponent > -745.0 else 0.0
+    corr = (n + 1.0 + ell) * math.exp(exponent) if exponent > _UNDERFLOW_LOG else 0.0
     lu = ell * u
     residual = math.log(u) + math.log1p(lu) + math.log(ncn) - math.log1p(corr)
     return residual, 1.0 + lu / (1.0 + lu) + ncn * (u * corr) / (1.0 + corr)

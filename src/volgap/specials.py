@@ -33,7 +33,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .logdomain import LogScalar, _log_sum
+from .logdomain import _OVERFLOW_LOG, LogScalar, _log_sum
 
 _ERF_TERM_CUTOFF = 1e-17
 
@@ -156,6 +156,14 @@ def _check_dimension(n: int) -> None:
         raise ValueError(f"dimension must be at least 2, got {n}")
 
 
+def _float_dimension(n: int) -> float:
+    """n as a float, where it first becomes one; past the double range, OverflowError naming n."""
+    try:
+        return float(n)
+    except OverflowError:
+        raise OverflowError(f"dimension leaves the double range at n={n}") from None
+
+
 @lru_cache(maxsize=None)
 def cly_constant(n: int) -> float:
     """C_n = n^(n/2) e Gamma(n/2, 1) / 2 as a double.
@@ -164,7 +172,7 @@ def cly_constant(n: int) -> float:
     n = 167 on); cly_constant_log has no such ceiling.
     """
     _check_dimension(n)
-    if cly_constant_log(n).log_mag > 709.0:
+    if cly_constant_log(n).log_mag > _OVERFLOW_LOG:
         raise OverflowError(f"C_n exceeds the double range at n={n}; use cly_constant_log")
     if n % 2 == 0:
         half_power = float(n ** (n // 2))  # exact integer power
@@ -178,9 +186,9 @@ def cly_constant(n: int) -> float:
 # the life of the process.  1024 holds every n of a 2:400 grid.
 @lru_cache(maxsize=1024)
 def cly_constant_log(n: int) -> LogScalar:
-    """C_n in log form, usable at any dimension the tools accept."""
+    """C_n in log form, usable at any dimension that fits in a double (_float_dimension)."""
     _check_dimension(n)
-    log_mag = (n / 2.0) * math.log(n) + 1.0 + _GAMMA_AT_ONE.at(n)[1] - math.log(2.0)
+    log_mag = (_float_dimension(n) / 2.0) * math.log(n) + 1.0 + _GAMMA_AT_ONE.at(n)[1] - math.log(2.0)
     return LogScalar(1, log_mag)
 
 
@@ -197,7 +205,7 @@ def nc_product(n: int) -> float:
     """
     _check_dimension(n)
     log_nc = math.log(n) + cly_constant_log(n).log_mag
-    if log_nc > 709.0:
+    if log_nc > _OVERFLOW_LOG:
         raise OverflowError(
             f"n*C_n exceeds the double range at n={n}; exponent-scale formulas stop here"
         )

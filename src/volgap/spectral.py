@@ -24,21 +24,24 @@ where that bound is negligible against the partial sum.  Since the
 bound is never below T_(K+1) itself (the rounded quotient of a term by
 a divisor in (0, 1] is at least the term), the ratio is only formed at
 levels whose term is already at most the stop target; every other level
-costs the update, the log and the exp alone.  The -745 underflow guard
-sits in that branch too: a term of at most e^-745 is at most 5e-324,
-below the target of any sum (which is at least 1), so it always lands
-there.  The stop level, the sum and the bound are therefore the same
-doubles as with the ratio formed at every level.  At small t
-this needs about sqrt(33 / t) levels on S^2 and a few percent more in
-higher dimension, where waiting for consecutive terms to halve would
-need ln 2 / (2t).
+costs the update, the log and the exp alone.  The underflow guard,
+which zeroes a term whose log is at most logdomain._UNDERFLOW_LOG, sits
+in that branch too: such a term is at most 5e-324, below the target of
+any sum (which is at least 1), so it always lands there.  The stop
+level, the sum and the bound are therefore the same doubles as with
+the ratio formed at every level.  At small t this needs about
+sqrt(33 / t) levels on S^2 and a few percent more in higher dimension,
+where waiting for consecutive terms to halve would need ln 2 / (2t).
 
 trace_bound gives the closed comparison estimate
 
   1 + (n+1) e^(-nt) + C_n t^-1 e^(-nt)   for t >= 1,
 
-which the summed trace must never exceed.  The claim suite checks that
-dominance at t = 1, which decides every t >= 1 (LEM3_TRACE_BOUND).
+which the summed trace must never exceed.  It needs no underflow
+guard: an exp that underflows gives at most 5e-324 without raising,
+and both terms are added to 1.0, which such a term cannot change.  The
+claim suite checks that dominance at t = 1, which decides every t >= 1
+(LEM3_TRACE_BOUND).
 """
 
 from __future__ import annotations
@@ -46,7 +49,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .specials import _check_dimension, cly_constant_log
+from .logdomain import _UNDERFLOW_LOG
+from .specials import _check_dimension, _float_dimension, cly_constant_log
 
 # Stop once the omitted tail would change nothing at double precision,
 # so that tail_bound <= 1e-14 * value always holds on return.  The levels
@@ -91,28 +95,29 @@ def heat_trace(n: int, t: float) -> TraceResult:
     at most 5e-15 times the partial sum; that bound is
     returned as tail_bound.  As the bound is at least T_(K+1), the ratio
     is only formed once T_(K+1) itself is at most that target, and a
-    term that underflows (log at most -745) is zeroed there, where it
-    always lands; the result is the one a ratio test at every level
-    gives, bit for bit.  It covers truncation only: the rounding of
-    the partial sum itself, a few ulps per summed level at worst, is
-    not included.  Each term is exp(log m_k - lambda_k t), so a huge
-    multiplicity never overflows while the product is an ordinary
-    double.  Raises RuntimeError when t is too small for the tail to be
-    certified within the level cap, and OverflowError when the trace,
-    or a single term of it, exceeds the double range.
+    term that underflows (log at most logdomain._UNDERFLOW_LOG) is
+    zeroed there, where it always lands; the result is the one a ratio
+    test at every level gives, bit for bit.  It covers truncation only:
+    the rounding of the partial sum itself, a few ulps per summed level
+    at worst, is not included.  Each term is exp(log m_k - lambda_k t),
+    so a huge multiplicity never overflows while the product is an
+    ordinary double.  Raises RuntimeError when t is too small for the
+    tail to be certified within the level cap, and OverflowError when
+    n, the trace, or a single term of it, exceeds the double range.
     """
     _check_dimension(n)
     if not (t > 0.0) or math.isinf(t) or math.isnan(t):
         raise ValueError(f"time must be positive and finite, got {t!r}")
 
-    log, exp, expm1, eps = math.log, math.exp, math.expm1, _TAIL_EPS
+    log, exp, expm1 = math.log, math.exp, math.expm1
+    eps, underflow = _TAIL_EPS, _UNDERFLOW_LOG
     # Level j is known once the sum holds levels 0..j-1: T_j and
     # r_j = T_(j+1) / T_j decide whether the sum may stop before it.
     total = 0.0
     term = 1.0  # T_0
     mult = n + 1  # m_1
     lam = n  # lambda_1
-    term_log = log(mult) - n * t  # log T_1
+    term_log = log(mult) - _float_dimension(n) * t  # log T_1
     try:
         for j in range(1, _MAX_LEVELS + 2):
             total += term
@@ -123,10 +128,10 @@ def heat_trace(n: int, t: float) -> TraceResult:
             term = exp(term_log)  # T_j
             # The tail bound T_j / (1 - r_j) is at least T_j, so only a
             # term at most the stop target can stop the sum.  A term_log
-            # <= -745 always lands here: its exp is at most 5e-324 and
-            # the sum is at least 1.
+            # at most the underflow log always lands here: its exp is at
+            # most 5e-324 and the sum is at least 1.
             if term <= eps * total:
-                if term_log <= -745.0:
+                if term_log <= underflow:
                     term = 0.0
                 # log r_j; once lambda_j t overflows both logs are -inf, and so is log r_j
                 log_ratio = next_log - term_log if term_log > -math.inf else -math.inf
@@ -150,16 +155,16 @@ def trace_bound(n: int, t: float) -> float:
     """Closed upper bound 1 + (n+1) e^(-nt) + C_n t^-1 e^(-nt), t >= 1.
 
     Raises OverflowError, naming n and t, when the bound exceeds the
-    double range.
+    double range, and naming n when n itself does.
     """
     _check_dimension(n)
     if not (t >= 1.0) or math.isinf(t) or math.isnan(t):
         raise ValueError(f"the closed bound needs t >= 1, got {t!r}")
-    decay = -n * t
-    linear = (n + 1) * math.exp(decay) if decay > -745.0 else 0.0
+    decay = -_float_dimension(n) * t
+    linear = (n + 1) * math.exp(decay)
     corr_log = cly_constant_log(n).log_mag + decay - math.log(t)
     try:
-        correction = math.exp(corr_log) if corr_log > -745.0 else 0.0
+        correction = math.exp(corr_log)
     except OverflowError:
         raise OverflowError(
             f"closed trace bound exceeds the double range at n={n}, t={t!r}"

@@ -72,6 +72,10 @@ DELETED = [
     ("claims", "_BETAS"),
     ("solver", "_log_g"),
     ("solver", "_in_g_domain"),
+    ("claims", "_ns"),
+    ("claims", "_capped"),
+    ("claims", "_gamman_note"),
+    ("claims", "_Run.grid_note"),
 ]
 
 
@@ -146,3 +150,15 @@ def test_every_import_is_read():
                 if name not in read:
                     unread.append(f"{path.stem}: {name}")
     assert unread == []
+
+
+def test_only_logdomain_spells_the_double_range():
+    # the underflow and overflow logs are logdomain._UNDERFLOW_LOG and
+    # _OVERFLOW_LOG; every other module reads those names
+    limits = {745.0, 709.0}
+    spelled = Counter()
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Constant) and type(node.value) in (int, float) and abs(node.value) in limits:
+                spelled[path.stem, abs(node.value)] += 1
+    assert spelled == {("logdomain", 745.0): 1, ("logdomain", 709.0): 1}

@@ -238,6 +238,24 @@ class TestBoundKernel:
         assert kernels == []
         assert note == "no dimension fits: the case-correction exponent exceeds float range from n=2"
 
+    @pytest.mark.parametrize("n_values, note", [
+        # n C_n overflows at 166, and 165 fails the exponent check
+        (range(166, 171), "no dimension fits: n C_n exceeds float range from n=166"),
+        (range(200, 301), "no dimension fits: n C_n exceeds float range from n=200"),
+        # 164 passes both checks, so the first n's note may name it
+        (range(165, 171), "n capped at 164: the case-correction exponent exceeds float range beyond"),
+    ])
+    def test_an_empty_grid_names_only_a_checked_n(self, n_values, note):
+        assert capped_kernels(n_values, 1.43, 30) == ([], note)
+
+    def test_an_n_below_the_grid_that_raises_is_not_named(self):
+        # at 165, n + 2 ell_max leaves the double range: 165 does not fit
+        kernels, note = capped_kernels(range(166, 170), 1.43, 2**1023)
+        assert (kernels, note) == ([], "no dimension fits: n C_n exceeds float range from n=166")
+        # where the grid's own first n raises it, it still propagates
+        with pytest.raises(OverflowError, match="^ell leaves the double range at n=165$"):
+            capped_kernels(range(165, 170), 1.43, 2**1023)
+
     def test_capped_kernels_compute_n_c_n_once_per_n(self):
         nc_product.cache_clear()
         kernels, note = capped_kernels(range(2, 401), 1.43, 30)

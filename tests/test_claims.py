@@ -287,6 +287,18 @@ def test_capped_empty_grid_is_an_error_not_a_verdict():
         )
 
 
+@pytest.mark.parametrize("n_min, n_max", [(166, 170), (200, 300)])
+def test_empty_grid_names_no_dimension_when_the_n_below_it_does_not_fit(n_min, n_max):
+    # n C_n overflows from n = 166 on, and at n = 165 the case-correction
+    # exponent does, so no n below the grid can be named as its last
+    verdicts = run_claim_suite(SuiteConfig(n_min=n_min, n_max=n_max))
+    unchecked = [v for v in verdicts if v.status != "PASS"]
+    assert [v.claim_id for v in unchecked] == GRID_CLAIMS
+    for v in unchecked:
+        assert (v.status, v.witnesses) == ("ERROR", {})
+        assert v.grid_note == f"empty grid; no dimension fits: n C_n exceeds float range from n={n_min}"
+
+
 def test_empty_grid_names_no_dimension_when_n_2_does_not_fit():
     # the case-correction exponent overflows already at n = 2, so there
     # is no last dimension to name, and n = 1 is no dimension at all

@@ -381,6 +381,37 @@ class TestGridErrorContract:
         assert captured.out == ""
         assert captured.err == "error: ell leaves the double range at n=2\n"  # not "int too large ..."
 
+    # an n past the double range is valid input; its message names n
+    @pytest.mark.parametrize("argv", [
+        ("trace", "--n", str(10**400), "--t", "1"),
+        ("gap", "--n", str(10**400), "--l", "1"),
+        ("constants", "--n", str(10**400)),
+        ("optimize-alpha", "--n", str(10**400)),
+    ], ids=lambda argv: argv[0])
+    def test_huge_n_overflow_names_n(self, capsys, argv):
+        assert main(list(argv)) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: dimension leaves the double range at n={10**400}\n"
+
+    def test_huge_n_errors_cn_monotone_naming_n(self, capsys):
+        n = 10**400
+        code, out = run(capsys, "verify", "--n-range", f"{n}:{n}", "--claim", "CN_MONOTONE", "--json")
+        assert code == 1
+        (claim,) = json.loads(out)["claims"]
+        assert claim["status"] == "ERROR"
+        assert claim["grid_note"] == f"OverflowError: dimension leaves the double range at n={n}"
+
+    @pytest.mark.parametrize("n_range", ["166:170", "200:300"])
+    def test_an_empty_grid_names_no_unchecked_n(self, capsys, n_range):
+        code, out = run(capsys, "verify", "--n-range", n_range)
+        assert code == 1
+        errors = [line for line in out.splitlines() if line.startswith("ERROR ")]
+        assert len(errors) == 7
+        first = n_range.split(":")[0]
+        note = f"[empty grid; no dimension fits: n C_n exceeds float range from n={first}]"
+        assert all(line.endswith(note) for line in errors)
+
     def test_huge_ell_max_errors_the_grid_claims_naming_ell_and_n(self, capsys):
         code, out = run(capsys, "verify", "--l-range", f"1:{2 * 10**308}", "--json")
         assert code == 1

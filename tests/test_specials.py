@@ -220,6 +220,14 @@ class TestClyConstant:
         with pytest.raises(OverflowError):
             cly_constant(200)
 
+    @pytest.mark.parametrize("n", [2**1024, 10**400, 10**400 + 1])
+    def test_n_past_the_double_range_raises_naming_it(self, n):
+        # n becomes a float before any Gamma step, so an odd n runs no
+        # recurrence of n / 2 steps either
+        for fn in (cly_constant_log, cly_constant, nc_product):
+            with pytest.raises(OverflowError, match=f"^dimension leaves the double range at n={n}$"):
+                fn(n)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             cly_constant(1)

@@ -1,5 +1,6 @@
 """Spherical spectrum and heat trace against independent oracles."""
 
+import collections
 import hashlib
 import math
 import random
@@ -10,7 +11,7 @@ import mpmath
 import pytest
 
 from volgap.spectral import TraceResult, heat_trace, sphere_level, trace_bound
-from volgap.specials import cly_constant
+from volgap.specials import cly_constant, cly_constant_log
 
 # frozen: deterministic output of the truncated sum at (n, t) = (2, 1)
 TRACE_2_1 = 1.4184426386310551
@@ -301,8 +302,84 @@ class TestTraceBound:
         assert math.isfinite(value) and value >= 1.0
         assert value == pytest.approx(1.0, abs=1e-100)
 
+    def test_n_past_the_double_range_raises_naming_it(self):
+        n = 10**400
+        message = f"^dimension leaves the double range at n={n}$"
+        with pytest.raises(OverflowError, match=message):
+            trace_bound(n, 1.0)
+        with pytest.raises(OverflowError, match=message):
+            heat_trace(n, 1.0)
+        # sphere_level works in exact ints, at any n
+        assert sphere_level(n, 1).multiplicity == n + 1
+
     def test_unrepresentable_bound_raises(self):
         # at small t the correction C_n e^{-nt}/t genuinely exceeds float
         # range for huge n; that must surface, not round to inf
         with pytest.raises(OverflowError, match=r"at n=400, t=2\.0$"):
             trace_bound(400, 2.0)
+
+
+def _guarded_trace_bound(n, t):
+    # trace_bound as it was with an underflow guard on each exp: a term
+    # whose log is at most -745 was replaced by 0.0
+    if not (t >= 1.0) or math.isinf(t) or math.isnan(t):
+        raise ValueError(f"the closed bound needs t >= 1, got {t!r}")
+    decay = -n * t
+    linear = (n + 1) * math.exp(decay) if decay > -745.0 else 0.0
+    corr_log = cly_constant_log(n).log_mag + decay - math.log(t)
+    try:
+        correction = math.exp(corr_log) if corr_log > -745.0 else 0.0
+    except OverflowError:
+        raise OverflowError(
+            f"closed trace bound exceeds the double range at n={n}, t={t!r}"
+        ) from None
+    return 1.0 + linear + correction
+
+
+def _edge_times(n):
+    """t near 745/n, where -n t crosses -745, and near the t where the correction's log does."""
+    times = [745.0 / n]
+    t = 745.0 / n  # log C_n - n t - log t = -745, solved by fixed-point steps
+    for _ in range(60):
+        t = (cly_constant_log(n).log_mag + 745.0 - math.log(t)) / n
+    times.append(t)
+    out = []
+    for t in times:
+        for scale in (1.0 - 1e-3, 1.0 - 1e-9, 1.0, 1.0 + 1e-9, 1.0 + 1e-3):
+            out += [t * scale, math.nextafter(t * scale, 0.0), math.nextafter(t * scale, math.inf)]
+    return [t for t in out if t >= 1.0]
+
+
+TRACE_BOUND_NS = [*range(2, 400), 744, 745, 746, 1000, 10**5]
+TRACE_BOUND_TIMES = [1.0, 1.5, 2.0, 4.0, 10.0, 100.0, 372.5, 373.0, 373.05, 1e3, 1e10, 1e100, 1e300]
+
+
+def _bound_outcome(fn, n, t):
+    try:
+        return fn(n, t).hex()
+    except (ValueError, OverflowError) as exc:
+        return type(exc), str(exc)
+
+
+class TestTraceBoundWithoutGuards:
+    """exp underflows to at most 5e-324 without raising, and both terms
+    are added to 1.0, so trace_bound needs no underflow guard: every bit
+    and every error must be the guarded bound's."""
+
+    def test_every_bit_and_every_error_match(self):
+        points = [(n, t) for n in TRACE_BOUND_NS for t in TRACE_BOUND_TIMES + _edge_times(n)]
+        points += [(2, 0.5), (400, 2.0)]  # a usage error and an overflow
+        assert len(points) > 8000
+        sides = collections.Counter()
+        for n, t in points:
+            assert _bound_outcome(trace_bound, n, t) == _bound_outcome(_guarded_trace_bound, n, t), (n, t)
+            if t >= 1.0:
+                corr_log = cly_constant_log(n).log_mag - n * t - math.log(t)
+                for term, log in (("linear", -n * t), ("correction", corr_log)):
+                    # which side of the edge, and whether the guard zeroed a nonzero exp there
+                    sides[term, log > -745.0, log <= -745.0 and math.exp(min(log, 0.0)) > 0.0] += 1
+        # the grid straddles both edges, and on each reaches exps the guard zeroed
+        assert {key: count > 0 for key, count in sides.items()} == {
+            (term, above, zeroed): True for term in ("linear", "correction")
+            for above, zeroed in ((True, False), (False, False), (False, True))
+        }
