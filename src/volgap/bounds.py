@@ -36,9 +36,9 @@ fixed-alpha table; at alpha = auto, where each ell has its own tuning,
 once per n.  A BoundKernel(n, alpha) holds the per-n scalars n C_n
 (memoised in specials, so computed once per n however many kernels
 share it) and log B_(n,alpha), and gives log B_n on read;
-_bound_columns turns those columns into columns of log excesses and
-log ratios to CLY with per-n float operations only; the multiplicity
-route hoists its per-n terms likewise.
+_bound_columns turns those columns into each variant's printed columns,
+alpha, log B, log excess and log ratio to CLY, with per-n float
+operations only; the multiplicity route hoists its per-n terms likewise.
 
 The case (i) bump is added to alpha ell - 1 by _log_sum, which returns
 the larger log unchanged once the smaller is further below it than
@@ -56,13 +56,14 @@ two margin functions are one-point views of that code, the LogScalar
 ones in the public view type; tables read the columns directly.  Every
 log excess and log ratio column is one _log_quotients call; the grid
 claims read one kernel's THM1 columns alone through _thm1_log_excesses
-and _thm1_log_ratios, which make the same calls and leave the numerator
-check to the claims, which run it once.
+and _thm1_log_ratios, which make the same calls.  No column function
+checks the numerators: each request does, once, where it enters
+(_check_numerators in build_gap_table, the claims' grid, BoundKernel.logs).
 
-The tuning lives here too, in one form, Tuning: a fixed alpha or the
-solver's excess pair (ell, u), alpha = 1/ell + u, kept exact where
-1/ell + u rounds to 1/ell (from n = 17 on at the maximiser).  The
-overflow cap is decided here as well: capped_kernels yields one kernel
+The tuning lives here too, in one form, Tuning: a fixed alpha, such as
+the classical _CLASSICAL, or the solver's excess pair (ell, u),
+alpha = 1/ell + u, kept exact where 1/ell + u rounds to 1/ell (from
+n = 17 on at the maximiser).  The overflow cap is decided here as well: capped_kernels yields one kernel
 per dimension up to the last n at which every exponent the bounds form
 at a given ell_max still fits in a double, and names in its note only
 an n it has checked.
@@ -132,6 +133,10 @@ def _excess_exponent(ell: int, u: float, nc: float) -> float:
 
 def _tuning(alpha) -> Tuning:
     return alpha if isinstance(alpha, Tuning) else Tuning(alpha)
+
+
+# Cheng-Li-Yau's tuning: B_(n,2) = B_n and 2 ell - 1 is its alpha ell - 1
+_CLASSICAL = Tuning(2.0)
 
 
 def _float_ell(ell: int, n: int) -> float:
@@ -327,40 +332,39 @@ def _case1_bumps(n: int, kernels, ells, log_nums):
     return _log_case1_corrections(n, alphas, ancs, ells)
 
 
-def _bound_columns(kernels, cols: _EllColumns, variants) -> list[tuple[list, list, list]]:
-    """(log B, log excess, log ratio to CLY) columns per variant, in order, over cols.ells.
+def _bound_columns(kernels, cols: _EllColumns, variants) -> list[tuple[list, list, list, list]]:
+    """(alpha, log B, log excess, log ratio to CLY) columns per variant, in order, over cols.ells.
 
     kernels[i] is the BoundKernel at cols.ells[i], at the tuning
     cols.tunings[i]; all share one n.  At a fixed alpha that is one
-    kernel repeated.  A numerator past the double range raises first
-    (_check_numerators), then a THM2_CASE1 bump past it, at its first ell.
-    Where no bump can change a bit (_case1_bumps), THM2_CASE1's columns
-    are THM1's, the same tuple.
+    kernel repeated.  Classical columns hold _CLASSICAL's alpha and B_n.
+    The caller checks the numerators (_check_numerators); a THM2_CASE1
+    bump past the double range raises, at its first ell.  Where no bump
+    can change a bit (_case1_bumps), THM2_CASE1's columns are THM1's,
+    the same tuple.
     """
-    first, ells = kernels[0], cols.ells
-    n, log_b_cly = first.n, first.log_b_cly
-    _check_numerators(n, cols, variants)
-    logs = cols.log_numerators
+    first, ells, m = kernels[0], cols.ells, len(kernels)
+    n, log_b_cly, logs = first.n, first.log_b_cly, cols.log_numerators
     bumps = _case1_bumps(n, kernels, ells, logs[1]) if _CASE1 in variants else None
-    log_bs = [k.log_b for k in kernels]
+    alphas, log_bs = [k.tuning.alpha for k in kernels], [k.log_b for k in kernels]
     log_cly = _log_quotients(logs[0], repeat(log_b_cly))
     out, thm1 = [], None
     for variant in variants:
         if variant is _CLY:
-            out.append(([log_b_cly] * len(log_cly), log_cly, [0.0] * len(log_cly)))
+            out.append(([_CLASSICAL.alpha] * m, [log_b_cly] * m, log_cly, [0.0] * m))
         elif variant is _CASE2:
-            out.append(_tuned_columns(logs[2], log_bs, log_cly))
+            out.append(_tuned_columns(alphas, logs[2], log_bs, log_cly))
         elif variant is _CASE1 and bumps is not None:
-            out.append(_tuned_columns(list(map(_log_sum, logs[1], bumps)), log_bs, log_cly))
+            out.append(_tuned_columns(alphas, list(map(_log_sum, logs[1], bumps)), log_bs, log_cly))
         else:  # THM1, or THM2_CASE1 where its bumps are invisible
-            thm1 = thm1 or _tuned_columns(logs[1], log_bs, log_cly)
+            thm1 = thm1 or _tuned_columns(alphas, logs[1], log_bs, log_cly)
             out.append(thm1)
     return out
 
 
-def _tuned_columns(log_nums, log_bs, log_cly) -> tuple[list, list, list]:
+def _tuned_columns(alphas, log_nums, log_bs, log_cly) -> tuple[list, list, list, list]:
     excesses = _log_quotients(log_nums, log_bs)
-    return log_bs, excesses, _log_quotients(excesses, log_cly)
+    return alphas, log_bs, excesses, _log_quotients(excesses, log_cly)
 
 
 def _log_quotients(log_tops, log_bottoms) -> list[float]:
@@ -369,17 +373,12 @@ def _log_quotients(log_tops, log_bottoms) -> list[float]:
 
 
 def _thm1_log_excesses(kernel, cols: _EllColumns) -> list[float]:
-    """kernel's THM1 log excesses at cols.ells, as _bound_columns forms them.
-
-    Nothing else is formed, and the numerators are not checked: the
-    caller checks them (_check_numerators), as an overflowed one gives
-    +inf here.
-    """
+    """kernel's THM1 log excesses at cols.ells, as _bound_columns forms them, and nothing else."""
     return _log_quotients(cols.log_numerators[1], repeat(kernel.log_b))
 
 
 def _thm1_log_ratios(kernel, cols: _EllColumns) -> list[float]:
-    """kernel's THM1 log ratios to CLY at cols.ells, as _bound_columns forms them, unchecked likewise."""
+    """kernel's THM1 log ratios to CLY at cols.ells, as _bound_columns forms them."""
     log_cly = _log_quotients(cols.log_numerators[0], repeat(kernel.log_b_cly))
     return _log_quotients(_thm1_log_excesses(kernel, cols), log_cly)
 
@@ -389,10 +388,10 @@ class BoundKernel:
 
     alpha is a float or a Tuning.  n C_n (memoised in specials) and
     log B_(n,alpha) are held, so each ell and variant costs a few float
-    operations (_bound_columns).  Classical rows use B_n whatever alpha
-    is; log_b_cly computes log B_n on read, which the column pass does
-    once per n, from its first kernel.  ell must satisfy the GapParams
-    checks.
+    operations (_bound_columns).  Classical rows use _CLASSICAL, and so
+    B_n, whatever alpha is; log_b_cly computes log B_n on read, which
+    the column pass does once per n, from its first kernel.  ell must
+    satisfy the GapParams checks.
     """
 
     __slots__ = ("n", "tuning", "nc", "anc", "log_b")
@@ -407,12 +406,14 @@ class BoundKernel:
     @property
     def log_b_cly(self) -> float:
         """log B_n, the classical denominator; it depends on n alone."""
-        return _log_denominator(self.n, 2.0, 2.0 * self.nc)
+        return _log_denominator(self.n, _CLASSICAL.alpha, _CLASSICAL.exponent(self.nc))
 
     def logs(self, ell: int, variants) -> list[tuple[float, float, float]]:
-        """(log B, log excess, log of excess / CLY excess) per variant, in order."""
-        columns = _bound_columns((self,), _EllColumns((ell,), (self.tuning,)), variants)
-        return [(log_bs[0], excesses[0], ratios[0]) for log_bs, excesses, ratios in columns]
+        """(log B, log excess, log of excess / CLY excess) per variant, in order, numerators checked."""
+        cols = _EllColumns((ell,), (self.tuning,))
+        _check_numerators(self.n, cols, variants)
+        columns = _bound_columns((self,), cols, variants)
+        return [(log_bs[0], excesses[0], ratios[0]) for _, log_bs, excesses, ratios in columns]
 
 
 def capped_kernels(n_values, alpha: float, ell_max: int):
@@ -477,11 +478,11 @@ def case1_correction_numerator(params: GapParams) -> LogScalar:
 def gap_excess(params: GapParams, variant: GapVariant) -> GapBound:
     """Excess of the requested variant, plus its ratio to the CLY excess.
 
-    The CLY variant ignores params.alpha and uses alpha = 2, which is
-    the classical tuning; its ratio_vs_cly is exactly one.
+    The CLY variant ignores params.alpha and uses _CLASSICAL, alpha = 2;
+    its ratio_vs_cly is exactly one.
     """
     variant = GapVariant(variant)
-    kernel = BoundKernel(params.n, 2.0 if variant is GapVariant.CLY else params.alpha)
+    kernel = BoundKernel(params.n, _CLASSICAL if variant is _CLY else params.alpha)
     ((log_b, log_excess, log_ratio),) = kernel.logs(params.ell, (variant,))
     return GapBound(
         params=params,

@@ -7,8 +7,8 @@ witness numbers that decide it, and the tolerance used when the
 statement is quantitative rather than a strict inequality.
 
 A record (_Claim) holds the anchor, the margins over the claim's domain
-(positive where it holds), strict or non-strict with its tolerance, how
-its witnesses are named from the fold, and its grid note.  One fold
+(positive where it holds), its tolerance (none if strict), how its
+witnesses are named from the fold, and its grid note.  One fold
 (_fold) reads every record: a NaN margin counts as -inf, and of equal
 margins the first point is kept.  It returns the worst margin, where it
 occurs, the first failing point and the point count, and the status
@@ -227,9 +227,10 @@ def _fold(rows, holds) -> _Fold:
 class _Claim:
     """One claim: its anchor, its margins, its verdict rule, its witnesses and its grid note.
 
-    margins(run) gives the rows that _fold reads.  A strict claim holds
-    where every margin is > 0, a non-strict one where every margin is
-    >= -tolerance (0 if None); the verdict reports tolerance either way.
+    margins(run) gives the rows that _fold reads.  A claim with no
+    tolerance is strict, and holds where every margin is > 0; one with a
+    tolerance t holds where every margin is >= -t.  The verdict reports
+    tolerance either way.
     witnesses(run, fold) names the witness numbers.  note is the grid
     note, or a function of (run, fold) that gives it.
     """
@@ -237,7 +238,6 @@ class _Claim:
     anchor: str
     margins: Callable
     witnesses: Callable
-    strict: bool = True
     tolerance: float | None = None
     note: str | Callable | None = None
 
@@ -398,7 +398,7 @@ _CLAIMS = {
         "the maximiser gamma_n of (a - 1)/B_(n,a) lies strictly between 1 and 1.43"
         " for every n, with defining-equation residual at most 1e-9",
         lambda run: _over(run.ns(), lambda n: _bracket_margin(run.gamma(n))),
-        _bracket_witnesses, strict=False, tolerance=1e-9,
+        _bracket_witnesses, tolerance=1e-9,
         note=lambda run, f: run.note(", ell = 1"),
     ),
     "C3_APPROX": _Claim(
@@ -406,13 +406,12 @@ _CLAIMS = {
         lambda run: _one(cly_constant(3) * run.config.cn_scale, lambda c: -abs(c - _C3_REFERENCE)),
         lambda run, f: {
             "computed": f.at[0], "reference": _C3_REFERENCE, "abs_diff": abs(f.at[0] - _C3_REFERENCE),
-        },
-        strict=False, tolerance=1e-12,
+        }, tolerance=1e-12,
     ),
     "C4_EXACT": _Claim(
         "C_4 = 4^2 e Gamma(2, 1) / 2 = 16 exactly, even in floating point",
         lambda run: _one(cly_constant(4) * run.config.cn_scale, lambda c: -abs(c - 16.0)),
-        lambda run, f: {"computed": f.at[0], "reference": 16.0}, strict=False, tolerance=0.0,
+        lambda run, f: {"computed": f.at[0], "reference": 16.0}, tolerance=0.0,
     ),
     "CN_MONOTONE": _Claim(
         "C_(n+1) > C_n for every n >= 2 (checked in log form)",
@@ -501,7 +500,7 @@ _CLAIMS = {
         " throughout its domain b^2 n C_n e^B > 1, with B = b n C_n",
         lambda run: _one(_leml_counts(), lambda counts: -(counts[1] + counts[2])),
         lambda run, f: dict(zip(("terms", "mismatched", "nonpositive_coefficients"), map(float, f.at[0]))),
-        strict=False, tolerance=0.0,
+        tolerance=0.0,
         note="every n >= 2 and b > 0: for g = N / D, N D' - N' D expanded exactly over (b, c = n C_n,"
         " X = e^B, m = n + 1) equals c (2 + B) X (b X + 1 + b m), whose factors have positive coefficients",
     ),
@@ -543,7 +542,7 @@ _CLAIMS = {
             "max_rel_log_diff": abs(f.worst), **_grid_point(f.at if f.worst < 0.0 else None),
         },
         # the two routes agree to rounding; config.tol sets the root solves only
-        strict=False, tolerance=1e-12, note=lambda run, f: run.note(_grid_note(run, _THM6_ELLS)),
+        tolerance=1e-12, note=lambda run, f: run.note(_grid_note(run, _THM6_ELLS)),
     ),
     "TILDE_GAMMA3_LT_11": _Claim(
         "the positive root of 3 C_3 x^2 - 3 C_3 x - 1 lies in (1, 1.1)",
@@ -570,14 +569,14 @@ def run_claim(claim_id: str, config: SuiteConfig | None = None) -> ClaimVerdict:
         raise KeyError(f"unknown claim id {claim_id!r}; known: {', '.join(claim_ids())}")
     run = config if isinstance(config, _Run) else _Run(config or SuiteConfig())
     claim = _CLAIMS[claim_id]
-    floor = -(claim.tolerance or 0.0)
-    holds = (lambda m: m > 0.0) if claim.strict else (lambda m: m >= floor)
+    tolerance = claim.tolerance
+    holds = (lambda m: m > 0.0) if tolerance is None else (lambda m: m >= -tolerance)
     try:
         f = _fold(claim.margins(run), holds)
         note = claim.note(run, f) if callable(claim.note) else claim.note
         status = "PASS" if holds(f.worst) else "FAIL"
         witnesses = claim.witnesses(run, f)
-        return ClaimVerdict(claim_id, claim.anchor, status, witnesses, claim.tolerance, note)
+        return ClaimVerdict(claim_id, claim.anchor, status, witnesses, tolerance, note)
     except _EmptyGrid as exc:
         anchor, note = "the capped grid holds no point to check the statement at", str(exc)
     except Exception as exc:  # verdicts must outlive any single failure

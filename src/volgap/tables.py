@@ -10,13 +10,14 @@ as a mantissa/exponent literal (still a valid JSON number).
 A gap table request is checked in full before any row is computed, so
 an invalid n, ell or alpha raises ValueError whatever else it holds,
 and a numerator the chosen variants form past the double range raises
-OverflowError before any kernel is built.
+OverflowError before any kernel is built, the request's one such check.
 The table is then built in one loop over n, as one block per n: per
-chosen variant, the columns over the request's ells of alpha, log10_B,
-log10_excess and the log10 ratio.  One BoundKernel per (n, alpha)
-supplies them (bounds._bound_columns).  At a fixed alpha the ell-only
-terms are computed once per request (one bounds._EllColumns); at
-alpha = auto each (n, ell) has its own tuning, from
+chosen variant, the columns of alpha, log10_B, log10_excess and the
+log10 ratio over the request's ells, as the column pass over one
+BoundKernel per (n, alpha) returns them (bounds._bound_columns), the
+classical ones too, with the logs in base 10.  At a fixed alpha the
+ell-only terms are computed once per request (one bounds._EllColumns);
+at alpha = auto each (n, ell) has its own tuning, from
 solver.optimal_alpha, and its own kernel, and one column pass per n
 reads them all.  Wherever the case (i) bump underflows against its
 numerator at every ell of an n (bounds._case1_bumps), THM2_CASE1's
@@ -46,7 +47,8 @@ from operator import truediv
 from typing import NamedTuple
 
 from .bounds import (
-    DEFAULT_ALPHA, BoundKernel, GapParams, GapVariant, Tuning, _bound_columns, _check_numerators, _EllColumns,
+    _CLASSICAL, DEFAULT_ALPHA, BoundKernel, GapParams, GapVariant, Tuning, _bound_columns, _check_numerators,
+    _EllColumns, _tuning,
 )
 from .bounds import gap_excess  # noqa: F401  (perfbench's tracer tests wrap tables.gap_excess)
 from .logdomain import _LN10
@@ -92,14 +94,14 @@ def build_gap_table(n_values, ell_values, alpha=DEFAULT_ALPHA, variants=None) ->
 
     alpha may be a positive float applied everywhere or the string
     "auto", which tunes alpha per (n, ell) by maximising the excess.
-    Classical rows always use the fixed tuning 2 and report it.
+    Classical rows always use bounds._CLASSICAL (alpha = 2) and report it.
 
     n_values and ell_values are sequences of ints (a list, tuple or
     range), read in place, so an invalid request costs no copy of its
     ranges.  GapParams checks every n, then every ell, at the tuned
     alpha, before any row is computed; of a range it checks only the two
     ends, the smaller first (_deciding).  At auto, or with no tuned
-    variant, that alpha is the classical 2, valid at every ell >= 1; an
+    variant, that is the classical tuning, valid at every ell >= 1; an
     auto point's own tuning is valid too, since the solver's root u is
     positive.  The same ells, at the first n checked, then decide
     whether 2 ell - 1 and, at a fixed alpha, each chosen variant's
@@ -127,24 +129,24 @@ def build_gap_table(n_values, ell_values, alpha=DEFAULT_ALPHA, variants=None) ->
         alpha = float(alpha)
     chosen = tuple(GapVariant(v) for v in variants) if variants else tuple(GapVariant)
     tuned = any(v is not GapVariant.CLY for v in chosen)
-    checked = alpha if tuned and not auto else 2.0
+    checked = alpha if tuned and not auto else _CLASSICAL
     ns, ells = _deciding(n_values), _deciding(ell_values)
     for n in ns:
         GapParams(n=n, ell=ells[0], alpha=checked)
     for ell in ells:
         GapParams(n=ns[0], ell=ell, alpha=checked)
-    _check_numerators(ns[0], _EllColumns(ells, [Tuning(checked)] * len(ells)), () if auto else chosen)
-    labels = [(v.value, v is GapVariant.CLY) for v in chosen]  # read once per request
+    tuning = _tuning(checked)
+    _check_numerators(ns[0], _EllColumns(ells, [tuning] * len(ells)), () if auto else chosen)
     if auto and tuned:
         blocks = []
         for n in n_values:
             kernels = [BoundKernel(n, Tuning.excess(ell, optimal_alpha(n, ell).root)) for ell in ell_values]
             cols = _EllColumns(ell_values, [k.tuning for k in kernels])
-            blocks.append(_block(kernels, cols, chosen, labels))
+            blocks.append(_block(kernels, cols, chosen))
     else:
-        tuning, m = Tuning(checked), len(ell_values)
+        m = len(ell_values)
         columns = _EllColumns(ell_values, [tuning] * m)
-        blocks = [_block([BoundKernel(n, tuning)] * m, columns, chosen, labels) for n in n_values]
+        blocks = [_block([BoundKernel(n, tuning)] * m, columns, chosen) for n in n_values]
     return _TableRows(ell_values, blocks)
 
 
@@ -162,29 +164,21 @@ def _deciding(values):
     return values
 
 
-def _block(kernels, cols: _EllColumns, chosen, labels) -> tuple:
-    """One n's rows as (n, columns), from the columns of _bound_columns in base-10 logs.
+def _block(kernels, cols: _EllColumns, chosen) -> tuple:
+    """One n's rows as (n, columns): the columns of _bound_columns, with the logs in base 10.
 
     columns holds, per chosen variant, (name, alphas, log10_Bs,
     log10_excesses, log10_ratios), the last four indexed like cols.ells;
     the rows run ell by ell, variant by variant.  kernels[i] is the
-    kernel at cols.ells[i]; labels holds each chosen variant's name and
-    whether its rows are classical.  A column that variants share (log B
-    across the tuned ones, and all of THM1's where THM2_CASE1 shares
-    them) is converted once, and shared here too; the classical ratio
-    column holds 0.0, which is its own base-10 log.
+    kernel at cols.ells[i].  Nothing here depends on the variant.  A log
+    column that variants share (log B across the tuned ones, and all of
+    THM1's where THM2_CASE1 shares them) is converted once, and shared
+    here too.
     """
-    first, m = kernels[0], len(kernels)
-    alphas = [k.tuning.alpha for k in kernels]
-    classical = ([2.0] * m, [first.log_b_cly / _LN10] * m)
     log10s = {}  # id of a natural-log column -> its base-10 logs
-    columns = []
-    for (name, is_classical), (log_bs, excesses, ratios) in zip(labels, _bound_columns(kernels, cols, chosen)):
-        if is_classical:
-            columns.append((name, *classical, _log10(log10s, excesses), ratios))
-        else:
-            columns.append((name, alphas, *(_log10(log10s, xs) for xs in (log_bs, excesses, ratios))))
-    return first.n, columns
+    columns = [(variant.value, alphas, *(_log10(log10s, xs) for xs in logs))
+               for variant, (alphas, *logs) in zip(chosen, _bound_columns(kernels, cols, chosen))]
+    return kernels[0].n, columns
 
 
 def _log10(log10s: dict, xs: list) -> list:

@@ -162,3 +162,11 @@ def test_only_logdomain_spells_the_double_range():
             if isinstance(node, ast.Constant) and type(node.value) in (int, float) and abs(node.value) in limits:
                 spelled[path.stem, abs(node.value)] += 1
     assert spelled == {("logdomain", 745.0): 1, ("logdomain", 709.0): 1}
+
+
+def test_only_bounds_spells_the_classical_tuning():
+    # classical rows are at bounds._CLASSICAL, alpha = 2; tables reads that
+    # name and never writes the alpha out
+    tree = ast.parse((SRC / "tables.py").read_text())
+    assert [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Constant) and type(node.value) is float and node.value == 2.0] == []

@@ -29,6 +29,7 @@ from volgap.bounds import (
 from volgap.bounds import (
     _bound_columns,
     _case1_bumps,
+    _check_numerators,
     _EllColumns,
     _final_inequality_log_margins,
     _log_case1_corrections,
@@ -194,6 +195,18 @@ class TestBoundKernel:
         assert [math.exp(x) for x in got[0]] == pytest.approx([b, case2, case2 / cly], rel=1e-12)
         assert [math.exp(x) for x in got[1]] == pytest.approx([b_n, cly, 1.0], rel=1e-12)
         assert got[1][2] == 0.0
+
+    def test_a_point_checks_its_numerators_once(self, monkeypatch):
+        # the one-point views check their point in logs; the column pass checks nothing
+        calls, real = [], bounds._check_numerators
+        monkeypatch.setattr(bounds, "_check_numerators", lambda *args: calls.append(args) or real(*args))
+        for variant in GapVariant:
+            gap_excess(GapParams(n=5, ell=3), variant)
+        assert [(n, tuple(cols.ells), variants) for n, cols, variants in calls] == [
+            (5, (3,), (variant,)) for variant in GapVariant
+        ]
+        with pytest.raises(OverflowError, match="^alpha ell - 1 leaves the double range at n=2$"):
+            BoundKernel(2, 1e300).logs(10**9, (GapVariant.THM1,))
 
     def test_overflow_is_reported_before_a_bad_alpha(self):
         with pytest.raises(OverflowError):
@@ -483,9 +496,18 @@ class TestColumnsMatchThePerPointFormulas:
         n, ells = kernels[0].n, cols.ells
         points = outcome(lambda: [per_point.logs(k, ell, self.VARIANTS) for k, ell in zip(kernels, ells)])
         if isinstance(points, list):
-            # per variant: (log B, log excess, log ratio) columns, read back per point
-            points = [tuple(map(list, zip(*column))) for column in zip(*points)]
-        assert outcome(_bound_columns, kernels, cols, self.VARIANTS) == points
+            # per variant: (alpha, log B, log excess, log ratio) columns, read back per
+            # point; classical rows at alpha = 2 whatever the kernels' tuning
+            points = [
+                ([2.0 if v is GapVariant.CLY else k.tuning.alpha for k in kernels], *map(list, zip(*column)))
+                for v, column in zip(self.VARIANTS, zip(*points))
+            ]
+
+        def columns():
+            _check_numerators(n, cols, self.VARIANTS)  # a request's check; the column pass makes none
+            return _bound_columns(kernels, cols, self.VARIANTS)
+
+        assert outcome(columns) == points
         alphas, ancs = [k.tuning.alpha for k in kernels], [k.anc for k in kernels]
         assert outcome(_log_case1_corrections, n, alphas, ancs, ells) == outcome(lambda: [
             per_point.log_case1_correction(n, ell, alpha, anc) for ell, alpha, anc in zip(ells, alphas, ancs)
@@ -531,6 +553,16 @@ class TestColumnsMatchThePerPointFormulas:
         for n in range(2, 166):
             kernels = [BoundKernel(n, Tuning.excess(ell, optimal_alpha(n, ell).root)) for ell in ells]
             self.check(kernels, _EllColumns(ells, [k.tuning for k in kernels]))
+
+    def test_classical_columns_are_thm1_at_alpha_two(self):
+        # the paper's B_n = B_(n,2), with 2 ell - 1 its alpha ell - 1: the
+        # classical columns, from kernels at any alpha, are THM1's at alpha 2
+        ells = range(1, 101)
+        cols, two = (_EllColumns(ells, [Tuning(alpha)] * len(ells)) for alpha in (1.43, 2.0))
+        for n in range(2, 166):
+            (cly,) = _bound_columns([BoundKernel(n, 1.43)] * len(ells), cols, (GapVariant.CLY,))
+            (thm1,) = _bound_columns([BoundKernel(n, Tuning(2.0))] * len(ells), two, (GapVariant.THM1,))
+            assert [list(map(float.hex, col)) for col in cly] == [list(map(float.hex, col)) for col in thm1], n
 
     def test_a_screen_that_lets_a_bump_through_is_caught(self, monkeypatch):
         # a mutant screen that skips the bump pass wherever no bump exceeds

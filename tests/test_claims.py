@@ -140,7 +140,7 @@ class TestFold:
         assert v.witnesses == {"worst": -math.inf, "at": (2, 2), "first_bad": (2, 2), "points": 3}
 
     def test_a_nan_fails_a_non_strict_claim_too(self, monkeypatch):
-        v = self.verdict(monkeypatch, [((), [1, 2], [0.0, math.nan])], strict=False, tolerance=1e-9)
+        v = self.verdict(monkeypatch, [((), [1, 2], [0.0, math.nan])], tolerance=1e-9)
         assert v.status == "FAIL"
         assert v.witnesses["at"] == (2,)
 
@@ -165,12 +165,12 @@ class TestFold:
         assert v.witnesses == {"worst": math.inf, "at": None, "first_bad": None, "points": 0}
 
     @pytest.mark.parametrize("margin, kwargs, status", [
-        (0.0, {}, "FAIL"),  # strict: margin > 0
+        (0.0, {}, "FAIL"),  # no tolerance, strict: margin > 0
         (5e-324, {}, "PASS"),
-        (0.0, {"strict": False}, "PASS"),  # non-strict, no tolerance: margin >= 0
-        (-5e-324, {"strict": False}, "FAIL"),
-        (-1e-9, {"strict": False, "tolerance": 1e-9}, "PASS"),  # margin >= -tolerance
-        (math.nextafter(-1e-9, -1.0), {"strict": False, "tolerance": 1e-9}, "FAIL"),
+        (0.0, {"tolerance": 0.0}, "PASS"),  # tolerance 0, non-strict: margin >= 0
+        (-5e-324, {"tolerance": 0.0}, "FAIL"),
+        (-1e-9, {"tolerance": 1e-9}, "PASS"),  # margin >= -tolerance
+        (math.nextafter(-1e-9, -1.0), {"tolerance": 1e-9}, "FAIL"),
     ])
     def test_strict_and_non_strict_at_the_edge(self, monkeypatch, margin, kwargs, status):
         v = self.verdict(monkeypatch, [((), [0], [margin])], **kwargs)
@@ -453,7 +453,7 @@ def test_the_lean_rows_match_the_table_columns_bit_for_bit(alpha, ell_max):
     for k in (2, claims._THM6_ELLS):
         cols = run.columns(k)
         for kernel in run.kernels():
-            ((_, excesses, ratios),) = bounds._bound_columns([kernel] * len(cols.ells), cols, (GapVariant.THM1,))
+            ((_, _, excesses, ratios),) = bounds._bound_columns([kernel] * len(cols.ells), cols, (GapVariant.THM1,))
             assert _hexes(bounds._thm1_log_excesses(kernel, cols)) == _hexes(excesses)
             assert _hexes(claims._ratio_row(kernel, cols)) == _hexes(r - math.log(1.65) for r in ratios)
             ks = [kernel.n + ell + 1 for ell in cols.ells]

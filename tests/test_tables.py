@@ -13,7 +13,7 @@ from pathlib import Path
 import mpmath
 import pytest
 
-from volgap import cli, tables
+from volgap import bounds, cli, tables
 from volgap.bounds import BoundKernel, GapParams, GapVariant, Tuning
 from volgap.cli import main
 from volgap.solver import optimal_alpha
@@ -203,6 +203,28 @@ class TestErrorParity:
             [1.43, 0.5, 0.9, 1.0, 2.0, 3.7, 1e300, 1e308, "auto"],
         )
         assert min(kinds[k] for k in ("rows", "ValueError", "OverflowError")) > 100
+
+
+@pytest.mark.parametrize("alpha, variants, checked", [
+    (1.43, None, tuple(GapVariant)),
+    (1.43, ["CLY"], (GapVariant.CLY,)),
+    ("auto", None, ()),  # the solver's numerators cannot overflow; 2 ell - 1 is checked alone
+])
+def test_a_request_checks_its_numerators_once(monkeypatch, alpha, variants, checked):
+    # at the first n and the two ends of the ells, before any kernel; the
+    # column pass of each n checks none
+    calls, real = [], bounds._check_numerators
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(bounds, "_check_numerators", counted)
+    monkeypatch.setattr(tables, "_check_numerators", counted)
+    n_hi = 165 if alpha != "auto" else 8
+    rows = build_gap_table(range(2, n_hi + 1), range(1, 101), alpha, variants)
+    assert len(rows) == (n_hi - 1) * 100 * len(variants or GapVariant)
+    assert [(n, tuple(cols.ells), chosen) for n, cols, chosen in calls] == [(2, (1, 100), checked)]
 
 
 class _CountingRange(collections.abc.Sequence):
