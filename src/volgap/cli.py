@@ -10,11 +10,16 @@ Subcommands:
   trace           evaluate the spherical heat trace with certified tail
 
 Exit codes: 0 on success with all checks passing, 1 when a computation
-fails, a claim does not verify or the --out file cannot be written, 2
+fails, a claim does not verify or the output cannot be written, 2
 on usage errors.  Every error is one line on stderr.  Each command
-returns its exit code and its text, and main writes that text once, to
-stdout or to --out.  Output is deterministic; nothing varying
-(timestamps, paths) is emitted unless --meta asks for it.
+returns its exit code and its text as chunks, and main writes a
+command's chunks, to stdout or to --out.  A CSV or JSON table is one
+chunk per n, rendered as it is written; every other output is one
+chunk.  A command has checked its request and computed its results
+before it returns, so a failing command writes nothing.  A reader that
+closes stdout early (`volgap table | head`) ends the output quietly,
+with the command's own exit code.  Output is deterministic; nothing
+varying (timestamps, paths) is emitted unless --meta asks for it.
 
 main(argv) may be called any number of times in one process.  It builds
 its parser on the first call and reuses it, so a repeated in-process
@@ -25,8 +30,10 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import math
+import os
 import sys
 from datetime import datetime, timezone
 
@@ -35,14 +42,7 @@ from .claims import SuiteConfig, claim_ids, run_claim, run_claim_suite
 from .solver import optimal_alpha
 from .specials import cly_constant_log
 from .spectral import heat_trace, trace_bound
-from .tables import (
-    _sig,
-    build_gap_table,
-    format_from_log10,
-    render_csv,
-    render_json,
-    render_pretty,
-)
+from .tables import _csv_chunks, _json_chunks, _sig, build_gap_table, format_from_log10, render_pretty
 
 
 class _UsageError(Exception):
@@ -107,11 +107,11 @@ def _json_safe(value):
     return value
 
 
-def _output(args, payload, lines) -> str:
-    """The text of a command: payload as JSON under --json, else lines."""
+def _output(args, payload, lines) -> tuple:
+    """The text of a command, as one chunk: payload as JSON under --json, else lines."""
     if args.json:
-        return json.dumps(_json_safe(payload), indent=2, sort_keys=True) + "\n"
-    return "\n".join(lines) + "\n"
+        return (json.dumps(_json_safe(payload), indent=2, sort_keys=True) + "\n",)
+    return ("\n".join(lines) + "\n",)
 
 
 # ------------------------------------------------------------- verify
@@ -172,11 +172,11 @@ def _cmd_table(args):
             "n_range": f"{n_lo}:{n_hi}",
         }
     if args.format == "json":
-        return 0, render_json(rows, meta)
+        return 0, _json_chunks(rows, meta)
     framing = "".join(f"# {k}: {meta[k]}\n" for k in sorted(meta)) if meta else ""
     if args.format == "csv":
-        return 0, framing + render_csv(rows)
-    return 0, render_pretty(rows) + framing
+        return 0, itertools.chain((framing,), _csv_chunks(rows))
+    return 0, (render_pretty(rows) + framing,)  # its column widths need every row first
 
 
 # ---------------------------------------------------------- constants
@@ -354,24 +354,43 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+def _write_stdout(chunks) -> None:
+    """Write chunks to stdout, and stop quietly where the reader closes it early, as `| head` does.
+
+    Any other write error is raised for main to report in one line.
+    """
+    try:
+        sys.stdout.writelines(chunks)
+        sys.stdout.flush()
+    except OSError as exc:
+        # what could not be written is dropped.  Point stdout at devnull,
+        # so the interpreter's flush at exit finds nothing to fail on and
+        # neither reports the error again nor changes the exit code
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        if not isinstance(exc, BrokenPipeError):
+            raise
+
+
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        code, text = args.handler(args)
+        code, chunks = args.handler(args)
         if args.out:
             with open(args.out, "w", encoding="utf-8", newline="") as fh:
-                fh.write(text)
+                fh.writelines(chunks)
+        else:
+            _write_stdout(chunks)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:  # no command raises it: the --out file could not be written
-        print(f"error: cannot write {args.out}: {exc.strerror}", file=sys.stderr)
+    except OSError as exc:  # no command raises it: the output could not be written
+        print(f"error: cannot write {args.out or 'stdout'}: {exc.strerror}", file=sys.stderr)
         return 1
     except (ValueError, TypeError, KeyError, ArithmeticError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    if not args.out:
-        sys.stdout.write(text)
     return code
 
 

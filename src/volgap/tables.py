@@ -35,8 +35,10 @@ per n and variant at a fixed alpha, and from about n = 20 on the ell
 terms vanish into log B at double precision, so excesses and ratios
 repeat across ell too (the 65,600 rows of 2:165 x 1:100 at alpha 1.43
 hold 3,858 distinct excesses and 2,656 distinct ratios).  Each output
-line is then one f-string over those texts.  The JSON renderer joins
-its text in one copy.
+line is then one f-string over those texts.  The CSV and JSON
+renderers yield one chunk of text per n (_csv_chunks, _json_chunks),
+which the CLI writes as it comes, so their memory follows the table and
+not its text; render_csv and render_json join those chunks.
 """
 
 from __future__ import annotations
@@ -278,15 +280,16 @@ def _column_heads(heads, name, alphas, log10_bs) -> list:
 
 
 def render_csv(rows: _TableRows) -> str:
+    return "".join(_csv_chunks(rows))
+
+
+def _csv_chunks(rows: _TableRows):
+    """render_csv's text: the header line, then one chunk per n."""
     # no field needs quoting: digits, signs, '.', 'e', '+' and variant names
-    lines = [CSV_HEADER]
-    append = lines.append
+    yield CSV_HEADER + "\n"
     for n, ells, columns in _text_blocks(rows, "{},{},{}".format):
-        for i, ell in enumerate(ells):
-            for heads, excesses, ratios in columns:
-                append(f"{n},{ell},{heads[i]},{excesses[i]},{ratios[i]}")
-    lines.append("")
-    return "\n".join(lines)
+        yield "".join([f"{n},{ell},{heads[i]},{excesses[i]},{ratios[i]}\n"
+                       for i, ell in enumerate(ells) for heads, excesses, ratios in columns])
 
 
 def _json_head(alpha: str, variant: str, log10_b: str) -> str:
@@ -294,23 +297,25 @@ def _json_head(alpha: str, variant: str, log10_b: str) -> str:
 
 
 def render_json(rows: _TableRows, meta: dict | None = None) -> str:
+    return "".join(_json_chunks(rows, meta))
+
+
+def _json_chunks(rows: _TableRows, meta: dict | None):
+    """render_json's text: the opening, one chunk per n, then the closing with meta."""
     # emitted by hand: ratio literals like 1.23456789012e+4000 must land
-    # in the stream as bare numbers, which json.dumps cannot produce;
-    # head, rows and tail are joined in one copy
-    parts = ['{\n  "rows": [\n    ']
-    append = parts.append
+    # in the stream as bare numbers, which json.dumps cannot produce
+    yield '{\n  "rows": [\n'
+    lead = "    "  # the first row follows the bracket, every later one a comma
     for n, ells, columns in _text_blocks(rows, _json_head):
-        for i, ell in enumerate(ells):
-            for heads, excesses, ratios in columns:
-                append(f',\n    {{"n": {n}, "ell": {ell}, {heads[i]}, '
-                       f'"log10_excess": {excesses[i]}, "ratio_vs_cly": {ratios[i]}}}')
-    parts[1] = parts[1].removeprefix(",\n    ")  # each row follows a separator but the first
-    parts.append("\n  ]")
+        yield lead + ",\n    ".join([f'{{"n": {n}, "ell": {ell}, {heads[i]}, '
+                                      f'"log10_excess": {excesses[i]}, "ratio_vs_cly": {ratios[i]}}}'
+                                      for i, ell in enumerate(ells) for heads, excesses, ratios in columns])
+        lead = ",\n    "
+    tail = "\n  ]"
     if meta:
         pairs = ", ".join(f'"{k}": "{meta[k]}"' for k in sorted(meta))
-        parts.append(f',\n  "meta": {{{pairs}}}')
-    parts.append("\n}\n")
-    return "".join(parts)
+        tail += f',\n  "meta": {{{pairs}}}'
+    yield tail + "\n}\n"
 
 
 def render_pretty(rows: _TableRows) -> str:

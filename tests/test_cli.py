@@ -4,8 +4,12 @@ import collections
 import hashlib
 import json
 import math
+import os
 import random
 import re
+import subprocess
+import sys
+import tracemalloc
 
 import pytest
 
@@ -14,7 +18,7 @@ from volgap.cli import main
 from volgap.solver import _critical_objective
 from volgap.specials import nc_product
 from volgap.spectral import heat_trace
-from volgap.tables import CSV_HEADER
+from volgap.tables import CSV_HEADER, build_gap_table
 
 
 def run(capsys, *argv):
@@ -493,6 +497,71 @@ class TestOutFile:
         assert captured.out == ""
         assert captured.err.startswith(f"error: cannot write {target}: ")
         assert captured.err.count("\n") == 1
+
+
+class TestStreamedTable:
+    """A CSV or JSON table is written one n at a time, after its request is checked and built."""
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_memory_follows_the_table_not_its_text(self, tmp_path, fmt):
+        # the benchmark's grid: a built table of about 4.7 MB, and 11 MB of
+        # CSV or 17 MB of JSON, which held whole took 31 or 43 MB traced
+        ns, ells = range(2, 166), range(1, 101)
+        target = tmp_path / f"table.{fmt}"
+        argv = ["table", "--alpha", "1.43", "--n-range", "2:165", "--l-range", "1:100",
+                "--format", fmt, "--out", str(target)]
+        build_gap_table(ns, ells, 1.43)  # fill the n C_n memo outside the traced runs
+        tracemalloc.start()
+        try:
+            build_gap_table(ns, ells, 1.43)
+            table_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            assert main(argv) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        size = target.stat().st_size
+        assert peak < size / 2
+        assert peak < table_peak + size / 8
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("argv, code, message", [
+        (("table", "--n-range", "2:3", "--l-range", "0:2"), 2, "usage error: ell must be at least 1, got 0"),
+        (("table", "--alpha", "1e308", "--n-range", "2:3", "--l-range", "1:2"), 1,
+         "error: alpha ell - 1 leaves the double range at n=2"),
+    ], ids=["usage", "overflow"])
+    def test_a_failing_table_writes_nothing(self, capsys, tmp_path, argv, code, message, fmt):
+        target = tmp_path / "table.out"
+        argv = [*argv, "--format", fmt]
+        assert main([*argv, "--out", str(target)]) == code
+        assert not target.exists()
+        assert capsys.readouterr() == ("", message + "\n")
+        assert main(argv) == code
+        assert capsys.readouterr() == ("", message + "\n")
+
+    def test_a_reader_that_closes_stdout_early_ends_the_output_quietly(self):
+        # 11 MB of CSV into a pipe whose reader takes 100 bytes, as `| head -c 100` does
+        argv = [sys.executable, "-m", "volgap.cli", "table", "--n-range", "2:165", "--l-range", "1:100"]
+        with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+            head = proc.stdout.read(100)
+            proc.stdout.close()
+            err = proc.stderr.read()
+            code = proc.wait(timeout=60)
+        assert head.startswith(CSV_HEADER.encode() + b"\n2,1,")
+        assert (code, err) == (0, b"")
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("n_range", ["2:3", "2:165"], ids=["buffered", "chunked"])
+    def test_a_full_stdout_is_a_one_line_error(self, n_range):
+        # stdout is left on devnull, so whatever bytes a Python version keeps
+        # buffered cannot fail again in the flush at exit, report the error a
+        # second time and turn the exit code into 120
+        script = ("import os, sys\nfrom volgap.cli import main\ncode = main(sys.argv[1:])\n"
+                  "print(os.path.samestat(os.fstat(1), os.stat(os.devnull)), file=sys.stderr)\nsys.exit(code)\n")
+        argv = [sys.executable, "-c", script, "table", "--n-range", n_range, "--l-range", "1:100"]
+        with open("/dev/full", "w") as full:
+            done = subprocess.run(argv, stdout=full, stderr=subprocess.PIPE, text=True)
+        assert (done.returncode, done.stderr) == (1, "error: cannot write stdout: No space left on device\nTrue\n")
 
 
 class TestParserReuse:

@@ -335,6 +335,18 @@ class TestRendering:
         rows = build_gap_table(range(2, 13), range(1, 301), alpha if alpha == "auto" else float(alpha),
                                [variant.upper()] if variant else None)
         assert first_difference(target.read_text(encoding="utf-8"), reference_text(rows, fmt, meta)) is None
+        if fmt == "pretty":
+            return
+        # the command hands main one chunk per n and two more: the CSV
+        # framing and header, or the JSON opening and close
+        args = cli._parser().parse_args(argv + ["--meta"] * with_meta)
+        chunks = list(args.handler(args)[1])
+        assert len(chunks) == 2 + 11
+        if fmt == "json":
+            assert first_difference("".join(chunks), render_json(rows, meta)) is None
+        else:
+            assert chunks[0] == "".join(f"# {k}: {meta[k]}\n" for k in sorted(meta or ()))
+            assert first_difference("".join(chunks[1:]), render_csv(rows)) is None
 
     @pytest.mark.parametrize("alpha", [1.43, "auto"])
     def test_small_and_large_n_render_like_the_reference(self, alpha):
