@@ -2,40 +2,42 @@
 
 Output is deterministic byte for byte: no timestamps, no environment
 leakage, fixed column order, fixed float formatting (12 significant
-digits).  A table holds plain floats, no LogScalar: the bounds as base-10
-logs, and the ratio to the classical excess as its base-10 log too,
-since ratios routinely exceed float range.  A large ratio is rendered
-as a mantissa/exponent literal (still a valid JSON number).
+digits).  A table holds plain floats, no LogScalar: the bounds as natural
+logs, and the ratio to the classical excess as its natural log too,
+since ratios routinely exceed float range.  A log becomes base 10 only
+where it is read: as text, or as a GapTableRow field.  A large ratio is
+rendered as a mantissa/exponent literal (still a valid JSON number).
 
 A gap table request is checked in full before any row is computed, so
 an invalid n, ell or alpha raises ValueError whatever else it holds,
 and a numerator the chosen variants form past the double range raises
 OverflowError before any kernel is built, the request's one such check.
 The table is then built in one loop over n, as one block per n: per
-chosen variant, the columns of alpha, log10_B, log10_excess and the
-log10 ratio over the request's ells, as the column pass over one
-BoundKernel per (n, alpha) returns them (bounds._bound_columns), the
-classical ones too, with the logs in base 10.  At a fixed alpha the
+chosen variant, the columns of alpha, log B, log excess and the log
+ratio over the request's ells, the very lists the column pass over one
+BoundKernel per (n, alpha) returns (bounds._bound_columns), the
+classical ones too.  At a fixed alpha the
 ell-only terms are computed once per request (one bounds._EllColumns);
 at alpha = auto each (n, ell) has its own tuning, from
 solver.optimal_alpha, and its own kernel, and one column pass per n
 reads them all.  Wherever the case (i) bump underflows against its
 numerator at every ell of an n (bounds._case1_bumps), THM2_CASE1's
-columns are THM1's own lists, so a block converts them to base 10
-once, and a render turns them into text once.  build_gap_table
-returns a _TableRows: the ells once, then one (n, columns) block per
-n.  Iterating it derives each GapTableRow only when read.
+columns are THM1's own lists, and a render turns them into text once.
+build_gap_table returns a _TableRows: the ells once, then one (n,
+columns) block per n.  Iterating it derives each GapTableRow only when
+read, dividing its logs by ln 10 there.
 
 All three renderers read a built table through one helper, _text_blocks,
 which turns each block's columns into columns of text: each ell's text
 once per table, each alpha,variant,log10_B piece once per distinct
 value, and each excess and ratio about once per distinct value, through
-a bounded memo.  Values repeat a lot: alpha and log10_B take one value
+a bounded memo.  Values repeat a lot: alpha and log B take one value
 per n and variant at a fixed alpha, and from about n = 20 on the ell
 terms vanish into log B at double precision, so excesses and ratios
 repeat across ell too (the 65,600 rows of 2:165 x 1:100 at alpha 1.43
-hold 3,858 distinct excesses and 2,656 distinct ratios).  Each output
-line is then one f-string over those texts.  The CSV and JSON
+hold 3,858 distinct excesses and 2,656 distinct ratios, and 904 of
+their 990 columns hold one value).  Each output line is then one
+f-string over those texts.  The CSV and JSON
 renderers yield one chunk of text per n (_csv_chunks, _json_chunks),
 which the CLI writes as it comes, so their memory follows the table and
 not its text; render_csv and render_json join those chunks.
@@ -45,7 +47,6 @@ from __future__ import annotations
 
 import math
 from itertools import repeat
-from operator import truediv
 from typing import NamedTuple
 
 from .bounds import (
@@ -167,35 +168,26 @@ def _deciding(values):
 
 
 def _block(kernels, cols: _EllColumns, chosen) -> tuple:
-    """One n's rows as (n, columns): the columns of _bound_columns, with the logs in base 10.
+    """One n's rows as (n, columns): the lists of _bound_columns, as it returns them.
 
-    columns holds, per chosen variant, (name, alphas, log10_Bs,
-    log10_excesses, log10_ratios), the last four indexed like cols.ells;
-    the rows run ell by ell, variant by variant.  kernels[i] is the
-    kernel at cols.ells[i].  Nothing here depends on the variant.  A log
-    column that variants share (log B across the tuned ones, and all of
-    THM1's where THM2_CASE1 shares them) is converted once, and shared
-    here too.
+    columns holds, per chosen variant, (name, alphas, log_Bs,
+    log_excesses, log_ratios), the logs natural, the last four indexed
+    like cols.ells; the rows run ell by ell, variant by variant.
+    kernels[i] is the kernel at cols.ells[i].  Nothing here depends on
+    the variant.  A column that variants share (alpha and log B across
+    the tuned ones, and all of THM1's where THM2_CASE1 shares them) is
+    one list, shared here too.
     """
-    log10s = {}  # id of a natural-log column -> its base-10 logs
-    columns = [(variant.value, alphas, *(_log10(log10s, xs) for xs in logs))
-               for variant, (alphas, *logs) in zip(chosen, _bound_columns(kernels, cols, chosen))]
-    return kernels[0].n, columns
-
-
-def _log10(log10s: dict, xs: list) -> list:
-    """xs in base 10, divided once per list object (log10s keeps the lists it has seen)."""
-    key = id(xs)
-    if key not in log10s:
-        log10s[key] = list(map(truediv, xs, repeat(_LN10)))
-    return log10s[key]
+    columns = _bound_columns(kernels, cols, chosen)
+    return kernels[0].n, [(variant.value, *lists) for variant, lists in zip(chosen, columns)]
 
 
 class _TableRows:
     """A gap table: its ells, then one (n, columns) block per n (_block).
 
     len and iteration give its GapTableRow values in grid order, each
-    derived when read; the renderers read the blocks directly.
+    derived when read, its logs divided by ln 10 there; the renderers
+    read the blocks directly.
     """
 
     def __init__(self, ells, blocks: list) -> None:
@@ -207,8 +199,9 @@ class _TableRows:
     def __iter__(self):
         for n, columns in self.blocks:
             for i, ell in enumerate(self.ells):
-                for name, alphas, log10_bs, excesses, ratios in columns:
-                    yield GapTableRow(n, ell, alphas[i], name, log10_bs[i], excesses[i], ratios[i])
+                for name, alphas, log_bs, excesses, ratios in columns:
+                    yield GapTableRow(n, ell, alphas[i], name, log_bs[i] / _LN10, excesses[i] / _LN10,
+                                      ratios[i] / _LN10)
 
 
 class _Formatted(dict):
@@ -242,15 +235,17 @@ def _text_blocks(table: _TableRows, head):
     head(alpha, variant, log10_B), given their texts, is a renderer's
     text for those three fields.  The ells are formatted once per table,
     one list that every block shares, and each head, excess and ratio
-    once per distinct value, through _Formatted memos (see the module
-    docstring for why values repeat); variants that share their excess
+    once per distinct value, through _Formatted memos keyed by the
+    natural logs, which divide by ln 10 on a miss, as a GapTableRow does
+    (see the module docstring for why values repeat).  A column of one
+    value is one lookup (_texts), and variants that share their excess
     and ratio columns (_block) share those columns' text too.  The
     classical log ratio 0.0 needs no special case: it renders as "1",
     and so does -0.0, which is the same key.
     """
-    sigs = _Formatted(_sig)
-    ratios = _Formatted(format_from_log10)
-    heads = _Formatted(lambda key: head(sigs[key[0]], key[1], sigs[key[2]]))
+    sigs = _Formatted(lambda log: _sig(log / _LN10))
+    ratios = _Formatted(lambda log: format_from_log10(log / _LN10))
+    heads = _Formatted(lambda key: head(_sig(key[0]), key[1], _sig(key[2] / _LN10)))
     memos = (sigs, ratios, heads)
     ell_texts = [str(ell) for ell in table.ells]
     for n, columns in table.blocks:
@@ -258,25 +253,26 @@ def _text_blocks(table: _TableRows, head):
             memo.trim()
         texts = {}  # ids of a variant's value columns -> their texts, which variants sharing them share
         block = []
-        for name, alphas, log10_bs, log10_excesses, log10_ratios in columns:
-            key = id(log10_excesses), id(log10_ratios)
+        for name, alphas, log_bs, log_excesses, log_ratios in columns:
+            key = id(log_excesses), id(log_ratios)
             if key not in texts:
-                texts[key] = (list(map(sigs.__getitem__, log10_excesses)),
-                              list(map(ratios.__getitem__, log10_ratios)))
-            block.append((_column_heads(heads, name, alphas, log10_bs), *texts[key]))
+                texts[key] = _texts(sigs, log_excesses), _texts(ratios, log_ratios)
+            block.append((_texts(heads, zip(alphas, repeat(name), log_bs), alphas, log_bs), *texts[key]))
         yield str(n), ell_texts, block
 
 
-def _column_heads(heads, name, alphas, log10_bs) -> list:
-    """heads[alpha, name, log10_B] at each index.
+def _texts(memo, keys, *columns) -> list:
+    """memo[key] for each of keys, which vary only where one of columns does (keys itself, given none).
 
-    When both columns hold one value, as at a fixed alpha, that is one
-    lookup, not one per index.
+    Where every such column holds one value, as a head's at a fixed
+    alpha and most excess and ratio columns from about n = 20 on, that
+    is one lookup, its text repeated.
     """
-    m = len(alphas)
-    if alphas.count(alphas[0]) == m and log10_bs.count(log10_bs[0]) == m:
-        return [heads[alphas[0], name, log10_bs[0]]] * m
-    return list(map(heads.__getitem__, zip(alphas, repeat(name), log10_bs)))
+    columns = columns or (keys,)
+    m = len(columns[0])
+    if all(xs.count(xs[0]) == m for xs in columns):
+        return [memo[next(iter(keys))]] * m
+    return list(map(memo.__getitem__, keys))
 
 
 def render_csv(rows: _TableRows) -> str:

@@ -31,7 +31,8 @@ GOLDEN = Path(__file__).resolve().parent.parent / "perfbench" / "golden.json"
 TOP_ELL = 2**1023 - 2**969 - 1
 
 # sha256 of `volgap table ... --out FILE`, recorded before the gap tables
-# were built from the per-dimension bound kernel; any byte of drift fails.
+# were built from the per-dimension bound kernel (the auto table's before
+# the blocks kept natural logs); any byte of drift fails.
 PINNED = [
     (("--alpha", "1.43", "--n-range", "2:30", "--l-range", "1:30"), "csv",
      "134b0b06aca671c0023202a46d74866321df19b7746a6e6e11113eef20a23e37"),
@@ -47,6 +48,10 @@ PINNED = [
      "5b56c6116a8998d389cb4b68998c8c15d51f908fc436f7568aac3097c48e867a"),
     (("--n-range", "2:30", "--l-range", "1:30", "--variant", "thm2_case1"), "json",
      "d0f918c4543e288671abef6326dc1259512af4ab5ec09f7f67d92eee028299ed"),
+    (("--alpha", "auto", "--n-range", "2:165", "--l-range", "1:30"), "csv",
+     "d019254e90b92fa370a07653bdecea2a38fe03ac5bbfaed07d50b65a816fce45"),
+    (("--alpha", "auto", "--n-range", "2:165", "--l-range", "1:30"), "json",
+     "fc32a97e30f7cfdd37be97f004d5bfda5f6b2ba1ac638a4df0659cf3bcfbafc6"),
 ]
 
 
@@ -408,6 +413,76 @@ class TestRowsView:
         monkeypatch.setattr(tables, "GapTableRow", no_rows)
         assert main(argv + ["--out", str(target)]) == 0
         assert target.read_bytes() == want
+
+
+class TestNaturalLogBlocks:
+    """A block keeps the column pass's natural-log lists; rows and texts divide by ln 10 when read."""
+
+    @pytest.mark.parametrize("alpha, variants, ns, ells", [
+        (1.43, None, range(2, 31), range(1, 31)),
+        (1.43, ["THM2_CASE1"], range(2, 31), range(1, 31)),
+        ("auto", None, range(2, 9), range(1, 11)),
+        ("auto", ["THM2_CASE2"], range(2, 9), range(1, 11)),
+    ])
+    def test_a_block_holds_the_column_pass_lists(self, monkeypatch, alpha, variants, ns, ells):
+        returned, real = [], bounds._bound_columns
+
+        def recording(*args):
+            returned.append(real(*args))
+            return returned[-1]
+
+        monkeypatch.setattr(tables, "_bound_columns", recording)
+        table = build_gap_table(ns, ells, alpha, variants)
+        assert len(returned) == len(table.blocks) == len(ns)
+        rows = iter(table)
+        ln10 = math.log(10.0)
+        for (n, columns), lists in zip(table.blocks, returned):
+            assert [len(c) for c in columns] == [5] * len(lists)
+            for (_, *held), made in zip(columns, lists):
+                assert all(a is b for a, b in zip(held, made, strict=True)), n
+            for i in range(len(ells)):
+                for name, alphas, log_bs, excesses, ratios in columns:
+                    row = next(rows)
+                    assert (row.n, row.variant, row.alpha) == (n, name, alphas[i])
+                    assert row.log10_denominator.hex() == (log_bs[i] / ln10).hex()
+                    assert row.log10_excess.hex() == (excesses[i] / ln10).hex()
+                    assert row.log10_ratio_vs_cly.hex() == (ratios[i] / ln10).hex()
+        assert next(rows, None) is None
+
+    @staticmethod
+    def rendered_like_the_reference(table):
+        want = list(table)
+        return all(first_difference(render(table), reference_text(want, fmt, None)) is None
+                   for fmt, render in [("csv", render_csv), ("json", render_json), ("pretty", render_pretty)])
+
+    # natural logs: alpha, log B, log excess, log ratio; one value each, then one odd one out
+    BASE = (1.43, 300.25, -290.5, -1.75)
+    ODD = (1.5, 301.0, -280.0, 0.0)
+
+    @pytest.mark.parametrize("where", [0, 3, 6])
+    @pytest.mark.parametrize("column", range(4), ids=["alpha", "log_B", "log_excess", "log_ratio"])
+    def test_a_column_equal_but_at_one_index_renders_each_value(self, column, where):
+        # the constant-column shortcut must read every index, not the ends
+        lists = [[x] * 7 for x in self.BASE]
+        lists[column][where] = self.ODD[column]
+        table = tables._TableRows(range(1, 8), [(40, [("THM1", *lists)])])
+        assert self.rendered_like_the_reference(table)
+
+    def test_a_column_of_zero_and_nonzero_logs(self):
+        # a log ratio of 0 (or -0) renders as "1", a log excess of 0 as "0"
+        ratios = [0.0, -0.0, 2.5, 0.0, 700.0]
+        excesses = [0.0, 0.0, -3.0, 0.0, 0.0]
+        table = tables._TableRows(range(1, 6), [(9, [("THM2_CASE2", [1.43] * 5, [4.0] * 5, excesses, ratios)])])
+        assert self.rendered_like_the_reference(table)
+        assert render_csv(table).splitlines()[1:3] == ["9,1,1.43,THM2_CASE2,1.73717792761,0,1",
+                                                       "9,2,1.43,THM2_CASE2,1.73717792761,0,1"]
+
+    @pytest.mark.parametrize("alpha", [1.43, "auto"])
+    def test_a_one_ell_table(self, alpha):
+        ns = [2, 3, 30, 164, 165]
+        table = build_gap_table(ns, [7], alpha)
+        assert self.rendered_like_the_reference(table)
+        assert list(table) == reference_table(ns, [7], alpha, None)
 
 
 class TestFormatFromLog10:
