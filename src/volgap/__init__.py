@@ -48,7 +48,6 @@ from .specials import (
     HalfInteger,
     cly_constant,
     cly_constant_log,
-    erf_series,
     nc_product,
     upper_incomplete_gamma_at_one,
 )
@@ -79,7 +78,6 @@ __all__ = [
     "claim_ids",
     "cly_constant",
     "cly_constant_log",
-    "erf_series",
     "f1",
     "f1_prime",
     "gamma_n",

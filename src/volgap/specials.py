@@ -1,21 +1,19 @@
 """Upper incomplete gamma values at 1 and the heat-kernel constant C_n.
 
 Everything here reduces to Gamma(s, 1) = integral_1^inf e^-t t^(s-1) dt
-for s a positive integer or half-integer.  Two exact routes avoid any
-quadrature at runtime:
+for s = k/2, k >= 1.  Each k is read on its own, with no quadrature and
+no state carried from one call to the next.  Up to k = 343, where the
+value still fits a double, two exact routes give it and its log:
 
   integer s = m:      Gamma(m, 1) = (m-1)! e^-1 sum_{j<m} 1/j!
   half-odd s:         Gamma(s+1, 1) = s Gamma(s, 1) + e^-1, seeded at
-                      Gamma(1/2, 1) = sqrt(pi) (1 - erf(1))
+                      Gamma(1/2, 1) = sqrt(pi) erfc(1)
 
-erf(1) comes from the alternating Maclaurin series, truncated once a
-term drops below 1e-17, which is past double precision.
-
-Both routes run incrementally (_GammaAtOne): Gamma(n/2, 1) for the next
-n of an increasing range takes one step from the last n reached, so a
-range of N dimensions costs O(N) steps, not O(N^2).  An even n's step
-multiplies the exact int (m-1)!, which keeps growing, so the even n of
-the range cost O(N^2) bit operations; the odd n's steps are floats.
+The half-odd values are taken once, as a table.  Past k = 343 there is
+only the log, math.lgamma(k/2), which costs the same at any k:
+Gamma(s, 1) = Gamma(s) (1 - P(s, 1)) with 0 < P(s, 1) <= 1/Gamma(s+1)
+(DLMF section 8.2), below 1e-18 from s = 20 on, far under half an ulp
+of log Gamma(s).  On 341 <= k <= 343 the two routes give the same logs.
 
 The constant attached to dimension n is
 
@@ -30,12 +28,12 @@ good for any n the grid tools accept.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate
 
-from .logdomain import _OVERFLOW_LOG, LogScalar, _log_sum
-
-_ERF_TERM_CUTOFF = 1e-17
+from .logdomain import _OVERFLOW_LOG, LogScalar
 
 
 @dataclass(frozen=True)
@@ -51,86 +49,26 @@ class HalfInteger:
             raise ValueError(f"argument must be at least 1/2, got {self.twice}/2")
 
 
-def erf_series(x: float) -> float:
-    """erf by Maclaurin series; used to seed Gamma(1/2, 1) at x = 1.
-
-    erf(x) = 2/sqrt(pi) sum_k (-1)^k x^(2k+1) / (k! (2k+1))
-
-    The terms alternate and grow to roughly e^(x^2) before decaying, so
-    cancellation costs about eps * e^(x^2) of absolute accuracy; the
-    domain stops at |x| <= 3 where that loss is still ~1e-14.
-    """
-    if abs(x) > 3.0:
-        raise ValueError("series evaluation is only supported for |x| <= 3")
-    terms = []
-    power = x  # (-1)^k x^(2k+1) / k!
-    k = 0
-    while True:
-        terms.append(power / (2 * k + 1))
-        k += 1
-        power *= -x * x / k
-        if abs(power) < _ERF_TERM_CUTOFF:
-            break
-    return 2.0 / math.sqrt(math.pi) * math.fsum(terms)
-
-
 _E_INV = math.exp(-1.0)
+# 1/j! for j <= 170, each one division from the last: the sums an even k <= 343 reads
+_RECIP = tuple(accumulate(range(1, 171), operator.truediv, initial=1.0))
+# Gamma(k/2, 1) at odd k <= 343, at index k // 2: Gamma(j/2 + 1, 1) = (j/2) Gamma(j/2, 1) + e^-1
+_HALF_ODD = tuple(accumulate(
+    range(1, 343, 2), lambda g, j: j / 2.0 * g + _E_INV, initial=math.sqrt(math.pi) * math.erfc(1.0)
+))
 
 
-class _GammaAtOne:
-    """Gamma(k/2, 1) and its log, read off one cursor per parity of k.
-
-    A cursor moves to the k asked for from the last k it reached, or
-    from the first one when k lies behind it.  So an increasing sweep
-    over k costs one step per new k, and a single k costs no more than
-    its closed form from scratch.  The even cursor carries (m-1)! for
-    k = 2m as an exact int; the odd one carries the half-odd recurrence
-    in floats, None once past the double range, and in logs.  A cursor
-    moves by one assignment of a complete row, so a move that raises or
-    is interrupted leaves it where it was.
-    """
-
-    def __init__(self) -> None:
-        seed = math.sqrt(math.pi) * (1.0 - erf_series(1.0))  # Gamma(1/2, 1) = sqrt(pi) erfc(1)
-        self._odd_start = (1, seed, math.log(seed))
-        self._odd = self._odd_start
-        self._even = (1, 1)  # (m, (m-1)!)
-        self._recip = [1.0]  # 1/j! for j < 178; every later term is 0.0 in doubles
-        for j in range(1, 178):
-            self._recip.append(self._recip[-1] / j)
-        self._recip_total = math.fsum(self._recip)
-
-    def at(self, k: int) -> tuple[float | None, float]:
-        """(Gamma(k/2, 1), or None past the double range; log Gamma(k/2, 1))."""
-        if k % 2 == 0:
-            m = k // 2
-            last, factorial = self._even if self._even[0] <= m else (1, 1)
-            factorial *= math.perm(m - 1, m - last)  # (m-1)! / (last-1)!
-            self._even = (m, factorial)
-            # sum_{j<m} 1/j!, whose terms from j = 178 on are all 0.0
-            recip = math.fsum(self._recip[:m]) if m < 178 else self._recip_total
-            try:
-                # (m-1)! is exact; its float conversion rounds once and
-                # raises OverflowError past 170!
-                value = factorial * _E_INV * recip
-            except OverflowError:
-                value = None
-            return value, math.log(factorial) + math.log(recip) - 1.0
-        j, value, log_g = self._odd if self._odd[0] <= k else self._odd_start
-        while j < k:  # Gamma(j/2 + 1, 1) = (j/2) Gamma(j/2, 1) + e^-1
-            s = j / 2.0
-            if value is not None:
-                value = s * value + _E_INV
-                if math.isinf(value):
-                    value = None
-            log_g = _log_sum(math.log(s) + log_g, -1.0)
-            j += 2
-        self._odd = (k, value, log_g)
-        # the float recurrence is still far from overflow up to k = 340
-        return value, (math.log(value) if k <= 340 else log_g)
-
-
-_GAMMA_AT_ONE = _GammaAtOne()
+def _gamma_at_one(k: int) -> tuple[float | None, float]:
+    """(Gamma(k/2, 1), or None past the double range; log Gamma(k/2, 1))."""
+    if k > 343:
+        return None, math.lgamma(k / 2)
+    if k % 2:
+        value = _HALF_ODD[k // 2]
+        return value, math.log(value)
+    m = k // 2
+    # (m-1)! is exact; its float conversion rounds once
+    factorial, recip = math.factorial(m - 1), math.fsum(_RECIP[:m])
+    return factorial * _E_INV * recip, math.log(factorial) + math.log(recip) - 1.0
 
 
 def upper_incomplete_gamma_at_one(s: HalfInteger) -> float:
@@ -139,11 +77,12 @@ def upper_incomplete_gamma_at_one(s: HalfInteger) -> float:
     Exact in the sense that the only errors are float rounding of the
     closed forms above; relative error stays near machine epsilon.
     Raises OverflowError once the value itself exceeds the double
-    range (s around 171); cly_constant_log works in logs beyond it.
+    range, from HalfInteger(344) (s = 172) on; cly_constant_log works
+    in logs beyond it.
     """
     if not isinstance(s, HalfInteger):
         raise TypeError("s must be a HalfInteger")
-    value, _ = _GAMMA_AT_ONE.at(s.twice)
+    value, _ = _gamma_at_one(s.twice)
     if value is None:
         raise OverflowError(f"Gamma(s, 1) exceeds the double range at s={s.twice}/2")
     return value
@@ -178,7 +117,7 @@ def cly_constant(n: int) -> float:
         half_power = float(n ** (n // 2))  # exact integer power
     else:
         half_power = math.pow(n, n / 2.0)
-    return half_power * math.e * _GAMMA_AT_ONE.at(n)[0] / 2.0
+    return half_power * math.e * _gamma_at_one(n)[0] / 2.0
 
 
 # Bounded, unlike cly_constant (which raises past n = 166): a sweep over
@@ -186,9 +125,20 @@ def cly_constant(n: int) -> float:
 # the life of the process.  1024 holds every n of a 2:400 grid.
 @lru_cache(maxsize=1024)
 def cly_constant_log(n: int) -> LogScalar:
-    """C_n in log form, usable at any dimension that fits in a double (_float_dimension)."""
+    """C_n in log form, usable at any dimension that fits in a double (_float_dimension).
+
+    Raises OverflowError naming n where log C_n itself leaves the double
+    range, from about n = 2.6e305 on.
+    """
     _check_dimension(n)
-    log_mag = (_float_dimension(n) / 2.0) * math.log(n) + 1.0 + _GAMMA_AT_ONE.at(n)[1] - math.log(2.0)
+    half = _float_dimension(n) / 2.0
+    try:
+        # grouped so that exact cases stay exact: log C_2 is 0.0
+        log_mag = (half * math.log(n) - math.log(2.0)) + (1.0 + _gamma_at_one(n)[1])
+    except OverflowError:  # from math.lgamma, once (n/2) log n is already inf
+        log_mag = math.inf
+    if log_mag == math.inf:
+        raise OverflowError(f"log C_n leaves the double range at n={n}")
     return LogScalar(1, log_mag)
 
 

@@ -76,6 +76,7 @@ DELETED = [
     ("claims", "_capped"),
     ("claims", "_gamman_note"),
     ("claims", "_Run.grid_note"),
+    ("specials", "erf_series"),
 ]
 
 

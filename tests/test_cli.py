@@ -154,15 +154,20 @@ class TestVerifyOutput:
 # changed, each naming its deciding ells and why they decide it.  All four
 # were re-recorded when LEM3_TRACE_BOUND came to be decided at t = 1 and
 # LEML_GPRIME_NEG by exact expansion: only those two verdicts changed, in
-# their witnesses and grid notes, and every status stayed PASS.
+# their witnesses and grid notes, and every status stayed PASS.  All four
+# were re-recorded when log Gamma(n/2, 1) came to be read per n, from
+# lgamma past n = 340, and log C_n summed so that log C_2 is exactly 0:
+# only CN_MONOTONE's log_c_first changed (1.1102230246251565e-16 -> 0.0)
+# and, on the two 2:400 runs, its log_c_last (2056.5334320668935 ->
+# 2056.533432066894, the double nearest 40-digit mpmath).
 VERIFY_PINNED = [
-    ((), "80c023e954489a515bd8d6fb4b822db8cf2d46aff7ae04433b4b14552bc37a43"),
+    ((), "d04fcf5cf54c39bb60a3c64319829842bc0edfdfb820b8688a42e45590bce6d9"),
     (("--n-range", "2:400", "--l-range", "1:30"),
-     "ef7b7dc8c2b9b3b5b665ba6a5f0617fdfc5ff3e3a71006c5758a07984cf82a95"),
+     "ed12ee8d46f895164bfafb2097ab3ee1424e42c20f231bba2d69cb5e49812031"),
     (("--alpha", "3.0", "--n-range", "2:400", "--l-range", "1:30"),
-     "a7e418633b9e4c4cdaf854b09162dde84b5d406306f72879c8a8a8ce88363b59"),
+     "df653ecd02bdc4be5e2876c6e1c0229b9b3587772a65a4ec26f9a462102675ee"),
     (("--alpha", "1.0000000000000002", "--n-range", "2:12", "--l-range", "1:3"),
-     "580dac93b1d08c80b300ef86c3492422c689804bb3769798d064e0bd4435d345"),
+     "60ea9a57d8104f758ae903ee1bfbc7f860d8d32d925145373ccb7eb6726ee8ec"),
 ]
 
 
@@ -191,10 +196,13 @@ def test_gap_bytes_pinned(tmp_path, argv, digest):
     assert hashlib.sha256(target.read_bytes()).hexdigest() == digest
 
 
-# sha256 of `volgap constants --json --n-range 2:1000 --out FILE`, recorded
-# while log Gamma(s, 1) past s = 170 still ran through LogScalars; n > 340
-# reaches that branch for odd n.
-CONSTANTS_PINNED = "13a2c54760c052a737c67c0d4bc7f3beaf907a823e638a29f7be66671135476d"
+# sha256 of `volgap constants --json --n-range 2:1000 --out FILE`; n > 340
+# reads log Gamma(n/2, 1) from lgamma.  Re-recorded when it came to, and
+# log C_n to be summed so that log C_2 is exactly 0: 88 of the 999 rows
+# changed, n = 2 in log10_c_n (4.82163733277e-17 -> 0.0), 86 in the 12th
+# digit of c_n (79 of them past n = 340) and n = 623 and 885 in the last
+# digit of log10_c_n, both now rounded as 40-digit mpmath rounds them.
+CONSTANTS_PINNED = "5bc989ad1759eb45812af30fb8cc9869221c9f4bfc4ad7a486eeef704534131a"
 
 
 def test_constants_bytes_pinned(tmp_path):
@@ -397,6 +405,24 @@ class TestGridErrorContract:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: dimension leaves the double range at n={10**400}\n"
+
+    # n = 2^64 fits a double, and Gamma(n/2, 1) there is one lgamma, not a
+    # walk of n/2 steps: each command answers or fails in one line at once
+    @pytest.mark.parametrize("n", [2**64, 2**64 + 1], ids=["even", "odd"])
+    @pytest.mark.parametrize("argv, err", [
+        (("constants",), ""),
+        (("gap", "--l", "1"), "error: n*C_n exceeds the double range at n={n}; exponent-scale formulas stop here\n"),
+        (("optimize-alpha",), "error: n*C_n exceeds the double range at n={n}; exponent-scale formulas stop here\n"),
+        (("trace", "--t", "1"), "error: closed trace bound exceeds the double range at n={n}, t=1.0\n"),
+    ], ids=["constants", "gap", "optimize-alpha", "trace"])
+    def test_n_past_2_to_the_64_finishes(self, n, argv, err):
+        done = subprocess.run(
+            [sys.executable, "-m", "volgap.cli", argv[0], "--n", str(n), *argv[1:]],
+            capture_output=True, text=True, timeout=10,
+        )
+        assert (done.returncode, done.stderr) == (1 if err else 0, err.format(n=n))
+        if not err:
+            assert done.stdout.splitlines()[1].split()[0] == str(n)
 
     def test_huge_n_errors_cn_monotone_naming_n(self, capsys):
         n = 10**400

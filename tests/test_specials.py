@@ -12,22 +12,19 @@ import mpmath
 import pytest
 from scipy.integrate import quad
 
-from volgap import specials
 from volgap.claims import SuiteConfig, run_claim
-from volgap.logdomain import LogScalar, _log_sum
+from volgap.logdomain import LogScalar
 from volgap.specials import (
     HalfInteger,
-    _GAMMA_AT_ONE,
-    _GammaAtOne,
+    _gamma_at_one,
     cly_constant,
     cly_constant_log,
-    erf_series,
     nc_product,
     upper_incomplete_gamma_at_one,
 )
 
 # oracle-produced, frozen
-GAMMA_HALF_AT_ONE = 0.2788055852806619  # sqrt(pi) (1 - erf(1))
+GAMMA_HALF_AT_ONE = 0.2788055852806619  # sqrt(pi) erfc(1)
 GAMMA_3_2_AT_ONE = 0.5072822338117733
 CN_FROZEN = {
     2: 1.0,
@@ -51,30 +48,16 @@ def quad_gamma_upper(s: float) -> float:
     return value
 
 
-class TestErfSeries:
-    def test_matches_stdlib_on_grid(self):
-        # cancellation costs ~eps e^(x^2): at the |x| <= 3 domain edge
-        # that is a few 1e-14
-        for k in range(-30, 31):
-            x = 0.1 * k
-            assert erf_series(x) == pytest.approx(math.erf(x), rel=0, abs=5e-14)
+class TestHalfOddSeed:
+    # Gamma(1/2, 1) = sqrt(pi) erfc(1) seeds every half-odd value; the
+    # cancelling sqrt(pi) (1 - erf(1)) lands one ulp low, on ...ec8p-2
+    def test_is_the_correctly_rounded_value(self):
+        assert upper_incomplete_gamma_at_one(HalfInteger(1)) == float.fromhex("0x1.1d7f361ae3ec9p-2")
 
-    def test_tight_below_two(self):
-        for k in range(-20, 21):
-            x = 0.1 * k
-            assert erf_series(x) == pytest.approx(math.erf(x), rel=0, abs=5e-16)
-
-    def test_at_one_equals_stdlib_exactly(self):
-        # the Maclaurin series with 1e-17 term cutoff lands on the same float
-        assert erf_series(1.0) == math.erf(1.0)
-
-    def test_odd_function(self):
-        for x in (0.3, 1.7, 2.8):
-            assert erf_series(-x) == -erf_series(x)
-
-    def test_large_argument_rejected(self):
-        with pytest.raises(ValueError):
-            erf_series(3.5)
+    def test_matches_mpmath(self):
+        with mpmath.workdps(40):
+            want = float(mpmath.gammainc(mpmath.mpf(1) / 2, 1, mpmath.inf))
+        assert upper_incomplete_gamma_at_one(HalfInteger(1)) == want
 
 
 def mpmath_log_cn(n: int) -> float:
@@ -153,7 +136,7 @@ class TestUpperGammaAtOne:
     def test_log_path_matches_float_path(self):
         for twice in range(1, 60):
             s = HalfInteger(twice=twice)
-            log_got = _GAMMA_AT_ONE.at(twice)[1]
+            log_got = _gamma_at_one(twice)[1]
             assert log_got == pytest.approx(
                 math.log(upper_incomplete_gamma_at_one(s)), rel=0, abs=1e-12
             )
@@ -171,7 +154,8 @@ class TestUpperGammaAtOne:
         assert cly_constant_log(800).log_mag == pytest.approx(mpmath_log_cn(800), rel=1e-13)
 
     def test_log_path_beyond_float_range_half_odd(self):
-        # C_801 needs Gamma(801/2, 1), the half-odd recurrence run in logs
+        # C_801 needs Gamma(801/2, 1), past the half-odd recurrence's
+        # double range, so its log is lgamma(801/2)
         assert cly_constant_log(801).log_mag == pytest.approx(mpmath_log_cn(801), rel=1e-13)
 
 
@@ -222,10 +206,18 @@ class TestClyConstant:
 
     @pytest.mark.parametrize("n", [2**1024, 10**400, 10**400 + 1])
     def test_n_past_the_double_range_raises_naming_it(self, n):
-        # n becomes a float before any Gamma step, so an odd n runs no
-        # recurrence of n / 2 steps either
+        # n becomes a float before Gamma(n/2, 1) is read
         for fn in (cly_constant_log, cly_constant, nc_product):
             with pytest.raises(OverflowError, match=f"^dimension leaves the double range at n={n}$"):
+                fn(n)
+
+    @pytest.mark.parametrize("n", [3 * 10**305, 10**306, 10**306 + 1], ids=["3e305", "1e306", "1e306+1"])
+    def test_log_past_the_double_range_raises_naming_it(self, n):
+        # from about n = 2.6e305 log C_n is inf, and from about 5.1e305
+        # (n/2) log n is too and lgamma(n/2) raises
+        assert math.isfinite(cly_constant_log(2 * 10**305).log_mag)
+        for fn in (cly_constant_log, cly_constant, nc_product):
+            with pytest.raises(OverflowError, match=f"^log C_n leaves the double range at n={n}$"):
                 fn(n)
 
     def test_validation(self):
@@ -264,9 +256,8 @@ class TestNcProduct:
         assert nc_product.cache_info().currsize == 164
 
 
-# The per-n formulas that the incremental evaluation replaced: each call
-# starts from scratch, so they are independent of where its cursors
-# stand and serve as its bit-for-bit reference.
+# Per-k formulas: each call starts from scratch, so they serve as the
+# bit-for-bit reference for the tables and lookups of specials.
 def ref_recip_factorial_sum(m: int) -> float:
     terms = []
     t = 1.0
@@ -280,7 +271,7 @@ def ref_gamma_float(twice_s: int) -> float:
     if twice_s % 2 == 0:
         m = twice_s // 2
         return math.factorial(m - 1) * math.exp(-1.0) * ref_recip_factorial_sum(m)
-    g = math.sqrt(math.pi) * (1.0 - erf_series(1.0))
+    g = math.sqrt(math.pi) * math.erfc(1.0)
     s = 0.5
     while 2.0 * s < twice_s:
         g = s * g + math.exp(-1.0)
@@ -289,21 +280,16 @@ def ref_gamma_float(twice_s: int) -> float:
 
 
 def ref_gamma_log(twice_s: int) -> float:
+    if twice_s > 343:
+        return math.lgamma(twice_s / 2)
     if twice_s % 2 == 0:
         m = twice_s // 2
         return math.log(math.factorial(m - 1)) + math.log(ref_recip_factorial_sum(m)) - 1.0
-    if twice_s <= 340:
-        return math.log(ref_gamma_float(twice_s))
-    log_g = math.log(math.sqrt(math.pi) * (1.0 - erf_series(1.0)))
-    s = 0.5
-    while 2.0 * s < twice_s:
-        log_g = _log_sum(math.log(s) + log_g, -1.0)
-        s += 1.0
-    return log_g
+    return math.log(ref_gamma_float(twice_s))
 
 
 def ref_cly_log(n: int) -> float:
-    return (n / 2.0) * math.log(n) + 1.0 + ref_gamma_log(n) - math.log(2.0)
+    return ((n / 2.0) * math.log(n) - math.log(2.0)) + (1.0 + ref_gamma_log(n))
 
 
 def ref_cly(n: int) -> float:
@@ -326,11 +312,7 @@ def outcome(fn, *args):
         return OverflowError
 
 
-class TestIncrementalGamma:
-    def test_log_constant_matches_per_n_formula_bit_for_bit(self):
-        for n in range(2, 4001):
-            assert cly_constant_log(n).log_mag == ref_cly_log(n), n
-
+class TestPerKReference:
     def test_float_constants_match_per_n_formula_bit_for_bit(self):
         # 171 is past both ceilings, so the overflows are compared too
         for n in range(2, 172):
@@ -338,52 +320,25 @@ class TestIncrementalGamma:
             assert outcome(nc_product, n) == outcome(ref_nc, n), n
         assert outcome(cly_constant, 171) is OverflowError
 
-    def test_gamma_matches_per_n_formula_bit_for_bit(self):
-        # downwards too: a k behind the cursor restarts it from the seed
+    def test_gamma_and_its_log_match_per_k_formula_bit_for_bit(self):
+        # each k is read on its own, so the order it is asked in cannot matter
         for twice in [*range(1, 344), *range(343, 0, -1)]:
-            assert upper_incomplete_gamma_at_one(HalfInteger(twice)) == ref_gamma_float(twice)
+            assert upper_incomplete_gamma_at_one(HalfInteger(twice)) == ref_gamma_float(twice), twice
+            assert _gamma_at_one(twice)[1] == ref_gamma_log(twice), twice
+        # where the closed forms stop, the same logs come from lgamma
+        for twice in (341, 342, 343):
+            assert _gamma_at_one(twice)[1] == math.lgamma(twice / 2), twice
 
-    def test_a_new_range_costs_one_step_per_n(self, monkeypatch):
-        # the half-odd log recurrence takes one step per odd k up to the
-        # largest n asked for, wherever its cursor was; per-n evaluation
-        # takes about n/2 steps for each odd n, some 920,000 here
-        calls = []
-        monkeypatch.setattr(specials, "_log_sum", lambda a, b: calls.append(1) or _log_sum(a, b))
-        for n in range(9001, 9401):
-            cly_constant_log(n)
-        assert 0 < len(calls) <= 9400 // 2
-
-    def test_the_full_reciprocal_factorial_sum_is_taken_once(self, monkeypatch):
-        # every 1/j! with j >= 178 is 0.0, so sum_{j<m} 1/j! stops changing
-        # at m = 178; an even k past 355 reads the sum taken at set-up
-        table = _GammaAtOne()
-        sums = []
-        fsum = math.fsum
-        monkeypatch.setattr(math, "fsum", lambda terms: sums.append(1) or fsum(terms))
-        for m in range(178, 401):
-            table.at(2 * m)
-        assert sums == []
-
-    @pytest.mark.parametrize("failure", [KeyboardInterrupt, OverflowError])
-    def test_interrupted_move_leaves_the_cursor_where_it_was(self, monkeypatch, failure):
-        calls = []
-
-        def flaky(a, b):
-            calls.append(1)
-            if len(calls) == 50:
-                raise failure
-            return _log_sum(a, b)
-
-        table = _GammaAtOne()
-        table.at(601)
-        before = table._odd
-        monkeypatch.setattr(specials, "_log_sum", flaky)
-        with pytest.raises(failure):
-            table.at(1001)
-        assert table._odd == before
-        monkeypatch.undo()
-        fresh = _GammaAtOne()
-        assert [table.at(k) for k in range(1, 1201)] == [fresh.at(k) for k in range(1, 1201)]
+    def test_log_constant_against_40_digit_mpmath(self):
+        # past k = 343 the log is lgamma(k/2), whose neglected factor
+        # 1 - P(k/2, 1) is within 1e-18 of 1 there
+        assert cly_constant_log(2).log_mag == 0.0
+        with mpmath.workdps(40):
+            for n in [*range(3, 2001), 10**4, 10**4 + 1, 10**6, 10**6 + 1]:
+                half = mpmath.mpf(n) / 2
+                log_gamma = mpmath.log(mpmath.gammainc(half, 1, mpmath.inf))
+                oracle = half * mpmath.log(n) + 1 + log_gamma - mpmath.log(2)
+                assert abs(cly_constant_log(n).log_mag / oracle - 1) <= 4e-16, n
 
 
 class TestLogConstantCache:
@@ -393,7 +348,7 @@ class TestLogConstantCache:
         verdict = run_claim("CN_MONOTONE", SuiteConfig(n_min=2, n_max=5000))
         info = cly_constant_log.cache_info()
         assert info.maxsize is not None and info.currsize <= info.maxsize
-        assert verdict.witnesses["log_c_first"] == ref_cly_log(2)
+        assert verdict.witnesses["log_c_first"] == 0.0
 
     def test_the_2_to_400_grid_fits(self):
         cly_constant_log.cache_clear()
