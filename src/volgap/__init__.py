@@ -8,11 +8,12 @@ for an n-dimensional compact minimal submanifold M immersed with
 maximal dimension in S^(n+ell).  The excess terms involve the
 dimensional constants C_n = n^(n/2) e Gamma(n/2, 1) / 2, which grow
 like e^(n log n), so the internals compute on natural logs held as
-floats, and the public views return them as LogScalars.
+floats; cly_constant_log returns log C_n itself, and the public bound
+and solver views return their logs as LogScalars.
 
 Layers:
 
-  logdomain   two-term log sums and the LogScalar view type
+  logdomain   two-term log sums, the double range and the LogScalar view type
   specials    upper incomplete gamma at 1, the constants C_n
   spectral    heat trace of the round sphere with certified truncation
   bounds      the gap excess variants and their comparisons

@@ -78,7 +78,7 @@ from functools import cached_property
 from itertools import repeat
 from operator import sub
 
-from .logdomain import _UNDERFLOW_LOG, LogScalar, _log_sum
+from .logdomain import _UNDERFLOW_LOG, LogScalar, _as_float, _log_sum, _overflow
 from .specials import nc_product
 
 DEFAULT_ALPHA = 1.43
@@ -139,19 +139,6 @@ def _tuning(alpha) -> Tuning:
 _CLASSICAL = Tuning(2.0)
 
 
-def _float_ell(ell: int, n: int) -> float:
-    """ell as a float; an ell past the double range raises OverflowError naming it and n.
-
-    The bounds and the solver form alpha ell and 2 ell as floats;
-    GapParams, SuiteConfig and optimal_alpha convert ell here before
-    they do, and the case-correction exponent converts n + 2 ell here.
-    """
-    try:
-        return float(ell)
-    except OverflowError:
-        raise OverflowError(f"ell leaves the double range at n={n}") from None
-
-
 @dataclass(frozen=True)
 class GapParams:
     n: int
@@ -168,7 +155,7 @@ class GapParams:
         if self.ell < 1:
             raise ValueError(f"ell must be at least 1, got {self.ell}")
         tuning = _tuning(self.alpha)
-        _float_ell(self.ell, self.n)  # overflows name ell and n, before alpha ell does
+        _as_float(self.ell, "ell", self.n)  # overflows name ell and n, before alpha ell does
         # every tuned variant needs a positive numerator: u > 0 for the pair
         if not tuning.numerators(self.ell)[0] > 0.0:
             got = f"1/{tuning.ell} + {tuning.u!r}" if tuning.ell else f"{tuning.alpha}*{self.ell}"
@@ -192,10 +179,6 @@ class GapBound:
 # quantities, so results agree with them bit for bit.  A quantity or log
 # that leaves the double range raises OverflowError, naming it and n:
 # alpha is valid at any positive finite value, so that is no usage error.
-
-
-def _overflow(what: str, n: int) -> OverflowError:
-    return OverflowError(f"{what} leaves the double range at n={n}")
 
 
 def _ln(x: float, what: str, n: int) -> float:
@@ -287,7 +270,7 @@ def _correction_exponents(n: int, ancs, ells):
     """E = anc (1 - (n+4) (n+2 ell)^(2/n) 4^(1/n)) at each ell, with its anc = alpha n C_n."""
     n4, power, root4 = n + 4, 2.0 / n, math.pow(4.0, 1.0 / n)
     for anc, ell in zip(ancs, ells):
-        yield anc * (1.0 - n4 * math.pow(_float_ell(n + 2 * ell, n), power) * root4)
+        yield anc * (1.0 - n4 * math.pow(_as_float(n + 2 * ell, "ell", n), power) * root4)
 
 
 def _log_case1_corrections(n: int, alphas, ancs, ells) -> list[float]:
@@ -324,7 +307,7 @@ def _case1_bumps(n: int, kernels, ells, log_nums):
     raise is raised either way.
     """
     ell_max = max(ells)
-    _float_ell(n + 2 * ell_max, n)  # the pass raises this first, at any ell it reaches
+    _as_float(n + 2 * ell_max, "ell", n)  # the pass raises this first, at any ell it reaches
     alphas, ancs = [k.tuning.alpha for k in kernels], [k.anc for k in kernels]
     bound = min(ancs) * -(n + 3) + math.log(max(alphas) * (n + ell_max + 2)) - min(log_nums)
     if bound < _UNDERFLOW_LOG:

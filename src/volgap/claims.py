@@ -63,7 +63,7 @@ from functools import cached_property, reduce
 from itertools import accumulate, product, repeat
 from operator import add, sub
 
-from . import bounds, solver, spectral
+from . import bounds, logdomain, solver, spectral
 from .bounds import DEFAULT_ALPHA, GapVariant
 from .specials import cly_constant, cly_constant_log
 
@@ -105,7 +105,7 @@ class SuiteConfig:
             raise ValueError(f"ell_max must be an int at least ell_min, got {self.ell_max!r}")
         if not (self.alpha > 0.0 and math.isfinite(self.alpha)):
             raise ValueError(f"alpha must be positive and finite, got {self.alpha!r}")
-        alpha_ell = self.alpha * bounds._float_ell(self.ell_min, self.n_min)
+        alpha_ell = self.alpha * logdomain._as_float(self.ell_min, "ell", self.n_min)
         if alpha_ell <= 1.0:
             raise ValueError(f"alpha * ell_min must exceed 1 for the tuned bounds, got {alpha_ell!r}")
         if not (0.0 < self.tol < 1.0):
@@ -386,7 +386,7 @@ def _thm6_row(kernel, cols) -> list[float]:
 def _cn_rows(run):
     ns = range(run.config.n_min, run.config.n_max + 1)
     # C_n rises where -log C_n falls
-    return _falls(ns, [-cly_constant_log(n).log_mag for n in ns])
+    return _falls(ns, [-cly_constant_log(n) for n in ns])
 
 
 def _log_psi(n: int) -> float:
@@ -417,8 +417,8 @@ _CLAIMS = {
         "C_(n+1) > C_n for every n >= 2 (checked in log form)",
         _cn_rows,
         lambda run, f: {
-            "log_c_first": cly_constant_log(run.config.n_min).log_mag,
-            "log_c_last": cly_constant_log(run.config.n_max).log_mag,
+            "log_c_first": cly_constant_log(run.config.n_min),
+            "log_c_last": cly_constant_log(run.config.n_max),
             "first_violation_n": _coord(f.first_bad, 0),
         },
         note=lambda run, f: f"n in [{run.config.n_min}, {run.config.n_max}]",

@@ -39,6 +39,7 @@ from datetime import datetime, timezone
 
 from .bounds import DEFAULT_ALPHA, GapVariant
 from .claims import SuiteConfig, claim_ids, run_claim, run_claim_suite
+from .logdomain import _LN10
 from .solver import optimal_alpha
 from .specials import cly_constant_log
 from .spectral import heat_trace, trace_bound
@@ -189,7 +190,7 @@ def _cmd_constants(args):
     payload = []
     lines = [f"{'n':>4}  {'C_n':>24}  {'log10_C_n':>16}  {'log10_nC_n':>16}"]
     for n in range(lo, hi + 1):
-        log10_cn = cly_constant_log(n).log10_mag
+        log10_cn = cly_constant_log(n) / _LN10
         c_n, l10, l10n = format_from_log10(log10_cn), _sig(log10_cn), _sig(log10_cn + math.log10(n))
         payload.append({"n": n, "c_n": c_n, "log10_c_n": float(l10), "log10_n_c_n": float(l10n)})
         lines.append(f"{n:>4}  {c_n:>24}  {l10:>16}  {l10n:>16}")

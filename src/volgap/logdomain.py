@@ -8,8 +8,11 @@ intermediate leaves the representable range as long as the log itself
 fits in a double.
 
 LogScalar, a sign in {-1, 0, +1} together with log|x|, is the type the
-public views return.  It multiplies, divides and adds (log_add); it
-has no order, so compare log magnitudes instead.
+public views return: b_alpha, case1_correction_numerator and gap_excess
+in bounds, f1, f1_prime and g_prime_sign_scan in solver.  Below them
+logs stay floats; cly_constant_log returns log C_n itself.  A LogScalar
+multiplies, divides and adds (log_add); it has no order, so compare log
+magnitudes instead.
 
 Base-10 logs appear only when results are rendered for people; all
 internal arithmetic is natural-log.
@@ -22,13 +25,33 @@ from dataclasses import dataclass
 
 _LN10 = math.log(10.0)
 _LN_HALF = math.log(0.5)
-# The double range, in logs; this module is the only place that spells it.
+# The double range, in logs, and the error that names it (_overflow); this
+# module is the only place that spells either.
 # Below _UNDERFLOW_LOG e^d underflows, so the smaller term of a sum or
 # difference cannot change a bit of the larger.  Above _OVERFLOW_LOG the
 # package treats e^x as past the double range (the largest double is
 # about e^709.78).
 _UNDERFLOW_LOG = -745.0
 _OVERFLOW_LOG = 709.0
+
+
+def _overflow(what: str, n: int) -> OverflowError:
+    return OverflowError(f"{what} leaves the double range at n={n}")
+
+
+def _as_float(x: int, what: str, n: int) -> float:
+    """The int x as a float; past the double range, OverflowError naming what and n.
+
+    The bounds and the solver form alpha ell and 2 ell as floats;
+    GapParams, SuiteConfig and optimal_alpha convert ell here before
+    they do, and the case-correction exponent converts n + 2 ell here.
+    specials and spectral convert the dimension n here, where it first
+    becomes a float.
+    """
+    try:
+        return float(x)
+    except OverflowError:
+        raise _overflow(what, n) from None
 
 
 @dataclass(frozen=True)

@@ -39,8 +39,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .bounds import _excess_exponent, _float_ell, _tuning, b_alpha
-from .logdomain import _UNDERFLOW_LOG, LogScalar, _log_sum, log_add, log_div
+from .bounds import _excess_exponent, _tuning, b_alpha
+from .logdomain import _UNDERFLOW_LOG, LogScalar, _as_float, _log_sum, log_add, log_div
 from .specials import nc_product
 
 
@@ -207,7 +207,7 @@ def optimal_alpha(n: int, ell: int = 1, tol: float = 1e-12) -> RootResult:
         raise ValueError(f"tol must lie in (0, 1), got {tol!r}")
     ncn = nc_product(n)
     # n C_n sqrt(1 + 4 ell / n C_n), written so that 4 ell cannot overflow
-    u = 2.0 / (ncn + 2.0 * math.sqrt(ncn) * math.sqrt(0.25 * ncn + _float_ell(ell, n)))
+    u = 2.0 / (ncn + 2.0 * math.sqrt(ncn) * math.sqrt(0.25 * ncn + _as_float(ell, "ell", n)))
     lo, hi = 0.0, math.inf  # evaluated points with residual < 0 and > 0
     last = math.inf
     for steps in range(_NEWTON_STEPS):

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate
 
-from .logdomain import _OVERFLOW_LOG, LogScalar
+from .logdomain import _OVERFLOW_LOG, _as_float, _overflow
 
 
 @dataclass(frozen=True)
@@ -95,14 +95,6 @@ def _check_dimension(n: int) -> None:
         raise ValueError(f"dimension must be at least 2, got {n}")
 
 
-def _float_dimension(n: int) -> float:
-    """n as a float, where it first becomes one; past the double range, OverflowError naming n."""
-    try:
-        return float(n)
-    except OverflowError:
-        raise OverflowError(f"dimension leaves the double range at n={n}") from None
-
-
 @lru_cache(maxsize=None)
 def cly_constant(n: int) -> float:
     """C_n = n^(n/2) e Gamma(n/2, 1) / 2 as a double.
@@ -110,8 +102,7 @@ def cly_constant(n: int) -> float:
     Raises OverflowError once C_n leaves the double range (from
     n = 167 on); cly_constant_log has no such ceiling.
     """
-    _check_dimension(n)
-    if cly_constant_log(n).log_mag > _OVERFLOW_LOG:
+    if cly_constant_log(n) > _OVERFLOW_LOG:
         raise OverflowError(f"C_n exceeds the double range at n={n}; use cly_constant_log")
     if n % 2 == 0:
         half_power = float(n ** (n // 2))  # exact integer power
@@ -121,25 +112,26 @@ def cly_constant(n: int) -> float:
 
 
 # Bounded, unlike cly_constant (which raises past n = 166): a sweep over
-# hundreds of thousands of n would otherwise keep one LogScalar per n for
+# hundreds of thousands of n would otherwise keep one log C_n per n for
 # the life of the process.  1024 holds every n of a 2:400 grid.
 @lru_cache(maxsize=1024)
-def cly_constant_log(n: int) -> LogScalar:
-    """C_n in log form, usable at any dimension that fits in a double (_float_dimension).
+def cly_constant_log(n: int) -> float:
+    """log C_n as a float, usable at any dimension that fits in a double (logdomain._as_float).
 
-    Raises OverflowError naming n where log C_n itself leaves the double
-    range, from about n = 2.6e305 on.
+    The one check of n for cly_constant and nc_product, which read it
+    first.  Raises OverflowError naming n where log C_n itself leaves
+    the double range, from about n = 2.6e305 on.
     """
     _check_dimension(n)
-    half = _float_dimension(n) / 2.0
+    half = _as_float(n, "dimension", n) / 2.0
     try:
         # grouped so that exact cases stay exact: log C_2 is 0.0
-        log_mag = (half * math.log(n) - math.log(2.0)) + (1.0 + _gamma_at_one(n)[1])
+        log_c = (half * math.log(n) - math.log(2.0)) + (1.0 + _gamma_at_one(n)[1])
     except OverflowError:  # from math.lgamma, once (n/2) log n is already inf
-        log_mag = math.inf
-    if log_mag == math.inf:
-        raise OverflowError(f"log C_n leaves the double range at n={n}")
-    return LogScalar(1, log_mag)
+        log_c = math.inf
+    if log_c == math.inf:
+        raise _overflow("log C_n", n)
+    return log_c
 
 
 @lru_cache(maxsize=None)
@@ -153,8 +145,7 @@ def nc_product(n: int) -> float:
     the memo holds at most the 164 values of n = 2..165, and an n past
     the ceiling raises on every call.
     """
-    _check_dimension(n)
-    log_nc = math.log(n) + cly_constant_log(n).log_mag
+    log_nc = cly_constant_log(n) + math.log(n)  # in this order: n is checked before math.log reads it
     if log_nc > _OVERFLOW_LOG:
         raise OverflowError(
             f"n*C_n exceeds the double range at n={n}; exponent-scale formulas stop here"

@@ -49,8 +49,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .logdomain import _UNDERFLOW_LOG
-from .specials import _check_dimension, _float_dimension, cly_constant_log
+from .logdomain import _UNDERFLOW_LOG, _as_float
+from .specials import _check_dimension, cly_constant_log
 
 # Stop once the omitted tail would change nothing at double precision,
 # so that tail_bound <= 1e-14 * value always holds on return.  The levels
@@ -117,7 +117,7 @@ def heat_trace(n: int, t: float) -> TraceResult:
     term = 1.0  # T_0
     mult = n + 1  # m_1
     lam = n  # lambda_1
-    term_log = log(mult) - _float_dimension(n) * t  # log T_1
+    term_log = log(mult) - _as_float(n, "dimension", n) * t  # log T_1
     try:
         for j in range(1, _MAX_LEVELS + 2):
             total += term
@@ -160,9 +160,9 @@ def trace_bound(n: int, t: float) -> float:
     _check_dimension(n)
     if not (t >= 1.0) or math.isinf(t) or math.isnan(t):
         raise ValueError(f"the closed bound needs t >= 1, got {t!r}")
-    decay = -_float_dimension(n) * t
+    decay = -_as_float(n, "dimension", n) * t
     linear = (n + 1) * math.exp(decay)
-    corr_log = cly_constant_log(n).log_mag + decay - math.log(t)
+    corr_log = cly_constant_log(n) + decay - math.log(t)
     try:
         correction = math.exp(corr_log)
     except OverflowError:

@@ -77,6 +77,8 @@ DELETED = [
     ("claims", "_gamman_note"),
     ("claims", "_Run.grid_note"),
     ("specials", "erf_series"),
+    ("bounds", "_float_ell"),
+    ("specials", "_float_dimension"),
 ]
 
 

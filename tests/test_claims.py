@@ -729,8 +729,8 @@ MUTANTS = [
     _mutant("ALPHA_STAR_BRACKET", "gamma_2-is-1.44", _root_at(2, 0.44)),
     _mutant("C3_APPROX", "cn-scale", None, _CN_SCALED),
     _mutant("C4_EXACT", "cn-scale", None, _CN_SCALED),
-    _mutant("CN_MONOTONE", "C_5-above-C_6", _patched(claims, "cly_constant_log", lambda c: lambda n: (
-        dataclasses.replace(c(n), log_mag=c(n).log_mag + (100.0 if n == 5 else 0.0))))),
+    _mutant("CN_MONOTONE", "C_5-above-C_6", _patched(
+        claims, "cly_constant_log", lambda c: lambda n: c(n) + (100.0 if n == 5 else 0.0))),
     _mutant("FINAL_INEQ", "head-of-one", _head_of_one),
     _mutant("GAMMA2_GT_13", "gamma_2-is-1.29", _root_at(2, 0.29)),
     _mutant("GAMMAN_LE_13", "gamma_3-is-1.31", _root_at(3, 0.31)),

@@ -15,8 +15,9 @@ import pytest
 
 from volgap import cli
 from volgap.cli import main
+from volgap.logdomain import LogScalar
 from volgap.solver import _critical_objective
-from volgap.specials import nc_product
+from volgap.specials import cly_constant, cly_constant_log, nc_product
 from volgap.spectral import heat_trace
 from volgap.tables import CSV_HEADER, build_gap_table
 
@@ -657,6 +658,31 @@ class TestParserReuse:
         assert codes.count(0) == 11 and codes.count(1) == 1 and codes.count(2) == 5
         # help reads COLUMNS when it is formatted, not when the parser was built
         assert shared[1][1] != shared[5][1] and shared[8][1] != shared[12][1]
+
+
+# one run of each command, with the specials memos as cold as a fresh process has them
+COLD_COMMANDS = [
+    ("verify",),
+    ("verify", "--n-range", "2:400"),
+    ("constants", "--n-range", "2:50"),
+    ("trace", "--n", "5", "--t", "1"),
+    ("table", "--n-range", "2:20", "--l-range", "1:5"),
+    ("table", "--alpha", "auto", "--n-range", "2:20", "--l-range", "1:5"),
+    ("gap", "--n", "5", "--l", "1"),
+    ("optimize-alpha", "--n", "5"),
+]
+
+
+@pytest.mark.parametrize("argv", COLD_COMMANDS, ids=" ".join)
+def test_no_command_builds_a_log_scalar(capsys, monkeypatch, argv):
+    # LogScalar is the type of the public views; below them logs are floats
+    for memo in (cly_constant_log, cly_constant, nc_product):
+        memo.cache_clear()
+    built = []
+    check = LogScalar.__post_init__
+    monkeypatch.setattr(LogScalar, "__post_init__", lambda self: built.append(1) or check(self))
+    code, _ = run(capsys, *argv)
+    assert (code, len(built)) == (0, 0)
 
 
 class TestSingleShotCommands:

@@ -13,7 +13,6 @@ import pytest
 from scipy.integrate import quad
 
 from volgap.claims import SuiteConfig, run_claim
-from volgap.logdomain import LogScalar
 from volgap.specials import (
     HalfInteger,
     _gamma_at_one,
@@ -151,12 +150,12 @@ class TestUpperGammaAtOne:
     def test_log_path_beyond_float_range(self):
         # Gamma(s, 1) ~ Gamma(s) overflows floats past s ~ 171; C_800
         # needs Gamma(400, 1) in logs
-        assert cly_constant_log(800).log_mag == pytest.approx(mpmath_log_cn(800), rel=1e-13)
+        assert cly_constant_log(800) == pytest.approx(mpmath_log_cn(800), rel=1e-13)
 
     def test_log_path_beyond_float_range_half_odd(self):
         # C_801 needs Gamma(801/2, 1), past the half-odd recurrence's
         # double range, so its log is lgamma(801/2)
-        assert cly_constant_log(801).log_mag == pytest.approx(mpmath_log_cn(801), rel=1e-13)
+        assert cly_constant_log(801) == pytest.approx(mpmath_log_cn(801), rel=1e-13)
 
 
 class TestClyConstant:
@@ -193,11 +192,11 @@ class TestClyConstant:
                 - mpmath.log(2)
             )
             got = cly_constant_log(n)
-            assert isinstance(got, LogScalar) and got.sign == 1
-            assert got.log_mag == pytest.approx(float(oracle), rel=1e-14)
+            assert type(got) is float
+            assert got == pytest.approx(float(oracle), rel=1e-14)
 
     def test_monotone_increasing(self):
-        logs = [cly_constant_log(n).log_mag for n in range(2, 120)]
+        logs = [cly_constant_log(n) for n in range(2, 120)]
         assert all(b > a for a, b in zip(logs, logs[1:]))
 
     def test_overflow_raises_not_inf(self):
@@ -215,7 +214,7 @@ class TestClyConstant:
     def test_log_past_the_double_range_raises_naming_it(self, n):
         # from about n = 2.6e305 log C_n is inf, and from about 5.1e305
         # (n/2) log n is too and lgamma(n/2) raises
-        assert math.isfinite(cly_constant_log(2 * 10**305).log_mag)
+        assert math.isfinite(cly_constant_log(2 * 10**305))
         for fn in (cly_constant_log, cly_constant, nc_product):
             with pytest.raises(OverflowError, match=f"^log C_n leaves the double range at n={n}$"):
                 fn(n)
@@ -254,6 +253,17 @@ class TestNcProduct:
         for n in range(2, 401):
             outcome(nc_product, n)
         assert nc_product.cache_info().currsize == 164
+
+    @pytest.mark.parametrize("n, error, message", [
+        (0, ValueError, "dimension must be at least 2, got 0"),
+        (-3, ValueError, "dimension must be at least 2, got -3"),
+        ("x", TypeError, "dimension must be an int, got str"),
+    ])
+    def test_a_bad_dimension_is_named_before_any_log_of_it(self, n, error, message):
+        # cly_constant_log checks n for both; nc_product reads it before math.log(n)
+        for fn in (nc_product, cly_constant):
+            with pytest.raises(error, match=f"^{message}$"):
+                fn(n)
 
 
 # Per-k formulas: each call starts from scratch, so they serve as the
@@ -332,13 +342,13 @@ class TestPerKReference:
     def test_log_constant_against_40_digit_mpmath(self):
         # past k = 343 the log is lgamma(k/2), whose neglected factor
         # 1 - P(k/2, 1) is within 1e-18 of 1 there
-        assert cly_constant_log(2).log_mag == 0.0
+        assert cly_constant_log(2) == 0.0
         with mpmath.workdps(40):
             for n in [*range(3, 2001), 10**4, 10**4 + 1, 10**6, 10**6 + 1]:
                 half = mpmath.mpf(n) / 2
                 log_gamma = mpmath.log(mpmath.gammainc(half, 1, mpmath.inf))
                 oracle = half * mpmath.log(n) + 1 + log_gamma - mpmath.log(2)
-                assert abs(cly_constant_log(n).log_mag / oracle - 1) <= 4e-16, n
+                assert abs(cly_constant_log(n) / oracle - 1) <= 4e-16, n
 
 
 class TestLogConstantCache:

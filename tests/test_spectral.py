@@ -326,7 +326,7 @@ def _guarded_trace_bound(n, t):
         raise ValueError(f"the closed bound needs t >= 1, got {t!r}")
     decay = -n * t
     linear = (n + 1) * math.exp(decay) if decay > -745.0 else 0.0
-    corr_log = cly_constant_log(n).log_mag + decay - math.log(t)
+    corr_log = cly_constant_log(n) + decay - math.log(t)
     try:
         correction = math.exp(corr_log) if corr_log > -745.0 else 0.0
     except OverflowError:
@@ -341,7 +341,7 @@ def _edge_times(n):
     times = [745.0 / n]
     t = 745.0 / n  # log C_n - n t - log t = -745, solved by fixed-point steps
     for _ in range(60):
-        t = (cly_constant_log(n).log_mag + 745.0 - math.log(t)) / n
+        t = (cly_constant_log(n) + 745.0 - math.log(t)) / n
     times.append(t)
     out = []
     for t in times:
@@ -374,7 +374,7 @@ class TestTraceBoundWithoutGuards:
         for n, t in points:
             assert _bound_outcome(trace_bound, n, t) == _bound_outcome(_guarded_trace_bound, n, t), (n, t)
             if t >= 1.0:
-                corr_log = cly_constant_log(n).log_mag - n * t - math.log(t)
+                corr_log = cly_constant_log(n) - n * t - math.log(t)
                 for term, log in (("linear", -n * t), ("correction", corr_log)):
                     # which side of the edge, and whether the guard zeroed a nonzero exp there
                     sides[term, log > -745.0, log <= -745.0 and math.exp(min(log, 0.0)) > 0.0] += 1
