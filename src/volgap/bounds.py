@@ -76,7 +76,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from itertools import repeat
-from operator import sub
+from operator import attrgetter, sub
 
 from .logdomain import _UNDERFLOW_LOG, LogScalar, _as_float, _log_sum, _overflow
 from .specials import nc_product
@@ -308,11 +308,26 @@ def _case1_bumps(n: int, kernels, ells, log_nums):
     """
     ell_max = max(ells)
     _as_float(n + 2 * ell_max, "ell", n)  # the pass raises this first, at any ell it reaches
-    alphas, ancs = [k.tuning.alpha for k in kernels], [k.anc for k in kernels]
+    alphas, ancs = _kernel_columns(kernels, _ALPHA, _ANC)
     bound = min(ancs) * -(n + 3) + math.log(max(alphas) * (n + ell_max + 2)) - min(log_nums)
     if bound < _UNDERFLOW_LOG:
         return None
     return _log_case1_corrections(n, alphas, ancs, ells)
+
+
+_ALPHA, _ANC, _LOG_B = attrgetter("tuning.alpha"), attrgetter("anc"), attrgetter("log_b")
+
+
+def _kernel_columns(kernels, *reads) -> list[list]:
+    """Per read, the list of its value at each of kernels.
+
+    At a fixed alpha every item is one kernel (an identity count says
+    so, whatever the ends hold), so each value is read once and repeated.
+    """
+    first, m = kernels[0], len(kernels)
+    if kernels.count(first) == m:
+        return [[read(first)] * m for read in reads]
+    return [list(map(read, kernels)) for read in reads]
 
 
 def _bound_columns(kernels, cols: _EllColumns, variants) -> list[tuple[list, list, list, list]]:
@@ -320,7 +335,8 @@ def _bound_columns(kernels, cols: _EllColumns, variants) -> list[tuple[list, lis
 
     kernels[i] is the BoundKernel at cols.ells[i], at the tuning
     cols.tunings[i]; all share one n.  At a fixed alpha that is one
-    kernel repeated.  Classical columns hold _CLASSICAL's alpha and B_n.
+    kernel repeated, whose alpha and log B are read once
+    (_kernel_columns).  Classical columns hold _CLASSICAL's alpha and B_n.
     The caller checks the numerators (_check_numerators); a THM2_CASE1
     bump past the double range raises, at its first ell.  Where no bump
     can change a bit (_case1_bumps), THM2_CASE1's columns are THM1's,
@@ -329,7 +345,7 @@ def _bound_columns(kernels, cols: _EllColumns, variants) -> list[tuple[list, lis
     first, ells, m = kernels[0], cols.ells, len(kernels)
     n, log_b_cly, logs = first.n, first.log_b_cly, cols.log_numerators
     bumps = _case1_bumps(n, kernels, ells, logs[1]) if _CASE1 in variants else None
-    alphas, log_bs = [k.tuning.alpha for k in kernels], [k.log_b for k in kernels]
+    alphas, log_bs = _kernel_columns(kernels, _ALPHA, _LOG_B)
     log_cly = _log_quotients(logs[0], repeat(log_b_cly))
     out, thm1 = [], None
     for variant in variants:

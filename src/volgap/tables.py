@@ -28,25 +28,30 @@ columns) block per n.  Iterating it derives each GapTableRow only when
 read, dividing its logs by ln 10 there.
 
 All three renderers read a built table through one helper, _text_blocks,
-which turns each block's columns into columns of text: each ell's text
-once per table, each alpha,variant,log10_B piece once per distinct
-value, and each excess and ratio about once per distinct value, through
-a bounded memo.  Values repeat a lot: alpha and log B take one value
-per n and variant at a fixed alpha, and from about n = 20 on the ell
-terms vanish into log B at double precision, so excesses and ratios
-repeat across ell too (the 65,600 rows of 2:165 x 1:100 at alpha 1.43
-hold 3,858 distinct excesses and 2,656 distinct ratios, and 904 of
-their 990 columns hold one value).  Each output line is then one
-f-string over those texts.  The CSV and JSON
-renderers yield one chunk of text per n (_csv_chunks, _json_chunks),
-which the CLI writes as it comes, so their memory follows the table and
-not its text; render_csv and render_json join those chunks.
+which turns each block's columns into columns of text: each alpha, log
+B, excess and ratio column once per block, so variants that share a
+column share its text, and each value about once per distinct value,
+through bounded memos; a variant's heads (alpha,variant,log10_B) are
+built from its alpha and log B texts.  Values repeat a lot: alpha and
+log B take one value per n and variant at a fixed alpha, and from about
+n = 20 on the ell terms vanish into log B at double precision, so
+excesses and ratios repeat across ell too (the 65,600 rows of 2:165 x
+1:100 at alpha 1.43 hold 3,858 distinct excesses and 2,656 distinct
+ratios, and 904 of their 990 columns hold one value).  The CSV and JSON
+renderers then write each block as one C-level join over line texts
+(_block_text): the ells' texts once per table, and per variant one row
+tail, formed once, where its head, excess and ratio columns each hold
+one text, or else those columns' texts as they are; no row has code or
+a string of its own.  They yield one chunk of text per n (_csv_chunks,
+_json_chunks), which the CLI writes as it comes, so their memory
+follows the table and not its text; render_csv and render_json join
+those chunks.
 """
 
 from __future__ import annotations
 
 import math
-from itertools import repeat
+from itertools import chain, repeat
 from typing import NamedTuple
 
 from .bounds import (
@@ -207,72 +212,94 @@ class _TableRows:
 class _Formatted(dict):
     """value -> its text, formatting each distinct value once.
 
-    trim empties the memo once it holds SIZE entries; the walker calls
-    it between blocks.  Tables repeat values within one n and seldom
-    across n, so the bound loses almost no hits, and a grid of mostly
-    distinct values (small n, many ell) does not keep every cell's text
-    alive until the render ends.
+    column(xs) is the texts of a whole column of values: one lookup, its
+    text repeated, where xs holds one value.  Each variant that shares xs
+    (_block) shares its texts, kept by id for one block, which holds xs
+    alive.  next_block drops those and empties the memo once it holds
+    SIZE entries; the walker calls it between blocks.  Tables repeat
+    values within one n and seldom across n, so the bound loses almost
+    no hits, and a grid of mostly distinct values (small n, many ell)
+    does not keep every cell's text alive until the render ends.
     """
 
     SIZE = 1024
 
     def __init__(self, fmt) -> None:
         super().__init__()
-        self.fmt = fmt
+        self.fmt, self.columns = fmt, {}
 
     def __missing__(self, value):
         text = self[value] = self.fmt(value)
         return text
 
-    def trim(self) -> None:
+    def column(self, xs) -> list:
+        texts = self.columns.get(id(xs))
+        if texts is None:
+            texts = [self[xs[0]]] * len(xs) if _same(xs) else list(map(self.__getitem__, xs))
+            self.columns[id(xs)] = texts
+        return texts
+
+    def next_block(self) -> None:
+        self.columns.clear()
         if len(self) >= self.SIZE:
             self.clear()
 
 
+def _same(xs) -> bool:
+    """Whether every item of xs equals the first; every item is compared, not the ends."""
+    return xs.count(xs[0]) == len(xs)
+
+
 def _text_blocks(table: _TableRows, head):
-    """Each block of table as text: (n, ells, per variant (heads, excesses, ratios)).
+    """Each block of table as text: (n, per variant (heads, excesses, ratios)).
 
     head(alpha, variant, log10_B), given their texts, is a renderer's
-    text for those three fields.  The ells are formatted once per table,
-    one list that every block shares, and each head, excess and ratio
-    once per distinct value, through _Formatted memos keyed by the
-    natural logs, which divide by ln 10 on a miss, as a GapTableRow does
-    (see the module docstring for why values repeat).  A column of one
-    value is one lookup (_texts), and variants that share their excess
-    and ratio columns (_block) share those columns' text too.  The
+    text for those three fields.  Each alpha, log B, excess and ratio
+    column is formatted once per block (_Formatted.column), so variants
+    that share a column (_block) share its text, and each value about
+    once, through bounded memos keyed by the natural logs, which divide
+    by ln 10 on a miss, as a GapTableRow does (see the module docstring
+    for why values repeat).  A variant's heads are built from its alpha
+    and log B texts: one head, repeated, where both hold one text.  The
     classical log ratio 0.0 needs no special case: it renders as "1",
     and so does -0.0, which is the same key.
     """
+    alphas = _Formatted(_sig)
     sigs = _Formatted(lambda log: _sig(log / _LN10))
     ratios = _Formatted(lambda log: format_from_log10(log / _LN10))
-    heads = _Formatted(lambda key: head(_sig(key[0]), key[1], _sig(key[2] / _LN10)))
-    memos = (sigs, ratios, heads)
-    ell_texts = [str(ell) for ell in table.ells]
+    memos = (alphas, sigs, ratios)
     for n, columns in table.blocks:
         for memo in memos:
-            memo.trim()
-        texts = {}  # ids of a variant's value columns -> their texts, which variants sharing them share
+            memo.next_block()
         block = []
-        for name, alphas, log_bs, log_excesses, log_ratios in columns:
-            key = id(log_excesses), id(log_ratios)
-            if key not in texts:
-                texts[key] = _texts(sigs, log_excesses), _texts(ratios, log_ratios)
-            block.append((_texts(heads, zip(alphas, repeat(name), log_bs), alphas, log_bs), *texts[key]))
-        yield str(n), ell_texts, block
+        for name, alpha_column, log_bs, log_excesses, log_ratios in columns:
+            alpha_texts, b_texts = alphas.column(alpha_column), sigs.column(log_bs)
+            if _same(alpha_texts) and _same(b_texts):
+                heads = [head(alpha_texts[0], name, b_texts[0])] * len(b_texts)
+            else:
+                heads = list(map(head, alpha_texts, repeat(name), b_texts))
+            block.append((heads, sigs.column(log_excesses), ratios.column(log_ratios)))
+        yield str(n), block
 
 
-def _texts(memo, keys, *columns) -> list:
-    """memo[key] for each of keys, which vary only where one of columns does (keys itself, given none).
+def _block_text(lead: str, ells: list, columns, seps) -> str:
+    """One block's rows, ell by ell, variant by variant: lead, the ell's text, then the variant's fields.
 
-    Where every such column holds one value, as a head's at a fixed
-    alpha and most excess and ratio columns from about n = 20 on, that
-    is one lookup, its text repeated.
+    columns holds per variant (heads, excesses, ratios) (_text_blocks),
+    and seps the texts after a head, an excess and a ratio.  A variant
+    whose three columns each hold one text has one row tail, formed
+    once; any other's texts go into the join as they are.  The block is
+    one join at C level, with no per-row code and no per-row string.
     """
-    columns = columns or (keys,)
-    m = len(columns[0])
-    if all(xs.count(xs[0]) == m for xs in columns):
-        return [memo[next(iter(keys))]] * m
-    return list(map(memo.__getitem__, keys))
+    after_head, after_excess, end = seps
+    fields = []
+    for heads, excesses, ratios in columns:
+        fields += (repeat(lead), ells)
+        if _same(heads) and _same(excesses) and _same(ratios):
+            fields.append(repeat(heads[0] + after_head + excesses[0] + after_excess + ratios[0] + end))
+        else:
+            fields += (heads, repeat(after_head), excesses, repeat(after_excess), ratios, repeat(end))
+    return "".join(chain.from_iterable(zip(*fields)))
 
 
 def render_csv(rows: _TableRows) -> str:
@@ -283,9 +310,9 @@ def _csv_chunks(rows: _TableRows):
     """render_csv's text: the header line, then one chunk per n."""
     # no field needs quoting: digits, signs, '.', 'e', '+' and variant names
     yield CSV_HEADER + "\n"
-    for n, ells, columns in _text_blocks(rows, "{},{},{}".format):
-        yield "".join([f"{n},{ell},{heads[i]},{excesses[i]},{ratios[i]}\n"
-                       for i, ell in enumerate(ells) for heads, excesses, ratios in columns])
+    ells = [f"{ell}," for ell in rows.ells]
+    for n, columns in _text_blocks(rows, "{},{},{}".format):
+        yield _block_text(f"{n},", ells, columns, (",", ",", "\n"))
 
 
 def _json_head(alpha: str, variant: str, log10_b: str) -> str:
@@ -301,12 +328,12 @@ def _json_chunks(rows: _TableRows, meta: dict | None):
     # emitted by hand: ratio literals like 1.23456789012e+4000 must land
     # in the stream as bare numbers, which json.dumps cannot produce
     yield '{\n  "rows": [\n'
-    lead = "    "  # the first row follows the bracket, every later one a comma
-    for n, ells, columns in _text_blocks(rows, _json_head):
-        yield lead + ",\n    ".join([f'{{"n": {n}, "ell": {ell}, {heads[i]}, '
-                                      f'"log10_excess": {excesses[i]}, "ratio_vs_cly": {ratios[i]}}}'
-                                      for i, ell in enumerate(ells) for heads, excesses, ratios in columns])
-        lead = ",\n    "
+    ells = [f"{ell}, " for ell in rows.ells]
+    seps = ', "log10_excess": ', ', "ratio_vs_cly": ', "}"
+    skip = len(",\n")  # each row opens with the separator, which the table's first row drops
+    for n, columns in _text_blocks(rows, _json_head):
+        yield _block_text(f',\n    {{"n": {n}, "ell": ', ells, columns, seps)[skip:]
+        skip = 0
     tail = "\n  ]"
     if meta:
         pairs = ", ".join(f'"{k}": "{meta[k]}"' for k in sorted(meta))
@@ -323,7 +350,8 @@ def render_pretty(rows: _TableRows) -> str:
     """
     header = CSV_HEADER.split(",")
     cells = [header]
-    for n, ells, columns in _text_blocks(rows, lambda *head: head):
+    ells = [str(ell) for ell in rows.ells]
+    for n, columns in _text_blocks(rows, lambda *head: head):
         for i, ell in enumerate(ells):
             for heads, excesses, ratios in columns:
                 cells.append((n, ell, *heads[i], excesses[i], ratios[i]))

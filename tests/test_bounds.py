@@ -582,6 +582,34 @@ class TestColumnsMatchThePerPointFormulas:
         assert caught == [2, 3]
 
 
+class TestRepeatedKernel:
+    """At a fixed alpha the column pass gets one kernel repeated, and reads each of its values once."""
+
+    @staticmethod
+    def hexes(columns) -> list:
+        return [[list(map(float.hex, column)) for column in variant] for variant in columns]
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 30, 164, 165])
+    def test_one_kernel_repeated_gives_the_columns_of_equal_kernels(self, n):
+        ells = range(1, 101)
+        cols = _EllColumns(ells, [Tuning(1.43)] * len(ells))
+        repeated, separate = [BoundKernel(n, 1.43)] * len(ells), [BoundKernel(n, 1.43) for _ in ells]
+        variants = tuple(GapVariant)
+        assert self.hexes(_bound_columns(repeated, cols, variants)) == \
+            self.hexes(_bound_columns(separate, cols, variants))
+        bumps = [_case1_bumps(n, kernels, ells, cols.log_numerators[1]) for kernels in (repeated, separate)]
+        repeated_bumps, separate_bumps = (b if b is None else list(map(float.hex, b)) for b in bumps)
+        assert repeated_bumps == separate_bumps
+
+    def test_a_kernel_at_both_ends_is_not_taken_for_one_repeated(self):
+        # every item is compared, not the ends
+        kernel = BoundKernel(30, 1.43)
+        kernels = [kernel] * 7
+        kernels[3] = BoundKernel(30, 1.5)
+        read = bounds._kernel_columns(kernels, bounds._ALPHA, bounds._ANC, bounds._LOG_B)
+        assert read == [[k.tuning.alpha for k in kernels], [k.anc for k in kernels], [k.log_b for k in kernels]]
+
+
 class TestCase1Screen:
     """_case1_bumps runs the THM2_CASE1 bump pass only at the n where a bump could reach a bit."""
 

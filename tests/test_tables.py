@@ -32,7 +32,9 @@ TOP_ELL = 2**1023 - 2**969 - 1
 
 # sha256 of `volgap table ... --out FILE`, recorded before the gap tables
 # were built from the per-dimension bound kernel (the auto table's before
-# the blocks kept natural logs); any byte of drift fails.
+# the blocks kept natural logs, the auto pretty and one-variant auto
+# tables' before each block was joined from line texts); any byte of
+# drift fails.
 PINNED = [
     (("--alpha", "1.43", "--n-range", "2:30", "--l-range", "1:30"), "csv",
      "134b0b06aca671c0023202a46d74866321df19b7746a6e6e11113eef20a23e37"),
@@ -52,6 +54,12 @@ PINNED = [
      "d019254e90b92fa370a07653bdecea2a38fe03ac5bbfaed07d50b65a816fce45"),
     (("--alpha", "auto", "--n-range", "2:165", "--l-range", "1:30"), "json",
      "fc32a97e30f7cfdd37be97f004d5bfda5f6b2ba1ac638a4df0659cf3bcfbafc6"),
+    (("--alpha", "auto", "--n-range", "2:30", "--l-range", "1:30"), "pretty",
+     "b5a3c6b8199aad9aa7f9bda0cc1adfe83e8569ad9a576ca8140170e3dcb22685"),
+    (("--alpha", "auto", "--variant", "thm2_case2"), "csv",
+     "7f4f04524d08f0f5192da8818b002a0110774bf28a1d7bfab3c0bbf2c40d8cb8"),
+    (("--alpha", "auto", "--variant", "thm2_case2"), "json",
+     "3a6782d2fe81eb55f93f6dd044d6eae47d3d5b242615cd5a4601b78edd7ac2c1"),
 ]
 
 
@@ -317,7 +325,7 @@ class _FrozenClock(datetime.datetime):
 
 
 class TestRendering:
-    """The renderers memoise formatted values; their bytes must not move."""
+    """The renderers format each column once and join each block from line texts; their bytes must not move."""
 
     @pytest.mark.parametrize("with_meta", [False, True], ids=["plain", "meta"])
     @pytest.mark.parametrize("fmt", ["csv", "json", "pretty"])
@@ -381,6 +389,35 @@ class TestRendering:
         # is formatted again; on this grid that happens almost never
         assert len(calls) <= len(distinct) * 101 // 100
         assert set(calls) == distinct
+
+    def test_shared_alpha_and_log_b_columns_are_formatted_once_per_block(self, monkeypatch):
+        # at auto the tuned variants share one alpha and one log B column
+        # per n, whose values differ at each ell; each is formatted once
+        # per block, not once per variant
+        table = build_gap_table(range(2, 9), range(1, 31), "auto")
+        calls, sig = collections.Counter(), tables._sig
+
+        def counting(value):
+            calls[value] += 1
+            return sig(value)
+
+        monkeypatch.setattr(tables, "_sig", counting)
+        render_csv(table)
+        blocks = collections.Counter()  # each alpha and log10 B value -> the blocks it is in
+        for _, columns in table.blocks:
+            blocks.update({x for _, alphas, log_bs, _, _ in columns
+                           for x in (*alphas, *(log_b / math.log(10.0) for log_b in log_bs))})
+        assert len(blocks) > 7 * 60
+        assert all(1 <= calls[x] <= k for x, k in blocks.items())
+
+    @pytest.mark.parametrize("alpha", [1.43, "auto"])
+    @pytest.mark.parametrize("ns", [[2], [165], [2, 165], [165, 2]], ids=["2", "165", "2,165", "165,2"])
+    def test_the_first_block_leads_like_the_reference(self, alpha, ns):
+        # one n, and a first block whose lines vary (n = 2) or hold one text each (n = 165)
+        rows = build_gap_table(ns, range(1, 8), alpha)
+        want = reference_table(ns, range(1, 8), alpha, None)
+        for fmt, render in [("csv", render_csv), ("json", render_json), ("pretty", render_pretty)]:
+            assert first_difference(render(rows), reference_text(want, fmt, None)) is None, fmt
 
     @pytest.mark.parametrize("n_values, ell_values", [
         ([], [1, 2]), ([2, 3], []), ((), ()), (range(2, 2), range(1, 31)), (range(2, 31), range(1, 1)),
@@ -467,6 +504,21 @@ class TestNaturalLogBlocks:
         lists[column][where] = self.ODD[column]
         table = tables._TableRows(range(1, 8), [(40, [("THM1", *lists)])])
         assert self.rendered_like_the_reference(table)
+
+    @pytest.mark.parametrize("where", [0, 3, 6])
+    @pytest.mark.parametrize("column", range(4), ids=["alpha", "log_B", "log_excess", "log_ratio"])
+    @pytest.mark.parametrize("first", ["constant", "varying"])
+    def test_a_block_of_constant_varying_and_shared_variants(self, column, where, first):
+        # one variant's line holds one text, one differs at a single ell,
+        # and one shares the first's column objects, as THM2_CASE1 does THM1's
+        constant = [[x] * 7 for x in self.BASE]
+        varying = [[x] * 7 for x in self.BASE]
+        varying[column][where] = self.ODD[column]
+        variants = [("THM1", *constant), ("THM2_CASE2", *varying), ("THM2_CASE1", *constant)]
+        if first == "varying":
+            variants.insert(0, variants.pop(1))
+        for blocks in ([(40, variants)], [(40, variants), (41, variants[::-1])]):
+            assert self.rendered_like_the_reference(tables._TableRows(range(1, 8), blocks))
 
     def test_a_column_of_zero_and_nonzero_logs(self):
         # a log ratio of 0 (or -0) renders as "1", a log excess of 0 as "0"
