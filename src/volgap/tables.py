@@ -31,27 +31,30 @@ All three renderers read a built table through one helper, _text_blocks,
 which turns each block's columns into columns of text: each alpha, log
 B, excess and ratio column once per block, so variants that share a
 column share its text, and each value about once per distinct value,
-through bounded memos; a variant's heads (alpha,variant,log10_B) are
-built from its alpha and log B texts.  Values repeat a lot: alpha and
-log B take one value per n and variant at a fixed alpha, and from about
-n = 20 on the ell terms vanish into log B at double precision, so
-excesses and ratios repeat across ell too (the 65,600 rows of 2:165 x
-1:100 at alpha 1.43 hold 3,858 distinct excesses and 2,656 distinct
-ratios, and 904 of their 990 columns hold one value).  The CSV and JSON
-renderers then write each block as one C-level join over line texts
-(_block_text): the ells' texts once per table, and per variant one row
-tail, formed once, where its head, excess and ratio columns each hold
-one text, or else those columns' texts as they are; no row has code or
-a string of its own.  They yield one chunk of text per n (_csv_chunks,
-_json_chunks), which the CLI writes as it comes, so their memory
-follows the table and not its text; render_csv and render_json join
-those chunks.
+through bounded memos.  Values repeat a lot: alpha and log B take one
+value per n and variant at a fixed alpha, and from about n = 20 on the
+ell terms vanish into log B at double precision, so excesses and ratios
+repeat across ell too (the 65,600 rows of 2:165 x 1:100 at alpha 1.43
+hold 3,858 distinct excesses and 2,656 distinct ratios, and 904 of their
+990 columns hold one value).  Each renderer names its row as a lead,
+the separators before each field (the variant name sits in the one
+before log B) and an end, and lays out every block with _block_text, one
+C-level join: each run of texts that hold one value over the block is
+formed once and repeated, and the other columns' texts go in as they
+are; no row has code or a string of its own.  The CSV and JSON
+renderers yield one chunk of text per n (_csv_chunks, _json_chunks),
+which the CLI writes as it comes, so their memory follows the table and
+not its text; render_csv and render_json join those chunks.
+render_pretty pads its columns to widths that need every block's text,
+so it holds them all.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from itertools import chain, repeat
+from operator import methodcaller
 from typing import NamedTuple
 
 from .bounds import (
@@ -209,96 +212,76 @@ class _TableRows:
                                       ratios[i] / _LN10)
 
 
-class _Formatted(dict):
-    """value -> its text, formatting each distinct value once.
-
-    column(xs) is the texts of a whole column of values: one lookup, its
-    text repeated, where xs holds one value.  Each variant that shares xs
-    (_block) shares its texts, kept by id for one block, which holds xs
-    alive.  next_block drops those and empties the memo once it holds
-    SIZE entries; the walker calls it between blocks.  Tables repeat
-    values within one n and seldom across n, so the bound loses almost
-    no hits, and a grid of mostly distinct values (small n, many ell)
-    does not keep every cell's text alive until the render ends.
-    """
-
-    SIZE = 1024
-
-    def __init__(self, fmt) -> None:
-        super().__init__()
-        self.fmt, self.columns = fmt, {}
-
-    def __missing__(self, value):
-        text = self[value] = self.fmt(value)
-        return text
-
-    def column(self, xs) -> list:
-        texts = self.columns.get(id(xs))
-        if texts is None:
-            texts = [self[xs[0]]] * len(xs) if _same(xs) else list(map(self.__getitem__, xs))
-            self.columns[id(xs)] = texts
-        return texts
-
-    def next_block(self) -> None:
-        self.columns.clear()
-        if len(self) >= self.SIZE:
-            self.clear()
-
-
 def _same(xs) -> bool:
     """Whether every item of xs equals the first; every item is compared, not the ends."""
     return xs.count(xs[0]) == len(xs)
 
 
-def _text_blocks(table: _TableRows, head):
-    """Each block of table as text: (n, per variant (heads, excesses, ratios)).
+def _texts(done: dict, fmt, xs) -> list:
+    """fmt over a column xs: one call, its text repeated, where xs holds one value.
 
-    head(alpha, variant, log10_B), given their texts, is a renderer's
-    text for those three fields.  Each alpha, log B, excess and ratio
-    column is formatted once per block (_Formatted.column), so variants
-    that share a column (_block) share its text, and each value about
-    once, through bounded memos keyed by the natural logs, which divide
-    by ln 10 on a miss, as a GapTableRow does (see the module docstring
-    for why values repeat).  A variant's heads are built from its alpha
-    and log B texts: one head, repeated, where both hold one text.  The
-    classical log ratio 0.0 needs no special case: it renders as "1",
-    and so does -0.0, which is the same key.
+    done keeps each column's texts by id for one block, which holds the
+    column alive, so the variants that share a column (_block) share its
+    texts; a column list has one role, so its id names one format.
     """
-    alphas = _Formatted(_sig)
-    sigs = _Formatted(lambda log: _sig(log / _LN10))
-    ratios = _Formatted(lambda log: format_from_log10(log / _LN10))
-    memos = (alphas, sigs, ratios)
+    texts = done.get(id(xs))
+    if texts is None:
+        texts = done[id(xs)] = [fmt(xs[0])] * len(xs) if _same(xs) else list(map(fmt, xs))
+    return texts
+
+
+def _text_blocks(table: _TableRows):
+    """Each block of table as text: (n, per variant (name, alphas, log10_Bs, excesses, ratios)).
+
+    Each alpha, log B, excess and ratio column is formatted once per
+    block (_texts), so variants that share a column share its text, and
+    each value about once, through memos keyed by the natural logs, which
+    divide by ln 10 on a miss, as a GapTableRow does (see the module
+    docstring for why values repeat).  The memos are built per call, so
+    they read _sig as it is then.  The classical log ratio 0.0 needs no
+    special case: it renders as "1", and so does -0.0, which is the same
+    key.
+    """
+    # bounded: tables repeat values within one n and seldom across n, so
+    # the bound loses almost no hits, and a grid of mostly distinct values
+    # (small n, many ell) does not keep every cell's text alive until the
+    # render ends.  An entry also holds a link and a key tuple: 1024 per
+    # memo would add 0.4 MB to the peak of a 2:165 x 1:100 render, and 256
+    # still form each of its 2,656 distinct ratios once
+    memo = functools.lru_cache(maxsize=256)
+    alpha, sig = memo(_sig), memo(lambda log: _sig(log / _LN10))
+    ratio = memo(lambda log: format_from_log10(log / _LN10))
     for n, columns in table.blocks:
-        for memo in memos:
-            memo.next_block()
-        block = []
-        for name, alpha_column, log_bs, log_excesses, log_ratios in columns:
-            alpha_texts, b_texts = alphas.column(alpha_column), sigs.column(log_bs)
-            if _same(alpha_texts) and _same(b_texts):
-                heads = [head(alpha_texts[0], name, b_texts[0])] * len(b_texts)
-            else:
-                heads = list(map(head, alpha_texts, repeat(name), b_texts))
-            block.append((heads, sigs.column(log_excesses), ratios.column(log_ratios)))
-        yield str(n), block
+        done = {}
+        yield str(n), [(name, _texts(done, alpha, alphas), _texts(done, sig, log_bs),
+                        _texts(done, sig, excesses), _texts(done, ratio, ratios))
+                       for name, alphas, log_bs, excesses, ratios in columns]
 
 
-def _block_text(lead: str, ells: list, columns, seps) -> str:
-    """One block's rows, ell by ell, variant by variant: lead, the ell's text, then the variant's fields.
+def _block_text(lead: str, ells: list, columns, seps, end: str) -> str:
+    """One block's rows, ell by ell, variant by variant, as one join at C level.
 
-    columns holds per variant (heads, excesses, ratios) (_text_blocks),
-    and seps the texts after a head, an excess and a ratio.  A variant
-    whose three columns each hold one text has one row tail, formed
-    once; any other's texts go into the join as they are.  The block is
-    one join at C level, with no per-row code and no per-row string.
+    A row is lead, the ell's text, then per field of its variant (alpha,
+    log B, excess, ratio) seps(name)'s text before it and its text, then
+    end.  columns holds per variant (name, and those four columns of
+    text) (_text_blocks).  Each run of texts that hold one value over the
+    block (the separators, and every column of one text) is one string,
+    repeated; a column that varies goes into the join as it is.  ells is
+    never folded into a run: it is the one column every row reads, which
+    bounds the join.  No row has code or a string of its own.
     """
-    after_head, after_excess, end = seps
-    fields = []
-    for heads, excesses, ratios in columns:
-        fields += (repeat(lead), ells)
-        if _same(heads) and _same(excesses) and _same(ratios):
-            fields.append(repeat(heads[0] + after_head + excesses[0] + after_excess + ratios[0] + end))
-        else:
-            fields += (heads, repeat(after_head), excesses, repeat(after_excess), ratios, repeat(end))
+    fields, run = [], ""
+    for name, *texts in columns:
+        fields += (repeat(run + lead), ells)
+        run = ""
+        for sep, column in zip(seps(name), texts):
+            if _same(column):
+                run += sep + column[0]
+            else:
+                fields += (repeat(run + sep), column)
+                run = ""
+        run += end
+    fields.append(repeat(run))
     return "".join(chain.from_iterable(zip(*fields)))
 
 
@@ -310,13 +293,9 @@ def _csv_chunks(rows: _TableRows):
     """render_csv's text: the header line, then one chunk per n."""
     # no field needs quoting: digits, signs, '.', 'e', '+' and variant names
     yield CSV_HEADER + "\n"
-    ells = [f"{ell}," for ell in rows.ells]
-    for n, columns in _text_blocks(rows, "{},{},{}".format):
-        yield _block_text(f"{n},", ells, columns, (",", ",", "\n"))
-
-
-def _json_head(alpha: str, variant: str, log10_b: str) -> str:
-    return f'"alpha": {alpha}, "variant": "{variant}", "log10_B": {log10_b}'
+    ells = [str(ell) for ell in rows.ells]
+    for n, columns in _text_blocks(rows):
+        yield _block_text(f"{n},", ells, columns, lambda name: (",", f",{name},", ",", ","), "\n")
 
 
 def render_json(rows: _TableRows, meta: dict | None = None) -> str:
@@ -328,11 +307,14 @@ def _json_chunks(rows: _TableRows, meta: dict | None):
     # emitted by hand: ratio literals like 1.23456789012e+4000 must land
     # in the stream as bare numbers, which json.dumps cannot produce
     yield '{\n  "rows": [\n'
-    ells = [f"{ell}, " for ell in rows.ells]
-    seps = ', "log10_excess": ', ', "ratio_vs_cly": ', "}"
+    ells = [str(ell) for ell in rows.ells]
+
+    def seps(name):
+        return ', "alpha": ', f', "variant": "{name}", "log10_B": ', ', "log10_excess": ', ', "ratio_vs_cly": '
+
     skip = len(",\n")  # each row opens with the separator, which the table's first row drops
-    for n, columns in _text_blocks(rows, _json_head):
-        yield _block_text(f',\n    {{"n": {n}, "ell": ', ells, columns, seps)[skip:]
+    for n, columns in _text_blocks(rows):
+        yield _block_text(f',\n    {{"n": {n}, "ell": ', ells, columns, seps, "}")[skip:]
         skip = 0
     tail = "\n  ]"
     if meta:
@@ -347,17 +329,31 @@ def render_pretty(rows: _TableRows) -> str:
       volume ratio >= 1 + 10^(log10_excess)
 
     which is the readable form once the excess drops below float eps.
+
+    Each column is as wide as its longest text or header, and fields are
+    two spaces apart; the widths need every block's texts first.  Rows
+    are laid out by _block_text, each text column but the last padded to
+    its width (_texts), so no line has trailing spaces.
     """
     header = CSV_HEADER.split(",")
-    cells = [header]
+    blocks = list(_text_blocks(rows))
     ells = [str(ell) for ell in rows.ells]
-    for n, columns in _text_blocks(rows, lambda *head: head):
-        for i, ell in enumerate(ells):
-            for heads, excesses, ratios in columns:
-                cells.append((n, ell, *heads[i], excesses[i], ratios[i]))
-    widths = [max(len(r[i]) for r in cells) for i in range(len(header))]
-    lines = ["  ".join(c.ljust(w) for c, w in zip(r, widths)).rstrip() for r in cells]
-    lines.insert(1, "  ".join("-" * w for w in widths))
-    lines.append("")
-    lines.append("volume ratio >= 1 + 10^(log10_excess) for each row")
-    return "\n".join(lines) + "\n"
+    names, alphas, log_bs, excesses, ratios = zip(*(variant for _, columns in blocks for variant in columns))
+    groups = ([n for n, _ in blocks], ells, chain(*alphas), names, chain(*log_bs), chain(*excesses), chain(*ratios))
+    widths = [max(map(len, chain((head,), texts))) for head, texts in zip(header, groups)]
+    n_pad, ell_pad, alpha_pad, name_pad, b_pad, excess_pad = (methodcaller("ljust", w) for w in widths[:-1])
+
+    def seps(name):
+        return "  ", f"  {name_pad(name)}  ", "  ", "  "
+
+    parts = ["  ".join([*map(str.ljust, header, widths[:-1]), header[-1]]) + "\n",
+             "  ".join("-" * w for w in widths) + "\n"]
+    ells = list(map(ell_pad, ells))
+    for n, columns in blocks:
+        done = {}
+        columns = [(name, _texts(done, alpha_pad, alpha_texts), _texts(done, b_pad, b_texts),
+                    _texts(done, excess_pad, excess_texts), ratio_texts)
+                   for name, alpha_texts, b_texts, excess_texts, ratio_texts in columns]
+        parts.append(_block_text(n_pad(n) + "  ", ells, columns, seps, "\n"))
+    parts.append("\nvolume ratio >= 1 + 10^(log10_excess) for each row\n")
+    return "".join(parts)

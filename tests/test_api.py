@@ -79,6 +79,8 @@ DELETED = [
     ("specials", "erf_series"),
     ("bounds", "_float_ell"),
     ("specials", "_float_dimension"),
+    ("tables", "_Formatted"),
+    ("tables", "_json_head"),
 ]
 
 

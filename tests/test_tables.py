@@ -33,8 +33,9 @@ TOP_ELL = 2**1023 - 2**969 - 1
 # sha256 of `volgap table ... --out FILE`, recorded before the gap tables
 # were built from the per-dimension bound kernel (the auto table's before
 # the blocks kept natural logs, the auto pretty and one-variant auto
-# tables' before each block was joined from line texts); any byte of
-# drift fails.
+# tables' before each block was joined from line texts, the two full-size
+# pretty tables' before pretty rows were laid out by the CSV and JSON
+# row join); any byte of drift fails.
 PINNED = [
     (("--alpha", "1.43", "--n-range", "2:30", "--l-range", "1:30"), "csv",
      "134b0b06aca671c0023202a46d74866321df19b7746a6e6e11113eef20a23e37"),
@@ -60,6 +61,10 @@ PINNED = [
      "7f4f04524d08f0f5192da8818b002a0110774bf28a1d7bfab3c0bbf2c40d8cb8"),
     (("--alpha", "auto", "--variant", "thm2_case2"), "json",
      "3a6782d2fe81eb55f93f6dd044d6eae47d3d5b242615cd5a4601b78edd7ac2c1"),
+    (("--alpha", "1.43", "--n-range", "2:165", "--l-range", "1:100"), "pretty",
+     "27974aa043d5de0a2913304cbd473a0b5c8a07a603c6db4bad620b3495c3dd40"),
+    (("--alpha", "auto", "--n-range", "2:165", "--l-range", "1:30"), "pretty",
+     "69cd2740689ea414c5c20ffc81d18b35650899a0941f5f8c8c91c5f12ef80a08"),
 ]
 
 
