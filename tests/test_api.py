@@ -175,3 +175,16 @@ def test_only_bounds_spells_the_classical_tuning():
     tree = ast.parse((SRC / "tables.py").read_text())
     assert [node.lineno for node in ast.walk(tree)
             if isinstance(node, ast.Constant) and type(node.value) is float and node.value == 2.0] == []
+
+
+def test_no_test_sets_the_global_mpmath_precision():
+    # a precision assigned to mp.dps outlives its test and sets that of
+    # every test that runs after it; mpmath.workdps holds it for one block
+    assigned = []
+    for path in sorted((ROOT / "tests").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target] if isinstance(node, (ast.AugAssign, ast.AnnAssign)) else [])
+            assigned += [f"{path.name}:{node.lineno}" for target in targets
+                         if isinstance(target, ast.Attribute) and target.attr in ("dps", "prec")]
+    assert assigned == []

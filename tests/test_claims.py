@@ -334,9 +334,12 @@ def test_first_bad_names_the_first_failing_point(monkeypatch):
 @pytest.mark.parametrize("ell", [10**16, 10**300], ids=["1e16", "1e300"])
 def test_case2_order_holds_at_huge_ell(ell):
     # the margin is about 1 / (2 alpha ell); a difference of two logs rounded it to 0
-    v = run_claim("GAP_ORDER_THM2_THM1", SuiteConfig(ell_min=ell, ell_max=ell + 1))
+    config = SuiteConfig(ell_min=ell, ell_max=ell + 1)
+    v = run_claim("GAP_ORDER_THM2_THM1", config)
     assert v.status == "PASS"
     assert 0.0 < v.witnesses["min_case2_log_margin"] < 1.0 / ell
+    # and so does every other claim, as `volgap verify --l-range` reports it
+    assert [v.status for v in run_claim_suite(config)] == ["PASS"] * 19
 
 
 # ------------------------------------ claims decided at the ends of ell

@@ -54,6 +54,14 @@ class TestExitCodes:
         assert all(c["witnesses"] == {} and "capped at 164" in c["grid_note"] for c in errors)
         for claim in payload["claims"]:
             assert all(v is not None for v in claim["witnesses"].values()), claim["claim_id"]
+        # as text: LEM3 errors among the seven, and LEML, which reads no grid, passes
+        code, out = run(capsys, "verify", "--n-range", "165:170")
+        assert code == 1
+        errors = [line for line in out.splitlines() if line.startswith("ERROR ")]
+        assert len(errors) == 7
+        assert all("[empty grid; n capped at 164: " in line for line in errors)
+        assert any(line.startswith("ERROR LEM3_TRACE_BOUND ") for line in errors)
+        assert any(line.startswith("PASS  LEML_GPRIME_NEG ") for line in out.splitlines())
 
     @pytest.mark.parametrize("n_range, omitted", [
         ("3:10", ("ALPHA_STAR_BRACKET", "gamma_2")),
@@ -348,9 +356,13 @@ class TestGridErrorContract:
         assert run(capsys, *argv, "thm1") == (0, case1.replace("THM2_CASE1", "THM1"))
 
     def test_classical_rows_ignore_the_tuned_alpha(self, capsys):
-        code, out = run(capsys, "table", "--alpha", "0.5", "--variant", "cly")
-        assert code == 0
-        assert len(out.splitlines()) == 1 + 7 * 4
+        # each prints the classical alpha = 2, even where alpha ell - 1 would overflow
+        for alpha in ("0.5", "1e308"):
+            code, out = run(capsys, "table", "--alpha", alpha, "--variant", "cly")
+            assert code == 0
+            rows = out.splitlines()[1:]
+            assert len(rows) == 7 * 4
+            assert {tuple(row.split(",")[2:4]) for row in rows} == {("2", "CLY")}
 
     def test_gap_auto_exits_zero_past_the_collapse(self, capsys):
         # from n = 17 on 1/ell + u rounds to 1/ell; the exact pair (ell, u)
@@ -442,6 +454,7 @@ class TestGridErrorContract:
         first = n_range.split(":")[0]
         note = f"[empty grid; no dimension fits: n C_n exceeds float range from n={first}]"
         assert all(line.endswith(note) for line in errors)
+        assert "capped at" not in out  # the n below the grid does not fit either
 
     def test_huge_ell_max_errors_the_grid_claims_naming_ell_and_n(self, capsys):
         code, out = run(capsys, "verify", "--l-range", f"1:{2 * 10**308}", "--json")
@@ -467,7 +480,7 @@ class TestGridErrorContract:
             for claim_id in ("GAP_ORDER_THM1_CLY", "GAP_ORDER_THM2_THM1", "THM6_CONSISTENCY")
         }
 
-    @pytest.mark.parametrize("ell_max", [10**30, 2**63 - 1], ids=["1e30", "2^63-1"])
+    @pytest.mark.parametrize("ell_max", [10**6, 10**30, 2**63 - 1], ids=["1e6", "1e30", "2^63-1"])
     def test_an_ell_range_too_long_to_list_passes_on_a_sample(self, capsys, ell_max):
         # THM6 once listed every ell: 10^30 exited 1 on an OverflowError, 2^63 - 1 on a MemoryError
         assert main(["verify", "--l-range", f"1:{ell_max}"]) == 0
@@ -499,11 +512,13 @@ EVERY_COMMAND = [
     ("optimize-alpha", "--n", "2"),
     ("trace", "--n", "2", "--t", "1"),
 ]
-# each command in every output form it has, and a verify run that fails
+# each command in every output form it has, a verify run that fails, and
+# the JSON table of the default grid
 OUT_FORMS = [
     *(argv + form for argv in EVERY_COMMAND if argv[0] != "table" for form in ((), ("--json",))),
     *(EVERY_COMMAND[1] + ("--format", fmt) for fmt in ("csv", "json", "pretty")),
     EVERY_COMMAND[0] + ("--cn-scale", "1.001"),
+    ("table", "--format", "json"),
 ]
 
 
@@ -514,6 +529,9 @@ class TestOutFile:
         target = tmp_path / "out.txt"
         assert run(capsys, *argv, "--out", str(target)) == (code, "")
         assert target.read_bytes() == out.encode("utf-8")
+        if "--json" in argv or "json" in argv:
+            payload = json.loads(target.read_bytes())
+            assert payload and (argv[0] != "table" or payload["rows"])
 
     @pytest.mark.parametrize("argv", EVERY_COMMAND, ids=lambda argv: argv[0])
     @pytest.mark.parametrize("where", ["missing directory", "directory"])
@@ -574,7 +592,7 @@ class TestStreamedTable:
             proc.stdout.close()
             err = proc.stderr.read()
             code = proc.wait(timeout=60)
-        assert head.startswith(CSV_HEADER.encode() + b"\n2,1,")
+        assert len(head) == 100 and head.startswith(CSV_HEADER.encode() + b"\n2,1,")
         assert (code, err) == (0, b"")
 
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
@@ -762,14 +780,13 @@ class TestSingleShotCommands:
     @pytest.mark.parametrize("argv", [
         ("--n", "300", "--t", "4e-5"),  # the sum overflows, no single term does
         ("--n", "250", "--t", "1.6e-5"),  # one term overflows on its own
+        ("--n", "300", "--t", "3.98e-5"),  # the same, at a t of three digits
     ])
     @pytest.mark.parametrize("fmt", [(), ("--json",)], ids=["text", "json"])
     def test_trace_overflow_is_a_one_line_error(self, capsys, argv, fmt):
         assert main(["trace", *argv, *fmt]) == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith("error: heat trace exceeds the double range at n=")
-        assert captured.err.count("\n") == 1
+        n, t = argv[1], float(argv[3])
+        assert capsys.readouterr() == ("", f"error: heat trace exceeds the double range at n={n}, t={t!r}\n")
 
     @pytest.mark.parametrize("argv, message", [
         (("--n", "1", "--t", "1"), "dimension must be at least 2, got 1"),
@@ -790,6 +807,7 @@ class TestSingleShotCommands:
         payload = json.loads(out)
         assert payload["value"] == pytest.approx(1e7 + 1.0 / 3.0, rel=1e-13)
         assert payload["tail_bound"] <= 1e-14 * payload["value"]
+        assert payload["levels_used"] == 18151
 
     def test_constants(self, capsys):
         code, out = run(capsys, "constants", "--n-range", "2:6", "--json")

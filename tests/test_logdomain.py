@@ -121,23 +121,23 @@ class TestAddSub:
 
     def test_near_cancellation_two_branch(self):
         # differences spanning both expm1/log1p branches, against mpmath
-        mpmath.mp.dps = 60
-        rng = random.Random(11)
-        for _ in range(300):
-            base = rng.uniform(-600.0, 600.0)
-            delta = 10.0 ** rng.uniform(-14.0, 2.0)
-            upper = base + delta
-            if upper == base:  # delta below the ulp of base: exact tie
-                continue
-            a = LogScalar(1, upper)
-            b = LogScalar(-1, base)
-            got = log_add(a, b)
-            oracle = mpmath.exp(mpmath.mpf(upper)) - mpmath.exp(mpmath.mpf(base))
-            assert got.sign == 1
-            want_log = float(mpmath.log(oracle))
-            assert ulps_apart(got.log_mag, want_log) <= 4.0 or (
-                abs(got.log_mag - want_log) < 1e-13
-            )
+        with mpmath.workdps(60):
+            rng = random.Random(11)
+            for _ in range(300):
+                base = rng.uniform(-600.0, 600.0)
+                delta = 10.0 ** rng.uniform(-14.0, 2.0)
+                upper = base + delta
+                if upper == base:  # delta below the ulp of base: exact tie
+                    continue
+                a = LogScalar(1, upper)
+                b = LogScalar(-1, base)
+                got = log_add(a, b)
+                oracle = mpmath.exp(mpmath.mpf(upper)) - mpmath.exp(mpmath.mpf(base))
+                assert got.sign == 1
+                want_log = float(mpmath.log(oracle))
+                assert ulps_apart(got.log_mag, want_log) <= 4.0 or (
+                    abs(got.log_mag - want_log) < 1e-13
+                )
 
     def test_add_zero_identity(self):
         x = LogScalar(-1, 1234.5)

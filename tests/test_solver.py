@@ -165,10 +165,10 @@ class TestGammaN:
         assert r.value == 1.0  # collapsing is the expected float behaviour
 
     def test_mpmath_root_oracle(self):
-        mpmath.mp.dps = 50
-        for n in (2, 3, 4, 6, 10):
-            want = float(mp_excess_root(n, 1))
-            assert gamma_n(n).root == pytest.approx(want, rel=1e-11)
+        with mpmath.workdps(50):
+            for n in (2, 3, 4, 6, 10):
+                want = float(mp_excess_root(n, 1))
+                assert gamma_n(n).root == pytest.approx(want, rel=1e-11)
 
     def test_residuals_small_across_dimensions(self):
         for n in range(2, 41):
@@ -209,22 +209,22 @@ class TestOptimalAlpha:
         assert r.value * 2 > 1.0  # still a positive numerator
 
     def test_mpmath_oracle_higher_codimension(self):
-        mpmath.mp.dps = 50
-        for n, ell in ((2, 2), (3, 5), (5, 2)):
-            want = float(mp_excess_root(n, ell))
-            assert optimal_alpha(n, ell).root == pytest.approx(want, rel=1e-11)
+        with mpmath.workdps(50):
+            for n, ell in ((2, 2), (3, 5), (5, 2)):
+                want = float(mp_excess_root(n, ell))
+                assert optimal_alpha(n, ell).root == pytest.approx(want, rel=1e-11)
 
     def test_defining_equation_mp_residual(self):
         # plug the float root into the rearranged equation at 50 digits;
         # the residual should reflect only the root's own precision
-        mpmath.mp.dps = 50
-        for n, ell in ((2, 1), (4, 1), (8, 3), (30, 1)):
-            u = mpmath.mpf(optimal_alpha(n, ell).root)
-            ncn = mp_ncn(n)
-            alpha = mpmath.mpf(1) / ell + u
-            lhs = u * (1 + ell * u) * ncn
-            rhs = 1 + (n + 1 + ell) * mpmath.e ** (-alpha * ncn)
-            assert abs(lhs - rhs) / rhs < 1e-11
+        with mpmath.workdps(50):
+            for n, ell in ((2, 1), (4, 1), (8, 3), (30, 1)):
+                u = mpmath.mpf(optimal_alpha(n, ell).root)
+                ncn = mp_ncn(n)
+                alpha = mpmath.mpf(1) / ell + u
+                lhs = u * (1 + ell * u) * ncn
+                rhs = 1 + (n + 1 + ell) * mpmath.e ** (-alpha * ncn)
+                assert abs(lhs - rhs) / rhs < 1e-11
 
     def test_iteration_budget(self):
         # Newton steps: ten objective evaluations less the root's own
@@ -297,11 +297,11 @@ class TestNewtonBudget:
             assert (r.bracket_hi - r.bracket_lo) / r.root < 1e-12
 
     def test_root_is_closer_than_tol_to_the_oracle(self):
-        mpmath.mp.dps = 50
-        for n, ell in ((2, 1), (3, 2), (5, 10**12)):
-            want = mp_excess_root(n, ell)
-            r = optimal_alpha(n, ell)
-            assert abs(r.root - want) / want <= 0.25e-12
+        with mpmath.workdps(50):
+            for n, ell in ((2, 1), (3, 2), (5, 10**12)):
+                want = mp_excess_root(n, ell)
+                r = optimal_alpha(n, ell)
+                assert abs(r.root - want) / want <= 0.25e-12
 
 
 class TestObjective:

@@ -172,28 +172,28 @@ class TestClyConstant:
         assert cly_constant(8) == 32768.0
 
     def test_mpmath_oracle(self):
-        mpmath.mp.dps = 40
-        for n in range(2, 40):
-            oracle = (
-                mpmath.mpf(n) ** (mpmath.mpf(n) / 2)
-                * mpmath.e
-                * mpmath.gammainc(mpmath.mpf(n) / 2, 1, mpmath.inf)
-                / 2
-            )
-            assert cly_constant(n) == pytest.approx(float(oracle), rel=1e-13)
+        with mpmath.workdps(40):
+            for n in range(2, 40):
+                oracle = (
+                    mpmath.mpf(n) ** (mpmath.mpf(n) / 2)
+                    * mpmath.e
+                    * mpmath.gammainc(mpmath.mpf(n) / 2, 1, mpmath.inf)
+                    / 2
+                )
+                assert cly_constant(n) == pytest.approx(float(oracle), rel=1e-13)
 
     def test_log_form_against_mpmath(self):
-        mpmath.mp.dps = 50
-        for n in (2, 3, 10, 50, 200, 400):
-            oracle = (
-                mpmath.mpf(n) / 2 * mpmath.log(n)
-                + 1
-                + mpmath.log(mpmath.gammainc(mpmath.mpf(n) / 2, 1, mpmath.inf))
-                - mpmath.log(2)
-            )
-            got = cly_constant_log(n)
-            assert type(got) is float
-            assert got == pytest.approx(float(oracle), rel=1e-14)
+        with mpmath.workdps(50):
+            for n in (2, 3, 10, 50, 200, 400):
+                oracle = (
+                    mpmath.mpf(n) / 2 * mpmath.log(n)
+                    + 1
+                    + mpmath.log(mpmath.gammainc(mpmath.mpf(n) / 2, 1, mpmath.inf))
+                    - mpmath.log(2)
+                )
+                got = cly_constant_log(n)
+                assert type(got) is float
+                assert got == pytest.approx(float(oracle), rel=1e-14)
 
     def test_monotone_increasing(self):
         logs = [cly_constant_log(n) for n in range(2, 120)]

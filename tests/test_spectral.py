@@ -33,18 +33,18 @@ def classical_multiplicity(n: int, k: int) -> int:
 
 def mp_trace(n: int, t: float, dps: int = 40, start: int = 0) -> mpmath.mpf:
     # sum over the levels k >= start; start > 0 gives an omitted tail
-    mpmath.mp.dps = dps
-    total = mpmath.mpf(0)
-    k = start
-    cutoff = mpmath.mpf(10) ** (-dps)
-    while True:
-        lam = k * (k + n - 1)
-        mult = comb(n + k, n) - (comb(n + k - 2, n) if k >= 2 else 0)
-        term = mult * mpmath.e ** (-lam * mpmath.mpf(t))
-        total += term
-        if k >= start + 2 and term < cutoff * total:
-            return total
-        k += 1
+    with mpmath.workdps(dps):
+        total = mpmath.mpf(0)
+        k = start
+        cutoff = mpmath.mpf(10) ** (-dps)
+        while True:
+            lam = k * (k + n - 1)
+            mult = comb(n + k, n) - (comb(n + k - 2, n) if k >= 2 else 0)
+            term = mult * mpmath.e ** (-lam * mpmath.mpf(t))
+            total += term
+            if k >= start + 2 and term < cutoff * total:
+                return total
+            k += 1
 
 
 class TestSphereLevel:

@@ -30,12 +30,12 @@ GOLDEN = Path(__file__).resolve().parent.parent / "perfbench" / "golden.json"
 # double range, and n + 2 ell, at any n >= 2, rounds past it
 TOP_ELL = 2**1023 - 2**969 - 1
 
-# sha256 of `volgap table ... --out FILE`, recorded before the gap tables
-# were built from the per-dimension bound kernel (the auto table's before
-# the blocks kept natural logs, the auto pretty and one-variant auto
-# tables' before each block was joined from line texts, the two full-size
-# pretty tables' before pretty rows were laid out by the CSV and JSON
-# row join); any byte of drift fails.
+# sha256 of `volgap table ...`, to --out and to stdout, recorded before
+# the gap tables were built from the per-dimension bound kernel (the auto
+# table's before the blocks kept natural logs, the auto pretty and
+# one-variant auto tables' before each block was joined from line texts,
+# the two full-size pretty tables' before pretty rows were laid out by the
+# CSV and JSON row join); any byte of drift fails.
 PINNED = [
     (("--alpha", "1.43", "--n-range", "2:30", "--l-range", "1:30"), "csv",
      "134b0b06aca671c0023202a46d74866321df19b7746a6e6e11113eef20a23e37"),
@@ -68,14 +68,21 @@ PINNED = [
 ]
 
 
+def written_digests(capsysbinary, tmp_path, argv):
+    """sha256 of what argv writes to --out, then to stdout; each run must exit 0."""
+    target = tmp_path / "table.out"
+    assert main([*argv, "--out", str(target)]) == 0
+    assert main(argv) == 0
+    return (hashlib.sha256(target.read_bytes()).hexdigest(),
+            hashlib.sha256(capsysbinary.readouterr().out).hexdigest())
+
+
 @pytest.mark.parametrize(
     "argv, fmt, digest", PINNED,
     ids=[f"{' '.join(a)} {f}" for a, f, _ in PINNED],
 )
-def test_table_bytes_pinned(tmp_path, argv, fmt, digest):
-    target = tmp_path / f"table.{fmt}"
-    assert main(["table", *argv, "--format", fmt, "--out", str(target)]) == 0
-    assert hashlib.sha256(target.read_bytes()).hexdigest() == digest
+def test_table_bytes_pinned(capsysbinary, tmp_path, argv, fmt, digest):
+    assert written_digests(capsysbinary, tmp_path, ["table", *argv, "--format", fmt]) == (digest, digest)
 
 
 @pytest.mark.parametrize("size, grid", [
@@ -83,13 +90,12 @@ def test_table_bytes_pinned(tmp_path, argv, fmt, digest):
     ("full", ("--n-range", "2:165", "--l-range", "1:100")),
 ])
 @pytest.mark.parametrize("fmt", ["csv", "json"])
-def test_table_bytes_match_the_benchmark_digests(tmp_path, size, grid, fmt):
+def test_table_bytes_match_the_benchmark_digests(capsysbinary, tmp_path, size, grid, fmt):
     # the benchmark's table workload checks these digests; reading them
     # here keeps its 65,600-row tables byte for byte without running it
     digest = json.loads(GOLDEN.read_text(encoding="utf-8"))[f"table_{size}_{fmt}"]
-    target = tmp_path / f"table.{fmt}"
-    assert main(["table", "--alpha", "1.43", *grid, "--format", fmt, "--out", str(target)]) == 0
-    assert hashlib.sha256(target.read_bytes()).hexdigest() == digest
+    argv = ["table", "--alpha", "1.43", *grid, "--format", fmt]
+    assert written_digests(capsysbinary, tmp_path, argv) == (digest, digest)
 
 
 def reference_table(n_values, ell_values, alpha, variants):
@@ -170,12 +176,18 @@ class TestErrorParity:
         ([30], [TOP_ELL], 1.0, ["THM2_CASE1"]),
     ]
 
-    def test_the_top_ell_builds_where_no_bump_is_formed(self):
+    def test_the_top_ell_builds_where_no_bump_is_formed(self, capsys):
         want = outcome(reference_table, [30], [TOP_ELL], 1.0, ["THM1"])
         assert isinstance(want, list) and len(want) == 1
         assert outcome(build_gap_table, [30], [TOP_ELL], 1.0, ["THM1"]) == want
         with pytest.raises(OverflowError, match="^ell leaves the double range at n=30$"):
             build_gap_table([30], [TOP_ELL], 1.0, ["THM2_CASE1"])
+        argv = ["table", "--alpha", "1", "--n-range", "30:30", "--l-range", f"{TOP_ELL}:{TOP_ELL}", "--variant"]
+        assert main([*argv, "thm1"]) == 0
+        (row,) = capsys.readouterr().out.splitlines()[1:]
+        assert row.startswith(f"30,{TOP_ELL},1,THM1,")
+        assert main([*argv, "thm2_case1"]) == 1
+        assert capsys.readouterr() == ("", "error: ell leaves the double range at n=30\n")
 
     @pytest.mark.parametrize("n_values, ell_values, alpha, variants", CASES)
     def test_cases(self, n_values, ell_values, alpha, variants):
