@@ -30,6 +30,7 @@ from volgap.claims import (
 )
 from volgap.specials import cly_constant
 
+import oracle
 import per_point_bounds as per_point
 
 EXPECTED_IDS = [
@@ -575,13 +576,9 @@ class TestEndsPremises:
     @pytest.mark.parametrize("alpha", ALPHAS)
     def test_the_case1_exponent_falls(self, alpha):
         # E = alpha n C_n (1 - (n+4) (n+2 ell)^(2/n) 4^(1/n)), C_n = n^(n/2) e Gamma(n/2, 1) / 2
-        a = mpmath.mpf(alpha)
-        with mpmath.workdps(40):
+        with mpmath.workdps(oracle.DPS):
             for n in self.NS:
-                nc = n * mpmath.mpf(n) ** (mpmath.mpf(n) / 2) * mpmath.e * mpmath.gammainc(mpmath.mpf(n) / 2, 1) / 2
-                growth = (n + 4) * mpmath.root(4, n)
-                values = [a * nc * (1 - growth * mpmath.mpf(n + 2 * ell) ** (mpmath.mpf(2) / n))
-                          for ell in self.ells(alpha)]
+                values = [oracle.exponent(n, ell, alpha) for ell in self.ells(alpha)]
                 assert all(step < 0 for step in self.steps(values)), n
 
 
@@ -596,35 +593,20 @@ class TestTraceBoundPremise:
     NS = [*range(2, 11), 20, 50, 100, 164]
     TS = [1 + mpmath.mpf(j) / 4 for j in range(37)]  # t = 1, 1.25, ..., 10
 
-    @staticmethod
-    def log_rest(n: int, t) -> mpmath.mpf:
-        """log of t sum_(k>=2) m_k e^(-(lambda_k - n) t), summed until a term is below 10^-60 of the sum."""
-        total, k = mpmath.mpf(0), 2
-        while True:
-            m_k = math.comb(n + k, n) - math.comb(n + k - 2, n)
-            term = m_k * mpmath.exp(-(k * (k + n - 1) - n) * t)
-            total += term
-            if term < total * mpmath.mpf(10) ** -60:
-                return mpmath.log(t * total)
-            k += 1
-
-    @staticmethod
-    def log_cn(n: int) -> mpmath.mpf:
-        return mpmath.log(mpmath.mpf(n) ** (mpmath.mpf(n) / 2) * mpmath.e * mpmath.gammainc(mpmath.mpf(n) / 2, 1) / 2)
-
     @pytest.mark.parametrize("n", NS)
     def test_the_rest_falls_in_t_and_lies_below_c_n_at_1(self, n):
-        with mpmath.workdps(40):
-            values = [self.log_rest(n, t) for t in self.TS]
+        # the left side is t e^(nt) times the trace from level 2
+        with mpmath.workdps(oracle.DPS):
+            values = [mpmath.log(t * mpmath.exp(n * t) * oracle.heat_trace(n, t, 2)) for t in self.TS]
             assert all(b < a for a, b in zip(values, values[1:]))
-            assert values[0] < self.log_cn(n)
+            assert values[0] < oracle.log_c(n)
 
     def test_the_worst_margin_matches_mpmath(self):
         # at (2, 1) the float margin trace_bound - heat_trace is e^(-n) (C_n - rest)
         v = run_claim("LEM3_TRACE_BOUND", SMALL)
         assert v.witnesses["at_n"] == 2.0
-        with mpmath.workdps(40):
-            want = mpmath.exp(-2) * (mpmath.exp(self.log_cn(2)) - mpmath.exp(self.log_rest(2, mpmath.mpf(1))))
+        with mpmath.workdps(oracle.DPS):
+            want = mpmath.exp(-2) * oracle.c(2) - oracle.heat_trace(2, 1, 2)
         assert v.witnesses["min_margin"] == pytest.approx(float(want), rel=1e-13)
 
 
@@ -673,7 +655,7 @@ class TestPolynomials:
         # N = n + 1 + (1+B) e^B and D = beta^2 n C_n e^B - 1, and the factors'
         # product is -g' D^2, at c = n C_n and m = n + 1
         with mpmath.workdps(40):
-            c = n * mpmath.mpf(n) ** (mpmath.mpf(n) / 2) * mpmath.e * mpmath.gammainc(mpmath.mpf(n) / 2, 1) / 2
+            c = oracle.nc(n)
             for beta in (mpmath.mpf("0.5"), mpmath.mpf(1), mpmath.mpf(2)):
                 big_b = beta * c
                 assert _at(_G_N, beta, c, n + 1) == pytest.approx(n + 1 + (1 + big_b) * mpmath.exp(big_b), rel=1e-30)
@@ -888,11 +870,6 @@ def test_failed_root_errors_only_the_claims_that_ask_for_it(monkeypatch, bad_n, 
             assert v == expected[v.claim_id]
 
 
-def mp_three_c3() -> mpmath.mpf:
-    # 3 C_3 = 3 * 3^(3/2) e Gamma(3/2, 1) / 2
-    return 3 * mpmath.mpf(3) ** 1.5 * mpmath.e * mpmath.gammainc(mpmath.mpf(1.5), 1, mpmath.inf) / 2
-
-
 class TestClosedFormWitnesses:
     def test_tilde_gamma3_frozen_and_solves_quadratic(self):
         v = run_claim("TILDE_GAMMA3_LT_11")
@@ -903,8 +880,8 @@ class TestClosedFormWitnesses:
         assert c3 * x * x - c3 * x - 1.0 == pytest.approx(0.0, abs=1e-13)
 
     def test_tilde_gamma3_mpmath(self):
-        with mpmath.workdps(40):
-            root = (1 + mpmath.sqrt(1 + 4 / mp_three_c3())) / 2
+        with mpmath.workdps(oracle.DPS):
+            root = (1 + mpmath.sqrt(1 + 4 / oracle.nc(3))) / 2
         assert run_claim("TILDE_GAMMA3_LT_11").witnesses["root"] == pytest.approx(float(root), rel=1e-14)
 
     def test_phi3_frozen_plain_and_mpmath(self):
@@ -913,8 +890,8 @@ class TestClosedFormWitnesses:
         assert v.status == "PASS"
         assert value == pytest.approx(PHI3_AT_13, rel=1e-14)
         assert value == pytest.approx(1.17 * cly_constant(3) - 1.0, rel=1e-14)
-        with mpmath.workdps(40):
-            want = mp_three_c3() * mpmath.mpf("1.3") * mpmath.mpf("0.3") - 1
+        with mpmath.workdps(oracle.DPS):
+            want = oracle.nc(3) * mpmath.mpf("1.3") * mpmath.mpf("0.3") - 1
         assert value == pytest.approx(float(want), rel=1e-14)
 
     def test_psi_decreasing_over_claimed_range(self):

@@ -1,9 +1,8 @@
 """Root solving against independent high-precision oracles.
 
-The tuning roots were frozen from mpmath.findroot runs; those runs are
-repeated here at 50 digits so the pinned decimals stay tied to an
-oracle and not to the implementation under test.  The defining
-equation is verified in its rearranged excess form
+The tuning roots were frozen from mpmath root solves; oracle.root repeats
+them, tying the pinned decimals to an oracle, not to the code under
+test.  The defining equation is verified in its rearranged excess form
 
   u (1 + ell u) n C_n = 1 + (n + 1 + ell) e^(-alpha n C_n)
 
@@ -34,6 +33,8 @@ from volgap.solver import (
 )
 from volgap.specials import cly_constant, nc_product
 
+import oracle
+
 # frozen values, mpmath-oracle verified below
 GAMMA_2 = 1.4298264769460376
 GAMMA_3 = 1.0857019467399787
@@ -45,47 +46,11 @@ H_AT_142 = 0.7000804044382738
 H_AT_144 = -0.7599737935923772
 
 
-def mp_ncn(n: int) -> mpmath.mpf:
-    return n * (
-        mpmath.mpf(n) ** (mpmath.mpf(n) / 2)
-        * mpmath.e
-        * mpmath.gammainc(mpmath.mpf(n) / 2, 1, mpmath.inf)
-        / 2
-    )
-
-
 def g_value(beta: float, n: int) -> float:
     """g(beta) = (n + 1 + (1+B) e^B) / (beta^2 n C_n e^B - 1), B = beta n C_n, in plain floats."""
     ncn = nc_product(n)
     big_b = beta * ncn
     return (n + 1.0 + (1.0 + big_b) * math.exp(big_b)) / (beta * beta * ncn * math.exp(big_b) - 1.0)
-
-
-def mp_g_prime_log_mag(beta: float, n: int) -> mpmath.mpf:
-    """log |g' numerator| = log n C_n + 2B + log(2 beta + beta^2 n C_n)
-    + log(1 + e^-B (B (1 + beta (n+1)) + 2 (beta n + beta + 1)) / (2 beta + beta^2 n C_n))."""
-    with mpmath.workdps(60):
-        ncn = mp_ncn(n)
-        b = mpmath.mpf(beta)
-        big_b = b * ncn
-        poly = 2 * b + b * b * ncn
-        inner = big_b * (1 + b * (n + 1)) + 2 * (b * n + b + 1)
-        return (
-            mpmath.log(ncn) + 2 * big_b + mpmath.log(poly)
-            + mpmath.log1p(mpmath.exp(-big_b) * inner / poly)
-        )
-
-
-def mp_excess_root(n: int, ell: int) -> mpmath.mpf:
-    """Independent root of the rearranged critical equation."""
-    ncn = mp_ncn(n)
-
-    def eq(u):
-        alpha = mpmath.mpf(1) / ell + u
-        return u * (1 + ell * u) * ncn - 1 - (n + 1 + ell) * mpmath.e ** (-alpha * ncn)
-
-    guess = min(mpmath.mpf("0.4"), 1 / ncn)
-    return mpmath.findroot(eq, guess)
 
 
 class TestBisect:
@@ -165,10 +130,8 @@ class TestGammaN:
         assert r.value == 1.0  # collapsing is the expected float behaviour
 
     def test_mpmath_root_oracle(self):
-        with mpmath.workdps(50):
-            for n in (2, 3, 4, 6, 10):
-                want = float(mp_excess_root(n, 1))
-                assert gamma_n(n).root == pytest.approx(want, rel=1e-11)
+        for n in (2, 3, 4, 6, 10):
+            assert gamma_n(n).root == pytest.approx(float(oracle.root(n, 1)), rel=1e-11)
 
     def test_residuals_small_across_dimensions(self):
         for n in range(2, 41):
@@ -209,18 +172,16 @@ class TestOptimalAlpha:
         assert r.value * 2 > 1.0  # still a positive numerator
 
     def test_mpmath_oracle_higher_codimension(self):
-        with mpmath.workdps(50):
-            for n, ell in ((2, 2), (3, 5), (5, 2)):
-                want = float(mp_excess_root(n, ell))
-                assert optimal_alpha(n, ell).root == pytest.approx(want, rel=1e-11)
+        for n, ell in ((2, 2), (3, 5), (5, 2)):
+            assert optimal_alpha(n, ell).root == pytest.approx(float(oracle.root(n, ell)), rel=1e-11)
 
     def test_defining_equation_mp_residual(self):
-        # plug the float root into the rearranged equation at 50 digits;
+        # plug the float root into the rearranged equation at 40 digits;
         # the residual should reflect only the root's own precision
-        with mpmath.workdps(50):
+        with mpmath.workdps(oracle.DPS):
             for n, ell in ((2, 1), (4, 1), (8, 3), (30, 1)):
                 u = mpmath.mpf(optimal_alpha(n, ell).root)
-                ncn = mp_ncn(n)
+                ncn = oracle.nc(n)
                 alpha = mpmath.mpf(1) / ell + u
                 lhs = u * (1 + ell * u) * ncn
                 rhs = 1 + (n + 1 + ell) * mpmath.e ** (-alpha * ncn)
@@ -297,11 +258,10 @@ class TestNewtonBudget:
             assert (r.bracket_hi - r.bracket_lo) / r.root < 1e-12
 
     def test_root_is_closer_than_tol_to_the_oracle(self):
-        with mpmath.workdps(50):
+        with mpmath.workdps(oracle.DPS):
             for n, ell in ((2, 1), (3, 2), (5, 10**12)):
-                want = mp_excess_root(n, ell)
-                r = optimal_alpha(n, ell)
-                assert abs(r.root - want) / want <= 0.25e-12
+                want = oracle.root(n, ell)
+                assert abs(optimal_alpha(n, ell).root - want) / want <= 0.25e-12
 
 
 class TestObjective:
@@ -423,8 +383,7 @@ class TestGFunction:
             for beta in (0.5, 1.0, 3.0):
                 got = _g_prime_numerator(beta, n, nc_product(n))
                 assert got.sign == -1
-                want = mp_g_prime_log_mag(beta, n)
-                assert got.log_mag == pytest.approx(float(want), rel=1e-13)
+                assert got.log_mag == pytest.approx(float(oracle.log_g_prime(n, beta)), rel=1e-13)
 
     def test_sign_scan(self):
         samples = g_prime_sign_scan(2, [0.1, 0.3, 1.0, 2.0])

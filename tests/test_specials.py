@@ -1,7 +1,7 @@
 """Special functions against independent oracles.
 
-The quadrature oracle (scipy) and the arbitrary-precision oracle
-(mpmath) are computed fresh here; the frozen decimal values were
+The quadrature oracle (scipy) is computed fresh here, the
+arbitrary-precision one (mpmath) is oracle.py; the frozen decimal values were
 produced by those oracles and are pinned so a regression cannot hide
 behind a change in the oracle call.
 """
@@ -21,6 +21,8 @@ from volgap.specials import (
     nc_product,
     upper_incomplete_gamma_at_one,
 )
+
+import oracle
 
 # oracle-produced, frozen
 GAMMA_HALF_AT_ONE = 0.2788055852806619  # sqrt(pi) erfc(1)
@@ -54,17 +56,7 @@ class TestHalfOddSeed:
         assert upper_incomplete_gamma_at_one(HalfInteger(1)) == float.fromhex("0x1.1d7f361ae3ec9p-2")
 
     def test_matches_mpmath(self):
-        with mpmath.workdps(40):
-            want = float(mpmath.gammainc(mpmath.mpf(1) / 2, 1, mpmath.inf))
-        assert upper_incomplete_gamma_at_one(HalfInteger(1)) == want
-
-
-def mpmath_log_cn(n: int) -> float:
-    # log C_n = (n/2) log n + 1 + log Gamma(n/2, 1) - log 2, at 50 digits
-    with mpmath.workdps(50):
-        half = mpmath.mpf(n) / 2
-        log_gamma = mpmath.log(mpmath.gammainc(half, 1, mpmath.inf))
-        return float(half * mpmath.log(n) + 1 + log_gamma - mpmath.log(2))
+        assert upper_incomplete_gamma_at_one(HalfInteger(1)) == float(oracle.gamma_at_one(1))
 
 
 class TestHalfInteger:
@@ -150,12 +142,12 @@ class TestUpperGammaAtOne:
     def test_log_path_beyond_float_range(self):
         # Gamma(s, 1) ~ Gamma(s) overflows floats past s ~ 171; C_800
         # needs Gamma(400, 1) in logs
-        assert cly_constant_log(800) == pytest.approx(mpmath_log_cn(800), rel=1e-13)
+        assert cly_constant_log(800) == pytest.approx(float(oracle.log_c(800)), rel=1e-13)
 
     def test_log_path_beyond_float_range_half_odd(self):
         # C_801 needs Gamma(801/2, 1), past the half-odd recurrence's
         # double range, so its log is lgamma(801/2)
-        assert cly_constant_log(801) == pytest.approx(mpmath_log_cn(801), rel=1e-13)
+        assert cly_constant_log(801) == pytest.approx(float(oracle.log_c(801)), rel=1e-13)
 
 
 class TestClyConstant:
@@ -172,28 +164,14 @@ class TestClyConstant:
         assert cly_constant(8) == 32768.0
 
     def test_mpmath_oracle(self):
-        with mpmath.workdps(40):
-            for n in range(2, 40):
-                oracle = (
-                    mpmath.mpf(n) ** (mpmath.mpf(n) / 2)
-                    * mpmath.e
-                    * mpmath.gammainc(mpmath.mpf(n) / 2, 1, mpmath.inf)
-                    / 2
-                )
-                assert cly_constant(n) == pytest.approx(float(oracle), rel=1e-13)
+        for n in range(2, 40):
+            assert cly_constant(n) == pytest.approx(float(oracle.c(n)), rel=1e-13)
 
     def test_log_form_against_mpmath(self):
-        with mpmath.workdps(50):
-            for n in (2, 3, 10, 50, 200, 400):
-                oracle = (
-                    mpmath.mpf(n) / 2 * mpmath.log(n)
-                    + 1
-                    + mpmath.log(mpmath.gammainc(mpmath.mpf(n) / 2, 1, mpmath.inf))
-                    - mpmath.log(2)
-                )
-                got = cly_constant_log(n)
-                assert type(got) is float
-                assert got == pytest.approx(float(oracle), rel=1e-14)
+        for n in (2, 3, 10, 50, 200, 400):
+            got = cly_constant_log(n)
+            assert type(got) is float
+            assert got == pytest.approx(float(oracle.log_c(n)), rel=1e-14)
 
     def test_monotone_increasing(self):
         logs = [cly_constant_log(n) for n in range(2, 120)]
@@ -343,12 +321,9 @@ class TestPerKReference:
         # past k = 343 the log is lgamma(k/2), whose neglected factor
         # 1 - P(k/2, 1) is within 1e-18 of 1 there
         assert cly_constant_log(2) == 0.0
-        with mpmath.workdps(40):
+        with mpmath.workdps(oracle.DPS):
             for n in [*range(3, 2001), 10**4, 10**4 + 1, 10**6, 10**6 + 1]:
-                half = mpmath.mpf(n) / 2
-                log_gamma = mpmath.log(mpmath.gammainc(half, 1, mpmath.inf))
-                oracle = half * mpmath.log(n) + 1 + log_gamma - mpmath.log(2)
-                assert abs(cly_constant_log(n) / oracle - 1) <= 4e-16, n
+                assert abs(cly_constant_log(n) / oracle.log_c(n) - 1) <= 4e-16, n
 
 
 class TestLogConstantCache:

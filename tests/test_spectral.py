@@ -5,13 +5,13 @@ import hashlib
 import math
 import random
 import re
-from math import comb
 
-import mpmath
 import pytest
 
 from volgap.spectral import TraceResult, heat_trace, sphere_level, trace_bound
 from volgap.specials import cly_constant, cly_constant_log
+
+import oracle
 
 # frozen: deterministic output of the truncated sum at (n, t) = (2, 1)
 TRACE_2_1 = 1.4184426386310551
@@ -29,22 +29,6 @@ def classical_multiplicity(n: int, k: int) -> int:
     return (2 * k + n - 1) * math.factorial(k + n - 2) // (
         math.factorial(k) * math.factorial(n - 1)
     )
-
-
-def mp_trace(n: int, t: float, dps: int = 40, start: int = 0) -> mpmath.mpf:
-    # sum over the levels k >= start; start > 0 gives an omitted tail
-    with mpmath.workdps(dps):
-        total = mpmath.mpf(0)
-        k = start
-        cutoff = mpmath.mpf(10) ** (-dps)
-        while True:
-            lam = k * (k + n - 1)
-            mult = comb(n + k, n) - (comb(n + k - 2, n) if k >= 2 else 0)
-            term = mult * mpmath.e ** (-lam * mpmath.mpf(t))
-            total += term
-            if k >= start + 2 and term < cutoff * total:
-                return total
-            k += 1
 
 
 class TestSphereLevel:
@@ -84,8 +68,7 @@ class TestHeatTrace:
         for n in (2, 3, 5, 8):
             for t in (0.5, 1.0, 2.0, 5.0):
                 got = heat_trace(n, t)
-                oracle = float(mp_trace(n, t))
-                assert got.value == pytest.approx(oracle, rel=1e-13)
+                assert got.value == pytest.approx(float(oracle.heat_trace(n, t)), rel=1e-13)
 
     def test_tail_certificate(self):
         # the reported tail bound covers the omitted levels; allow a
@@ -93,8 +76,7 @@ class TestHeatTrace:
         for n in (2, 4, 7):
             for t in (0.7, 1.0, 3.0):
                 got = heat_trace(n, t)
-                oracle = mp_trace(n, t)
-                deficit = abs(float(oracle) - got.value)
+                deficit = abs(float(oracle.heat_trace(n, t)) - got.value)
                 assert deficit <= got.tail_bound + 1e-14 * got.value
 
     def test_tail_bound_small_relative_to_value(self):
@@ -271,11 +253,11 @@ class TestSmallTime:
     def test_certificate_against_mpmath(self, n, t):
         got = heat_trace(n, t)
         # the bound covers the exact omitted tail ...
-        omitted = mp_trace(n, t, start=got.levels_used)
+        omitted = oracle.heat_trace(n, t, got.levels_used)
         assert omitted <= got.tail_bound
         # ... and, with a few ulps for rounding the partial sum, the
         # distance to the full trace
-        deficit = abs(float(mp_trace(n, t)) - got.value)
+        deficit = abs(float(oracle.heat_trace(n, t)) - got.value)
         assert deficit <= got.tail_bound + 1e-14 * got.value
 
 

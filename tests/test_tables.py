@@ -22,6 +22,7 @@ from volgap.tables import (
     CSV_HEADER, GapTableRow, build_gap_table, format_from_log10, render_csv, render_json, render_pretty,
 )
 
+import oracle
 import per_point_bounds as per_point
 
 GOLDEN = Path(__file__).resolve().parent.parent / "perfbench" / "golden.json"
@@ -568,28 +569,6 @@ class TestFormatFromLog10:
         assert format_from_log10(2.0) == "100"
 
 
-def mp_auto_thm1_log10_excess(n: int, ell: int) -> mpmath.mpf:
-    """log10 of the THM1 excess at its maximiser, solved here at 50 digits.
-
-    The maximiser u = alpha - 1/ell solves
-    u (1 + ell u) n C_n = 1 + (n + 1 + ell) e^(-alpha n C_n), started
-    from the root of the quadratic that drops the exponential term.
-    """
-    with mpmath.workdps(50):
-        half = mpmath.mpf(n) / 2
-        nc = n * mpmath.mpf(n) ** half * mpmath.e * mpmath.gammainc(half, 1, mpmath.inf) / 2
-
-        def critical(u):
-            alpha = mpmath.mpf(1) / ell + u
-            return u * (1 + ell * u) * nc - 1 - (n + 1 + ell) * mpmath.exp(-alpha * nc)
-
-        guess = 2 / (nc * (1 + mpmath.sqrt(1 + 4 * ell / nc)))
-        u = mpmath.findroot(critical, guess)
-        alpha = mpmath.mpf(1) / ell + u
-        b = alpha * n + alpha + 1 + alpha * mpmath.exp(alpha * nc)
-        return mpmath.log10(ell * u) - mpmath.log10(b)
-
-
 class TestAutoAlpha:
     def test_every_representable_point_beats_the_fixed_tuning(self):
         # from n = 17 on 1/ell + u rounds to 1/ell; the exact pair keeps
@@ -633,5 +612,6 @@ class TestAutoAlpha:
         points += [(n, ell) for n in (40, 80, 120, 164, 165) for ell in (1, 30)]
         for n, ell in points:
             (row,) = build_gap_table((n,), (ell,), "auto", ["THM1"])
-            want = float(mp_auto_thm1_log10_excess(n, ell))
+            with mpmath.workdps(oracle.DPS):
+                want = float(oracle.log_excess("THM1", n, ell, "auto") / mpmath.ln10)
             assert row.log10_excess == pytest.approx(want, rel=1e-12, abs=0), (n, ell)
