@@ -253,17 +253,8 @@ class _EllColumns:
 
 
 _NUMERATORS = ("2 ell - 1", "alpha ell - 1", "2 alpha ell - 1")
-
-
-def _numerator(variant) -> int:
-    """The index of variant's numerator in _EllColumns.log_numerators and _NUMERATORS."""
-    if variant is _CLY:
-        return 0
-    if variant is _THM1 or variant is _CASE1:
-        return 1
-    if variant is _CASE2:
-        return 2
-    raise ValueError(f"unknown variant {variant!r}")
+# each variant's numerator, as an index into _EllColumns.log_numerators and _NUMERATORS
+_NUMERATOR = {_CLY: 0, _THM1: 1, _CASE1: 1, _CASE2: 2}
 
 
 def _correction_exponents(n: int, ancs, ells):
@@ -292,7 +283,7 @@ def _check_numerators(n: int, cols: _EllColumns, variants) -> None:
     rises with ell, so the ends of a range decide it.
     """
     logs = cols.log_numerators
-    for k in (0, *map(_numerator, variants)):
+    for k in (0, *map(_NUMERATOR.__getitem__, variants)):
         if math.inf in logs[k]:
             raise _overflow(_NUMERATORS[k], n)
 

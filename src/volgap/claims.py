@@ -75,10 +75,8 @@ _THM6_ELLS = 64  # the most ells THM6_CONSISTENCY reads per n
 
 @dataclass(frozen=True)
 class SuiteConfig:
-    """Grid and tolerance choices for the verification suite.
-
-    tol is the relative tolerance of the root solves.  Each claim's
-    own check keeps a fixed tolerance, which its verdict reports.
+    """Grid and alpha choices for the verification suite.  Each claim's
+    check keeps a fixed tolerance, which its verdict reports.
 
     cn_scale is a fault-injection hook: it multiplies the computed
     dimensional constant inside the two constant-value claims, so a
@@ -91,7 +89,6 @@ class SuiteConfig:
     ell_min: int = 1
     ell_max: int = 30
     alpha: float = DEFAULT_ALPHA
-    tol: float = 1e-12
     cn_scale: float = 1.0
 
     def __post_init__(self) -> None:
@@ -108,8 +105,6 @@ class SuiteConfig:
         alpha_ell = self.alpha * logdomain._as_float(self.ell_min, "ell", self.n_min)
         if alpha_ell <= 1.0:
             raise ValueError(f"alpha * ell_min must exceed 1 for the tuned bounds, got {alpha_ell!r}")
-        if not (0.0 < self.tol < 1.0):
-            raise ValueError(f"tol must lie in (0, 1), got {self.tol!r}")
         if not (self.cn_scale > 0.0 and math.isfinite(self.cn_scale)):
             raise ValueError(f"cn_scale must be positive and finite, got {self.cn_scale!r}")
 
@@ -187,9 +182,9 @@ class _Run:
         return grid if cap is None else f"{grid}; {cap}"
 
     def gamma(self, n: int):
-        """solver.gamma_n(n, config.tol), solved once per n."""
+        """solver.gamma_n(n), solved once per n."""
         if n not in self._roots:
-            self._roots[n] = solver.gamma_n(n, self.config.tol)
+            self._roots[n] = solver.gamma_n(n)
         return self._roots[n]
 
 
@@ -541,7 +536,7 @@ _CLAIMS = {
         lambda run, f: {
             "max_rel_log_diff": abs(f.worst), **_grid_point(f.at if f.worst < 0.0 else None),
         },
-        # the two routes agree to rounding; config.tol sets the root solves only
+        # the two routes agree to rounding
         tolerance=1e-12, note=lambda run, f: run.note(_grid_note(run, _THM6_ELLS)),
     ),
     "TILDE_GAMMA3_LT_11": _Claim(

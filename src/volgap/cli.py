@@ -123,7 +123,7 @@ def _cmd_verify(args):
         SuiteConfig,
         n_min=args.n_range[0], n_max=args.n_range[1],
         ell_min=args.l_range[0], ell_max=args.l_range[1],
-        alpha=args.alpha, tol=args.tol, cn_scale=args.cn_scale,
+        alpha=args.alpha, cn_scale=args.cn_scale,
     )
     if args.claim:
         wanted = args.claim.upper()
@@ -301,8 +301,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-range", type=_range_type, default=(2, 30), metavar="LO:HI")
     p.add_argument("--l-range", type=_range_type, default=(1, 30), metavar="LO:HI")
     p.add_argument("--alpha", type=float, default=DEFAULT_ALPHA)
-    p.add_argument("--tol", type=float, default=1e-12,
-                   help="relative tolerance of the root solves")
     p.add_argument("--cn-scale", type=float, default=1.0,
                    help="fault injection: scale C_n inside the constant checks")
     p.add_argument("--claim", help="run a single claim by id")

@@ -9,7 +9,7 @@ fits in a double.
 
 LogScalar, a sign in {-1, 0, +1} together with log|x|, is the type the
 public views return: b_alpha, case1_correction_numerator and gap_excess
-in bounds, f1, f1_prime and g_prime_sign_scan in solver.  Below them
+in bounds, f1 and f1_prime in solver.  Below them
 logs stay floats; cly_constant_log returns log C_n itself.  A LogScalar
 multiplies, divides and adds (log_add); it has no order, so compare log
 magnitudes instead.

@@ -40,7 +40,7 @@ import math
 from dataclasses import dataclass
 
 from .bounds import _excess_exponent, _tuning, b_alpha
-from .logdomain import _UNDERFLOW_LOG, LogScalar, _as_float, _log_sum, log_add, log_div
+from .logdomain import _UNDERFLOW_LOG, LogScalar, _as_float, log_add, log_div
 from .specials import nc_product
 
 
@@ -263,35 +263,16 @@ def _certified_bracket(u: float, tol: float, n: int, ell: int, ncn: float) -> tu
     return ends[0], ends[1]
 
 
-def gamma_n(n: int, tol: float = 1e-12) -> RootResult:
+def gamma_n(n: int) -> RootResult:
     """The critical tuning for ell = 1, i.e. the root gamma_n > 1 of
 
       (g^2 n C_n - g n C_n - 1) e^(g n C_n) = n + 2.
 
     With ell = 1 the objective f1 is exactly the classical one, so this
-    simply delegates to optimal_alpha(n, 1).  The result is expressed
-    as base 1 plus the excess gamma_n - 1.
+    simply delegates to optimal_alpha(n, 1) at its default tol.  The
+    result is expressed as base 1 plus the excess gamma_n - 1.
     """
-    return optimal_alpha(n, 1, tol)
-
-
-def _g_prime_numerator(beta: float, n: int, ncn: float) -> LogScalar:
-    """Numerator of g'(beta) after combining over the common denominator,
-    given ncn = n C_n, which a scan holds for all its betas:
-
-      -n C_n (2 + B) e^B (beta e^B + 1 + beta (n+1)).
-
-    Every factor after the minus sign is positive, so the sign is -1
-    throughout the domain by this factored form.  The acceptance gate
-    reads it through g_prime_sign_scan; the claim suite proves the form
-    by exact expansion (claims._leml_counts).
-    """
-    big_b = beta * ncn
-    if math.isinf(2.0 * big_b):
-        raise OverflowError(f"exponent beta n C_n overflows for beta={beta!r}, n={n}")
-    # the last factor as a log sum: beta e^B overflows long before its log does
-    log_last = _log_sum(math.log(beta) + big_b, math.log1p(beta * (n + 1.0)))
-    return LogScalar(-1, math.log(ncn) + math.log(2.0 + big_b) + big_b + log_last)
+    return optimal_alpha(n, 1)
 
 
 @dataclass(frozen=True)
@@ -302,15 +283,22 @@ class GPrimeSample:
 
 
 def g_prime_sign_scan(n: int, betas) -> list[GPrimeSample]:
-    """Sign of the g' numerator at each beta, which is -1 by its factored
-    form; out-of-domain points, beta^2 n C_n e^B <= 1, are flagged rather
-    than fatal.  LEML_GPRIME_NEG proves that form for every beta."""
+    """Sign of g'(beta) at each beta, flagging rather than failing on
+    out-of-domain points, beta^2 n C_n e^(beta n C_n) <= 1.
+
+    Over the common denominator, the numerator of g' is
+
+      -n C_n (2 + B) e^B (beta e^B + 1 + beta (n+1)),  B = beta n C_n,
+
+    whose factors after the minus sign are all positive, so the sign is
+    -1 throughout the domain.  LEML_GPRIME_NEG proves that form by
+    exact expansion (claims._leml_counts) for every beta.
+    """
     ncn = nc_product(n)
     samples = []
     for beta in betas:
         if not (beta > 0.0):
             raise ValueError(f"beta values must be positive, got {beta!r}")
         in_domain = math.log(beta * beta * ncn) + beta * ncn > 0.0  # the domain, in log form
-        sign = _g_prime_numerator(beta, n, ncn).sign if in_domain else None
-        samples.append(GPrimeSample(beta=beta, in_domain=in_domain, sign=sign))
+        samples.append(GPrimeSample(beta=beta, in_domain=in_domain, sign=-1 if in_domain else None))
     return samples

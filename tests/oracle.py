@@ -112,12 +112,3 @@ def heat_trace(n: int, t, start: int = 0):
         if k >= start + 2 and term < total * mpmath.mpf(10) ** -DPS:
             return total
 
-
-@_memo
-def log_g_prime(n: int, beta):
-    """log |g' numerator| = log n C_n + 2B + log(2 beta + beta^2 n C_n), B = beta n C_n,
-    + log(1 + e^-B (B (1 + beta (n+1)) + 2 (beta n + beta + 1)) / (2 beta + beta^2 n C_n))."""
-    ncn, beta = nc(n), mpmath.mpf(beta)
-    big_b, poly = beta * ncn, 2 * beta + beta * beta * ncn
-    inner = big_b * (1 + beta * (n + 1)) + 2 * (beta * n + beta + 1)
-    return mpmath.log(ncn) + 2 * big_b + mpmath.log(poly) + mpmath.log1p(mpmath.exp(-big_b) * inner / poly)

@@ -81,6 +81,9 @@ DELETED = [
     ("specials", "_float_dimension"),
     ("tables", "_Formatted"),
     ("tables", "_json_head"),
+    ("claims", "SuiteConfig.tol"),
+    ("solver", "_g_prime_numerator"),
+    ("bounds", "_numerator"),
 ]
 
 

@@ -104,6 +104,8 @@ class TestGapParams:
     def test_rejects_bad_codimension(self):
         with pytest.raises(ValueError):
             GapParams(n=2, ell=0, alpha=2.0)
+        with pytest.raises(TypeError, match="^ell must be an int$"):
+            GapParams(n=2, ell=1.0)
 
     def test_rejects_nonpositive_numerator(self):
         with pytest.raises(ValueError):
@@ -207,6 +209,10 @@ class TestBoundKernel:
         ]
         with pytest.raises(OverflowError, match="^alpha ell - 1 leaves the double range at n=2$"):
             BoundKernel(2, 1e300).logs(10**9, (GapVariant.THM1,))
+
+    def test_each_variant_names_its_numerator(self):
+        names = [bounds._NUMERATORS[bounds._NUMERATOR[v]] for v in GapVariant]
+        assert names == ["2 ell - 1", "alpha ell - 1", "alpha ell - 1", "2 alpha ell - 1"]
 
     def test_overflow_is_reported_before_a_bad_alpha(self):
         with pytest.raises(OverflowError):
@@ -374,6 +380,10 @@ class TestOrderings:
     def test_case2_margin_plain(self):
         plain = math.log(2.0 * 1.43 - 1.0) - math.log(2.0 * (1.43 - 1.0))
         assert case2_vs_doubled_thm1_log_margin(2, 1, 1.43) == pytest.approx(plain, rel=1e-14)
+
+    def test_case2_margin_needs_alpha_ell_above_one(self):
+        with pytest.raises(ValueError, match=r"^alpha\*ell must exceed 1$"):
+            case2_vs_doubled_thm1_log_margin(2, 1, 0.5)
 
     @pytest.mark.parametrize(
         "ell", [1, 30, 10**16, 10**300, 10**308], ids=["1", "30", "1e16", "1e300", "1e308"],

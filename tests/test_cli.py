@@ -82,7 +82,7 @@ class TestExitCodes:
     def test_usage_error_bad_alpha(self, capsys):
         assert run(capsys, "verify", "--alpha", "0.5")[0] == 2
 
-    @pytest.mark.parametrize("bad", ["6:2", "abc", "2:, "])
+    @pytest.mark.parametrize("bad", ["6:2", "abc", "2:, ", "1:2:3"])
     def test_usage_error_bad_range(self, bad):
         # malformed ranges die inside argparse's type hook
         with pytest.raises(SystemExit) as exc:
@@ -92,6 +92,13 @@ class TestExitCodes:
     def test_usage_error_out_of_domain_range(self, capsys):
         # well-formed syntax, rejected by the suite's own validation
         assert run(capsys, "verify", "--n-range", "0:3")[0] == 2
+
+    def test_verify_has_no_tol(self, capsys):
+        # every root is solved at optimal_alpha's default tol
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--tol", "1e-12"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --tol 1e-12" in capsys.readouterr().err
 
     def test_usage_error_unknown_subcommand(self):
         with pytest.raises(SystemExit) as exc:
@@ -141,6 +148,17 @@ class TestVerifyOutput:
         payload = json.loads(out)
         assert [c["claim_id"] for c in payload["claims"]] == ["RATIO_165"]
         assert payload["total"] == 1
+
+    def test_a_ratio_past_the_double_range_prints_inf(self, capsys):
+        argv = ("verify", "--claim", "GAP_ORDER_THM1_CLY", "--n-range", "8:30")
+        code, out = run(capsys, *argv)
+        assert code == 0
+        assert " ratio_at_min=inf " in out and out.rstrip().endswith("1/1 claims passed")
+        assert "; ratio_at_min exceeds the double range]" in out
+        code, out = run(capsys, *argv, "--json")
+        (claim,) = json.loads(out)["claims"]
+        assert claim["witnesses"]["ratio_at_min"] is None
+        assert claim["grid_note"].endswith("; ratio_at_min exceeds the double range")
 
 
 # sha256 of `volgap verify --json ... --out FILE`, recorded before the grid
@@ -281,6 +299,13 @@ class TestTable:
         with pytest.raises(SystemExit) as exc:
             main(["table", "--variant", "THM9"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("alpha", ["0", "-1", "inf", "nan"])
+    def test_alpha_must_be_positive_and_finite(self, capsys, alpha):
+        with pytest.raises(SystemExit) as exc:
+            main(["table", "--alpha", alpha])
+        assert exc.value.code == 2
+        assert f"alpha must be positive and finite, got {alpha!r}" in capsys.readouterr().err
 
 
 _OVERFLOW_POINTS = [("1e300", "30"), ("8e307", "2"), ("8e307", "30"), ("1e308", "2"), ("1e308", "30")]
@@ -841,8 +866,8 @@ class TestExitContractFuzz:
         if command == "verify":
             lo, hi = rng.choice(["0", "1", "2", "3", "7"]), rng.choice(["2", "5", "12"])
             argv = ["verify", "--n-range", f"{lo}:{hi}", "--l-range", rng.choice(["0:2", "1:3", "2:30"]),
-                    "--alpha", rng.choice(["1.43", "0.5", "2", "1e300", "nan", "auto"]),
-                    "--tol", rng.choice(self.TOL)]
+                    "--alpha", rng.choice(["1.43", "0.5", "2", "1e300", "nan", "auto"])]
+            rng.choice(self.TOL)  # verify has no --tol; the draw keeps the seeded sequence of argvs
             return argv + rng.choice([[], ["--json"], ["--claim", "THM6_CONSISTENCY"]]), False
         if command == "constants":
             lo = rng.choice(["0", "1", "2", "166", "300"])

@@ -100,6 +100,7 @@ class TestConversion:
 
     def test_underflow_to_zero(self):
         assert LogScalar(1, -1e9).to_float() == 0.0
+        assert ZERO.to_float() == 0.0
 
     def test_log10_mag(self):
         x = LogScalar.from_float(-1000.0)

@@ -22,7 +22,6 @@ from volgap.solver import (
     BracketError,
     EvaluationError,
     RootResult,
-    _g_prime_numerator,
     bisect,
     f1,
     f1_prime,
@@ -79,6 +78,12 @@ class TestBisect:
     def test_nan_raises(self):
         with pytest.raises(EvaluationError):
             bisect(lambda x: math.nan, 0.0, 1.0)
+
+    def test_adjacent_doubles_stop_below_tol(self):
+        # no double lies between lo and hi, so a tol below their gap ends the loop at once
+        lo, hi = 1.0, math.nextafter(1.0, 2.0)
+        r = bisect(lambda x: x - 1.0 - 1e-17, lo, hi, tol=1e-20)
+        assert (r.bracket_lo, r.bracket_hi, r.iterations) == (lo, hi, 0)
 
     def test_bad_bracket_or_tol(self):
         with pytest.raises(ValueError):
@@ -158,8 +163,6 @@ class TestGammaN:
     def test_validation(self):
         with pytest.raises(ValueError):
             gamma_n(1)
-        with pytest.raises(ValueError):
-            gamma_n(3, tol=2.0)
 
 
 class TestOptimalAlpha:
@@ -200,6 +203,18 @@ class TestOptimalAlpha:
             optimal_alpha(2, 0)
         with pytest.raises(ValueError):
             optimal_alpha(2, 1, tol=0.0)
+
+    def test_steps_that_do_not_settle_raise(self, monkeypatch):
+        monkeypatch.setattr(solver, "_NEWTON_STEPS", 0)
+        with pytest.raises(EvaluationError, match=r"^Newton steps did not settle for \(n=2, ell=1\)$"):
+            optimal_alpha(2, 1)
+
+    def test_a_residual_that_never_changes_sign_is_not_certified(self, monkeypatch):
+        # a zero residual ends the steps at once; neither bracket end then certifies
+        monkeypatch.setattr(solver, "_critical_objective", lambda u, n, ell, ncn: (0.0, 1.0))
+        message = r"^critical residual does not change sign around u=.* for \(n=2, ell=1\)$"
+        with pytest.raises(EvaluationError, match=message):
+            optimal_alpha(2, 1)
 
 
 def count_evaluations(monkeypatch):
@@ -249,7 +264,8 @@ class TestNewtonBudget:
         assert residual(r.bracket_lo, n, ell) < 0.0 < residual(r.bracket_hi, n, ell)
         assert (r.bracket_hi - r.bracket_lo) / r.root <= 1e-12
 
-    @pytest.mark.parametrize("n, ell", [(2, 1), (5, 3), (30, 7), (165, 1)])
+    # at (2, 2) and 1e-16 the steps narrow lo and hi to adjacent doubles
+    @pytest.mark.parametrize("n, ell", [(2, 1), (2, 2), (5, 3), (30, 7), (165, 1)])
     def test_tol_below_resolution_widens_until_certified(self, n, ell):
         for tol in (1e-16, 1e-300):
             r = optimal_alpha(n, ell, tol)
@@ -275,6 +291,11 @@ class TestObjective:
 
     def test_f1_negative_below_base(self):
         assert f1(0.9, 2, 1).sign == -1
+
+    @pytest.mark.parametrize("fn", [f1, f1_prime])
+    def test_rejects_ell_below_one(self, fn):
+        with pytest.raises(ValueError, match="^ell must be at least 1, got 0$"):
+            fn(1.43, 2, 0)
 
     def test_excess_form_agrees_with_direct_form(self):
         for n in (2, 3):
@@ -364,26 +385,6 @@ class TestGFunction:
         e2 = math.exp(2.0)
         direct = (3.0 + 3.0 * e2) / (2.0 * e2 - 1.0)
         assert g_value(1.0, 2) == pytest.approx(direct, rel=1e-13)
-
-    def test_g_prime_numerator_vs_finite_difference(self):
-        step = 1e-6
-        for n in (2, 3):
-            for beta in (0.8, 1.0, 1.5, 2.2):
-                fd = (g_value(beta + step, n) - g_value(beta - step, n)) / (2.0 * step)
-                ncn = nc_product(n)
-                den = beta * beta * ncn * math.exp(beta * ncn) - 1.0
-                got = _g_prime_numerator(beta, n, ncn).to_float() / (den * den)
-                assert got == pytest.approx(fd, rel=1e-5)
-                assert got < 0.0
-
-    def test_g_prime_numerator_mpmath(self):
-        # finite differences cannot reach n >= 30; the claim suite proves
-        # the factored form itself, by exact expansion
-        for n in (2, 5, 30, 100, 164):
-            for beta in (0.5, 1.0, 3.0):
-                got = _g_prime_numerator(beta, n, nc_product(n))
-                assert got.sign == -1
-                assert got.log_mag == pytest.approx(float(oracle.log_g_prime(n, beta)), rel=1e-13)
 
     def test_sign_scan(self):
         samples = g_prime_sign_scan(2, [0.1, 0.3, 1.0, 2.0])

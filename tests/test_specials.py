@@ -83,6 +83,12 @@ class TestHalfInteger:
         with pytest.raises(ValueError):
             HalfInteger(twice=0)
 
+    def test_rejects_a_non_int(self):
+        with pytest.raises(TypeError, match="^twice must be an int, got float$"):
+            HalfInteger(2.0)
+        with pytest.raises(TypeError, match="^s must be a HalfInteger$"):
+            upper_incomplete_gamma_at_one(3)
+
 
 class TestUpperGammaAtOne:
     def test_quadrature_oracle_integers(self):

@@ -568,6 +568,11 @@ class TestFormatFromLog10:
     def test_sign_and_float_range(self):
         assert format_from_log10(2.0) == "100"
 
+    @pytest.mark.parametrize("log10_value", [math.inf, -math.inf])
+    def test_an_infinite_magnitude_is_refused(self, log10_value):
+        with pytest.raises(ValueError, match="^cannot format an infinite magnitude$"):
+            format_from_log10(log10_value)
+
 
 class TestAutoAlpha:
     def test_every_representable_point_beats_the_fixed_tuning(self):
