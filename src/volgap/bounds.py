@@ -78,7 +78,7 @@ from functools import cached_property
 from itertools import repeat
 from operator import attrgetter, sub
 
-from .logdomain import _UNDERFLOW_LOG, LogScalar, _as_float, _log_sum, _overflow
+from .logdomain import _UNDERFLOW_LOG, LogScalar, _as_float, _check_int, _check_positive, _log_sum, _overflow
 from .specials import nc_product
 
 DEFAULT_ALPHA = 1.43
@@ -105,8 +105,7 @@ class Tuning:
     __slots__ = ("alpha", "ell", "u")
 
     def __init__(self, alpha: float, ell: int = 0, u: float = 0.0) -> None:
-        if not (alpha > 0.0) or math.isinf(alpha) or math.isnan(alpha):
-            raise ValueError(f"alpha must be positive and finite, got {alpha!r}")
+        _check_positive(alpha, "alpha")
         self.alpha, self.ell, self.u = alpha, ell, u
 
     @classmethod
@@ -146,14 +145,8 @@ class GapParams:
     alpha: float | Tuning = DEFAULT_ALPHA
 
     def __post_init__(self) -> None:
-        if not isinstance(self.n, int) or isinstance(self.n, bool):
-            raise TypeError("n must be an int")
-        if not isinstance(self.ell, int) or isinstance(self.ell, bool):
-            raise TypeError("ell must be an int")
-        if self.n < 2:
-            raise ValueError(f"n must be at least 2, got {self.n}")
-        if self.ell < 1:
-            raise ValueError(f"ell must be at least 1, got {self.ell}")
+        _check_int(self.n, "n", 2)
+        _check_int(self.ell, "ell", 1)
         tuning = _tuning(self.alpha)
         _as_float(self.ell, "ell", self.n)  # overflows name ell and n, before alpha ell does
         # every tuned variant needs a positive numerator: u > 0 for the pair
@@ -242,14 +235,10 @@ class _EllColumns:
         log1p(1 / (2 (alpha ell - 1))): it stays positive where the two
         logs of a difference would round to the same double (ell = 10^16),
         and 0.5 / (alpha ell - 1) cannot overflow as 2 (alpha ell - 1) can.
+        Callers pass ells that GapParams accepts at their tuning, where
+        alpha ell - 1 is positive.
         """
-        margins = []
-        for ell, tuning in zip(self.ells, self.tunings):
-            thm1 = tuning.numerators(ell)[0]
-            if not thm1 > 0.0:
-                raise ValueError("alpha*ell must exceed 1")
-            margins.append(math.log1p(0.5 / thm1))
-        return margins
+        return [math.log1p(0.5 / tuning.numerators(ell)[0]) for ell, tuning in zip(self.ells, self.tunings)]
 
 
 _NUMERATORS = ("2 ell - 1", "alpha ell - 1", "2 alpha ell - 1")
@@ -494,6 +483,7 @@ def case2_vs_doubled_thm1_log_margin(n: int, ell: int, alpha=DEFAULT_ALPHA) -> f
 
     Positive iff excess(THM2_CASE2) > 2 excess(THM1).  alpha may be a Tuning.
     """
+    GapParams(n=n, ell=ell, alpha=alpha)  # validates the point
     return _EllColumns((ell,), (_tuning(alpha),)).case2_margin[0]
 
 
@@ -501,8 +491,10 @@ def final_inequality_log_margin(n: int, ell: int, alpha: float = DEFAULT_ALPHA) 
     """Margin of e^(-alpha n (n+3) C_n) < ell / (n+ell+3), in log form.
 
     Returns log(rhs) - log(lhs) = alpha n (n+3) C_n + log ell - log(n+ell+3);
-    the inequality holds iff this is positive.  alpha may be a Tuning.
+    the inequality holds iff this is positive, at any alpha ell; alpha may
+    be a Tuning.
     """
+    _check_int(ell, "ell", 1)
     return _final_inequality_log_margins(n, _tuning(alpha).exponent(nc_product(n)), (ell,))[0]
 
 

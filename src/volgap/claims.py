@@ -92,21 +92,11 @@ class SuiteConfig:
     cn_scale: float = 1.0
 
     def __post_init__(self) -> None:
-        if not isinstance(self.n_min, int) or self.n_min < 2:
-            raise ValueError(f"n_min must be an int at least 2, got {self.n_min!r}")
-        if not isinstance(self.n_max, int) or self.n_max < self.n_min:
-            raise ValueError(f"n_max must be an int at least n_min, got {self.n_max!r}")
-        if not isinstance(self.ell_min, int) or self.ell_min < 1:
-            raise ValueError(f"ell_min must be an int at least 1, got {self.ell_min!r}")
-        if not isinstance(self.ell_max, int) or self.ell_max < self.ell_min:
-            raise ValueError(f"ell_max must be an int at least ell_min, got {self.ell_max!r}")
-        if not (self.alpha > 0.0 and math.isfinite(self.alpha)):
-            raise ValueError(f"alpha must be positive and finite, got {self.alpha!r}")
-        alpha_ell = self.alpha * logdomain._as_float(self.ell_min, "ell", self.n_min)
-        if alpha_ell <= 1.0:
-            raise ValueError(f"alpha * ell_min must exceed 1 for the tuned bounds, got {alpha_ell!r}")
-        if not (self.cn_scale > 0.0 and math.isfinite(self.cn_scale)):
-            raise ValueError(f"cn_scale must be positive and finite, got {self.cn_scale!r}")
+        # the grid's first point decides the rest: each rule is monotone in n and ell
+        bounds.GapParams(n=self.n_min, ell=self.ell_min, alpha=self.alpha)
+        logdomain._check_int(self.n_max, "n_max", self.n_min)
+        logdomain._check_int(self.ell_max, "ell_max", self.ell_min)
+        logdomain._check_positive(self.cn_scale, "cn_scale")
 
 
 @dataclass(frozen=True)

@@ -185,8 +185,7 @@ def _cmd_table(args):
 
 def _cmd_constants(args):
     lo, hi = args.n_range
-    if lo < 2:
-        raise _UsageError(f"n must be at least 2, got {lo}")
+    _checked(cly_constant_log, lo)  # the range's first n decides the rules for every n
     payload = []
     lines = [f"{'n':>4}  {'C_n':>24}  {'log10_C_n':>16}  {'log10_nC_n':>16}"]
     for n in range(lo, hi + 1):
@@ -298,10 +297,11 @@ def build_parser() -> argparse.ArgumentParser:
     as_json.add_argument("--json", action="store_true")
 
     p = sub.add_parser("verify", parents=[as_json], help="run the claim verification suite")
-    p.add_argument("--n-range", type=_range_type, default=(2, 30), metavar="LO:HI")
-    p.add_argument("--l-range", type=_range_type, default=(1, 30), metavar="LO:HI")
+    grid = SuiteConfig  # a dataclass keeps each field's default as a class attribute
+    p.add_argument("--n-range", type=_range_type, default=(grid.n_min, grid.n_max), metavar="LO:HI")
+    p.add_argument("--l-range", type=_range_type, default=(grid.ell_min, grid.ell_max), metavar="LO:HI")
     p.add_argument("--alpha", type=float, default=DEFAULT_ALPHA)
-    p.add_argument("--cn-scale", type=float, default=1.0,
+    p.add_argument("--cn-scale", type=float, default=grid.cn_scale,
                    help="fault injection: scale C_n inside the constant checks")
     p.add_argument("--claim", help="run a single claim by id")
     p.set_defaults(handler=_cmd_verify)

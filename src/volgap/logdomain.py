@@ -16,6 +16,11 @@ magnitudes instead.
 
 Base-10 logs appear only when results are rendered for people; all
 internal arithmetic is natural-log.
+
+The package's input rules live here too, one helper each: _check_int
+(an int, not a bool, and at least a given bound: n >= 2, ell >= 1) and
+_check_positive (positive and finite: alpha, t, cn_scale).  The rule
+alpha ell > 1 is bounds.GapParams, which calls both.
 """
 
 from __future__ import annotations
@@ -43,15 +48,30 @@ def _as_float(x: int, what: str, n: int) -> float:
     """The int x as a float; past the double range, OverflowError naming what and n.
 
     The bounds and the solver form alpha ell and 2 ell as floats;
-    GapParams, SuiteConfig and optimal_alpha convert ell here before
-    they do, and the case-correction exponent converts n + 2 ell here.
-    specials and spectral convert the dimension n here, where it first
-    becomes a float.
+    GapParams (which SuiteConfig builds) and optimal_alpha convert ell
+    here before they do, and the case-correction exponent converts
+    n + 2 ell here.  specials and spectral convert the dimension n here,
+    where it first becomes a float.  _check_int has checked n and ell
+    before they get here; this adds only the double-range error.
     """
     try:
         return float(x)
     except OverflowError:
         raise _overflow(what, n) from None
+
+
+def _check_int(x: int, name: str, least: int) -> None:
+    """The one check of an int input: TypeError unless x is an int (not a bool), ValueError below least."""
+    if not isinstance(x, int) or isinstance(x, bool):
+        raise TypeError(f"{name} must be an int, got {type(x).__name__}")
+    if x < least:
+        raise ValueError(f"{name} must be at least {least}, got {x}")
+
+
+def _check_positive(x: float, name: str) -> None:
+    """The one check of a real input: ValueError unless 0 < x < inf (a NaN fails too)."""
+    if not 0.0 < x < math.inf:
+        raise ValueError(f"{name} must be positive and finite, got {x!r}")
 
 
 @dataclass(frozen=True)

@@ -40,7 +40,7 @@ import math
 from dataclasses import dataclass
 
 from .bounds import _excess_exponent, _tuning, b_alpha
-from .logdomain import _UNDERFLOW_LOG, LogScalar, _as_float, log_add, log_div
+from .logdomain import _UNDERFLOW_LOG, LogScalar, _as_float, _check_int, log_add, log_div
 from .specials import nc_product
 
 
@@ -132,8 +132,7 @@ def f1(alpha, n: int, ell: int) -> LogScalar:
     its exponent is assembled from u, where a float alpha = 1/ell + u
     would collapse both once u drops below the resolution of 1/ell.
     """
-    if ell < 1:
-        raise ValueError(f"ell must be at least 1, got {ell}")
+    _check_int(ell, "ell", 1)
     tuning = _tuning(alpha)
     numerator = LogScalar.from_float(tuning.numerators(ell)[0])
     return log_div(numerator, b_alpha(n, tuning))
@@ -145,8 +144,7 @@ def f1_prime(alpha, n: int, ell: int) -> LogScalar:
     The numerator reduces to e^B (1 - B (alpha ell - 1)) + (n + 1 + ell)
     with B = alpha n C_n, over B_(n,alpha)^2.
     """
-    if ell < 1:
-        raise ValueError(f"ell must be at least 1, got {ell}")
+    _check_int(ell, "ell", 1)
     tuning = _tuning(alpha)
     big_b = tuning.exponent(nc_product(n))
     coeff = 1.0 - big_b * tuning.numerators(ell)[0]
@@ -199,10 +197,8 @@ def optimal_alpha(n: int, ell: int = 1, tol: float = 1e-12) -> RootResult:
     where one ulp of a log magnitude of order n C_n exceeds any
     curvature signal near the crest.
     """
-    if not isinstance(n, int) or n < 2:
-        raise ValueError(f"n must be an int at least 2, got {n!r}")
-    if not isinstance(ell, int) or ell < 1:
-        raise ValueError(f"ell must be an int at least 1, got {ell!r}")
+    _check_int(n, "n", 2)
+    _check_int(ell, "ell", 1)
     if not (0.0 < tol < 1.0):
         raise ValueError(f"tol must lie in (0, 1), got {tol!r}")
     ncn = nc_product(n)

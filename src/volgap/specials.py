@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate
 
-from .logdomain import _OVERFLOW_LOG, _as_float, _overflow
+from .logdomain import _OVERFLOW_LOG, _as_float, _check_int, _overflow
 
 
 @dataclass(frozen=True)
@@ -43,10 +43,7 @@ class HalfInteger:
     twice: int
 
     def __post_init__(self) -> None:
-        if not isinstance(self.twice, int) or isinstance(self.twice, bool):
-            raise TypeError(f"twice must be an int, got {type(self.twice).__name__}")
-        if self.twice < 1:
-            raise ValueError(f"argument must be at least 1/2, got {self.twice}/2")
+        _check_int(self.twice, "twice", 1)
 
 
 _E_INV = math.exp(-1.0)
@@ -88,13 +85,6 @@ def upper_incomplete_gamma_at_one(s: HalfInteger) -> float:
     return value
 
 
-def _check_dimension(n: int) -> None:
-    if not isinstance(n, int) or isinstance(n, bool):
-        raise TypeError(f"dimension must be an int, got {type(n).__name__}")
-    if n < 2:
-        raise ValueError(f"dimension must be at least 2, got {n}")
-
-
 @lru_cache(maxsize=None)
 def cly_constant(n: int) -> float:
     """C_n = n^(n/2) e Gamma(n/2, 1) / 2 as a double.
@@ -122,7 +112,7 @@ def cly_constant_log(n: int) -> float:
     first.  Raises OverflowError naming n where log C_n itself leaves
     the double range, from about n = 2.6e305 on.
     """
-    _check_dimension(n)
+    _check_int(n, "n", 2)
     half = _as_float(n, "dimension", n) / 2.0
     try:
         # grouped so that exact cases stay exact: log C_2 is 0.0

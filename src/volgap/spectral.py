@@ -49,8 +49,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .logdomain import _UNDERFLOW_LOG, _as_float
-from .specials import _check_dimension, cly_constant_log
+from .logdomain import _UNDERFLOW_LOG, _as_float, _check_int, _check_positive
+from .specials import cly_constant_log
 
 # Stop once the omitted tail would change nothing at double precision,
 # so that tail_bound <= 1e-14 * value always holds on return.  The levels
@@ -77,11 +77,8 @@ class TraceResult:
 
 def sphere_level(n: int, k: int) -> SpectralLevel:
     """Exact eigenvalue and multiplicity of level k on S^n."""
-    _check_dimension(n)
-    if not isinstance(k, int) or isinstance(k, bool):
-        raise TypeError(f"level index must be an int, got {type(k).__name__}")
-    if k < 0:
-        raise ValueError(f"level index must be non-negative, got {k}")
+    _check_int(n, "n", 2)
+    _check_int(k, "k", 0)
     eigenvalue = k * (k + n - 1)
     multiplicity = math.comb(n + k, n) - (math.comb(n + k - 2, n) if k >= 2 else 0)
     return SpectralLevel(k=k, eigenvalue=eigenvalue, multiplicity=multiplicity)
@@ -105,9 +102,8 @@ def heat_trace(n: int, t: float) -> TraceResult:
     tail to be certified within the level cap, and OverflowError when
     n, the trace, or a single term of it, exceeds the double range.
     """
-    _check_dimension(n)
-    if not (t > 0.0) or math.isinf(t) or math.isnan(t):
-        raise ValueError(f"time must be positive and finite, got {t!r}")
+    _check_int(n, "n", 2)
+    _check_positive(t, "time")
 
     log, exp, expm1 = math.log, math.exp, math.expm1
     eps, underflow = _TAIL_EPS, _UNDERFLOW_LOG
@@ -157,7 +153,7 @@ def trace_bound(n: int, t: float) -> float:
     Raises OverflowError, naming n and t, when the bound exceeds the
     double range, and naming n when n itself does.
     """
-    _check_dimension(n)
+    _check_int(n, "n", 2)
     if not (t >= 1.0) or math.isinf(t) or math.isnan(t):
         raise ValueError(f"the closed bound needs t >= 1, got {t!r}")
     decay = -_as_float(n, "dimension", n) * t

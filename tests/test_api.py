@@ -84,6 +84,7 @@ DELETED = [
     ("claims", "SuiteConfig.tol"),
     ("solver", "_g_prime_numerator"),
     ("bounds", "_numerator"),
+    ("specials", "_check_dimension"),
 ]
 
 
@@ -170,6 +171,38 @@ def test_only_logdomain_spells_the_double_range():
             if isinstance(node, ast.Constant) and type(node.value) in (int, float) and abs(node.value) in limits:
                 spelled[path.stem, abs(node.value)] += 1
     assert spelled == {("logdomain", 745.0): 1, ("logdomain", 709.0): 1}
+
+
+def _owned_nodes(tree):
+    """(name of the innermost function or class holding it, node) for every node of tree."""
+    def walk(node, owner):
+        for child in ast.iter_child_nodes(node):
+            inner = child.name if isinstance(child, (ast.FunctionDef, ast.ClassDef)) else owner
+            yield inner, child
+            yield from walk(child, inner)
+    return walk(tree, "")
+
+
+def test_only_logdomain_spells_the_input_rules():
+    # n >= 2, ell >= 1 and "positive and finite" are logdomain._check_int
+    # and _check_positive, which every other module calls; cli._alpha_type
+    # keeps its own words, since argparse must raise them as it parses
+    words = ("must be an int", "must be at least", "must be positive and finite")
+    spelled = Counter()
+    for path in sorted(SRC.glob("*.py")):
+        for owner, node in _owned_nodes(ast.parse(path.read_text())):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                spelled.update((path.stem, owner, word) for word in words if word in node.value)
+            elif isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance":
+                spelled.update((path.stem, owner, "bool") for sub in ast.walk(node.args[1])
+                               if isinstance(sub, ast.Name) and sub.id == "bool")
+    assert spelled == {
+        ("logdomain", "_check_int", "must be an int"): 1,
+        ("logdomain", "_check_int", "must be at least"): 1,
+        ("logdomain", "_check_int", "bool"): 1,
+        ("logdomain", "_check_positive", "must be positive and finite"): 1,
+        ("cli", "_alpha_type", "must be positive and finite"): 1,
+    }
 
 
 def test_only_bounds_spells_the_classical_tuning():

@@ -104,7 +104,7 @@ class TestGapParams:
     def test_rejects_bad_codimension(self):
         with pytest.raises(ValueError):
             GapParams(n=2, ell=0, alpha=2.0)
-        with pytest.raises(TypeError, match="^ell must be an int$"):
+        with pytest.raises(TypeError, match="^ell must be an int, got float$"):
             GapParams(n=2, ell=1.0)
 
     def test_rejects_nonpositive_numerator(self):
@@ -382,8 +382,13 @@ class TestOrderings:
         assert case2_vs_doubled_thm1_log_margin(2, 1, 1.43) == pytest.approx(plain, rel=1e-14)
 
     def test_case2_margin_needs_alpha_ell_above_one(self):
-        with pytest.raises(ValueError, match=r"^alpha\*ell must exceed 1$"):
+        with pytest.raises(ValueError, match=r"^alpha\*ell must exceed 1 for a positive gap, got 0\.5\*1$"):
             case2_vs_doubled_thm1_log_margin(2, 1, 0.5)
+        # the margin reads no n, but the view checks its point as GapParams does
+        with pytest.raises(ValueError, match="^n must be at least 2, got 1$"):
+            case2_vs_doubled_thm1_log_margin(1, 1, 1.43)
+        with pytest.raises(TypeError, match="^n must be an int, got float$"):
+            case2_vs_doubled_thm1_log_margin(2.5, 1, 1.43)
 
     @pytest.mark.parametrize(
         "ell", [1, 30, 10**16, 10**300, 10**308], ids=["1", "30", "1e16", "1e300", "1e308"],
@@ -416,6 +421,10 @@ class TestOrderings:
         assert final_inequality_log_margin(2, 1, Tuning(1.43)) == final_inequality_log_margin(2, 1, 1.43)
         pair = 2.0 * cly_constant(2) * (1.0 + 0.43) * 5.0 - math.log(6.0)  # alpha n C_n = nc/ell + u nc
         assert final_inequality_log_margin(2, 1, Tuning.excess(1, 0.43)) == pytest.approx(pair, rel=1e-13)
+        # the inequality holds at any alpha ell, so only ell >= 1 is checked
+        assert final_inequality_log_margin(2, 1, 0.5) == pytest.approx(0.5 * 10.0 - math.log(6.0), rel=1e-13)
+        with pytest.raises(ValueError, match="^ell must be at least 1, got 0$"):
+            final_inequality_log_margin(2, 0, 1.43)
 
     def test_correction_stays_below_codimension(self):
         # (n+ell+2) e^E < ell, which puts the CASE1 excess below CASE2

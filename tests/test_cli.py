@@ -352,6 +352,15 @@ class TestGridErrorContract:
          "error: 2 ell - 1 leaves the double range at n=166"),
         (("table", "--n-range", "2:2", "--l-range", f"{10**308}:{10**308}", "--variant", "thm1"), 1,
          "error: 2 ell - 1 leaves the double range at n=2"),
+        # every command answers a rule it shares with the table in the table's words
+        (("verify", "--n-range", "1:3"), 2, "usage error: n must be at least 2, got 1"),
+        (("trace", "--n", "1", "--t", "1"), 2, "usage error: n must be at least 2, got 1"),
+        (("optimize-alpha", "--n", "1"), 2, "usage error: n must be at least 2, got 1"),
+        (("constants", "--n-range", "1:3"), 2, "usage error: n must be at least 2, got 1"),
+        (("verify", "--l-range", "0:3"), 2, "usage error: ell must be at least 1, got 0"),
+        (("optimize-alpha", "--n", "2", "--l", "0"), 2, "usage error: ell must be at least 1, got 0"),
+        (("verify", "--alpha", "0.5"), 2,
+         "usage error: alpha*ell must exceed 1 for a positive gap, got 0.5*1"),
     ])
     def test_table_errors(self, capsys, argv, code, message):
         assert main(list(argv)) == code
@@ -814,7 +823,7 @@ class TestSingleShotCommands:
         assert capsys.readouterr() == ("", f"error: heat trace exceeds the double range at n={n}, t={t!r}\n")
 
     @pytest.mark.parametrize("argv, message", [
-        (("--n", "1", "--t", "1"), "dimension must be at least 2, got 1"),
+        (("--n", "1", "--t", "1"), "n must be at least 2, got 1"),
         (("--n", "2", "--t", "0"), "time must be positive and finite, got 0.0"),
         (("--n", "2", "--t=-1"), "time must be positive and finite, got -1.0"),
         (("--n", "2", "--t", "nan"), "time must be positive and finite, got nan"),

@@ -45,11 +45,10 @@ H_AT_142 = 0.7000804044382738
 H_AT_144 = -0.7599737935923772
 
 
-def g_value(beta: float, n: int) -> float:
-    """g(beta) = (n + 1 + (1+B) e^B) / (beta^2 n C_n e^B - 1), B = beta n C_n, in plain floats."""
+def g_denominator(beta: float, n: int) -> float:
+    """beta^2 n C_n e^(beta n C_n) - 1 in plain floats: the denominator of g, positive on its domain."""
     ncn = nc_product(n)
-    big_b = beta * ncn
-    return (n + 1.0 + (1.0 + big_b) * math.exp(big_b)) / (beta * beta * ncn * math.exp(big_b) - 1.0)
+    return beta * beta * ncn * math.exp(beta * ncn) - 1.0
 
 
 class TestBisect:
@@ -380,17 +379,16 @@ class TestObjective:
 
 
 class TestGFunction:
-    def test_g_plain_float(self):
-        # the test-side g against its hand-reduced value at n = 2, where n C_n = 2
-        e2 = math.exp(2.0)
-        direct = (3.0 + 3.0 * e2) / (2.0 * e2 - 1.0)
-        assert g_value(1.0, 2) == pytest.approx(direct, rel=1e-13)
-
     def test_sign_scan(self):
         samples = g_prime_sign_scan(2, [0.1, 0.3, 1.0, 2.0])
         assert [s.in_domain for s in samples] == [False, False, True, True]
         assert all(s.sign == -1 for s in samples if s.in_domain)
         assert all(s.sign is None for s in samples if not s.in_domain)
+        # the scan's log-form domain is g's positive denominator, at the acceptance gate's betas
+        betas = [0.05 * k for k in range(1, 61)]
+        domains = [[s.in_domain for s in g_prime_sign_scan(n, betas)] for n in (2, 3, 4)]
+        assert domains == [[g_denominator(beta, n) > 0.0 for beta in betas] for n in (2, 3, 4)]
+        assert sum(map(sum, domains)) == 169
 
     def test_sign_scan_rejects_nonpositive_beta(self):
         with pytest.raises(ValueError):

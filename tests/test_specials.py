@@ -228,7 +228,7 @@ class TestNcProduct:
 
     def test_a_memoised_int_does_not_answer_a_float(self):
         assert nc_product(4) == 64.0
-        with pytest.raises(TypeError, match="dimension must be an int, got float"):
+        with pytest.raises(TypeError, match="n must be an int, got float"):
             nc_product(4.0)
         with pytest.raises(TypeError, match="got bool"):
             nc_product(True)
@@ -239,9 +239,9 @@ class TestNcProduct:
         assert nc_product.cache_info().currsize == 164
 
     @pytest.mark.parametrize("n, error, message", [
-        (0, ValueError, "dimension must be at least 2, got 0"),
-        (-3, ValueError, "dimension must be at least 2, got -3"),
-        ("x", TypeError, "dimension must be an int, got str"),
+        (0, ValueError, "n must be at least 2, got 0"),
+        (-3, ValueError, "n must be at least 2, got -3"),
+        ("x", TypeError, "n must be an int, got str"),
     ])
     def test_a_bad_dimension_is_named_before_any_log_of_it(self, n, error, message):
         # cly_constant_log checks n for both; nc_product reads it before math.log(n)
