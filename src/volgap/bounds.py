@@ -490,9 +490,10 @@ def case2_vs_doubled_thm1_log_margin(n: int, ell: int, alpha=DEFAULT_ALPHA) -> f
 def final_inequality_log_margin(n: int, ell: int, alpha: float = DEFAULT_ALPHA) -> float:
     """Margin of e^(-alpha n (n+3) C_n) < ell / (n+ell+3), in log form.
 
-    Returns log(rhs) - log(lhs) = alpha n (n+3) C_n + log ell - log(n+ell+3);
-    the inequality holds iff this is positive, at any alpha ell; alpha may
-    be a Tuning.
+    Returns log(rhs) - log(lhs) = alpha n (n+3) C_n - log1p((n+3)/ell),
+    which keeps a small first term that log ell - log(n+ell+3) would
+    absorb at a large ell; the inequality holds iff this is positive, at
+    any alpha ell; alpha may be a Tuning.
     """
     _check_int(ell, "ell", 1)
     return _final_inequality_log_margins(n, _tuning(alpha).exponent(nc_product(n)), (ell,))[0]
@@ -501,7 +502,7 @@ def final_inequality_log_margin(n: int, ell: int, alpha: float = DEFAULT_ALPHA) 
 def _final_inequality_log_margins(n: int, anc: float, ells) -> list[float]:
     """final_inequality_log_margin at each of ells, given anc = alpha n C_n."""
     head = anc * (n + 3)
-    return [head + math.log(ell) - math.log(n + ell + 3.0) for ell in ells]
+    return [head - math.log1p((n + 3.0) / ell) for ell in ells]
 
 
 def _log_multiplicity_excesses(n: int, nc: float, t: float, ks) -> list[float]:

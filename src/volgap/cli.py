@@ -285,8 +285,15 @@ def _cmd_trace(args):
 # ---------------------------------------------------------------- main
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose rejection is one line, as every other usage error; subparsers inherit it."""
+
+    def error(self, message):
+        self.exit(2, f"usage error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="volgap",
         description="volume-gap lower bounds for minimal submanifolds of round spheres",
     )

@@ -24,19 +24,21 @@ rises with slope at least 1, so Newton steps in s from the closed-form
 root of u (1 + ell u) n C_n = 1, which the equation approaches once
 its correction term underflows, converge in a few steps.  The bracket
 is then certified by the residual's signs at its two ends, not
-inferred from the steps.
+inferred from the steps.  A solve reads n C_n and its log once and
+passes both to every residual evaluation.
 
-RootResult reports the bracket, root and residual in that coordinate
-and carries the additive base, so tiny roots stay exact while
-value = base + root recovers the familiar parameter when it is
-representable; the tuning itself lives in bounds.Tuning, which the
-bounds, f1 and f1_prime read, and which takes a root exactly as
-Tuning.excess(ell, root).
+RootResult, an immutable named tuple, reports the bracket, root and
+residual in that coordinate and carries the additive base, so tiny
+roots stay exact while value = base + root recovers the familiar
+parameter when it is representable; the tuning itself lives in
+bounds.Tuning, which the bounds, f1 and f1_prime read, and which takes
+a root exactly as Tuning.excess(ell, root).
 """
 
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 
 from .bounds import _excess_exponent, _tuning, b_alpha
@@ -52,23 +54,18 @@ class EvaluationError(ArithmeticError):
     """The objective produced NaN or an otherwise unusable value."""
 
 
-@dataclass(frozen=True)
-class RootResult:
+class RootResult(namedtuple("RootResult", "bracket_lo bracket_hi root residual iterations base", defaults=(0.0,))):
     """Bracketed root in the coordinate the solver worked in.
 
     base shifts that coordinate: the solved parameter is base + root.
     Plain bisect uses base = 0; the tuning solvers use base = 1/ell so
     that a root excess of 1e-30 is still a first-class float.
     iterations counts bisection steps for bisect and Newton steps for
-    the tuning solvers.
+    the tuning solvers.  An immutable tuple record: a field cannot be
+    assigned, and _replace makes a changed copy.
     """
 
-    bracket_lo: float
-    bracket_hi: float
-    root: float
-    residual: float
-    iterations: int
-    base: float = 0.0
+    __slots__ = ()
 
     @property
     def value(self) -> float:
@@ -104,19 +101,13 @@ def bisect(f, lo: float, hi: float, tol: float = 1e-12) -> RootResult:
         fm = _check_finite("f(mid)", f(mid))
         iterations += 1
         if fm == 0.0:
-            return RootResult(
-                bracket_lo=lo, bracket_hi=hi, root=mid,
-                residual=0.0, iterations=iterations,
-            )
+            return RootResult(lo, hi, mid, 0.0, iterations)
         if (fm > 0.0) == (flo > 0.0):
             lo, flo = mid, fm
         else:
             hi = mid
     root = 0.5 * (lo + hi)
-    return RootResult(
-        bracket_lo=lo, bracket_hi=hi, root=root,
-        residual=_check_finite("f(root)", f(root)), iterations=iterations,
-    )
+    return RootResult(lo, hi, root, _check_finite("f(root)", f(root)), iterations)
 
 
 def h(alpha: float) -> float:
@@ -155,14 +146,15 @@ def f1_prime(alpha, n: int, ell: int) -> LogScalar:
     return log_div(numerator, denominator * denominator)
 
 
-def _critical_objective(u: float, n: int, ell: int, ncn: float) -> tuple[float, float]:
+def _critical_objective(u: float, n: int, ell: int, ncn: float, log_ncn: float) -> tuple[float, float]:
     # log-form residual of  u (1 + ell u) n C_n = 1 + (n+1+ell) e^(-alpha n C_n)
     # at alpha = 1/ell + u, the excess form of bounds.Tuning, and its slope
-    # in log u from the same exp: 1 + ell u/(1 + ell u) + n C_n u corr/(1 + corr)
+    # in log u from the same exp: 1 + ell u/(1 + ell u) + n C_n u corr/(1 + corr);
+    # log_ncn = log(ncn), taken once per solve
     exponent = -_excess_exponent(ell, u, ncn)
     corr = (n + 1.0 + ell) * math.exp(exponent) if exponent > _UNDERFLOW_LOG else 0.0
     lu = ell * u
-    residual = math.log(u) + math.log1p(lu) + math.log(ncn) - math.log1p(corr)
+    residual = math.log(u) + math.log1p(lu) + log_ncn - math.log1p(corr)
     return residual, 1.0 + lu / (1.0 + lu) + ncn * (u * corr) / (1.0 + corr)
 
 
@@ -202,12 +194,13 @@ def optimal_alpha(n: int, ell: int = 1, tol: float = 1e-12) -> RootResult:
     if not (0.0 < tol < 1.0):
         raise ValueError(f"tol must lie in (0, 1), got {tol!r}")
     ncn = nc_product(n)
+    log_ncn = math.log(ncn)
     # n C_n sqrt(1 + 4 ell / n C_n), written so that 4 ell cannot overflow
     u = 2.0 / (ncn + 2.0 * math.sqrt(ncn) * math.sqrt(0.25 * ncn + _as_float(ell, "ell", n)))
     lo, hi = 0.0, math.inf  # evaluated points with residual < 0 and > 0
     last = math.inf
     for steps in range(_NEWTON_STEPS):
-        q, slope = _critical_objective(u, n, ell, ncn)
+        q, slope = _critical_objective(u, n, ell, ncn, log_ncn)
         step = _check_finite("Newton step", q / slope)
         if q < 0.0:
             lo = u
@@ -226,14 +219,11 @@ def optimal_alpha(n: int, ell: int = 1, tol: float = 1e-12) -> RootResult:
         u, last = nxt, step
     else:
         raise EvaluationError(f"Newton steps did not settle for (n={n}, ell={ell})")
-    lo, hi = _certified_bracket(u, tol, n, ell, ncn)
-    return RootResult(
-        bracket_lo=lo, bracket_hi=hi, root=u,
-        residual=q, iterations=steps, base=1.0 / ell,
-    )
+    lo, hi = _certified_bracket(u, tol, n, ell, ncn, log_ncn)
+    return RootResult(lo, hi, u, q, steps, 1.0 / ell)
 
 
-def _certified_bracket(u: float, tol: float, n: int, ell: int, ncn: float) -> tuple[float, float]:
+def _certified_bracket(u: float, tol: float, n: int, ell: int, ncn: float, log_ncn: float) -> tuple[float, float]:
     """Floats lo < u < hi at which the critical residual is < 0 and > 0.
 
     The ends start at u (1 -+ tol/2), pulled in by an ulp while
@@ -248,7 +238,7 @@ def _certified_bracket(u: float, tol: float, n: int, ell: int, ncn: float) -> tu
     for end, sign, away in ((lo, -1.0, 0.0), (hi, 1.0, math.inf)):
         if end == u:
             end = math.nextafter(u, away)
-        while not sign * _critical_objective(end, n, ell, ncn)[0] > 0.0:  # NaN widens too
+        while not sign * _critical_objective(end, n, ell, ncn, log_ncn)[0] > 0.0:  # NaN widens too
             if abs(end - u) > 0.25 * u:
                 raise EvaluationError(
                     f"critical residual does not change sign around u={u!r}"

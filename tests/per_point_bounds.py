@@ -81,7 +81,7 @@ def case2_margin(tuning, ell: int) -> float:
 
 
 def final_margin(n: int, ell: int, anc: float) -> float:
-    return anc * (n + 3) + math.log(ell) - math.log(n + ell + 3.0)
+    return anc * (n + 3) - math.log1p((n + 3.0) / ell)
 
 
 def multiplicity_excess(n: int, nc: float, k: int, t: float) -> float:

@@ -261,6 +261,16 @@ def test_grid_caps_before_overflow():
     assert capped
 
 
+def test_final_inequality_passes_with_a_tiny_margin_at_a_huge_ell():
+    # alpha*ell = 10^4 is a valid input; the margin 1e-29 - log1p(5e-34) lies far below the ulp of log ell
+    v = run_claim("FINAL_INEQ", SuiteConfig(n_min=2, n_max=3, ell_min=10**34, ell_max=10**34, alpha=1e-30))
+    with mpmath.workdps(80):
+        want = mpmath.mpf(1e-30) * 10 * oracle.c(2) + mpmath.log(10**34) - mpmath.log(10**34 + 5)
+    assert v.status == "PASS"
+    assert (v.witnesses["at_n"], v.witnesses["at_ell"]) == (2, 1e34)
+    assert v.witnesses["min_log_margin"] == pytest.approx(float(want), rel=1e-14, abs=0.0)
+
+
 GRID_CLAIMS = [
     "ALPHA_STAR_BRACKET",
     "FINAL_INEQ",
@@ -681,7 +691,7 @@ def _root_at(n: int, root: float):
     def wrap(solve):
         def mutated(m, ell=1, tol=1e-12):
             r = solve(m, ell, tol)
-            return dataclasses.replace(r, root=root, bracket_lo=0.99 * root, bracket_hi=1.01 * root) if m == n else r
+            return r._replace(root=root, bracket_lo=0.99 * root, bracket_hi=1.01 * root) if m == n else r
         return mutated
     return _patched(solver, "optimal_alpha", wrap)
 

@@ -94,11 +94,12 @@ class TestExitCodes:
         assert run(capsys, "verify", "--n-range", "0:3")[0] == 2
 
     def test_verify_has_no_tol(self, capsys):
-        # every root is solved at optimal_alpha's default tol
-        with pytest.raises(SystemExit) as exc:
-            main(["verify", "--tol", "1e-12"])
-        assert exc.value.code == 2
-        assert "unrecognized arguments: --tol 1e-12" in capsys.readouterr().err
+        # every root is solved at optimal_alpha's default tol; argparse's rejection is one line too
+        for tol in ("1e-12", "1"):
+            with pytest.raises(SystemExit) as exc:
+                main(["verify", "--tol", tol])
+            assert exc.value.code == 2
+            assert capsys.readouterr().err == f"usage error: unrecognized arguments: --tol {tol}\n"
 
     def test_usage_error_unknown_subcommand(self):
         with pytest.raises(SystemExit) as exc:
@@ -305,7 +306,8 @@ class TestTable:
         with pytest.raises(SystemExit) as exc:
             main(["table", "--alpha", alpha])
         assert exc.value.code == 2
-        assert f"alpha must be positive and finite, got {alpha!r}" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err == f"usage error: argument --alpha: alpha must be positive and finite, got {alpha!r}\n"
 
 
 _OVERFLOW_POINTS = [("1e300", "30"), ("8e307", "2"), ("8e307", "30"), ("1e308", "2"), ("1e308", "30")]
@@ -783,7 +785,8 @@ class TestSingleShotCommands:
         lo, root, hi = payload["bracket_lo"], payload["excess"], payload["bracket_hi"]
         assert lo <= root <= hi
         ncn = nc_product(5)
-        assert _critical_objective(lo, 5, 3, ncn)[0] < 0.0 < _critical_objective(hi, 5, 3, ncn)[0]
+        rest = (5, 3, ncn, math.log(ncn))
+        assert _critical_objective(lo, *rest)[0] < 0.0 < _critical_objective(hi, *rest)[0]
 
     def test_optimize_alpha_tol_outside_the_unit_interval_is_a_usage_error(self, capsys):
         assert main(["optimize-alpha", "--n", "2", "--tol", "2"]) == 2
@@ -912,7 +915,10 @@ class TestExitContractFuzz:
                 code, parsed = exc.code, False
             err = capsys.readouterr().err
             assert code in (0, 1, 2), argv
-            if parsed and (code == 2 or (code == 1 and argv[0] != "verify")):
+            if not parsed:
+                assert code == 2 and err.startswith("usage error: "), (argv, err)
+                invalid["rejected by argparse"] += 1
+            if code == 2 or (code == 1 and argv[0] != "verify"):
                 assert err.count("\n") == 1 and err.endswith("\n"), (argv, err)
             if must_exit_2:
                 assert code == 2, (argv, err)
@@ -920,3 +926,4 @@ class TestExitContractFuzz:
                 past = int(argv[2].split(":")[0]) >= 166
                 invalid["past the double range" if past else "other"] += 1
         assert invalid["past the double range"] >= 5 and invalid["other"] > 30
+        assert invalid["rejected by argparse"] > 30

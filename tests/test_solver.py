@@ -10,6 +10,7 @@ because the textbook form multiplies rounding by e^(alpha n C_n) and
 is unverifiable in floats already at n = 4.
 """
 
+import hashlib
 import math
 import random
 
@@ -99,6 +100,29 @@ class TestBisect:
         r = RootResult(bracket_lo=0.0, bracket_hi=1.0, root=0.25,
                        residual=0.0, iterations=1, base=2.0)
         assert r.value == 2.25
+
+
+class TestRootResult:
+    def test_fields_cannot_be_assigned(self):
+        r = optimal_alpha(3, 2)
+        for name in RootResult._fields:
+            with pytest.raises(AttributeError):
+                setattr(r, name, 0.0)
+        with pytest.raises(AttributeError):
+            r.extra = 0.0
+
+    def test_keyword_construction_replace_and_value(self):
+        r = RootResult(bracket_lo=0.5, bracket_hi=1.5, root=1.0, residual=-0.0, iterations=3)
+        assert r == RootResult(0.5, 1.5, 1.0, -0.0, 3, 0.0)
+        assert r.base == 0.0 and r.value == 1.0
+        moved = r._replace(root=0.75, base=2.0)
+        assert moved == RootResult(0.5, 1.5, 0.75, -0.0, 3, 2.0)
+        assert type(moved) is RootResult and moved.value == 2.75
+        assert r.root == 1.0  # the original is untouched
+
+    def test_both_solvers_return_it(self):
+        assert type(bisect(math.cos, 1.0, 2.0)) is RootResult
+        assert type(optimal_alpha(2, 1)) is RootResult
 
 
 class TestH:
@@ -210,7 +234,7 @@ class TestOptimalAlpha:
 
     def test_a_residual_that_never_changes_sign_is_not_certified(self, monkeypatch):
         # a zero residual ends the steps at once; neither bracket end then certifies
-        monkeypatch.setattr(solver, "_critical_objective", lambda u, n, ell, ncn: (0.0, 1.0))
+        monkeypatch.setattr(solver, "_critical_objective", lambda u, n, ell, ncn, log_ncn: (0.0, 1.0))
         message = r"^critical residual does not change sign around u=.* for \(n=2, ell=1\)$"
         with pytest.raises(EvaluationError, match=message):
             optimal_alpha(2, 1)
@@ -230,7 +254,8 @@ def count_evaluations(monkeypatch):
 
 
 def residual(u: float, n: int, ell: int) -> float:
-    return solver._critical_objective(u, n, ell, nc_product(n))[0]
+    ncn = nc_product(n)
+    return solver._critical_objective(u, n, ell, ncn, math.log(ncn))[0]
 
 
 class TestNewtonBudget:
@@ -277,6 +302,21 @@ class TestNewtonBudget:
             for n, ell in ((2, 1), (3, 2), (5, 10**12)):
                 want = oracle.root(n, ell)
                 assert abs(optimal_alpha(n, ell).root - want) / want <= 0.25e-12
+
+
+# sha256 over n 2:165 x ell 1:30 of one line per root at the default tol,
+# its six fields as float.hex: a rework of the solve must keep every bit
+GRID_ROOTS_SHA256 = "06a0ecc9b08c804961cc4a30c06cce29aa55e25091564e87d662196bac0b9dd6"
+
+
+def test_grid_roots_are_pinned_bit_for_bit():
+    digest = hashlib.sha256()
+    for n in range(2, 166):
+        for ell in range(1, 31):
+            r = optimal_alpha(n, ell)
+            fields = (r.bracket_lo, r.bracket_hi, r.root, r.residual, r.iterations, r.base)
+            digest.update(" ".join(float.hex(float(x)) for x in fields).encode() + b"\n")
+    assert digest.hexdigest() == GRID_ROOTS_SHA256
 
 
 class TestObjective:
