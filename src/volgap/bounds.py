@@ -61,17 +61,20 @@ checks the numerators: each request does, once, where it enters
 (_check_numerators in build_gap_table, the claims' grid, BoundKernel.logs).
 
 The tuning lives here too, in one form, Tuning: a fixed alpha, such as
-the classical _CLASSICAL, or the solver's excess pair (ell, u),
-alpha = 1/ell + u, kept exact where 1/ell + u rounds to 1/ell (from
-n = 17 on at the maximiser).  The overflow cap is decided here as well: capped_kernels yields one kernel
-per dimension up to the last n at which every exponent the bounds form
-at a given ell_max still fits in a double, and names in its note only
-an n it has checked.
+the classical _CLASSICAL, whose numerators alpha ell - 1 and
+2 alpha ell - 1 are formed exactly and rounded once, or the solver's
+excess pair (ell, u), alpha = 1/ell + u, kept exact where 1/ell + u
+rounds to 1/ell (from n = 17 on at the maximiser).  The overflow cap
+is decided here as well: capped_kernels yields one kernel per dimension
+up to the last n at which every exponent the bounds form at a given
+ell_max still fits in a double, and names in its note only an n it has
+checked.
 """
 
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -117,12 +120,25 @@ class Tuning:
         return _excess_exponent(self.ell, self.u, nc) if self.ell else self.alpha * nc
 
     def numerators(self, ell: int) -> tuple[float, float]:
-        """(alpha ell - 1, 2 alpha ell - 1); the pair's are ell u and 1 + 2 ell u."""
+        """(alpha ell - 1, 2 alpha ell - 1), each rounded once; the pair's are ell u and 1 + 2 ell u.
+
+        At a fixed alpha = p / q each is an exact int over q, and the int
+        division rounds it once; +inf past the double range.
+        """
         if not self.ell:
-            return self.alpha * ell - 1.0, 2.0 * self.alpha * ell - 1.0
+            p, q = self.alpha.as_integer_ratio()
+            return _rounded(p * ell - q, q), _rounded(2 * p * ell - q, q)
         if ell != self.ell:
             raise ValueError(f"this tuning was solved at ell={self.ell}, not ell={ell}")
         return ell * self.u, 1.0 + 2.0 * ell * self.u
+
+
+def _rounded(top: int, bottom: int) -> float:
+    """top / bottom, correctly rounded as int division is; +inf past the double range."""
+    try:
+        return top / bottom
+    except OverflowError:
+        return math.inf
 
 
 def _excess_exponent(ell: int, u: float, nc: float) -> float:
@@ -155,13 +171,8 @@ class GapParams:
             raise ValueError(f"alpha*ell must exceed 1 for a positive gap, got {got}")
 
 
-@dataclass(frozen=True)
-class GapBound:
-    params: GapParams
-    variant: GapVariant
-    denominator: LogScalar
-    excess: LogScalar
-    ratio_vs_cly: LogScalar
+class GapBound(namedtuple("GapBound", "params variant denominator excess ratio_vs_cly")):
+    __slots__ = ()
 
 
 # ------------------------------------------------------------- the kernel

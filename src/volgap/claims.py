@@ -6,15 +6,17 @@ verdict records the checked statement (the anchor), PASS or FAIL, the
 witness numbers that decide it, and the tolerance used when the
 statement is quantitative rather than a strict inequality.
 
-A record (_Claim) holds the anchor, the margins over the claim's domain
-(positive where it holds), its tolerance (none if strict), how its
-witnesses are named from the fold, and its grid note.  One fold
+A record (_Claim, a named tuple) holds the anchor, the margins over
+the claim's domain (positive where it holds), its tolerance (none if
+strict), how its witnesses are named from the fold, and its grid
+note.  One fold
 (_fold) reads every record: a NaN margin counts as -inf, and of equal
 margins the first point is kept.  It returns the worst margin, where it
 occurs, the first failing point and the point count, and the status
 comes from the worst margin, so a domain with no points passes.  A claim
 with no grid is a one-point domain whose point is the computed value.
-A new claim is one record plus its tests.
+A new claim is one record plus its tests.  A verdict is a ClaimVerdict
+named tuple, whose fields verify --json writes as they are.
 
 Claims never abort the suite: an evaluation that raises is reported as
 ERROR with the exception text, and the remaining claims still run.  A
@@ -57,8 +59,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter, namedtuple
-from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, reduce
 from itertools import accumulate, product, repeat
 from operator import add, sub
@@ -99,14 +100,14 @@ class SuiteConfig:
         logdomain._check_positive(self.cn_scale, "cn_scale")
 
 
-@dataclass(frozen=True)
-class ClaimVerdict:
-    claim_id: str
-    anchor: str
-    status: str  # PASS, FAIL or ERROR
-    witnesses: dict = field(default_factory=dict)
-    tolerance: float | None = None
-    grid_note: str | None = None
+class ClaimVerdict(namedtuple("ClaimVerdict", "claim_id anchor status witnesses tolerance grid_note")):
+    """A claim's verdict, PASS, FAIL or ERROR; one built without witnesses gets a dict of its own."""
+
+    __slots__ = ()
+
+    def __new__(cls, claim_id, anchor, status, witnesses=None, tolerance=None, grid_note=None):
+        witnesses = {} if witnesses is None else witnesses
+        return super().__new__(cls, claim_id, anchor, status, witnesses, tolerance, grid_note)
 
     @property
     def passed(self) -> bool:
@@ -208,8 +209,7 @@ def _fold(rows, holds) -> _Fold:
     return _Fold(worst, at, first_bad, points)
 
 
-@dataclass(frozen=True)
-class _Claim:
+class _Claim(namedtuple("_Claim", "anchor margins witnesses tolerance note", defaults=(None, None))):
     """One claim: its anchor, its margins, its verdict rule, its witnesses and its grid note.
 
     margins(run) gives the rows that _fold reads.  A claim with no
@@ -220,11 +220,7 @@ class _Claim:
     note, or a function of (run, fold) that gives it.
     """
 
-    anchor: str
-    margins: Callable
-    witnesses: Callable
-    tolerance: float | None = None
-    note: str | Callable | None = None
+    __slots__ = ()
 
 
 def _one(value, margin):
@@ -567,7 +563,7 @@ def run_claim(claim_id: str, config: SuiteConfig | None = None) -> ClaimVerdict:
     except Exception as exc:  # verdicts must outlive any single failure
         anchor = "evaluation failed before the statement could be checked"
         note = f"{type(exc).__name__}: {exc}"
-    return ClaimVerdict(claim_id, anchor, "ERROR", witnesses={}, grid_note=note)
+    return ClaimVerdict(claim_id, anchor, "ERROR", grid_note=note)
 
 
 def run_claim_suite(config: SuiteConfig | None = None) -> list[ClaimVerdict]:

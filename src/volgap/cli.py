@@ -134,17 +134,7 @@ def _cmd_verify(args):
         verdicts = run_claim_suite(config)
     passed = sum(v.passed for v in verdicts)
     payload = {
-        "claims": [
-            {
-                "claim_id": v.claim_id,
-                "anchor": v.anchor,
-                "status": v.status,
-                "witnesses": v.witnesses,
-                "tolerance": v.tolerance,
-                "grid_note": v.grid_note,
-            }
-            for v in verdicts
-        ],
+        "claims": [v._asdict() for v in verdicts],
         "passed": passed,
         "total": len(verdicts),
         "all_passed": passed == len(verdicts),
@@ -264,9 +254,7 @@ def _cmd_trace(args):
     payload = {
         "n": args.n,
         "t": args.t,
-        "value": result.value,
-        "levels_used": result.levels_used,
-        "tail_bound": result.tail_bound,
+        **result._asdict(),
         "upper_bound": upper,
         "margin": None if upper is None else upper - result.value,
     }

@@ -30,8 +30,10 @@ from dataclasses import dataclass
 
 _LN10 = math.log(10.0)
 _LN_HALF = math.log(0.5)
-# The double range, in logs, and the error that names it (_overflow); this
-# module is the only place that spells either.
+# The double range, in logs, and the error that names a quantity and n
+# (_overflow); this module is the only place that spells either.  The
+# heat-trace, closed trace bound and Gamma(s, 1) errors name t or s as
+# well, so spectral and specials spell those three.
 # Below _UNDERFLOW_LOG e^d underflows, so the smaller term of a sum or
 # difference cannot change a bit of the larger.  Above _OVERFLOW_LOG the
 # package treats e^x as past the double range (the largest double is
@@ -47,7 +49,7 @@ def _overflow(what: str, n: int) -> OverflowError:
 def _as_float(x: int, what: str, n: int) -> float:
     """The int x as a float; past the double range, OverflowError naming what and n.
 
-    The bounds and the solver form alpha ell and 2 ell as floats;
+    The bounds and the solver form 2 ell and ell u as floats;
     GapParams (which SuiteConfig builds) and optimal_alpha convert ell
     here before they do, and the case-correction exponent converts
     n + 2 ell here.  specials and spectral convert the dimension n here,

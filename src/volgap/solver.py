@@ -32,14 +32,14 @@ residual in that coordinate and carries the additive base, so tiny
 roots stay exact while value = base + root recovers the familiar
 parameter when it is representable; the tuning itself lives in
 bounds.Tuning, which the bounds, f1 and f1_prime read, and which takes
-a root exactly as Tuning.excess(ell, root).
+a root exactly as Tuning.excess(ell, root).  g_prime_sign_scan reports
+its signs as GPrimeSample named tuples.
 """
 
 from __future__ import annotations
 
 import math
 from collections import namedtuple
-from dataclasses import dataclass
 
 from .bounds import _excess_exponent, _tuning, b_alpha
 from .logdomain import _UNDERFLOW_LOG, LogScalar, _as_float, _check_int, log_add, log_div
@@ -261,11 +261,8 @@ def gamma_n(n: int) -> RootResult:
     return optimal_alpha(n, 1)
 
 
-@dataclass(frozen=True)
-class GPrimeSample:
-    beta: float
-    in_domain: bool
-    sign: int | None
+class GPrimeSample(namedtuple("GPrimeSample", "beta in_domain sign")):
+    __slots__ = ()
 
 
 def g_prime_sign_scan(n: int, betas) -> list[GPrimeSample]:

@@ -93,7 +93,7 @@ def cly_constant(n: int) -> float:
     n = 167 on); cly_constant_log has no such ceiling.
     """
     if cly_constant_log(n) > _OVERFLOW_LOG:
-        raise OverflowError(f"C_n exceeds the double range at n={n}; use cly_constant_log")
+        raise _overflow("C_n", n)
     if n % 2 == 0:
         half_power = float(n ** (n // 2))  # exact integer power
     else:
@@ -137,7 +137,5 @@ def nc_product(n: int) -> float:
     """
     log_nc = cly_constant_log(n) + math.log(n)  # in this order: n is checked before math.log reads it
     if log_nc > _OVERFLOW_LOG:
-        raise OverflowError(
-            f"n*C_n exceeds the double range at n={n}; exponent-scale formulas stop here"
-        )
+        raise _overflow("n C_n", n)
     return n * cly_constant(n)

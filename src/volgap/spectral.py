@@ -33,6 +33,9 @@ the ratio formed at every level.  At small t this needs about
 sqrt(33 / t) levels on S^2 and a few percent more in higher dimension,
 where waiting for consecutive terms to halve would need ln 2 / (2t).
 
+sphere_level returns a SpectralLevel and heat_trace a TraceResult (the
+value, the levels summed and the tail bound), both named tuples.
+
 trace_bound gives the closed comparison estimate
 
   1 + (n+1) e^(-nt) + C_n t^-1 e^(-nt)   for t >= 1,
@@ -47,7 +50,7 @@ claim suite checks that dominance at t = 1, which decides every t >= 1
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .logdomain import _UNDERFLOW_LOG, _as_float, _check_int, _check_positive
 from .specials import cly_constant_log
@@ -61,18 +64,12 @@ _TAIL_EPS = 5e-15
 _MAX_LEVELS = 200_000
 
 
-@dataclass(frozen=True)
-class SpectralLevel:
-    k: int
-    eigenvalue: int
-    multiplicity: int
+class SpectralLevel(namedtuple("SpectralLevel", "k eigenvalue multiplicity")):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class TraceResult:
-    value: float
-    levels_used: int
-    tail_bound: float
+class TraceResult(namedtuple("TraceResult", "value levels_used tail_bound")):
+    __slots__ = ()
 
 
 def sphere_level(n: int, k: int) -> SpectralLevel:

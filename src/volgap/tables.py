@@ -53,9 +53,9 @@ from __future__ import annotations
 
 import functools
 import math
+from collections import namedtuple
 from itertools import chain, repeat
 from operator import methodcaller
-from typing import NamedTuple
 
 from .bounds import (
     _CLASSICAL, DEFAULT_ALPHA, BoundKernel, GapParams, GapVariant, Tuning, _bound_columns, _check_numerators,
@@ -68,14 +68,10 @@ from .solver import optimal_alpha
 CSV_HEADER = "n,ell,alpha,variant,log10_B,log10_excess,ratio_vs_cly"
 
 
-class GapTableRow(NamedTuple):
-    n: int
-    ell: int
-    alpha: float  # 2 on classical rows, the tuning actually used otherwise
-    variant: str
-    log10_denominator: float
-    log10_excess: float
-    log10_ratio_vs_cly: float  # 0 on classical rows
+class GapTableRow(namedtuple("GapTableRow", "n ell alpha variant log10_denominator log10_excess log10_ratio_vs_cly")):
+    """One table row: a classical row has alpha 2 and log10_ratio_vs_cly 0, a tuned row its own alpha."""
+
+    __slots__ = ()
 
 
 _sig = "{:.12g}".format  # a float's text at 12 significant digits

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import volgap
+from volgap import bounds, solver, spectral
 
 SRC = Path(volgap.__file__).parent
 ROOT = SRC.parent.parent
@@ -111,6 +112,22 @@ def test_deleted_names_stay_deleted(module, name):
     assert getattr(owner, name, None) is getattr(object, name, None)
 
 
+@pytest.mark.parametrize("record, fields", [
+    (spectral.SpectralLevel, {"k": 2, "eigenvalue": 6, "multiplicity": 5}),
+    (spectral.TraceResult, {"value": 1.5, "levels_used": 4, "tail_bound": 1e-16}),
+    (solver.GPrimeSample, {"beta": 0.5, "in_domain": False, "sign": None}),
+    (bounds.GapBound, {"params": None, "variant": "THM1", "denominator": 1.0, "excess": 2.0, "ratio_vs_cly": 3.0}),
+], ids=["SpectralLevel", "TraceResult", "GPrimeSample", "GapBound"])
+def test_a_plain_record_is_an_immutable_tuple_built_by_keyword(record, fields):
+    r = record(**fields)
+    assert r._asdict() == fields and tuple(r) == tuple(fields.values())
+    assert r._replace(**{record._fields[0]: 0}) == (0, *tuple(r)[1:])
+    with pytest.raises(AttributeError):
+        setattr(r, record._fields[0], 0)
+    with pytest.raises(AttributeError):
+        r.extra = 0
+
+
 def _names(node):
     """Every name that node reads: bare names and attribute names."""
     for sub in ast.walk(node):
@@ -171,6 +188,38 @@ def test_only_logdomain_spells_the_double_range():
             if isinstance(node, ast.Constant) and type(node.value) in (int, float) and abs(node.value) in limits:
                 spelled[path.stem, abs(node.value)] += 1
     assert spelled == {("logdomain", 745.0): 1, ("logdomain", 709.0): 1}
+
+
+def test_only_errors_naming_t_or_s_spell_their_own_overflow():
+    # an overflow that names only n is logdomain._overflow; the heat trace,
+    # the closed trace bound and Gamma(s, 1) name t or s as well
+    spelled = Counter()
+    for path in sorted(SRC.glob("*.py")):
+        for owner, node in _owned_nodes(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "OverflowError" and node.args:
+                spelled[path.stem, owner] += 1
+    assert spelled == {
+        ("logdomain", "_overflow"): 1,
+        ("specials", "upper_incomplete_gamma_at_one"): 1,
+        ("spectral", "heat_trace"): 1,
+        ("spectral", "trace_bound"): 1,
+    }
+
+
+def test_a_dataclass_checks_itself_and_no_module_imports_typing():
+    # a record that only carries data is a namedtuple subclass; @dataclass
+    # stays on the records that validate themselves in __post_init__
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ClassDef) and any("dataclass" in _names(d) for d in node.decorator_list):
+                if not any(isinstance(f, ast.FunctionDef) and f.name == "__post_init__" for f in node.body):
+                    found.append(f"{path.stem}.{node.name}")
+            elif isinstance(node, ast.Import) and any(a.name.split(".")[0] == "typing" for a in node.names):
+                found.append(f"{path.stem}: typing")
+            elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "typing":
+                found.append(f"{path.stem}: typing")
+    assert found == []
 
 
 def _owned_nodes(tree):

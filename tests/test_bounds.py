@@ -7,6 +7,7 @@ stay exact in the log domain.
 """
 
 import math
+from fractions import Fraction
 
 import mpmath
 import pytest
@@ -308,12 +309,15 @@ class TestTuning:
                     math.log(1.0 + 2.0 * ell * u) - log_b
                 )
 
-    def test_fixed_alpha_keeps_the_float_expressions(self):
+    def test_fixed_alpha_rounds_each_numerator_once(self):
+        # exact over the double alpha, then rounded: at (0.6, 7) and (1.43, 23)
+        # the float expression alpha * ell - 1.0 is one ulp off
         nc = nc_product(9)
         for alpha in (0.6, 1.43, 3.0):
-            for ell in (2, 7):
+            for ell in (2, 7, 23):
                 tuning = Tuning(alpha)
-                assert tuning.numerators(ell) == (alpha * ell - 1.0, 2.0 * alpha * ell - 1.0)
+                exact = Fraction(alpha) * ell
+                assert tuning.numerators(ell) == (float(exact - 1), float(2 * exact - 1))
                 assert tuning.exponent(nc) == alpha * nc
                 assert BoundKernel(9, tuning).logs(ell, tuple(GapVariant)) == (
                     BoundKernel(9, alpha).logs(ell, tuple(GapVariant))

@@ -191,13 +191,21 @@ class TestFold:
         )
         assert not suite_passed(run_claim_suite(SMALL))
 
+    def test_a_verdict_built_without_witnesses_has_a_dict_of_its_own(self):
+        a, b = ClaimVerdict("A", "x", "PASS"), ClaimVerdict("B", "y", "ERROR")
+        assert a.witnesses == b.witnesses == {} and a.witnesses is not b.witnesses
+        a.witnesses["k"] = 1.0
+        assert b.witnesses == {} and ClaimVerdict("C", "z", "FAIL").witnesses == {}
+        assert (a.tolerance, a.grid_note, a.passed, b.passed) == (None, None, True, False)
+        assert ClaimVerdict._fields == ("claim_id", "anchor", "status", "witnesses", "tolerance", "grid_note")
+
 
 def test_lem3_fails_where_the_trace_is_nan(monkeypatch):
     trace = spectral.heat_trace
 
     def nan_at_4_1(n, t):
         result = trace(n, t)
-        return dataclasses.replace(result, value=math.nan) if (n, t) == (4, 1.0) else result
+        return result._replace(value=math.nan) if (n, t) == (4, 1.0) else result
 
     monkeypatch.setattr(spectral, "heat_trace", nan_at_4_1)
     v = run_claim("LEM3_TRACE_BOUND", SMALL)
@@ -334,7 +342,7 @@ def test_first_bad_names_the_first_failing_point(monkeypatch):
         for (n,), ells, row in claim.margins(run):
             yield (n,), ells, [bad.get((n, ell), m) for ell, m in zip(ells, row)]
 
-    monkeypatch.setitem(_CLAIMS, "GAP_ORDER_THM2_THM1", dataclasses.replace(claim, margins=margins))
+    monkeypatch.setitem(_CLAIMS, "GAP_ORDER_THM2_THM1", claim._replace(margins=margins))
     v = run_claim("GAP_ORDER_THM2_THM1", SMALL)
     assert v.status == "FAIL"
     assert (v.witnesses["first_bad_n"], v.witnesses["first_bad_ell"]) == (3.0, 3.0)

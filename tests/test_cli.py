@@ -14,11 +14,12 @@ import tracemalloc
 import pytest
 
 from volgap import cli
+from volgap.claims import ClaimVerdict
 from volgap.cli import main
 from volgap.logdomain import LogScalar
 from volgap.solver import _critical_objective
 from volgap.specials import cly_constant, cly_constant_log, nc_product
-from volgap.spectral import heat_trace
+from volgap.spectral import TraceResult, heat_trace
 from volgap.tables import CSV_HEADER, build_gap_table
 
 
@@ -139,6 +140,10 @@ class TestVerifyOutput:
         c4 = next(c for c in payload["claims"] if c["claim_id"] == "C4_EXACT")
         assert c4["status"] == "PASS"
         assert c4["witnesses"]["computed"] == 16.0
+
+    def test_each_claim_object_holds_the_verdict_fields(self, capsys):
+        _, out = run(capsys, "verify", "--n-range", "2:4", "--l-range", "1:2", "--json")
+        assert [sorted(c) for c in json.loads(out)["claims"]] == [sorted(ClaimVerdict._fields)] * 19
 
     def test_single_claim(self, capsys):
         code, out = run(
@@ -324,8 +329,7 @@ class TestGridErrorContract:
         (("table", "--alpha", "0.5", "--l-range", "1:1"), 2,
          "usage error: alpha*ell must exceed 1 for a positive gap, got 0.5*1"),
         (("table", "--n-range", "165:166"), 1,
-         "error: n*C_n exceeds the double range at n=166;"
-         " exponent-scale formulas stop here"),
+         "error: n C_n leaves the double range at n=166"),
         # invalid input exits 2 before any overflow, with the same
         # message at auto as at a fixed alpha
         (("table", "--n-range", "166:166", "--alpha", "0.5"), 2,
@@ -343,8 +347,7 @@ class TestGridErrorContract:
         (("table", "--n-range", "2:2", "--l-range", f"1:{2 * 10**308}", "--alpha", "auto"), 1,
          "error: ell leaves the double range at n=2"),
         (("table", "--n-range", "2:100000000", "--l-range", "1:1"), 1,
-         "error: n*C_n exceeds the double range at n=166;"
-         " exponent-scale formulas stop here"),
+         "error: n C_n leaves the double range at n=166"),
         (("table", "--l-range", f"0:{2 * 10**308}"), 2,
          "usage error: ell must be at least 1, got 0"),
         (("table", "--n-range", "1:100000000", "--l-range", f"1:{2 * 10**308}"), 2,
@@ -460,8 +463,8 @@ class TestGridErrorContract:
     @pytest.mark.parametrize("n", [2**64, 2**64 + 1], ids=["even", "odd"])
     @pytest.mark.parametrize("argv, err", [
         (("constants",), ""),
-        (("gap", "--l", "1"), "error: n*C_n exceeds the double range at n={n}; exponent-scale formulas stop here\n"),
-        (("optimize-alpha",), "error: n*C_n exceeds the double range at n={n}; exponent-scale formulas stop here\n"),
+        (("gap", "--l", "1"), "error: n C_n leaves the double range at n={n}\n"),
+        (("optimize-alpha",), "error: n C_n leaves the double range at n={n}\n"),
         (("trace", "--t", "1"), "error: closed trace bound exceeds the double range at n={n}, t=1.0\n"),
     ], ids=["constants", "gap", "optimize-alpha", "trace"])
     def test_n_past_2_to_the_64_finishes(self, n, argv, err):
@@ -799,6 +802,11 @@ class TestSingleShotCommands:
         payload = json.loads(out)
         assert payload["value"] == heat_trace(2, 1.0).value
         assert payload["upper_bound"] >= payload["value"]
+
+    @pytest.mark.parametrize("t", ["0.5", "1.0"])
+    def test_trace_json_holds_the_result_fields(self, capsys, t):
+        _, out = run(capsys, "trace", "--n", "3", "--t", t, "--json")
+        assert sorted(json.loads(out)) == sorted({*TraceResult._fields, "n", "t", "upper_bound", "margin"})
 
     def test_trace_short_time_no_bound(self, capsys):
         code, out = run(capsys, "trace", "--n", "2", "--t", "0.5", "--json")

@@ -3,13 +3,16 @@
 Each printed value carries 12 significant digits, and each must lie
 within one unit of its 12th digit of the oracle's value.  The table
 test covers the whole representable grid, n 2:165 x ell 1:30, at a
-fixed alpha and at alpha = auto.  ratio_vs_cly is left out: its digits
-are not yet right at most tuned points.
+fixed alpha and at alpha = auto, and every n at fixed alphas just above
+1/ell, where alpha ell - 1 is far below an ulp of alpha ell.
+ratio_vs_cly is left out: its digits are not yet right at most tuned
+points.
 """
 
 import json
 import math
 from decimal import Decimal
+from fractions import Fraction
 
 import mpmath
 import pytest
@@ -99,4 +102,29 @@ def test_every_printed_log_of_gap(tmp_path, alpha):
             assert [row["variant"] for row in printed] == ["CLY", "THM1", "THM2_CASE1", "THM2_CASE2"]
             rows += [(row["variant"], n, ell, row["log10_B"], row["log10_excess"]) for row in printed]
     units, where = worst(logs_against_oracle(rows, alpha), logs=True)
+    assert units <= 1, (units, where)
+
+
+# three doubles within 1e-6 above 1/ell at each ell, the first the least
+# double above it: alpha ell - 1 there is far below an ulp of alpha ell
+NEAR_ONE_OVER_ELL = {
+    1: ("1.0000000000000002", "1.000000001", "1.0000009"),
+    3: ("0.33333333333333337", "0.3333334", "0.3333343"),
+    10: ("0.1", "0.1000000001", "0.1000009"),
+    100: ("0.01", "0.0100000000001", "0.0100009"),
+}
+
+
+@pytest.mark.parametrize("ell, alpha", [(ell, alpha) for ell, alphas in NEAR_ONE_OVER_ELL.items() for alpha in alphas])
+def test_every_printed_log_near_alpha_ell_one(tmp_path, ell, alpha):
+    assert 0 < Fraction(float(alpha)) * ell - 1 < 1e-6 * ell
+    text = run(tmp_path, "table", "--alpha", alpha, "--n-range", "2:165", "--l-range", f"{ell}:{ell}")
+    rows = [(variant, int(n), ell, b, excess)
+            for n, _, _, variant, b, excess, _ in (line.split(",") for line in text.splitlines()[1:])]
+    assert len(rows) == 164 * 4
+    for n in (2, 8, 30, 165):
+        printed = json.loads(run(tmp_path, "gap", "--json", "--n", str(n), "--l", str(ell), "--alpha", alpha),
+                             parse_float=str)
+        rows += [(row["variant"], n, ell, row["log10_B"], row["log10_excess"]) for row in printed]
+    units, where = worst(logs_against_oracle(rows, float(alpha)), logs=True)
     assert units <= 1, (units, where)

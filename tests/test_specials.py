@@ -186,6 +186,8 @@ class TestClyConstant:
     def test_overflow_raises_not_inf(self):
         with pytest.raises(OverflowError):
             cly_constant(200)
+        with pytest.raises(OverflowError, match="^C_n leaves the double range at n=167$"):
+            cly_constant(167)
 
     @pytest.mark.parametrize("n", [2**1024, 10**400, 10**400 + 1])
     def test_n_past_the_double_range_raises_naming_it(self, n):
