@@ -64,11 +64,9 @@ The tuning lives here too, in one form, Tuning: a fixed alpha, such as
 the classical _CLASSICAL, whose numerators alpha ell - 1 and
 2 alpha ell - 1 are formed exactly and rounded once, or the solver's
 excess pair (ell, u), alpha = 1/ell + u, kept exact where 1/ell + u
-rounds to 1/ell (from n = 17 on at the maximiser).  The overflow cap
-is decided here as well: capped_kernels yields one kernel per dimension
-up to the last n at which every exponent the bounds form at a given
-ell_max still fits in a double, and names in its note only an n it has
-checked.
+rounds to 1/ell (from n = 17 on at the maximiser).  No overflow is
+predicted here: each quantity raises OverflowError, naming itself and
+n, where it leaves the double range, and a caller stops there.
 """
 
 from __future__ import annotations
@@ -404,49 +402,6 @@ class BoundKernel:
         _check_numerators(self.n, cols, variants)
         columns = _bound_columns((self,), cols, variants)
         return [(log_bs[0], excesses[0], ratios[0]) for _, log_bs, excesses, ratios in columns]
-
-
-def capped_kernels(n_values, alpha: float, ell_max: int):
-    """One BoundKernel per n of n_values, stopping at the overflow cap.
-
-    The cap is the first n at which n C_n, or the case-correction
-    exponent E at ell_max, leaves the double range.  E is the deepest
-    exponent any bound forms, roughly -alpha (n+4) n C_n, so it
-    overflows a few dimensions before n C_n does; below the cap every
-    formula here is finite for ell <= ell_max.  Returns (kernels, note),
-    where note says where and why the sequence stopped, or is None.  The
-    note names n - 1 as the last n that fits only if it was kept, or,
-    where the first n already stops the sequence, if n - 1 passes the
-    same checks; otherwise it says that no dimension fits.
-    """
-    kernels = []
-    for n in n_values:
-        what = _exceeds(n, alpha, ell_max)
-        if what is not None:
-            if kernels or _fits(n - 1, alpha, ell_max):
-                return kernels, f"n capped at {n - 1}: {what} exceeds float range beyond"
-            return kernels, f"no dimension fits: {what} exceeds float range from n={n}"
-        kernels.append(BoundKernel(n, alpha))
-    return kernels, None
-
-
-def _exceeds(n: int, alpha: float, ell_max: int) -> str | None:
-    """What leaves the double range at n: n C_n, the case-correction exponent at ell_max, or None."""
-    try:
-        nc = nc_product(n)
-    except OverflowError:
-        return "n C_n"
-    if math.isinf(next(_correction_exponents(n, (alpha * nc,), (ell_max,)))):
-        return "the case-correction exponent"
-    return None
-
-
-def _fits(n: int, alpha: float, ell_max: int) -> bool:
-    """Whether capped_kernels would keep n: a dimension where _exceeds finds and raises nothing."""
-    try:
-        return n >= 2 and _exceeds(n, alpha, ell_max) is None
-    except OverflowError:  # n + 2 ell_max leaves the double range
-        return False
 
 
 # -------------------------------------------------- LogScalar views of it

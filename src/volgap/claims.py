@@ -12,31 +12,35 @@ strict), how its witnesses are named from the fold, and its grid
 note.  One fold
 (_fold) reads every record: a NaN margin counts as -inf, and of equal
 margins the first point is kept.  It returns the worst margin, where it
-occurs, the first failing point and the point count, and the status
-comes from the worst margin, so a domain with no points passes.  A claim
-with no grid is a one-point domain whose point is the computed value.
-A new claim is one record plus its tests.  A verdict is a ClaimVerdict
-named tuple, whose fields verify --json writes as they are.
+occurs, the first failing point, the point count and the last n it
+reached, and the status comes from the worst margin, so a domain with
+no points passes.  A claim with no grid is a one-point domain whose
+point is the computed value.  A new claim is one record plus its tests.
+A verdict is a ClaimVerdict named tuple, whose fields verify --json
+writes as they are.
 
 Claims never abort the suite: an evaluation that raises is reported as
 ERROR with the exception text, and the remaining claims still run.  A
-grid claim whose grid the overflow cap leaves empty is ERROR too, with
-the cap note as its reason: a statement over no points is neither shown
-nor refuted.
+grid claim walks its requested n in order and stops at the first n where
+one of its own quantities raises OverflowError: the fold records the cap
+in the note, and the verdict stands on the n before it.  A grid that
+overflows at its first n is ERROR, with the error as its reason: a
+statement over no points is neither shown nor refuted.  An error of the
+request (an ell or a numerator past the double range) is raised before
+any row, so it stays an error and never becomes a cap.
 
 Each record reads the run's private context (_Run): the SuiteConfig,
-the capped grid (one bounds.BoundKernel per n up to the overflow cap,
-from one bounds.capped_kernels call), the ell-only terms of the bounds
-over at most k ells of ell_min..ell_max (one bounds._EllColumns per k,
-from _sample), and one gamma_n root per n, shared by ALPHA_STAR_BRACKET,
-GAMMAN_LE_13 and GAMMA2_GT_13; each is computed on first use.
-_Run.ns gives the capped n >= lo, and _Run.note builds every note of a
-claim over the capped grid: "n in [a, b]", the claim's suffix, then the
-cap note.  The (n, ell) grid claims read ell columns per n, never one
-point at a time.  FINAL_INEQ, GAP_ORDER_THM1_CLY and GAP_ORDER_THM2_THM1
-read the two ends (k = 2): at each n their margin is monotone in ell
-(their grid notes say why), so its minimum over the range lies at an
-end.
+one bounds.BoundKernel per n, the ell-only terms of the bounds over at
+most k ells of ell_min..ell_max (one bounds._EllColumns per k, from
+_sample), and one gamma_n root per n, shared by ALPHA_STAR_BRACKET,
+GAMMAN_LE_13 and GAMMA2_GT_13; each is computed on first use.  _Run.ns
+gives the requested n >= lo, or those a fold reached, and _Run.note
+builds every grid note: "n in [a, b]" over the n reached, the claim's
+suffix, then the cap note.  The (n, ell) grid claims read ell columns
+per n, never one point at a time.  FINAL_INEQ, GAP_ORDER_THM1_CLY and
+GAP_ORDER_THM2_THM1 read the two ends (k = 2): at each n their margin is
+monotone in ell (their grid notes say why), so its minimum over the
+range lies at an end.
 THM6_CONSISTENCY compares two computations of one number, a check of
 the code, so it reads at most _THM6_ELLS ells per n, as its note says.
 Each grid row forms, per n, only the columns its margin reads:
@@ -46,10 +50,11 @@ run's case (ii) margins, and THM6_CONSISTENCY the THM1 log excesses
 beside the multiplicity route.  bounds._thm1_log_excesses and
 _thm1_log_ratios form those THM1 columns with the helper the tables'
 column pass uses (bounds._log_quotients), so THM6 checks the code the
-tables print from.  The numerators depend on ell alone, so _grid checks
-them once per claim that reads one, at the first n, before any row.  A
-failed solve is not kept, so it errors only the claims that ask for
-its n.  The context lives for one run_claim_suite or run_claim call.
+tables print from.  FINAL_INEQ stops where its head alpha n (n+3) C_n
+leaves the double range, and GAP_ORDER_THM2_THM1 where E does, so no
+margin or witness is infinite.  A failed solve is not kept, so it
+errors only the claims that ask for its n.  The context lives for one
+run_claim_suite or run_claim call.
 LEM3_TRACE_BOUND reads t = 1 alone, which decides every t >= 1 (its note
 says why).  LEML_GPRIME_NEG reads no grid: it expands g' exactly over
 integer polynomials, which decides every n and beta at once (_leml_counts).
@@ -60,7 +65,7 @@ from __future__ import annotations
 import math
 from collections import Counter, namedtuple
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import reduce
 from itertools import accumulate, product, repeat
 from operator import add, sub
 
@@ -115,7 +120,7 @@ class ClaimVerdict(namedtuple("ClaimVerdict", "claim_id anchor status witnesses 
 
 
 class _EmptyGrid(Exception):
-    """The overflow cap left no n of the grid; the message says where it stopped."""
+    """A grid overflowed at its first n, so it holds no point; the message says what overflowed."""
 
 
 def _sample(lo: int, hi: int, k: int):
@@ -128,21 +133,16 @@ def _sample(lo: int, hi: int, k: int):
 
 
 class _Run:
-    """One run of the suite: its SuiteConfig, the capped grid, its ell columns and the roots.
+    """One run of the suite: its SuiteConfig, its ell columns, and one kernel and one root per n.
 
-    The grid, each sample's ell columns and each root are computed once,
-    on first use; a call that raises keeps nothing, so the next one raises again.
+    Each is computed once, on first use; a call that raises keeps nothing, so the next one raises again.
     """
 
     def __init__(self, config: SuiteConfig) -> None:
         self.config = config
+        self._kernels = {}
         self._roots = {}
         self._columns = {}
-
-    @cached_property
-    def _grid(self):
-        c = self.config
-        return bounds.capped_kernels(range(c.n_min, c.n_max + 1), c.alpha, c.ell_max)
 
     def columns(self, k: int):
         """The ell-only terms of the bounds at config.alpha over _sample(ell_min, ell_max, k)."""
@@ -151,26 +151,25 @@ class _Run:
             self._columns[k] = bounds._EllColumns(ells, [bounds.Tuning(self.config.alpha)] * len(ells))
         return self._columns[k]
 
-    def kernels(self):
-        """One BoundKernel per n up to the overflow cap; _EmptyGrid, every call, if none."""
-        kernels, cap = self._grid
-        if not kernels:
-            raise _EmptyGrid(f"empty grid; {cap}")
-        return kernels
+    def kernel(self, n: int):
+        """bounds.BoundKernel(n, config.alpha), built once per n."""
+        if n not in self._kernels:
+            self._kernels[n] = bounds.BoundKernel(n, self.config.alpha)
+        return self._kernels[n]
 
-    def ns(self, lo: int = 2) -> list[int]:
-        """The n >= lo of the capped grid."""
-        return [k.n for k in self.kernels() if k.n >= lo]
+    def ns(self, lo: int = 2, f=None) -> range:
+        """The requested n >= lo, or, given a fold f, the n >= lo it reached."""
+        return range(max(lo, self.config.n_min), (self.config.n_max if f is None else f.last) + 1)
 
-    def note(self, suffix: str = "", lo: int = 2) -> str:
-        """Every capped-grid note: 'n in [a, b]' over ns(lo), then suffix, then the cap note if any.
+    def note(self, f, suffix: str = "", lo: int = 2) -> str:
+        """Every grid note: 'n in [a, b]' over ns(lo, f), then suffix, then f's cap note if any.
 
         A grid with no n >= lo is vacuous, and its note says so in place of the range and suffix.
         """
-        ns = self.ns(lo)
-        grid = f"n in [{ns[0]}, {ns[-1]}]{suffix}" if ns else f"vacuous: no n >= {lo} in grid"
-        cap = self._grid[1]
-        return grid if cap is None else f"{grid}; {cap}"
+        if f.last is None:
+            return f"vacuous: no n >= {lo} in grid"
+        grid = f"n in [{self.ns(lo, f)[0]}, {f.last}]{suffix}"
+        return grid if f.cap is None else f"{grid}; {f.cap}"
 
     def gamma(self, n: int):
         """solver.gamma_n(n), solved once per n."""
@@ -183,7 +182,7 @@ class _Run:
 
 
 # what _fold found; a point is a tuple of coordinates, None where there is none
-_Fold = namedtuple("_Fold", "worst at first_bad points")
+_Fold = namedtuple("_Fold", "worst at first_bad points last cap")
 
 
 def _fold(rows, holds) -> _Fold:
@@ -192,21 +191,34 @@ def _fold(rows, holds) -> _Fold:
     Rows are visited in order and only a strictly smaller margin moves
     the worst point, so ties keep the first.  A NaN margin counts as
     -inf.  first_bad is the first point where holds(margin) is false.
+    last is the first coordinate of the last row's points, its n on
+    every grid, or None if no row had a point.
+
+    The fold is the one place that stops a grid: a row that raises
+    OverflowError ends it, and cap says where and why.  Each quantity a
+    grid forms grows with n, so the first n that overflows bounds every
+    later one.  Where no point came before it, _EmptyGrid is raised.
     """
-    worst, at, first_bad, points = math.inf, None, None, 0
-    for key, cols, margins in rows:
-        if not margins:
-            continue
-        points += len(margins)
-        total = sum(margins)
-        if total != total:  # a NaN, or +inf and -inf together
-            margins = [m if m == m else -math.inf for m in margins]
-        lo = min(margins)
-        if at is None or lo < worst:
-            worst, at = lo, key + (cols[margins.index(lo)],)
-        if first_bad is None and not holds(lo):
-            first_bad = key + (next(c for c, m in zip(cols, margins) if not holds(m)),)
-    return _Fold(worst, at, first_bad, points)
+    worst, at, first_bad, points, last, cap = math.inf, None, None, 0, None, None
+    try:
+        for key, cols, margins in rows:
+            if not margins:
+                continue
+            points += len(margins)
+            last = key[0] if key else cols[0]
+            total = sum(margins)
+            if total != total:  # a NaN, or +inf and -inf together
+                margins = [m if m == m else -math.inf for m in margins]
+            lo = min(margins)
+            if at is None or lo < worst:
+                worst, at = lo, key + (cols[margins.index(lo)],)
+            if first_bad is None and not holds(lo):
+                first_bad = key + (next(c for c, m in zip(cols, margins) if not holds(m)),)
+    except OverflowError as exc:  # from a row: float arithmetic here does not raise it
+        if last is None:
+            raise _EmptyGrid(f"empty grid; no dimension fits: {exc}") from None
+        cap = f"n capped at {last}: {exc}"
+    return _Fold(worst, at, first_bad, points, last, cap)
 
 
 class _Claim(namedtuple("_Claim", "anchor margins witnesses tolerance note", defaults=(None, None))):
@@ -229,8 +241,8 @@ def _one(value, margin):
 
 
 def _over(ns, margin):
-    """A one-row domain: margin(n) at each n of ns."""
-    return (((), ns, [margin(n) for n in ns]),)
+    """A domain of one row per n of ns, margin(n), evaluated as the fold reaches n."""
+    return (((), (n,), [margin(n)]) for n in ns)
 
 
 def _falls(ns, values):
@@ -239,21 +251,25 @@ def _falls(ns, values):
 
 
 def _grid(row, k: int, reads_numerators: bool = False):
-    """Margins over the capped (n, ell) grid; row(kernel, cols) gives one n's, at cols.ells.
+    """Margins over the (n, ell) grid; row(kernel, cols) gives one n's, at cols.ells.
 
     cols is the run's ell columns over its sample of at most k ells.  At
     k = 2 that is the two ends of the range: a claim whose margin is
-    monotone in ell at each n is decided there.  If row reads a numerator,
-    2 ell - 1 and alpha ell - 1 are checked once, at the first n, before
-    any row (bounds._check_numerators), since they depend on ell alone.
+    monotone in ell at each n is decided there.  The kernel is the run's
+    at n, built as the fold reaches n.  The errors of the request depend
+    on ell alone, so they are raised at the first n, before any row, and
+    never cap the grid: the largest ell must leave n + 2 ell (which the
+    case-correction exponent forms) in the double range, and if row
+    reads a numerator, 2 ell - 1 and alpha ell - 1 must fit too
+    (bounds._check_numerators).
     """
 
     def margins(run):
-        kernels = run.kernels()  # the grid's errors come before any ell term's
-        cols = run.columns(k)
+        first, cols = run.config.n_min, run.columns(k)
+        logdomain._as_float(first + 2 * cols.ells[-1], "ell", first)
         if reads_numerators:
-            bounds._check_numerators(kernels[0].n, cols, _THM1)
-        return (((kernel.n,), cols.ells, row(kernel, cols)) for kernel in kernels)
+            bounds._check_numerators(first, cols, _THM1)
+        return (((n,), cols.ells, row(run.kernel(n), cols)) for n in run.ns())
 
     return margins
 
@@ -285,7 +301,7 @@ def _bracket_margin(r) -> float:
 
 
 def _bracket_witnesses(run, f) -> dict:
-    ns = run.ns()
+    ns = run.ns(f=f)
     roots = [run.gamma(n) for n in ns]
     return {
         **({"gamma_2": roots[0].value} if ns[0] == 2 else {}),
@@ -340,7 +356,10 @@ def _leml_counts() -> tuple[int, int, int]:
 
 
 def _final_row(kernel, cols) -> list[float]:
-    return bounds._final_inequality_log_margins(kernel.n, kernel.anc, cols.ells)
+    margins = bounds._final_inequality_log_margins(kernel.n, kernel.anc, cols.ells)
+    if margins[0] == math.inf:  # the head alpha n (n+3) C_n, and so every margin
+        raise logdomain._overflow("alpha n (n+3) C_n", kernel.n)
+    return margins
 
 
 def _ratio_row(kernel, cols) -> list[float]:
@@ -349,9 +368,10 @@ def _ratio_row(kernel, cols) -> list[float]:
 
 def _case2_row(kernel, cols) -> list[float]:
     alphas, ancs = repeat(kernel.tuning.alpha), repeat(kernel.anc)
-    corrections = bounds._log_case1_corrections(kernel.n, alphas, ancs, cols.ells)
-    # a correction term that vanished fails the point outright
-    return [-math.inf if c == -math.inf else m for c, m in zip(corrections, cols.case2_margin)]
+    # a bump's log is -inf only where E itself leaves the double range
+    if -math.inf in bounds._log_case1_corrections(kernel.n, alphas, ancs, cols.ells):
+        raise logdomain._overflow("the case-correction exponent", kernel.n)
+    return cols.case2_margin
 
 
 def _thm6_row(kernel, cols) -> list[float]:
@@ -380,7 +400,7 @@ _CLAIMS = {
         " for every n, with defining-equation residual at most 1e-9",
         lambda run: _over(run.ns(), lambda n: _bracket_margin(run.gamma(n))),
         _bracket_witnesses, tolerance=1e-9,
-        note=lambda run, f: run.note(", ell = 1"),
+        note=lambda run, f: run.note(f, ", ell = 1"),
     ),
     "C3_APPROX": _Claim(
         "C_3 = 3^(3/2) e Gamma(3/2, 1) / 2 = 3.58258102141221 to 1e-12",
@@ -410,7 +430,7 @@ _CLAIMS = {
         # log ell - log(n + ell + 3) rises with ell
         _grid(_final_row, 2),
         lambda run, f: {"min_log_margin": f.worst, **_grid_point(f.at)},
-        note=lambda run, f: run.note(_grid_note(run, 2, "the margin increases in ell")),
+        note=lambda run, f: run.note(f, _grid_note(run, 2, "the margin increases in ell")),
     ),
     "GAMMA2_GT_13": _Claim(
         "gamma_2 > 1.3",
@@ -422,9 +442,9 @@ _CLAIMS = {
         lambda run: _over(run.ns(3), lambda n: 0.3 - run.gamma(n).root),
         # a vacuous grid has no largest gamma_n to report
         lambda run, f: {
-            "max_gamma_from_3": 1.0 + max(run.gamma(n).root for n in run.ns(3)),
+            "max_gamma_from_3": 1.0 + max(run.gamma(n).root for n in run.ns(3, f)),
         } if f.points else {},
-        note=lambda run, f: run.note(lo=3),
+        note=lambda run, f: run.note(f, lo=3),
     ),
     "GAP_ORDER_THM1_CLY": _Claim(
         "the tuned excess exceeds 1.65 times the classical excess at every"
@@ -437,15 +457,15 @@ _CLAIMS = {
             **_grid_point(f.at),
             "ratio_at_min": _ratio_at_min(f.worst),
         },
-        note=lambda run, f: run.note(_grid_note(run, 2, "the ratio is monotone in ell")) + (
+        note=lambda run, f: run.note(f, _grid_note(run, 2, "the ratio is monotone in ell")) + (
             "; ratio_at_min exceeds the double range" if _ratio_at_min(f.worst) == math.inf else ""
         ),
     ),
     "GAP_ORDER_THM2_THM1": _Claim(
         "case (i) strictly improves on the tuned bound (its correction term is"
         " positive) and case (ii) strictly exceeds twice the tuned excess",
-        # log1p(0.5 / (alpha ell - 1)) falls with ell, and so does E, so a
-        # case (i) bump that vanishes anywhere vanishes at ell_max
+        # log1p(0.5 / (alpha ell - 1)) falls with ell, and so does E, so E
+        # leaves the double range at ell_max first
         _grid(_case2_row, 2, reads_numerators=True),  # its margin is read at alpha ell - 1
         lambda run, f: {
             "min_case2_log_margin": f.worst,
@@ -453,7 +473,7 @@ _CLAIMS = {
             "first_bad_ell": _coord(f.first_bad, 1),
         },
         note=lambda run, f: run.note(
-            _grid_note(run, 2, "the case (ii) margin and the exponent E fall in ell")
+            f, _grid_note(run, 2, "the case (ii) margin and the exponent E fall in ell")
         ),
     ),
     "H_SIGN_142": _Claim(
@@ -472,7 +492,7 @@ _CLAIMS = {
         ),
         lambda run, f: {"min_margin": f.worst, "at_n": _coord(f.at, 0), "points": float(f.points)},
         note=lambda run, f: run.note(
-            "; decided at t = 1: levels 0 and 1 cancel, leaving t sum_(k>=2) m_k e^(-(lambda_k - n) t)"
+            f, "; decided at t = 1: levels 0 and 1 cancel, leaving t sum_(k>=2) m_k e^(-(lambda_k - n) t)"
             " <= C_n, whose terms fall for t >= 1 as lambda_k - n >= n + 2",
         ),
     ),
@@ -523,7 +543,7 @@ _CLAIMS = {
             "max_rel_log_diff": abs(f.worst), **_grid_point(f.at if f.worst < 0.0 else None),
         },
         # the two routes agree to rounding
-        tolerance=1e-12, note=lambda run, f: run.note(_grid_note(run, _THM6_ELLS)),
+        tolerance=1e-12, note=lambda run, f: run.note(f, _grid_note(run, _THM6_ELLS)),
     ),
     "TILDE_GAMMA3_LT_11": _Claim(
         "the positive root of 3 C_3 x^2 - 3 C_3 x - 1 lies in (1, 1.1)",

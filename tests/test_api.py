@@ -86,6 +86,11 @@ DELETED = [
     ("solver", "_g_prime_numerator"),
     ("bounds", "_numerator"),
     ("specials", "_check_dimension"),
+    ("bounds", "capped_kernels"),
+    ("bounds", "_exceeds"),
+    ("bounds", "_fits"),
+    ("claims", "_Run._grid"),
+    ("claims", "_Run.kernels"),
 ]
 
 

@@ -20,7 +20,6 @@ from volgap.bounds import (
     GapVariant,
     Tuning,
     b_alpha,
-    capped_kernels,
     case1_correction_numerator,
     case2_vs_doubled_thm1_log_margin,
     final_inequality_log_margin,
@@ -241,51 +240,6 @@ class TestBoundKernel:
             assert column == [
                 case1_correction_numerator(GapParams(n=n, ell=ell, alpha=1.43)).log_mag
                 for ell in range(1, 31)
-            ]
-
-    def test_capped_kernels_stop_before_the_first_overflow(self):
-        kernels, note = capped_kernels(range(160, 170), 1.43, 30)
-        assert [k.n for k in kernels] == [160, 161, 162, 163, 164]
-        assert note == "n capped at 164: the case-correction exponent exceeds float range beyond"
-        assert all(k.log_b == BoundKernel(k.n, 1.43).log_b for k in kernels)
-        # a tiny alpha keeps the correction exponent finite until n C_n overflows
-        kernels, note = capped_kernels(range(160, 170), 0.01, 110)
-        assert kernels[-1].n == 165
-        assert note == "n capped at 165: n C_n exceeds float range beyond"
-        assert capped_kernels(range(2, 5), 1.43, 30)[1] is None
-        # not even n = 2 fits, so there is no last n to name
-        kernels, note = capped_kernels(range(2, 10), 1e300, 10**9)
-        assert kernels == []
-        assert note == "no dimension fits: the case-correction exponent exceeds float range from n=2"
-
-    @pytest.mark.parametrize("n_values, note", [
-        # n C_n overflows at 166, and 165 fails the exponent check
-        (range(166, 171), "no dimension fits: n C_n exceeds float range from n=166"),
-        (range(200, 301), "no dimension fits: n C_n exceeds float range from n=200"),
-        # 164 passes both checks, so the first n's note may name it
-        (range(165, 171), "n capped at 164: the case-correction exponent exceeds float range beyond"),
-    ])
-    def test_an_empty_grid_names_only_a_checked_n(self, n_values, note):
-        assert capped_kernels(n_values, 1.43, 30) == ([], note)
-
-    def test_an_n_below_the_grid_that_raises_is_not_named(self):
-        # at 165, n + 2 ell_max leaves the double range: 165 does not fit
-        kernels, note = capped_kernels(range(166, 170), 1.43, 2**1023)
-        assert (kernels, note) == ([], "no dimension fits: n C_n exceeds float range from n=166")
-        # where the grid's own first n raises it, it still propagates
-        with pytest.raises(OverflowError, match="^ell leaves the double range at n=165$"):
-            capped_kernels(range(165, 170), 1.43, 2**1023)
-
-    def test_capped_kernels_compute_n_c_n_once_per_n(self):
-        nc_product.cache_clear()
-        kernels, note = capped_kernels(range(2, 401), 1.43, 30)
-        # n = 165 is computed too: its exponent caps the grid
-        assert nc_product.cache_info().misses == 164
-        assert note == "n capped at 164: the case-correction exponent exceeds float range beyond"
-        for kernel in kernels:
-            want = BoundKernel(kernel.n, 1.43)
-            assert [getattr(kernel, s) for s in BoundKernel.__slots__ if s != "tuning"] == [
-                getattr(want, s) for s in BoundKernel.__slots__ if s != "tuning"
             ]
 
 

@@ -8,7 +8,7 @@ import random
 import mpmath
 import pytest
 
-from volgap import bounds, claims, solver, spectral
+from volgap import bounds, claims, cli, solver, spectral
 from volgap.bounds import GapVariant
 from volgap.claims import (
     ClaimVerdict,
@@ -138,7 +138,9 @@ class TestFold:
     def test_nan_counts_as_minus_inf(self, monkeypatch):
         v = self.verdict(monkeypatch, [((2,), [1, 2, 3], [1.0, math.nan, 0.5])])
         assert v.status == "FAIL"
-        assert v.witnesses == {"worst": -math.inf, "at": (2, 2), "first_bad": (2, 2), "points": 3}
+        assert v.witnesses == {
+            "worst": -math.inf, "at": (2, 2), "first_bad": (2, 2), "points": 3, "last": 2, "cap": None,
+        }
 
     def test_a_nan_fails_a_non_strict_claim_too(self, monkeypatch):
         v = self.verdict(monkeypatch, [((), [1, 2], [0.0, math.nan])], tolerance=1e-9)
@@ -149,7 +151,7 @@ class TestFold:
         rows = [((2,), [1, 2, 3], [3.0, 1.0, 1.0]), ((3,), [1, 2, 3], [1.0, 2.0, 1.0])]
         v = self.verdict(monkeypatch, rows)
         assert v.status == "PASS"
-        assert v.witnesses == {"worst": 1.0, "at": (2, 2), "first_bad": None, "points": 6}
+        assert v.witnesses == {"worst": 1.0, "at": (2, 2), "first_bad": None, "points": 6, "last": 3, "cap": None}
 
     def test_first_failing_point_is_not_the_worst(self, monkeypatch):
         # in a row as across rows: (2, 2) fails first, (2, 3) is its row's worst
@@ -163,7 +165,38 @@ class TestFold:
     def test_a_domain_with_no_points_passes(self, monkeypatch, rows):
         v = self.verdict(monkeypatch, rows)
         assert v.status == "PASS"
-        assert v.witnesses == {"worst": math.inf, "at": None, "first_bad": None, "points": 0}
+        assert v.witnesses == {
+            "worst": math.inf, "at": None, "first_bad": None, "points": 0, "last": None, "cap": None,
+        }
+
+    @staticmethod
+    def overflowing(at: int, error=OverflowError):
+        # one row per n from 2, whose evaluation raises at n = at
+        for n in range(2, 6):
+            if n == at:
+                raise error(f"synthetic overflow at n={n}")
+            yield (n,), [1, 2], [1.0, 0.5]
+
+    def test_an_overflow_after_the_first_n_caps_the_fold(self, monkeypatch):
+        v = self.verdict(monkeypatch, self.overflowing(4))
+        assert v.status == "PASS"
+        assert v.witnesses == {
+            "worst": 0.5, "at": (2, 2), "first_bad": None, "points": 4, "last": 3,
+            "cap": "n capped at 3: synthetic overflow at n=4",
+        }
+
+    def test_an_overflow_at_the_first_n_empties_the_grid(self, monkeypatch):
+        v = self.verdict(monkeypatch, self.overflowing(2))
+        assert v == ClaimVerdict(
+            "SYNTHETIC", "the capped grid holds no point to check the statement at", "ERROR",
+            grid_note="empty grid; no dimension fits: synthetic overflow at n=2",
+        )
+
+    @pytest.mark.parametrize("at", [2, 4])
+    def test_any_other_error_is_an_error_verdict_wherever_it_comes(self, monkeypatch, at):
+        v = self.verdict(monkeypatch, self.overflowing(at, ZeroDivisionError))
+        assert (v.status, v.witnesses) == ("ERROR", {})
+        assert v.grid_note == f"ZeroDivisionError: synthetic overflow at n={at}"
 
     @pytest.mark.parametrize("margin, kwargs, status", [
         (0.0, {}, "FAIL"),  # no tolerance, strict: margin > 0
@@ -214,27 +247,29 @@ def test_lem3_fails_where_the_trace_is_nan(monkeypatch):
     assert v.witnesses["at_n"] == 4.0
 
 
-@pytest.mark.parametrize("n_max, ns", [(6, range(2, 7)), (400, range(2, 165))])
-def test_lem3_reads_t_1_alone_at_each_n_of_the_capped_grid(monkeypatch, n_max, ns):
+@pytest.mark.parametrize("n_max, ns", [(6, range(2, 7)), (400, range(2, 205))])
+def test_lem3_reads_t_1_alone_at_each_n_it_reaches(monkeypatch, n_max, ns):
+    # on 2:400 the closed bound leaves the double range at n = 205, past n C_n's 166
     traces = _count_calls(monkeypatch, spectral, "heat_trace")
     closed = _count_calls(monkeypatch, spectral, "trace_bound")
     v = run_claim("LEM3_TRACE_BOUND", dataclasses.replace(SMALL, n_max=n_max))
     assert v.status == "PASS"
-    assert traces == closed == [(n, 1.0) for n in ns]
+    assert traces == [(n, 1.0) for n in ns]
+    assert closed == [(n, 1.0) for n in range(2, min(n_max, 205) + 1)]
     assert v.witnesses["points"] == len(ns)
     assert v.grid_note.startswith(f"n in [2, {ns[-1]}]; decided at t = 1: ")
-    assert v.grid_note.endswith("capped at 164: the case-correction exponent exceeds float range beyond"
-                                if n_max > 164 else "as lambda_k - n >= n + 2")
+    assert v.grid_note.endswith("; n capped at 204: closed trace bound exceeds the double range at n=205, t=1.0"
+                                if n_max > 204 else "as lambda_k - n >= n + 2")
 
 
 def test_leml_reads_no_grid_no_beta_and_no_kernel(monkeypatch):
     def unread(*args, **kwargs):
         raise AssertionError("LEML_GPRIME_NEG read what it should not")
 
-    for module, name in [(bounds, "capped_kernels"), (bounds, "BoundKernel"), (solver, "g_prime_sign_scan")]:
+    for module, name in [(_Run, "kernel"), (bounds, "BoundKernel"), (solver, "g_prime_sign_scan")]:
         monkeypatch.setattr(module, name, unread)
-    # 165:170 leaves the capped grid empty; LEML still passes there
-    v = run_claim("LEML_GPRIME_NEG", SuiteConfig(n_min=165, n_max=170))
+    # no kernel claim has a point on 166:170; LEML still passes there
+    v = run_claim("LEML_GPRIME_NEG", SuiteConfig(n_min=166, n_max=170))
     assert (v.status, v.tolerance) == ("PASS", 0.0)
     assert v.witnesses == {"terms": 6.0, "mismatched": 0.0, "nonpositive_coefficients": 0.0}
     assert v.grid_note.startswith("every n >= 2 and b > 0: ")
@@ -250,7 +285,7 @@ def test_vacuous_gamma_range_still_passes():
 @pytest.mark.parametrize("n_min, n_max, note", [
     (2, 30, "n in [3, 30]"),
     (10, 20, "n in [10, 20]"),
-    (160, 200, "n in [160, 164]; n capped at 164: the case-correction exponent exceeds float range beyond"),
+    (160, 200, "n in [160, 165]; n capped at 165: n C_n leaves the double range at n=166"),
 ])
 def test_gamman_note_names_the_checked_n(n_min, n_max, note):
     v = run_claim("GAMMAN_LE_13", SuiteConfig(n_min=n_min, n_max=n_max))
@@ -259,9 +294,9 @@ def test_gamman_note_names_the_checked_n(n_min, n_max, note):
 
 
 def test_grid_caps_before_overflow():
-    # the deepest exponent (the case-correction one) leaves float range
-    # at n = 165, a step before n C_n itself does; the suite must cap
-    # there, say so, and still pass everywhere it can evaluate
+    # the case-correction exponent and alpha n (n+3) C_n leave the double
+    # range at n = 165, a step before n C_n itself does; the two claims
+    # that form them must stop there, say so, and still pass below
     wide = SuiteConfig(n_min=2, n_max=200, ell_min=1, ell_max=30)
     verdicts = run_claim_suite(wide)
     assert suite_passed(verdicts)
@@ -290,45 +325,134 @@ GRID_CLAIMS = [
 ]
 
 
-def test_capped_empty_grid_is_an_error_not_a_verdict():
-    # n C_n is finite at n = 165, but the case-correction exponent at
-    # ell = 30 is not, so the cap leaves no n of 165:170 to check
-    verdicts = run_claim_suite(SuiteConfig(n_min=165, n_max=170))
-    unchecked = [v for v in verdicts if v.status != "PASS"]
-    assert [v.claim_id for v in unchecked] == GRID_CLAIMS
-    for v in unchecked:
-        assert v.status == "ERROR"
-        assert v.witnesses == {}
-        assert v.grid_note == (
-            "empty grid; n capped at 164: the case-correction exponent"
-            " exceeds float range beyond"
-        )
+# the last n each grid claim checks on 2:400 at alpha 1.43, and what stops it there
+GRID_CAPS = {
+    "ALPHA_STAR_BRACKET": (165, "n C_n leaves the double range at n=166"),
+    "FINAL_INEQ": (164, "alpha n (n+3) C_n leaves the double range at n=165"),
+    "GAMMAN_LE_13": (165, "n C_n leaves the double range at n=166"),
+    "GAP_ORDER_THM1_CLY": (165, "n C_n leaves the double range at n=166"),
+    "GAP_ORDER_THM2_THM1": (164, "the case-correction exponent leaves the double range at n=165"),
+    "LEM3_TRACE_BOUND": (204, "closed trace bound exceeds the double range at n=205, t=1.0"),
+    "THM6_CONSISTENCY": (165, "n C_n leaves the double range at n=166"),
+}
+
+
+def test_each_grid_claim_stops_where_its_own_quantity_overflows():
+    verdicts = {v.claim_id: v for v in run_claim_suite(SuiteConfig(n_max=400))}
+    assert suite_passed(verdicts.values())
+    assert sorted(GRID_CAPS) == GRID_CLAIMS
+    for claim_id, (last, why) in GRID_CAPS.items():
+        note = verdicts[claim_id].grid_note
+        assert note.startswith(f"n in [{3 if claim_id == 'GAMMAN_LE_13' else 2}, {last}]"), claim_id
+        assert note.endswith(f"; n capped at {last}: {why}") and note.count("capped") == 1, claim_id
+
+
+# a quantity that each grid claim's row forms, by module and name
+ROW_QUANTITIES = {
+    "ALPHA_STAR_BRACKET": (solver, "gamma_n"),
+    "FINAL_INEQ": (bounds, "_final_inequality_log_margins"),
+    "GAMMAN_LE_13": (solver, "gamma_n"),
+    "GAP_ORDER_THM1_CLY": (bounds, "_thm1_log_ratios"),
+    "GAP_ORDER_THM2_THM1": (bounds, "_log_case1_corrections"),
+    "LEM3_TRACE_BOUND": (spectral, "heat_trace"),
+    "THM6_CONSISTENCY": (bounds, "_log_multiplicity_excesses"),
+}
+
+
+@pytest.mark.parametrize("claim_id", GRID_CLAIMS)
+def test_an_overflow_inside_a_row_is_a_cap_the_verdict_shows(monkeypatch, capsys, claim_id):
+    module, name = ROW_QUANTITIES[claim_id]
+    real = getattr(module, name)
+
+    def overflowing(first, *args):
+        if (first if isinstance(first, int) else first.n) == 10:  # an n, or a kernel
+            raise OverflowError("synthetic overflow at n=10")
+        return real(first, *args)
+
+    monkeypatch.setattr(module, name, overflowing)
+    assert cli.main(["verify", "--claim", claim_id, "--n-range", "2:30"]) == 0
+    line, summary = capsys.readouterr().out.splitlines()
+    assert line.startswith(f"PASS  {claim_id} ") and summary == "1/1 claims passed"
+    assert f"[n in [{3 if claim_id == 'GAMMAN_LE_13' else 2}, 9]" in line
+    assert line.endswith("; n capped at 9: synthetic overflow at n=10]")
+
+
+def test_the_grid_claims_reach_n_165_with_finite_witnesses():
+    verdicts = run_claim_suite(SuiteConfig(n_max=165))
+    assert suite_passed(verdicts)
+    assert all(math.isfinite(w) for v in verdicts for w in v.witnesses.values() if isinstance(w, float))
+    notes = {v.claim_id: v.grid_note for v in verdicts}
+    for claim_id in ("ALPHA_STAR_BRACKET", "GAMMAN_LE_13", "GAP_ORDER_THM1_CLY", "LEM3_TRACE_BOUND",
+                     "THM6_CONSISTENCY"):
+        assert ", 165]" in notes[claim_id] and "capped" not in notes[claim_id], claim_id
+
+
+def test_a_grid_that_overflows_at_its_first_n_is_an_error_not_a_verdict():
+    # at n = 165 alpha n (n+3) C_n and the case-correction exponent are
+    # past the double range, so FINAL_INEQ and GAP_ORDER_THM2_THM1 hold no
+    # point of 165:170; the other grid claims check n = 165 (LEM3 every n)
+    verdicts = {v.claim_id: v for v in run_claim_suite(SuiteConfig(n_min=165, n_max=170))}
+    unchecked = {claim_id: v.grid_note for claim_id, v in verdicts.items() if v.status != "PASS"}
+    assert unchecked == {
+        "FINAL_INEQ": "empty grid; no dimension fits: alpha n (n+3) C_n leaves the double range at n=165",
+        "GAP_ORDER_THM2_THM1": (
+            "empty grid; no dimension fits: the case-correction exponent leaves the double range at n=165"
+        ),
+    }
+    assert all(verdicts[claim_id].witnesses == {} for claim_id in unchecked)
+    assert verdicts["THM6_CONSISTENCY"].grid_note.startswith("n in [165, 165], ")
+    assert verdicts["LEM3_TRACE_BOUND"].grid_note.startswith("n in [165, 170]; ")
 
 
 @pytest.mark.parametrize("n_min, n_max", [(166, 170), (200, 300)])
-def test_empty_grid_names_no_dimension_when_the_n_below_it_does_not_fit(n_min, n_max):
-    # n C_n overflows from n = 166 on, and at n = 165 the case-correction
-    # exponent does, so no n below the grid can be named as its last
+def test_an_empty_grid_names_the_quantity_at_its_first_n(n_min, n_max):
+    # n C_n leaves the double range from n = 166 on; the closed trace bound
+    # only from n = 205, so LEM3_TRACE_BOUND checks up to there
     verdicts = run_claim_suite(SuiteConfig(n_min=n_min, n_max=n_max))
     unchecked = [v for v in verdicts if v.status != "PASS"]
-    assert [v.claim_id for v in unchecked] == GRID_CLAIMS
+    assert [v.claim_id for v in unchecked] == [c for c in GRID_CLAIMS if c != "LEM3_TRACE_BOUND"]
     for v in unchecked:
         assert (v.status, v.witnesses) == ("ERROR", {})
-        assert v.grid_note == f"empty grid; no dimension fits: n C_n exceeds float range from n={n_min}"
+        assert v.grid_note == f"empty grid; no dimension fits: n C_n leaves the double range at n={n_min}"
 
 
-def test_empty_grid_names_no_dimension_when_n_2_does_not_fit():
-    # the case-correction exponent overflows already at n = 2, so there
-    # is no last dimension to name, and n = 1 is no dimension at all
-    verdicts = run_claim_suite(SuiteConfig(alpha=1e300, ell_min=10**9, ell_max=10**9 + 1))
-    unchecked = [v for v in verdicts if v.status != "PASS"]
-    assert [v.claim_id for v in unchecked] == GRID_CLAIMS
-    for v in unchecked:
-        assert (v.status, v.witnesses) == ("ERROR", {})
-        assert v.grid_note == (
-            "empty grid; no dimension fits: the case-correction exponent"
-            " exceeds float range from n=2"
-        )
+def test_a_huge_alpha_stops_only_the_claims_that_form_it():
+    # the roots and the heat trace do not depend on alpha, so those three
+    # claims pass; alpha n (n+3) C_n and E overflow at the first n, and the
+    # tuned denominator at the second
+    config = SuiteConfig(alpha=5e307, n_min=2, n_max=3, ell_min=2, ell_max=2)
+    verdicts = {v.claim_id: v for v in run_claim_suite(config) if v.claim_id in GRID_CLAIMS}
+    assert {claim_id: v.status for claim_id, v in verdicts.items()} == {
+        "ALPHA_STAR_BRACKET": "PASS", "GAMMAN_LE_13": "PASS", "LEM3_TRACE_BOUND": "PASS",
+        "FINAL_INEQ": "ERROR", "GAP_ORDER_THM2_THM1": "ERROR",
+        # at alpha 5e307 the tuned excess is e^(-10^308) times the classical one
+        "GAP_ORDER_THM1_CLY": "FAIL", "THM6_CONSISTENCY": "PASS",
+    }
+    for claim_id in ("ALPHA_STAR_BRACKET", "GAMMAN_LE_13", "LEM3_TRACE_BOUND"):
+        assert "capped" not in verdicts[claim_id].grid_note
+    assert verdicts["FINAL_INEQ"].grid_note == (
+        "empty grid; no dimension fits: alpha n (n+3) C_n leaves the double range at n=2"
+    )
+    assert verdicts["GAP_ORDER_THM2_THM1"].grid_note == (
+        "empty grid; no dimension fits: the case-correction exponent leaves the double range at n=2"
+    )
+    assert verdicts["THM6_CONSISTENCY"].grid_note.endswith(
+        "; n capped at 2: alpha n + alpha + 1 leaves the double range at n=3"
+    )
+
+
+def test_the_request_errors_before_any_row_and_never_caps():
+    # alpha ell - 1 is 10^309: an error of the request, raised at the first
+    # n, even where FINAL_INEQ, which forms no numerator, caps at n = 9
+    config = SuiteConfig(alpha=1e300, ell_min=10**9, ell_max=10**9 + 1)
+    verdicts = {v.claim_id: v for v in run_claim_suite(config)}
+    for claim_id in ("GAP_ORDER_THM1_CLY", "GAP_ORDER_THM2_THM1", "THM6_CONSISTENCY"):
+        assert verdicts[claim_id].status == "ERROR"
+        assert verdicts[claim_id].grid_note == "OverflowError: alpha ell - 1 leaves the double range at n=2"
+    assert verdicts["FINAL_INEQ"].status == "PASS"
+    assert verdicts["FINAL_INEQ"].grid_note.endswith(
+        "; n capped at 9: alpha n (n+3) C_n leaves the double range at n=10"
+    )
 
 
 def test_first_bad_names_the_first_failing_point(monkeypatch):
@@ -468,12 +592,12 @@ def _hexes(xs) -> list[str]:
 @pytest.mark.parametrize("alpha", [1.43, 3.0, 1.0000000000000002])
 @pytest.mark.parametrize("ell_max", [30, 10**6])
 def test_the_lean_rows_match_the_table_columns_bit_for_bit(alpha, ell_max):
-    # THM6's direct column and GAP_ORDER_THM1_CLY's margins, at every n of
-    # the capped grid, against the THM1 columns the tables print from
-    run = _Run(SuiteConfig(n_max=400, ell_max=ell_max, alpha=alpha))
+    # THM6's direct column and GAP_ORDER_THM1_CLY's margins, at every n
+    # they check, against the THM1 columns the tables print from
+    run = _Run(SuiteConfig(n_max=165, ell_max=ell_max, alpha=alpha))
     for k in (2, claims._THM6_ELLS):
         cols = run.columns(k)
-        for kernel in run.kernels():
+        for kernel in map(run.kernel, run.ns()):
             ((_, _, excesses, ratios),) = bounds._bound_columns([kernel] * len(cols.ells), cols, (GapVariant.THM1,))
             assert _hexes(bounds._thm1_log_excesses(kernel, cols)) == _hexes(excesses)
             assert _hexes(claims._ratio_row(kernel, cols)) == _hexes(r - math.log(1.65) for r in ratios)
@@ -502,13 +626,15 @@ FULL_GRID_MARGIN = {
     SuiteConfig(), SuiteConfig(n_max=400), SuiteConfig(n_max=400, alpha=3.0),
 ], ids=["default", "2:400", "2:400-alpha-3"])
 def test_the_ends_fold_as_the_full_grid_does(claim_id, config):
+    # over every n the ends reach: FINAL_INEQ and GAP_ORDER_THM2_THM1 stop at 164 on 2:400
     run = _Run(config)
     ells = range(config.ell_min, config.ell_max + 1)
     margin = FULL_GRID_MARGIN[claim_id]
-    full = _fold((((k.n,), ells, [margin(k, ell) for ell in ells]) for k in run.kernels()), lambda m: m > 0.0)
     ends = _fold(_CLAIMS[claim_id].margins(run), lambda m: m > 0.0)
-    assert (ends.worst, ends.at, ends.first_bad) == (full.worst, full.at, full.first_bad)
-    assert ends.points == 2 * len(run.kernels())
+    kernels = list(map(run.kernel, run.ns(f=ends)))
+    full = _fold((((k.n,), ells, [margin(k, ell) for ell in ells]) for k in kernels), lambda m: m > 0.0)
+    assert (ends.worst, ends.at, ends.first_bad, ends.last) == (full.worst, full.at, full.first_bad, full.last)
+    assert ends.points == 2 * len(kernels)
     assert run_claim(claim_id, run).witnesses == _CLAIMS[claim_id].witnesses(run, full)
 
 
@@ -815,19 +941,21 @@ def _count_calls(monkeypatch, module, name):
     return calls
 
 
-@pytest.mark.parametrize("n_max, roots", [(30, 29), (400, 163)])
-def test_one_grid_and_one_root_per_n_per_run(monkeypatch, n_max, roots):
-    # n 2:400 is capped at 164, so both grids solve n = 2, ..., roots + 1
-    grids = _count_calls(monkeypatch, bounds, "capped_kernels")
+# on 2:400 the kernels and roots stop at n = 165: n C_n overflows at 166,
+# where the two root claims and the two kernel claims that reach it each try once
+@pytest.mark.parametrize("n_max, ns, tried", [(30, range(2, 31), []), (400, range(2, 166), [166, 166])])
+def test_one_grid_and_one_root_per_n_per_run(monkeypatch, n_max, ns, tried):
     solves = _count_calls(monkeypatch, solver, "optimal_alpha")
     columns = _count_calls(monkeypatch, bounds, "_EllColumns")
     points = _count_calls(monkeypatch, bounds.BoundKernel, "logs")
     column_sets = _count_calls(monkeypatch, bounds, "_bound_columns")
     checks = _count_calls(monkeypatch, bounds, "_check_numerators")
+    kernels = _count_calls(monkeypatch, bounds, "BoundKernel")  # after its logs
     config = SuiteConfig(n_max=n_max)
     assert suite_passed(run_claim_suite(config))
-    assert len(grids) == 1
-    assert sorted(args[0] for args in solves) == list(range(2, roots + 2))
+    # one kernel per n across the four kernel claims, not one per claim, and RATIO_165's at n = 2
+    assert sorted(n for n, _ in kernels) == [2, *ns, *tried]
+    assert sorted(args[0] for args in solves) == [*ns, *tried]
     # the grid's ell terms once, their two ends once, RATIO_165's one point
     # once, and no grid kernel evaluated point by point: the one point read
     # is RATIO_165's anchor, through log_improvement_vs_cly
@@ -847,7 +975,9 @@ def test_one_grid_and_one_root_per_n_per_run(monkeypatch, n_max, roots):
     ]
     # nothing is kept between runs
     run_claim_suite(config)
-    assert (len(grids), len(solves), len(columns)) == (2, 2 * roots, 6)
+    assert (len(kernels), len(solves), len(columns)) == (
+        2 * (len(ns) + 1 + len(tried)), 2 * (len(ns) + len(tried)), 6,
+    )
     assert (len(column_sets), len(checks)) == (2, 8)
 
 

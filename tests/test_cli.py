@@ -45,23 +45,26 @@ class TestExitCodes:
         assert "C4_EXACT" in out and "C3_APPROX" in out
         assert "17/19 claims passed" in out
 
-    def test_capped_empty_grid_exits_one_without_made_up_witnesses(self, capsys):
-        code, out = run(capsys, "verify", "--n-range", "165:170", "--json")
+    def test_an_empty_grid_exits_one_without_made_up_witnesses(self, capsys):
+        # n C_n leaves the double range from n = 166 on
+        code, out = run(capsys, "verify", "--n-range", "166:170", "--json")
         assert code == 1
         payload = json.loads(out)
-        assert payload["passed"] == 12
+        assert payload["passed"] == 13
         errors = [c for c in payload["claims"] if c["status"] == "ERROR"]
-        assert len(errors) == 7
-        assert all(c["witnesses"] == {} and "capped at 164" in c["grid_note"] for c in errors)
+        assert len(errors) == 6
+        assert all(c["witnesses"] == {} and "n C_n leaves the double range at n=166" in c["grid_note"]
+                   for c in errors)
         for claim in payload["claims"]:
             assert all(v is not None for v in claim["witnesses"].values()), claim["claim_id"]
-        # as text: LEM3 errors among the seven, and LEML, which reads no grid, passes
-        code, out = run(capsys, "verify", "--n-range", "165:170")
+        # as text: LEM3, whose closed bound fits up to n = 204, and LEML, which reads no grid, pass
+        code, out = run(capsys, "verify", "--n-range", "166:170")
         assert code == 1
         errors = [line for line in out.splitlines() if line.startswith("ERROR ")]
-        assert len(errors) == 7
-        assert all("[empty grid; n capped at 164: " in line for line in errors)
-        assert any(line.startswith("ERROR LEM3_TRACE_BOUND ") for line in errors)
+        assert len(errors) == 6
+        assert all(line.endswith("[empty grid; no dimension fits: n C_n leaves the double range at n=166]")
+                   for line in errors)
+        assert any(line.startswith("PASS  LEM3_TRACE_BOUND ") for line in out.splitlines())
         assert any(line.startswith("PASS  LEML_GPRIME_NEG ") for line in out.splitlines())
 
     @pytest.mark.parametrize("n_range, omitted", [
@@ -192,13 +195,22 @@ class TestVerifyOutput:
 # lgamma past n = 340, and log C_n summed so that log C_2 is exactly 0:
 # only CN_MONOTONE's log_c_first changed (1.1102230246251565e-16 -> 0.0)
 # and, on the two 2:400 runs, its log_c_last (2056.5334320668935 ->
-# 2056.533432066894, the double nearest 40-digit mpmath).
+# 2056.533432066894, the double nearest 40-digit mpmath).  The two 2:400
+# runs were re-recorded when each grid claim came to stop where its own
+# quantity leaves the double range, in place of one predicted cap at 164:
+# every status stayed the same, and every grid note now names its last n
+# and what stopped it (165 and n C_n for ALPHA_STAR_BRACKET, GAMMAN_LE_13,
+# GAP_ORDER_THM1_CLY and THM6_CONSISTENCY; 164 for FINAL_INEQ and
+# GAP_ORDER_THM2_THM1; 204 and the closed trace bound for LEM3_TRACE_BOUND).
+# The witnesses that read the new n changed with them: ALPHA_STAR_BRACKET's
+# min_excess (gamma_165 - 1), LEM3_TRACE_BOUND's points (163 -> 203) and, at
+# alpha 3, GAP_ORDER_THM1_CLY's worst point (n = 164 -> 165), a FAIL either way.
 VERIFY_PINNED = [
     ((), "d04fcf5cf54c39bb60a3c64319829842bc0edfdfb820b8688a42e45590bce6d9"),
     (("--n-range", "2:400", "--l-range", "1:30"),
-     "ed12ee8d46f895164bfafb2097ab3ee1424e42c20f231bba2d69cb5e49812031"),
+     "5963fe30ee4ea37e049cfee80ceea87b94a64b99bc4612016095e162abb3f348"),
     (("--alpha", "3.0", "--n-range", "2:400", "--l-range", "1:30"),
-     "df653ecd02bdc4be5e2876c6e1c0229b9b3587772a65a4ec26f9a462102675ee"),
+     "c872ec73b67a5f22dcecdc8666254f86ffb40925d487ee0cd063c393a6e647ba"),
     (("--alpha", "1.0000000000000002", "--n-range", "2:12", "--l-range", "1:3"),
      "60ea9a57d8104f758ae903ee1bfbc7f860d8d32d925145373ccb7eb6726ee8ec"),
 ]
@@ -211,6 +223,19 @@ def test_verify_bytes_pinned(tmp_path, argv, digest):
     target = tmp_path / "verify.json"
     main(["verify", "--json", *argv, "--out", str(target)])
     assert hashlib.sha256(target.read_bytes()).hexdigest() == digest
+
+
+def test_the_full_size_verify_benchmark_check_holds(tmp_path):
+    # the two conditions the benchmark's verify workload applies to its
+    # full-size run, which CI runs only at its tiny size: every claim
+    # passes, and the output reports the grid capped at n = 164
+    target = tmp_path / "verify.json"
+    main(["verify", "--json", "--n-range", "2:400", "--l-range", "1:30", "--out", str(target)])
+    data = target.read_bytes()
+    payload = json.loads(data)
+    assert [c["claim_id"] for c in payload["claims"] if c["status"] != "PASS"] == []
+    assert len(payload["claims"]) >= 19 and payload["passed"] == payload["total"] and payload["all_passed"]
+    assert b"capped at 164" in data
 
 
 # sha256 of `volgap gap --n 2 --l 1 [--json] --out FILE`, recorded while
@@ -484,22 +509,30 @@ class TestGridErrorContract:
         assert claim["status"] == "ERROR"
         assert claim["grid_note"] == f"OverflowError: dimension leaves the double range at n={n}"
 
-    @pytest.mark.parametrize("n_range", ["166:170", "200:300"])
-    def test_an_empty_grid_names_no_unchecked_n(self, capsys, n_range):
+    @pytest.mark.parametrize("n_range, lem3", [
+        ("166:170", "[n in [166, 170]; "),
+        ("200:300", "; n capped at 204: closed trace bound exceeds the double range at n=205, t=1.0]"),
+    ])
+    def test_an_empty_grid_names_no_unchecked_n(self, capsys, n_range, lem3):
         code, out = run(capsys, "verify", "--n-range", n_range)
         assert code == 1
         errors = [line for line in out.splitlines() if line.startswith("ERROR ")]
-        assert len(errors) == 7
+        assert len(errors) == 6
         first = n_range.split(":")[0]
-        note = f"[empty grid; no dimension fits: n C_n exceeds float range from n={first}]"
+        note = f"[empty grid; no dimension fits: n C_n leaves the double range at n={first}]"
         assert all(line.endswith(note) for line in errors)
-        assert "capped at" not in out  # the n below the grid does not fit either
+        # only LEM3 checks an n, and the only n it names as its last is one it checked
+        (line,) = [line for line in out.splitlines() if line.startswith("PASS  LEM3_TRACE_BOUND ")]
+        assert lem3 in line and out.count("capped at") == line.count("capped at")
 
     def test_huge_ell_max_errors_the_grid_claims_naming_ell_and_n(self, capsys):
+        # an error of the request, not a cap; the grid claims that read no ell pass
         code, out = run(capsys, "verify", "--l-range", f"1:{2 * 10**308}", "--json")
         assert code == 1
         errors = [c for c in json.loads(out)["claims"] if c["status"] == "ERROR"]
-        assert len(errors) == 7
+        assert [c["claim_id"] for c in errors] == [
+            "FINAL_INEQ", "GAP_ORDER_THM1_CLY", "GAP_ORDER_THM2_THM1", "THM6_CONSISTENCY",
+        ]
         assert {c["grid_note"] for c in errors} == {"OverflowError: ell leaves the double range at n=2"}
 
     def test_an_overflowing_numerator_errors_the_claims_that_form_it(self, capsys):
