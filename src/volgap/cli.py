@@ -249,7 +249,9 @@ def _cmd_optimize_alpha(args):
 
 
 def _cmd_trace(args):
-    result = _checked(heat_trace, args.n, args.t)  # a RuntimeError past the level cap exits 1
+    # a RuntimeError past the level cap exits 1: a tiny t at an even n > 88,
+    # which the closed forms leave to the level sum
+    result = _checked(heat_trace, args.n, args.t)
     upper = trace_bound(args.n, args.t) if args.t >= 1.0 else None
     payload = {
         "n": args.n,

@@ -3,8 +3,9 @@
 Level k of S^n carries eigenvalue lambda_k = k(k + n - 1) with
 multiplicity m_k = binom(n+k, n) - binom(n+k-2, n), both exact
 integers here.  The heat trace Z(t) = sum_k m_k e^(-lambda_k t) is
-summed level by level; consecutive multiplicities follow the exact
-integer recurrence
+summed level by level at t >= 1e-6 (below it, see the closed forms
+further down); consecutive multiplicities follow the exact integer
+recurrence
 
   m_(k+1) = m_k (2k+n+1)(k+n-1) / ((2k+n-1)(k+1)),    m_0 = 1,
 
@@ -33,8 +34,41 @@ the ratio formed at every level.  At small t this needs about
 sqrt(33 / t) levels on S^2 and a few percent more in higher dimension,
 where waiting for consecutive terms to halve would need ln 2 / (2t).
 
+Below t = _CLOSED_T = 1e-6, where the level sum's rounding would pass the
+1e-14 its tail bound promises, the trace of S^n is first evaluated in
+closed form, for odd n <= 155 and even n <= 88.  With rho = (n-1)/2 and
+nu = k + rho, lambda_k = nu^2 - rho^2 and m_k = P(nu) = 2 nu prod_(i=1..n-2)
+(nu - rho + i) / (n-1)!, so Z(t) = e^(rho^2 t) sum_nu P(nu) e^(-nu^2 t).
+Its coefficients are formed in exact integers, each turned into a float
+by one rounded division.
+
+- Odd n: nu runs over the integers from rho, and P is even and vanishes
+  at every |nu| < rho, so the sum is half the sum over all integers.
+  Poisson summation gives Z = e^(rho^2 t) / 2 sum_i p_i Gamma(i + 1/2)
+  t^(-i-1/2) for P(nu) = sum_i p_i nu^(2i), up to the terms m != 0 of
+  the dual sum.  Shifting each of their integrals by i pi m / t bounds
+  them all by e^(rho^2 t) 4/(n-1)! sqrt(pi/t) A^rho e^(-pi^2/t), A =
+  (pi^2 + rho t + rho^2 t^2) / t^2, once 4^rho e^(-3 pi^2/t) <= 1/2,
+  as it is far below t = 1e-6; that bound is 0.0 in doubles there.
+- Even n: nu runs over the half-integers from rho, and P is odd and
+  vanishes at the smaller positive ones.  The midpoint Euler-Maclaurin
+  formula on [0, inf), with P(nu) = sum_i c_i nu^(2i+1), gives
+  Z = e^(rho^2 t) [sum_i c_i i! / (2 t^(i+1)) + sum_(j<=4) (1 - 2^(1-2j))
+  B_2j / (2j) sum_(i+m=j-1) c_i (-t)^m / m!] plus a remainder at most
+  e^(rho^2 t) (2 - 2^(-9)) |B_10| / 10! int_0^inf |f^(10)|, f(x) =
+  P(x) e^(-t x^2) (DLMF 2.10(i)); _euler_maclaurin bounds the integral.
+  On S^2 this is Mulholland's 1/t + 1/3 + t/15 + ...
+
+The closed form is taken only where its bound is at most 5e-15 of the
+value, the level sum's own target, and the absolute values of its terms
+sum to at most twice the value, as it is at every n and t below 1e-6 where
+it is tried.  Above those n the levels are summed as above t = 1e-6: an
+odd n past 155 overflows there, and an even n past 88 reaches the level
+cap where t is tiny and the trace still a double (n = 90 near 2.5e-9).
+
 sphere_level returns a SpectralLevel and heat_trace a TraceResult (the
-value, the levels summed and the tail bound), both named tuples.
+value, the levels summed, 0 for a closed form, and the tail bound), both
+named tuples.
 
 trace_bound gives the closed comparison estimate
 
@@ -63,6 +97,25 @@ _TAIL_EPS = 5e-15
 
 _MAX_LEVELS = 200_000
 
+# Below _CLOSED_T the trace is evaluated in closed form.  Above it the
+# level sum is accurate: against the exact trace its error is at most
+# 7.1e-15 of the value at t >= 1e-6 for n in {2, 3, 5, 8}, while at 3e-7
+# and 1e-7 its rounding, which grows like the root of the level count,
+# reaches 1.5e-14 to 2.1e-14, past the 1e-14 its tail bound promises.
+_CLOSED_T = 1e-6
+# Odd n up to _POISSON_MAX_N: from n = 157 on the trace already leaves the
+# double range at _CLOSED_T, and so at every smaller t until n t is large,
+# while the Poisson coefficients cost O(n^2) integer steps; the level sum
+# finds the overflow in a few thousand levels.  Even n up to _EM_MAX_N, the
+# largest even n whose Euler-Maclaurin remainder bound certifies every t
+# below _CLOSED_T (at n = 90 it fails just below it).
+_POISSON_MAX_N = 155
+_EM_MAX_N = 88
+
+# B_2, B_4, ..., B_10 as (numerator, denominator): the even-n closed form
+# keeps the Euler-Maclaurin terms of B_2 to B_8 and bounds the rest by B_10.
+_BERNOULLI = ((1, 6), (-1, 30), (1, 42), (-1, 30), (5, 66))
+
 
 class SpectralLevel(namedtuple("SpectralLevel", "k eigenvalue multiplicity")):
     __slots__ = ()
@@ -82,26 +135,50 @@ def sphere_level(n: int, k: int) -> SpectralLevel:
 
 
 def heat_trace(n: int, t: float) -> TraceResult:
-    """Partial heat trace sum_{k<=K} m_k e^(-lambda_k t) with tail certificate.
+    """The heat trace sum_k m_k e^(-lambda_k t) of S^n, with a bound on what it omits.
 
-    Summation stops at the first K where the term ratio r_(K+1) is below
-    1 and T_(K+1) / (1 - r_(K+1)), which bounds every omitted level, is
-    at most 5e-15 times the partial sum; that bound is
+    Below t = _CLOSED_T (1e-6), for odd n <= 155 and even n <= 88, the
+    trace is evaluated in closed form: Poisson summation for odd n,
+    midpoint Euler-Maclaurin for even n (see the module docstring).
+    levels_used is then 0, as no level was summed, and tail_bound bounds
+    the terms the closed form drops.  It is taken only where that bound is
+    at most 5e-15 times the value and the sum of the absolute values of
+    its terms at most twice the value, which holds at every such n and t;
+    at every other n and t the levels are summed.
+
+    The level sum stops at the first K where the term ratio r_(K+1) is
+    below 1 and T_(K+1) / (1 - r_(K+1)), which bounds every omitted
+    level, is at most 5e-15 times the partial sum; that bound is
     returned as tail_bound.  As the bound is at least T_(K+1), the ratio
     is only formed once T_(K+1) itself is at most that target, and a
     term that underflows (log at most logdomain._UNDERFLOW_LOG) is
     zeroed there, where it always lands; the result is the one a ratio
-    test at every level gives, bit for bit.  It covers truncation only:
-    the rounding of the partial sum itself, a few ulps per summed level
-    at worst, is not included.  Each term is exp(log m_k - lambda_k t),
-    so a huge multiplicity never overflows while the product is an
-    ordinary double.  Raises RuntimeError when t is too small for the
-    tail to be certified within the level cap, and OverflowError when
-    n, the trace, or a single term of it, exceeds the double range.
+    test at every level gives, bit for bit.  Each term is
+    exp(log m_k - lambda_k t), so a huge multiplicity never overflows
+    while the product is an ordinary double.
+
+    Either way tail_bound covers truncation only: the rounding of the
+    value itself is not included (a few ulps per summed level at worst,
+    a few ulps in all for the closed form).  Raises RuntimeError when
+    the levels needed to certify the tail pass the level cap (a tiny t
+    at an even n > 88 where the trace is still a double), and
+    OverflowError when n, the trace, or a single term of it, exceeds the
+    double range.
     """
     _check_int(n, "n", 2)
     _check_positive(t, "time")
+    result = None
+    if t < _CLOSED_T and n <= (_POISSON_MAX_N if n % 2 else _EM_MAX_N):
+        result = _closed_form(n, t)
+    if result is None:
+        result = _level_sum(n, t)
+    if result.value == math.inf:
+        raise OverflowError(f"heat trace exceeds the double range at n={n}, t={t!r}")
+    return result
 
+
+def _level_sum(n: int, t: float) -> TraceResult:
+    """The trace level by level; an infinite value where it leaves the double range."""
     log, exp, expm1 = math.log, math.exp, math.expm1
     eps, underflow = _TAIL_EPS, _UNDERFLOW_LOG
     # Level j is known once the sum holds levels 0..j-1: T_j and
@@ -130,7 +207,7 @@ def heat_trace(n: int, t: float) -> TraceResult:
                 log_ratio = next_log - term_log if term_log > -math.inf else -math.inf
                 if log_ratio < 0.0:
                     tail = term / -expm1(log_ratio)
-                    if tail <= eps * total:
+                    if tail <= eps * total:  # an infinite sum passes too
                         break
             term_log = next_log
         else:
@@ -138,10 +215,116 @@ def heat_trace(n: int, t: float) -> TraceResult:
                 f"heat trace did not converge within {_MAX_LEVELS} levels at n={n}, t={t!r}"
             )
     except OverflowError:  # a single term already leaves the double range
-        total = math.inf
-    if total == math.inf:  # an infinite sum also passes the stop test
-        raise OverflowError(f"heat trace exceeds the double range at n={n}, t={t!r}")
+        return TraceResult(value=math.inf, levels_used=j, tail_bound=math.inf)
     return TraceResult(value=total, levels_used=j, tail_bound=tail)
+
+
+def _closed_form(n: int, t: float) -> TraceResult | None:
+    """The trace in closed form, or None where its bounds do not certify it.
+
+    An infinite value is returned as it is: the closed form is a sum
+    whose leading term dominates (its absolute sum is at most twice the
+    value wherever it is taken), so the trace leaves the double range.
+    """
+    value, size, tail = (_poisson if n % 2 else _euler_maclaurin)(n, t)
+    growth = math.exp((n - 1) ** 2 / 4 * t)  # e^(rho^2 t)
+    value, size, tail = growth * value, growth * size, growth * tail
+    if value == math.inf or (tail <= _TAIL_EPS * value and size <= 2.0 * value):
+        return TraceResult(value=value, levels_used=0, tail_bound=tail)
+    return None
+
+
+def _monic(roots) -> list:
+    """The integer coefficients, constant first, of the product of (x - r) over roots."""
+    coeffs = [1]
+    for r in roots:
+        coeffs = [low - r * a for a, low in zip(coeffs + [0], [0] + coeffs)]
+    return coeffs
+
+
+def _horner(coeffs, x: float) -> tuple:
+    """sum_i coeffs[i] x^i and sum_i |coeffs[i]| x^i, for x > 0 (inf included)."""
+    value, size = coeffs[-1], abs(coeffs[-1])
+    for a in reversed(coeffs[:-1]):
+        value = value * x + a
+        size = size * x + abs(a)
+    return value, size
+
+
+def _poisson(n: int, t: float) -> tuple:
+    """Odd n: the value, the absolute sum and the dropped terms' bound, each over e^(rho^2 t).
+
+    P(nu) = 2 Q(nu^2) / (n-1)! with Q(x) = x prod_(j<rho) (x - j^2) and
+    Gamma(i + 1/2) = sqrt(pi) (2i-1)!! / 2^i, so the sum is
+    sqrt(pi/t) sum_i q_i (2i-1)!! / (n-1)! w^i with w = 1/(2t).
+    """
+    rho = (n - 1) // 2
+    fact = math.factorial(n - 1)
+    coeffs, odd = [], 1
+    for i, q in enumerate(_monic([j * j for j in range(1, rho)]), 1):  # q: Q's x^i coefficient
+        odd *= 2 * i - 1
+        coeffs.append(q * odd / fact)
+    w = 0.5 / t
+    value, size = _horner(coeffs, w)
+    front = math.sqrt(math.pi / t) * w
+    # The dropped terms: 4 / (n-1)! sqrt(pi/t) A^rho e^(-pi^2/t), A = (pi^2 + rho t + rho^2 t^2) / t^2
+    log_a = math.log(math.pi**2 + rho * t + rho * rho * t * t) - 2.0 * math.log(t)
+    tail = math.exp(math.log(4 / fact) + 0.5 * math.log(math.pi / t) + rho * log_a - math.pi**2 / t)
+    return front * value, front * size, tail
+
+
+def _euler_maclaurin(n: int, t: float) -> tuple:
+    """Even n: the value, the absolute sum and the remainder's bound, each over e^(rho^2 t).
+
+    P(nu) = sum_i c_i nu^(2i+1) with c_i = 2 r_i 4^i / (4^h (n-1)!),
+    where r_i are the coefficients of prod_(odd o < n-2) (Y - o^2),
+    Y = 4 nu^2, and h = (n-2)/2 is the top i.
+    """
+    fact = math.factorial
+    top = (n - 2) // 2
+    r = _monic([o * o for o in range(1, n - 2, 2)])
+    den = 4**top * fact(n - 1)
+    # the integral: sum_i c_i i! / (2 t^(i+1)) = u sum_i e_i u^i, u = 1/t
+    u = 1.0 / t
+    value, size = _horner([r[i] * 4**i * fact(i) / den for i in range(top + 1)], u)
+    value, size = value * u, size * u
+    # The remainder after the terms of B_2..B_2k is at most (2 - 2^(1-2M))
+    # |B_2M| / (2M)! int_0^inf |f^(2M)|, M = k + 1, f(x) = P(x) e^(-t x^2).
+    # In y = sqrt(t) x each monomial is x^p e^(-t x^2) = t^(-p/2) y^p e^(-y^2),
+    # and y^p = p!/2^p sum_l H_(p-2l) / (l! (p-2l)!) in Hermite polynomials,
+    # with (d/dy)^(2M) (H_j e^(-y^2)) = H_(j+2M) e^(-y^2).  Cauchy-Schwarz
+    # and their orthogonality bound int_0^inf |(d/dy)^(2M) (y^p e^(-y^2))|
+    # by sqrt(pi) / 2 sqrt(sum_l (p!/(2^p l! (p-2l)!))^2 2^j j!), j = p-2l+2M,
+    # hence the integral by t^M kappa sum_i |e_i| u^(i+1), kappa the largest
+    # of those bounds at p = 2i+1 times 2 / i!.
+    k = len(_BERNOULLI) - 1
+    two_m = 2 * k + 2
+    kappa = 0.0
+    for i in range(top + 1):
+        p = 2 * i + 1
+        squares = sum((fact(p) // (fact(l) * fact(p - 2 * l))) ** 2 * 2.0 ** (two_m - p - 2 * l)
+                      * fact(p - 2 * l + two_m) for l in range(i + 1))
+        kappa = max(kappa, math.sqrt(math.pi * squares) / fact(i))
+    b_num, b_den = _BERNOULLI[k]
+    tail = size
+    for _ in range(two_m // 2):  # t^M a factor at a time, before kappa, which would overflow at n = 58
+        tail *= t
+    tail *= 2 * (2**two_m - 1) * abs(b_num) / (2**two_m * b_den * fact(two_m)) * kappa
+    # the terms of B_2j, j = 1..k: G_j sum_(i+m=j-1) c_i (-t)^m / m!,
+    # G_j = (1 - 2^(1-2j)) B_2j / (2j), gathered by the power m of t
+    # into one exact fraction each
+    power = 1.0
+    for m in range(k):
+        num, dnm = 0, 1
+        for i in range(min(top, k - 1 - m) + 1):
+            j = i + m + 1
+            b_num, b_den = _BERNOULLI[j - 1]
+            a, b = (4**j - 2) * b_num * r[i] * 4**i, 4**j * j * b_den
+            num, dnm = num * b + a * dnm, dnm * b
+        term = (-1) ** m * num / (dnm * den * fact(m)) * power
+        value, size = value + term, size + abs(term)
+        power *= t
+    return value, size, tail
 
 
 def trace_bound(n: int, t: float) -> float:

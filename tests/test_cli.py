@@ -22,6 +22,8 @@ from volgap.specials import cly_constant, cly_constant_log, nc_product
 from volgap.spectral import TraceResult, heat_trace
 from volgap.tables import CSV_HEADER, build_gap_table
 
+import oracle
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -847,13 +849,24 @@ class TestSingleShotCommands:
         assert json.loads(out)["upper_bound"] is None
 
     def test_trace_level_cap_is_a_one_line_error(self, capsys):
-        # t = 1e-10 needs about 600k levels, past the 200k cap
-        assert main(["trace", "--n", "2", "--t", "1e-10"]) == 1
+        # even n = 90 is past the closed forms, and t = 2.5e-9 needs
+        # about 217,000 levels there, past the 200k cap
+        assert main(["trace", "--n", "90", "--t", "2.5e-9"]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == (
-            "error: heat trace did not converge within 200000 levels at n=2, t=1e-10\n"
+            "error: heat trace did not converge within 200000 levels at n=90, t=2.5e-09\n"
         )
+
+    @pytest.mark.parametrize("n", [2, 8])
+    @pytest.mark.parametrize("t", ["1e-10", "1e-12"])
+    def test_trace_tiny_time_answers_in_closed_form(self, capsys, n, t):
+        code, out = run(capsys, "trace", "--n", str(n), "--t", t, "--json")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["levels_used"] == 0
+        assert payload["value"] == pytest.approx(float(oracle.small_time_trace(n, float(t))), rel=1e-15)
+        assert 0.0 <= payload["tail_bound"] <= 5e-15 * payload["value"]
 
     @pytest.mark.parametrize("argv", [
         ("--n", "300", "--t", "4e-5"),  # the sum overflows, no single term does
@@ -883,9 +896,9 @@ class TestSingleShotCommands:
         code, out = run(capsys, "trace", "--n", "2", "--t", "1e-7", "--json")
         assert code == 0
         payload = json.loads(out)
-        assert payload["value"] == pytest.approx(1e7 + 1.0 / 3.0, rel=1e-13)
+        assert payload["value"] == pytest.approx(1e7 + 1.0 / 3.0, rel=1e-15)
         assert payload["tail_bound"] <= 1e-14 * payload["value"]
-        assert payload["levels_used"] == 18151
+        assert payload["levels_used"] == 0
 
     def test_constants(self, capsys):
         code, out = run(capsys, "constants", "--n-range", "2:6", "--json")

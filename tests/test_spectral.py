@@ -8,6 +8,7 @@ import re
 
 import pytest
 
+from volgap import spectral
 from volgap.spectral import TraceResult, heat_trace, sphere_level, trace_bound
 from volgap.specials import cly_constant, cly_constant_log
 
@@ -117,10 +118,12 @@ class TestHeatTrace:
         with pytest.raises(ValueError):
             heat_trace(1, 1.0)
 
-    def test_tiny_time_hits_level_cap(self):
+    def test_tiny_time_past_the_closed_forms_hits_level_cap(self):
+        # even n = 90 is past the closed forms; its trace, about 2e305 at
+        # t = 2.5e-9, needs about 217,000 levels
         with pytest.raises(RuntimeError, match=re.escape(
-                "heat trace did not converge within 200000 levels at n=2, t=1e-10")):
-            heat_trace(2, 1e-10)
+                "heat trace did not converge within 200000 levels at n=90, t=2.5e-09")):
+            heat_trace(90, 2.5e-9)
 
     @pytest.mark.parametrize("n, t", [
         (300, 3.98e-5),  # every term fits, their sum does not
@@ -191,7 +194,7 @@ REFERENCE_POINTS = (
     + [
         (2, 373.0),  # tail_bound is the least subnormal, 5e-324
         (2, 373.05),  # the -745 guard zeroes a term whose exp is 5e-324
-        (2, 1e-10),  # the level cap
+        (2, 1e-10),  # past the level sum's cap; the closed form answers
         (300, 3.98e-5),  # the sum overflows
         (250, 1.6e-5),  # a single term overflows
         (2, 1e308), (165, 1e308), (100000, 1e308),  # every exponent overflows
@@ -207,13 +210,40 @@ def _outcome(fn, n, t):
     return got.value.hex(), got.levels_used, got.tail_bound.hex()
 
 
+def _closed(n, t):
+    return t < spectral._CLOSED_T and n <= (spectral._POISSON_MAX_N if n % 2 else spectral._EM_MAX_N)
+
+
 class TestAgainstTheReferenceLoop:
     """heat_trace forms the tail ratio only where a term can stop the
-    sum; every result and every error must be the reference loop's."""
+    sum; every result and every error of the level sum must be the
+    reference loop's.  Below the crossover the closed forms answer, and
+    their points are also checked against the oracle."""
 
-    def test_every_bit_and_every_error_match(self):
+    def test_every_bit_and_every_error_match(self, monkeypatch):
+        closed = [(n, t) for n, t in REFERENCE_POINTS if _closed(n, t)]
         for n, t in REFERENCE_POINTS:
+            if (n, t) not in closed:
+                assert _outcome(heat_trace, n, t) == _outcome(_reference_heat_trace, n, t), (n, t)
+        monkeypatch.setattr(spectral, "_CLOSED_T", 0.0)  # the level sum answers the rest too
+        for n, t in closed:
             assert _outcome(heat_trace, n, t) == _outcome(_reference_heat_trace, n, t), (n, t)
+
+    def test_the_points_below_the_crossover_match_the_oracle(self):
+        points = [(n, t) for n, t in REFERENCE_POINTS if _closed(n, t)]
+        assert len(points) == 10
+        for n, t in points:
+            got = heat_trace(n, t)
+            assert got.levels_used == 0, (n, t)
+            assert got.value == pytest.approx(float(oracle.small_time_trace(n, t)), rel=1e-15), (n, t)
+
+    @pytest.mark.parametrize("n, t", [
+        (8, 1e-80), (64, 1e-12),  # the closed form overflows
+        (2, 5.5e-309), (2, 5e-324), (3, 5e-324),  # and so does 1 / t or pi / t
+    ])
+    def test_a_closed_form_overflow_is_the_level_sums_error(self, n, t):
+        with pytest.raises(OverflowError, match=f"^{re.escape(f'heat trace exceeds the double range at n={n}, t={t!r}')}$"):
+            heat_trace(n, t)
 
     def test_the_underflow_guard_still_acts(self):
         # log T_1 = log 3 - 746.1 is just below -745: exp gives 5e-324,
@@ -221,6 +251,119 @@ class TestAgainstTheReferenceLoop:
         assert math.exp(math.log(3) - 2 * 373.05) == 5e-324
         assert heat_trace(2, 373.05) == TraceResult(value=1.0, levels_used=1, tail_bound=0.0)
         assert heat_trace(2, 373.0).tail_bound == 5e-324
+
+
+CLOSED_NS = (2, 3, 4, 5, 8, 13)
+CLOSED_TIMES = (spectral._CLOSED_T / 2, 1e-5, 1e-7, 1e-9, 1e-12)
+BELOW = math.nextafter(spectral._CLOSED_T, 0.0)
+
+
+def _raw_closed_form(n, t):
+    """The closed form's value, absolute sum and bound at any t, accepted or not."""
+    growth = math.exp((n - 1) ** 2 / 4 * t)
+    return [growth * x for x in (spectral._poisson if n % 2 else spectral._euler_maclaurin)(n, t)]
+
+
+def _within(got, exact, slack):
+    """|got - exact| <= slack + 4 ulps of got, exact an mpf."""
+    return abs(got - exact) <= slack + 4 * math.ulp(got)
+
+
+class TestClosedForms:
+    """Below the crossover t the trace is evaluated in closed form:
+    Poisson summation for odd n, midpoint Euler-Maclaurin for even n."""
+
+    @pytest.mark.parametrize("t", CLOSED_TIMES)
+    @pytest.mark.parametrize("n", CLOSED_NS)
+    def test_against_the_small_time_oracle(self, n, t):
+        got = spectral._closed_form(n, t)
+        exact = oracle.small_time_trace(n, t)
+        assert got.levels_used == 0
+        if t < spectral._CLOSED_T:
+            assert heat_trace(n, t) == got
+        assert got.value == pytest.approx(float(exact), rel=1e-15)
+        assert _within(got.value, exact, got.tail_bound)
+        assert 0.0 <= got.tail_bound <= 5e-15 * got.value
+
+    def test_the_remainder_bound_fits_where_the_value_nearly_overflows(self):
+        # the absolute sum, 7.5e300 here, times kappa would overflow
+        # before the factor t^5 brought the bound down to 1.9e251
+        got = heat_trace(58, 1e-12)
+        assert got.levels_used == 0
+        assert got.value == pytest.approx(float(oracle.small_time_trace(58, 1e-12)), rel=1e-15)
+        assert 0.0 < got.tail_bound <= 5e-15 * got.value
+
+    @pytest.mark.parametrize("n", CLOSED_NS)
+    def test_both_sides_of_the_crossover_agree_with_the_oracle(self, n):
+        below = math.nextafter(spectral._CLOSED_T, 0.0)
+        for t, closed in ((below, True), (spectral._CLOSED_T, False), (spectral._CLOSED_T * 1.001, False)):
+            got = heat_trace(n, t)
+            assert (got.levels_used == 0) is closed
+            assert got.value == pytest.approx(float(oracle.small_time_trace(n, t)), rel=1e-13)
+
+    @pytest.mark.parametrize("n", (2, 4, 6, 8))
+    @pytest.mark.parametrize("t", (1e-1, 1e-2, 1e-3, 1e-4))
+    def test_the_euler_maclaurin_bound_covers_the_remainder(self, n, t):
+        # below the crossover the bound is far below one ulp; here the
+        # remainder it bounds is visible
+        value, _, tail = _raw_closed_form(n, t)
+        assert _within(value, oracle.heat_trace(n, t), tail)
+        assert 0.0 < tail < 1e-2 * value
+
+    @pytest.mark.parametrize("n", (3, 5, 7))
+    @pytest.mark.parametrize("t", (0.5, 1.0, 2.0))
+    def test_the_poisson_bound_covers_the_dropped_terms(self, n, t):
+        # e^(-pi^2 / t) is visible here; the sum over m needs
+        # 4^rho e^(-3 pi^2 / t) <= 1/2, which holds at these t
+        value, _, tail = _raw_closed_form(n, t)
+        exact = oracle.heat_trace(n, t)
+        assert 0.0 < abs(value - exact) <= tail
+
+    @pytest.mark.parametrize("n, t", [(64, 4.99e-5), (48, 3e-5), (42, 4.9e-5), (90, BELOW), (90, 9e-7)])
+    def test_the_remainder_bound_turns_a_loose_closed_form_down(self, n, t):
+        assert spectral._closed_form(n, t) is None
+        got = heat_trace(n, t)
+        assert got.levels_used > 0
+        assert _outcome(heat_trace, n, t) == _outcome(_reference_heat_trace, n, t)
+
+    def test_each_closed_form_answers_every_n_and_t_it_is_given(self):
+        # _EM_MAX_N is the last even n whose remainder bound holds just
+        # below the crossover (n = 90 fails there, above), and the bound
+        # only tightens as t falls; every odd n up to _POISSON_MAX_N
+        # answers
+        assert spectral._EM_MAX_N == 88 and spectral._POISSON_MAX_N == 155
+        for n in range(2, 156):
+            if _closed(n, BELOW):
+                for t in (BELOW, 5e-7, 1e-8, 1e-12, 1e-50, 1e-300, 5e-324):
+                    got = spectral._closed_form(n, t)
+                    assert got is not None, (n, t)
+                    assert got.value == math.inf or got.tail_bound <= 5e-15 * got.value, (n, t)
+
+    def test_past_the_odd_limit_the_trace_overflows_at_the_crossover(self):
+        # the trace only grows as t falls, so from n = 157 every t below
+        # the crossover overflows too, until n t is large
+        assert spectral._level_sum(156, spectral._CLOSED_T).value == pytest.approx(3.0437462491659e307, rel=1e-12)
+        assert spectral._level_sum(157, spectral._CLOSED_T).value == math.inf
+        for n, t in ((157, BELOW), (157, 1e-300), (301, 1e-9)):
+            with pytest.raises(OverflowError, match=f"^{re.escape(f'heat trace exceeds the double range at n={n}, t={t!r}')}$"):
+                heat_trace(n, t)
+
+    def test_the_per_level_benchmark_point_sums_levels(self):
+        # perfbench/micro.py times heat_trace(2, 1e-4) and divides by its
+        # levels_used, so that point must stay on the level sum
+        assert heat_trace(2, 1e-4).levels_used > 0
+
+    def test_the_benchmark_trace_checks_hold(self):
+        # perfbench/workloads.py's _check_trace, on every trace point of
+        # the benchmark, bare and jittered
+        points = _bench_trace_points()
+        assert len(points) == 60
+        for n, t in points:
+            got = heat_trace(n, t)
+            assert 0.0 <= got.tail_bound <= 1e-14 * got.value, (n, t)
+            if n == 2 and t <= 1.1e-3:
+                expected = 1.0 / t + 1.0 / 3.0 + t / 15.0
+                assert abs(got.value - expected) <= 1e-9 * expected, (n, t)
 
 
 SMALL_TIMES = (1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 1e-7)
