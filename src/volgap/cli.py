@@ -222,7 +222,7 @@ def _cmd_gap(args):
 
 
 def _cmd_optimize_alpha(args):
-    result = _checked(optimal_alpha, args.n, args.ell, args.tol)
+    result = _checked(optimal_alpha, args.n, args.ell)
     payload = {
         "n": args.n,
         "ell": args.ell,
@@ -328,7 +328,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("optimize-alpha", parents=[as_json], help="solve for the excess-maximising tuning")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--l", dest="ell", type=int, default=1)
-    p.add_argument("--tol", type=float, default=1e-12)
     p.set_defaults(handler=_cmd_optimize_alpha)
 
     p = sub.add_parser("trace", parents=[as_json], help="heat trace on the round n-sphere")

@@ -158,29 +158,35 @@ def _critical_objective(u: float, n: int, ell: int, ncn: float, log_ncn: float) 
     return residual, 1.0 + lu / (1.0 + lu) + ncn * (u * corr) / (1.0 + corr)
 
 
-# bounds the loop below, which takes at most 5 steps on n 2:165 x ell 1:30;
-# bisections in log u narrow any bracket of doubles to adjacent floats in 64
+# bounds the loop below, which takes at most 5 steps on n 2:165 x ell 1:30
+# and 17 on n 2:165 x ell 10^2..10^308; bisections in log u narrow any
+# bracket of doubles to adjacent floats in 64
 _NEWTON_STEPS = 100
+# relative resolution of every tuning root: the steps stop below _TOL/4
+# in log u, and the certified bracket is at most _TOL times the root wide
+_TOL = 1e-12
 
 
-def optimal_alpha(n: int, ell: int = 1, tol: float = 1e-12) -> RootResult:
+def optimal_alpha(n: int, ell: int = 1) -> RootResult:
     """Excess coordinate of the maximiser of f1 over alpha > 1/ell.
 
     Solves the critical-point equation in the scaled form noted in the
     module docstring by Newton steps in s = log u, u = alpha - 1/ell,
     from the closed-form root u0 = 2 / (n C_n (1 + sqrt(1 + 4 ell / n C_n)))
     of u (1 + ell u) n C_n = 1; iterations counts the steps.  They stop
-    below tol/4 in s.  The points evaluated bracket the root by their
+    below _TOL/4 in s.  The points evaluated bracket the root by their
     residual signs, and a step that would leave that bracket, or does
     not halve the step before it, bisects it in s instead: otherwise
     steps for ell far above n C_n jump back and forth over the root.
+    The steps also stop once the bracket's geometric mean rounds onto
+    one of its ends, a few ulps from the root.
 
     The bracket returned is certified, not estimated: its ends are
-    u (1 -+ tol/2), and the residual must be negative at the lower end
-    and positive at the upper one.  Where tol is below what the
-    residual resolves, a failing end moves outward until its sign
-    certifies, so the bracket is wider than tol only where the doubles
-    force it.  A root that cannot be certified raises EvaluationError.
+    u (1 -+ _TOL/2), and the residual must be negative at the lower end
+    and positive at the upper one.  A failing end moves outward until
+    its sign certifies, and a root that cannot be certified raises
+    EvaluationError.  Every table, gap and verify row that tunes alpha
+    reads this one root.
 
     The maximum (rather than minimum) nature of the point is certified
     by that orientation: the scaled residual carries the opposite sign
@@ -191,8 +197,6 @@ def optimal_alpha(n: int, ell: int = 1, tol: float = 1e-12) -> RootResult:
     """
     _check_int(n, "n", 2)
     _check_int(ell, "ell", 1)
-    if not (0.0 < tol < 1.0):
-        raise ValueError(f"tol must lie in (0, 1), got {tol!r}")
     ncn = nc_product(n)
     log_ncn = math.log(ncn)
     # n C_n sqrt(1 + 4 ell / n C_n), written so that 4 ell cannot overflow
@@ -206,38 +210,35 @@ def optimal_alpha(n: int, ell: int = 1, tol: float = 1e-12) -> RootResult:
             lo = u
         elif q > 0.0:
             hi = u
-        if q == 0.0 or abs(step) <= 0.25 * tol:
+        if q == 0.0 or abs(step) <= 0.25 * _TOL:
             break
         nxt = u * math.exp(-step)
         if lo > 0.0 and hi < math.inf and not (lo < nxt < hi and abs(step) <= 0.5 * abs(last)):
             nxt = math.sqrt(lo) * math.sqrt(hi)
             step = 0.5 * (math.log(hi) - math.log(lo))
             if not lo < nxt < hi:
-                break  # lo and hi are adjacent floats
-        elif nxt == u:
-            break
+                break  # lo and hi are a few ulps apart
         u, last = nxt, step
     else:
         raise EvaluationError(f"Newton steps did not settle for (n={n}, ell={ell})")
-    lo, hi = _certified_bracket(u, tol, n, ell, ncn, log_ncn)
+    lo, hi = _certified_bracket(u, n, ell, ncn, log_ncn)
     return RootResult(lo, hi, u, q, steps, 1.0 / ell)
 
 
-def _certified_bracket(u: float, tol: float, n: int, ell: int, ncn: float, log_ncn: float) -> tuple[float, float]:
+def _certified_bracket(u: float, n: int, ell: int, ncn: float, log_ncn: float) -> tuple[float, float]:
     """Floats lo < u < hi at which the critical residual is < 0 and > 0.
 
-    The ends start at u (1 -+ tol/2), pulled in by an ulp while
-    rounding leaves (hi - lo)/u above tol; an end that does not certify
-    moves outward, doubling its distance from u, until it does or that
-    distance passes u/4.
+    The ends start at u (1 -+ _TOL/2), pulled in by an ulp while
+    rounding leaves (hi - lo)/u above _TOL; that takes a few ulps, so
+    the ends stay thousands of ulps away from u.  An end that does not
+    certify moves outward, doubling its distance from u, until it does
+    or that distance passes u/4.
     """
-    lo, hi = u - 0.5 * tol * u, u + 0.5 * tol * u
-    while (hi - lo) / u > tol:
+    lo, hi = u - 0.5 * _TOL * u, u + 0.5 * _TOL * u
+    while (hi - lo) / u > _TOL:
         lo, hi = math.nextafter(lo, u), math.nextafter(hi, u)
     ends = []
-    for end, sign, away in ((lo, -1.0, 0.0), (hi, 1.0, math.inf)):
-        if end == u:
-            end = math.nextafter(u, away)
+    for end, sign in ((lo, -1.0), (hi, 1.0)):
         while not sign * _critical_objective(end, n, ell, ncn, log_ncn)[0] > 0.0:  # NaN widens too
             if abs(end - u) > 0.25 * u:
                 raise EvaluationError(
@@ -255,7 +256,7 @@ def gamma_n(n: int) -> RootResult:
       (g^2 n C_n - g n C_n - 1) e^(g n C_n) = n + 2.
 
     With ell = 1 the objective f1 is exactly the classical one, so this
-    simply delegates to optimal_alpha(n, 1) at its default tol.  The
+    simply delegates to optimal_alpha(n, 1), at the solver's _TOL.  The
     result is expressed as base 1 plus the excess gamma_n - 1.
     """
     return optimal_alpha(n, 1)

@@ -334,7 +334,7 @@ def trace_bound(n: int, t: float) -> float:
     double range, and naming n when n itself does.
     """
     _check_int(n, "n", 2)
-    if not (t >= 1.0) or math.isinf(t) or math.isnan(t):
+    if not 1.0 <= t < math.inf:
         raise ValueError(f"the closed bound needs t >= 1, got {t!r}")
     decay = -_as_float(n, "dimension", n) * t
     linear = (n + 1) * math.exp(decay)

@@ -823,8 +823,8 @@ def _patched(module, name, wrap):
 def _root_at(n: int, root: float):
     """A mutant whose solve at n returns gamma_n - 1 = root, inside a bracket of its own."""
     def wrap(solve):
-        def mutated(m, ell=1, tol=1e-12):
-            r = solve(m, ell, tol)
+        def mutated(m, ell=1):
+            r = solve(m, ell)
             return r._replace(root=root, bracket_lo=0.99 * root, bracket_hi=1.01 * root) if m == n else r
         return mutated
     return _patched(solver, "optimal_alpha", wrap)
@@ -990,10 +990,10 @@ def test_failed_root_errors_only_the_claims_that_ask_for_it(monkeypatch, bad_n, 
     expected = {v.claim_id: v for v in run_claim_suite()}
     solve = solver.optimal_alpha
 
-    def failing(n, ell=1, tol=1e-12):
+    def failing(n, ell=1):
         if bad_n in (None, n):
             raise solver.EvaluationError(f"synthetic failure at n={n}")
-        return solve(n, ell, tol)
+        return solve(n, ell)
 
     monkeypatch.setattr(solver, "optimal_alpha", failing)
     verdicts = run_claim_suite()

@@ -17,7 +17,6 @@ from volgap import cli
 from volgap.claims import ClaimVerdict
 from volgap.cli import main
 from volgap.logdomain import LogScalar
-from volgap.solver import _critical_objective
 from volgap.specials import cly_constant, cly_constant_log, nc_product
 from volgap.spectral import TraceResult, heat_trace
 from volgap.tables import CSV_HEADER, build_gap_table
@@ -100,7 +99,7 @@ class TestExitCodes:
         assert run(capsys, "verify", "--n-range", "0:3")[0] == 2
 
     def test_verify_has_no_tol(self, capsys):
-        # every root is solved at optimal_alpha's default tol; argparse's rejection is one line too
+        # every root is solved at solver._TOL; argparse's rejection is one line too
         for tol in ("1e-12", "1"):
             with pytest.raises(SystemExit) as exc:
                 main(["verify", "--tol", tol])
@@ -813,24 +812,14 @@ class TestSingleShotCommands:
         payload = json.loads(out)
         assert 0.0 < payload["bracket_lo"] < payload["excess"] < payload["bracket_hi"]
 
-    @pytest.mark.parametrize("tol", ["1e-16", "1e-300"])
-    def test_optimize_alpha_tol_below_resolution(self, capsys, tol):
-        # no double bracket is that narrow: the certified one is the
-        # narrowest whose ends the residual still tells apart
-        code, out = run(capsys, "optimize-alpha", "--n", "5", "--l", "3", "--tol", tol, "--json")
-        assert code == 0
-        payload = json.loads(out)
-        lo, root, hi = payload["bracket_lo"], payload["excess"], payload["bracket_hi"]
-        assert lo <= root <= hi
-        ncn = nc_product(5)
-        rest = (5, 3, ncn, math.log(ncn))
-        assert _critical_objective(lo, *rest)[0] < 0.0 < _critical_objective(hi, *rest)[0]
-
-    def test_optimize_alpha_tol_outside_the_unit_interval_is_a_usage_error(self, capsys):
-        assert main(["optimize-alpha", "--n", "2", "--tol", "2"]) == 2
+    def test_optimize_alpha_has_no_tol(self, capsys):
+        # the root printed is the one every auto row reads, at solver._TOL
+        with pytest.raises(SystemExit) as exc:
+            main(["optimize-alpha", "--n", "2", "--tol", "1e-12"])
+        assert exc.value.code == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == "usage error: tol must lie in (0, 1), got 2.0\n"
+        assert captured.err == "usage error: unrecognized arguments: --tol 1e-12\n"
 
     def test_trace_matches_library(self, capsys):
         _, out = run(capsys, "trace", "--n", "2", "--t", "1.0", "--json")
@@ -933,14 +922,15 @@ class TestExitContractFuzz:
             lo, hi = rng.choice(["0", "1", "2", "3", "7"]), rng.choice(["2", "5", "12"])
             argv = ["verify", "--n-range", f"{lo}:{hi}", "--l-range", rng.choice(["0:2", "1:3", "2:30"]),
                     "--alpha", rng.choice(["1.43", "0.5", "2", "1e300", "nan", "auto"])]
-            rng.choice(self.TOL)  # verify has no --tol; the draw keeps the seeded sequence of argvs
+            rng.choice(self.TOL)  # no command takes --tol; the draw keeps the seeded sequence of argvs
             return argv + rng.choice([[], ["--json"], ["--claim", "THM6_CONSISTENCY"]]), False
         if command == "constants":
             lo = rng.choice(["0", "1", "2", "166", "300"])
             return ["constants", "--n-range", f"{lo}:{int(lo) + rng.randint(0, 3)}"], False
         if command == "optimize-alpha":
-            return ["optimize-alpha", "--n", rng.choice(self.N), "--l", rng.choice(self.ELL),
-                    "--tol", rng.choice(self.TOL)], False
+            argv = ["optimize-alpha", "--n", rng.choice(self.N), "--l", rng.choice(self.ELL)]
+            rng.choice(self.TOL)  # as for verify
+            return argv, False
         if command == "trace":
             t = rng.choice(["1", "0.25", "0.01", "0", "-1", "nan", "inf", "1e308"])
             return ["trace", "--n", rng.choice(self.N), "--t", t], False

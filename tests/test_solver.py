@@ -224,13 +224,28 @@ class TestOptimalAlpha:
             optimal_alpha(1, 1)
         with pytest.raises(ValueError):
             optimal_alpha(2, 0)
-        with pytest.raises(ValueError):
-            optimal_alpha(2, 1, tol=0.0)
+
+    def test_tolerance_is_not_a_parameter(self):
+        # every root is solved at solver._TOL, so each caller reads the same bits
+        with pytest.raises(TypeError):
+            optimal_alpha(2, 1, 1e-12)
 
     def test_steps_that_do_not_settle_raise(self, monkeypatch):
         monkeypatch.setattr(solver, "_NEWTON_STEPS", 0)
         with pytest.raises(EvaluationError, match=r"^Newton steps did not settle for \(n=2, ell=1\)$"):
             optimal_alpha(2, 1)
+
+    @pytest.mark.parametrize("u_star", [0.1, 0.3, 2.0])
+    def test_a_step_residual_bisects_down_to_a_few_ulps(self, monkeypatch, u_star):
+        # Newton steps of 1 in log u never fall below the tolerance, so
+        # only the bracket's rounding onto its ends stops them
+        monkeypatch.setattr(solver, "_critical_objective",
+                            lambda u, n, ell, ncn, log_ncn: (-1.0 if u < u_star else 1.0, 1.0))
+        r = optimal_alpha(2, 1)
+        assert r.iterations < solver._NEWTON_STEPS
+        assert abs(r.root - u_star) <= 3 * math.ulp(u_star)
+        assert r.bracket_lo < u_star <= r.bracket_hi
+        assert (r.bracket_hi - r.bracket_lo) / r.root <= 1e-12
 
     def test_a_residual_that_never_changes_sign_is_not_certified(self, monkeypatch):
         # a zero residual ends the steps at once; neither bracket end then certifies
@@ -261,15 +276,14 @@ def residual(u: float, n: int, ell: int) -> float:
 class TestNewtonBudget:
     def test_every_grid_root_is_certified_in_ten_evaluations(self, monkeypatch):
         calls = count_evaluations(monkeypatch)
-        tol = 1e-12
         for n in range(2, 166):
             for ell in range(1, 31):
                 calls[0] = 0
-                r = optimal_alpha(n, ell, tol)
+                r = optimal_alpha(n, ell)
                 assert calls[0] <= 10, (n, ell, calls[0])
                 lo, hi = r.bracket_lo, r.bracket_hi
                 assert residual(lo, n, ell) < 0.0 < residual(hi, n, ell), (n, ell)
-                assert lo < r.root < hi and (hi - lo) / r.root <= tol, (n, ell)
+                assert lo < r.root < hi and (hi - lo) / r.root <= 1e-12, (n, ell)
 
     @pytest.mark.parametrize("ell", [10**9, 10**11, 10**13, 10**16, 10**20])
     @pytest.mark.parametrize("n", [2, 30, 165])
@@ -288,15 +302,6 @@ class TestNewtonBudget:
         assert residual(r.bracket_lo, n, ell) < 0.0 < residual(r.bracket_hi, n, ell)
         assert (r.bracket_hi - r.bracket_lo) / r.root <= 1e-12
 
-    # at (2, 2) and 1e-16 the steps narrow lo and hi to adjacent doubles
-    @pytest.mark.parametrize("n, ell", [(2, 1), (2, 2), (5, 3), (30, 7), (165, 1)])
-    def test_tol_below_resolution_widens_until_certified(self, n, ell):
-        for tol in (1e-16, 1e-300):
-            r = optimal_alpha(n, ell, tol)
-            assert r.bracket_lo < r.root < r.bracket_hi
-            assert residual(r.bracket_lo, n, ell) < 0.0 < residual(r.bracket_hi, n, ell)
-            assert (r.bracket_hi - r.bracket_lo) / r.root < 1e-12
-
     def test_root_is_closer_than_tol_to_the_oracle(self):
         with mpmath.workdps(oracle.DPS):
             for n, ell in ((2, 1), (3, 2), (5, 10**12)):
@@ -304,8 +309,13 @@ class TestNewtonBudget:
                 assert abs(optimal_alpha(n, ell).root - want) / want <= 0.25e-12
 
 
-# sha256 over n 2:165 x ell 1:30 of one line per root at the default tol,
-# its six fields as float.hex: a rework of the solve must keep every bit
+def root_line(r: RootResult) -> bytes:
+    fields = (r.bracket_lo, r.bracket_hi, r.root, r.residual, r.iterations, r.base)
+    return " ".join(float.hex(float(x)) for x in fields).encode() + b"\n"
+
+
+# sha256 over n 2:165 x ell 1:30 of one line per root, its six fields as
+# float.hex: a rework of the solve must keep every bit
 GRID_ROOTS_SHA256 = "06a0ecc9b08c804961cc4a30c06cce29aa55e25091564e87d662196bac0b9dd6"
 
 
@@ -313,10 +323,25 @@ def test_grid_roots_are_pinned_bit_for_bit():
     digest = hashlib.sha256()
     for n in range(2, 166):
         for ell in range(1, 31):
-            r = optimal_alpha(n, ell)
-            fields = (r.bracket_lo, r.bracket_hi, r.root, r.residual, r.iterations, r.base)
-            digest.update(" ".join(float.hex(float(x)) for x in fields).encode() + b"\n")
+            digest.update(root_line(optimal_alpha(n, ell)))
     assert digest.hexdigest() == GRID_ROOTS_SHA256
+
+
+# the same lines over ell = 10^k, where the steps bisect their bracket
+# (2,808 bisections for these 927 roots; none on the grid above)
+LARGE_ELL_ROOTS_SHA256 = "26494ab132031d947fa99599bd24d79e37eee09794c11f04ffb3fa8d9fbff2ac"
+
+
+def test_large_ell_roots_are_pinned_bit_for_bit(monkeypatch):
+    # 20 evaluations is the most any n 2:165 x ell 10^2..10^308 takes, at (138, 10^245) say
+    calls = count_evaluations(monkeypatch)
+    digest = hashlib.sha256()
+    for n in (2, 3, 5, 8, 13, 30, 90, 138, 165):
+        for k in range(2, 309, 3):
+            calls[0] = 0
+            digest.update(root_line(optimal_alpha(n, 10**k)))
+            assert calls[0] <= 20, (n, k, calls[0])
+    assert digest.hexdigest() == LARGE_ELL_ROOTS_SHA256
 
 
 class TestObjective:

@@ -420,6 +420,11 @@ class TestTraceBound:
         with pytest.raises(ValueError):
             trace_bound(2, 0.99)
 
+    @pytest.mark.parametrize("t", [-math.inf, math.inf, math.nan])
+    def test_rejects_infinite_or_nan_t(self, t):
+        with pytest.raises(ValueError, match=rf"^the closed bound needs t >= 1, got {t!r}$"):
+            trace_bound(2, t)
+
     def test_huge_n_no_overflow_when_decay_wins(self):
         # C_n is far past float range at n = 400, but the e^{-nt} decay
         # keeps the combined correction representable once t > log(n)-ish

@@ -596,9 +596,9 @@ class TestAutoAlpha:
     def test_every_tuning_comes_from_the_public_solver(self, monkeypatch):
         calls = collections.Counter()
 
-        def counting(n, ell=1, tol=1e-12):
+        def counting(n, ell=1):
             calls[n] += 1
-            return optimal_alpha(n, ell, tol)
+            return optimal_alpha(n, ell)
 
         want = reference_table(range(2, 9), range(1, 31), "auto", None)
         monkeypatch.setattr(tables, "optimal_alpha", counting)
