@@ -61,12 +61,19 @@ checks the numerators: each request does, once, where it enters
 (_check_numerators in build_gap_table, the claims' grid, BoundKernel.logs).
 
 The tuning lives here too, in one form, Tuning: a fixed alpha, such as
-the classical _CLASSICAL, whose numerators alpha ell - 1 and
-2 alpha ell - 1 are formed exactly and rounded once, or the solver's
-excess pair (ell, u), alpha = 1/ell + u, kept exact where 1/ell + u
-rounds to 1/ell (from n = 17 on at the maximiser).  No overflow is
-predicted here: each quantity raises OverflowError, naming itself and
-n, where it leaves the double range, and a caller stops there.
+the classical _CLASSICAL, whose numerator alpha ell - 1 is formed
+exactly and rounded once, or the solver's excess pair (ell, u),
+alpha = 1/ell + u, kept exact where 1/ell + u rounds to 1/ell (from
+n = 17 on at the maximiser).  B's affine part and 2 alpha ell - 1 enter
+as log1p(alpha (n+1)) and log1p(2 (alpha ell - 1)), so no digit cancels
+at a small alpha or near alpha ell = 1.
+No overflow is predicted here: each quantity raises OverflowError,
+naming itself and n, where it leaves the double range, and a caller (a
+claim's grid too) stops there.  The final-inequality margins raise where
+their head alpha n (n+3) C_n does, and _standalone_bumps where a case (i)
+bump's log is -inf, as it is only where E leaves the double range.
+_log_case1_corrections keeps that -inf: in THM2_CASE1's sum it is a bump
+too small to change a bit of alpha ell - 1, so that row is valid.
 """
 
 from __future__ import annotations
@@ -99,7 +106,7 @@ _CLY, _THM1, _CASE1, _CASE2 = GapVariant
 class Tuning:
     """Tuning(alpha) is a fixed alpha; Tuning.excess(ell, u) is alpha = 1/ell + u.
 
-    The pair forms the numerators and alpha n C_n from u itself, so they
+    The pair forms alpha ell - 1 and alpha n C_n from u itself, so they
     stay exact however far u is below the resolution of 1/ell.
     """
 
@@ -117,26 +124,21 @@ class Tuning:
         """alpha n C_n, given nc = n C_n."""
         return _excess_exponent(self.ell, self.u, nc) if self.ell else self.alpha * nc
 
-    def numerators(self, ell: int) -> tuple[float, float]:
-        """(alpha ell - 1, 2 alpha ell - 1), each rounded once; the pair's are ell u and 1 + 2 ell u.
+    def numerator(self, ell: int) -> float:
+        """alpha ell - 1, rounded once; the pair's is ell u.
 
-        At a fixed alpha = p / q each is an exact int over q, and the int
+        At a fixed alpha = p / q it is an exact int over q, and the int
         division rounds it once; +inf past the double range.
         """
         if not self.ell:
             p, q = self.alpha.as_integer_ratio()
-            return _rounded(p * ell - q, q), _rounded(2 * p * ell - q, q)
+            try:
+                return (p * ell - q) / q
+            except OverflowError:
+                return math.inf
         if ell != self.ell:
             raise ValueError(f"this tuning was solved at ell={self.ell}, not ell={ell}")
-        return ell * self.u, 1.0 + 2.0 * ell * self.u
-
-
-def _rounded(top: int, bottom: int) -> float:
-    """top / bottom, correctly rounded as int division is; +inf past the double range."""
-    try:
-        return top / bottom
-    except OverflowError:
-        return math.inf
+        return ell * self.u
 
 
 def _excess_exponent(ell: int, u: float, nc: float) -> float:
@@ -164,7 +166,7 @@ class GapParams:
         tuning = _tuning(self.alpha)
         _as_float(self.ell, "ell", self.n)  # overflows name ell and n, before alpha ell does
         # every tuned variant needs a positive numerator: u > 0 for the pair
-        if not tuning.numerators(self.ell)[0] > 0.0:
+        if not tuning.numerator(self.ell) > 0.0:
             got = f"1/{tuning.ell} + {tuning.u!r}" if tuning.ell else f"{tuning.alpha}*{self.ell}"
             raise ValueError(f"alpha*ell must exceed 1 for a positive gap, got {got}")
 
@@ -183,10 +185,10 @@ class GapBound(namedtuple("GapBound", "params variant denominator excess ratio_v
 # alpha is valid at any positive finite value, so that is no usage error.
 
 
-def _ln(x: float, what: str, n: int) -> float:
-    """log x for x > 0; an infinite or NaN x raises OverflowError naming what and n."""
+def _ln1p(x: float, what: str, n: int) -> float:
+    """log(1 + x) for x >= 0; an infinite or NaN x raises OverflowError naming what and n."""
     if x < math.inf:
-        return math.log(x)
+        return math.log1p(x)
     raise _overflow(what, n)
 
 
@@ -200,7 +202,7 @@ def _log_mag(v: float, what: str, n: int) -> float:
 def _log_denominator(n: int, alpha: float, exponent: float) -> float:
     """log(alpha n + alpha + 1 + alpha e^exponent); B_(n,alpha) at exponent alpha n C_n."""
     return _log_sum(
-        _ln(alpha * n + alpha + 1.0, "alpha n + alpha + 1", n),
+        _ln1p(alpha * (n + 1), "alpha n + alpha + 1", n),
         _log_mag(math.log(alpha) + exponent, "alpha e^(alpha n C_n)", n),
     )
 
@@ -212,7 +214,7 @@ class _EllColumns:
     repeated at a fixed alpha, the solver's pair per ell at alpha = auto.
     Each column is computed on first read and holds one value per ell:
     the logs of the numerators 2 ell - 1, alpha ell - 1 and
-    2 alpha ell - 1 (the last two from the tuning's numerators), and the
+    2 alpha ell - 1 (the last two from the tuning's numerator), and the
     case (ii) margin.  A numerator log whose argument leaves the double
     range is +inf here; _check_numerators raises on the ones a caller
     reads.  Callers build one per request (a verify run, a fixed-alpha
@@ -226,13 +228,13 @@ class _EllColumns:
 
     @cached_property
     def log_numerators(self) -> tuple[list[float], list[float], list[float]]:
-        """The logs of 2 ell - 1, alpha ell - 1 and 2 alpha ell - 1."""
+        """The logs of 2 ell - 1, alpha ell - 1 and 2 alpha ell - 1 (as log1p(2 (alpha ell - 1)))."""
         cly, thm1, case2 = [], [], []
         for ell, tuning in zip(self.ells, self.tunings):
-            tuned, doubled = tuning.numerators(ell)
+            tuned = tuning.numerator(ell)
             cly.append(math.log(2.0 * ell - 1.0))
             thm1.append(math.log(tuned))
-            case2.append(math.log(doubled))
+            case2.append(math.log1p(2.0 * tuned))
         return cly, thm1, case2
 
     @cached_property
@@ -247,7 +249,7 @@ class _EllColumns:
         Callers pass ells that GapParams accepts at their tuning, where
         alpha ell - 1 is positive.
         """
-        return [math.log1p(0.5 / tuning.numerators(ell)[0]) for ell, tuning in zip(self.ells, self.tunings)]
+        return [math.log1p(0.5 / tuning.numerator(ell)) for ell, tuning in zip(self.ells, self.tunings)]
 
 
 _NUMERATORS = ("2 ell - 1", "alpha ell - 1", "2 alpha ell - 1")
@@ -271,6 +273,22 @@ def _log_case1_corrections(n: int, alphas, ancs, ells) -> list[float]:
         log_scale = math.log(scale) if scale < math.inf else math.log(alpha) + math.log(n + ell + 2)
         out.append(_log_mag(e_corr + log_scale, "alpha (n+ell+2) e^E", n))
     return out
+
+
+def _standalone_bumps(n: int, alphas, ancs, ells) -> list[float]:
+    """_log_case1_corrections for bumps read alone: a -inf, where E leaves the double range, raises."""
+    bumps = _log_case1_corrections(n, alphas, ancs, ells)
+    if -math.inf in bumps:
+        raise _overflow("the case-correction exponent", n)
+    return bumps
+
+
+def _finite_numerator(tuning: Tuning, ell: int, n: int) -> float:
+    """tuning's alpha ell - 1; past the double range, OverflowError naming it and n."""
+    numerator = tuning.numerator(ell)
+    if numerator == math.inf:
+        raise _overflow(_NUMERATORS[1], n)
+    return numerator
 
 
 def _check_numerators(n: int, cols: _EllColumns, variants) -> None:
@@ -417,7 +435,7 @@ def case1_correction_numerator(params: GapParams) -> LogScalar:
     """alpha (n+ell+2) e^E, the exact numerator bump of THM2_CASE1."""
     tuning = _tuning(params.alpha)
     anc = tuning.exponent(nc_product(params.n))
-    return LogScalar(1, _log_case1_corrections(params.n, (tuning.alpha,), (anc,), (params.ell,))[0])
+    return LogScalar(1, _standalone_bumps(params.n, (tuning.alpha,), (anc,), (params.ell,))[0])
 
 
 def gap_excess(params: GapParams, variant: GapVariant) -> GapBound:
@@ -447,10 +465,13 @@ def log_improvement_vs_cly(n: int, ell: int, alpha: float = DEFAULT_ALPHA) -> fl
 def case2_vs_doubled_thm1_log_margin(n: int, ell: int, alpha=DEFAULT_ALPHA) -> float:
     """log[(2 alpha ell - 1) / (2 (alpha ell - 1))]; _EllColumns.case2_margin at one ell.
 
-    Positive iff excess(THM2_CASE2) > 2 excess(THM1).  alpha may be a Tuning.
+    Positive iff excess(THM2_CASE2) > 2 excess(THM1), and raises where alpha ell - 1 overflows.
+    alpha may be a Tuning.
     """
     GapParams(n=n, ell=ell, alpha=alpha)  # validates the point
-    return _EllColumns((ell,), (_tuning(alpha),)).case2_margin[0]
+    tuning = _tuning(alpha)
+    _finite_numerator(tuning, ell, n)
+    return _EllColumns((ell,), (tuning,)).case2_margin[0]
 
 
 def final_inequality_log_margin(n: int, ell: int, alpha: float = DEFAULT_ALPHA) -> float:
@@ -466,8 +487,10 @@ def final_inequality_log_margin(n: int, ell: int, alpha: float = DEFAULT_ALPHA) 
 
 
 def _final_inequality_log_margins(n: int, anc: float, ells) -> list[float]:
-    """final_inequality_log_margin at each of ells, given anc = alpha n C_n."""
+    """final_inequality_log_margin at each of ells, given anc = alpha n C_n; an infinite head raises."""
     head = anc * (n + 3)
+    if head == math.inf:
+        raise _overflow("alpha n (n+3) C_n", n)
     return [head - math.log1p((n + 3.0) / ell) for ell in ells]
 
 

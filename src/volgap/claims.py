@@ -50,11 +50,9 @@ run's case (ii) margins, and THM6_CONSISTENCY the THM1 log excesses
 beside the multiplicity route.  bounds._thm1_log_excesses and
 _thm1_log_ratios form those THM1 columns with the helper the tables'
 column pass uses (bounds._log_quotients), so THM6 checks the code the
-tables print from.  FINAL_INEQ stops where its head alpha n (n+3) C_n
-leaves the double range, and GAP_ORDER_THM2_THM1 where E does, so no
-margin or witness is infinite.  A failed solve is not kept, so it
-errors only the claims that ask for its n.  The context lives for one
-run_claim_suite or run_claim call.
+tables print from.  A failed solve is not kept, so it errors only the
+claims that ask for its n.  The context lives for one run_claim_suite or
+run_claim call.
 LEM3_TRACE_BOUND reads t = 1 alone, which decides every t >= 1 (its note
 says why).  LEML_GPRIME_NEG reads no grid: it expands g' exactly over
 integer polynomials, which decides every n and beta at once (_leml_counts).
@@ -65,7 +63,7 @@ from __future__ import annotations
 import math
 from collections import Counter, namedtuple
 from dataclasses import dataclass
-from functools import reduce
+from functools import cache, reduce
 from itertools import accumulate, product, repeat
 from operator import add, sub
 
@@ -133,29 +131,19 @@ def _sample(lo: int, hi: int, k: int):
 
 
 class _Run:
-    """One run of the suite: its SuiteConfig, its ell columns, and one kernel and one root per n.
+    """One run of the suite: its SuiteConfig, and caches that share one bounds.Tuning(config.alpha).
 
-    Each is computed once, on first use; a call that raises keeps nothing, so the next one raises again.
+    columns(k) holds the ell-only terms over _sample(ell_min, ell_max, k),
+    kernel(n) the BoundKernel at n and gamma(n) solver.gamma_n(n).  Each is
+    computed on first use; a call that raises keeps nothing.
     """
 
     def __init__(self, config: SuiteConfig) -> None:
         self.config = config
-        self._kernels = {}
-        self._roots = {}
-        self._columns = {}
-
-    def columns(self, k: int):
-        """The ell-only terms of the bounds at config.alpha over _sample(ell_min, ell_max, k)."""
-        if k not in self._columns:
-            ells = _sample(self.config.ell_min, self.config.ell_max, k)
-            self._columns[k] = bounds._EllColumns(ells, [bounds.Tuning(self.config.alpha)] * len(ells))
-        return self._columns[k]
-
-    def kernel(self, n: int):
-        """bounds.BoundKernel(n, config.alpha), built once per n."""
-        if n not in self._kernels:
-            self._kernels[n] = bounds.BoundKernel(n, self.config.alpha)
-        return self._kernels[n]
+        tuning = bounds.Tuning(config.alpha)
+        self.columns = cache(lambda k: bounds._EllColumns(_sample(config.ell_min, config.ell_max, k), repeat(tuning)))
+        self.kernel = cache(lambda n: bounds.BoundKernel(n, tuning))
+        self.gamma = cache(solver.gamma_n)
 
     def ns(self, lo: int = 2, f=None) -> range:
         """The requested n >= lo, or, given a fold f, the n >= lo it reached."""
@@ -170,12 +158,6 @@ class _Run:
             return f"vacuous: no n >= {lo} in grid"
         grid = f"n in [{self.ns(lo, f)[0]}, {f.last}]{suffix}"
         return grid if f.cap is None else f"{grid}; {f.cap}"
-
-    def gamma(self, n: int):
-        """solver.gamma_n(n), solved once per n."""
-        if n not in self._roots:
-            self._roots[n] = solver.gamma_n(n)
-        return self._roots[n]
 
 
 # ------------------------------------------------------------ the fold
@@ -355,22 +337,13 @@ def _leml_counts() -> tuple[int, int, int]:
     return sum(map(bool, expansion.values())), mismatched, sum(a <= 0 for p in _G_FACTORS for a in p.values())
 
 
-def _final_row(kernel, cols) -> list[float]:
-    margins = bounds._final_inequality_log_margins(kernel.n, kernel.anc, cols.ells)
-    if margins[0] == math.inf:  # the head alpha n (n+3) C_n, and so every margin
-        raise logdomain._overflow("alpha n (n+3) C_n", kernel.n)
-    return margins
-
-
 def _ratio_row(kernel, cols) -> list[float]:
     return [ratio - _LOG_165 for ratio in bounds._thm1_log_ratios(kernel, cols)]
 
 
 def _case2_row(kernel, cols) -> list[float]:
-    alphas, ancs = repeat(kernel.tuning.alpha), repeat(kernel.anc)
-    # a bump's log is -inf only where E itself leaves the double range
-    if -math.inf in bounds._log_case1_corrections(kernel.n, alphas, ancs, cols.ells):
-        raise logdomain._overflow("the case-correction exponent", kernel.n)
+    # case (i)'s bumps, each alone, must be positive too: E must fit a double
+    bounds._standalone_bumps(kernel.n, repeat(kernel.tuning.alpha), repeat(kernel.anc), cols.ells)
     return cols.case2_margin
 
 
@@ -428,7 +401,7 @@ _CLAIMS = {
         "alpha n (n + 3) C_n + log(ell) - log(n + ell + 3) stays positive"
         " on the whole parameter grid",
         # log ell - log(n + ell + 3) rises with ell
-        _grid(_final_row, 2),
+        _grid(lambda kernel, cols: bounds._final_inequality_log_margins(kernel.n, kernel.anc, cols.ells), 2),
         lambda run, f: {"min_log_margin": f.worst, **_grid_point(f.at)},
         note=lambda run, f: run.note(f, _grid_note(run, 2, "the margin increases in ell")),
     ),

@@ -75,15 +75,13 @@ def _range_type(text: str):
 
 
 def _alpha_type(text: str):
+    """'auto' or a float; build_gap_table checks the value, as SuiteConfig does verify's."""
     if text == "auto":
         return "auto"
     try:
-        value = float(text)
+        return float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected a number or 'auto', got {text!r}") from None
-    if not (value > 0.0 and math.isfinite(value)):
-        raise argparse.ArgumentTypeError(f"alpha must be positive and finite, got {text!r}")
-    return value
 
 
 def _variant_type(text: str):

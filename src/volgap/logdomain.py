@@ -19,8 +19,9 @@ internal arithmetic is natural-log.
 
 The package's input rules live here too, one helper each: _check_int
 (an int, not a bool, and at least a given bound: n >= 2, ell >= 1) and
-_check_positive (positive and finite: alpha, t, cn_scale).  The rule
-alpha ell > 1 is bounds.GapParams, which calls both.
+_check_positive (positive and finite: alpha, t, cn_scale, and the
+solver's beta and tol).  The rule alpha ell > 1 is bounds.GapParams,
+which calls both.
 """
 
 from __future__ import annotations

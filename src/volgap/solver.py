@@ -41,8 +41,8 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 
-from .bounds import _excess_exponent, _tuning, b_alpha
-from .logdomain import _UNDERFLOW_LOG, LogScalar, _as_float, _check_int, log_add, log_div
+from .bounds import _excess_exponent, _finite_numerator, _tuning, b_alpha
+from .logdomain import _UNDERFLOW_LOG, LogScalar, _as_float, _check_int, _check_positive, _overflow, log_add, log_div
 from .specials import nc_product
 
 
@@ -87,8 +87,7 @@ def bisect(f, lo: float, hi: float, tol: float = 1e-12) -> RootResult:
     """
     if not (lo < hi) or math.isinf(lo) or math.isinf(hi):
         raise ValueError(f"need a finite bracket with lo < hi, got [{lo!r}, {hi!r}]")
-    if not (tol > 0.0):
-        raise ValueError(f"tol must be positive, got {tol!r}")
+    _check_positive(tol, "tol")
     flo = _check_finite("f(lo)", f(lo))
     fhi = _check_finite("f(hi)", f(hi))
     if flo == 0.0 or fhi == 0.0 or (flo > 0.0) == (fhi > 0.0):
@@ -122,26 +121,29 @@ def f1(alpha, n: int, ell: int) -> LogScalar:
     f1 trustworthy for arbitrarily small u: its numerator is ell u and
     its exponent is assembled from u, where a float alpha = 1/ell + u
     would collapse both once u drops below the resolution of 1/ell.
+    Where alpha ell - 1 leaves the double range, OverflowError names it and n.
     """
     _check_int(ell, "ell", 1)
     tuning = _tuning(alpha)
-    numerator = LogScalar.from_float(tuning.numerators(ell)[0])
-    return log_div(numerator, b_alpha(n, tuning))
+    return log_div(LogScalar.from_float(_finite_numerator(tuning, ell, n)), b_alpha(n, tuning))
 
 
 def f1_prime(alpha, n: int, ell: int) -> LogScalar:
     """d f1 / d alpha in closed form; alpha is a float or a bounds.Tuning.
 
     The numerator reduces to e^B (1 - B (alpha ell - 1)) + (n + 1 + ell)
-    with B = alpha n C_n, over B_(n,alpha)^2.
+    with B = alpha n C_n, over B_(n,alpha)^2.  Where alpha ell - 1,
+    B (alpha ell - 1) or ell leaves the double range, OverflowError names it and n.
     """
     _check_int(ell, "ell", 1)
     tuning = _tuning(alpha)
     big_b = tuning.exponent(nc_product(n))
-    coeff = 1.0 - big_b * tuning.numerators(ell)[0]
+    coeff = 1.0 - big_b * _finite_numerator(tuning, ell, n)
+    if coeff == -math.inf:
+        raise _overflow("alpha n C_n (alpha ell - 1)", n)
     lead = LogScalar.from_float(coeff)
     exp_part = LogScalar(lead.sign, lead.log_mag + big_b) if lead.sign != 0 else lead
-    numerator = log_add(exp_part, LogScalar.from_float(n + 1.0 + ell))
+    numerator = log_add(exp_part, LogScalar.from_float(n + 1.0 + _as_float(ell, "ell", n)))
     denominator = b_alpha(n, tuning)
     return log_div(numerator, denominator * denominator)
 
@@ -281,8 +283,7 @@ def g_prime_sign_scan(n: int, betas) -> list[GPrimeSample]:
     ncn = nc_product(n)
     samples = []
     for beta in betas:
-        if not (beta > 0.0):
-            raise ValueError(f"beta values must be positive, got {beta!r}")
+        _check_positive(beta, "beta")
         in_domain = math.log(beta * beta * ncn) + beta * ncn > 0.0  # the domain, in log form
         samples.append(GPrimeSample(beta=beta, in_domain=in_domain, sign=-1 if in_domain else None))
     return samples

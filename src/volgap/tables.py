@@ -62,7 +62,7 @@ from .bounds import (
     _EllColumns, _tuning,
 )
 from .bounds import gap_excess  # noqa: F401  (perfbench's tracer tests wrap tables.gap_excess)
-from .logdomain import _LN10
+from .logdomain import _LN10, _check_positive
 from .solver import optimal_alpha
 
 CSV_HEADER = "n,ell,alpha,variant,log10_B,log10_excess,ratio_vs_cly"
@@ -105,7 +105,8 @@ def build_gap_table(n_values, ell_values, alpha=DEFAULT_ALPHA, variants=None) ->
 
     n_values and ell_values are sequences of ints (a list, tuple or
     range), read in place, so an invalid request costs no copy of its
-    ranges.  GapParams checks every n, then every ell, at the tuned
+    ranges.  A fixed alpha is checked first, even if no tuned variant
+    reads it; GapParams then checks every n, then every ell, at the tuned
     alpha, before any row is computed; of a range it checks only the two
     ends, the smaller first (_deciding).  At auto, or with no tuned
     variant, that is the classical tuning, valid at every ell >= 1; an
@@ -113,7 +114,7 @@ def build_gap_table(n_values, ell_values, alpha=DEFAULT_ALPHA, variants=None) ->
     positive.  The same ells, at the first n checked, then decide
     whether 2 ell - 1 and, at a fixed alpha, each chosen variant's
     numerator fit a double (bounds._check_numerators); at auto the
-    solver's pair forms ell u and 1 + 2 ell u, which cannot overflow.
+    solver's pair forms ell u and 2 ell u, which cannot overflow.
 
     Rows are read from one BoundKernel per n at a fixed alpha, and one
     per (n, ell) at auto, which takes the solver's exact pair
@@ -134,6 +135,7 @@ def build_gap_table(n_values, ell_values, alpha=DEFAULT_ALPHA, variants=None) ->
     auto = alpha == "auto"
     if not auto:
         alpha = float(alpha)
+        _check_positive(alpha, "alpha")
     chosen = tuple(GapVariant(v) for v in variants) if variants else tuple(GapVariant)
     tuned = any(v is not GapVariant.CLY for v in chosen)
     checked = alpha if tuned and not auto else _CLASSICAL

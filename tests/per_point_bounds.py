@@ -20,6 +20,12 @@ def ln(x: float, what: str, n: int) -> float:
     raise OverflowError(f"{what} leaves the double range at n={n}")
 
 
+def ln1p(x: float, what: str, n: int) -> float:
+    if x < math.inf:
+        return math.log1p(x)
+    raise OverflowError(f"{what} leaves the double range at n={n}")
+
+
 def log_mag(v: float, what: str, n: int) -> float:
     if v < math.inf:
         return v
@@ -50,7 +56,7 @@ def logs(kernel, ell: int, variants) -> list:
     """(log B, log excess, log ratio to CLY) per variant at one ell, from kernel's per-n scalars."""
     n = kernel.n
     log_cly = ln(2.0 * ell - 1.0, "2 ell - 1", n) - kernel.log_b_cly
-    thm1, case2 = kernel.tuning.numerators(ell)
+    thm1 = kernel.tuning.numerator(ell)
     log_thm1 = None
     out = []
     for variant in variants:
@@ -65,7 +71,7 @@ def logs(kernel, ell: int, variants) -> list:
                 correction = log_case1_correction(n, ell, kernel.tuning.alpha, kernel.anc)
                 log_num = _log_sum(log_thm1, correction)
         elif variant is GapVariant.THM2_CASE2:
-            log_num = ln(case2, "2 alpha ell - 1", n)
+            log_num = ln1p(2.0 * thm1, "2 alpha ell - 1", n)
         else:
             raise ValueError(f"unknown variant {variant!r}")
         log_excess = log_num - kernel.log_b
@@ -74,7 +80,7 @@ def logs(kernel, ell: int, variants) -> list:
 
 
 def case2_margin(tuning, ell: int) -> float:
-    thm1 = tuning.numerators(ell)[0]
+    thm1 = tuning.numerator(ell)
     if not thm1 > 0.0:
         raise ValueError("alpha*ell must exceed 1")
     return math.log1p(0.5 / thm1)

@@ -239,9 +239,9 @@ def _owned_nodes(tree):
 
 def test_only_logdomain_spells_the_input_rules():
     # n >= 2, ell >= 1 and "positive and finite" are logdomain._check_int
-    # and _check_positive, which every other module calls; cli._alpha_type
-    # keeps its own words, since argparse must raise them as it parses
-    words = ("must be an int", "must be at least", "must be positive and finite")
+    # and _check_positive, which every other module calls; any other
+    # "must be positive" would be a second wording of the last
+    words = ("must be an int", "must be at least", "must be positive")
     spelled = Counter()
     for path in sorted(SRC.glob("*.py")):
         for owner, node in _owned_nodes(ast.parse(path.read_text())):
@@ -254,9 +254,17 @@ def test_only_logdomain_spells_the_input_rules():
         ("logdomain", "_check_int", "must be an int"): 1,
         ("logdomain", "_check_int", "must be at least"): 1,
         ("logdomain", "_check_int", "bool"): 1,
-        ("logdomain", "_check_positive", "must be positive and finite"): 1,
-        ("cli", "_alpha_type", "must be positive and finite"): 1,
+        ("logdomain", "_check_positive", "must be positive"): 1,
     }
+
+
+def test_claims_decide_no_overflow_of_their_own():
+    # each quantity a claim reads raises its own overflow, in bounds, solver
+    # or spectral; claims only fold it into a cap
+    tree = ast.parse((SRC / "claims.py").read_text())
+    found = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Call)
+             and (getattr(node.func, "id", None) == "OverflowError" or "_overflow" in _names(node.func))]
+    assert found == []
 
 
 def test_only_bounds_spells_the_classical_tuning():

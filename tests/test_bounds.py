@@ -7,6 +7,7 @@ stay exact in the log domain.
 """
 
 import math
+import re
 from fractions import Fraction
 
 import mpmath
@@ -36,7 +37,7 @@ from volgap.bounds import (
     _log_multiplicity_excesses,
 )
 from volgap.logdomain import _UNDERFLOW_LOG, LogScalar, log_add, log_div
-from volgap.solver import optimal_alpha
+from volgap.solver import f1, f1_prime, optimal_alpha
 from volgap.specials import cly_constant, nc_product
 
 import per_point_bounds as per_point
@@ -245,22 +246,22 @@ class TestBoundKernel:
 
 class TestTuning:
     def test_excess_pair_forms_numerators_and_exponent_from_u(self):
-        # bit for bit: ell u, 1 + 2 ell u and nc/ell + u nc, however far u
-        # is below the resolution of 1/ell
+        # bit for bit: ell u, log1p(2 ell u) and nc/ell + u nc, however far
+        # u is below the resolution of 1/ell
         for n in (2, 16, 17, 30, 165):
             nc = nc_product(n)
             for ell in (1, 3, 30):
                 u = optimal_alpha(n, ell).root
                 tuning = Tuning.excess(ell, u)
                 assert tuning.alpha == 1.0 / ell + u
-                assert tuning.numerators(ell) == (ell * u, 1.0 + 2.0 * ell * u)
+                assert tuning.numerator(ell) == ell * u
                 assert tuning.exponent(nc) == nc / ell + u * nc
                 kernel = BoundKernel(n, tuning)
                 assert kernel.anc == nc / ell + u * nc
                 log_b, log_excess, _ = kernel.logs(ell, (GapVariant.THM1,))[0]
                 assert log_excess == math.log(ell * u) - log_b
                 assert kernel.logs(ell, (GapVariant.THM2_CASE2,))[0][1] == (
-                    math.log(1.0 + 2.0 * ell * u) - log_b
+                    math.log1p(2.0 * ell * u) - log_b
                 )
 
     def test_fixed_alpha_rounds_each_numerator_once(self):
@@ -271,7 +272,7 @@ class TestTuning:
             for ell in (2, 7, 23):
                 tuning = Tuning(alpha)
                 exact = Fraction(alpha) * ell
-                assert tuning.numerators(ell) == (float(exact - 1), float(2 * exact - 1))
+                assert tuning.numerator(ell) == float(exact - 1)
                 assert tuning.exponent(nc) == alpha * nc
                 assert BoundKernel(9, tuning).logs(ell, tuple(GapVariant)) == (
                     BoundKernel(9, alpha).logs(ell, tuple(GapVariant))
@@ -610,3 +611,94 @@ class TestCase1Screen:
             thm1, case1 = _bound_columns([BoundKernel(n, 1.43)] * 30, cols, (GapVariant.THM1, GapVariant.THM2_CASE1))
             assert (case1 is thm1) is shared
             assert case1 == thm1  # the bumps at n = 4 reach no bit either
+
+
+def least_alpha_above(ell: int) -> float:
+    """The least double alpha with alpha ell > 1 exactly, as GapParams decides it."""
+    alpha = 1.0 / ell
+    while Fraction(alpha) * ell <= 1:
+        alpha = math.nextafter(alpha, math.inf)
+    return alpha
+
+
+def views(n: int, ell: int, alpha: float):
+    """(name, call, kind) of each public one-point view at a valid (n, ell, alpha).
+
+    kind is "positive" for a LogScalar of a positive quantity, "signed"
+    for a LogScalar that may be negative, and a float view's own check.
+    """
+    params = GapParams(n=n, ell=ell, alpha=alpha)
+    yield "b_alpha", lambda: b_alpha(n, alpha), "positive"
+    for variant in GapVariant:
+        yield variant.value, lambda variant=variant: gap_excess(params, variant)[2:], "positive"
+    yield "log_improvement_vs_cly", lambda: log_improvement_vs_cly(n, ell, alpha), math.isfinite
+    yield "case2_margin", lambda: case2_vs_doubled_thm1_log_margin(n, ell, alpha), lambda m: 0.0 < m < math.inf
+    yield "final_margin", lambda: final_inequality_log_margin(n, ell, alpha), math.isfinite
+    yield "case1_bump", lambda: case1_correction_numerator(params), "positive"
+    yield "f1", lambda: f1(alpha, n, ell), "positive"
+    yield "f1_prime", lambda: f1_prime(alpha, n, ell), "signed"
+
+
+class TestEveryViewIsFiniteOrNamesItsOverflow:
+    """No public one-point view returns an inf, a NaN or a vanished LogScalar at a valid point.
+
+    Where its quantity leaves the double range it raises OverflowError,
+    whose message ends by naming n.
+    """
+
+    ELLS = (1, 2, 30, 10**6, 10**20, 10**150, 10**300)
+
+    @pytest.mark.parametrize("n", [2, 164, 165])
+    def test_extreme_points(self, n):
+        seen = set()
+        for ell in self.ELLS:
+            least = least_alpha_above(ell)
+            for alpha in (least, *(a for a in (1.0, 1.43, 1e10, 1e300) if a > least)):
+                for name, view, kind in views(n, ell, alpha):
+                    where = (name, n, ell, alpha)
+                    try:
+                        value = view()
+                    except OverflowError as exc:
+                        assert str(exc).endswith(f" at n={n}"), (where, exc)
+                        seen.add((name, "raised"))
+                        continue
+                    seen.add((name, "returned"))
+                    for x in value if isinstance(value, tuple) else (value,):
+                        if kind == "positive":
+                            assert x.sign == 1 and math.isfinite(x.log_mag), (where, x)
+                        elif kind == "signed":
+                            assert x.sign != 0 and math.isfinite(x.log_mag), (where, x)
+                        else:
+                            assert kind(x), (where, x)
+        # every view returns somewhere on the sweep, and all but CLY overflow
+        # somewhere; at n = 2, B and the final head fit at every alpha up to 1e300
+        names = {name for name, _ in seen}
+        assert {name for name in names if (name, "returned") in seen} == names
+        assert {name for name in names if (name, "raised") not in seen} == {"CLY"} | (
+            {"b_alpha", "final_margin"} if n == 2 else set()
+        )
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda: final_inequality_log_margin(165, 1), "alpha n (n+3) C_n leaves the double range at n=165"),
+        (lambda: final_inequality_log_margin(2, 1, 1e308), "alpha n (n+3) C_n leaves the double range at n=2"),
+        (lambda: case1_correction_numerator(GapParams(165, 1)),
+         "the case-correction exponent leaves the double range at n=165"),
+        (lambda: case2_vs_doubled_thm1_log_margin(2, 10**300, 1e10), "alpha ell - 1 leaves the double range at n=2"),
+        (lambda: f1(1e300, 2, 10**10), "alpha ell - 1 leaves the double range at n=2"),
+        (lambda: f1_prime(1e300, 2, 10**10), "alpha ell - 1 leaves the double range at n=2"),
+        (lambda: f1_prime(1.43, 150, 10**300), "alpha n C_n (alpha ell - 1) leaves the double range at n=150"),
+        (lambda: f1_prime(1e-100, 2, 10**400), "ell leaves the double range at n=2"),
+    ], ids=["final-165", "final-huge-alpha", "case1-bump-165", "case2-margin", "f1", "f1-prime-numerator",
+            "f1-prime-product", "f1-prime-ell"])
+    def test_named_overflows(self, call, message):
+        with pytest.raises(OverflowError, match=f"^{re.escape(message)}$"):
+            call()
+
+    def test_the_summed_column_keeps_a_vanished_bump(self):
+        # E = -inf at (2, 89 10^306, 0.075): alone the bump raises, in THM2_CASE1's sum it changes no bit
+        params = GapParams(n=2, ell=89 * 10**306, alpha=0.075)
+        with pytest.raises(OverflowError, match="^the case-correction exponent leaves the double range at n=2$"):
+            case1_correction_numerator(params)
+        case1 = gap_excess(params, GapVariant.THM2_CASE1)
+        assert case1.excess == gap_excess(params, GapVariant.THM1).excess
+        assert math.isfinite(case1.excess.log_mag)

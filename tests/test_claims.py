@@ -266,7 +266,7 @@ def test_leml_reads_no_grid_no_beta_and_no_kernel(monkeypatch):
     def unread(*args, **kwargs):
         raise AssertionError("LEML_GPRIME_NEG read what it should not")
 
-    for module, name in [(_Run, "kernel"), (bounds, "BoundKernel"), (solver, "g_prime_sign_scan")]:
+    for module, name in [(bounds, "BoundKernel"), (solver, "g_prime_sign_scan")]:
         monkeypatch.setattr(module, name, unread)
     # no kernel claim has a point on 166:170; LEML still passes there
     v = run_claim("LEML_GPRIME_NEG", SuiteConfig(n_min=166, n_max=170))
@@ -648,8 +648,8 @@ def _head_of_one(monkeypatch):
 def _short_tuned_numerator(monkeypatch):
     # alpha ell - 1 short by 0.01: the ratio at (2, 1) falls about 2 % below
     # 1.65, and stays above it at ell = 30
-    real = bounds.Tuning.numerators
-    monkeypatch.setattr(bounds.Tuning, "numerators", lambda self, ell: (real(self, ell)[0] - 0.01, real(self, ell)[1]))
+    real = bounds.Tuning.numerator
+    monkeypatch.setattr(bounds.Tuning, "numerator", lambda self, ell: real(self, ell) - 0.01)
 
 
 def _case2_against_2002_thm1(monkeypatch):

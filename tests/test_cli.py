@@ -333,12 +333,14 @@ class TestTable:
         assert exc.value.code == 2
 
     @pytest.mark.parametrize("alpha", ["0", "-1", "inf", "nan"])
-    def test_alpha_must_be_positive_and_finite(self, capsys, alpha):
-        with pytest.raises(SystemExit) as exc:
-            main(["table", "--alpha", alpha])
-        assert exc.value.code == 2
-        err = capsys.readouterr().err
-        assert err == f"usage error: argument --alpha: alpha must be positive and finite, got {alpha!r}\n"
+    @pytest.mark.parametrize("argv", [("table",), ("table", "--variant", "cly"),
+                                      ("gap", "--n", "2", "--l", "1", "--variant", "cly")])
+    def test_alpha_must_be_positive_and_finite(self, capsys, argv, alpha):
+        # one line, the one verify prints, also where no tuned variant reads alpha
+        assert main([*argv, "--alpha", alpha]) == 2
+        assert capsys.readouterr().err == f"usage error: alpha must be positive and finite, got {float(alpha)!r}\n"
+        assert main(["verify", "--alpha", alpha]) == 2
+        assert capsys.readouterr().err == f"usage error: alpha must be positive and finite, got {float(alpha)!r}\n"
 
 
 _OVERFLOW_POINTS = [("1e300", "30"), ("8e307", "2"), ("8e307", "30"), ("1e308", "2"), ("1e308", "30")]

@@ -3,8 +3,9 @@
 Each printed value carries 12 significant digits, and each must lie
 within one unit of its 12th digit of the oracle's value.  The table
 test covers the whole representable grid, n 2:165 x ell 1:30, at a
-fixed alpha and at alpha = auto, and every n at fixed alphas just above
-1/ell, where alpha ell - 1 is far below an ulp of alpha ell.
+fixed alpha and at alpha = auto, every n at fixed alphas just above
+1/ell, where alpha ell - 1 is far below an ulp of alpha ell, and four
+points at alphas down to 3e-15, where B is near 1.
 ratio_vs_cly is left out: its digits are not yet right at most tuned
 points.
 """
@@ -126,5 +127,28 @@ def test_every_printed_log_near_alpha_ell_one(tmp_path, ell, alpha):
         printed = json.loads(run(tmp_path, "gap", "--json", "--n", str(n), "--l", str(ell), "--alpha", alpha),
                              parse_float=str)
         rows += [(row["variant"], n, ell, row["log10_B"], row["log10_excess"]) for row in printed]
+    units, where = worst(logs_against_oracle(rows, float(alpha)), logs=True)
+    assert units <= 1, (units, where)
+
+
+# small fixed alphas just above 1/ell: B is near 1 and 2 alpha ell - 1 near 1
+# as well, so log B and log(2 alpha ell - 1) keep their digits only as log1p
+SMALL_ALPHAS = [
+    (2, 10**6, "1.0000001e-6"),
+    (8, 1700425718, "5.880880239714117e-10"),
+    (5, 65886851885, "1.5177535001299244e-11"),
+    (3, 329343820027763, "3.036342532682878e-15"),
+]
+
+
+@pytest.mark.parametrize("n, ell, alpha", SMALL_ALPHAS)
+def test_every_printed_log_at_a_small_alpha(tmp_path, n, ell, alpha):
+    text = run(tmp_path, "table", "--alpha", alpha, "--n-range", f"{n}:{n}", "--l-range", f"{ell}:{ell}")
+    rows = [(variant, n, ell, b, excess)
+            for _, _, _, variant, b, excess, _ in (line.split(",") for line in text.splitlines()[1:])]
+    printed = json.loads(run(tmp_path, "gap", "--json", "--n", str(n), "--l", str(ell), "--alpha", alpha),
+                         parse_float=str)
+    rows += [(row["variant"], n, ell, row["log10_B"], row["log10_excess"]) for row in printed]
+    assert len(rows) == 8
     units, where = worst(logs_against_oracle(rows, float(alpha)), logs=True)
     assert units <= 1, (units, where)

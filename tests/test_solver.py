@@ -88,8 +88,9 @@ class TestBisect:
     def test_bad_bracket_or_tol(self):
         with pytest.raises(ValueError):
             bisect(math.sin, 2.0, 1.0)
-        with pytest.raises(ValueError):
-            bisect(math.sin, 1.0, 2.0, tol=0.0)
+        for tol in (0.0, -1.0, math.inf, math.nan):
+            with pytest.raises(ValueError, match=f"^tol must be positive and finite, got {tol!r}$"):
+                bisect(h, 1.42, 1.44, tol=tol)
 
     def test_deterministic(self):
         a = bisect(math.cos, 1.0, 2.0)
@@ -456,8 +457,9 @@ class TestGFunction:
         assert sum(map(sum, domains)) == 169
 
     def test_sign_scan_rejects_nonpositive_beta(self):
-        with pytest.raises(ValueError):
-            g_prime_sign_scan(2, [1.0, 0.0])
+        for beta in (0.0, -1.0, math.inf, math.nan):
+            with pytest.raises(ValueError, match=f"^beta must be positive and finite, got {beta!r}$"):
+                g_prime_sign_scan(2, [1.0, beta])
 
 
 class TestDenominatorHook:
